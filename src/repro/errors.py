@@ -164,3 +164,13 @@ class LsmError(ReproError):
 
 class DbClosedError(LsmError):
     """Operation on a closed database."""
+
+
+# --- serving layer -----------------------------------------------------------
+
+
+class ServerAlreadyRanError(ReproError):
+    """``Server.run()`` was called a second time on the same server.
+
+    A run consumes the tenants' streams and accumulates their SLO
+    trackers; a second pass would report rows mixing both runs."""

@@ -12,7 +12,7 @@ service times come from the full simulated device stack, so serving
 queueing composes with NAND latency, GC interference, and faults.
 
 Determinism contract: seeded RNGs only, CRC-based hashing only, one
-event heap with a stable tiebreak — the same configs yield
+event run-list with a stable tiebreak — the same configs yield
 byte-identical reports (locked by the serving golden test).
 """
 

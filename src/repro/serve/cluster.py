@@ -142,9 +142,8 @@ class Shard:
         # that varies per scheme; serving starts *after* that, so fleet
         # time 0 maps to this local clock value, not to local 0.
         self.epoch_ns = stack.clock.now
-        # Item shape is loop-private: the legacy/fast loops queue
-        # (arrival_ns, tenant_index, op-or-cursor); the replicated loop
-        # queues its own foreground/replica/hint tuples.
+        # Tagged (tag, time_ns, kind, key, ...) items owned by the
+        # serving loop: foreground request, replica write or hint replay.
         self.queue: Deque[tuple] = deque()
         self.busy = False
         self.served = 0
@@ -157,7 +156,7 @@ class Shard:
         # --- replication & failover state (repro.serve.replication) ---
         # `alive` is ground truth (the fault injector's view: power on or
         # off); `health` is the *declared* state routing acts on.  The
-        # gap between them is detection latency, which the replicated
+        # gap between them is detection latency, which the serving
         # loop simulates instead of assuming away.
         self.alive = True
         self.health = HEALTH_UP
@@ -222,7 +221,7 @@ class Shard:
             "gc_free_units_end": pressure["free_units"],
         }
         if self.replication_active:
-            # Extra columns only when the replicated loop ran, so the
+            # Extra columns only when replication was armed, so the
             # PR 3–7 golden row shapes stay bit-identical at R=1.
             journal = self.hint_journal
             row.update(

@@ -89,7 +89,7 @@ class SloTracker:
         self.get_hits = 0
         # Requests accepted for service but never completed: routed to a
         # dead shard, lost in a power cut, or left with no live replica.
-        # Only the replicated serving loop can produce these; the row()
+        # Only a run with replication armed can produce these; the row()
         # schema is unchanged so pre-replication goldens stay identical
         # (the failover sweep reads this attribute directly).
         self.failed_unavailable = 0

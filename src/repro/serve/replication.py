@@ -29,7 +29,7 @@ a replicated fleet needs:
   recovery slope the failover sweep reports as ``fleet_*`` columns.
 
 Everything is deterministic: the kill schedule is explicit virtual
-time, probes are fixed-interval events on the serving heap, and the
+time, probes are fixed-interval events on the serving run-list, and the
 journals are FIFO — the same configs produce byte-identical reports.
 """
 
@@ -138,9 +138,9 @@ class ShardKill:
 class FailoverPlan:
     """The fault schedule one serving run executes.
 
-    An empty plan still arms the replicated serving loop (useful for
-    equivalence tests); a ``None`` plan with R=1 keeps the fast/legacy
-    loops untouched.
+    An empty plan still arms replication (health machinery, fleet
+    row, replica-set routing — useful for equivalence tests); a ``None``
+    plan with R=1 leaves it unarmed.
     """
 
     kills: Tuple[ShardKill, ...] = ()

@@ -13,31 +13,34 @@ Determinism: every event carries a (virtual time, insertion seq) key,
 all randomness sits behind seeded RNGs, no wall clock anywhere.  The
 same configs produce byte-identical reports.
 
-Two interchangeable executions of the same simulation live here:
+There is one loop, :meth:`Server.run`, whatever is armed:
 
-* the **fast path** (default) pre-generates each tenant's arrival
-  timestamps and operations as arrays, replaces the binary heap with
-  the run-list idiom of :class:`~repro.sim.sched.EventScheduler`, and
-  inlines the QoS/routing bookkeeping — roughly an order of magnitude
-  more simulated ops/sec;
-* the **legacy path** (``fast_path=False``, or automatically whenever a
-  shard's I/O tracer has subscribers) is the original one-event-per-
-  arrival heap loop, kept as the executable reference the fast path is
-  regression-tested against.
-
-Both produce bit-identical reports; ``tests/test_engine_speed.py``
-holds the equivalence tests.
+* every tenant's arrival timestamps, op kinds and key *indices* are
+  drawn in bulk before the first event (the arrival, op-mix, Zipf and
+  size streams are independent seeded generators, so draining one early
+  cannot perturb another);
+* a request's key bytes — ``tenant:gen:`` prefix included — are bound
+  when it **arrives**, so the shard the ring picked and the key the
+  shard applies always agree, even across a namespace bump;
+* arrivals, completions, kills, recoveries, probes and namespace bumps
+  are six kinds on one :class:`~repro.sim.sched.EventScheduler`
+  run-list, dispatched from one table;
+* replication (R>1 or a :class:`FailoverPlan`) changes the *routing
+  step* of an arrival and adds fan-out work to a completion; it does
+  not change the loop;
+* ``serve`` spans and ``serve.*`` events are recorded only on shards
+  whose ``IoTracer.enabled`` is set — observing a run never reroutes it.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.engine import HybridCache
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ServerAlreadyRanError
 from repro.serve.cluster import CacheCluster, Shard
 from repro.serve.replication import (
     HEALTH_DOWN,
@@ -49,7 +52,6 @@ from repro.serve.replication import (
     PHASE_STORM,
     FailoverPlan,
     FleetStats,
-    ShardKill,
 )
 from repro.serve.invalidation import InvalidationPlan, InvalidationStats
 from repro.serve.tenant import Tenant, TenantConfig
@@ -57,18 +59,14 @@ from repro.sim.sched import EventScheduler
 from repro.units import SEC
 from repro.workloads.cachebench import KIND_DELETE, KIND_GET, KIND_NAMES, KIND_SET
 
-_ARRIVAL = 0
-_DONE = 1
-# Replicated-loop-only event kinds (never pushed by the fast/legacy
-# loops, so their event streams are untouched).
-_KILL = 2
-_RECOVER = 3
-_PROBE = 4
-# Scheduled namespace bump (legacy + replicated loops; never pushed
-# unless an InvalidationPlan is armed).
-_INVALIDATE = 5
+# Event kinds, in dispatch-table order.  Kills, recoveries and probes
+# are pushed only under a FailoverPlan, bumps only under an
+# InvalidationPlan.
+_ARRIVAL, _DONE, _KILL, _RECOVER, _PROBE, _INVALIDATE = range(6)
 
-# Queue item tags for the replicated loop (first tuple element).
+# Shard-queue items are ``(tag, time_ns, kind, key, ...)``: a foreground
+# request continues ``tenant_index, key_index``; a replica write or a
+# hint replay continues ``value``.
 _ITEM_FG = 0
 _ITEM_REPL = 1
 _ITEM_HINT = 2
@@ -77,8 +75,6 @@ _ITEM_HINT = 2
 # (key = tenant id bytes, value = ASCII generation).  Outside the
 # cachebench KIND_* range on purpose.
 _KIND_NSBUMP = 3
-
-_KIND_INT = {"get": KIND_GET, "set": KIND_SET, "delete": KIND_DELETE}
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,6 @@ class ServerConfig:
     # arrival finding the queue full is rejected, so queue delay — and
     # therefore p99 — stays bounded while shed rate absorbs the overload.
     max_queue_depth: int = 64
-    # Pre-generated array-driven event loop (see module docstring).
-    # Runs only while tracing is off; traced runs take the legacy loop
-    # so span/event sequences stay exactly as they always were.
-    fast_path: bool = True
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -111,8 +103,8 @@ class ServingReport:
     offered: int
     completed: int
     shed: int
-    # Fleet-level replication/failover summary; None unless the
-    # replicated loop ran (replicas > 1 or a FailoverPlan was armed).
+    # Fleet-level replication/failover summary; None unless replication
+    # was armed (replicas > 1 or a FailoverPlan).
     fleet_row: Optional[Dict[str, object]] = field(default=None)
     # Invalidation-storm summary; None unless an InvalidationPlan ran.
     inval_row: Optional[Dict[str, object]] = field(default=None)
@@ -122,6 +114,14 @@ class ServingReport:
         if self.offered == 0:
             return 0.0
         return self.shed / self.offered
+
+
+def _emit(shard: Shard, layer: str, op: str, zone: Optional[int] = None) -> None:
+    """Record a ``serve.*`` event on the shard's tracer (a no-op unless
+    that tracer is enabled)."""
+    shard.stack.cache.store.tracer.emit_event(
+        layer, op, offset=shard.index, zone=zone
+    )
 
 
 class Server:
@@ -168,9 +168,8 @@ class Server:
                     )
         if self._replication_armed() and cluster.routing.policy == "gc_aware":
             raise ConfigError(
-                "the replicated serving loop requires ring-faithful "
-                "(static) routing; gc_aware is not supported with a "
-                "failover plan"
+                "replicated serving requires ring-faithful (static) "
+                "routing; gc_aware is not supported with a failover plan"
             )
         self.tenants = [Tenant(t) for t in tenants]
         # Diversion-journal reads (RoutingConfig.diversion_journal):
@@ -183,8 +182,8 @@ class Server:
         # (AdaptivePacingConfig signal="e2e_p99"); resolved at run()
         # time so enable_adaptive_pacing() after construction counts.
         self._e2e_feed: List[Optional[object]] = []
-        self._heap: List[Tuple[int, int, int, int]] = []
-        self._seq = 0
+        self._events = EventScheduler()
+        self._ran = False
         self._end_ns = 0
         self._last_arrival_ns = 0
         self._fleet: Optional[FleetStats] = None
@@ -198,12 +197,6 @@ class Server:
 
     def _replication_armed(self) -> bool:
         return self.failover is not None or self.cluster.replication.replicas > 1
-
-    # --- event plumbing -----------------------------------------------------
-
-    def _push(self, time_ns: int, kind: int, index: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time_ns, self._seq, kind, index))
 
     # --- main loop ----------------------------------------------------------
 
@@ -227,319 +220,257 @@ class Server:
                 self._e2e_feed.append(None)
 
     def run(self) -> ServingReport:
-        self._resolve_e2e_feed()
-        if self._replication_armed():
-            return self._run_replicated()
-        if self.inval_stats is not None:
-            # Namespace bumps change a tenant's key prefix mid-run; the
-            # fast path pre-generates fully-prefixed key bytes, so an
-            # armed plan takes the legacy loop.
-            return self._run_legacy()
-        if self.config.fast_path and not any(
-            shard.stack.cache.store.tracer.enabled
-            for shard in self.cluster.shards
-        ):
-            return self._run_fast()
-        return self._run_legacy()
+        """Serve every tenant's stream to completion; single-shot.
 
-    def _run_legacy(self) -> ServingReport:
-        """Reference loop: one heap event per arrival, ops drawn lazily."""
-        for index, tenant in enumerate(self.tenants):
-            if tenant.budget > 0:
-                self._push(tenant.arrivals.next_arrival_ns(0), _ARRIVAL, index)
-        if self.inval_stats is not None:
-            for bump_index, bump in enumerate(self.invalidations.bumps):
-                self._push(bump.at_ns, _INVALIDATE, bump_index)
-        while self._heap:
-            time_ns, _seq, kind, index = heapq.heappop(self._heap)
-            if kind == _ARRIVAL:
-                self._on_arrival(time_ns, index)
-            elif kind == _INVALIDATE:
-                self._on_invalidate(time_ns, index)
-            else:
-                self._on_done(time_ns, self.cluster.shards[index])
-        return self._report()
-
-    def _run_fast(self) -> ServingReport:
-        """Array-driven loop; bit-identical to :meth:`_run_legacy`.
-
-        Every RNG draw the legacy loop makes per event is pre-drawn here
-        in bulk per stream (streams are independent generators, so
-        draining one early cannot perturb another), and the event heap
-        becomes a descending run-list: with one pending arrival per
-        tenant plus one completion per busy shard in flight, ``insort``
-        into a handful of tuples beats heap sifting.  Event ``seq``
-        numbers are assigned at the same points in the same order as the
-        legacy loop, so ties dequeue identically.
+        The loop body is the arrival handler (the one hot path whose
+        per-run constants are worth holding in locals); every other
+        event kind goes through the dispatch table.  Event ``seq``
+        numbers are assigned in push order, so equal-time events
+        dequeue in the order they were scheduled.
         """
+        if self._ran:
+            raise ServerAlreadyRanError(
+                "Server.run() is single-shot: tenant streams and SLO "
+                "trackers are consumed by the first run; build a new Server"
+            )
+        self._ran = True
+        self._resolve_e2e_feed()
         tenants = self.tenants
         cluster = self.cluster
-        shards = cluster.shards
-        max_depth = self.config.max_queue_depth
-        gc_aware = cluster.routing.policy == "gc_aware"
-        diversion_active = self._diversion_active
-        e2e_feed = self._e2e_feed
-        route_from_home = cluster.route_from_home
-        shard_for = cluster.shard_for
+        replicated = self._replication_armed()
+        plan = self.failover if self.failover is not None else FailoverPlan()
+        if replicated:
+            for shard in cluster.shards:
+                shard.replication_active = True
+            first_kill = plan.first_kill_ns()
+            # Steady-phase hit accounting skips the first half of the
+            # lead-in so cold-start misses don't flatter the recovery
+            # comparison.
+            self._fleet = FleetStats(
+                warmup_ns=(first_kill // 2) if first_kill else 0
+            )
 
-        # Per-tenant pre-generated streams: arrival times, op kinds, op
-        # key indices, and fully-prefixed key bytes (memoized — Zipf
-        # reuse means most arrivals hit the same few hundred keys).
-        arrival_times: List[List[int]] = []
+        arrival_times = [t.arrivals.pregenerate(t.budget) for t in tenants]
         op_kinds: List[List[int]] = []
         op_key_indices: List[List[int]] = []
-        op_keys: List[List[bytes]] = []
         for tenant in tenants:
-            budget = tenant.budget
-            arrival_times.append(
-                tenant.arrivals.pregenerate(budget) if budget > 0 else []
-            )
-            kinds, key_indices = tenant.driver.next_ops(budget)
+            kinds, key_indices = tenant.driver.next_ops(tenant.budget)
             op_kinds.append(kinds)
             op_key_indices.append(key_indices)
-            prefix = tenant.key_prefix
-            key_bytes = tenant.driver.key_bytes
-            key_cache: Dict[int, bytes] = {}
-            keys: List[bytes] = []
-            for key_index in key_indices:
-                key = key_cache.get(key_index)
-                if key is None:
-                    key = prefix + key_bytes(key_index)
-                    key_cache[key_index] = key
-                keys.append(key)
-            op_keys.append(keys)
 
-        scheduler = EventScheduler()
-        events = scheduler.events
-        seq = 0
-        for index, tenant in enumerate(tenants):
-            if tenant.budget > 0:
-                seq += 1
-                events.append((-arrival_times[index][0], -seq, _ARRIVAL, index))
-        events.sort()
-        cursors = [0] * len(tenants)
-        end_ns = 0
-        last_arrival_ns = 0
+        push = self._events.push
+        for index, times in enumerate(arrival_times):
+            push(times[0], _ARRIVAL, index)
+        for kill_index, kill in enumerate(plan.kills):
+            push(kill.at_ns, _KILL, kill_index)
+        if self.inval_stats is not None:
+            for bump_index, bump in enumerate(self.invalidations.bumps):
+                push(bump.at_ns, _INVALIDATE, bump_index)
+        handlers = (
+            None,  # arrivals are the loop body
+            self._on_done,
+            self._on_kill,
+            self._on_recover,
+            self._on_probe,
+            self._on_invalidate,
+        )
 
+        max_depth = self.config.max_queue_depth
+        gc_aware = cluster.routing.policy == "gc_aware"
+        shard_for = cluster.shard_for
+        replica_set = cluster.replica_set
+        route_from_home = cluster.route_from_home
+        serve_next = self._serve_next
+        sched = self._events
+        events = sched.events
+        now_ns = 0
         while events:
             neg_time, _neg_seq, ev_kind, index = events.pop()
+            if ev_kind != _ARRIVAL:
+                handlers[ev_kind](-neg_time, index)
+                continue
             now_ns = -neg_time
-            serve_shard = None
-            if ev_kind == _ARRIVAL:
-                tenant = tenants[index]
-                last_arrival_ns = now_ns
-                cursor = cursors[index]
-                cursors[index] = cursor + 1
-                tenant.issued = cursor + 1
-                next_cursor = cursor + 1
-                if next_cursor < tenant.budget:
-                    seq += 1
-                    insort(
-                        events,
-                        (-arrival_times[index][next_cursor], -seq, _ARRIVAL, index),
-                    )
-                slo = tenant.slo
-                slo.offered += 1
-                key = op_keys[index][cursor]
-                kind = op_kinds[index][cursor]
-                bucket = tenant.bucket
-                if bucket is not None:
-                    # Inlined TokenBucket.try_take (same float order).
-                    if now_ns > bucket._last_ns:
-                        refill = (
-                            (now_ns - bucket._last_ns) / SEC * bucket.rate_per_sec
-                        )
-                        tokens = bucket._tokens + refill
-                        burst = bucket.burst
-                        bucket._tokens = burst if tokens > burst else tokens
-                        bucket._last_ns = now_ns
-                    if bucket._tokens >= 1.0:
-                        bucket._tokens -= 1.0
-                        bucket.accepted += 1
-                    else:
-                        bucket.rejected += 1
-                        slo.shed_rate_limited += 1
-                        continue
-                if gc_aware and kind != KIND_GET:
-                    shard, rerouted_from = route_from_home(key, shard_for(key))
-                    if rerouted_from is not None:
-                        slo.rerouted += 1
-                else:
-                    shard = shard_for(key)
-                queue = shard.queue
-                if len(queue) >= max_depth:
-                    slo.shed_queue_full += 1
-                    shard.shed_queue_full += 1
-                    continue
-                queue.append((now_ns, index, cursor))
-                if not shard.busy:
-                    serve_shard = shard
+            tenant = tenants[index]
+            cursor = tenant.issued
+            tenant.issued = cursor + 1
+            if cursor + 1 < tenant.budget:
+                # Inlined EventScheduler.push (one of the two per-op sites).
+                sched.seq = seq = sched.seq + 1
+                insort(
+                    events,
+                    (-arrival_times[index][cursor + 1], -seq, _ARRIVAL, index),
+                )
+            slo = tenant.slo
+            slo.offered += 1
+            kind = op_kinds[index][cursor]
+            key_index = op_key_indices[index][cursor]
+            key = tenant.bound_keys.get(key_index)
+            if key is None:
+                key = tenant.bind_key(key_index)
+            if replicated:
+                replicas = replica_set(key)
+                home = replicas[0]
             else:
-                shard = shards[index]
-                shard.busy = False
-                if shard.queue:
-                    serve_shard = shard
-            if serve_shard is not None:
-                shard = serve_shard
-                arrival_ns, tenant_index, cursor = shard.queue.popleft()
-                tenant = tenants[tenant_index]
-                shard.busy = True
-                clock = shard.stack.clock
-                local_ns = shard.epoch_ns + now_ns
-                if local_ns > clock.now:
-                    clock.now = local_ns
-                start_ns = clock.now
-                kind = op_kinds[tenant_index][cursor]
-                if diversion_active and kind == KIND_GET:
-                    hit = self._apply_get_with_diversion(
-                        shard,
-                        tenant,
-                        op_key_indices[tenant_index][cursor],
-                        op_keys[tenant_index][cursor],
-                    )
-                else:
-                    hit = tenant.driver.apply_kind(
-                        shard.stack.cache,
-                        kind,
-                        op_key_indices[tenant_index][cursor],
-                        op_keys[tenant_index][cursor],
-                    )
-                shard.served += 1
-                shard.busy_ns += clock.now - start_ns
-                done_ns = clock.now - shard.epoch_ns
-                slo = tenant.slo
-                slo.completed += 1
-                latency = done_ns - arrival_ns
-                recorder = slo.latency
-                recorder._samples.append(latency)
-                recorder._sorted = None
-                pacer = e2e_feed[shard.index]
-                if pacer is not None:
-                    pacer.external.record(latency)
-                if latency <= slo.slo_latency_ns:
-                    slo.within_slo += 1
-                if kind == KIND_GET:
-                    slo.gets += 1
-                    if hit:
-                        slo.get_hits += 1
-                if done_ns > end_ns:
-                    end_ns = done_ns
-                seq += 1
-                insort(events, (-done_ns, -seq, _DONE, shard.index))
-
-        scheduler.seq = seq
-        self._end_ns = end_ns
-        self._last_arrival_ns = last_arrival_ns
+                home = shard_for(key)
+            bucket = tenant.bucket
+            if bucket is not None and not bucket.try_take(now_ns):
+                slo.shed_rate_limited += 1
+                _emit(home, "serve.qos", "shed_rate_limit")
+                continue
+            if replicated:
+                target = self._pick_target(replicas, kind == KIND_GET)
+                if target is None:
+                    self._fail_request(tenant, home, "no_replica")
+                    continue
+                if not target.alive:
+                    # Routed to a shard whose death is not yet declared:
+                    # the request times out.  This window *is*
+                    # detection latency.
+                    self._register_failure(target, now_ns)
+                    self._fail_request(tenant, target, "timeout")
+                    continue
+            elif gc_aware and kind != KIND_GET:
+                # Rate-limit-admitted writes may be steered around
+                # reclamation pressure; reads always follow the ring.
+                target, rerouted_from = route_from_home(key, home)
+                if rerouted_from is not None:
+                    slo.rerouted += 1
+                    _emit(target, "serve.route", "reroute", rerouted_from.index)
+            else:
+                target = home
+            queue = target.queue
+            if len(queue) >= max_depth:
+                slo.shed_queue_full += 1
+                target.shed_queue_full += 1
+                _emit(target, "serve.qos", "shed_queue_full")
+                continue
+            queue.append((_ITEM_FG, now_ns, kind, key, index, key_index))
+            if not target.busy:
+                serve_next(now_ns, target)
+        # Arrivals pop in time order, so the last one popped is the latest.
+        self._last_arrival_ns = now_ns
         return self._report()
 
-    def _on_arrival(self, now_ns: int, tenant_index: int) -> None:
-        tenant = self.tenants[tenant_index]
-        self._last_arrival_ns = now_ns
-        op = tenant.next_op()
-        if tenant.issued < tenant.budget:
-            self._push(
-                tenant.arrivals.next_arrival_ns(now_ns), _ARRIVAL, tenant_index
-            )
-        tenant.slo.record_offered()
-        key = tenant.key_for(op)
-        shard = self.cluster.shard_for(key)
-        tracer = shard.stack.cache.store.tracer
-        if tenant.bucket is not None and not tenant.bucket.try_take(now_ns):
-            tenant.slo.record_shed("rate_limited")
-            tracer.emit_event("serve.qos", "shed_rate_limit", offset=shard.index)
-            return
-        # Rate-limit-admitted requests may be steered around reclamation
-        # pressure (writes only; reads always follow the ring).
-        shard, rerouted_from = self.cluster.route_for(key, op.kind != "get")
-        if rerouted_from is not None:
-            tenant.slo.record_rerouted()
-            tracer = shard.stack.cache.store.tracer
-            tracer.emit_event(
-                "serve.route",
-                "reroute",
-                offset=shard.index,
-                zone=rerouted_from.index,
-            )
-        if len(shard.queue) >= self.config.max_queue_depth:
-            tenant.slo.record_shed("queue_full")
-            shard.shed_queue_full += 1
-            tracer.emit_event("serve.qos", "shed_queue_full", offset=shard.index)
-            return
-        shard.queue.append((now_ns, tenant_index, op))
-        if not shard.busy:
-            self._start_service(now_ns, shard)
-
-    def _start_service(self, now_ns: int, shard: Shard) -> None:
-        arrival_ns, tenant_index, op = shard.queue.popleft()
-        tenant = self.tenants[tenant_index]
+    def _serve_next(self, now_ns: int, shard: Shard) -> None:
+        """Put the shard's next queued item (foreground request, replica
+        write, or hint replay) into service at full simulated cost."""
+        item = shard.queue.popleft()
         shard.busy = True
         # The shard's device clock catches up to the fleet's event time
-        # (translated onto the shard's own epoch — stack construction cost
-        # is not serving time): idle gaps between arrivals really are idle,
-        # then the op runs at full simulated cost.
-        shard.clock.advance_to(shard.to_local(now_ns))
-        start_ns = shard.clock.now
-        tracer = shard.stack.cache.store.tracer
-        with tracer.span("serve", op.kind, offset=shard.index):
-            if self._diversion_active and op.kind == "get":
-                hit = self._apply_get_with_diversion(
-                    shard,
-                    tenant,
-                    op.key_index,
-                    tenant.key_prefix + tenant.driver.key_bytes(op.key_index),
-                )
+        # (translated onto the shard's own epoch — stack construction
+        # cost is not serving time): idle gaps between arrivals really
+        # are idle, then the op runs at full simulated cost.
+        clock = shard.stack.clock
+        local_ns = shard.epoch_ns + now_ns
+        if local_ns > clock.now:
+            clock.now = local_ns
+        start_ns = clock.now
+        cache = shard.stack.cache
+        tracer = cache.store.tracer
+        if item[0] == _ITEM_FG:
+            _, arrival_ns, kind, key, tenant_index, key_index = item
+            tenant = self.tenants[tenant_index]
+            is_get = kind == KIND_GET
+            # A diverted copy is consulted between a get's home miss and
+            # its set-on-miss fill.
+            on_miss = (
+                partial(self._recover_diverted, shard)
+                if is_get and self._diversion_active
+                else None
+            )
+            apply = tenant.driver.apply_kind_value
+            if tracer.enabled:
+                with tracer.span("serve", KIND_NAMES[kind], offset=shard.index):
+                    hit, value = apply(cache, kind, key_index, key, on_miss)
             else:
-                hit = tenant.driver.apply_op(
-                    shard.stack.cache, op, key_prefix=tenant.key_prefix
-                )
-        shard.served += 1
-        shard.busy_ns += shard.clock.now - start_ns
-        done_ns = shard.to_fleet(shard.clock.now)
-        tenant.slo.record_completion(
-            done_ns - arrival_ns, is_get=(op.kind == "get"), hit=hit
-        )
-        pacer = self._e2e_feed[shard.index]
-        if pacer is not None:
-            pacer.external.record(done_ns - arrival_ns)
-        if self.inval_stats is not None and op.kind == "get":
-            self.inval_stats.note_lookup(done_ns, hit, done_ns - arrival_ns)
-        self._end_ns = max(self._end_ns, done_ns)
-        self._push(done_ns, _DONE, shard.index)
+                hit, value = apply(cache, kind, key_index, key, on_miss)
+            shard.served += 1
+            done_ns = clock.now - shard.epoch_ns
+            latency = done_ns - arrival_ns
+            # Inlined SloTracker.record_completion (the one per-op site).
+            slo = tenant.slo
+            slo.completed += 1
+            slo.latency._samples.append(latency)
+            slo.latency._sorted = None
+            if latency <= slo.slo_latency_ns:
+                slo.within_slo += 1
+            if is_get:
+                slo.gets += 1
+                if hit:
+                    slo.get_hits += 1
+            pacer = self._e2e_feed[shard.index]
+            if pacer is not None:
+                pacer.external.record(latency)
+            if is_get and self.inval_stats is not None:
+                self.inval_stats.note_lookup(done_ns, hit, latency)
+            fleet = self._fleet
+            if fleet is not None:
+                fleet.note_completion(self._phase(), latency, is_get, hit, done_ns)
+                if is_get and shard is not self.cluster.replica_set(key)[0]:
+                    shard.fallback_served += 1
+                    fleet.fallback_reads += 1
+                # Replication fan-out happens when the completion event
+                # fires (at done_ns), so it cannot jump ahead of
+                # arrivals landing between now and then.
+                shard._done_action = ("fg", kind, key, hit, value)
+        else:
+            tag, _, kind, key, value = item
+            nbytes = len(value) if value is not None else 0
+            op_name = "replicate" if tag == _ITEM_REPL else "handoff"
+            with tracer.span("serve", op_name, offset=shard.index, length=nbytes):
+                if kind == _KIND_NSBUMP:
+                    # Replayed namespace bump: key is the tenant id,
+                    # value the ASCII generation journaled at bump time.
+                    cache.invalidate_namespace(key, int(value))
+                    _emit(shard, "serve.invalidate", "bump", int(value))
+                elif kind == KIND_DELETE:
+                    cache.delete(key)
+                else:
+                    cache.set(key, value)
+            if tag == _ITEM_REPL:
+                shard.repl_served += 1
+                shard.repl_bytes += nbytes
+            else:
+                shard.handoff_served += 1
+                shard.handoff_bytes += nbytes
+                shard._done_action = ("hint",)
+            done_ns = clock.now - shard.epoch_ns
+        shard.busy_ns += clock.now - start_ns
+        if done_ns > self._end_ns:
+            self._end_ns = done_ns
+        # Inlined EventScheduler.push (the other per-op site).
+        sched = self._events
+        sched.seq = seq = sched.seq + 1
+        insort(sched.events, (-done_ns, -seq, _DONE, shard.index))
 
-    def _on_done(self, now_ns: int, shard: Shard) -> None:
+    def _on_done(self, now_ns: int, shard_index: int) -> None:
+        shard = self.cluster.shards[shard_index]
+        action = shard._done_action
+        shard._done_action = None
         shard.busy = False
-        if shard.queue:
-            self._start_service(now_ns, shard)
+        if action is not None:
+            if action[0] == "fg":
+                if shard.alive:
+                    self._fan_out(now_ns, shard, *action[1:])
+            else:  # hint replay completed
+                shard.hints_outstanding -= 1
+                if (
+                    shard.hints_outstanding <= 0
+                    and shard.health == HEALTH_RESYNCING
+                ):
+                    self._set_health(shard, HEALTH_UP, now_ns)
+        if shard.alive and shard.queue and not shard.busy:
+            self._serve_next(now_ns, shard)
 
     # --- diversion journal ---------------------------------------------------
 
-    def _apply_get_with_diversion(
-        self, home: Shard, tenant: Tenant, key_index: int, key: bytes
-    ) -> bool:
-        """A get that consults the diversion journal before declaring a
-        miss: a home miss falls through to the journaled diverted shard,
-        and a recovered value is read-repaired into the home shard (the
-        entry expires either way).  Draw-for-draw identical to
-        ``apply_kind`` when the journal has no entry for the key."""
-        cache = home.stack.cache
-        value = cache.get(key)
-        if value is not None:
-            return True
-        repaired = self._consult_diversion(home, key)
-        if repaired is not None:
-            cache.set(key, repaired)  # read-repair into the home shard
-            cache.store.tracer.emit_event(
-                "serve.divert", "recover", offset=home.index
-            )
-            return True
-        tenant.driver.fill_on_miss(cache, key_index, key)
-        return False
+    def _recover_diverted(self, home: Shard, key: bytes) -> Optional[bytes]:
+        """A home-missed get consults the diversion journal before
+        declaring a miss: fetch the key from its journaled diverted
+        shard and read-repair it into ``home``.
 
-    def _consult_diversion(self, home: Shard, key: bytes) -> Optional[bytes]:
-        """Fetch a home-missed key from its journaled diverted shard.
-
-        The entry is consumed: on a hit the caller read-repairs the
-        value home (so the journal is no longer needed), on a miss the
+        The entry is consumed either way: on a hit the value is home
+        again (so the journal is no longer needed), on a miss the
         diverted copy was evicted and the entry is stale.
         """
         cluster = self.cluster
@@ -551,6 +482,8 @@ class Server:
             cluster.diversions_stale += 1
             return None
         cluster.diversions_recovered += 1
+        home.stack.cache.set(key, value)
+        _emit(home, "serve.divert", "recover")
         return value
 
     # --- invalidation -------------------------------------------------------
@@ -579,56 +512,10 @@ class Server:
                     _KIND_NSBUMP, tenant.namespace_id, b"%d" % generation
                 )
                 continue
-            cache = shard.stack.cache
-            cache.invalidate_namespace(tenant.namespace_id, generation)
-            cache.store.tracer.emit_event(
-                "serve.invalidate", "bump", offset=shard.index, zone=generation
-            )
+            shard.stack.cache.invalidate_namespace(tenant.namespace_id, generation)
+            _emit(shard, "serve.invalidate", "bump", generation)
 
-    # --- replicated loop ----------------------------------------------------
-
-    def _run_replicated(self) -> ServingReport:
-        """Failover-aware loop: R-way writes, fallback reads, hinted handoff.
-
-        Derived from :meth:`_run_legacy` (one heap event per arrival, ops
-        drawn lazily) plus three new event kinds: scripted shard kills,
-        power-restore recoveries, and fixed-interval health probes.  The
-        fast/legacy loops never enter here, so every pre-existing golden
-        stays bit-identical; with R=1 and an empty plan this loop itself
-        reproduces the legacy report (see tests/test_replication.py).
-        """
-        cluster = self.cluster
-        plan = self.failover if self.failover is not None else FailoverPlan()
-        for shard in cluster.shards:
-            shard.replication_active = True
-        first_kill = plan.first_kill_ns()
-        # Steady-phase hit accounting skips the first half of the lead-in
-        # so cold-start misses don't flatter the recovery comparison.
-        self._fleet = FleetStats(warmup_ns=(first_kill // 2) if first_kill else 0)
-        for index, tenant in enumerate(self.tenants):
-            if tenant.budget > 0:
-                self._push(tenant.arrivals.next_arrival_ns(0), _ARRIVAL, index)
-        for kill_index, kill in enumerate(plan.kills):
-            self._push(kill.at_ns, _KILL, kill_index)
-        if self.inval_stats is not None:
-            for bump_index, bump in enumerate(self.invalidations.bumps):
-                self._push(bump.at_ns, _INVALIDATE, bump_index)
-        shards = cluster.shards
-        while self._heap:
-            time_ns, _seq, kind, index = heapq.heappop(self._heap)
-            if kind == _ARRIVAL:
-                self._on_arrival_repl(time_ns, index)
-            elif kind == _DONE:
-                self._on_done_repl(time_ns, shards[index])
-            elif kind == _KILL:
-                self._on_kill(time_ns, plan.kills[index])
-            elif kind == _RECOVER:
-                self._on_recover(time_ns, shards[index])
-            elif kind == _INVALIDATE:
-                self._on_invalidate(time_ns, index)
-            else:
-                self._on_probe(time_ns)
-        return self._report()
+    # --- replication & failover ---------------------------------------------
 
     def _phase(self) -> str:
         fleet = self._fleet
@@ -644,9 +531,7 @@ class Server:
             return
         shard.health = state
         shard.health_log.append((now_ns, state))
-        shard.stack.cache.store.tracer.emit_event(
-            "serve.health", state, offset=shard.index
-        )
+        _emit(shard, "serve.health", state)
         if state == HEALTH_UP and self._fleet.first_kill_ns is not None:
             if all(
                 s.alive and s.health == HEALTH_UP for s in self.cluster.shards
@@ -670,9 +555,7 @@ class Server:
     def _fail_request(self, tenant: Tenant, shard: Shard, reason: str) -> None:
         tenant.slo.record_failed()
         self._fleet.note_failed(self._phase())
-        shard.stack.cache.store.tracer.emit_event(
-            "serve.qos", "failed_" + reason, offset=shard.index
-        )
+        _emit(shard, "serve.qos", "failed_" + reason)
 
     def _pick_target(
         self, replicas: Tuple[Shard, ...], is_get: bool
@@ -701,138 +584,6 @@ class Server:
             if shard.health == HEALTH_RESYNCING:
                 return shard
         return None
-
-    def _on_arrival_repl(self, now_ns: int, tenant_index: int) -> None:
-        tenant = self.tenants[tenant_index]
-        self._last_arrival_ns = now_ns
-        op = tenant.next_op()
-        if tenant.issued < tenant.budget:
-            self._push(
-                tenant.arrivals.next_arrival_ns(now_ns), _ARRIVAL, tenant_index
-            )
-        slo = tenant.slo
-        slo.record_offered()
-        key = tenant.key_for(op)
-        replicas = self.cluster.replica_set(key)
-        primary = replicas[0]
-        tracer = primary.stack.cache.store.tracer
-        if tenant.bucket is not None and not tenant.bucket.try_take(now_ns):
-            slo.record_shed("rate_limited")
-            tracer.emit_event("serve.qos", "shed_rate_limit", offset=primary.index)
-            return
-        kind_int = _KIND_INT[op.kind]
-        target = self._pick_target(replicas, kind_int == KIND_GET)
-        if target is None:
-            self._fail_request(tenant, primary, "no_replica")
-            return
-        if not target.alive:
-            # Routed to a shard whose death is not yet declared: the
-            # request times out.  This window *is* detection latency.
-            self._register_failure(target, now_ns)
-            self._fail_request(tenant, target, "timeout")
-            return
-        if len(target.queue) >= self.config.max_queue_depth:
-            slo.record_shed("queue_full")
-            target.shed_queue_full += 1
-            target.stack.cache.store.tracer.emit_event(
-                "serve.qos", "shed_queue_full", offset=target.index
-            )
-            return
-        target.queue.append(
-            (_ITEM_FG, now_ns, tenant_index, kind_int, op.key_index, key)
-        )
-        if not target.busy:
-            self._serve_next(now_ns, target)
-
-    def _serve_next(self, now_ns: int, shard: Shard) -> None:
-        """Put the shard's next queued item (foreground request, replica
-        write, or hint replay) into service at full simulated cost."""
-        item = shard.queue.popleft()
-        shard.busy = True
-        clock = shard.clock
-        clock.advance_to(shard.to_local(now_ns))
-        start_ns = clock.now
-        cache = shard.stack.cache
-        tracer = cache.store.tracer
-        item_kind = item[0]
-        if item_kind == _ITEM_FG:
-            _, arrival_ns, tenant_index, kind_int, key_index, key = item
-            tenant = self.tenants[tenant_index]
-            with tracer.span("serve", KIND_NAMES[kind_int], offset=shard.index):
-                hit, value = tenant.driver.apply_kind_value(
-                    cache, kind_int, key_index, key
-                )
-            shard.served += 1
-            done_ns = shard.to_fleet(clock.now)
-            is_get = kind_int == KIND_GET
-            tenant.slo.record_completion(
-                done_ns - arrival_ns, is_get=is_get, hit=hit
-            )
-            pacer = self._e2e_feed[shard.index]
-            if pacer is not None:
-                pacer.external.record(done_ns - arrival_ns)
-            self._fleet.note_completion(
-                self._phase(), done_ns - arrival_ns, is_get, hit, done_ns
-            )
-            if self.inval_stats is not None and is_get:
-                self.inval_stats.note_lookup(done_ns, hit, done_ns - arrival_ns)
-            if is_get and shard is not self.cluster.replica_set(key)[0]:
-                shard.fallback_served += 1
-                self._fleet.fallback_reads += 1
-            # Replication fan-out happens when the completion event
-            # fires (at done_ns), so it cannot jump ahead of arrivals
-            # landing between now and then.
-            shard._done_action = ("fg", kind_int, key, hit, value)
-        else:
-            _, _arrival_ns, kind_int, key, value = item
-            nbytes = len(value) if value is not None else 0
-            op_name = "replicate" if item_kind == _ITEM_REPL else "handoff"
-            with tracer.span("serve", op_name, offset=shard.index, length=nbytes):
-                if kind_int == _KIND_NSBUMP:
-                    # Replayed namespace bump: key is the tenant id,
-                    # value the ASCII generation journaled at bump time.
-                    cache.invalidate_namespace(key, int(value))
-                    tracer.emit_event(
-                        "serve.invalidate", "bump", offset=shard.index,
-                        zone=int(value),
-                    )
-                elif kind_int == KIND_DELETE:
-                    cache.delete(key)
-                else:
-                    cache.set(key, value)
-            if item_kind == _ITEM_REPL:
-                shard.repl_served += 1
-                shard.repl_bytes += nbytes
-                shard._done_action = None
-            else:
-                shard.handoff_served += 1
-                shard.handoff_bytes += nbytes
-                shard._done_action = ("hint",)
-            done_ns = shard.to_fleet(clock.now)
-        shard.busy_ns += clock.now - start_ns
-        if done_ns > self._end_ns:
-            self._end_ns = done_ns
-        self._push(done_ns, _DONE, shard.index)
-
-    def _on_done_repl(self, now_ns: int, shard: Shard) -> None:
-        action = shard._done_action
-        shard._done_action = None
-        shard.busy = False
-        if action is not None:
-            if action[0] == "fg":
-                if shard.alive:
-                    self._fan_out(now_ns, shard, action[1], action[2], action[3], action[4])
-            else:  # hint replay completed
-                shard.hints_outstanding -= 1
-                if (
-                    shard.hints_outstanding <= 0
-                    and shard.health == HEALTH_RESYNCING
-                ):
-                    self._set_health(shard, HEALTH_UP, now_ns)
-        if not shard.alive:
-            return
-        if shard.queue and not shard.busy:
-            self._serve_next(now_ns, shard)
 
     def _fan_out(
         self,
@@ -895,15 +646,14 @@ class Server:
             if not member.busy:
                 self._serve_next(now_ns, member)
 
-    def _on_kill(self, now_ns: int, kill: ShardKill) -> None:
+    def _on_kill(self, now_ns: int, kill_index: int) -> None:
+        kill = self.failover.kills[kill_index]
         shard = self.cluster.shards[kill.shard]
         if not shard.alive:
             return  # overlapping kill on an already-dead shard
         self._kills_fired += 1
         self._fleet.note_kill(now_ns)
-        shard.stack.cache.store.tracer.emit_event(
-            "serve.fault", "power_cut", offset=shard.index
-        )
+        _emit(shard, "serve.fault", "power_cut")
         shard.alive = False
         # Queued work dies with the DRAM: foreground requests fail,
         # replica writes are lost (counted), buffered hint replays go
@@ -911,7 +661,7 @@ class Server:
         requeue = []
         for item in shard.queue:
             if item[0] == _ITEM_FG:
-                self._fail_request(self.tenants[item[2]], shard, "power_cut")
+                self._fail_request(self.tenants[item[4]], shard, "power_cut")
             elif item[0] == _ITEM_REPL:
                 shard.repl_dropped += 1
             else:
@@ -921,15 +671,17 @@ class Server:
         shard._done_action = None  # in-flight op's fan-out dies too
         for item in requeue:
             shard.hint_journal.append(item[2], item[3], item[4])
-        self._push(now_ns + kill.outage_ns, _RECOVER, shard.index)
+        push = self._events.push
+        push(now_ns + kill.outage_ns, _RECOVER, shard.index)
         repl = self.cluster.replication
         if not self._probe_armed and repl.probe_interval_ns > 0:
             self._probe_armed = True
-            self._push(now_ns + repl.probe_interval_ns, _PROBE, 0)
+            push(now_ns + repl.probe_interval_ns, _PROBE, 0)
 
-    def _on_recover(self, now_ns: int, shard: Shard) -> None:
+    def _on_recover(self, now_ns: int, shard_index: int) -> None:
         """Power back: run crash recovery (charged in simulated time),
         then replay hinted writes through the normal write path."""
+        shard = self.cluster.shards[shard_index]
         if shard.alive:
             return
         shard.alive = True
@@ -962,7 +714,7 @@ class Server:
         elif not shard.busy:
             self._serve_next(now_ns, shard)
 
-    def _on_probe(self, now_ns: int) -> None:
+    def _on_probe(self, now_ns: int, _index: int) -> None:
         """Fixed-interval health probe: notices dead shards that tenant
         traffic alone would leave undetected."""
         repl = self.cluster.replication
@@ -970,7 +722,7 @@ class Server:
             if not shard.alive and shard.health != HEALTH_DOWN:
                 self._register_failure(shard, now_ns)
         if self._probes_needed():
-            self._push(now_ns + repl.probe_interval_ns, _PROBE, 0)
+            self._events.push(now_ns + repl.probe_interval_ns, _PROBE, 0)
         else:
             self._probe_armed = False
 

@@ -10,7 +10,7 @@ SLO target the tracker scores completions against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.cache.lifecycle import versioned_prefix
 from repro.errors import ConfigError
@@ -24,7 +24,7 @@ from repro.serve.arrivals import (
     StormArrivals,
 )
 from repro.serve.qos import SloTracker, TokenBucket
-from repro.workloads.cachebench import CacheBenchConfig, CacheBenchDriver, CacheOp
+from repro.workloads.cachebench import CacheBenchConfig, CacheBenchDriver
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,10 @@ class Tenant:
             self.key_prefix = versioned_prefix(config.name.encode(), 0)
         else:
             self.key_prefix = config.effective_key_prefix
+        # key_index -> prefixed key bytes under the current generation
+        # (Zipf reuse means most arrivals hit the same few hundred keys).
+        # The serving loop reads it directly and calls bind_key on a miss.
+        self.bound_keys: Dict[int, bytes] = {}
         self.driver = CacheBenchDriver(config.workload)
         self.arrivals = self._make_arrivals(config)
         self.bucket: Optional[TokenBucket] = None
@@ -154,12 +158,14 @@ class Tenant:
         """Total requests this tenant offers over the run."""
         return self.config.workload.num_ops
 
-    def next_op(self) -> CacheOp:
-        self.issued += 1
-        return self.driver.next_op()
-
-    def key_for(self, op: CacheOp) -> bytes:
-        return self.key_prefix + self.driver.key_bytes(op.key_index)
+    def bind_key(self, key_index: int) -> bytes:
+        """The key a request for ``key_index`` carries if it arrives now:
+        the tenant's current prefix (generation included) + key bytes."""
+        key = self.bound_keys.get(key_index)
+        if key is None:
+            key = self.key_prefix + self.driver.key_bytes(key_index)
+            self.bound_keys[key_index] = key
+        return key
 
     @property
     def namespace_id(self) -> bytes:
@@ -182,6 +188,7 @@ class Tenant:
             )
         self.generation += 1
         self.key_prefix = versioned_prefix(self.namespace_id, self.generation)
+        self.bound_keys.clear()
         return self.generation
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""Run-list event scheduler for the serving loop's fast path.
+"""Run-list event scheduler for the serving loop.
 
 The serving simulation keeps only a handful of events in flight at any
 moment — one pending arrival per tenant plus one completion per busy
@@ -24,9 +24,11 @@ from typing import List, Tuple
 class EventScheduler:
     """Deterministic ``(time, seq)``-ordered scheduler on a run-list.
 
-    Hot loops may bind ``scheduler.events`` (the raw list) and pop
-    negated tuples directly; :meth:`push`/:meth:`pop` are the readable
-    wrappers with identical semantics.
+    Hot loops may bind ``scheduler.events`` (the raw list), pop negated
+    tuples directly and inline :meth:`push`'s two statements (the
+    serving loop does, at its two per-op push sites);
+    :meth:`push`/:meth:`pop` are the readable wrappers with identical
+    semantics.
     """
 
     __slots__ = ("events", "seq")

@@ -11,7 +11,7 @@ minute), hit ratio, WAF breakdown, and latency percentiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cache.engine import HybridCache
 from repro.errors import ConfigError
@@ -22,7 +22,7 @@ from repro.workloads.distributions import (
     ZipfSampler,
 )
 
-# Integer op kinds for the pre-generated fast path: comparing small ints
+# Integer op kinds for the pre-generated streams: comparing small ints
 # in the serving loop is markedly cheaper than string comparison, and
 # the kinds array packs tighter than one CacheOp object per arrival.
 KIND_GET = 0
@@ -123,10 +123,10 @@ class CacheOp(NamedTuple):
     """One generated operation, decoupled from its execution.
 
     The closed-loop driver applies each op immediately; the serving
-    layer generates ops at arrival time and applies them when a shard's
-    queue drains.  Value bytes are materialized at *apply* time so the
-    size-sampler RNG stream is identical in both modes (ops that get
-    shed never draw from it).
+    layer pre-draws the same stream (:meth:`CacheBenchDriver.next_ops`)
+    and applies each op when its shard's queue drains.  Value bytes are
+    materialized at *apply* time so the size-sampler RNG stream is
+    identical in both modes (ops that get shed never draw from it).
 
     A NamedTuple rather than a dataclass: op construction sits on the
     generation hot path and tuples allocate in one step.
@@ -288,49 +288,34 @@ class CacheBenchDriver:
         cache.delete(key)
         return False
 
-    def apply_kind(
-        self, cache: HybridCache, kind: int, key_index: int, key: bytes
-    ) -> bool:
-        """:meth:`apply_op` for the pre-generated fast path.
-
-        Takes the ``KIND_*`` integer and the already-built key so the
-        serving loop neither constructs a CacheOp nor re-derives key
-        bytes.  Draw-for-draw identical to :meth:`apply_op`.
-        """
-        if kind == KIND_GET:
-            value = cache.get(key)
-            if value is None and self.config.set_on_miss:
-                cache.set(key, self.value_bytes(key_index, self._sizes.sample()))
-            return value is not None
-        if kind == KIND_SET:
-            cache.set(key, self.value_bytes(key_index, self._sizes.sample()))
-            return False
-        cache.delete(key)
-        return False
-
-    def fill_on_miss(self, cache: HybridCache, key_index: int, key: bytes) -> None:
-        """The set-on-miss fill exactly as :meth:`apply_op` performs it
-        (same size-stream draw).  For serving loops that must interpose
-        between the lookup and the fill — e.g. to consult a diversion
-        journal before declaring a miss."""
-        if self.config.set_on_miss:
-            cache.set(key, self.value_bytes(key_index, self._sizes.sample()))
-
     def apply_kind_value(
-        self, cache: HybridCache, kind: int, key_index: int, key: bytes
+        self,
+        cache: HybridCache,
+        kind: int,
+        key_index: int,
+        key: bytes,
+        on_miss: Optional[Callable[[bytes], Optional[bytes]]] = None,
     ) -> Tuple[bool, Optional[bytes]]:
-        """:meth:`apply_kind`, also returning the bytes the op moved.
+        """:meth:`apply_op` for the serving loop's pre-generated streams.
 
-        Returns ``(hit, value)``: for a get hit, the value read (so the
-        replicated serving loop can read-repair without another lookup);
-        for a set or a set-on-miss fill, the value written (so replica
-        writes reuse the primary's bytes and never re-draw from the size
-        stream — R=1 draw sequences are untouched, R>1 stays
-        deterministic); ``None`` for a bare miss or a delete.
-        Draw-for-draw identical to :meth:`apply_kind`.
+        Takes the ``KIND_*`` integer and the key bytes bound at arrival,
+        so the loop neither constructs a CacheOp nor re-derives the key.
+        Returns ``(hit, value)``: for a get hit, the value read (so a
+        fallback read can read-repair without another lookup); for a set
+        or a set-on-miss fill, the value written (so replica writes
+        reuse the primary's bytes and never re-draw from the size
+        stream); ``None`` for a bare miss or a delete.  Draw-for-draw
+        identical to :meth:`apply_op`.
+
+        ``on_miss(key)`` is asked for the value before a get is declared
+        a miss (and before the set-on-miss fill draws a size); a value
+        it returns — and has already installed in ``cache`` — makes the
+        get a hit.
         """
         if kind == KIND_GET:
             value = cache.get(key)
+            if value is None and on_miss is not None:
+                value = on_miss(key)
             if value is None:
                 if self.config.set_on_miss:
                     written = self.value_bytes(key_index, self._sizes.sample())

@@ -1,16 +1,23 @@
-"""Fast-path engine equivalence tests.
+"""Serving-loop invariance tests.
 
-The fast serving path (pre-generated arrival/op arrays + run-list
-scheduler + inlined QoS accounting) must be *observably identical* to
-the legacy one-event-per-arrival heap loop:
+The single serving loop (pre-generated arrival/op streams + run-list
+scheduler) must produce the rows it always has, and observing a run
+must never change it:
 
 * the run-list scheduler dequeues in exactly the ``(time, seq)`` order a
   reference ``heapq`` produces, across arbitrary push/pop interleavings
   (hypothesis property);
-* fast and legacy loops produce equal tenant and shard rows on the
-  serving smoke configuration;
-* enabling tracing (which routes to the legacy loop and records spans)
-  changes no measured value — the no-op tracer truly is a no-op;
+* the bulk stream draws (``ArrivalProcess.pregenerate``,
+  ``CacheBenchDriver.next_ops``) equal the scalar recurrences they
+  replace, draw for draw;
+* the two serving smoke fleets reproduce the rows pinned from the last
+  commit that still had separate fast/legacy/replicated loops
+  (``golden_serving_rows.json``), and their traced record sequences
+  hash to the digests pinned from that commit;
+* enabling tracing changes no measured value — for the plain fleet, an
+  R=2 fleet with a shard kill, and a fleet with a namespace bump;
+* a request's key is bound when it arrives, so a bump can never make a
+  shard apply a key the ring did not route to it;
 * ``build_scheme_cached`` clones behave exactly like fresh builds and
   are independent of each other;
 * best-score gc_aware routing picks the least-stalled / most-headroom
@@ -19,23 +26,46 @@ the legacy one-event-per-arrival heap loop:
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
+from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+import repro.bench.experiments as experiments
 from repro.bench.schemes import (
     SchemeScale,
     build_scheme,
     build_scheme_cached,
     clear_stack_cache,
 )
-from repro.serve import CacheCluster, RoutingConfig, Server, ServerConfig, ShardSpec
+from repro.cache.lifecycle import LifecycleConfig
+from repro.serve import (
+    CacheCluster,
+    FailoverPlan,
+    InvalidationPlan,
+    ReplicationConfig,
+    RoutingConfig,
+    Server,
+    ServerConfig,
+    ShardKill,
+    ShardSpec,
+    TenantConfig,
+    TenantInvalidate,
+)
 from repro.serve.cluster import PRESSURE_RANK
+from repro.serve.tenant import Tenant
 from repro.sim.clock import SimClock
 from repro.sim.sched import EventScheduler
-from repro.units import KIB
-from repro.workloads.cachebench import CacheBenchConfig, CacheBenchDriver
+from repro.units import KIB, MSEC
+from repro.workloads.cachebench import (
+    KIND_NAMES,
+    CacheBenchConfig,
+    CacheBenchDriver,
+)
 
 
 # --- scheduler order property ---------------------------------------------------
@@ -79,15 +109,63 @@ def test_scheduler_equal_times_dequeue_in_push_order():
     assert [sched.pop()[3] for _ in range(8)] == list(range(8))
 
 
-# --- fast loop vs legacy loop vs traced loop ------------------------------------
+# --- bulk stream draws vs the scalar recurrences --------------------------------
 
 
-def _smoke_server(
-    fast_path: bool, trace: bool = False, schemes: tuple = None
-) -> Server:
-    """The run_serving_smoke cluster/tenants with a selectable loop."""
-    import repro.bench.experiments as experiments
+@pytest.mark.parametrize(
+    "arrival", ["poisson", "diurnal", "burst", "flash_crowd", "storm"]
+)
+def test_pregenerate_equals_chained_next_arrival(arrival):
+    """Every run serves from ``pregenerate``; ``next_arrival_ns`` is the
+    reference recurrence it must reproduce draw for draw."""
+    config = TenantConfig("t", rate_ops_per_sec=40_000.0, arrival=arrival, seed=9)
+    bulk = Tenant(config).arrivals.pregenerate(700)
+    scalar_process = Tenant(config).arrivals
+    chained, now_ns = [], 0
+    for _ in range(700):
+        now_ns = scalar_process.next_arrival_ns(now_ns)
+        chained.append(now_ns)
+    assert bulk == chained
 
+
+@pytest.mark.parametrize("delete_uniform", [True, False])
+def test_next_ops_equals_scalar_next_op(delete_uniform):
+    config = CacheBenchConfig(
+        num_ops=600, num_keys=400, delete_uniform=delete_uniform, seed=13
+    )
+    kinds, key_indices = CacheBenchDriver(config).next_ops(600)
+    scalar = CacheBenchDriver(config)
+    ops = [scalar.next_op() for _ in range(600)]
+    assert [KIND_NAMES[kind] for kind in kinds] == [op.kind for op in ops]
+    assert list(key_indices) == [op.key_index for op in ops]
+
+
+# --- the one loop vs the parent commit's three, traced vs untraced --------------
+
+GOLDEN_ROWS = json.loads(
+    (Path(__file__).parent / "golden_serving_rows.json").read_text()
+)
+# sha256 over "shard:layer:op:offset\n" of every captured trace record,
+# shards in index order; taken at the same commit as GOLDEN_ROWS.
+PARENT_TRACE_DIGESTS = {
+    "serving": (
+        2818,
+        "a50d8ea553c103f6694386dd2ebd1ce0a656970e3748761ea886d8d1bab1d615",
+    ),
+    "failover": (
+        10015,
+        "e8859e809c8e41eb67b709f33b9871d25fdc11e1caf66f6a9db7ed07c1def98a",
+    ),
+}
+
+
+def _enable_tracing(cluster: CacheCluster) -> None:
+    for shard in cluster.shards:
+        shard.stack.cache.store.tracer.enable()
+
+
+def _smoke_server(trace: bool = False, schemes: tuple = None) -> Server:
+    """The run_serving_smoke cluster/tenants, optionally traced."""
     scale = experiments._serving_scale()
     media = 12 * scale.zone_size
     if schemes is None:
@@ -118,53 +196,168 @@ def _smoke_server(
         ]
     cluster = CacheCluster(specs, scale=scale)
     if trace:
-        for shard in cluster.shards:
-            shard.stack.cache.store.tracer.enable()
+        _enable_tracing(cluster)
     tenants = experiments._serving_tenants(
         total_rate=120_000.0, requests_per_tenant=1_000, num_keys=1_500, seed=7
     )
+    return Server(cluster, tenants, ServerConfig(max_queue_depth=24))
+
+
+def _failover_smoke_server(trace: bool = False) -> Server:
+    """The R=2 cell of run_failover_smoke, optionally traced."""
+    scale = experiments._serving_scale()
+    num_shards, offered_kops, requests = 4, 12.0, 1_500
+    media = 10 * scale.zone_size
+    overrides = {"eviction_policy": "fifo", "reclaim_window": 128}
+    duration_ns = int(requests / (0.7 * offered_kops * 1000) * 1e9)
+    cluster = CacheCluster.homogeneous(
+        "Region-Cache",
+        num_shards,
+        media,
+        6 * scale.zone_size,
+        scale=scale,
+        cache_overrides=tuple(sorted(overrides.items()))
+        + experiments._gc_qos_overrides("Region-Cache"),
+        replication=ReplicationConfig(replicas=2, hint_limit=8192),
+    )
+    if trace:
+        _enable_tracing(cluster)
+    tenants = experiments._serving_tenants(
+        offered_kops * 1000,
+        requests,
+        int(1.05 * num_shards * media / 1568),
+        7,
+        web_arrival="diurnal",
+    )
+    kill = ShardKill(int(0.35 * duration_ns), 0, int(0.25 * duration_ns))
     return Server(
-        cluster, tenants, ServerConfig(max_queue_depth=24, fast_path=fast_path)
+        cluster,
+        tenants,
+        ServerConfig(max_queue_depth=128),
+        failover=FailoverPlan((kill,)),
     )
 
 
-def _report_rows(server: Server):
+def _bump_server(trace: bool = False, rate: float = 50_000.0) -> Server:
+    """Two versioned-key shards, one namespace bump mid-run (R=1, static)."""
+    scale = SchemeScale(
+        zone_size=256 * KIB,
+        region_size=16 * KIB,
+        pages_per_block=16,
+        ram_bytes=32 * KIB,
+    )
+    lifecycle = LifecycleConfig(
+        versioning=True, dead_first_eviction=True, gc_hints=True
+    )
+    cluster = CacheCluster.homogeneous(
+        "Region-Cache",
+        2,
+        8 * scale.zone_size,
+        6 * scale.zone_size,
+        scale=scale,
+        cache_overrides=(("eviction_policy", "fifo"), ("lifecycle", lifecycle)),
+    )
+    if trace:
+        _enable_tracing(cluster)
+    tenant = TenantConfig(
+        "web",
+        rate_ops_per_sec=rate,
+        versioned_keys=True,
+        workload=CacheBenchConfig(
+            num_ops=800, num_keys=300, set_on_miss=True, seed=5
+        ),
+        seed=21,
+    )
+    return Server(
+        cluster,
+        [tenant],
+        ServerConfig(48),
+        invalidations=InvalidationPlan((TenantInvalidate(3 * MSEC, "web"),)),
+    )
+
+
+def _report_rows(server: Server) -> dict:
     report = server.run()
-    return (
-        report.tenant_rows,
-        report.shard_rows,
-        report.offered,
-        report.completed,
-        report.shed,
-    )
+    return {
+        "tenant_rows": report.tenant_rows,
+        "shard_rows": report.shard_rows,
+        "offered": report.offered,
+        "completed": report.completed,
+        "shed": report.shed,
+        "fleet_row": report.fleet_row,
+        "inval_row": report.inval_row,
+    }
 
 
-def test_fast_loop_rows_equal_legacy_loop_rows():
-    assert _report_rows(_smoke_server(True)) == _report_rows(_smoke_server(False))
+def _trace_digest(server: Server):
+    server.run()
+    digest = hashlib.sha256()
+    count = 0
+    for shard in server.cluster.shards:
+        for record in shard.stack.cache.store.tracer.records:
+            digest.update(
+                f"{shard.index}:{record.layer}:{record.op}:{record.offset}\n".encode()
+            )
+            count += 1
+    return count, digest.hexdigest()
 
 
-def test_fast_loop_rows_equal_legacy_loop_rows_z_cache():
-    """The TinyLFU-classified Z-Cache flush path runs identically under
-    the fast and legacy serving loops (same sketch state, same groups)."""
-    schemes = ("Z-Cache", "Z-Cache")
-    fast = _report_rows(_smoke_server(True, schemes=schemes))
-    legacy = _report_rows(_smoke_server(False, schemes=schemes))
-    assert fast == legacy
+@pytest.mark.parametrize(
+    "fleet, schemes",
+    [("mixed_fleet", None), ("z_cache_fleet", ("Z-Cache", "Z-Cache"))],
+)
+def test_smoke_fleet_rows_equal_rows_pinned_from_parent(fleet, schemes):
+    """What ``fast loop == legacy loop`` used to check against a live
+    reference: the same fleets now reproduce that commit's rows."""
+    rows = _report_rows(_smoke_server(schemes=schemes))
+    for column, pinned in GOLDEN_ROWS[fleet].items():
+        assert rows[column] == pinned, column
 
 
-def test_traced_run_rows_equal_untraced_rows():
-    """Tracing must observe, never perturb: same rows with spans on.
-
-    A tracer with capture enabled also forces the legacy loop, so this
-    doubles as traced-legacy vs untraced-fast equivalence.
-    """
-    traced = _smoke_server(True, trace=True)
-    # Tracing routes to the legacy loop even with fast_path requested.
-    tracer = traced.cluster.shards[0].stack.cache.store.tracer
-    assert tracer.enabled
+@pytest.mark.parametrize(
+    "build", [_smoke_server, _failover_smoke_server, _bump_server]
+)
+def test_traced_run_rows_equal_untraced_rows(build):
+    """Tracing must observe, never perturb: same rows with spans on —
+    with replication and a kill armed, and with a bump armed, too."""
+    traced = build(trace=True)
     traced_rows = _report_rows(traced)
-    assert len(tracer.records) > 0  # spans were actually recorded
-    assert traced_rows == _report_rows(_smoke_server(True))
+    tracer = traced.cluster.shards[0].stack.cache.store.tracer
+    assert tracer.find("serve")  # spans were actually recorded
+    assert traced_rows == _report_rows(build())
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [("serving", _smoke_server), ("failover", _failover_smoke_server)],
+)
+def test_traced_record_sequence_equals_parent_digest(name, build):
+    """Span/event order and content are exactly what the legacy and
+    replicated loops emitted."""
+    assert _trace_digest(build(trace=True)) == PARENT_TRACE_DIGESTS[name]
+
+
+def test_key_is_bound_at_arrival_across_a_bump():
+    """A request queued under generation g stays a generation-g key when
+    a bump lands before it is served: whatever a shard's index holds,
+    the ring routed to that shard."""
+    server = _bump_server(rate=400_000.0)  # overload: queues never drain
+    crossing = []
+    on_invalidate = server._on_invalidate
+
+    def counting_invalidate(now_ns, bump_index):
+        crossing.append(sum(len(s.queue) for s in server.cluster.shards))
+        on_invalidate(now_ns, bump_index)
+
+    server._on_invalidate = counting_invalidate
+    server.run()
+    assert crossing and crossing[0] > 0  # the bump crossed queued requests
+    cluster = server.cluster
+    for shard in cluster.shards:
+        keys = list(shard.stack.cache.index.keys())
+        assert keys
+        for key in keys:
+            assert cluster.shard_for(key) is shard, (shard.index, key)
 
 
 # --- cached stack construction --------------------------------------------------

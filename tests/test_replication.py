@@ -1,7 +1,7 @@
 """Tests for fleet replication & failover (repro.serve.replication).
 
 Covers config/journal validation, the health state machine's declared
-transitions, R=1 equivalence with the legacy serving loop (the golden-
+transitions, R=1 armed-vs-unarmed row equivalence (the golden-
 safety contract), hinted-handoff replay after a scripted power cut,
 span/byte reconciliation for replication traffic, and the failover
 smoke's determinism.  The full-sweep acceptance criteria run in the
@@ -187,11 +187,11 @@ class TestReplicaSet:
             assert cluster.replica_set(key) == (cluster.shard_for(key),)
 
 
-class TestLegacyEquivalence:
-    def test_r1_empty_plan_matches_legacy_loop(self):
-        """The replicated loop with R=1 and no kills must reproduce the
-        legacy loop's report exactly — the golden-safety contract."""
-        legacy = Server(
+class TestUnarmedEquivalence:
+    def test_r1_empty_plan_rows_equal_unarmed_rows(self):
+        """Arming replication with R=1 and an empty plan must reproduce
+        the unarmed run's report exactly — the golden-safety contract."""
+        unarmed = Server(
             CacheCluster.homogeneous(
                 "Region-Cache",
                 2,
@@ -210,11 +210,11 @@ class TestLegacyEquivalence:
             failover=FailoverPlan(),
         ).run()
         assert replicated.fleet_row is not None
-        assert legacy.fleet_row is None
-        assert replicated.tenant_rows == legacy.tenant_rows
-        # Replicated shard rows append fleet columns; the shared prefix
-        # must match the legacy loop value-for-value.
-        for mine, theirs in zip(replicated.shard_rows, legacy.shard_rows):
+        assert unarmed.fleet_row is None
+        assert replicated.tenant_rows == unarmed.tenant_rows
+        # Armed shard rows append fleet columns; the shared prefix must
+        # match the unarmed run value-for-value.
+        for mine, theirs in zip(replicated.shard_rows, unarmed.shard_rows):
             for column, value in theirs.items():
                 assert mine[column] == value, column
         assert replicated.fleet_row["repl_writes"] == 0

@@ -21,7 +21,7 @@ from repro.bench.experiments import (
 from repro.bench.schemes import SchemeScale, build_scheme
 from repro.cache import AdmissionConfig, CacheConfig, TinyLfuAdmission
 from repro.cache.admission import CountMinSketch, build_admission
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError, ServerAlreadyRanError
 from repro.serve import (
     BurstArrivals,
     CacheCluster,
@@ -456,6 +456,16 @@ class TestServer:
         run_b = Server(_tiny_cluster(), _tiny_tenants(), ServerConfig(24)).run()
         assert run_a.tenant_rows == run_b.tenant_rows
         assert run_a.shard_rows == run_b.shard_rows
+
+    def test_run_is_single_shot(self):
+        """A second run() would re-draw streams on top of the first
+        run's SLO trackers and report rows mixing both: it must raise."""
+        server = Server(_tiny_cluster(), _tiny_tenants(), ServerConfig(24))
+        first = server.run()
+        with pytest.raises(ServerAlreadyRanError):
+            server.run()
+        assert issubclass(ServerAlreadyRanError, ReproError)
+        assert first.offered == sum(t.slo.offered for t in server.tenants)
 
     def test_overload_sheds_with_bounded_p99(self):
         # 10x the sustainable rate on one shard: the bounded queue must
