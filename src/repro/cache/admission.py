@@ -83,16 +83,29 @@ class CountMinSketch:
         ]
         self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
 
-    def _index(self, row: int, key: bytes) -> int:
-        return zlib.crc32(key, self._salts[row]) % self.width
+    def add(self, key: bytes) -> int:
+        """Count one access; returns the estimate from *before* it.
 
-    def add(self, key: bytes) -> None:
-        for row in range(self.depth):
-            self._rows[row][self._index(row, key)] += 1
+        One hash per row serves both the read and the increment, so an
+        admission decision costs ``depth`` CRCs rather than ``2 × depth``.
+        """
+        width = self.width
+        crc32 = zlib.crc32
+        before = -1
+        for counts, salt in zip(self._rows, self._salts):
+            slot = crc32(key, salt) % width
+            count = counts[slot]
+            if before < 0 or count < before:
+                before = count
+            counts[slot] = count + 1
+        return before
 
     def estimate(self, key: bytes) -> int:
+        width = self.width
+        crc32 = zlib.crc32
         return min(
-            self._rows[row][self._index(row, key)] for row in range(self.depth)
+            counts[crc32(key, salt) % width]
+            for counts, salt in zip(self._rows, self._salts)
         )
 
     def halve(self) -> None:
@@ -131,8 +144,7 @@ class TinyLfuAdmission(AdmissionPolicy):
         self._ops = 0
 
     def admit(self, key: bytes, value: bytes) -> bool:
-        seen_before = self.sketch.estimate(key)
-        self.sketch.add(key)
+        seen_before = self.sketch.add(key)
         self._ops += 1
         if self._ops % self.decay_ops == 0:
             self.sketch.halve()

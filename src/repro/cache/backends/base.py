@@ -72,7 +72,14 @@ class RegionStore(abc.ABC):
 
     @abc.abstractmethod
     def write_region(self, region_id: int, payload: bytes) -> int:
-        """Overwrite a whole region; returns the I/O latency in ns."""
+        """Overwrite a whole region; returns the I/O latency in ns.
+
+        ``payload`` may be any buffer and is only lent for the call: the
+        engine passes a read-only view of its open region buffer and
+        refills that buffer afterwards, so implementations copy the
+        bytes to media and keep no reference (DESIGN.md, "Page store and
+        buffer ownership").
+        """
 
     @abc.abstractmethod
     def read(self, region_id: int, offset: int, length: int) -> bytes:

@@ -131,10 +131,9 @@ class ZCacheRegionStore(ZtlRegionStore):
     valid and are reclaimed by finishing, not copying (pair with
     ``GcConfig(policy="cold_defer")``).
 
-    Classification walks the packed payload with
-    :meth:`EntryCodec.scan_region`; with per-item checksums enabled and
-    a non-default salt the walk may stop early on the first checksummed
-    entry, which only makes classification coarser, never wrong.
+    Classification reads only the keys of the packed payload
+    (:meth:`EntryCodec.scan_keys`, a header walk that decodes no value
+    and works on the borrowed flush view).
     """
 
     def __init__(
@@ -175,18 +174,15 @@ class ZCacheRegionStore(ZtlRegionStore):
                 ).latency_ns
         return self.layer.write_region(region_id, payload, group=group).latency_ns
 
-    def _classify(self, payload: bytes) -> int:
+    def _classify(self, payload) -> int:
         """Majority vote over the region's keys: hot stream or cold."""
-        entries, _ = EntryCodec.scan_region(payload)
-        if not entries:
+        keys = EntryCodec.scan_keys(payload)
+        if not keys:
             return self.cold_group
         estimate = self.sketch.estimate
         threshold = self.hot_threshold
-        hot = 0
-        for _, _, entry in entries:
-            if estimate(entry.key) >= threshold:
-                hot += 1
-        if 2 * hot >= len(entries):
+        hot = sum(1 for key in keys if estimate(key) >= threshold)
+        if 2 * hot >= len(keys):
             self.hot_regions += 1
             return 0
         self.cold_regions += 1

@@ -20,6 +20,7 @@ engine:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cache.admission import AdmissionPolicy, build_admission
@@ -447,9 +448,9 @@ class HybridCache:
             max(1, min(config.reclaim_window, config.num_regions // 8)),
             dead_first=config.lifecycle.dead_first_eviction,
         )
-        cache.regions._free = [
+        cache.regions._free = deque(
             rid for rid in state["free"] if rid != state["open_region_id"]
-        ]
+        )
         for rid in state.get("quarantined", []):
             cache.regions.quarantine(rid)
             cache.stats.quarantined_regions += 1
@@ -586,9 +587,9 @@ class HybridCache:
             cache.regions.seal(meta)
             replayed.append((rid, salt))
         in_use = {rid for rid, _ in replayed} | set(quarantined)
-        cache.regions._free = [
+        cache.regions._free = deque(
             rid for rid in range(config.num_regions) if rid not in in_use
-        ]
+        )
         # Rebuild the journal to describe the recovered layout,
         # including the namespace generations (so a second crash still
         # refuses pre-bump reads).
@@ -609,7 +610,9 @@ class HybridCache:
 
     # --- internals -----------------------------------------------------------------------
 
-    def _open_fresh_region(self) -> RegionBuffer:
+    def _open_fresh_region(
+        self, recycle: Optional[RegionBuffer] = None
+    ) -> RegionBuffer:
         # The new buffer's fill window opens *before* the eviction work so
         # that index-teardown stalls show up in region fill times — the
         # Figure 3(a) jump "caused by eviction operations in other threads".
@@ -635,6 +638,7 @@ class HybridCache:
             opened_at,
             checksums=self.config.checksums,
             salt=self._generation,
+            recycle=recycle,
         )
 
     def _seal_and_rotate(self) -> None:
@@ -643,12 +647,17 @@ class HybridCache:
         fill_ns = self._clock.now - buffer.opened_at_ns
         self.stats.region_fill_durations_ns.append(fill_ns)
         self._journal("flush", buffer.region_id, buffer.salt)
+        # The flush borrows the buffer's own bytes (read-only view, no
+        # copy); the backend has copied them to media by the time it
+        # returns, and only then is the storage handed to the successor.
         region_id = self._flush_payload(buffer.region_id, buffer.finalize())
         self.stats.flushes += 1
-        sizes = dict(self._open_sizes)
+        # The open key set and size map become the sealed region's: hand
+        # them over and start fresh ones rather than copying.
+        sizes = self._open_sizes
         meta = RegionMeta(
             region_id,
-            keys=set(self._open_keys),
+            keys=self._open_keys,
             salt=buffer.salt,
             entry_bytes=sizes,
             live_bytes=sum(sizes.values()),
@@ -658,7 +667,7 @@ class HybridCache:
         self._journal("seal", region_id, buffer.salt)
         self._open_keys = set()
         self._open_sizes = {}
-        self._buffer = self._open_fresh_region()
+        self._buffer = self._open_fresh_region(recycle=buffer)
 
     def _purge_due(self) -> None:
         """Lazy TTL sweep at region rotation.
@@ -674,7 +683,7 @@ class HybridCache:
         for key in due:
             self._purge_expired(key)
 
-    def _flush_payload(self, region_id: int, payload: bytes) -> int:
+    def _flush_payload(self, region_id: int, payload: memoryview) -> int:
         """Write a sealed region with retries; returns where it landed.
 
         Transient errors back off and retry per ``config.retry``.  When
@@ -696,7 +705,9 @@ class HybridCache:
         assert last_error is not None
         raise last_error
 
-    def _write_region_with_retries(self, region_id: int, payload: bytes) -> None:
+    def _write_region_with_retries(
+        self, region_id: int, payload: memoryview
+    ) -> None:
         policy = self.config.retry
         attempt = 0
         while True:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import abc
 import enum
 from collections import OrderedDict
+from itertools import islice
 from typing import List, Optional
 
 
@@ -43,6 +44,15 @@ class RegionEvictionPolicy(abc.ABC):
         restore candidates it examined but did not choose)."""
         self.track(region_id)
 
+    def peek(self, count: int) -> Optional[List[int]]:
+        """The next ``count`` victims in order, without disturbing it.
+
+        None when the order cannot be read ahead without side effects
+        (CLOCK strips reference bits as it scans); windowed reclaim then
+        falls back to repeated :meth:`pick_victim`.
+        """
+        return None
+
     def order(self) -> "List[int]":
         """Region ids in eviction order (next victim first).
 
@@ -52,36 +62,6 @@ class RegionEvictionPolicy(abc.ABC):
 
     @abc.abstractmethod
     def __len__(self) -> int: ...
-
-
-class LruRegionPolicy(RegionEvictionPolicy):
-    """Least-recently-used region is evicted; hits refresh recency."""
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[int, None]" = OrderedDict()
-
-    def track(self, region_id: int) -> None:
-        self._order[region_id] = None
-        self._order.move_to_end(region_id)
-
-    def touch(self, region_id: int) -> None:
-        if region_id in self._order:
-            self._order.move_to_end(region_id)
-
-    def untrack(self, region_id: int) -> None:
-        self._order.pop(region_id, None)
-
-    def pick_victim(self) -> Optional[int]:
-        if not self._order:
-            return None
-        return next(iter(self._order))
-
-    def track_front(self, region_id: int) -> None:
-        self._order[region_id] = None
-        self._order.move_to_end(region_id, last=False)
-
-    def __len__(self) -> int:
-        return len(self._order)
 
 
 class FifoRegionPolicy(RegionEvictionPolicy):
@@ -104,12 +84,27 @@ class FifoRegionPolicy(RegionEvictionPolicy):
             return None
         return next(iter(self._order))
 
+    def peek(self, count: int) -> List[int]:
+        return list(islice(self._order, count))
+
     def track_front(self, region_id: int) -> None:
         self._order[region_id] = None
         self._order.move_to_end(region_id, last=False)
 
     def __len__(self) -> int:
         return len(self._order)
+
+
+class LruRegionPolicy(FifoRegionPolicy):
+    """Least-recently-used region is evicted; hits refresh recency."""
+
+    def track(self, region_id: int) -> None:
+        self._order[region_id] = None
+        self._order.move_to_end(region_id)
+
+    def touch(self, region_id: int) -> None:
+        if region_id in self._order:
+            self._order.move_to_end(region_id)
 
 
 class ClockRegionPolicy(RegionEvictionPolicy):

@@ -154,6 +154,35 @@ class EntryCodec:
         # Ran out of payload mid-header: torn iff the tail is not padding.
         return entries, any(payload[offset:])
 
+    @classmethod
+    def scan_keys(cls, payload) -> List[bytes]:
+        """Keys of the packed entries, in order, from a header-only walk.
+
+        Visits the same entries as :meth:`scan_region` on an intact
+        payload (it stops at zero padding or at an entry running off
+        the end) but decodes no value and verifies no checksum, and
+        ``payload`` may be any buffer — a ``memoryview`` of an open
+        region included.
+        """
+        keys: List[bytes] = []
+        header = cls.HEADER_SIZE
+        unpack_from = _HEADER.unpack_from
+        size = len(payload)
+        offset = 0
+        while offset + header <= size:
+            raw_key_len, value_len, _ = unpack_from(payload, offset)
+            if raw_key_len == 0 and value_len == 0:
+                break
+            key_end = offset + header + (raw_key_len & ~_CHECKSUM_FLAG)
+            end = key_end + value_len
+            if raw_key_len & _CHECKSUM_FLAG:
+                end += cls.CRC_SIZE
+            if end > size:
+                break
+            keys.append(bytes(payload[offset + header : key_end]))
+            offset = end
+        return keys
+
     @staticmethod
     def _crc(key: bytes, value: bytes, expiry_ns: int, salt: int) -> int:
         crc = zlib.crc32(salt.to_bytes(8, "little", signed=False))

@@ -18,7 +18,11 @@ from repro.cache.item import EntryCodec, EntryLocation
 
 
 class RegionBuffer:
-    """Append-only buffer for the region currently being filled."""
+    """Append-only buffer for the region currently being filled.
+
+    ``recycle`` names the flushed buffer whose storage this one takes
+    over, so a cache allocates its region-sized ``bytearray`` once.
+    """
 
     def __init__(
         self,
@@ -27,6 +31,7 @@ class RegionBuffer:
         opened_at_ns: int,
         checksums: bool = False,
         salt: int = 0,
+        recycle: Optional["RegionBuffer"] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
@@ -37,7 +42,17 @@ class RegionBuffer:
         # checksums are bound to (see EntryCodec.scan_region).
         self.checksums = checksums
         self.salt = salt
-        self._buffer = bytearray(capacity)
+        if recycle is None:
+            self._buffer = bytearray(capacity)
+            self._stale = 0
+        else:
+            # Take over a flushed buffer's storage instead of allocating:
+            # its bytes below ``_stale`` are the previous region's and are
+            # overwritten by appends or zeroed at finalize().
+            if recycle.capacity != capacity:
+                raise ValueError("a recycled buffer must have the same capacity")
+            self._buffer = recycle._buffer
+            self._stale = max(recycle._stale, recycle._used)
         self._used = 0
 
     @property
@@ -71,9 +86,18 @@ class RegionBuffer:
             raise ValueError("read beyond buffered data")
         return bytes(self._buffer[offset : offset + length])
 
-    def finalize(self) -> bytes:
-        """Zero-padded payload of exactly ``capacity`` bytes for the flush."""
-        return bytes(self._buffer)
+    def finalize(self) -> memoryview:
+        """Zero-padded payload of exactly ``capacity`` bytes for the flush.
+
+        A read-only view of the buffer itself, not a copy: it is only
+        valid until a successor buffer (``recycle=``) starts appending,
+        so whoever flushes it must copy it out (every device's page
+        store does) and keep no reference to it.
+        """
+        if self._stale > self._used:
+            self._buffer[self._used : self._stale] = bytes(self._stale - self._used)
+            self._stale = self._used
+        return memoryview(self._buffer).toreadonly()
 
 
 @dataclass

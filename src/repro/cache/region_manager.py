@@ -8,7 +8,8 @@ sets the engine needs to purge the index when a region is reclaimed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, Optional, Set, Tuple
 
 from repro.cache.eviction import make_eviction_policy
 from repro.cache.lifecycle import LivenessLedger
@@ -40,7 +41,7 @@ class RegionManager:
         ensure_at_least("reclaim_window", reclaim_window, 1)
         self.num_regions = num_regions
         self.reclaim_window = reclaim_window
-        self._free: List[int] = list(range(num_regions))
+        self._free: Deque[int] = deque(range(num_regions))
         self._sealed: Dict[int, RegionMeta] = {}
         self._quarantined: Set[int] = set()
         self._policy = make_eviction_policy(eviction_policy)
@@ -91,7 +92,7 @@ class RegionManager:
         (this is the hit-ratio cost of large regions, §3.2).
         """
         if self._free:
-            return self._free.pop(0), set()
+            return self._free.popleft(), set()
         victim = self._pick_dead_victim() if self._dead_first else None
         if victim is None:
             victim = self._pick_windowed_victim()
@@ -99,7 +100,7 @@ class RegionManager:
             raise RuntimeError("no sealed region to evict — engine bug")
         meta = self._sealed.pop(victim)
         self._policy.untrack(victim)
-        evicted = set(meta.keys)
+        evicted = meta.keys  # the popped meta is ours alone: no copy
         self.reclaim_stats.victims_reclaimed += 1
         self.reclaim_stats.units_dropped += len(evicted)
         return victim, evicted

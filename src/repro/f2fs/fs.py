@@ -194,6 +194,9 @@ class F2fs:
             )
         if not data:
             return 0
+        # Block runs are cut from the caller's buffer as views; the data
+        # device copies each run to media exactly once.
+        data = memoryview(data)
         num_blocks = len(data) // block_size
         first_block = offset // block_size
         new_blocks = sum(
@@ -316,7 +319,7 @@ class F2fs:
                 raise
             return self.logs.allocate_blocks(stream, count)
 
-    def _write_blocks(self, addresses: List[int], data: bytes) -> None:
+    def _write_blocks(self, addresses: List[int], data: memoryview) -> None:
         """Write payload to allocated blocks, coalescing contiguous runs.
 
         The coalesced runs are submitted as one batch: on a serial device
@@ -348,7 +351,7 @@ class F2fs:
         self.data_device.write_many(items)
 
     def _write_blocks_resilient(
-        self, stream: LogStream, addresses: List[int], data: bytes
+        self, stream: LogStream, addresses: List[int], data: memoryview
     ) -> List[int]:
         """Fault-tolerant variant of :meth:`_write_blocks`.
 

@@ -14,11 +14,12 @@ background work on other channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.flash.device import BlockDevice, DeviceStats, check_alignment
 from repro.flash.ftl import FtlConfig, PageMappedFtl
 from repro.flash.nand import NandGeometry, NandTiming
+from repro.flash.pagestore import PageStore
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector
 from repro.sim.io import IoCompletion, IoOp, IoPipeline, IoRequest, IoTracer, PoolConfig
@@ -65,7 +66,7 @@ class BlockSsd(BlockDevice):
         self._ftl = PageMappedFtl(config.geometry, config.ftl)
         self.pipeline = IoPipeline(clock, "blockssd", io, tracer, faults=faults)
         self._stats = DeviceStats()
-        self._pages: Dict[int, bytes] = {}
+        self.media = PageStore()  # logical (LBA-space) contents
         self._bytes_since_maintenance = 0
 
     # --- BlockDevice interface -------------------------------------------------
@@ -89,12 +90,8 @@ class BlockSsd(BlockDevice):
 
     def read(self, offset: int, length: int) -> IoCompletion:
         check_alignment(offset, length, self.block_size, self.capacity_bytes)
-        page_size = self.config.geometry.page_size
-        first = offset // page_size
-        count = length // page_size
-        chunks = []
-        for lpn in range(first, first + count):
-            chunks.append(self._pages.get(lpn, b"\x00" * page_size))
+        count = length // self.config.geometry.page_size
+        data = self.media.load(offset, length)
         service = self.config.timing.read_ns(
             count, length, self.config.geometry.parallelism
         ) + self.config.ftl_cpu_ns_per_page * count
@@ -104,7 +101,7 @@ class BlockSsd(BlockDevice):
         self._stats.host_read_bytes += length
         self._stats.media_read_bytes += length
         self._stats.read_latency.record(completion.latency_ns)
-        completion.data = b"".join(chunks)
+        completion.data = data
         return completion
 
     def write(self, offset: int, data: bytes) -> IoCompletion:
@@ -151,10 +148,8 @@ class BlockSsd(BlockDevice):
         page_size = self.config.geometry.page_size
         first = offset // page_size
         count = length // page_size
-        lpns = list(range(first, first + count))
-        self._ftl.discard_pages(lpns)
-        for lpn in lpns:
-            self._pages.pop(lpn, None)
+        self._ftl.discard_pages(list(range(first, first + count)))
+        self.media.clear(offset, length)
         return self.pipeline.submit(
             IoRequest(IoOp.DISCARD, offset, length, layer="block"),
             self.config.timing.command_overhead_ns,
@@ -195,8 +190,7 @@ class BlockSsd(BlockDevice):
         count = len(data) // page_size
         lpns = list(range(first, first + count))
         report = self._ftl.write_pages(lpns)
-        for i, lpn in enumerate(lpns):
-            self._pages[lpn] = bytes(data[i * page_size : (i + 1) * page_size])
+        self.media.store(offset, data)
         # Background GC work the FTL had to do occupies the device first;
         # the host write then queues behind it.
         if report.moved_pages or report.erased_blocks:

@@ -14,9 +14,10 @@ configured channel count (an HDD cannot overlap seeks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.flash.device import BlockDevice, DeviceStats, check_alignment
+from repro.flash.pagestore import PageStore
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector
 from repro.sim.io import IoCompletion, IoOp, IoPipeline, IoRequest, IoTracer, PoolConfig
@@ -55,7 +56,8 @@ class HddDevice(BlockDevice):
         self._clock = clock
         self.config = config
         self._stats = DeviceStats()
-        self._blocks: Dict[int, bytes] = {}
+        # Sparse: the default 4 GiB platter only ever holds written chunks.
+        self.media = PageStore()
         # One actuator: always a serial pool, whatever the scheme's
         # io PoolConfig says about its flash devices.
         self.pipeline = IoPipeline(clock, "hdd", PoolConfig(), tracer, faults=faults)
@@ -76,12 +78,7 @@ class HddDevice(BlockDevice):
 
     def read(self, offset: int, length: int) -> IoCompletion:
         check_alignment(offset, length, self.block_size, self.capacity_bytes)
-        first = offset // self.block_size
-        count = length // self.block_size
-        chunks = [
-            self._blocks.get(i, b"\x00" * self.block_size)
-            for i in range(first, first + count)
-        ]
+        data = self.media.load(offset, length)
         completion = self.pipeline.submit(
             IoRequest(IoOp.READ, offset, length, layer="hdd"),
             self._service_ns(offset, length),
@@ -89,16 +86,12 @@ class HddDevice(BlockDevice):
         self._stats.host_read_bytes += length
         self._stats.media_read_bytes += length
         self._stats.read_latency.record(completion.latency_ns)
-        completion.data = b"".join(chunks)
+        completion.data = data
         return completion
 
     def write(self, offset: int, data: bytes) -> IoCompletion:
         check_alignment(offset, len(data), self.block_size, self.capacity_bytes)
-        first = offset // self.block_size
-        for i in range(len(data) // self.block_size):
-            self._blocks[first + i] = bytes(
-                data[i * self.block_size : (i + 1) * self.block_size]
-            )
+        self.media.store(offset, data)
         completion = self.pipeline.submit(
             IoRequest(IoOp.WRITE, offset, len(data), layer="hdd"),
             self._service_ns(offset, len(data)),

@@ -8,9 +8,10 @@ constant sub-NAND latency, no write amplification, no GC.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.flash.device import BlockDevice, DeviceStats, check_alignment
+from repro.flash.pagestore import PageStore
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector
 from repro.sim.io import IoCompletion, IoOp, IoPipeline, IoRequest, IoTracer, PoolConfig
@@ -39,7 +40,7 @@ class NullBlkDevice(BlockDevice):
         self._block_size = block_size
         self._latency_ns = latency_ns
         self._stats = DeviceStats()
-        self._blocks: Dict[int, bytes] = {}
+        self.media = PageStore()
         self.pipeline = IoPipeline(clock, "nullblk", PoolConfig(), tracer, faults=faults)
 
     @property
@@ -56,28 +57,19 @@ class NullBlkDevice(BlockDevice):
 
     def read(self, offset: int, length: int) -> IoCompletion:
         check_alignment(offset, length, self._block_size, self._capacity)
-        first = offset // self._block_size
-        count = length // self._block_size
-        chunks = [
-            self._blocks.get(i, b"\x00" * self._block_size)
-            for i in range(first, first + count)
-        ]
+        data = self.media.load(offset, length)
         completion = self.pipeline.submit(
             IoRequest(IoOp.READ, offset, length, layer="nullblk"), self._latency_ns
         )
         self._stats.host_read_bytes += length
         self._stats.media_read_bytes += length
         self._stats.read_latency.record(completion.latency_ns)
-        completion.data = b"".join(chunks)
+        completion.data = data
         return completion
 
     def write(self, offset: int, data: bytes) -> IoCompletion:
         check_alignment(offset, len(data), self._block_size, self._capacity)
-        first = offset // self._block_size
-        for i in range(len(data) // self._block_size):
-            self._blocks[first + i] = bytes(
-                data[i * self._block_size : (i + 1) * self._block_size]
-            )
+        self.media.store(offset, data)
         completion = self.pipeline.submit(
             IoRequest(IoOp.WRITE, offset, len(data), layer="nullblk"), self._latency_ns
         )

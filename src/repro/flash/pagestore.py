@@ -1,0 +1,108 @@
+"""The byte store under every simulated device.
+
+All four devices (ZNS SSD, block SSD, nullblk, HDD) keep their media
+contents here: sparse, fixed-size ``bytearray`` chunks allocated on the
+first write that touches them.  ``store`` / ``load`` / ``clear`` are
+slice copies over whole extents, never per-page loops, and ``store``
+accepts any buffer (``bytes``, ``bytearray``, a read-only ``memoryview``
+of a region buffer) without materialising it first.
+
+Ownership rule: the store **copies in and copies out**.  It never keeps
+a reference to a caller's buffer, and ``load`` returns fresh ``bytes``,
+so a caller may recycle its buffer the moment ``store`` returns and may
+keep a loaded payload across any later reset.  It holds bytearrays only
+— never a ``memoryview`` — so a device (and the cached stack template
+around it) stays ``copy.deepcopy``-able.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterator, Tuple
+
+from repro.units import KIB
+
+# A ``bytearray`` is resident from the moment it exists, so the chunk is
+# what a partly written zone or a lone block on a sparse disk costs in
+# memory.  64 KiB keeps that slack small, holds a default region in one
+# chunk (one slice copy per flush), divides every zone and erase block
+# the benches use (resets and discards drop whole chunks), and stays
+# below the allocator's mmap threshold, so dropping a zone's chunks on
+# reset and taking fresh ones on the next write never leaves the heap.
+CHUNK_BYTES = 64 * KIB
+
+
+class PageStore:
+    """Sparse byte-addressed media contents; unwritten space reads as zeros.
+
+    ``chunk_size`` is the allocation unit: a chunk exists from the first
+    write that touches it until a :meth:`clear` covers it (zone reset,
+    discard), so the bytes held track the bytes live.  Range checks are
+    the owning device's job (each raises its own typed errors before it
+    gets here).
+    """
+
+    def __init__(self, chunk_size: int = CHUNK_BYTES) -> None:
+        if chunk_size <= 0:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+        self.chunk_size = chunk_size
+        self._chunks: Dict[int, bytearray] = {}
+
+    @property
+    def allocated_bytes(self) -> int:
+        """Bytes of chunk storage currently held."""
+        return len(self._chunks) * self.chunk_size
+
+    def store(self, offset: int, data) -> None:
+        """Copy ``data`` (any buffer) to ``offset``; one slice copy per chunk."""
+        index, start = divmod(offset, self.chunk_size)
+        if start + len(data) <= self.chunk_size:
+            self._fill(index, start, start + len(data), data)
+            return
+        view = memoryview(data)
+        pos = 0
+        for index, start, stop in self._spans(offset, len(data)):
+            self._fill(index, start, stop, view[pos : pos + stop - start])
+            pos += stop - start
+
+    def load(self, offset: int, length: int) -> bytes:
+        """A fresh ``bytes`` copy of ``[offset, offset + length)``."""
+        index, start = divmod(offset, self.chunk_size)
+        if start + length <= self.chunk_size:
+            return self._slice(index, start, start + length)
+        return b"".join(self._slice(*span) for span in self._spans(offset, length))
+
+    def clear(self, offset: int, length: int) -> None:
+        """Zero a range; chunks it covers entirely are dropped."""
+        for index, start, stop in self._spans(offset, length):
+            if stop - start == self.chunk_size:
+                self._chunks.pop(index, None)
+            elif index in self._chunks:
+                self._fill(index, start, stop, bytes(stop - start))
+
+    # --- internals ---------------------------------------------------------------
+
+    def _spans(self, offset: int, length: int) -> Iterator[Tuple[int, int, int]]:
+        """The ``(chunk index, start, stop)`` pieces of an extent, in order."""
+        size = self.chunk_size
+        index, start = divmod(offset, size)
+        while length > 0:
+            take = min(size - start, length)
+            yield index, start, start + take
+            length -= take
+            index += 1
+            start = 0
+
+    def _fill(self, index: int, start: int, end: int, data) -> None:
+        chunk = self._chunks.get(index)
+        if chunk is None:
+            chunk = self._chunks[index] = bytearray(self.chunk_size)
+        # A memoryview target copies straight from the source buffer;
+        # ``chunk[a:b] = data`` would first materialise a temporary
+        # bytearray of the whole payload.
+        memoryview(chunk)[start:end] = data
+
+    def _slice(self, index: int, start: int, end: int) -> bytes:
+        chunk = self._chunks.get(index)
+        if chunk is None:
+            return bytes(end - start)
+        return bytes(memoryview(chunk)[start:end])

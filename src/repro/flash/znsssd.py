@@ -27,6 +27,7 @@ from repro.errors import (
 )
 from repro.flash.device import DeviceStats
 from repro.flash.nand import NandGeometry, NandTiming
+from repro.flash.pagestore import PageStore
 from repro.flash.zone import Zone, ZoneCostConfig, ZoneMgmtStats, ZoneState
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector, FaultKind
@@ -97,7 +98,7 @@ class ZnsSsd:
         # the forced-close victim is the least-recently-written open zone.
         self._open_touch: Dict[int, int] = {}
         self._touch_tick = 0
-        self._pages: Dict[int, bytes] = {}
+        self.media = PageStore()
         self._page_size = config.geometry.page_size
         self._capacity_bytes = self.num_zones * zone_size
         # NAND timing is a pure function of the transfer length, and the
@@ -275,7 +276,7 @@ class ZnsSsd:
         self._ensure_open_budget(zone)
         self._note_write_open(zone)
         self._maybe_tear(zone, offset, data, service_ns)
-        self._store(offset, data)
+        self.media.store(offset, data)
         zone.advance(len(data))
         completion = self.pipeline.submit(request, service_ns)
         self._account_write(len(data), completion, background=False)
@@ -300,10 +301,7 @@ class ZnsSsd:
         request = IoRequest(IoOp.RESET, zone.start, zone=zone_index, layer="zns")
         self.pipeline.fault_gate(request, self.config.timing.command_overhead_ns)
         zone.reset()
-        page_size = self.block_size
-        first = zone.start // page_size
-        for ppn in range(first, first + self.zone_size // page_size):
-            self._pages.pop(ppn, None)
+        self.media.clear(zone.start, self.zone_size)
         # The reset command itself is fast; the media erase proceeds in the
         # background and *later* commands queue behind it.
         completion = self.pipeline.submit(
@@ -479,7 +477,7 @@ class ZnsSsd:
         if keep is None:
             return False
         if keep:
-            self._store(offset, data[:keep])
+            self.media.store(offset, data[:keep])
             zone.advance(keep)
             self._stats.host_write_bytes += keep
             self._stats.media_write_bytes += keep
@@ -504,40 +502,21 @@ class ZnsSsd:
 
     def _load(self, offset: int, length: int) -> bytes:
         page_size = self._page_size
-        if length == page_size and offset % page_size == 0:
-            # Single-page read: the overwhelmingly common shape once the
-            # cache reads aligned windows.  Skips the join machinery.
-            if offset + length > self._capacity_bytes:
-                raise OutOfRangeError(
-                    f"read (offset={offset}, length={length}) exceeds capacity"
-                )
-            page = self._pages.get(offset // page_size)
-            return page if page is not None else b"\x00" * page_size
-        self._check_aligned(offset, length)
+        if offset % page_size or length % page_size or length <= 0:
+            self._check_aligned(offset, length)  # raises the typed error
         if offset + length > self._capacity_bytes:
             raise OutOfRangeError(
                 f"read (offset={offset}, length={length}) exceeds capacity"
             )
-        first = offset // page_size
-        count = length // page_size
-        return b"".join(
-            self._pages.get(ppn, b"\x00" * page_size)
-            for ppn in range(first, first + count)
-        )
+        return self.media.load(offset, length)
 
     def _prepare_write(self, offset: int, data: bytes) -> None:
         self._check_aligned(offset, len(data))
         zone = self.zone_of(offset)
         zone.check_writable(offset, len(data))
         self._ensure_open_budget(zone)
-        self._store(offset, data)
+        self.media.store(offset, data)
         zone.advance(len(data))
-
-    def _store(self, offset: int, data: bytes) -> None:
-        page_size = self.block_size
-        first = offset // page_size
-        for i in range(len(data) // page_size):
-            self._pages[first + i] = bytes(data[i * page_size : (i + 1) * page_size])
 
     def _read_service_ns(self, length: int) -> int:
         ns = self._read_ns_cache.get(length)

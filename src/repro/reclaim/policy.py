@@ -187,24 +187,32 @@ def windowed_draw(order_policy, window: int, population: int, rng) -> Optional[i
     original relative order, and the chosen one is left untracked.
 
     ``order_policy`` is any object with the cache eviction-policy shape
-    (``pick_victim`` / ``untrack`` / ``track_front``); ``population``
-    bounds the window to the number of tracked entries.
+    (``pick_victim`` / ``untrack`` / ``track_front`` / ``peek``);
+    ``population`` bounds the window to the number of tracked entries.
     """
     if window == 1:
         return order_policy.pick_victim()
+    head = order_policy.peek(min(window, population))
+    if head is not None:
+        # FIFO/LRU: the window is simply the head of the order, so read
+        # it in place and untrack only the winner — same candidates, same
+        # single RNG draw, same order afterwards as the loop below.
+        if not head:
+            return None
+        chosen = head[rng.randrange(len(head))]
+        order_policy.untrack(chosen)
+        return chosen
     candidates: List[int] = []
-    removed: List[int] = []
     for _ in range(min(window, population)):
         victim = order_policy.pick_victim()
         if victim is None:
             break
         candidates.append(victim)
         order_policy.untrack(victim)
-        removed.append(victim)
     if not candidates:
         return None
     chosen = candidates[rng.randrange(len(candidates))]
-    for candidate in reversed(removed):
+    for candidate in reversed(candidates):
         if candidate != chosen:
             order_policy.track_front(candidate)
     return chosen

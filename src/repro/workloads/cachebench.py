@@ -147,10 +147,11 @@ class CacheBenchDriver:
             config.value_sizes, config.value_weights, config.seed
         )
         self._ops_rng = make_rng(config.seed, "opmix")
-        # key/value memos: both are pure functions of their arguments and
-        # the keyspace is small and reused constantly under Zipf.
+        # Key memo: a pure function of the index, bounded by the keyspace
+        # and reused constantly under Zipf.  Values are *not* memoised —
+        # (key, size) pairs are effectively unbounded and each would pin
+        # kilobytes for the life of the driver.
         self._key_cache: Dict[int, bytes] = {}
-        self._value_cache: Dict[Tuple[int, int], bytes] = {}
 
     def key_bytes(self, key_index: int) -> bytes:
         """Fixed-width printable key, like CacheBench's generated keys."""
@@ -163,13 +164,8 @@ class CacheBenchDriver:
         return cached
 
     def value_bytes(self, key_index: int, size: int) -> bytes:
-        cached = self._value_cache.get((key_index, size))
-        if cached is None:
-            unit = f"v{key_index:014d}".encode()
-            reps = -(-size // len(unit))
-            cached = (unit * reps)[:size]
-            self._value_cache[(key_index, size)] = cached
-        return cached
+        unit = b"v%014d" % key_index
+        return (unit * -(-size // len(unit)))[:size]
 
     def run(self, cache: HybridCache) -> WorkloadResult:
         """Execute the mix; stats are reset after warm-up."""

@@ -16,7 +16,7 @@ from repro.cache import (
     ShardedIndex,
     make_eviction_policy,
 )
-from repro.cache.admission import SizeThresholdAdmission
+from repro.cache.admission import CountMinSketch, SizeThresholdAdmission
 from repro.errors import CacheConfigError
 
 
@@ -53,6 +53,26 @@ class TestEntryCodec:
     def test_empty_value(self):
         blob = EntryCodec.encode(b"key", b"")
         assert EntryCodec.decode(blob) == (b"key", b"")
+
+    @pytest.mark.parametrize("checksum", [False, True])
+    def test_scan_keys_matches_scan_region(self, checksum):
+        items = [(b"k%03d" % i, b"v" * (i * 37 % 500)) for i in range(40)]
+        packed = b"".join(
+            EntryCodec.encode(k, v, checksum=checksum, salt=9) for k, v in items
+        )
+        region = packed + b"\x00" * 300
+        entries, torn = EntryCodec.scan_region(region, salt=9)
+        assert not torn
+        keys = [key for key, _ in items]
+        assert [entry.key for _, _, entry in entries] == keys
+        assert EntryCodec.scan_keys(region) == keys
+        # Any buffer will do, and a truncated tail stops the walk where
+        # scan_region stops it.
+        view = memoryview(bytearray(region)).toreadonly()
+        assert EntryCodec.scan_keys(view) == keys
+        cut = len(packed) - 5
+        assert EntryCodec.scan_keys(view[:cut]) == keys[:-1]
+        assert all(type(key) is bytes for key in EntryCodec.scan_keys(view))
 
 
 class TestShardedIndex:
@@ -209,6 +229,14 @@ class TestAdmission:
         policy = SizeThresholdAdmission(10)
         assert policy.admit(b"k", b"x" * 10)
         assert not policy.admit(b"k", b"x" * 11)
+
+    def test_sketch_add_returns_the_prior_estimate(self):
+        sketch = CountMinSketch(width=16, depth=3, seed=5)
+        for i in range(400):  # narrow sketch: plenty of collisions
+            key = b"k%02d" % (i * 7 % 23)
+            expected = sketch.estimate(key)
+            assert sketch.add(key) == expected
+            assert sketch.estimate(key) == expected + 1
 
 
 class TestCacheConfig:
