@@ -9,7 +9,17 @@ secondary cache's hit ratio, not probe count, dominate read latency.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
+import struct
+from typing import Iterable, Optional, Tuple
+
+_DIGEST = struct.Struct("<QQ")
+
+
+def bloom_hashes(key: bytes) -> Tuple[int, int]:
+    """The double-hashing pair of ``key``: one digest serves the probe of
+    every table a lookup visits."""
+    h1, h2 = _DIGEST.unpack(hashlib.blake2b(key, digest_size=16).digest())
+    return h1, h2 | 1
 
 
 class BloomFilter:
@@ -30,28 +40,38 @@ class BloomFilter:
         num_bits = max(64, len(keys) * bits_per_key)
         num_hashes = max(1, min(12, int(bits_per_key * 0.69)))
         bloom = cls(num_bits, num_hashes)
+        # add() for every key, unrolled into one loop: bit i of a key is
+        # (h1 + i*h2) % num_bits, stepped here without leaving small ints.
+        bits, probes = bloom._bits, range(num_hashes)
         for key in keys:
-            bloom.add(key)
+            h1, h2 = bloom_hashes(key)
+            bit, step = h1 % num_bits, h2 % num_bits
+            for _ in probes:
+                bits[bit >> 3] |= 1 << (bit & 7)
+                bit += step
+                if bit >= num_bits:
+                    bit -= num_bits
         return bloom
 
-    def _base_hashes(self, key: bytes) -> tuple:
-        digest = hashlib.blake2b(key, digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1
-        return h1, h2
-
     def add(self, key: bytes) -> None:
-        h1, h2 = self._base_hashes(key)
+        h1, h2 = bloom_hashes(key)
         for i in range(self.num_hashes):
             bit = (h1 + i * h2) % self.num_bits
             self._bits[bit >> 3] |= 1 << (bit & 7)
 
-    def may_contain(self, key: bytes) -> bool:
-        h1, h2 = self._base_hashes(key)
-        for i in range(self.num_hashes):
-            bit = (h1 + i * h2) % self.num_bits
-            if not self._bits[bit >> 3] >> (bit & 7) & 1:
+    def may_contain(
+        self, key: bytes, hashes: Optional[Tuple[int, int]] = None
+    ) -> bool:
+        """Probe; ``hashes`` is ``bloom_hashes(key)`` if the caller has it."""
+        h1, h2 = hashes if hashes is not None else bloom_hashes(key)
+        bits, num_bits = self._bits, self.num_bits
+        bit, step = h1 % num_bits, h2 % num_bits
+        for _ in range(self.num_hashes):
+            if not bits[bit >> 3] >> (bit & 7) & 1:
                 return False
+            bit += step
+            if bit >= num_bits:
+                bit -= num_bits
         return True
 
     def to_bytes(self) -> bytes:

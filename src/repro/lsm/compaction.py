@@ -90,13 +90,12 @@ class Compactor:
         # Precedence: L1 (oldest) first, then L0 oldest → newest.
         inputs = overlapping + list(reversed(l0))
         outputs = self._merge(inputs, output_level=1)
-        self.version.levels[0] = []
+        self.version.clear_l0()
         self.version.install_level(1, keep + outputs)
         self._release(inputs)
 
     def _compact_level(self, level: int) -> None:
-        source = self.version.levels[level]
-        table = source[0]  # oldest-first rotation
+        table = self.version.levels[level][0]  # oldest-first rotation
         next_level = level + 1
         overlapping = [
             t
@@ -106,7 +105,7 @@ class Compactor:
         keep_next = [t for t in self.version.levels[next_level] if t not in overlapping]
         inputs = overlapping + [table]
         outputs = self._merge(inputs, output_level=next_level)
-        self.version.levels[level] = [t for t in source if t is not table]
+        self.version.remove(level, table)
         self.version.install_level(next_level, keep_next + outputs)
         self._release(inputs)
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.errors import DbClosedError
+from repro.errors import DbClosedError, LsmError
 from repro.flash.device import BlockDevice
-from repro.lsm.block import DataBlock
+from repro.lsm.block import MAX_KEY_LEN, MAX_VALUE_LEN, block_get
+from repro.lsm.bloom import bloom_hashes
 from repro.lsm.block_cache import BlockCache, SecondaryCache
 from repro.lsm.compaction import TOMBSTONE, CompactionConfig, Compactor
 from repro.lsm.iterator import scan_range
@@ -84,6 +85,12 @@ class Db:
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
+        # Checked before any effect; values are stored behind a 1-byte tag.
+        if len(key) > MAX_KEY_LEN or len(value) >= MAX_VALUE_LEN:
+            raise LsmError(
+                f"a {len(key)}B key / {len(value)}B value exceeds the limits of "
+                f"{MAX_KEY_LEN}B / {MAX_VALUE_LEN - 1}B"
+            )
         self._clock.advance(self.config.cpu_put_ns)
         record = b"\x01" + len(key).to_bytes(2, "little") + key + value
         self._wal_append(record)
@@ -94,6 +101,8 @@ class Db:
 
     def delete(self, key: bytes) -> None:
         self._check_open()
+        if len(key) > MAX_KEY_LEN:
+            raise LsmError(f"a {len(key)}B key exceeds the {MAX_KEY_LEN}B limit")
         self._clock.advance(self.config.cpu_put_ns)
         self._wal_append(b"\x00" + len(key).to_bytes(2, "little") + key)
         self.memtable.put(key, TOMBSTONE)
@@ -150,8 +159,9 @@ class Db:
         return encoded[1:]
 
     def _search_tables(self, key: bytes) -> Optional[bytes]:
-        for table in self.version.candidates_for(key):
-            if not table.may_contain(key):
+        hashes = bloom_hashes(key)  # once, for every table probed
+        for table in self.version.candidates_for(key):  # key is in their ranges
+            if not table.bloom.may_contain(key, hashes):
                 continue
             handle = table.block_for(key)
             if handle is None:
@@ -161,7 +171,7 @@ class Db:
             if blob is None:
                 blob = table.read_block(handle)
                 self.block_cache.put(cache_key, blob)
-            value = DataBlock(blob).get(key)
+            value = block_get(blob, key)
             if value is not None:
                 return value
         return None
@@ -239,7 +249,8 @@ class Db:
                 db.space.reserve(extent_offset, extent_size)
                 tables.append(SSTable.open(db.space, extent_offset, extent_size))
             if level_index == 0:
-                db.version.levels[0] = tables  # stored newest-first
+                for table in reversed(tables):  # stored newest-first
+                    db.version.add_l0(table)
             else:
                 db.version.install_level(level_index, tables)
         db.compactor._next_table_id = state["next_table_id"]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import LsmError
-from repro.lsm.block import BlockHandle, DataBlock, DataBlockBuilder
+from repro.lsm.block import BlockHandle, DataBlockBuilder, iter_block
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.table_space import TableSpace
 from repro.units import align_up
@@ -45,11 +45,6 @@ class SSTable:
     num_entries: int
     space: TableSpace = field(repr=False)
 
-    def may_contain(self, key: bytes) -> bool:
-        if not self.smallest <= key <= self.largest:
-            return False
-        return self.bloom.may_contain(key)
-
     def block_for(self, key: bytes) -> Optional[BlockHandle]:
         """Handle of the single block that could hold ``key``."""
         idx = bisect.bisect_right(self.index_keys, key) - 1
@@ -70,8 +65,7 @@ class SSTable:
     def iter_entries(self) -> Iterator[Tuple[bytes, bytes]]:
         """Full scan in key order (used by compaction)."""
         for handle in self.index_handles:
-            block = DataBlock(self.read_block(handle))
-            yield from block.entries()
+            yield from iter_block(self.read_block(handle))
 
     def release(self) -> None:
         """Free the table's extent (after compaction supersedes it)."""
@@ -126,25 +120,21 @@ class SSTableBuilder:
         self._blocks: List[bytes] = []
         self._index_keys: List[bytes] = []
         self._keys: List[bytes] = []
-        self._smallest: Optional[bytes] = None
-        self._largest: Optional[bytes] = None
 
     @property
     def num_entries(self) -> int:
         return len(self._keys)
 
     def add(self, key: bytes, value: bytes) -> None:
-        if self._largest is not None and key <= self._largest:
+        keys, builder = self._keys, self._builder
+        if keys and key <= keys[-1]:
             raise ValueError("keys must be added in strictly ascending order")
-        if self._builder.would_overflow(key, value):
+        if builder.would_overflow(key, value):
             self._seal_block()
-        if self._builder.num_entries == 0:
+        builder.add(key, value)
+        if builder.num_entries == 1:
             self._index_keys.append(key)
-        self._builder.add(key, value)
-        self._keys.append(key)
-        if self._smallest is None:
-            self._smallest = key
-        self._largest = key
+        keys.append(key)
 
     def finish(self) -> Optional[SSTable]:
         """Write the table (data + meta + footer) to the device."""
@@ -162,15 +152,15 @@ class SSTableBuilder:
             padded_blocks.append(padded)
             offset += len(padded)
         data_payload = b"".join(padded_blocks)
-        assert self._smallest is not None and self._largest is not None
+        smallest, largest = self._keys[0], self._keys[-1]
         bloom = BloomFilter.for_keys(self._keys, self.bits_per_key)
         meta_blob = pickle.dumps(
             {
                 "index_keys": self._index_keys,
                 "handles": [(h.offset, h.size) for h in handles],
                 "bloom": bloom.to_bytes(),
-                "smallest": self._smallest,
-                "largest": self._largest,
+                "smallest": smallest,
+                "largest": largest,
                 "num_entries": len(self._keys),
             }
         )
@@ -191,8 +181,8 @@ class SSTableBuilder:
             index_keys=self._index_keys,
             index_handles=handles,
             bloom=bloom,
-            smallest=self._smallest,
-            largest=self._largest,
+            smallest=smallest,
+            largest=largest,
             num_entries=len(self._keys),
             space=self.space,
         )

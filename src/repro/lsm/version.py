@@ -2,12 +2,17 @@
 
 L0 tables may overlap (newest first wins); L1+ levels hold sorted,
 non-overlapping runs searched by binary search on the smallest keys.
+
+``levels`` is read freely (scans, the manifest, tests) but changed only
+through the mutators here: each L1+ level carries a pinned *fence* array
+of its tables' smallest keys, rebuilt when that level changes and never
+per lookup.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.lsm.sstable import SSTable
 
@@ -19,6 +24,7 @@ class Version:
         if num_levels < 2:
             raise ValueError("need at least 2 levels")
         self.levels: List[List[SSTable]] = [[] for _ in range(num_levels)]
+        self._fences: List[List[bytes]] = [[] for _ in range(num_levels)]
 
     @property
     def num_levels(self) -> int:
@@ -28,8 +34,12 @@ class Version:
         """Newest L0 table goes to the front (searched first)."""
         self.levels[0].insert(0, table)
 
+    def clear_l0(self) -> None:
+        """Drop every L0 table (they were just merged into L1)."""
+        self.levels[0] = []
+
     def install_level(self, level: int, tables: List[SSTable]) -> None:
-        """Replace a level with a sorted, non-overlapping run."""
+        """Replace an L1+ level with a sorted, non-overlapping run."""
         ordered = sorted(tables, key=lambda t: t.smallest)
         for a, b in zip(ordered, ordered[1:]):
             if b.smallest <= a.largest:
@@ -37,28 +47,26 @@ class Version:
                     f"level {level} tables overlap: {a.table_id} and {b.table_id}"
                 )
         self.levels[level] = ordered
+        self._fences[level] = [t.smallest for t in ordered]
+
+    def remove(self, level: int, table: SSTable) -> None:
+        """Take one table out of a level (it was merged into the next)."""
+        index = self.levels[level].index(table)
+        del self.levels[level][index]
+        if level:  # L0 overlaps, so it is scanned, not fenced
+            del self._fences[level][index]
 
     def candidates_for(self, key: bytes) -> List[SSTable]:
         """Tables that could hold ``key``, in search priority order."""
-        result: List[SSTable] = []
-        for table in self.levels[0]:
-            if table.smallest <= key <= table.largest:
-                result.append(table)
-        for level in range(1, len(self.levels)):
-            table = self._find_in_level(level, key)
-            if table is not None:
-                result.append(table)
+        levels = self.levels
+        result = [t for t in levels[0] if t.smallest <= key <= t.largest]
+        for level in range(1, len(levels)):
+            idx = bisect.bisect_right(self._fences[level], key) - 1
+            if idx >= 0:
+                table = levels[level][idx]
+                if key <= table.largest:
+                    result.append(table)
         return result
-
-    def _find_in_level(self, level: int, key: bytes) -> Optional[SSTable]:
-        tables = self.levels[level]
-        if not tables:
-            return None
-        idx = bisect.bisect_right([t.smallest for t in tables], key) - 1
-        if idx < 0:
-            return None
-        table = tables[idx]
-        return table if key <= table.largest else None
 
     def level_bytes(self, level: int) -> int:
         return sum(t.extent_size for t in self.levels[level])

@@ -37,15 +37,13 @@ class WriteAheadLog:
         self.device = device
         self.offset = offset
         self.size = size
+        self._block_size = device.block_size
+        self.payload_per_block = device.block_size - _EPOCH.size
         self.epoch = 1
         self._cursor = 0  # byte offset of the next block to write
         self._pending = bytearray()
         self.records_appended = 0
         self.bytes_flushed = 0
-
-    @property
-    def payload_per_block(self) -> int:
-        return self.device.block_size - _EPOCH.size
 
     def append(self, record: bytes) -> None:
         """Buffer one record; full blocks are written immediately.
@@ -54,19 +52,18 @@ class WriteAheadLog:
         record this epoch — the caller must flush the memtable (which
         resets the log) and retry.
         """
-        framed = _LEN.pack(len(record)) + record
-        needed_blocks = -(
-            -(len(self._pending) + len(framed)) // self.payload_per_block
-        )
-        if self._cursor + needed_blocks * self.device.block_size > self.size:
+        pending, payload = self._pending, self.payload_per_block
+        needed_blocks = -(-(len(pending) + _LEN.size + len(record)) // payload)
+        if self._cursor + needed_blocks * self._block_size > self.size:
             raise WalFullError(
                 f"WAL extent of {self.size}B exhausted at epoch {self.epoch}"
             )
-        self._pending.extend(framed)
+        pending += _LEN.pack(len(record))
+        pending += record
         self.records_appended += 1
-        while len(self._pending) >= self.payload_per_block:
-            chunk = bytes(self._pending[: self.payload_per_block])
-            del self._pending[: self.payload_per_block]
+        while len(pending) >= payload:
+            chunk = bytes(pending[:payload])
+            del pending[:payload]
             self._write_block(chunk)
 
     def sync(self) -> None:
@@ -86,11 +83,9 @@ class WriteAheadLog:
         """Yield the records of ``epoch`` from the device (crash recovery)."""
         payload = bytearray()
         position = 0
-        while position + self.device.block_size <= self.size:
-            block = self.device.read(
-                self.offset + position, self.device.block_size
-            ).data
-            position += self.device.block_size
+        while position + self._block_size <= self.size:
+            block = self.device.read(self.offset + position, self._block_size).data
+            position += self._block_size
             (block_epoch,) = _EPOCH.unpack_from(block)
             if block_epoch != epoch:
                 break
@@ -114,5 +109,5 @@ class WriteAheadLog:
     def _write_block(self, payload: bytes) -> None:
         block = _EPOCH.pack(self.epoch) + payload
         self.device.write(self.offset + self._cursor, block)
-        self._cursor += self.device.block_size
-        self.bytes_flushed += self.device.block_size
+        self._cursor += self._block_size
+        self.bytes_flushed += self._block_size

@@ -328,6 +328,61 @@ class TraceRecord:
 _NULL_SPAN = contextlib.nullcontext()
 
 
+class _Span:
+    """An open span of an enabled tracer (what :meth:`IoTracer.span` returns).
+
+    A plain class, not a ``contextlib.contextmanager`` generator: a traced
+    run opens one per layer crossing, and the generator protocol costs
+    several extra Python calls each.
+    """
+
+    __slots__ = (
+        "_tracer", "_layer", "_op", "_offset", "_length", "_zone",
+        "_record_id", "_parent_id", "_start_ns",
+    )
+
+    def __init__(
+        self, tracer: "IoTracer", layer: str, op: str, offset: int, length: int,
+        zone: Optional[int],
+    ) -> None:
+        self._tracer = tracer
+        self._layer = layer
+        self._op = op
+        self._offset = offset
+        self._length = length
+        self._zone = zone
+
+    def __enter__(self) -> int:
+        tracer = self._tracer
+        self._record_id = record_id = tracer.allocate_id()
+        self._parent_id = tracer.current_parent
+        tracer._stack.append(record_id)
+        self._start_ns = tracer._clock.now
+        return record_id
+
+    def __exit__(self, *exc_info) -> None:
+        tracer = self._tracer
+        tracer._stack.pop()
+        end_ns = tracer._clock.now
+        tracer._emit(
+            TraceRecord(
+                record_id=self._record_id,
+                parent_id=self._parent_id,
+                layer=self._layer,
+                op=self._op,
+                offset=self._offset,
+                length=self._length,
+                zone=self._zone,
+                background=False,
+                submitted_ns=self._start_ns,
+                completed_ns=end_ns,
+                wait_ns=0,
+                service_ns=end_ns - self._start_ns,
+                channel=-1,
+            )
+        )
+
+
 class IoTracer:
     """Hook bus every layer can tag and observe requests through.
 
@@ -415,38 +470,7 @@ class IoTracer:
         """
         if not self.enabled or self._clock is None:
             return _NULL_SPAN
-        return self._span(layer, op, offset, length, zone)
-
-    @contextlib.contextmanager
-    def _span(
-        self, layer: str, op: str, offset: int, length: int, zone: Optional[int]
-    ):
-        record_id = self.allocate_id()
-        parent_id = self.current_parent
-        self._stack.append(record_id)
-        start_ns = self._clock.now
-        try:
-            yield record_id
-        finally:
-            self._stack.pop()
-            end_ns = self._clock.now
-            self._emit(
-                TraceRecord(
-                    record_id=record_id,
-                    parent_id=parent_id,
-                    layer=layer,
-                    op=op,
-                    offset=offset,
-                    length=length,
-                    zone=zone,
-                    background=False,
-                    submitted_ns=start_ns,
-                    completed_ns=end_ns,
-                    wait_ns=0,
-                    service_ns=end_ns - start_ns,
-                    channel=-1,
-                )
-            )
+        return _Span(self, layer, op, offset, length, zone)
 
     def on_completion(self, completion: IoCompletion) -> None:
         """Record a finished device request (called by the pipeline)."""

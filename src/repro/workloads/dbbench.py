@@ -109,9 +109,10 @@ class DbBenchDriver:
         self.clock = SimClock()
         self.stack: Optional[SchemeStack] = None
         self.db: Optional[Db] = None
+        self._key_format = b"user%%0%dd" % (config.key_size - 4)
 
     def key_bytes(self, index: int) -> bytes:
-        return f"user{index:0{self.config.key_size - 4}d}".encode()
+        return self._key_format % index
 
     def value_bytes(self, index: int) -> bytes:
         unit = f"val{index:09d}".encode()

@@ -3,7 +3,7 @@ WAL, version manifest."""
 
 import pytest
 
-from repro.errors import NoSpaceError
+from repro.errors import LsmError, NoSpaceError
 from repro.flash import NullBlkDevice
 from repro.lsm import (
     BlockHandle,
@@ -76,6 +76,27 @@ class TestDataBlock:
         block = DataBlock(blob)
         assert len(block) == 1
         assert block.get(b"k") == b"v"
+
+    def test_padding_sentinel_entry_rejected(self):
+        # An empty key with an empty value encodes to six zero bytes — what
+        # every decoder reads as "padding starts here" — so accepting it
+        # silently dropped it and every entry after it in the block.
+        builder = DataBlockBuilder(4096)
+        with pytest.raises(LsmError):
+            builder.add(b"", b"")
+        builder.add(b"", b"v")  # either side alone is distinguishable
+        builder.add(b"a", b"")
+        builder.add(b"b", b"1")
+        assert DataBlock(builder.finish()).entries() == [
+            (b"", b"v"), (b"a", b""), (b"b", b"1"),
+        ]
+
+    def test_oversized_key_is_a_typed_error(self):
+        builder = DataBlockBuilder(4096)
+        with pytest.raises(LsmError, match="65535"):
+            builder.add(b"k" * 65_536, b"v")
+        assert builder.num_entries == 0 and builder.finish() == b""
+        builder.add(b"k" * 65_535, b"v")  # the limit itself fits
 
     def test_handle_roundtrip(self):
         handle = BlockHandle(8192, 4000)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.bench.schemes import SchemeScale, build_region_cache, build_zone_cache
-from repro.errors import DbClosedError
+from repro.errors import DbClosedError, LsmError
 from repro.flash import HddConfig, HddDevice
 from repro.lsm import CacheLibSecondaryCache, Db, DbConfig
 from repro.lsm.compaction import CompactionConfig
@@ -73,6 +73,35 @@ class TestDbBasics:
             db.get(key(1))
         with pytest.raises(DbClosedError):
             db.put(key(2), b"v")
+
+    @pytest.mark.parametrize("op", ["put", "delete"])
+    def test_oversized_key_rejected_before_any_effect(self, op):
+        # Was a bare OverflowError from the WAL record framing, raised
+        # after the op's CPU time had been charged to the clock.
+        db, clock = make_db()
+        db.put(key(1), b"v")
+        before = (clock.now, db.wal.records_appended, len(db.memtable), db.stats.puts)
+        with pytest.raises(LsmError, match="65535"):
+            if op == "put":
+                db.put(b"x" * 70_000, b"v")
+            else:
+                db.delete(b"x" * 70_000)
+        assert before == (
+            clock.now, db.wal.records_appended, len(db.memtable), db.stats.puts
+        )
+        assert db.stats.deletes == 0
+        db.put(b"x" * 65_535, b"v")  # the limit itself is accepted
+        assert db.get(b"x" * 65_535) == b"v"
+
+    def test_oversized_value_rejected_before_any_effect(self, monkeypatch):
+        # The real limit is 4 GiB; lower it rather than allocate that.
+        monkeypatch.setattr("repro.lsm.db.MAX_VALUE_LEN", 1000)
+        db, clock = make_db()
+        with pytest.raises(LsmError):
+            db.put(key(1), b"v" * 1000)
+        assert (clock.now, db.wal.records_appended, len(db.memtable)) == (0, 0, 0)
+        db.put(key(1), b"v" * 999)  # 999 B + the 1-byte type tag fits
+        assert db.get(key(1)) == b"v" * 999
 
     def test_clock_advances(self):
         db, clock = make_db()

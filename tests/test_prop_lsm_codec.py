@@ -1,0 +1,192 @@
+"""Property tests for the LSM tier's serialized-block decoders, the
+one-pass table build and ``Version``'s pinned fences.
+
+``DataBlock`` (full decode + binary search) is the reference the header
+walk of ``block_get`` is compared against; the per-key ``add`` loop is
+the reference for ``BloomFilter.for_keys``; a linear scan over
+``Version.levels`` is the reference for the fenced ``candidates_for``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from types import SimpleNamespace
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+from repro.flash import NullBlkDevice
+from repro.lsm import (
+    BloomFilter,
+    DataBlock,
+    DataBlockBuilder,
+    SSTableBuilder,
+    TableSpace,
+    Version,
+)
+from repro.lsm.block import block_get, iter_block
+from repro.lsm.bloom import bloom_hashes
+from repro.sim import SimClock
+from repro.units import MIB
+
+PROPERTY = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+# Short keys over a 3-letter alphabet: prefixes of each other, 1-byte keys
+# and neighbours one byte apart all turn up; one max-length key rides along.
+short_keys = st.binary(min_size=0, max_size=4).map(
+    lambda raw: bytes(b"abc"[byte % 3] for byte in raw)
+)
+entry_sets = st.dictionaries(
+    st.one_of(short_keys, st.binary(min_size=1, max_size=24)),
+    st.binary(max_size=48),
+    min_size=1,
+    max_size=50,
+)
+
+
+def _neighbours(key: bytes):
+    """Probes just below and just above ``key`` in byte order."""
+    yield key + b"\x00"
+    yield key[:-1]
+    if key and key[-1] > 0:
+        yield key[:-1] + bytes([key[-1] - 1]) + b"\xff"
+
+
+@PROPERTY
+@given(
+    entries=entry_sets,
+    with_max_key=st.booleans(),
+    padding=st.sampled_from([0, 1, 5, 6, 7, 300]),
+    wrap=st.sampled_from([bytes, bytearray, memoryview]),
+)
+def test_block_decoders_agree_with_full_decode(entries, with_max_key, padding, wrap):
+    entries = {k: v for k, v in entries.items() if k or v}  # sentinel is rejected
+    if with_max_key:
+        entries[b"\xff" * 65_535] = b"tail"
+    if not entries:
+        entries[b"k"] = b""
+    ordered = sorted(entries.items())
+    builder = DataBlockBuilder(target_size=1 << 20)
+    for key, value in ordered:
+        builder.add(key, value)
+    blob = wrap(builder.finish() + b"\x00" * padding)
+    reference = DataBlock(blob)
+
+    assert reference.entries() == ordered
+    assert list(iter_block(blob)) == ordered
+    probes = {b"", b"\xff" * 65_536}  # below the first, above the last
+    for key, _ in ordered:
+        probes.add(key)
+        probes.update(_neighbours(key))  # between neighbours
+    for probe in probes:
+        assert block_get(blob, probe) == reference.get(probe) == entries.get(probe)
+
+
+@PROPERTY
+@given(
+    keys=st.lists(st.binary(max_size=32), max_size=150, unique=True),
+    bits_per_key=st.sampled_from([1, 4, 10, 20]),
+    probes=st.lists(st.binary(max_size=8), max_size=30),
+)
+def test_bloom_bulk_build_matches_per_key_adds(keys, bits_per_key, probes):
+    bulk = BloomFilter.for_keys(iter(keys), bits_per_key)
+    one_by_one = BloomFilter(bulk.num_bits, bulk.num_hashes)
+    for key in keys:
+        one_by_one.add(key)
+    assert bulk.to_bytes() == one_by_one.to_bytes()
+    for key in keys + probes:
+        assert bulk.may_contain(key, bloom_hashes(key)) == bulk.may_contain(key)
+    assert all(bulk.may_contain(key) for key in keys)
+
+
+def test_sstable_extent_is_byte_identical_to_pr13():
+    """sha256 of a pinned table's whole extent (data blocks, meta blob,
+    footer) and of its filter, taken at the parent of the one-pass build."""
+    device = NullBlkDevice(SimClock(), capacity_bytes=4 * MIB)
+    space = TableSpace(device)
+    space.allocate(8192)  # a non-zero extent offset
+    builder = SSTableBuilder(7, space)
+    for i in range(3000):
+        builder.add(b"user%012d" % (i * 7), b"\x01" + b"val%09d" % i * (1 + i % 6))
+    table = builder.finish()
+    extent = device.read(table.extent_offset, table.extent_size).data
+    assert (table.extent_size, len(table.index_keys), table.num_entries) == (
+        212_992, 49, 3000,
+    )
+    assert hashlib.sha256(table.bloom.to_bytes()).hexdigest() == (
+        "a780bbca2cbf2e1dfa92bdbaf101fbff9d31dab2b027f2e0c00171c9633d2270"
+    )
+    assert hashlib.sha256(extent).hexdigest() == (
+        "edfb71d1cf0128fb15154a8c835ada3a1ef4434a43e1cf8ab3a8747cb4ee4233"
+    )
+
+
+# --- Version: every mutation keeps the fences in step with the levels ------
+
+KEYSPACE = 40  # tables cover ranges of two-digit keys b"00".."39"
+
+
+def _key(i: int) -> bytes:
+    return b"%02d" % i
+
+
+def _table(table_id: int, lo: int, hi: int) -> SimpleNamespace:
+    return SimpleNamespace(table_id=table_id, smallest=_key(lo), largest=_key(hi))
+
+
+def _linear_candidates(version: Version, key: bytes) -> list:
+    return [
+        t for level in version.levels for t in level
+        if t.smallest <= key <= t.largest
+    ]
+
+
+range_strategy = st.tuples(
+    st.integers(0, KEYSPACE - 1), st.integers(0, KEYSPACE - 1)
+).map(sorted)
+mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_l0"), range_strategy),
+        st.tuples(st.just("clear_l0")),
+        st.tuples(
+            st.just("install"),
+            st.integers(1, 3),
+            # cut points: consecutive pairs become disjoint table ranges
+            st.lists(st.integers(0, KEYSPACE - 1), max_size=8, unique=True),
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 3), st.integers(0, 7)),
+    ),
+    max_size=25,
+)
+
+
+@PROPERTY
+@given(ops=mutations)
+def test_version_fences_track_every_mutation(ops):
+    version = Version(num_levels=4)
+    next_id = 0
+    for op in ops:
+        if op[0] == "add_l0":
+            next_id += 1
+            version.add_l0(_table(next_id, *op[1]))
+        elif op[0] == "clear_l0":
+            version.clear_l0()
+        elif op[0] == "install":
+            cuts = sorted(op[2])
+            tables = []
+            for lo, hi in zip(cuts[0::2], cuts[1::2]):
+                next_id += 1
+                tables.append(_table(next_id, lo, hi))
+            version.install_level(op[1], list(reversed(tables)))
+        elif version.levels[op[1]]:
+            level = version.levels[op[1]]
+            version.remove(op[1], level[op[2] % len(level)])
+        # Every two-digit key plus probes below, between and above them all.
+        for probe in [b"", b"0", b"99"] + [_key(i) for i in range(KEYSPACE)] + [
+            _key(i) + b"+" for i in range(KEYSPACE)
+        ]:
+            assert version.candidates_for(probe) == _linear_candidates(
+                version, probe
+            )
