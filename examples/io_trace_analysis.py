@@ -3,13 +3,18 @@
 
 The paper's motivation (§2.3) is that caching workloads turn into
 "small, intensive, random updates" at the device — unless the cache's
-region design re-shapes them.  This example traces the conventional
-SSD under Block-Cache and shows how log-structured region writes look
-at the device: large, mostly-sequential bursts, exactly the pattern
-that keeps WA low.
+region design re-shapes them.  This example subscribes to the stack's
+own record stream (``device.tracer``, the :class:`repro.sim.IoTracer`
+every layer reports to) under Block-Cache and shows how log-structured
+region writes look at the device: large, mostly-sequential bursts,
+exactly the pattern that keeps WA low.  It then runs the same workload
+untraced and reports what watching cost.
 
 Run:  python examples/io_trace_analysis.py
 """
+
+import time
+from collections import Counter
 
 from repro.bench.schemes import SchemeScale, build_block_cache
 from repro.flash import IoEvent, IoTrace
@@ -17,59 +22,84 @@ from repro.sim import SimClock
 from repro.units import KIB
 
 
-def main() -> None:
+def build():
     scale = SchemeScale(
         zone_size=512 * KIB, region_size=32 * KIB, pages_per_block=32,
         ram_bytes=64 * KIB,
     )
-    stack = build_block_cache(
+    return build_block_cache(
         SimClock(), scale, media_bytes=32 * scale.zone_size,
         cache_bytes=24 * scale.zone_size,
     )
-    cache = stack.cache
-    device = stack.substrate["device"]
 
-    # Attach a trace by monkey-free composition: record around the store.
-    trace = IoTrace()
-    store = stack.substrate["store"]
-    original_write = store.write_region
-    original_read = store.read
 
-    def traced_write(region_id, payload):
-        latency = original_write(region_id, payload)
-        trace.record(IoEvent(0, "write", region_id * store.region_size,
-                             len(payload), latency))
-        return latency
-
-    def traced_read(region_id, offset, length):
-        data = original_read(region_id, offset, length)
-        trace.record(IoEvent(0, "read", region_id * store.region_size + offset,
-                             length, 0))
-        return data
-
-    store.write_region = traced_write
-    store.read = traced_read
-
-    # Drive a cache-like workload: small objects, heavy churn.
+def drive(cache) -> float:
+    """A cache-like workload: small objects, heavy churn.  Returns the
+    CPU seconds it took."""
+    started = time.process_time()
     for i in range(40_000):
         cache.set(f"obj:{i % 18000:08d}".encode(), b"d" * 1024)
     for i in range(0, 18000, 5):
         cache.get(f"obj:{i:08d}".encode())
+    return time.process_time() - started
+
+
+def main() -> None:
+    stack = build()
+    device = stack.substrate["device"]
+    tracer = device.tracer
+
+    # Stream every record as it is emitted; nothing is captured, so the
+    # run holds no more memory than an untraced one.
+    trace = IoTrace()
+    per_op = Counter()
+
+    def on_record(record) -> None:
+        per_op[record.layer, record.op] += 1
+        if record.layer == "block":
+            trace.record(IoEvent(record.submitted_ns, record.op, record.offset,
+                                 record.length, record.latency_ns))
+
+    tracer.subscribe(on_record)
+    traced_s = drive(stack.cache)
+
+    # The same workload with nobody watching, then one more flush on
+    # that stack, captured rather than streamed, to walk its ancestry.
+    quiet = build()
+    untraced_s = drive(quiet.cache)
+    capture = quiet.substrate["device"].tracer.enable()
+    flushes = quiet.cache.stats.flushes
+    i = 0
+    while quiet.cache.stats.flushes == flushes:
+        quiet.cache.set(f"extra:{i:08d}".encode(), b"d" * 1024)
+        i += 1
+    flush_write = capture.find(layer="block", op="write")[-1]
+    chain = capture.layer_chain(flush_write.record_id)
 
     by_op = trace.bytes_by_op()
     writes = trace.by_op("write")
-    reads = trace.by_op("read")
     print("What the device actually sees under a log-structured cache:\n")
-    print(f"  object writes issued by the app : 40000 × 1 KiB (random keys)")
+    print("  object writes issued by the app : 40000 × 1 KiB (random keys)")
     print(f"  device write commands           : {len(writes)}")
-    print(f"  device write size               : {writes[0].length // 1024} KiB each"
-          if writes else "")
+    print(f"  device write size               : {writes[0].length // 1024} KiB each")
     print(f"  bytes written / read            : {by_op.get('write', 0):,} / "
           f"{by_op.get('read', 0):,}")
     print(f"  write sequentiality             : "
           f"{trace.sequential_fraction('write'):.1%} of writes contiguous")
     print(f"  device-level WAF                : "
           f"{device.stats.write_amplification:.3f}")
+    print(f"  one flush, layer by layer       : {' → '.join(chain)} "
+          f"({flush_write.length // 1024} KiB, "
+          f"{flush_write.latency_ns / 1000:.0f} µs)")
+    print()
+    records = sum(per_op.values())
+    print(f"What watching cost ({records:,} records streamed to one subscriber):\n")
+    for (layer, op), count in per_op.most_common():
+        print(f"  {layer + '/' + op:<32}: {count:,}")
+    print(f"  CPU time traced / untraced      : {traced_s:.2f} s / {untraced_s:.2f} s "
+          f"= {traced_s / untraced_s:.2f}×")
+    print(f"  per record, subscriber included : "
+          f"{(traced_s - untraced_s) / records * 1e6:.1f} µs")
     print()
     print("40k random 1-KiB object writes became a few thousand large region")
     print("writes — the region indirection is what makes flash caching viable,")

@@ -38,6 +38,7 @@ from repro.errors import (
     DeviceError,
     EntryCorruptError,
     FatalDeviceError,
+    InvalidTtlError,
     ObjectTooLargeError,
     PowerCutError,
     RetryableError,
@@ -217,20 +218,22 @@ class HybridCache:
         ttl_seconds: Optional[float],
         start_ns: int,
     ) -> bool:
-        clock = self._clock
-        clock.now = start_ns + self._set_ns
-        stats = self.stats
-        stats.sets += 1
+        # Reject before charging anything: a refused set must leave the
+        # clock, stats and every tier exactly as it found them.
         entry_size = self._entry_overhead + len(key) + len(value)
         if entry_size > self.config.region_size:
             raise ObjectTooLargeError(
                 f"entry of {entry_size}B exceeds region size "
                 f"{self.config.region_size}"
             )
+        if ttl_seconds is not None and not ttl_seconds > 0:
+            raise InvalidTtlError(f"ttl_seconds must be positive, got {ttl_seconds}")
+        clock = self._clock
+        clock.now = start_ns + self._set_ns
+        stats = self.stats
+        stats.sets += 1
         expiry_ns = 0
         if ttl_seconds is not None:
-            if ttl_seconds <= 0:
-                raise ValueError(f"ttl_seconds must be positive, got {ttl_seconds}")
             expiry_ns = clock.now + int(ttl_seconds * 1e9)
             self.lifecycle.note_ttl(key, expiry_ns)
         elif self._expiry:

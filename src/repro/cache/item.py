@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.errors import EntryCorruptError
 
@@ -31,18 +30,16 @@ _CRC = struct.Struct("<I")
 _CHECKSUM_FLAG = 0x8000_0000
 
 
-@dataclass(frozen=True)
-class EntryLocation:
-    """Where an entry lives on flash."""
+class EntryLocation(NamedTuple):
+    """Where an entry lives on flash (a tuple: one is built per set)."""
 
     region_id: int
     offset: int
     length: int
 
 
-@dataclass(frozen=True)
-class DecodedEntry:
-    """One decoded cache entry."""
+class DecodedEntry(NamedTuple):
+    """One decoded cache entry (a tuple: one is built per flash hit)."""
 
     key: bytes
     value: bytes
@@ -73,6 +70,22 @@ class EntryCodec:
         header = _HEADER.pack(len(key) | _CHECKSUM_FLAG, len(value), expiry_ns)
         crc = cls._crc(key, value, expiry_ns, salt)
         return header + key + value + _CRC.pack(crc)
+
+    @staticmethod
+    def encode_into(
+        buffer: bytearray, offset: int, key: bytes, value: bytes, expiry_ns: int
+    ) -> None:
+        """Pack an unchecksummed entry straight into ``buffer`` at ``offset``.
+
+        Writes exactly the bytes ``encode(key, value, expiry_ns)`` returns
+        (the caller has checked they fit).  The header goes in last, so a
+        key or value the buffer refuses leaves no parseable entry behind.
+        """
+        key_at = offset + _HEADER.size
+        value_at = key_at + len(key)
+        buffer[key_at:value_at] = key
+        buffer[value_at : value_at + len(value)] = value
+        _HEADER.pack_into(buffer, offset, len(key), len(value), expiry_ns)
 
     @classmethod
     def entry_size(cls, key: bytes, value: bytes, checksum: bool = False) -> int:
@@ -110,7 +123,7 @@ class EntryCodec:
                 raise EntryCorruptError(
                     f"checksum mismatch for key {key[:24]!r}"
                 )
-        return DecodedEntry(key=key, value=value, expiry_ns=expiry_ns)
+        return DecodedEntry(key, value, expiry_ns)
 
     @classmethod
     def scan_region(

@@ -68,17 +68,23 @@ class RegionBuffer:
 
     def append(self, key: bytes, value: bytes, expiry_ns: int = 0) -> EntryLocation:
         """Pack an entry; returns its location within this (open) region."""
-        blob = EntryCodec.encode(
-            key, value, expiry_ns, checksum=self.checksums, salt=self.salt
-        )
-        if len(blob) > self.remaining:
-            raise ValueError(
-                f"entry of {len(blob)}B does not fit ({self.remaining}B left)"
-            )
         offset = self._used
-        self._buffer[offset : offset + len(blob)] = blob
-        self._used += len(blob)
-        return EntryLocation(self.region_id, offset, len(blob))
+        checksums = self.checksums
+        size = EntryCodec.HEADER_SIZE + len(key) + len(value)
+        if checksums:
+            size += EntryCodec.CRC_SIZE
+        if size > self.capacity - offset:
+            raise ValueError(
+                f"entry of {size}B does not fit ({self.capacity - offset}B left)"
+            )
+        if checksums:
+            self._buffer[offset : offset + size] = EntryCodec.encode(
+                key, value, expiry_ns, checksum=True, salt=self.salt
+            )
+        else:
+            EntryCodec.encode_into(self._buffer, offset, key, value, expiry_ns)
+        self._used = offset + size
+        return EntryLocation(self.region_id, offset, size)
 
     def read(self, offset: int, length: int) -> bytes:
         """Serve a read from the open buffer (CacheLib's read-from-buffer)."""

@@ -151,6 +151,10 @@ class ObjectTooLargeError(CacheError):
     """A value cannot fit in a single region/zone and was rejected."""
 
 
+class InvalidTtlError(CacheError, ValueError):
+    """A ``set`` carried a TTL that is not a positive number of seconds."""
+
+
 class EntryCorruptError(CacheError):
     """An on-flash entry failed its checksum (torn or stale bytes)."""
 

@@ -31,7 +31,15 @@ from repro.flash.pagestore import PageStore
 from repro.flash.zone import Zone, ZoneCostConfig, ZoneMgmtStats, ZoneState
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector, FaultKind
-from repro.sim.io import IoCompletion, IoOp, IoPipeline, IoRequest, IoTracer, PoolConfig
+from repro.sim.io import (
+    IoCompletion,
+    IoOp,
+    IoPipeline,
+    IoRequest,
+    IoTracer,
+    PoolConfig,
+    TraceRecord,
+)
 
 
 @dataclass(frozen=True)
@@ -151,10 +159,11 @@ class ZnsSsd:
         not blocked and the shared clock does not advance.
         """
         pipeline = self.pipeline
-        if pipeline.faults is None and not background and not self.tracer.enabled:
-            # Fast path: no fault gate, no trace records, foreground —
-            # arithmetically identical to the submit() path below but
-            # without building an IoRequest or walking dispatch frames.
+        if pipeline.faults is None and not background:
+            # Fast path: no fault gate, foreground — arithmetically
+            # identical to the submit() path below but without building
+            # an IoRequest or walking dispatch frames.  Traced and
+            # untraced reads both run it; tracing only adds the record.
             self._check_readable(offset, length)
             data = self._load(offset, length)
             service_ns = self._read_service_ns(length)
@@ -169,6 +178,15 @@ class ZnsSsd:
             recorder._sorted = None
             stats.host_read_bytes += length
             stats.media_read_bytes += length
+            tracer = self.tracer
+            if tracer.enabled:
+                tracer.emit(
+                    TraceRecord(
+                        tracer.allocate_id(), tracer.current_parent, "zns", "read",
+                        offset, length, None, False, now, done, wait, service_ns,
+                        channel,
+                    )
+                )
             return IoCompletion(
                 latency_ns=done - now,
                 data=data,

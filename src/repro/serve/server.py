@@ -119,9 +119,7 @@ class ServingReport:
 def _emit(shard: Shard, layer: str, op: str, zone: Optional[int] = None) -> None:
     """Record a ``serve.*`` event on the shard's tracer (a no-op unless
     that tracer is enabled)."""
-    shard.stack.cache.store.tracer.emit_event(
-        layer, op, offset=shard.index, zone=zone
-    )
+    shard.stack.cache.store.tracer.emit_event(layer, op, shard.index, 0, zone)
 
 
 class Server:

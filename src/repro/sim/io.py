@@ -36,6 +36,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import ConfigError
 from repro.sim.clock import SimClock, check_service_time
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a runtime import cycle
@@ -191,11 +192,11 @@ class PoolConfig:
 
     def __post_init__(self) -> None:
         if self.channels < 1:
-            raise ValueError(f"channels must be >= 1, got {self.channels}")
+            raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
+            raise ConfigError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.stripe_bytes < 0:
-            raise ValueError(f"stripe_bytes must be >= 0, got {self.stripe_bytes}")
+            raise ConfigError(f"stripe_bytes must be >= 0, got {self.stripe_bytes}")
 
     @property
     def total_slots(self) -> int:
@@ -300,86 +301,82 @@ class ResourcePool:
         )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One entry on the trace stream: a span or a device request."""
-
-    record_id: int
-    parent_id: Optional[int]
-    layer: str
-    op: str
-    offset: int
-    length: int
-    zone: Optional[int]
-    background: bool
-    submitted_ns: int
-    completed_ns: int
-    wait_ns: int
-    service_ns: int
-    channel: int
-
-    @property
-    def latency_ns(self) -> int:
-        return self.completed_ns - self.submitted_ns
-
-
 # Reusable no-op context for disabled tracers: span() on a disabled
 # tracer must cost one attribute check, not a generator frame.
 _NULL_SPAN = contextlib.nullcontext()
 
 
-class _Span:
-    """An open span of an enabled tracer (what :meth:`IoTracer.span` returns).
+class TraceRecord:
+    """One entry on the trace stream: a span or a device request.
 
-    A plain class, not a ``contextlib.contextmanager`` generator: a traced
-    run opens one per layer crossing, and the generator protocol costs
-    several extra Python calls each.
+    The record is also its own span handle: :meth:`IoTracer.span` builds
+    it with the caller's fields, ``__enter__`` stamps id, parent and
+    ``submitted_ns``, ``__exit__`` stamps ``completed_ns``/``service_ns``
+    and hands this same object to ``records`` and every subscriber, so a
+    span costs one allocation.  Slotted and built positionally for the
+    same reason as :class:`IoRequest`.  Consumers must not mutate it.
     """
 
     __slots__ = (
-        "_tracer", "_layer", "_op", "_offset", "_length", "_zone",
-        "_record_id", "_parent_id", "_start_ns",
+        "record_id", "parent_id", "layer", "op", "offset", "length", "zone",
+        "background", "submitted_ns", "completed_ns", "wait_ns", "service_ns",
+        "channel", "_tracer",
     )
 
     def __init__(
-        self, tracer: "IoTracer", layer: str, op: str, offset: int, length: int,
-        zone: Optional[int],
+        self, record_id: int, parent_id: Optional[int], layer: str, op: str,
+        offset: int, length: int, zone: Optional[int], background: bool,
+        submitted_ns: int, completed_ns: int, wait_ns: int, service_ns: int,
+        channel: int, tracer: Optional["IoTracer"] = None,
     ) -> None:
+        self.record_id = record_id
+        self.parent_id = parent_id
+        self.layer = layer
+        self.op = op
+        self.offset = offset
+        self.length = length
+        self.zone = zone
+        self.background = background
+        self.submitted_ns = submitted_ns
+        self.completed_ns = completed_ns
+        self.wait_ns = wait_ns
+        self.service_ns = service_ns
+        self.channel = channel
+        # Only an open span points at its tracer; closing drops the link
+        # so captured records form no cycle through ``tracer.records``.
         self._tracer = tracer
-        self._layer = layer
-        self._op = op
-        self._offset = offset
-        self._length = length
-        self._zone = zone
+
+    @property
+    def latency_ns(self) -> int:
+        return self.completed_ns - self.submitted_ns
 
     def __enter__(self) -> int:
         tracer = self._tracer
-        self._record_id = record_id = tracer.allocate_id()
-        self._parent_id = tracer.current_parent
-        tracer._stack.append(record_id)
-        self._start_ns = tracer._clock.now
+        tracer._next_id = self.record_id = record_id = tracer._next_id + 1
+        stack = tracer._stack
+        if stack:
+            self.parent_id = stack[-1]
+        stack.append(record_id)
+        self.submitted_ns = tracer._clock.now
         return record_id
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
         tracer = self._tracer
+        self._tracer = None
         tracer._stack.pop()
-        end_ns = tracer._clock.now
-        tracer._emit(
-            TraceRecord(
-                record_id=self._record_id,
-                parent_id=self._parent_id,
-                layer=self._layer,
-                op=self._op,
-                offset=self._offset,
-                length=self._length,
-                zone=self._zone,
-                background=False,
-                submitted_ns=self._start_ns,
-                completed_ns=end_ns,
-                wait_ns=0,
-                service_ns=end_ns - self._start_ns,
-                channel=-1,
-            )
+        self.completed_ns = end_ns = tracer._clock.now
+        self.service_ns = end_ns - self.submitted_ns
+        # IoTracer.emit, inlined: one call fewer on every span.
+        if tracer._capture:
+            tracer.records.append(self)
+        for callback in tracer._subscribers:
+            callback(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"TraceRecord({self.record_id}, parent={self.parent_id}, "
+            f"{self.layer}/{self.op}, offset={self.offset}, length={self.length}, "
+            f"zone={self.zone}, {self.submitted_ns}..{self.completed_ns}ns)"
         )
 
 
@@ -466,31 +463,34 @@ class IoTracer:
         """Context manager marking a layer-level operation.
 
         Requests submitted (and spans opened) inside are parented to it.
-        On a disabled tracer this returns a shared no-op context.
+        On a disabled tracer this returns a shared no-op context; on an
+        enabled one, the :class:`TraceRecord` the span will emit.
         """
         if not self.enabled or self._clock is None:
             return _NULL_SPAN
-        return _Span(self, layer, op, offset, length, zone)
+        return TraceRecord(
+            0, None, layer, op, offset, length, zone, False, 0, 0, 0, 0, -1, self
+        )
 
     def on_completion(self, completion: IoCompletion) -> None:
         """Record a finished device request (called by the pipeline)."""
         request = completion.request
         assert request is not None
-        self._emit(
+        self.emit(
             TraceRecord(
-                record_id=request.request_id,
-                parent_id=request.parent_id,
-                layer=request.layer,
-                op=request.op.value,
-                offset=request.offset,
-                length=request.length,
-                zone=request.zone,
-                background=request.background,
-                submitted_ns=completion.submitted_ns,
-                completed_ns=completion.completed_ns,
-                wait_ns=completion.wait_ns,
-                service_ns=completion.service_ns,
-                channel=completion.channel,
+                request.request_id,
+                request.parent_id,
+                request.layer,
+                request.op.value,
+                request.offset,
+                request.length,
+                request.zone,
+                request.background,
+                completion.submitted_ns,
+                completion.completed_ns,
+                completion.wait_ns,
+                completion.service_ns,
+                completion.channel,
             )
         )
 
@@ -507,25 +507,15 @@ class IoTracer:
         if not self.enabled or self._clock is None:
             return
         now = self._clock.now
-        self._emit(
+        self.emit(
             TraceRecord(
-                record_id=self.allocate_id(),
-                parent_id=self.current_parent,
-                layer=layer,
-                op=op,
-                offset=offset,
-                length=length,
-                zone=zone,
-                background=False,
-                submitted_ns=now,
-                completed_ns=now,
-                wait_ns=0,
-                service_ns=0,
-                channel=-1,
+                self.allocate_id(), self.current_parent, layer, op, offset,
+                length, zone, False, now, now, 0, 0, -1,
             )
         )
 
-    def _emit(self, record: TraceRecord) -> None:
+    def emit(self, record: TraceRecord) -> None:
+        """Hand a finished record to ``records`` and every subscriber."""
         if self._capture:
             self.records.append(record)
         for callback in self._subscribers:

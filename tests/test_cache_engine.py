@@ -1,5 +1,7 @@
 """Integration tests for the hybrid cache engine over each backend."""
 
+import pickle
+
 import pytest
 
 from repro.bench.schemes import (
@@ -11,7 +13,12 @@ from repro.bench.schemes import (
 )
 from repro.cache import CacheConfig, HybridCache, ProbabilisticAdmission
 from repro.cache.backends import BlockRegionStore
-from repro.errors import CacheConfigError, ObjectTooLargeError
+from repro.errors import (
+    CacheConfigError,
+    CacheError,
+    InvalidTtlError,
+    ObjectTooLargeError,
+)
 from repro.flash import BlockSsd, BlockSsdConfig, FtlConfig, NandGeometry
 from repro.sim import SimClock
 from repro.units import KIB
@@ -83,6 +90,35 @@ class TestEngineBasics:
     def test_object_too_large_rejected(self, stack):
         with pytest.raises(ObjectTooLargeError):
             stack.cache.set(b"big", b"x" * (stack.cache.config.region_size + 1))
+
+    @pytest.mark.parametrize(
+        "oversize, ttl, error",
+        [
+            (True, None, ObjectTooLargeError),
+            (False, 0, InvalidTtlError),
+            (False, -2.5, InvalidTtlError),
+            (False, float("nan"), InvalidTtlError),
+        ],
+    )
+    def test_rejected_set_charges_nothing(self, stack, oversize, ttl, error):
+        """A refused set is validated before anything is touched: no
+        simulated time, no ``sets`` count, no tier or TTL change."""
+        cache = stack.cache
+        cache.set(b"k", b"old", ttl_seconds=30.0)
+        cache.set(b"other", value_for(1))
+
+        def state():
+            return pickle.dumps(
+                (stack.clock.now, cache.stats, cache.ram, cache.index, cache._expiry)
+            )
+
+        before = state()
+        size = cache.config.region_size + 1 if oversize else 64
+        with pytest.raises(error) as raised:
+            cache.set(b"k", b"x" * size, ttl_seconds=ttl)
+        assert isinstance(raised.value, CacheError)
+        assert state() == before
+        assert cache.get(b"k") == b"old"
 
     def test_contains(self, stack):
         stack.cache.set(b"k", b"v")

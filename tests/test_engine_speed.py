@@ -14,6 +14,10 @@ must never change it:
   commit that still had separate fast/legacy/replicated loops
   (``golden_serving_rows.json``), and their traced record sequences
   hash to the digests pinned from that commit;
+* every captured record equals the parent commit's over all 13 fields
+  — ids, parent links, timestamps and channels, not only names — for
+  those two fleets and for two closed-loop runs that reach GC, so the
+  record class or a device's emit site can change but never the stream;
 * enabling tracing changes no measured value — for the plain fleet, an
   R=2 fleet with a shard kill, and a fleet with a namespace bump;
 * a request's key is bound when it arrives, so a bump can never make a
@@ -29,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import random
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -58,6 +63,7 @@ from repro.serve import (
 )
 from repro.serve.cluster import PRESSURE_RANK
 from repro.serve.tenant import Tenant
+from repro.sim import FaultInjector, FaultKind, FaultRule
 from repro.sim.clock import SimClock
 from repro.sim.sched import EventScheduler
 from repro.units import KIB, MSEC
@@ -155,6 +161,35 @@ PARENT_TRACE_DIGESTS = {
     "failover": (
         10015,
         "e8859e809c8e41eb67b709f33b9871d25fdc11e1caf66f6a9db7ed07c1def98a",
+    ),
+}
+# sha256 over every field of every captured record, one record per line,
+# taken on the last commit whose TraceRecord was a frozen dataclass built
+# from a separate span object (and whose traced ZnsSsd.read went through
+# IoRequest/submit).  The closed-loop runs add what the fleets lack:
+# zns/nullblk completions, background GC reads, ztl.gc / f2fs.gc /
+# reclaim.* spans and injected-fault events.
+TRACE_FIELDS = (
+    "record_id", "parent_id", "layer", "op", "offset", "length", "zone",
+    "background", "submitted_ns", "completed_ns", "wait_ns", "service_ns",
+    "channel",
+)
+PARENT_FULL_FIELD_DIGESTS = {
+    "serving": (
+        2818,
+        "25aa08c58b20be2c2c844717cdd5c0992bd794cbae94242c009fa94f59582dd4",
+    ),
+    "failover": (
+        10015,
+        "08bc33f57014004c510667ab8a72d570cb127d40d4fe932fa8e2ceb4cd576df3",
+    ),
+    "closed_region": (
+        13455,
+        "8ac7b407b674e7d52ee1e94bedc67ea33f113faf80c288f9e239f31cd7c40c8c",
+    ),
+    "closed_file_faulty": (
+        15519,
+        "02db0b7e7884032e525e29fe899c8fab6479b0997b3e95cdfa727e0bb5d5b8dd",
     ),
 }
 
@@ -300,6 +335,77 @@ def _trace_digest(server: Server):
             )
             count += 1
     return count, digest.hexdigest()
+
+
+def _full_field_digest(tracers):
+    digest = hashlib.sha256()
+    count = 0
+    for tracer in tracers:
+        for record in tracer.records:
+            line = "|".join(str(getattr(record, name)) for name in TRACE_FIELDS)
+            digest.update(line.encode() + b"\n")
+            count += 1
+    return count, digest.hexdigest()
+
+
+def _closed_loop_tracer(scheme: str, faults: FaultInjector = None):
+    """6,000 mixed ops on one traced stack: enough churn to evict, and
+    to run ZTL GC (Region-Cache) or the F2FS cleaner (File-Cache)."""
+    scale = SchemeScale(
+        zone_size=256 * KIB,
+        region_size=16 * KIB,
+        pages_per_block=16,
+        ram_bytes=32 * KIB,
+    )
+    zones = 12 if scheme == "Region-Cache" else 16
+    stack = build_scheme(
+        scheme,
+        SimClock(),
+        scale,
+        zones * scale.zone_size,
+        9 * scale.zone_size,
+        faults=faults,
+    )
+    tracer = stack.cache.store.tracer.enable()
+    rng = random.Random(5)
+    for i in range(6000):
+        key = f"key{rng.randrange(900):04d}".encode()
+        if rng.random() < 0.5:
+            stack.cache.set(key, f"v{i}".encode() * rng.randrange(50, 400))
+        else:
+            stack.cache.get(key)
+    return tracer
+
+
+def _fleet_tracers(build):
+    server = build(trace=True)
+    server.run()
+    return [shard.stack.cache.store.tracer for shard in server.cluster.shards]
+
+
+def _faulty_file_cache_tracer():
+    rules = (
+        FaultRule(
+            FaultKind.MEDIA_ERROR, probability=0.02, op="read", after_requests=20
+        ),
+        FaultRule(FaultKind.LATENCY, probability=0.02, extra_latency_ns=200_000),
+    )
+    return [_closed_loop_tracer("File-Cache", FaultInjector(seed=11, rules=rules))]
+
+
+@pytest.mark.parametrize(
+    "name, tracers",
+    [
+        ("serving", lambda: _fleet_tracers(_smoke_server)),
+        ("failover", lambda: _fleet_tracers(_failover_smoke_server)),
+        ("closed_region", lambda: [_closed_loop_tracer("Region-Cache")]),
+        ("closed_file_faulty", _faulty_file_cache_tracer),
+    ],
+)
+def test_every_record_field_equals_parent_digest(name, tracers):
+    """The stream is the parent's byte for byte — ids, parents, all five
+    timestamps/durations, channel — whatever builds the records."""
+    assert _full_field_digest(tracers()) == PARENT_FULL_FIELD_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

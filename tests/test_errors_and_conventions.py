@@ -23,6 +23,7 @@ class TestErrorHierarchy:
             errors.TranslationFullError,
             errors.CacheConfigError,
             errors.ObjectTooLargeError,
+            errors.InvalidTtlError,
             errors.DbClosedError,
         ]
         for leaf in leaf_errors:
@@ -39,6 +40,19 @@ class TestErrorHierarchy:
     def test_catching_the_base_catches_everything(self):
         with pytest.raises(errors.ReproError):
             raise errors.WritePointerError("x")
+
+    def test_invalid_ttl_is_a_cache_error_and_a_value_error(self):
+        assert issubclass(errors.InvalidTtlError, errors.CacheError)
+        assert issubclass(errors.InvalidTtlError, ValueError)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"channels": 0}, {"queue_depth": 0}, {"stripe_bytes": -1}]
+    )
+    def test_pool_config_rejects_nonsense_with_config_error(self, kwargs):
+        from repro.sim import PoolConfig
+
+        with pytest.raises(errors.ConfigError):
+            PoolConfig(**kwargs)
 
 
 class TestRngStreams:

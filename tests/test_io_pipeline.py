@@ -250,6 +250,107 @@ class TestIoPipeline:
         assert len(pipeline.tracer) == 0
 
 
+class TestSpanLifecycle:
+    """The record is its own span handle: what enter/exit stamp, when it
+    is emitted, and that the stack survives every way a span can end."""
+
+    def test_three_deep_nesting_links_each_span_to_its_opener(self):
+        clock = SimClock()
+        tracer = IoTracer(clock).enable()
+        with tracer.span("a", "outer", offset=1, length=2, zone=3):
+            clock.advance(10)
+            with tracer.span("b", "middle"):
+                clock.advance(5)
+                with tracer.span("c", "inner"):
+                    clock.advance(1)
+                tracer.emit_event("c", "after_inner")
+        inner, event, middle, outer = tracer.records  # emitted at close
+        assert [r.record_id for r in (outer, middle, inner, event)] == [1, 2, 3, 4]
+        assert outer.parent_id is None
+        assert middle.parent_id == outer.record_id
+        assert inner.parent_id == middle.record_id
+        assert event.parent_id == middle.record_id
+        assert (outer.offset, outer.length, outer.zone) == (1, 2, 3)
+        assert (outer.submitted_ns, outer.completed_ns, outer.service_ns) == (
+            0, 16, 16
+        )
+        assert (inner.submitted_ns, inner.latency_ns, inner.wait_ns) == (15, 1, 0)
+        assert outer.channel == -1 and outer.background is False
+        assert tracer.layer_chain(inner.record_id) == ["a", "b", "c"]
+        assert tracer.current_parent is None
+
+    def test_span_closed_by_power_cut_mid_flush_is_emitted_and_balanced(self):
+        from repro.errors import PowerCutError
+        from repro.sim import FaultInjector
+
+        clock = SimClock()
+        faults = FaultInjector(seed=3, power_cut_at_ns=2_000_000)
+        stack = build_scheme(
+            "Region-Cache", clock, SMALL_SCALE, 16 * MIB, 8 * MIB, faults=faults
+        )
+        tracer = stack.cache.store.tracer.enable()
+        with pytest.raises(PowerCutError):
+            for i in range(100_000):
+                stack.cache.set(f"key-{i}".encode(), b"v" * 2048)
+        assert tracer.current_parent is None  # every open span popped
+        # The spans the error unwound through were emitted innermost
+        # first, each parented to the one that was open around it.
+        ztl, backend, engine = tracer.records[-3:]
+        assert (ztl.layer, ztl.op) == ("ztl", "write_region")
+        assert (backend.layer, backend.op) == ("backend", "write_region")
+        assert (engine.layer, engine.op) == ("engine", "set")
+        assert ztl.parent_id == backend.record_id
+        assert backend.parent_id == engine.record_id
+        assert engine.parent_id is None
+        assert engine.completed_ns == clock.now
+        # A span opened afterwards starts from a clean stack.
+        with tracer.span("probe", "after_cut"):
+            pass
+        assert tracer.records[-1].parent_id is None
+
+    def test_subscribe_and_disable_inside_an_open_span(self):
+        clock = SimClock()
+        tracer = IoTracer(clock).enable()
+        seen = []
+        with tracer.span("a", "outer"):
+            tracer.subscribe(seen.append)
+            with tracer.span("b", "inner"):
+                tracer.disable()  # capture off; the subscriber keeps it enabled
+            with tracer.span("c", "late"):
+                pass
+        # Capture stopped before any span closed; the subscriber, added
+        # while "outer" was open, saw all three close — the same objects
+        # ``records`` would have held.
+        assert tracer.records == []
+        assert [(r.layer, r.parent_id) for r in seen] == [
+            ("b", 1), ("c", 1), ("a", None)
+        ]
+        assert tracer.enabled and tracer.current_parent is None
+
+    def test_disable_with_no_subscriber_inside_a_span_still_balances(self):
+        clock = SimClock()
+        tracer = IoTracer(clock).enable()
+        with tracer.span("a", "outer"):
+            tracer.disable()
+            assert tracer.span("b", "inner") is IoTracer().span("x", "y")
+        assert tracer.records == []  # closed after capture stopped
+        assert tracer.current_parent is None
+        tracer.enable()
+        with tracer.span("a", "again"):
+            pass
+        assert tracer.records[0].parent_id is None
+
+    def test_enabled_tracer_without_a_clock_returns_the_shared_noop(self):
+        tracer = IoTracer().enable()
+        assert tracer.enabled
+        noop = tracer.span("engine", "set")
+        assert noop is IoTracer().span("engine", "set")  # the disabled path's
+        with noop:
+            pass
+        tracer.emit_event("engine", "event")
+        assert tracer.records == [] and tracer.current_parent is None
+
+
 class TestDeviceParallelism:
     """channels > 1 visibly changes device-level tail latency."""
 

@@ -1,5 +1,8 @@
 """Property-based tests on the cache engine and LSM invariants.
 
+* Region buffer: whatever ``RegionBuffer.append`` packs in place is
+  byte for byte what the reference encoder ``EntryCodec.encode``
+  returns, checksummed or not, in a fresh or a recycled buffer.
 * Cache: after an arbitrary set/get/delete sequence, the cache agrees
   with a model dict on every key the cache still holds (a cache may
   forget — it must never return a *wrong* value), and WAF >= 1.
@@ -14,6 +17,8 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.bench.schemes import SchemeScale, build_region_cache, build_zone_cache
+from repro.cache import EntryCodec, EntryLocation, RegionBuffer
+from repro.cache.item import DecodedEntry
 from repro.flash import HddConfig, HddDevice
 from repro.lsm import Db, DbConfig
 from repro.lsm.compaction import CompactionConfig
@@ -37,6 +42,58 @@ ops_strategy = st.lists(
 
 def _value(key_index: int, size: int) -> bytes:
     return (f"V{key_index:03d}".encode() * (size // 4 + 1))[:size]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.binary(min_size=1, max_size=40),
+            st.binary(max_size=300),
+            st.integers(0, 2**64 - 1),
+        ),
+        max_size=12,
+    ),
+    checksums=st.booleans(),
+    salt=st.integers(0, 2**32),
+    recycled=st.booleans(),
+)
+def test_region_buffer_append_equals_reference_encoding(
+    entries, checksums, salt, recycled
+):
+    capacity = 2048
+    previous = None
+    if recycled:
+        # A flushed predecessor full of other bytes: every one of them
+        # must be overwritten by an append or zeroed at finalize().
+        previous = RegionBuffer(0, capacity, 0)
+        while previous.fits(120):
+            previous.append(b"stale-key", b"\xa5" * 95)
+        previous.finalize()
+    buffer = RegionBuffer(
+        7, capacity, 0, checksums=checksums, salt=salt, recycle=previous
+    )
+    placed = []
+    for key, value, expiry_ns in entries:
+        blob = EntryCodec.encode(key, value, expiry_ns, checksum=checksums, salt=salt)
+        if not buffer.fits(len(blob)):
+            used = buffer.used
+            try:
+                buffer.append(key, value, expiry_ns)
+            except ValueError:
+                assert buffer.used == used
+                continue
+            raise AssertionError("append accepted an entry that does not fit")
+        location = buffer.append(key, value, expiry_ns)
+        assert location == EntryLocation(7, buffer.used - len(blob), len(blob))
+        assert buffer.read(location.offset, location.length) == blob
+        decoded = EntryCodec.decode_entry(blob, salt=salt)
+        assert decoded == DecodedEntry(key, value, expiry_ns)
+        assert decoded.key == key and decoded.is_expired(expiry_ns) == (expiry_ns != 0)
+        placed.append((location.offset, location.length, decoded))
+    payload = bytes(buffer.finalize())
+    assert len(payload) == capacity and not any(payload[buffer.used :])
+    assert EntryCodec.scan_region(payload, salt=salt) == (placed, False)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

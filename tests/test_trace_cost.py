@@ -1,0 +1,147 @@
+"""Structural guard for the cost of the trace stream.
+
+Tracing has to be cheap enough to leave on and must never choose the
+code a layer runs.  Neither property changes a simulated number, so no
+golden notices a regression; a call counter, ``tracemalloc`` and one
+monkeypatched constructor do, on any machine:
+
+* a span on an enabled tracer is at most five Python-level calls, the
+  subscriber included (``span`` → ``TraceRecord.__init__`` →
+  ``__enter__`` → ``__exit__`` → subscriber);
+* the record the subscriber receives is the only thing the tracer
+  allocated for that span, has no ``__dict__``, and once closed holds no
+  reference back to its tracer;
+* a traced foreground fault-free ``ZnsSsd.read`` runs the same fast path
+  as an untraced one: no ``IoRequest``, the same ``IoCompletion``.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import tracemalloc
+
+import repro.flash.znsssd as znsssd_module
+import repro.sim.io as io_module
+from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
+from repro.sim import IoCompletion, IoTracer, SimClock, TraceRecord
+from repro.units import KIB
+
+MAX_CALLS_PER_SPAN = 5
+
+
+def _python_calls(body) -> list:
+    """Names of the Python-level functions ``body`` calls (itself excluded)."""
+    names = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profiler)
+    try:
+        body()
+    finally:
+        sys.setprofile(None)
+    return names[1:]  # names[0] is body's own frame
+
+
+def test_span_is_at_most_five_python_calls_subscriber_included():
+    tracer = IoTracer(SimClock())
+    seen = []
+
+    def subscriber(record):
+        seen.append(record)
+
+    tracer.subscribe(subscriber)
+
+    def one_span():
+        with tracer.span("engine", "set", length=64):
+            pass
+
+    one_span()  # not the first call of anything
+    calls = _python_calls(one_span)
+    assert "subscriber" in calls
+    assert len(calls) <= MAX_CALLS_PER_SPAN, calls
+    assert len(seen) == 2
+
+
+def test_record_is_the_only_allocation_and_keeps_no_tracer():
+    tracer = IoTracer(SimClock())
+    seen, allocated = [], []
+
+    def subscriber(record):
+        seen.append(record)
+        if tracemalloc.is_tracing():
+            # Looked at while the span is closing: a separate handle
+            # object would still be alive here, beside the record.
+            for obj in gc.get_objects():
+                trace = tracemalloc.get_object_traceback(obj)
+                if trace is not None and trace[-1].filename == io_module.__file__:
+                    allocated.append(obj)
+
+    tracer.subscribe(subscriber)
+    with tracer.span("serve", "get"):
+        with tracer.span("engine", "get"):
+            pass  # everything has run once before the measured span
+        tracemalloc.start()
+        try:
+            with tracer.span("engine", "get"):
+                pass
+        finally:
+            tracemalloc.stop()
+    record = seen[1]
+    # The one thing besides the record is the iterator of the loop over
+    # subscribers the callback is running under; it holds no span state.
+    subscriber_loop = type(iter([]))
+    made = [obj for obj in allocated if not isinstance(obj, subscriber_loop)]
+    assert len(made) == 1 and made[0] is record, made
+
+    assert isinstance(record, TraceRecord)
+    assert not hasattr(record, "__dict__")
+    assert (record.layer, record.op, record.parent_id) == ("engine", "get", 1)
+    # Closed: nothing it refers to is, or leads to, the tracer — only its
+    # class and plain field values.
+    referents = [r for r in gc.get_referents(record) if r is not TraceRecord]
+    assert tracer not in referents
+    assert all(isinstance(r, (int, str, type(None))) for r in referents), referents
+
+
+def _device(clock: SimClock) -> ZnsSsd:
+    geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
+    device = ZnsSsd(clock, ZnsConfig(geometry=geometry, zone_size=256 * KIB))
+    device.write(0, bytes(range(256)) * 64)
+    return device
+
+
+def test_traced_foreground_read_takes_the_untraced_path(monkeypatch):
+    plain, traced = _device(SimClock()), _device(SimClock())
+    records = []
+    traced.tracer.subscribe(records.append)
+    built = []
+    real_request = znsssd_module.IoRequest
+    monkeypatch.setattr(
+        znsssd_module,
+        "IoRequest",
+        lambda *a, **kw: (built.append(1), real_request(*a, **kw))[1],
+    )
+    with traced.tracer.span("backend", "read"):
+        got = traced.read(4 * KIB, 8 * KIB)
+    want = plain.read(4 * KIB, 8 * KIB)
+    assert built == []
+    for name in IoCompletion.__slots__:
+        assert getattr(got, name) == getattr(want, name), name
+    assert traced._clock.now == plain._clock.now
+    assert traced.stats.read_latency.count == plain.stats.read_latency.count
+
+    read, span = records
+    assert (read.layer, read.op, read.parent_id) == ("zns", "read", span.record_id)
+    assert (read.offset, read.length, read.zone) == (4 * KIB, 8 * KIB, None)
+    assert read.background is False
+    for name in ("submitted_ns", "completed_ns", "wait_ns", "service_ns", "channel"):
+        assert getattr(read, name) == getattr(got, name), name
+
+    # Background reads are still full pipeline requests.
+    traced.read(0, 4 * KIB, background=True)
+    assert built == [1]
+    assert records[-1].background is True
