@@ -8,7 +8,6 @@ utilization and reports the WAF/throughput trade-off.
 
 from conftest import run_once
 
-from repro.bench.experiments import _populate
 from repro.bench.reporting import format_table
 from repro.bench.schemes import SchemeScale, build_region_cache
 from repro.sim import SimClock
@@ -32,7 +31,7 @@ def sweep_thresholds(thresholds=(0.10, 0.30, 0.50)):
                 warmup_ops=45_000, set_on_miss=True,
             )
         )
-        _populate(driver, stack)
+        driver.populate(stack.cache)
         result = driver.run(stack.cache)
         layer = stack.substrate["layer"]
         rows.append(
@@ -41,7 +40,7 @@ def sweep_thresholds(thresholds=(0.10, 0.30, 0.50)):
                 "waf_app": result.waf_app,
                 "throughput_mops_per_min": result.ops_per_minute_m,
                 "hit_ratio": result.hit_ratio,
-                "zones_collected": layer.gc.zones_collected,
+                "gc_victims": layer.gc.zones_collected,
             }
         )
     return rows

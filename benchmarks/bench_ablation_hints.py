@@ -8,7 +8,6 @@ regions the cache barely indexes instead of migrating them.
 
 from conftest import run_once
 
-from repro.bench.experiments import _populate
 from repro.bench.reporting import format_table
 from repro.bench.schemes import SchemeScale, build_region_cache
 from repro.sim import SimClock
@@ -48,7 +47,7 @@ def run_one(use_hints: bool):
             warmup_ops=45_000, set_on_miss=True,
         )
     )
-    _populate(driver, stack)
+    driver.populate(cache)
     result = driver.run(cache)
     return {
         "gc_mode": "hints (drop cold)" if use_hints else "migrate all",

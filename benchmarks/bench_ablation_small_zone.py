@@ -8,12 +8,11 @@ device avoids the whole-zone eviction/contention penalty.
 
 from conftest import run_once
 
-from repro.bench.experiments import _populate
 from repro.bench.reporting import format_table
 from repro.bench.schemes import SchemeScale, build_zone_cache
 from repro.sim import SimClock
 from repro.units import KIB, MIB
-from repro.workloads import CacheBenchConfig, CacheBenchDriver
+from repro.workloads import MEAN_ENTRY_BYTES, CacheBenchConfig, CacheBenchDriver
 
 
 def compare_zone_sizes():
@@ -27,13 +26,13 @@ def compare_zone_sizes():
         driver = CacheBenchDriver(
             CacheBenchConfig(
                 num_ops=20_000,
-                num_keys=int(1.05 * cache_bytes / 1568),
+                num_keys=int(1.05 * cache_bytes / MEAN_ENTRY_BYTES),
                 zipf_theta=1.0,
-                warmup_ops=int(1.2 * 1.05 * cache_bytes / 1568),
+                warmup_ops=int(1.2 * 1.05 * cache_bytes / MEAN_ENTRY_BYTES),
                 set_on_miss=True,
             )
         )
-        _populate(driver, stack)
+        driver.populate(stack.cache)
         result = driver.run(stack.cache)
         rows.append(
             {

@@ -7,12 +7,12 @@ and Block-Cache lead on throughput; File-Cache trails both metrics.
 
 from conftest import by_scheme, run_once
 
-from repro.bench.experiments import run_fig2_overall
+from repro.bench.experiments import run_sweep
 from repro.bench.reporting import format_table
 
 
 def test_fig2_overall(benchmark):
-    rows = run_once(benchmark, run_fig2_overall, num_ops=40_000)
+    rows = run_once(benchmark, run_sweep, "fig2", num_ops=40_000)
     print()
     print(format_table(rows, title="Figure 2: four schemes, CacheBench bc-mix"))
     schemes = by_scheme(rows)

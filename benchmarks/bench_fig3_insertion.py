@@ -7,7 +7,7 @@ index lock contention); with a small region the series stays flat.
 
 from conftest import run_once
 
-from repro.bench.experiments import run_fig3_insertion_time
+from repro.bench.experiments import run_sweep
 
 
 def _mean(values):
@@ -15,9 +15,9 @@ def _mean(values):
 
 
 def test_fig3_insertion_time(benchmark):
-    series = run_once(benchmark, run_fig3_insertion_time)
-    large = series["large_region"]
-    small = series["small_region"]
+    rows = run_once(benchmark, run_sweep, "fig3")
+    large = [r for r in rows if r["series"] == "large_region"]
+    small = [r for r in rows if r["series"] == "small_region"]
 
     print()
     print(f"large regions: {len(large)} sealed; first/last fill times (us):")

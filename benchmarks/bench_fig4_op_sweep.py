@@ -7,7 +7,7 @@ holds the hit-ratio crown with mid-pack throughput.
 
 from conftest import run_once
 
-from repro.bench.experiments import run_fig4_op_sweep
+from repro.bench.experiments import run_sweep
 from repro.bench.reporting import format_table
 
 
@@ -17,7 +17,7 @@ def _series(rows, scheme):
 
 
 def test_fig4_op_sweep(benchmark):
-    rows = run_once(benchmark, run_fig4_op_sweep, num_ops=40_000)
+    rows = run_once(benchmark, run_sweep, "fig4", num_ops=40_000)
     print()
     print(format_table(rows, title="Figure 4: OP-ratio sweep (Zone-Cache = no OP)"))
 

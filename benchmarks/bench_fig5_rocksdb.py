@@ -8,12 +8,12 @@ the worst (uncontrollable device GC) while its P50 stays low.
 
 from conftest import run_once
 
-from repro.bench.experiments import run_fig5_rocksdb
+from repro.bench.experiments import run_sweep
 from repro.bench.reporting import format_table
 
 
 def test_fig5_rocksdb(benchmark):
-    rows = run_once(benchmark, run_fig5_rocksdb)
+    rows = run_once(benchmark, run_sweep, "fig5")
     print()
     print(format_table(rows, title="Figure 5: RocksDB + secondary cache"))
 

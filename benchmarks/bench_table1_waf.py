@@ -8,12 +8,12 @@ always exactly 1.
 
 from conftest import run_once
 
-from repro.bench.experiments import run_table1_waf
+from repro.bench.experiments import run_sweep
 from repro.bench.reporting import format_table
 
 
 def test_table1_waf(benchmark):
-    rows = run_once(benchmark, run_table1_waf, num_ops=40_000)
+    rows = run_once(benchmark, run_sweep, "table1", num_ops=40_000)
     print()
     print(format_table(rows, title="Table 1: WA factor vs OP ratio"))
 

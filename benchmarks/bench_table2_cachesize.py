@@ -7,12 +7,12 @@ monotonically with cache size, throughput roughly doubling.
 
 from conftest import run_once
 
-from repro.bench.experiments import run_table2_cache_sizes
+from repro.bench.experiments import run_sweep
 from repro.bench.reporting import format_table
 
 
 def test_table2_cache_sizes(benchmark):
-    rows = run_once(benchmark, run_table2_cache_sizes)
+    rows = run_once(benchmark, run_sweep, "table2")
     print()
     print(format_table(rows, title="Table 2: Zone-Cache cache-size sweep"))
 

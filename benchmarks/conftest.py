@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark wraps one experiment function from
-:mod:`repro.bench.experiments` (one per table/figure in the paper) with
-``benchmark.pedantic(rounds=1)``: the experiments are deterministic
+Every benchmark wraps one experiment of the registry in
+:mod:`repro.bench.experiments` (``run_sweep(name, ...)``, one per
+table/figure in the paper) with ``benchmark.pedantic(rounds=1)``: the experiments are deterministic
 simulations, so a single round measures wall-clock cost without
 perturbing the reported (simulated) results.
 

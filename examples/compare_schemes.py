@@ -8,7 +8,6 @@ write amplification per scheme.
 Run:  python examples/compare_schemes.py
 """
 
-from repro.bench.experiments import _populate
 from repro.bench.reporting import format_table
 from repro.bench.schemes import (
     SchemeScale,
@@ -48,7 +47,7 @@ def main() -> None:
         print(f"running {name} ...")
         stack = builder(SimClock())
         driver = CacheBenchDriver(workload)
-        _populate(driver, stack)
+        driver.populate(stack.cache)
         result = driver.run(stack.cache)
         rows.append(
             {

@@ -57,9 +57,7 @@ def run(use_hints: bool):
             warmup_ops=50_000, set_on_miss=True,
         )
     )
-    from repro.bench.experiments import _populate
-
-    _populate(driver, stack)
+    driver.populate(cache)
     result = driver.run(cache)
     label = "hint-based GC " if use_hints else "migrate-all GC"
     print(

@@ -33,7 +33,8 @@ Subpackages
 ``repro.workloads``
     CacheBench- and db_bench-style drivers.
 ``repro.bench``
-    One experiment function per paper table/figure, plus reporting.
+    Scheme builders, the fleet cell the serving sweeps share, the
+    registry of every experiment (``run_sweep``), plus reporting.
 ``repro.cli``
     ``python -m repro`` — regenerate any paper result.
 """

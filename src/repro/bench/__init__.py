@@ -1,9 +1,15 @@
-"""Benchmark harness: builders for the four scheme stacks and one
-experiment function per table/figure in the paper's evaluation.
+"""Benchmark harness: builders for the scheme stacks, the fleet cell the
+serving sweeps share, and the experiment registry.
 
-Every experiment returns structured rows and can print them in the shape
-the paper reports; the ``benchmarks/`` pytest-benchmark targets wrap
-these functions one-to-one (see DESIGN.md's experiment index).
+``repro.bench.schemes`` builds any scheme on matched hardware;
+``repro.bench.fleet`` builds, runs and collects one serving-sweep cell;
+``repro.bench.experiments`` registers every table, figure and sweep once
+and runs them through ``run_sweep(name, size, **overrides)`` — the entry
+point the CLI, ``benchmarks/bench_*.py`` and the tests all use (see
+DESIGN.md's experiment index).  The package itself imports only the
+builders and the reporting helpers: the serving layer imports
+``repro.bench.schemes``, so pulling the experiments in here would make
+every ``import repro.serve`` pay for them (and be a cycle).
 """
 
 from repro.bench.schemes import (
@@ -16,16 +22,6 @@ from repro.bench.schemes import (
     build_scheme,
     SCHEME_NAMES,
 )
-from repro.bench.experiments import (
-    run_fig2_overall,
-    run_fig3_insertion_time,
-    run_fig4_op_sweep,
-    run_table1_waf,
-    run_fig5_rocksdb,
-    run_serving_smoke,
-    run_serving_sweep,
-    run_table2_cache_sizes,
-)
 from repro.bench.reporting import format_table, rows_to_csv
 
 __all__ = [
@@ -37,14 +33,6 @@ __all__ = [
     "build_zone_cache",
     "build_scheme",
     "SCHEME_NAMES",
-    "run_fig2_overall",
-    "run_fig3_insertion_time",
-    "run_fig4_op_sweep",
-    "run_table1_waf",
-    "run_fig5_rocksdb",
-    "run_serving_smoke",
-    "run_serving_sweep",
-    "run_table2_cache_sizes",
     "format_table",
     "rows_to_csv",
 ]

@@ -1,18 +1,47 @@
-"""One function per table/figure in the paper's evaluation (§4).
+"""Every experiment of the evaluation, registered once.
 
-Each function builds the relevant scheme stacks on matched hardware,
-drives the paper's workload, and returns structured rows.  Absolute
-numbers differ from the paper's testbed (this is a simulator — see
-DESIGN.md); the *shape* of each result is the reproduction target and is
-asserted by ``tests/test_bench_experiments.py``.
+The paper's figures and tables (§4) each build the relevant scheme
+stacks on matched hardware, drive the paper's workload, and return
+structured rows; the serving sweeps beyond the paper are that same
+comparison with one more axis, so each is only a docstring, an axes →
+cell function and a tuple of column names over the shared fleet cell
+(:mod:`repro.bench.fleet`).  :data:`EXPERIMENTS` is the one place the
+list of experiments is written — the CLI, the benchmarks, the tests and
+CI all go through :func:`run_sweep`.  Absolute numbers differ from the
+paper's testbed (this is a simulator — see DESIGN.md); the *shape* of
+each result is the reproduction target and is asserted by
+``benchmarks/bench_*.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import inspect
+from dataclasses import dataclass, fields, replace
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    MutableMapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
+from repro.bench.fleet import (
+    SERVING_SCALE,
+    FleetCell,
+    Row,
+    fleet_row,
+    gc_columns,
+    run_fleet_cell,
+    zone_mgmt_columns,
+)
 from repro.bench.schemes import (
     ALL_SCHEME_NAMES,
+    NAVY,
     SCHEME_NAMES,
     SchemeScale,
     SchemeStack,
@@ -20,25 +49,207 @@ from repro.bench.schemes import (
     build_region_cache,
     build_scheme,
     build_zone_cache,
+    provision,
 )
+from repro.cache.admission import AdmissionConfig
+from repro.cache.lifecycle import LifecycleConfig
+from repro.errors import ConfigError
+from repro.f2fs.gc import CleanerConfig
+from repro.f2fs.gc import VictimPolicy as F2fsVictimPolicy
+from repro.flash.ftl import FtlConfig
+from repro.flash.zone import ZoneCostConfig
 from repro.sim.clock import SimClock
-from repro.units import MIB
-from repro.workloads.cachebench import CacheBenchConfig, CacheBenchDriver
+from repro.sim.faults import FaultInjector, FaultKind, FaultRule, ZoneFault
+from repro.units import MIB, SEC
+from repro.workloads.cachebench import (
+    MEAN_ENTRY_BYTES,
+    CacheBenchConfig,
+    CacheBenchDriver,
+)
+from repro.workloads.dbbench import DbBenchConfig, DbBenchDriver
+from repro.ztl.gc import GcConfig
+
+Rows = List[Row]
+Cells = Iterator[Tuple[Row, FleetCell]]
 
 
-def _populate(driver: CacheBenchDriver, stack: SchemeStack) -> None:
-    """CacheBench-style population phase: one set per key (not measured)."""
-    for key_index in range(driver.config.num_keys):
-        key = driver.key_bytes(key_index)
-        value = driver.value_bytes(key_index, driver._sizes.sample())
-        stack.cache.set(key, value)
+# --------------------------------------------------------------------------
+# The registry — the only place the list of experiments is written
+# --------------------------------------------------------------------------
+
+class Plot(NamedTuple):
+    """How ``--plot`` charts an experiment: bars of ``value`` labelled by
+    the ``labels`` columns, or — ``line_of`` = (column, value), Figure 3
+    — a line through ``value`` over the rows whose column has that value."""
+
+    value: str
+    title: str
+    labels: Tuple[str, ...] = ("scheme",)
+    line_of: Optional[Tuple[str, str]] = None
 
 
-def _run_mix(
-    driver: CacheBenchDriver, stack: SchemeStack, populate: bool = True
-) -> Dict[str, object]:
-    if populate:
-        _populate(driver, stack)
+@dataclass(frozen=True)
+class Experiment:
+    """One registry entry.  ``run`` takes the overrides named in
+    ``params`` (an axis or a cell field — nothing else is accepted);
+    ``quick`` and ``smoke`` are the overrides behind ``--quick`` and
+    ``--smoke``.  A fleet sweep also exposes its un-run ``grid``; with
+    ``source`` set the experiment is a projection and ``run`` maps that
+    experiment's rows to its own."""
+
+    name: str
+    title: str
+    run: Callable[..., Rows]
+    params: FrozenSet[str]
+    plot: Plot
+    quick: Mapping[str, object]
+    smoke: Mapping[str, object]
+    grid: Optional[Callable[..., Cells]] = None
+    source: Optional[str] = None
+
+
+EXPERIMENTS: Dict[str, Experiment] = {}
+
+
+def _keywords(function: Callable) -> FrozenSet[str]:
+    """Names of the keyword parameters (those with defaults) of ``function``."""
+    return frozenset(
+        name
+        for name, parameter in inspect.signature(function).parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+    )
+
+
+def experiment(name, title, plot, quick=(), smoke=(), source=None):
+    """Register the decorated function as experiment ``name``.  Its
+    keyword parameters are the overrides it accepts; a projection
+    (``source``) takes its source's rows and forwards its overrides."""
+
+    def register(run: Callable[..., Rows]) -> Callable[..., Rows]:
+        params = EXPERIMENTS[source].params if source else _keywords(run)
+        EXPERIMENTS[name] = Experiment(
+            name, title, run, params, plot, dict(quick), dict(smoke), source=source
+        )
+        return run
+
+    return register
+
+
+# What a fleet sweep accepts besides its own axes: the two fleet-shape
+# axes every sweep has, and any FleetCell field but the per-shard tuple
+# those two produce.
+_FLEET_PARAMS = frozenset(
+    {"schemes", "num_shards"} | {f.name for f in fields(FleetCell)} - {"shards"}
+)
+
+
+def fleet_sweep(
+    name, title, plot, columns, schemes, num_shards, base=(), quick=(), smoke=()
+):
+    """Register the decorated axes → cell function as fleet sweep ``name``.
+
+    For every scheme in ``schemes``, a homogeneous ``num_shards`` fleet
+    built from the ``base`` cell fields is handed to the function, which
+    yields ``(labels, cell)`` per grid point; each cell is run once and
+    ``columns`` selects and orders what the table prints out of the
+    labels and :func:`~repro.bench.fleet.fleet_row`.
+    """
+
+    def register(cells: Callable[..., Cells]) -> Callable[..., Cells]:
+        axis_names = _keywords(cells)
+
+        def grid(schemes=schemes, num_shards=num_shards, **overrides) -> Cells:
+            axes = {k: overrides.pop(k) for k in axis_names if k in overrides}
+            cell_fields = {**dict(base), **overrides}
+            for scheme in schemes:
+                fleet = FleetCell(shards=(scheme,) * num_shards, **cell_fields)
+                for labels, cell in cells(fleet, **axes):
+                    yield {"scheme": scheme, **labels}, cell
+
+        def run(**overrides) -> Rows:
+            rows: Rows = []
+            for labels, cell in grid(**overrides):
+                row = {**fleet_row(run_fleet_cell(cell)), **labels}
+                # `if c in row`: the traced columns exist only on traced cells.
+                rows.append({c: row[c] for c in columns if c in row})
+            return rows
+
+        EXPERIMENTS[name] = Experiment(
+            name, title, run, axis_names | _FLEET_PARAMS, plot, dict(quick),
+            dict(smoke), grid=grid,
+        )
+        return cells
+
+    return register
+
+
+SIZES = ("full", "quick", "smoke")
+
+
+def _sized(name: str, size: str, overrides: Mapping[str, object]):
+    """The registry entry for ``name`` and the keyword arguments ``size``
+    plus ``overrides`` resolve to — or the :class:`ConfigError` naming
+    what would have been accepted."""
+    if name not in EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {name!r}; expected one of {tuple(EXPERIMENTS)}"
+        )
+    if size not in SIZES:
+        raise ConfigError(f"unknown size {size!r}; expected one of {SIZES}")
+    exp = EXPERIMENTS[name]
+    unknown = sorted(set(overrides) - exp.params)
+    if unknown:
+        raise ConfigError(
+            f"{name} takes no override {unknown}; it accepts {sorted(exp.params)}"
+        )
+    sized = {"full": {}, "quick": exp.quick, "smoke": exp.smoke}[size]
+    return exp, {**sized, **overrides}
+
+
+def run_sweep(
+    name: str,
+    size: str = "full",
+    memo: Optional[MutableMapping[Tuple[str, str], Rows]] = None,
+    **overrides,
+) -> Rows:
+    """Run experiment ``name`` and return its rows — the one entry point.
+
+    ``size`` picks the registry's grid (``"full"``, ``"quick"`` or
+    ``"smoke"``); ``overrides`` replace individual axes or cell fields
+    on top of it, and anything that is neither raises
+    :class:`~repro.errors.ConfigError` naming what is accepted.  ``memo``
+    (a dict the caller owns) keeps the rows of override-free runs, so a
+    projection reuses its source's run instead of repeating it.
+    """
+    exp, kwargs = _sized(name, size, overrides)
+    if exp.source is not None:
+        return exp.run(run_sweep(exp.source, size, memo, **overrides))
+    key = (name, size)
+    if memo is not None and not overrides and key in memo:
+        return memo[key]
+    rows = exp.run(**kwargs)
+    if memo is not None and not overrides:
+        memo[key] = rows
+    return rows
+
+
+def sweep_cells(name: str, size: str = "full", **overrides) -> List[Tuple[Row, FleetCell]]:
+    """The ``(labels, cell)`` grid fleet sweep ``name`` would run, un-run:
+    hand a cell to :func:`~repro.bench.fleet.build_fleet` to get the very
+    fleet the sweep serves, as an un-run ``Server``."""
+    exp, kwargs = _sized(name, size, overrides)
+    if exp.grid is None:
+        raise ConfigError(f"{name} is not a fleet sweep; it has no cells")
+    return list(exp.grid(**kwargs))
+
+
+# --------------------------------------------------------------------------
+# Closed-loop rows — the paper's own figures and tables
+# --------------------------------------------------------------------------
+
+def _mix_row(driver: CacheBenchDriver, stack: SchemeStack) -> Row:
+    """Populate, run the driver's mix, and report one closed-loop row."""
+    driver.populate(stack.cache)
     result = driver.run(stack.cache)
     row = {
         "scheme": stack.name,
@@ -53,11 +264,11 @@ def _run_mix(
     }
     row.update(_device_columns(stack))
     row.update(_fault_columns(stack))
-    row.update(_gc_columns(stack))
+    row.update(gc_columns(stack))
     return row
 
 
-def _fault_columns(stack: SchemeStack) -> Dict[str, object]:
+def _fault_columns(stack: SchemeStack) -> Row:
     """Fault-injection / recovery columns (EXPERIMENTS.md).
 
     Always present so rows stay rectangular: with no injector armed they
@@ -73,7 +284,7 @@ def _fault_columns(stack: SchemeStack) -> Dict[str, object]:
     }
 
 
-def _device_columns(stack: SchemeStack) -> Dict[str, object]:
+def _device_columns(stack: SchemeStack) -> Row:
     """Per-layer device latency / pool-parallelism columns (EXPERIMENTS.md).
 
     Read straight off the scheme's primary device pipeline: device-level
@@ -94,171 +305,103 @@ def _device_columns(stack: SchemeStack) -> Dict[str, object]:
         "io_channels": pool.config.channels,
         "io_queue_depth": pool.config.queue_depth,
     }
-    cols.update(_zone_mgmt_columns([device]))
+    cols.update(zone_mgmt_columns([device]))
     return cols
-
-
-def _zone_mgmt_columns(devices) -> Dict[str, object]:
-    """Zone-management service-time columns — the ``zns_*`` family.
-
-    Summed over every device that exposes a
-    :class:`~repro.flash.zone.ZoneMgmtStats` (conventional SSDs have no
-    zones and contribute zeros), so the same helper serves single-stack
-    rows and fleet rows.  The ``*_us`` columns are the service time the
-    zone commands were charged through the I/O pipeline, which is why
-    they reconcile exactly with the tracer's OPEN/CLOSE/FINISH/RESET
-    span attribution (asserted in ``tests/test_zone_lifecycle.py``).
-    """
-    open_ns = close_ns = finish_ns = reset_ns = forced = 0
-    for device in devices:
-        mgmt = getattr(device, "zone_mgmt", None)
-        if mgmt is None:
-            continue
-        open_ns += mgmt.open_ns
-        close_ns += mgmt.close_ns
-        finish_ns += mgmt.finish_ns
-        reset_ns += mgmt.reset_ns
-        forced += mgmt.forced_closes
-    return {
-        "zns_open_us": open_ns / 1000,
-        "zns_close_us": close_ns / 1000,
-        "zns_finish_us": finish_ns / 1000,
-        "zns_reset_us": reset_ns / 1000,
-        "zns_forced_close": forced,
-    }
-
-
-def _reclaim_engine(stack: SchemeStack):
-    """``(layer_name, engine)`` for the scheme's reclamation engine.
-
-    Zone-Cache returns ``("none", None)``: it has no device-side
-    reclamation — the paper's premise — so its gc_* columns are zeros.
-    """
-    return stack.reclaim_engine()
-
-
-def _gc_columns(stack: SchemeStack) -> Dict[str, object]:
-    """Uniform reclamation columns — the ``gc_*`` family (EXPERIMENTS.md).
-
-    Read off the scheme's :class:`~repro.reclaim.ReclaimEngine` whichever
-    layer owns it, plus the cache's own region-eviction stats.  Always
-    present so mixed-scheme tables stay rectangular.
-    """
-    layer_name, engine = _reclaim_engine(stack)
-    stats = engine.stats if engine is not None else None
-    pacer = engine.pacer if engine is not None else None
-    cache_stats = stack.cache.regions.reclaim_stats
-    return {
-        "gc_layer": layer_name,
-        "gc_policy": engine.policy.name if engine is not None else "none",
-        "gc_victims": stats.victims_reclaimed if stats is not None else 0,
-        "gc_migrated_units": stats.units_migrated if stats is not None else 0,
-        "gc_dropped_units": stats.units_dropped if stats is not None else 0,
-        "gc_hint_dropped_units": (
-            stats.hint_dropped_units if stats is not None else 0
-        ),
-        "gc_copied_bytes": stats.copied_bytes if stats is not None else 0,
-        "gc_triggers": stats.triggers if stats is not None else 0,
-        "gc_stall_us_p99": stats.stall_us_p99 if stats is not None else 0.0,
-        "gc_cache_evictions": cache_stats.victims_reclaimed,
-        "gc_cache_dropped_keys": cache_stats.units_dropped,
-        # Copy-budget and adaptive-pacing telemetry (zeros when static).
-        "gc_throttled_steps": pacer.throttled_steps if pacer is not None else 0,
-        "gc_copy_throttle_events": (
-            pacer.copy_throttle_events if pacer is not None else 0
-        ),
-        "gc_pace_adjustments": pacer.pace_adjustments if pacer is not None else 0,
-        "gc_pace_clamps": pacer.pace_clamps if pacer is not None else 0,
-        "gc_pace_units_end": pacer.pace_units if pacer is not None else 0,
-    }
 
 
 # --------------------------------------------------------------------------
 # Figure 2 — overall throughput + hit ratio of the four schemes
 # --------------------------------------------------------------------------
 
-def run_fig2_overall(
-    scale: Optional[SchemeScale] = None,
-    zones: int = 25,
-    cache_zones: int = 20,
-    file_zones: int = 38,
-    num_keys: Optional[int] = None,
-    num_ops: int = 60_000,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
-    """Figure 2: 25 zones; Zone-Cache caches all of them (no OP), the
-    other schemes cache 20 zones' worth (≥20% OP); File-Cache's F2FS
-    gets 38 zones, exactly as §4.1 provisions it."""
-    scale = scale or SchemeScale()
-    media = zones * scale.zone_size
-    cache_bytes = cache_zones * scale.zone_size
-    file_media = file_zones * scale.zone_size
+def _fig2_stacks(
+    scale: SchemeScale,
+    zones: int,
+    cache_zones: int,
+    file_zones: int,
+    num_keys: Optional[int],
+    num_ops: int,
+    schemes: tuple = SCHEME_NAMES,
+    make_faults: Callable[[], Optional[FaultInjector]] = lambda: None,
+) -> Iterator[Tuple[Row, SchemeStack]]:
+    """Figure 2's look-aside mix on each scheme's §4.1 provisioning
+    (:func:`~repro.bench.schemes.provision`), one ``(row, stack)`` per
+    scheme.  Shared by the fault sweep so both experiments drive
+    identical stacks with identical streams."""
     if num_keys is None:
         # Working set just above the smaller caches so hit ratio tracks
         # capacity (the paper's 94–95% regime).
-        num_keys = int(1.05 * media / 1568)
+        media = zones * scale.zone_size
+        num_keys = int(1.05 * media / MEAN_ENTRY_BYTES)
     workload = CacheBenchConfig(
         num_ops=num_ops,
         num_keys=num_keys,
         zipf_theta=1.0,
         warmup_ops=int(1.2 * num_keys),
         set_on_miss=True,  # look-aside fill: a miss fetches and re-inserts
-        seed=seed,
+        seed=7,
     )
-    rows: List[Dict[str, object]] = []
-    # Flash regions are reclaimed FIFO, as CacheLib's navy engine does
-    # (the paper's "LRU" §4.1 setting is the DRAM tier's item policy,
-    # which RamCache implements).  FIFO keeps region death order equal to
-    # write order — the property that keeps zone GC cheap (Table 1).
-    # reclaim_window models navy's clean-region pool: region reuse
-    # deviates slightly from strict FIFO, leaving straggler regions in
-    # dying zones — the source of Table 1's low-1.x WAFs.  Zone-Cache
-    # reclaims exactly one zone at a time (no pool), matching §3.2.
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    for name, kwargs in _fig2_scheme_args(cache_bytes, file_media, navy):
-        stack = build_scheme(name, SimClock(), scale, media, **kwargs)
-        driver = CacheBenchDriver(workload)
-        rows.append(_run_mix(driver, stack))
-    return rows
+    for name in schemes:
+        stack = build_scheme(
+            name,
+            SimClock(),
+            scale,
+            faults=make_faults(),
+            **provision(name, scale, zones, cache_zones, file_zones),
+        )
+        yield _mix_row(CacheBenchDriver(workload), stack), stack
 
 
-def _fig2_scheme_args(cache_bytes: int, file_media: int, navy: Dict[str, object]):
-    """Per-scheme build_scheme kwargs for the Figure 2 provisioning.
-
-    Zone-Cache caches the whole device (no OP, §3.2) and takes only the
-    reclaim-policy override; the others get the smaller cache budget and
-    the navy clean-region pool.  Shared by the fault sweep so both
-    experiments construct identical stacks.
-    """
-    return [
-        ("Region-Cache", dict(cache_bytes=cache_bytes, **navy)),
-        ("Zone-Cache", dict(eviction_policy="fifo")),
-        (
-            "File-Cache",
-            dict(cache_bytes=cache_bytes, file_media_bytes=file_media, **navy),
-        ),
-        ("Block-Cache", dict(cache_bytes=cache_bytes, **navy)),
-    ]
+@experiment(
+    "fig2",
+    "Figure 2: four schemes — throughput and hit ratio",
+    Plot("throughput_mops_per_min", "throughput (Mops/min)"),
+    quick=dict(num_ops=20_000),
+    # The 12-zone grid the fig2 goldens pin.
+    smoke=dict(zones=12, cache_zones=9, file_zones=18, num_ops=4_000),
+)
+def _fig2_overall(
+    scale: SchemeScale = SchemeScale(),
+    zones: int = 25,
+    cache_zones: int = 20,
+    file_zones: int = 38,
+    num_keys: Optional[int] = None,
+    num_ops: int = 60_000,
+) -> Rows:
+    """Figure 2: 25 zones; Zone-Cache caches all of them (no OP), the
+    other schemes cache 20 zones' worth (≥20% OP); File-Cache's F2FS
+    gets 38 zones, exactly as §4.1 provisions it."""
+    stacks = _fig2_stacks(scale, zones, cache_zones, file_zones, num_keys, num_ops)
+    return [row for row, _ in stacks]
 
 
 # --------------------------------------------------------------------------
 # Figure 3 — region in-memory buffer fill time, large vs small regions
 # --------------------------------------------------------------------------
 
-def run_fig3_insertion_time(
-    scale: Optional[SchemeScale] = None,
+@experiment(
+    "fig3",
+    "Figure 3: region buffer fill times (large vs small regions)",
+    Plot(
+        "fill_time_us",
+        "large-region fill time (us) per sequence",
+        line_of=("series", "large_region"),
+    ),
+    quick=dict(num_sets=40_000),
+    smoke=dict(zones=12, num_sets=12_000),
+)
+def _fig3_insertion_time(
+    scale: SchemeScale = SchemeScale(),
     zones: int = 25,
     num_sets: Optional[int] = None,
-    seed: int = 7,
-) -> Dict[str, List[Dict[str, object]]]:
+) -> Rows:
     """Figure 3: insertion time to fill each successive region buffer.
 
     (a) large regions (region == zone, Zone-Cache) show a jump when
     region eviction begins; (b) small regions (Region-Cache) stay flat.
+    One row per sealed region, tagged with its ``series``.
     """
-    scale = scale or SchemeScale()
     media = zones * scale.zone_size
-    series: Dict[str, List[Dict[str, object]]] = {}
+    rows: Rows = []
     for label, builder in (
         ("large_region", lambda clk: build_zone_cache(clk, scale, media)),
         (
@@ -273,18 +416,18 @@ def run_fig3_insertion_time(
             CacheBenchConfig(
                 num_ops=1,
                 num_keys=max(
-                    1024, int(2.2 * stack.cache_bytes / 1568)
+                    1024, int(2.2 * stack.cache_bytes / MEAN_ENTRY_BYTES)
                 ),
                 get_ratio=0.0,
                 set_ratio=1.0,
                 delete_ratio=0.0,
-                seed=seed,
+                seed=7,
             )
         )
         total_sets = num_sets
         if total_sets is None:
             # Enough sets to overwrite the cache ~2.4 times.
-            total_sets = int(2.4 * stack.cache_bytes / 1568)
+            total_sets = int(2.4 * stack.cache_bytes / MEAN_ENTRY_BYTES)
         keys = driver._keys
         sizes = driver._sizes
         for _ in range(total_sets):
@@ -294,115 +437,115 @@ def run_fig3_insertion_time(
                 driver.value_bytes(key_index, sizes.sample()),
             )
         stack.cache.flush()
-        series[label] = [
-            {"sequence": i, "fill_time_us": duration / 1000}
+        rows.extend(
+            {"series": label, "sequence": i, "fill_time_us": duration / 1000}
             for i, duration in enumerate(stack.cache.stats.region_fill_durations_ns)
-        ]
-    return series
+        )
+    return rows
 
 
 # --------------------------------------------------------------------------
 # Figure 4 + Table 1 — OP-ratio sweep (throughput, hit ratio, WAF)
 # --------------------------------------------------------------------------
 
-def run_fig4_op_sweep(
-    scale: Optional[SchemeScale] = None,
+@experiment(
+    "fig4",
+    "Figure 4: OP-ratio sweep",
+    Plot("throughput_mops_per_min", "throughput (Mops/min)"),
+    quick=dict(num_ops=20_000),
+    # F2FS needs ~50+ zones to hold its log heads at 10% OP, so the
+    # smoke shrinks the zones, not their number.
+    smoke=dict(scale=SERVING_SCALE, zones=64, op_ratios=(0.10, 0.20), num_ops=1_500),
+)
+def _fig4_op_sweep(
+    scale: SchemeScale = SchemeScale(),
     zones: int = 55,
     op_ratios: tuple = (0.10, 0.15, 0.20),
     num_ops: int = 60_000,
-    num_keys: Optional[int] = None,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
+) -> Rows:
     """Figure 4: same device space for everyone (the paper's 220 zones,
     scaled); File-Cache and Region-Cache sweep OP 10/15/20% while
     Zone-Cache always runs without OP."""
-    scale = scale or SchemeScale()
     media = zones * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.6 * media / 1568)
-    workload = CacheBenchConfig(num_ops=num_ops, num_keys=num_keys, seed=seed)
-    rows: List[Dict[str, object]] = []
-    lru = {"eviction_policy": "fifo", "reclaim_window": 128}
-    for op in op_ratios:
+    workload = CacheBenchConfig(
+        num_ops=num_ops, num_keys=int(1.6 * media / MEAN_ENTRY_BYTES), seed=7
+    )
+    cells = (
+        [("File-Cache", op) for op in op_ratios]
+        + [("Zone-Cache", 0.0)]
+        + [("Region-Cache", op) for op in op_ratios]
+    )
+    rows: Rows = []
+    for name, op in cells:
         cache_bytes = int(media * (1.0 - op))
-        stack = build_file_cache(
-            # F2FS reserves a bit less than the nominal OP so the cache
-            # file plus node blocks always fit inside usable space.
-            SimClock(), scale, media, cache_bytes, provision_ratio=op * 0.6, **lru
-        )
-        row = _run_mix(CacheBenchDriver(workload), stack)
-        row.update({"op_ratio": op})
-        rows.append(row)
-    zone_stack = build_zone_cache(SimClock(), scale, media, eviction_policy="fifo")
-    zone_row = _run_mix(CacheBenchDriver(workload), zone_stack)
-    zone_row.update({"op_ratio": 0.0})
-    rows.append(zone_row)
-    for op in op_ratios:
-        cache_bytes = int(media * (1.0 - op))
-        stack = build_region_cache(SimClock(), scale, media, cache_bytes, **lru)
-        row = _run_mix(CacheBenchDriver(workload), stack)
-        row.update({"op_ratio": op})
+        if name == "File-Cache":
+            stack = build_file_cache(
+                # F2FS reserves a bit less than the nominal OP so the cache
+                # file plus node blocks always fit inside usable space.
+                SimClock(), scale, media, cache_bytes, provision_ratio=op * 0.6, **NAVY
+            )
+        elif name == "Zone-Cache":
+            stack = build_zone_cache(SimClock(), scale, media, eviction_policy="fifo")
+        else:
+            stack = build_region_cache(SimClock(), scale, media, cache_bytes, **NAVY)
+        row = _mix_row(CacheBenchDriver(workload), stack)
+        row["op_ratio"] = op
         rows.append(row)
     return rows
 
 
-def run_table1_waf(
-    scale: Optional[SchemeScale] = None,
-    zones: int = 55,
-    op_ratios: tuple = (0.10, 0.15, 0.20),
-    num_ops: int = 60_000,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
+@experiment(
+    "table1", "Table 1: WA factor vs OP ratio", Plot("waf", "WA factor"), source="fig4"
+)
+def _table1_waf(fig4_rows: Rows) -> Rows:
     """Table 1: WA factor of Region-Cache and File-Cache per OP ratio
-    (application-level — the layer above the ZNS device)."""
-    rows = run_fig4_op_sweep(
-        scale=scale, zones=zones, op_ratios=op_ratios, num_ops=num_ops, seed=seed
-    )
-    out: List[Dict[str, object]] = []
-    for row in rows:
-        if row["scheme"] not in ("Region-Cache", "File-Cache"):
-            continue
-        out.append(
-            {
-                "scheme": row["scheme"],
-                "op_ratio": row["op_ratio"],
-                "waf": row["waf_app"],
-            }
-        )
-    return out
+    (application-level — the layer above the ZNS device).  A projection
+    of Figure 4's rows: the paper reads both off the same runs."""
+    return [
+        {"scheme": row["scheme"], "op_ratio": row["op_ratio"], "waf": row["waf_app"]}
+        for row in fig4_rows
+        if row["scheme"] in ("Region-Cache", "File-Cache")
+    ]
 
 
 # --------------------------------------------------------------------------
 # Figure 5 + Table 2 — end-to-end: the schemes as RocksDB's secondary cache
 # --------------------------------------------------------------------------
 
-def run_fig5_rocksdb(
-    scale: Optional[SchemeScale] = None,
-    exp_ranges: tuple = (15.0, 25.0),
+_DBBENCH_SIZES = dict(
+    quick=dict(num_keys=40_000, num_reads=3_000, warmup_reads=6_000),
+    smoke=dict(num_keys=10_000, num_reads=1_000, warmup_reads=2_000),
+)
+
+
+def _dbbench(scheme: str, exp_range: float, cache_zones: float, **sizes):
+    """One fillrandom + readrandom run with ``scheme`` as secondary cache."""
+    config = DbBenchConfig(
+        exp_range=exp_range, cache_zones=cache_zones, scheme=scheme, seed=7, **sizes
+    )
+    return DbBenchDriver(config, SchemeScale()).run()
+
+
+@experiment(
+    "fig5",
+    "Figure 5: RocksDB with each scheme as secondary cache",
+    Plot("kops_per_sec", "throughput (kops/s)"),
+    **_DBBENCH_SIZES,
+)
+def _fig5_rocksdb(
     num_keys: int = 80_000,
     num_reads: int = 8_000,
     warmup_reads: int = 16_000,
-    cache_zones: float = 4.5,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
+) -> Rows:
     """Figure 5: fillrandom then readrandom against an LSM on HDD, with
     each scheme serving as the secondary (flash) cache."""
-    from repro.workloads.dbbench import DbBenchConfig, DbBenchDriver
-
-    scale = scale or SchemeScale()
-    rows: List[Dict[str, object]] = []
-    for exp_range in exp_ranges:
+    rows: Rows = []
+    for exp_range in (15.0, 25.0):
         for scheme in ("Block-Cache", "File-Cache", "Zone-Cache", "Region-Cache"):
-            config = DbBenchConfig(
-                num_keys=num_keys,
-                num_reads=num_reads,
+            result = _dbbench(
+                scheme, exp_range, 4.5, num_keys=num_keys, num_reads=num_reads,
                 warmup_reads=warmup_reads,
-                exp_range=exp_range,
-                cache_zones=cache_zones,
-                scheme=scheme,
-                seed=seed,
             )
-            result = DbBenchDriver(config, scale).run()
             rows.append(
                 {
                     "scheme": scheme,
@@ -416,21 +559,58 @@ def run_fig5_rocksdb(
     return rows
 
 
+@experiment(
+    "table2",
+    "Table 2: Zone-Cache cache-size sweep",
+    Plot("hit_ratio_pct", "hit ratio (%)", labels=("cache_zones",)),
+    **_DBBENCH_SIZES,
+)
+def _table2_cache_sizes(
+    num_keys: int = 80_000,
+    num_reads: int = 8_000,
+    warmup_reads: int = 16_000,
+) -> Rows:
+    """Table 2: Zone-Cache with growing cache size (the paper's 4–8 GiB,
+    scaled to zones) — hit ratio and throughput climb together."""
+    rows: Rows = []
+    for cache_zones in (4, 5, 6, 7, 8):
+        result = _dbbench(
+            "Zone-Cache", 25.0, cache_zones, num_keys=num_keys, num_reads=num_reads,
+            warmup_reads=warmup_reads,
+        )
+        rows.append(
+            {
+                "cache_zones": cache_zones,
+                "cache_mib": cache_zones * SchemeScale().zone_size / MIB,
+                "kops_per_sec": result.ops_per_sec / 1000,
+                "hit_ratio_pct": result.cache_hit_ratio * 100,
+            }
+        )
+    return rows
+
+
 # --------------------------------------------------------------------------
 # Fault sweep — the Figure 2 mix with a seeded fault plan armed
 # --------------------------------------------------------------------------
 
-def run_fault_sweep(
-    scale: Optional[SchemeScale] = None,
+@experiment(
+    "fault",
+    "Fault sweep: the Figure 2 mix under a seeded fault plan",
+    Plot("faults_injected", "faults injected (cache kept serving)"),
+    # The grid test_fault_sweep_rows_reproduce_exactly pins.
+    smoke=dict(
+        num_ops=2_500, num_keys=2_500, zones=12, cache_zones=8, file_zones=20,
+        schemes=("Region-Cache", "Block-Cache"),
+    ),
+)
+def _fault_sweep(
     zones: int = 25,
     cache_zones: int = 20,
     file_zones: int = 38,
     num_ops: int = 20_000,
     num_keys: Optional[int] = None,
-    seed: int = 7,
-    fault_seed: int = 11,
-    schemes: tuple = ("Region-Cache", "Zone-Cache", "File-Cache", "Block-Cache"),
-) -> List[Dict[str, object]]:
+    schemes: tuple = SCHEME_NAMES,
+) -> Rows:
     """Availability under injected faults (EXPERIMENTS.md "Fault sweep").
 
     Each scheme runs the Figure 2 mix with the same seeded fault plan:
@@ -441,28 +621,10 @@ def run_fault_sweep(
     ``retries``, ``degraded`` misses and ``quarantined_regions``: the
     cache must keep serving, not crash.
     """
-    from repro.sim.faults import FaultInjector, FaultKind, FaultRule, ZoneFault
-    from repro.units import SEC
 
-    scale = scale or SchemeScale()
-    media = zones * scale.zone_size
-    cache_bytes = cache_zones * scale.zone_size
-    file_media = file_zones * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * media / 1568)
-    workload = CacheBenchConfig(
-        num_ops=num_ops,
-        num_keys=num_keys,
-        zipf_theta=1.0,
-        warmup_ops=int(1.2 * num_keys),
-        set_on_miss=True,
-        seed=seed,
-    )
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-
-    def make_injector() -> FaultInjector:
+    def make_faults() -> FaultInjector:
         return FaultInjector(
-            seed=fault_seed,
+            seed=11,
             rules=(
                 FaultRule(
                     FaultKind.MEDIA_ERROR,
@@ -486,15 +648,13 @@ def run_fault_sweep(
             ),
         )
 
-    scheme_args = dict(_fig2_scheme_args(cache_bytes, file_media, navy))
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        injector = make_injector()
-        stack = build_scheme(
-            name, SimClock(), scale, media, faults=injector, **scheme_args[name]
-        )
-        row = _run_mix(CacheBenchDriver(workload), stack)
+    rows: Rows = []
+    for row, stack in _fig2_stacks(
+        SchemeScale(), zones, cache_zones, file_zones, num_keys, num_ops, schemes,
+        make_faults,
+    ):
         stats = stack.cache.stats
+        injector = stack.substrate["faults"]
         row.update(
             {
                 "degraded_misses": stats.degraded_misses,
@@ -511,94 +671,36 @@ def run_fault_sweep(
 # Serving sweep — open-loop multi-tenant load against a sharded fleet
 # --------------------------------------------------------------------------
 
-def _serving_tenants(
-    total_rate: float,
-    requests_per_tenant: int,
-    num_keys: int,
-    seed: int,
-    rate_limit_batch: bool = True,
-    web_arrival: str = "poisson",
-) -> "List[object]":
-    """The sweep's two-tenant mix: a steady interactive tenant and a
-    bursty batch tenant, splitting the offered load 70/30.
-
-    The batch tenant carries a token bucket at 1.5x its mean rate, so
-    its 4x bursts are clipped by rate limiting *before* they reach the
-    shard queues — per-tenant QoS isolating the interactive tenant.
-    ``web_arrival`` switches the interactive tenant's arrival process
-    (the failover sweep kills shards mid-*diurnal* load); the default
-    keeps every pre-existing sweep byte-identical.
-    """
-    from repro.serve import TenantConfig
-
-    web_rate = 0.7 * total_rate
-    batch_rate = 0.3 * total_rate
-    tenants = [
-        TenantConfig(
-            "web",
-            rate_ops_per_sec=web_rate,
-            arrival=web_arrival,
-            workload=CacheBenchConfig(
-                num_ops=requests_per_tenant,
-                num_keys=num_keys,
-                zipf_theta=1.0,
-                set_on_miss=True,
-                seed=seed,
-            ),
-            slo_p99_ms=2.0,
-            seed=seed + 100,
-        ),
-        TenantConfig(
-            "batch",
-            rate_ops_per_sec=batch_rate,
-            arrival="burst",
-            burst_factor=4.0,
-            workload=CacheBenchConfig(
-                num_ops=requests_per_tenant,
-                num_keys=max(1, num_keys // 2),
-                get_ratio=0.30,
-                set_ratio=0.60,
-                delete_ratio=0.10,
-                seed=seed + 1,
-            ),
-            slo_p99_ms=10.0,
-            rate_limit_ops_per_sec=1.5 * batch_rate if rate_limit_batch else 0.0,
-            rate_limit_burst=32.0,
-            seed=seed + 200,
-        ),
-    ]
-    return tenants
+_WEB_P99 = "web tenant p99 (us)"
+_TENANT_QOS = (
+    "web_p99_us", "web_goodput_kops", "web_slo_attainment", "batch_p99_us",
+    "batch_goodput_kops", "cluster_shed_rate",
+)
 
 
-def _serving_scale() -> SchemeScale:
-    """Reduced hardware for serving runs: small zones/regions so a few
-    thousand requests reach eviction/GC steady state on every scheme
-    (at full scale Zone-Cache's 4 MiB region buffer would absorb the
-    whole run in RAM and never touch the device)."""
-    from repro.units import KIB
-
-    return SchemeScale(
-        zone_size=256 * KIB,
-        region_size=16 * KIB,
-        pages_per_block=16,
-        ram_bytes=32 * KIB,
-    )
-
-
-def run_serving_sweep(
-    scale: Optional[SchemeScale] = None,
-    zones_per_shard: int = 10,
-    cache_zones_per_shard: int = 8,
-    file_zones_per_shard: int = 16,
-    num_shards: int = 3,
+@fleet_sweep(
+    "serve",
+    "Serving sweep: offered load vs p99 and shed rate per scheme",
+    Plot("web_p99_us", _WEB_P99, labels=("scheme", "offered_total_kops")),
+    columns=(
+        "scheme", "offered_total_kops", "num_shards", "web_p50_us", "web_p99_us",
+        "web_p999_us", "web_goodput_kops", "web_shed_rate", "web_slo_attainment",
+        "web_hit_ratio", "batch_p99_us", "batch_goodput_kops", "batch_shed_rate",
+        "cluster_shed_rate", "cluster_util_max", "cluster_served", "waf_app_max",
+        "waf_device_max", "admission",
+    ),
+    schemes=SCHEME_NAMES,
+    num_shards=3,
+    base=dict(requests_per_tenant=4_000),
+    quick=dict(offered_kops=(40.0, 240.0), requests_per_tenant=1_500),
+    # One load either side of every scheme's knee.
+    smoke=dict(offered_kops=(40.0, 360.0), requests_per_tenant=700),
+)
+def _serve_cells(
+    base: FleetCell,
     offered_kops: tuple = (40.0, 120.0, 360.0),
-    requests_per_tenant: int = 4_000,
-    num_keys: Optional[int] = None,
-    max_queue_depth: int = 48,
     admission: str = "admit-all",
-    schemes: tuple = SCHEME_NAMES,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
+) -> Cells:
     """Offered load vs p99 / shed rate for each scheme (EXPERIMENTS.md).
 
     For every scheme and offered load, a homogeneous ``num_shards``
@@ -606,148 +708,14 @@ def run_serving_sweep(
     bursty batch).  Below the saturation knee all schemes complete
     everything; past it the bounded queues shed instead of letting p99
     grow without bound — the shed-rate and p99 columns together locate
-    each scheme's knee.  Rows are per (scheme, load, tenant) and are
+    each scheme's knee.  Rows are per (scheme, load) and are
     byte-identical for the same seed (the serving golden test).
     """
-    from repro.cache.admission import AdmissionConfig
-    from repro.serve import CacheCluster, Server, ServerConfig
-
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        # Working set just above one shard fleet's capacity, as Fig 2 does.
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo"} if name == "Zone-Cache" else dict(navy)
-        )
-        if admission != "admit-all":
-            overrides["admission"] = AdmissionConfig(policy=admission, seed=seed)
-        shard_cache = None if name == "Zone-Cache" else cache_bytes
-        shard_file = file_media if name == "File-Cache" else None
-        for load_kops in offered_kops:
-            cluster = CacheCluster.homogeneous(
-                name,
-                num_shards,
-                media,
-                shard_cache,
-                file_media_bytes=shard_file,
-                scale=scale,
-                cache_overrides=tuple(sorted(overrides.items())),
-                cache_stacks=True,
-            )
-            tenants = _serving_tenants(
-                load_kops * 1000, requests_per_tenant, num_keys, seed
-            )
-            report = Server(
-                cluster, tenants, ServerConfig(max_queue_depth=max_queue_depth)
-            ).run()
-            shard_rows = report.shard_rows
-            for tenant_row in report.tenant_rows:
-                row: Dict[str, object] = {
-                    "scheme": name,
-                    "offered_total_kops": load_kops,
-                    "num_shards": num_shards,
-                }
-                row.update(tenant_row)
-                row.update(
-                    {
-                        "cluster_shed_rate": report.shed_rate,
-                        "cluster_util_max": max(r["util"] for r in shard_rows),
-                        "cluster_served": sum(r["served"] for r in shard_rows),
-                        "cluster_waf_app_max": max(
-                            r["waf_app"] for r in shard_rows
-                        ),
-                        "cluster_waf_device_max": max(
-                            r["waf_device"] for r in shard_rows
-                        ),
-                        "admission": admission,
-                    }
-                )
-                rows.append(row)
-    return rows
-
-
-def run_serving_smoke(seed: int = 7) -> List[Dict[str, object]]:
-    """`repro serve --smoke`: a mixed two-shard cluster (Region-Cache +
-    Zone-Cache on matched NAND), two tenants, ~2k requests — small
-    enough for a CI step, still exercising routing, QoS and shedding."""
-    from repro.serve import CacheCluster, Server, ServerConfig, ShardSpec
-
-    scale = _serving_scale()
-    media = 12 * scale.zone_size
-    specs = [
-        ShardSpec(
-            "Region-Cache",
-            media_bytes=media,
-            cache_bytes=9 * scale.zone_size,
-            cache_overrides=(("eviction_policy", "fifo"), ("reclaim_window", 32)),
-        ),
-        ShardSpec(
-            "Zone-Cache",
-            media_bytes=media,
-            cache_overrides=(("eviction_policy", "fifo"),),
-        ),
-    ]
-    cluster = CacheCluster(specs, scale=scale)
-    tenants = _serving_tenants(
-        total_rate=120_000.0,
-        requests_per_tenant=1_000,
-        num_keys=1_500,
-        seed=seed,
-    )
-    report = Server(cluster, tenants, ServerConfig(max_queue_depth=24)).run()
-    rows: List[Dict[str, object]] = []
-    for tenant_row in report.tenant_rows:
-        row = {"cluster": "region+zone", **tenant_row}
-        row["cluster_shed_rate"] = report.shed_rate
-        rows.append(row)
-    for shard_row in report.shard_rows:
-        shard_row = dict(shard_row)
-        shard_row["cluster"] = "region+zone"
-        rows.append(shard_row)
-    return rows
-
-
-def run_table2_cache_sizes(
-    scale: Optional[SchemeScale] = None,
-    cache_zone_counts: tuple = (4, 5, 6, 7, 8),
-    num_keys: int = 80_000,
-    num_reads: int = 8_000,
-    warmup_reads: int = 16_000,
-    exp_range: float = 25.0,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
-    """Table 2: Zone-Cache with growing cache size (the paper's 4–8 GiB,
-    scaled to zones) — hit ratio and throughput climb together."""
-    from repro.workloads.dbbench import DbBenchConfig, DbBenchDriver
-
-    scale = scale or SchemeScale()
-    rows: List[Dict[str, object]] = []
-    for cache_zones in cache_zone_counts:
-        config = DbBenchConfig(
-            num_keys=num_keys,
-            num_reads=num_reads,
-            warmup_reads=warmup_reads,
-            exp_range=exp_range,
-            cache_zones=cache_zones,
-            scheme="Zone-Cache",
-            seed=seed,
-        )
-        result = DbBenchDriver(config, scale).run()
-        rows.append(
-            {
-                "cache_zones": cache_zones,
-                "cache_mib": cache_zones * scale.zone_size / MIB,
-                "kops_per_sec": result.ops_per_sec / 1000,
-                "hit_ratio_pct": result.cache_hit_ratio * 100,
-            }
-        )
-    return rows
+    if admission != "admit-all":
+        policy = AdmissionConfig(policy=admission, seed=base.seed)
+        base = replace(base, cache_overrides=(("admission", policy),))
+    for load_kops in offered_kops:
+        yield {"admission": admission}, replace(base, offered_kops=load_kops)
 
 
 # --------------------------------------------------------------------------
@@ -763,11 +731,6 @@ def _gc_reclaim_overrides(
     layer's own config type; ``pace == 0`` means "move the whole victim
     per trigger".  Zone-Cache has no reclamation and gets nothing.
     """
-    from repro.f2fs.gc import CleanerConfig
-    from repro.f2fs.gc import VictimPolicy as F2fsVictimPolicy
-    from repro.flash.ftl import FtlConfig
-    from repro.ztl.gc import GcConfig
-
     if name == "Region-Cache":
         base = max(2, zones_per_shard // 12)
         gc = GcConfig(
@@ -803,52 +766,41 @@ def _gc_reclaim_overrides(
     return ()
 
 
-def _traced_reclaim(tracer) -> Dict[str, int]:
-    """Count reclaim spans and the device bytes they attribute.
-
-    ``reclaim_traced_bytes`` sums device-level transfer records whose
-    ancestry passes through a ``reclaim.*`` span — the check that every
-    migrated byte is tracer-attributed to the GC engine that moved it.
-    """
-    by_id = {record.record_id: record for record in tracer.records}
-    spans = 0
-    traced = 0
-    for record in tracer.records:
-        if record.layer.startswith("reclaim."):
-            spans += 1
-            continue
-        if record.op not in ("write", "append", "gc"):
-            continue
-        cursor = record
-        while cursor is not None:
-            if cursor.layer.startswith("reclaim."):
-                traced += record.length
-                break
-            cursor = (
-                by_id.get(cursor.parent_id)
-                if cursor.parent_id is not None
-                else None
-            )
-    return {"reclaim_spans": spans, "reclaim_traced_bytes": traced}
-
-
-def run_gc_ablation(
-    scale: Optional[SchemeScale] = None,
-    zones_per_shard: int = 10,
-    cache_zones_per_shard: int = 8,
-    file_zones_per_shard: int = 16,
-    num_shards: int = 1,
+@fleet_sweep(
+    "gc-sweep",
+    "GC ablation: victim policy x watermark x pacing per scheme",
+    Plot(
+        "gc_copied_bytes", "GC copied bytes",
+        labels=("scheme", "gc_policy", "watermark_scale"),
+    ),
+    columns=(
+        "scheme", "gc_policy", "watermark_scale", "pace_units",
+        "offered_total_kops", "web_p99_us", "web_goodput_kops",
+        "cluster_shed_rate", "waf_app_max", "waf_device_max", "gc_layer",
+        "gc_victims", "gc_migrated_units", "gc_dropped_units", "gc_copied_bytes",
+        "gc_triggers", "gc_stall_us_p99", "gc_cache_evictions", "reclaim_spans",
+        "reclaim_traced_bytes",
+    ),
+    schemes=SCHEME_NAMES,
+    num_shards=1,
+    base=dict(offered_kops=30.0),
+    quick=dict(
+        policies=("greedy", "cost_benefit"), paces=(8,), requests_per_tenant=6_000
+    ),
+    # All four schemes × two policies, one shard, tracing on — small
+    # enough for a CI step, still proving the sweep grid runs end-to-end
+    # and migrated bytes carry reclaim spans.
+    smoke=dict(
+        policies=("greedy", "cost_benefit"), watermark_scales=(1,), paces=(8,),
+        requests_per_tenant=6_000, trace=True,
+    ),
+)
+def _gc_sweep_cells(
+    base: FleetCell,
     policies: tuple = ("greedy", "cost_benefit", "age_threshold", "random"),
     watermark_scales: tuple = (1, 2),
     paces: tuple = (0, 8),
-    offered_kops: float = 30.0,
-    requests_per_tenant: int = 8_000,
-    num_keys: Optional[int] = None,
-    max_queue_depth: int = 48,
-    schemes: tuple = SCHEME_NAMES,
-    seed: int = 7,
-    trace: bool = False,
-) -> List[Dict[str, object]]:
+) -> Cells:
     """GC ablation (`repro gc-sweep`): victim policy × trigger watermark ×
     copy pacing for every scheme, under the open-loop serving load.
 
@@ -861,188 +813,53 @@ def run_gc_ablation(
     drains synchronously inside the write path, so background pacing is
     a no-op there).
     """
-    from repro.serve import CacheCluster, Server, ServerConfig
-
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        if name == "Zone-Cache":
-            combos = [("none", 0, 0)]
-        elif name == "Block-Cache":
-            combos = [(p, w, 0) for p in policies for w in watermark_scales]
-        else:
-            combos = [
-                (p, w, pace)
-                for p in policies
-                for w in watermark_scales
-                for pace in paces
-            ]
-        base_overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo"} if name == "Zone-Cache" else dict(navy)
+    name = base.shards[0]
+    if name == "Zone-Cache":
+        combos = [("none", 0, 0)]
+    elif name == "Block-Cache":
+        combos = [(p, w, 0) for p in policies for w in watermark_scales]
+    else:
+        combos = [
+            (p, w, pace) for p in policies for w in watermark_scales for pace in paces
+        ]
+    for policy, watermark_scale, pace in combos:
+        labels = {
+            "gc_policy": policy, "watermark_scale": watermark_scale, "pace_units": pace
+        }
+        yield labels, replace(
+            base,
+            cache_overrides=_gc_reclaim_overrides(
+                name, policy, watermark_scale, pace, base.zones
+            ),
         )
-        shard_cache = None if name == "Zone-Cache" else cache_bytes
-        shard_file = file_media if name == "File-Cache" else None
-        for policy, watermark_scale, pace in combos:
-            cluster = CacheCluster.homogeneous(
-                name,
-                num_shards,
-                media,
-                shard_cache,
-                file_media_bytes=shard_file,
-                scale=scale,
-                cache_overrides=tuple(sorted(base_overrides.items()))
-                + _gc_reclaim_overrides(
-                    name, policy, watermark_scale, pace, zones_per_shard
-                ),
-                cache_stacks=True,
-            )
-            if trace:
-                for shard in cluster.shards:
-                    shard.stack.substrate["device"].tracer.enable()
-            tenants = _serving_tenants(
-                offered_kops * 1000, requests_per_tenant, num_keys, seed
-            )
-            report = Server(
-                cluster, tenants, ServerConfig(max_queue_depth=max_queue_depth)
-            ).run()
-            gc_cols = [_gc_columns(shard.stack) for shard in cluster.shards]
-            shard_rows = report.shard_rows
-            web = next(r for r in report.tenant_rows if r["tenant"] == "web")
-            row: Dict[str, object] = {
-                "scheme": name,
-                "gc_policy": policy,
-                "watermark_scale": watermark_scale,
-                "pace_units": pace,
-                "offered_total_kops": offered_kops,
-                "web_p99_us": web["p99_us"],
-                "web_goodput_kops": web["goodput_kops"],
-                "cluster_shed_rate": report.shed_rate,
-                "waf_app_max": max(r["waf_app"] for r in shard_rows),
-                "waf_device_max": max(r["waf_device"] for r in shard_rows),
-                "gc_layer": gc_cols[0]["gc_layer"],
-                "gc_victims": sum(c["gc_victims"] for c in gc_cols),
-                "gc_migrated_units": sum(c["gc_migrated_units"] for c in gc_cols),
-                "gc_dropped_units": sum(c["gc_dropped_units"] for c in gc_cols),
-                "gc_copied_bytes": sum(c["gc_copied_bytes"] for c in gc_cols),
-                "gc_triggers": sum(c["gc_triggers"] for c in gc_cols),
-                "gc_stall_us_p99": max(c["gc_stall_us_p99"] for c in gc_cols),
-                "gc_cache_evictions": sum(c["gc_cache_evictions"] for c in gc_cols),
-            }
-            if trace:
-                traced = {"reclaim_spans": 0, "reclaim_traced_bytes": 0}
-                for shard in cluster.shards:
-                    shard_traced = _traced_reclaim(
-                        shard.stack.substrate["device"].tracer
-                    )
-                    for key in traced:
-                        traced[key] += shard_traced[key]
-                row.update(traced)
-            rows.append(row)
-    return rows
-
-
-def run_gc_smoke(seed: int = 7) -> List[Dict[str, object]]:
-    """`repro gc-sweep --smoke`: all four schemes × two policies, one
-    shard, tracing on — small enough for a CI step, still proving the
-    sweep grid runs end-to-end and migrated bytes carry reclaim spans."""
-    return run_gc_ablation(
-        policies=("greedy", "cost_benefit"),
-        watermark_scales=(1,),
-        paces=(8,),
-        requests_per_tenant=6_000,
-        seed=seed,
-        trace=True,
-    )
 
 
 # --------------------------------------------------------------------------
 # GC↔QoS co-scheduling — adaptive pacing × GC-aware routing
 # --------------------------------------------------------------------------
 
-def _gc_qos_overrides(name: str) -> tuple:
-    """Reclaim configs with the ``urgent`` pressure band wired.
-
-    GC-aware routing reroutes at the urgent band and adaptive pacing
-    relaxes/clamps around it, so every scheme that reclaims gets an
-    urgent watermark one container above its emergency floor.
-    Zone-Cache has no reclamation and gets nothing — its pressure is
-    always idle, which is itself the paper's point.
-    """
-    from repro.f2fs.gc import CleanerConfig
-    from repro.f2fs.gc import VictimPolicy as F2fsVictimPolicy
-    from repro.flash.ftl import FtlConfig
-    from repro.ztl.gc import GcConfig
-
-    if name == "Region-Cache":
-        # The background band (urgent < free < min_empty) must be wide
-        # enough that paced steps actually run there; with background and
-        # urgent adjacent every GC step lands in the unbounded urgent
-        # regime and pace_units never binds.
-        gc = GcConfig(
-            min_empty_zones=4,
-            urgent_empty_zones=2,
-            emergency_empty_zones=1,
-            victim_valid_threshold=0.90,
-            pace_regions=8,
-        )
-        return (("gc", gc),)
-    if name == "Z-Cache":
-        # Same watermarks as Region-Cache so the comparison isolates the
-        # hot/cold separation, but victims are scored cold-first: finish
-        # (and decay) cold zones instead of copying hot ones.
-        gc = GcConfig(
-            min_empty_zones=4,
-            urgent_empty_zones=2,
-            emergency_empty_zones=1,
-            victim_valid_threshold=0.90,
-            pace_regions=8,
-            policy="cold_defer",
-        )
-        return (("gc", gc),)
-    if name == "File-Cache":
-        cleaner = CleanerConfig(
-            low_watermark=4,
-            urgent_sections=2,
-            emergency_sections=1,
-            pace_blocks=16,
-            policy=F2fsVictimPolicy.COST_BENEFIT,
-            victim_valid_threshold=0.90,
-        )
-        return (("cleaner", cleaner),)
-    if name == "Block-Cache":
-        ftl = FtlConfig(
-            op_ratio=0.20,
-            gc_low_watermark=4,
-            gc_high_watermark=8,
-            gc_urgent_watermark=2,
-        )
-        return (("ftl", ftl),)
-    return ()
-
-
-def run_gc_qos_sweep(
-    scale: Optional[SchemeScale] = None,
-    zones_per_shard: int = 10,
-    cache_zones_per_shard: int = 6,
-    file_zones_per_shard: int = 16,
-    num_shards: int = 2,
-    offered_kops: tuple = (8.0, 12.0, 20.0),
-    requests_per_tenant: int = 8_000,
-    num_keys: Optional[int] = None,
-    max_queue_depth: int = 48,
-    schemes: tuple = SCHEME_NAMES,
-    pacing_modes: tuple = ("static", "adaptive"),
-    routing_modes: tuple = ("static", "gc_aware"),
-    stall_slo_ms: float = 1.0,
-    adjust_interval_steps: int = 16,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
+@fleet_sweep(
+    "gc-qos",
+    "GC-QoS co-scheduling: adaptive pacing x GC-aware routing",
+    Plot("web_p99_us", _WEB_P99, labels=("scheme", "pacing", "routing")),
+    columns=(
+        "scheme", "pacing", "routing", "offered_total_kops", *_TENANT_QOS,
+        "rerouted_writes", "web_rerouted", "batch_rerouted", "gc_layer",
+        "gc_victims", "gc_migrated_units", "gc_stall_us_p99",
+        "gc_throttled_steps", "gc_pace_adjustments", "gc_pace_clamps",
+        "gc_pace_units_end",
+    ),
+    schemes=SCHEME_NAMES,
+    num_shards=2,
+    base=dict(cache_zones=6, reclaim="qos"),
+    quick=dict(offered_kops=(12.0,), requests_per_tenant=4_000),
+    # One ZNS scheme, two shards, all four pacing × routing combos at one
+    # load — still driving the adaptive controller and the rerouting path.
+    smoke=dict(
+        offered_kops=(12.0,), requests_per_tenant=4_000, schemes=("Region-Cache",)
+    ),
+)
+def _gc_qos_cells(base: FleetCell, offered_kops: tuple = (8.0, 12.0, 20.0)) -> Cells:
     """GC↔QoS co-scheduling sweep (`repro gc-qos`): {static, adaptive}
     pacing × {static, gc_aware} routing per scheme, under the serving
     sweep's open-loop two-tenant load.
@@ -1056,136 +873,39 @@ def run_gc_qos_sweep(
     rerouting and reclaim telemetry, so the ablation reads directly:
     which half of the loop buys the p99/goodput at the overload knee.
     """
-    from repro.reclaim import AdaptivePacingConfig
-    from repro.serve import CacheCluster, RoutingConfig, Server, ServerConfig
-
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    adaptive = AdaptivePacingConfig(
-        stall_slo_ns=int(stall_slo_ms * 1e6),
-        interval_steps=adjust_interval_steps,
-    )
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        base_overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo"} if name == "Zone-Cache" else dict(navy)
-        )
-        shard_cache = None if name == "Zone-Cache" else cache_bytes
-        shard_file = file_media if name == "File-Cache" else None
-        for load_kops in offered_kops:
-            for pacing in pacing_modes:
-                for routing in routing_modes:
-                    cluster = CacheCluster.homogeneous(
-                        name,
-                        num_shards,
-                        media,
-                        shard_cache,
-                        file_media_bytes=shard_file,
-                        scale=scale,
-                        cache_overrides=tuple(sorted(base_overrides.items()))
-                        + _gc_qos_overrides(name),
-                        routing=RoutingConfig(policy=routing),
-                        cache_stacks=True,
-                    )
-                    if pacing == "adaptive":
-                        for shard in cluster.shards:
-                            shard.stack.enable_adaptive_pacing(adaptive)
-                    tenants = _serving_tenants(
-                        load_kops * 1000, requests_per_tenant, num_keys, seed
-                    )
-                    report = Server(
-                        cluster,
-                        tenants,
-                        ServerConfig(max_queue_depth=max_queue_depth),
-                    ).run()
-                    gc_cols = [
-                        _gc_columns(shard.stack) for shard in cluster.shards
-                    ]
-                    shard_rows = report.shard_rows
-                    web = next(
-                        r for r in report.tenant_rows if r["tenant"] == "web"
-                    )
-                    batch = next(
-                        r for r in report.tenant_rows if r["tenant"] == "batch"
-                    )
-                    rows.append({
-                        "scheme": name,
-                        "pacing": pacing,
-                        "routing": routing,
-                        "offered_total_kops": load_kops,
-                        "web_p99_us": web["p99_us"],
-                        "web_goodput_kops": web["goodput_kops"],
-                        "web_slo_attainment": web["slo_attainment"],
-                        "batch_p99_us": batch["p99_us"],
-                        "batch_goodput_kops": batch["goodput_kops"],
-                        "cluster_shed_rate": report.shed_rate,
-                        "rerouted_writes": sum(
-                            r["rerouted_out"] for r in shard_rows
-                        ),
-                        "rerouted_web": web["rerouted"],
-                        "rerouted_batch": batch["rerouted"],
-                        "gc_layer": gc_cols[0]["gc_layer"],
-                        "gc_victims": sum(c["gc_victims"] for c in gc_cols),
-                        "gc_migrated_units": sum(
-                            c["gc_migrated_units"] for c in gc_cols
-                        ),
-                        "gc_stall_us_p99": max(
-                            c["gc_stall_us_p99"] for c in gc_cols
-                        ),
-                        "gc_throttled_steps": sum(
-                            c["gc_throttled_steps"] for c in gc_cols
-                        ),
-                        "gc_pace_adjustments": sum(
-                            c["gc_pace_adjustments"] for c in gc_cols
-                        ),
-                        "gc_pace_clamps": sum(
-                            c["gc_pace_clamps"] for c in gc_cols
-                        ),
-                        "gc_pace_units_end": max(
-                            c["gc_pace_units_end"] for c in gc_cols
-                        ),
-                    })
-    return rows
-
-
-def run_gc_qos_smoke(seed: int = 7) -> List[Dict[str, object]]:
-    """`repro gc-qos --smoke`: one ZNS scheme, two shards, all four
-    pacing × routing combos at one load — small enough for a CI step,
-    still driving the adaptive controller and the rerouting path."""
-    return run_gc_qos_sweep(
-        offered_kops=(12.0,),
-        requests_per_tenant=4_000,
-        schemes=("Region-Cache",),
-        seed=seed,
-    )
+    for load_kops in offered_kops:
+        for pacing in ("static", "adaptive"):
+            for routing in ("static", "gc_aware"):
+                yield {}, replace(
+                    base, offered_kops=load_kops, pacing=pacing, routing=routing
+                )
 
 
 # --------------------------------------------------------------------------
 # Zone-management cost ablation — {zero, measured} × {Region-Cache, Z-Cache}
 # --------------------------------------------------------------------------
 
-def run_zone_cost_ablation(
-    scale: Optional[SchemeScale] = None,
-    zones_per_shard: int = 10,
-    cache_zones_per_shard: int = 6,
-    num_shards: int = 2,
-    offered_kops: tuple = (12.0,),
-    requests_per_tenant: int = 8_000,
-    num_keys: Optional[int] = None,
-    max_queue_depth: int = 48,
-    schemes: tuple = ("Region-Cache", "Z-Cache"),
-    cost_presets: tuple = ("zero", "measured"),
-    pacing: str = "adaptive",
-    routing: str = "gc_aware",
-    stall_slo_ms: float = 1.0,
-    adjust_interval_steps: int = 16,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
+@fleet_sweep(
+    "zone-cost",
+    "Zone-cost ablation: {zero, measured} costs x {Region, Z}-Cache",
+    Plot("web_p99_us", _WEB_P99, labels=("scheme", "cost_preset")),
+    columns=(
+        "scheme", "cost_preset", "pacing", "routing", "offered_total_kops",
+        *_TENANT_QOS, "gc_victims", "gc_migrated_units", "gc_copied_bytes",
+        "gc_stall_us_p99", "zns_open_us", "zns_close_us", "zns_finish_us",
+        "zns_reset_us", "zns_forced_close",
+    ),
+    schemes=("Region-Cache", "Z-Cache"),
+    num_shards=2,
+    base=dict(cache_zones=6, reclaim="qos", pacing="adaptive", routing="gc_aware"),
+    quick=dict(requests_per_tenant=4_000),
+    # Both schemes × both cost presets at the knee with the gc-qos smoke's
+    # request stream — long enough that reclaim actually runs in every
+    # cell (shorter streams never reach the knee and the ablation reads
+    # as a no-op).
+    smoke=dict(requests_per_tenant=4_000),
+)
+def _zone_cost_cells(base: FleetCell) -> Cells:
     """Zone-management cost ablation (`repro zone-cost`).
 
     The cost-model question the gc-qos sweep cannot answer: with zone
@@ -1196,141 +916,67 @@ def run_zone_cost_ablation(
     characterization), Z-Cache's cold-first reclaim — victims chosen so
     their survivors were *already* segregated into cold zones — copies
     less and therefore issues fewer of the newly-expensive commands per
-    reclaimed zone.  One row per (scheme, cost preset, load) at the
-    gc-qos knee; read web_p99_us down the preset column.
+    reclaimed zone.  One row per (scheme, cost preset) at the gc-qos
+    knee; read web_p99_us down the preset column.
     """
-    from repro.flash.zone import ZoneCostConfig
-    from repro.reclaim import AdaptivePacingConfig
-    from repro.serve import CacheCluster, RoutingConfig, Server, ServerConfig
-
-    presets: Dict[str, "ZoneCostConfig"] = {
-        "zero": ZoneCostConfig(),
-        "measured": ZoneCostConfig.measured(),
-    }
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    adaptive = AdaptivePacingConfig(
-        stall_slo_ns=int(stall_slo_ms * 1e6),
-        interval_steps=adjust_interval_steps,
-    )
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        for preset in cost_presets:
-            costs = presets[preset]
-            for load_kops in offered_kops:
-                cluster = CacheCluster.homogeneous(
-                    name,
-                    num_shards,
-                    media,
-                    cache_bytes,
-                    scale=scale,
-                    cache_overrides=tuple(sorted(navy.items()))
-                    + _gc_qos_overrides(name)
-                    + (("zone_costs", costs),),
-                    routing=RoutingConfig(policy=routing),
-                    cache_stacks=True,
-                )
-                if pacing == "adaptive":
-                    for shard in cluster.shards:
-                        shard.stack.enable_adaptive_pacing(adaptive)
-                tenants = _serving_tenants(
-                    load_kops * 1000, requests_per_tenant, num_keys, seed
-                )
-                report = Server(
-                    cluster,
-                    tenants,
-                    ServerConfig(max_queue_depth=max_queue_depth),
-                ).run()
-                gc_cols = [_gc_columns(shard.stack) for shard in cluster.shards]
-                web = next(
-                    r for r in report.tenant_rows if r["tenant"] == "web"
-                )
-                batch = next(
-                    r for r in report.tenant_rows if r["tenant"] == "batch"
-                )
-                row: Dict[str, object] = {
-                    "scheme": name,
-                    "cost_preset": preset,
-                    "pacing": pacing,
-                    "routing": routing,
-                    "offered_total_kops": load_kops,
-                    "web_p99_us": web["p99_us"],
-                    "web_goodput_kops": web["goodput_kops"],
-                    "web_slo_attainment": web["slo_attainment"],
-                    "batch_p99_us": batch["p99_us"],
-                    "batch_goodput_kops": batch["goodput_kops"],
-                    "cluster_shed_rate": report.shed_rate,
-                    "gc_victims": sum(c["gc_victims"] for c in gc_cols),
-                    "gc_migrated_units": sum(
-                        c["gc_migrated_units"] for c in gc_cols
-                    ),
-                    "gc_copied_bytes": sum(
-                        c["gc_copied_bytes"] for c in gc_cols
-                    ),
-                    "gc_stall_us_p99": max(
-                        c["gc_stall_us_p99"] for c in gc_cols
-                    ),
-                }
-                row.update(_zone_mgmt_columns([
-                    shard.stack.substrate.get("device")
-                    for shard in cluster.shards
-                    if shard.stack.substrate.get("device") is not None
-                ]))
-                rows.append(row)
-    return rows
-
-
-def run_zone_cost_smoke(seed: int = 7) -> List[Dict[str, object]]:
-    """`repro zone-cost --smoke`: both schemes × both cost presets at the
-    knee with the gc-qos smoke's request stream — four rows, CI-sized,
-    long enough that reclaim actually runs in every cell (shorter
-    streams never reach the knee and the ablation reads as a no-op)."""
-    return run_zone_cost_ablation(
-        requests_per_tenant=4_000,
-        seed=seed,
-    )
+    presets = {"zero": ZoneCostConfig(), "measured": ZoneCostConfig.measured()}
+    for preset, costs in presets.items():
+        yield {"cost_preset": preset}, replace(
+            base, cache_overrides=(("zone_costs", costs),)
+        )
 
 
 # --------------------------------------------------------------------------
 # Failover sweep — kill shards mid-diurnal-load, measure survival per scheme
 # --------------------------------------------------------------------------
 
-def run_failover_sweep(
-    scale: Optional[SchemeScale] = None,
-    zones_per_shard: int = 10,
-    cache_zones_per_shard: int = 6,
-    num_shards: int = 8,
-    offered_kops: float = 10.0,
-    requests_per_tenant: int = 6_000,
-    num_keys: Optional[int] = None,
-    max_queue_depth: int = 128,
-    schemes: tuple = ("Region-Cache", "Z-Cache"),
-    replicas: tuple = (1, 2),
-    kill_shard: int = 0,
-    kill_at_frac: float = 0.35,
-    outage_frac: float = 0.25,
-    hint_limit: int = 8192,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
+@fleet_sweep(
+    "failover",
+    "Failover sweep: kill a shard mid-diurnal load, R=1 vs R=2",
+    Plot(
+        "fleet_availability", "availability under shard loss",
+        labels=("scheme", "replicas"),
+    ),
+    columns=(
+        "scheme", "replicas", "num_shards", "offered_total_kops", "kill_at_ms",
+        "outage_ms", *_TENANT_QOS, "fleet_replicas", "fleet_availability",
+        "fleet_failed", "fleet_kills", "fleet_storm_p99_us", "fleet_hit_steady",
+        "fleet_hit_storm", "fleet_hit_recovered", "fleet_recovery_ms",
+        "fleet_repl_writes", "fleet_repl_bytes", "fleet_repl_dropped",
+        "fleet_handoff_writes", "fleet_handoff_bytes", "fleet_hints_buffered",
+        "fleet_hint_drops", "fleet_fallback_reads", "fleet_read_repairs",
+    ),
+    schemes=("Region-Cache", "Z-Cache"),
+    num_shards=8,
+    base=dict(
+        cache_zones=6, reclaim="qos", tenants="diurnal", offered_kops=10.0,
+        requests_per_tenant=6_000, max_queue_depth=128, kill=(0.35, 0.25),
+    ),
+    quick=dict(requests_per_tenant=3_000),
+    # One scheme, four shards, R∈{1,2}, one mid-run kill — still driving
+    # the whole failover path (fan-out, fallback reads, hinted handoff,
+    # crash recovery).
+    smoke=dict(
+        num_shards=4, offered_kops=12.0, requests_per_tenant=1_500,
+        schemes=("Region-Cache",),
+    ),
+)
+def _failover_cells(base: FleetCell) -> Cells:
     """Fleet failover sweep (`repro failover`): kill a shard mid-diurnal
     load and measure what replication buys, per scheme.
 
     For every (scheme, replication factor) cell, an ``num_shards``
     homogeneous cluster serves the two-tenant mix (web switched to
     diurnal arrivals so the kill lands on a live waveform), and a
-    :class:`~repro.serve.FailoverPlan` power-cuts ``kill_shard`` at
-    ``kill_at_frac`` of the run for ``outage_frac`` of the run.  With
-    R=1 every request owned by the dead shard fails for the whole
-    outage, and its cache restarts cold — availability drops and the
-    hit ratio takes the whole recovery tail to climb back.  With R=2
-    writes fan out to the ring successor, reads fall back (with
-    read-repair), and a bounded hint journal replays the missed writes
-    through the normal write path during RESYNCING — availability holds
-    and the hit ratio recovers within a few percent by run end.
+    :class:`~repro.serve.FailoverPlan` power-cuts shard 0 at 35% of the
+    run for 25% of the run.  With R=1 every request owned by the dead
+    shard fails for the whole outage, and its cache restarts cold —
+    availability drops and the hit ratio takes the whole recovery tail
+    to climb back.  With R=2 writes fan out to the ring successor, reads
+    fall back (with read-repair), and a bounded hint journal replays the
+    missed writes through the normal write path during RESYNCING —
+    availability holds and the hit ratio recovers within a few percent
+    by run end.
 
     One row per cell joins the tenants' QoS columns with the fleet
     telemetry (``fleet_*``: availability, failed counts, storm p99,
@@ -1338,8 +984,8 @@ def run_failover_sweep(
     overhead — the bytes reconcile exactly with ``serve.replicate`` /
     ``serve.handoff`` tracer spans).
 
-    The default queue depth is deeper than the serving/gc-qos sweeps'
-    48: replication roughly doubles each shard's queue traffic, and
+    The queue depth is deeper than the serving/gc-qos sweeps' 48:
+    replication roughly doubles each shard's queue traffic, and
     Region-Cache's multi-millisecond seal+reclaim bursts then overrun a
     48-deep queue — the availability the replicas bought leaks back out
     as queue-full sheds.  At depth 128 the bursts queue instead of
@@ -1349,236 +995,56 @@ def run_failover_sweep(
     routing stays off — it is incompatible with replica placement,
     which must follow the ring.)
     """
-    from repro.serve import (
-        CacheCluster,
-        FailoverPlan,
-        ReplicationConfig,
-        Server,
-        ServerConfig,
-        ShardKill,
-    )
-
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    navy = {"eviction_policy": "fifo", "reclaim_window": 128}
-    # Open-loop duration estimate: the web tenant (70% of load) offers
-    # requests_per_tenant ops at 0.7*rate; the kill and outage are
-    # placed as fractions of that horizon so the storm always lands
-    # mid-run regardless of the load point.
-    duration_ns = int(requests_per_tenant / (0.7 * offered_kops * 1000) * 1e9)
-    kill_at_ns = int(kill_at_frac * duration_ns)
-    outage_ns = int(outage_frac * duration_ns)
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        base_overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo"} if name == "Zone-Cache" else dict(navy)
-        )
-        shard_cache = None if name == "Zone-Cache" else cache_bytes
-        for r in replicas:
-            cluster = CacheCluster.homogeneous(
-                name,
-                num_shards,
-                media,
-                shard_cache,
-                scale=scale,
-                cache_overrides=tuple(sorted(base_overrides.items()))
-                + _gc_qos_overrides(name),
-                cache_stacks=True,
-                replication=ReplicationConfig(
-                    replicas=r, hint_limit=hint_limit
-                ),
-            )
-            tenants = _serving_tenants(
-                offered_kops * 1000,
-                requests_per_tenant,
-                num_keys,
-                seed,
-                web_arrival="diurnal",
-            )
-            report = Server(
-                cluster,
-                tenants,
-                ServerConfig(max_queue_depth=max_queue_depth),
-                failover=FailoverPlan(
-                    (ShardKill(kill_at_ns, kill_shard, outage_ns),)
-                ),
-            ).run()
-            web = next(t for t in report.tenant_rows if t["tenant"] == "web")
-            batch = next(
-                t for t in report.tenant_rows if t["tenant"] == "batch"
-            )
-            row: Dict[str, object] = {
-                "scheme": name,
-                "replicas": r,
-                "num_shards": num_shards,
-                "offered_total_kops": offered_kops,
-                "kill_at_ms": kill_at_ns / 1e6,
-                "outage_ms": outage_ns / 1e6,
-                "web_p99_us": web["p99_us"],
-                "web_goodput_kops": web["goodput_kops"],
-                "web_slo_attainment": web["slo_attainment"],
-                "batch_p99_us": batch["p99_us"],
-                "batch_goodput_kops": batch["goodput_kops"],
-                "cluster_shed_rate": report.shed_rate,
-            }
-            fleet = report.fleet_row or {}
-            row.update({f"fleet_{k}": v for k, v in fleet.items()})
-            rows.append(row)
-    return rows
-
-
-def run_failover_smoke(seed: int = 7) -> List[Dict[str, object]]:
-    """`repro failover --smoke`: one scheme, four shards, R∈{1,2}, one
-    mid-run kill — two rows, CI-sized, still driving the whole failover
-    path (fan-out, fallback reads, hinted handoff, crash recovery)."""
-    return run_failover_sweep(
-        num_shards=4,
-        offered_kops=12.0,
-        requests_per_tenant=1_500,
-        schemes=("Region-Cache",),
-        seed=seed,
-    )
+    for replicas in (1, 2):
+        yield {}, replace(base, replicas=replicas)
 
 
 # --------------------------------------------------------------------------
 # Invalidation storms — namespace bumps against the tenant lifecycle layer
 # --------------------------------------------------------------------------
 
-def _invalidation_gc_overrides(name: str) -> tuple:
-    """Reclaim configs for the invalidation sweep.
-
-    The ZTL schemes get dead-first victim selection and keep the
-    paper's deferring 0.20 valid-data threshold: a namespace bump turns
-    whole zones dead at once, dead-first takes them as zero-valid
-    victims instantly, and zones still holding live survivors are left
-    to keep decaying instead of being copied.  The FTL and the F2FS
-    cleaner have no lifecycle integration — that asymmetry is the
-    measurement: Block-/File-Cache copy dead-generation bytes their
-    layers cannot see through.
-    """
-    from repro.ztl.gc import GcConfig
-
-    if name == "Region-Cache":
-        return (
-            (
-                "gc",
-                GcConfig(
-                    min_empty_zones=3,
-                    urgent_empty_zones=2,
-                    emergency_empty_zones=1,
-                    victim_valid_threshold=0.20,
-                    pace_regions=8,
-                    dead_first=True,
-                ),
-            ),
-        )
-    if name == "Z-Cache":
-        return (
-            (
-                "gc",
-                GcConfig(
-                    min_empty_zones=3,
-                    urgent_empty_zones=2,
-                    emergency_empty_zones=1,
-                    victim_valid_threshold=0.20,
-                    pace_regions=8,
-                    policy="cold_defer",
-                    dead_first=True,
-                ),
-            ),
-        )
-    return _gc_qos_overrides(name)
+_STORM_BASE = dict(
+    cache_zones=5, block_fills_lba=True, reclaim="storm", tenants="storm",
+    requests_per_tenant=12_000, max_queue_depth=128, bumps=(0.35, 0.55),
+)
+_LIFECYCLE_ARMED = LifecycleConfig(versioning=True, dead_first_eviction=True, gc_hints=True)
 
 
-def _invalidation_tenants(
-    total_rate: float,
-    requests_per_tenant: int,
-    num_keys: int,
-    seed: int,
-    bump_at_s: float,
-    storm_at_s: float,
-    storm_duration_s: float,
-) -> "List[object]":
-    """The storm mix: a versioned interactive tenant whose bump triggers
-    a flash crowd of refill traffic, and a versioned purge tenant that
-    tears its keyspace down in a delete storm.  70/30 load split as in
-    every other serving sweep."""
-    from repro.serve import TenantConfig
-
-    web_rate = 0.7 * total_rate
-    purge_rate = 0.3 * total_rate
-    return [
-        TenantConfig(
-            "web",
-            rate_ops_per_sec=web_rate,
-            arrival="flash_crowd",
-            flash_crowd_factor=3.0,
-            flash_crowd_at_s=bump_at_s,
-            flash_crowd_decay_s=max(storm_duration_s, 0.001),
-            versioned_keys=True,
-            workload=CacheBenchConfig(
-                num_ops=requests_per_tenant,
-                num_keys=num_keys,
-                zipf_theta=1.0,
-                set_on_miss=True,
-                seed=seed,
-            ),
-            slo_p99_ms=2.0,
-            seed=seed + 100,
-        ),
-        TenantConfig(
-            "purge",
-            rate_ops_per_sec=purge_rate,
-            arrival="storm",
-            storm_factor=4.0,
-            storm_at_s=storm_at_s,
-            storm_duration_s=max(storm_duration_s, 0.001),
-            versioned_keys=True,
-            workload=CacheBenchConfig(
-                num_ops=requests_per_tenant,
-                num_keys=max(1, num_keys // 2),
-                get_ratio=0.20,
-                set_ratio=0.40,
-                delete_ratio=0.40,
-                seed=seed + 1,
-            ),
-            slo_p99_ms=10.0,
-            seed=seed + 200,
-        ),
-    ]
-
-
-def run_invalidation_sweep(
-    scale: Optional[SchemeScale] = None,
-    zones_per_shard: int = 10,
-    cache_zones_per_shard: int = 5,
-    file_zones_per_shard: int = 16,
-    num_shards: int = 4,
-    offered_kops: float = 12.0,
-    requests_per_tenant: int = 12_000,
-    num_keys: Optional[int] = None,
-    max_queue_depth: int = 128,
-    schemes: tuple = ALL_SCHEME_NAMES,
-    bump_at_frac: float = 0.35,
-    purge_bump_frac: float = 0.55,
-    storm_duration_frac: float = 0.10,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
+@fleet_sweep(
+    "invalidate",
+    "Invalidation storm: bump tenant namespaces mid-run, per scheme",
+    Plot("gc_copied_bytes", "post-storm GC copied bytes"),
+    columns=(
+        "scheme", "num_shards", "offered_total_kops", "bump_at_ms",
+        "purge_bump_at_ms", "web_p99_us", "web_goodput_kops", "web_hit_ratio",
+        "purge_p99_us", "purge_goodput_kops", "cluster_shed_rate", "waf_app_max",
+        "waf_device_max", "gc_copied_bytes", "gc_migrated_units",
+        "gc_dropped_units", "gc_victims", "inval_bumps", "inval_pre_hit_ratio",
+        "inval_post_hit_ratio", "inval_post_p99_us", "inval_recovery_slope_per_s",
+        "inval_dead_bytes", "inval_dead_items", "inval_dropped_regions",
+        "inval_dead_first_evictions", "tenant_generations", "tenant_versioned",
+    ),
+    schemes=ALL_SCHEME_NAMES,
+    num_shards=4,
+    base=dict(_STORM_BASE, cache_overrides=(("lifecycle", _LIFECYCLE_ARMED),)),
+    quick=dict(num_shards=2, requests_per_tenant=6_000),
+    # All five schemes, two shards — still driving the whole lifecycle
+    # path (versioned keys, both bumps, dead-first eviction, GC drop
+    # hints, the ledger reconciliation).
+    smoke=dict(num_shards=2, requests_per_tenant=4_000),
+)
+def _invalidate_cells(base: FleetCell) -> Cells:
     """Invalidation-storm sweep (`repro invalidate`): bump two tenants'
     namespaces mid-run and measure the aftermath per scheme.
 
     Every cell runs the same script on an ``num_shards`` homogeneous
     cluster with the tenant lifecycle layer fully armed (versioned
     keys, the liveness ledger, dead-first eviction, §3.4 GC drop
-    hints): the web tenant's namespace is bumped at ``bump_at_frac`` of
-    the run — its flash-crowd refill wave starts there too — and the
-    purge tenant, mid delete-storm, is bumped at ``purge_bump_frac``.
-    Each bump is O(1): generations advance, and every byte written
-    under the old generation becomes dead liveness the storage layers
-    must discover.
+    hints): the web tenant's namespace is bumped at 35% of the run —
+    its flash-crowd refill wave starts there too — and the purge
+    tenant, mid delete-storm, is bumped at 55%.  Each bump is O(1):
+    generations advance, and every byte written under the old
+    generation becomes dead liveness the storage layers must discover.
 
     What separates the schemes is *where* that discovery happens.
     Region-/Z-Cache see dead regions at the cache layer (dead-first
@@ -1597,124 +1063,7 @@ def run_invalidation_sweep(
     the per-shard liveness ledgers and the ``serve.invalidate`` event
     counts) and the ``gc_*`` copy counters.
     """
-    from repro.cache.lifecycle import LifecycleConfig
-    from repro.serve import (
-        CacheCluster,
-        InvalidationPlan,
-        Server,
-        ServerConfig,
-        TenantInvalidate,
-    )
-
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    duration_ns = int(requests_per_tenant / (0.7 * offered_kops * 1000) * 1e9)
-    bump_at_ns = int(bump_at_frac * duration_ns)
-    purge_at_ns = int(purge_bump_frac * duration_ns)
-    lifecycle = LifecycleConfig(
-        versioning=True, dead_first_eviction=True, gc_hints=True
-    )
-    navy = {
-        "eviction_policy": "fifo",
-        "reclaim_window": 128,
-        "lifecycle": lifecycle,
-    }
-    plan = InvalidationPlan(
-        (
-            TenantInvalidate(bump_at_ns, "web"),
-            TenantInvalidate(purge_at_ns, "purge"),
-        )
-    )
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        base_overrides: Dict[str, object] = (
-            {"eviction_policy": "fifo", "lifecycle": lifecycle}
-            if name == "Zone-Cache"
-            else dict(navy)
-        )
-        # Cache budgets follow each scheme's OP model (§4.1): Zone-Cache
-        # caches the whole device (no OP at all), Block-Cache fills its
-        # exposed LBA space (OP is *internal*, behind the FTL — the only
-        # headroom its GC gets), and the host-side schemes reserve
-        # host-visible spare zones the ZTL/F2FS reclaim into.
-        if name == "Zone-Cache":
-            shard_cache = None
-        elif name == "Block-Cache":
-            shard_cache = media
-        else:
-            shard_cache = cache_bytes
-        cluster = CacheCluster.homogeneous(
-            name,
-            num_shards,
-            media,
-            shard_cache,
-            file_media_bytes=file_media if name == "File-Cache" else None,
-            scale=scale,
-            cache_overrides=tuple(sorted(base_overrides.items()))
-            + _invalidation_gc_overrides(name),
-            cache_stacks=True,
-        )
-        tenants = _invalidation_tenants(
-            offered_kops * 1000,
-            requests_per_tenant,
-            num_keys,
-            seed,
-            bump_at_s=bump_at_ns / 1e9,
-            storm_at_s=purge_at_ns / 1e9,
-            storm_duration_s=storm_duration_frac * duration_ns / 1e9,
-        )
-        report = Server(
-            cluster,
-            tenants,
-            ServerConfig(max_queue_depth=max_queue_depth),
-            invalidations=plan,
-        ).run()
-        web = next(t for t in report.tenant_rows if t["tenant"] == "web")
-        purge = next(t for t in report.tenant_rows if t["tenant"] == "purge")
-        shard_rows = report.shard_rows
-        engines = [
-            shard.stack.reclaim_engine()[1] for shard in cluster.shards
-        ]
-        gc_stats = [engine.stats for engine in engines if engine is not None]
-        row: Dict[str, object] = {
-            "scheme": name,
-            "num_shards": num_shards,
-            "offered_total_kops": offered_kops,
-            "bump_at_ms": bump_at_ns / 1e6,
-            "purge_bump_at_ms": purge_at_ns / 1e6,
-            "web_p99_us": web["p99_us"],
-            "web_goodput_kops": web["goodput_kops"],
-            "web_hit_ratio": web["hit_ratio"],
-            "purge_p99_us": purge["p99_us"],
-            "purge_goodput_kops": purge["goodput_kops"],
-            "cluster_shed_rate": report.shed_rate,
-            "waf_app_max": max(r["waf_app"] for r in shard_rows),
-            "waf_device_max": max(r["waf_device"] for r in shard_rows),
-            "gc_copied_bytes": sum(s.copied_bytes for s in gc_stats),
-            "gc_migrated_units": sum(s.units_migrated for s in gc_stats),
-            "gc_dropped_units": sum(s.units_dropped for s in gc_stats),
-            "gc_victims": sum(s.victims_reclaimed for s in gc_stats),
-        }
-        row.update(report.inval_row or {})
-        rows.append(row)
-    return rows
-
-
-def run_invalidation_smoke(seed: int = 7) -> List[Dict[str, object]]:
-    """`repro invalidate --smoke`: all five schemes, two shards, ~4k
-    requests per tenant — five rows, CI-sized, still driving the whole
-    lifecycle path (versioned keys, both bumps, dead-first eviction,
-    GC drop hints, the ledger reconciliation)."""
-    return run_invalidation_sweep(
-        num_shards=2,
-        offered_kops=12.0,
-        requests_per_tenant=4_000,
-        seed=seed,
-    )
+    yield {}, base
 
 
 # --------------------------------------------------------------------------
@@ -1730,12 +1079,10 @@ HINT_MODES = ("off", "ztl", "full")
 HINT_SCHEMES = ("Block-Cache", "File-Cache", "Region-Cache", "Z-Cache")
 
 
-def _hint_lifecycle(mode: str):
+def _hint_lifecycle(mode: str) -> LifecycleConfig:
     """Lifecycle config for one hint-ablation mode (storm layer armed)."""
-    from repro.cache.lifecycle import LifecycleConfig
-
     if mode not in HINT_MODES:
-        raise ValueError(f"unknown hint mode {mode!r}; expected {HINT_MODES}")
+        raise ConfigError(f"unknown hint mode {mode!r}; expected {HINT_MODES}")
     return LifecycleConfig(
         versioning=True,
         dead_first_eviction=True,
@@ -1744,32 +1091,39 @@ def _hint_lifecycle(mode: str):
     )
 
 
-def run_hint_sweep(
-    scale: Optional[SchemeScale] = None,
-    zones_per_shard: int = 10,
-    cache_zones_per_shard: int = 5,
-    # Tighter than the invalidation sweep's 16: at 8 zones the F2FS
-    # cleaner actually runs under the storm (free sections cross the
+@fleet_sweep(
+    "hint-sweep",
+    "Hint ablation: cache->GC hints {off, ztl, full} per scheme",
+    Plot(
+        "gc_copied_bytes", "GC copied bytes by hint coverage",
+        labels=("scheme", "hints"),
+    ),
+    columns=(
+        "scheme", "hints", "gc_layer", "num_shards", "web_hit_ratio", "web_p99_us",
+        "web_goodput_kops", "purge_p99_us", "cluster_shed_rate", "waf_app_max",
+        "waf_device_max", "gc_copied_bytes", "gc_migrated_units",
+        "gc_dropped_units", "gc_hint_dropped_units", "gc_hint_drop_spans",
+        "gc_victims",
+    ),
+    schemes=HINT_SCHEMES,
+    num_shards=4,
+    # Tighter than the invalidation sweep's 16 file zones: at 8 zones the
+    # F2FS cleaner actually runs under the storm (free sections cross the
     # watermark), so the File-Cache ablation has cleaning to steer.
-    file_zones_per_shard: int = 8,
-    num_shards: int = 4,
-    offered_kops: float = 12.0,
-    requests_per_tenant: int = 12_000,
-    num_keys: Optional[int] = None,
-    max_queue_depth: int = 128,
-    schemes: tuple = HINT_SCHEMES,
-    modes: tuple = HINT_MODES,
-    bump_at_frac: float = 0.35,
-    purge_bump_frac: float = 0.55,
-    storm_duration_frac: float = 0.10,
-    seed: int = 7,
-) -> List[Dict[str, object]]:
+    base=dict(_STORM_BASE, file_zones=8),
+    quick=dict(num_shards=2, requests_per_tenant=6_000),
+    # The full {off, ztl, full} × four-scheme grid on two shards — still
+    # exercising every hint path (ZTL drop, F2FS block-run drop, FTL
+    # discard-ahead) and the span reconciliation.
+    smoke=dict(num_shards=2, requests_per_tenant=3_000),
+)
+def _hint_cells(base: FleetCell) -> Cells:
     """Hint-coverage ablation (`repro hint-sweep`): hints {off, ztl,
     full} × the four schemes with a reclamation layer, under the
     invalidation-storm load (`repro invalidate`'s script unchanged).
 
     Every cell runs the same two-tenant storm: the web tenant's
-    namespace bump at ``bump_at_frac`` and the purge tenant's bump mid
+    namespace bump at 35% of the run and the purge tenant's bump mid
     delete-storm turn whole regions dead at once, so each scheme's GC
     faces the same condemned bytes — what varies is whether its
     reclamation layer can *see* the condemnation.  With hints off, every
@@ -1782,141 +1136,14 @@ def run_hint_sweep(
     copying them.
 
     Reconciliation: every hint drop emits one ``reclaim.<layer>``
-    ``drop`` span, counted here via a tracer subscription (records are
+    ``drop`` span, counted via a tracer subscription (records are
     streamed, not captured).  ``gc_hint_dropped_units`` ==
     ``gc_hint_drop_spans`` cell by cell — asserted in
     ``tests/test_gc_hints.py``.
     """
-    from repro.serve import (
-        CacheCluster,
-        InvalidationPlan,
-        Server,
-        ServerConfig,
-        TenantInvalidate,
-    )
-
-    scale = scale or _serving_scale()
-    media = zones_per_shard * scale.zone_size
-    cache_bytes = cache_zones_per_shard * scale.zone_size
-    file_media = file_zones_per_shard * scale.zone_size
-    if num_keys is None:
-        num_keys = int(1.05 * num_shards * media / 1568)
-    duration_ns = int(requests_per_tenant / (0.7 * offered_kops * 1000) * 1e9)
-    bump_at_ns = int(bump_at_frac * duration_ns)
-    purge_at_ns = int(purge_bump_frac * duration_ns)
-    plan = InvalidationPlan(
-        (
-            TenantInvalidate(bump_at_ns, "web"),
-            TenantInvalidate(purge_at_ns, "purge"),
+    for mode in HINT_MODES:
+        yield {"hints": mode}, replace(
+            base,
+            cache_overrides=(("lifecycle", _hint_lifecycle(mode)),),
+            count_drop_spans=mode != "off",
         )
-    )
-    rows: List[Dict[str, object]] = []
-    for name in schemes:
-        for mode in modes:
-            lifecycle = _hint_lifecycle(mode)
-            base_overrides: Dict[str, object] = {
-                "eviction_policy": "fifo",
-                "reclaim_window": 128,
-                "lifecycle": lifecycle,
-            }
-            if name == "Block-Cache":
-                shard_cache = media
-            else:
-                shard_cache = cache_bytes
-            cluster = CacheCluster.homogeneous(
-                name,
-                num_shards,
-                media,
-                shard_cache,
-                file_media_bytes=file_media if name == "File-Cache" else None,
-                scale=scale,
-                cache_overrides=tuple(sorted(base_overrides.items()))
-                + _invalidation_gc_overrides(name),
-                cache_stacks=True,
-            )
-            # Per-layer drop-span counter: subscribing streams records
-            # through the callback without capturing them, so the
-            # reconciliation costs no memory.  The FTL's engine is born
-            # on the shared NULL_TRACER; point it at the device tracer
-            # so its drop spans join the same stream.
-            drop_spans = {"count": 0}
-
-            def _count_drop(record, _drops=drop_spans):
-                if record.op == "drop" and record.layer.startswith("reclaim."):
-                    _drops["count"] += 1
-
-            gc_layer = "none"
-            for shard in cluster.shards:
-                shard_layer, engine = shard.stack.reclaim_engine()
-                if engine is None:
-                    continue
-                gc_layer = shard_layer
-                if mode != "off":
-                    # Unconditional: the FTL's engine is born on the
-                    # shared NULL_TRACER (and deep-copied stacks carry a
-                    # private copy of it), the ZTL/F2FS engines already
-                    # point here — either way the drop spans must join
-                    # the device stream the counter subscribes to.
-                    device = shard.stack.substrate["device"]
-                    engine.tracer = device.tracer
-                    device.tracer.subscribe(_count_drop)
-            tenants = _invalidation_tenants(
-                offered_kops * 1000,
-                requests_per_tenant,
-                num_keys,
-                seed,
-                bump_at_s=bump_at_ns / 1e9,
-                storm_at_s=purge_at_ns / 1e9,
-                storm_duration_s=storm_duration_frac * duration_ns / 1e9,
-            )
-            report = Server(
-                cluster,
-                tenants,
-                ServerConfig(max_queue_depth=max_queue_depth),
-                invalidations=plan,
-            ).run()
-            web = next(t for t in report.tenant_rows if t["tenant"] == "web")
-            purge = next(t for t in report.tenant_rows if t["tenant"] == "purge")
-            shard_rows = report.shard_rows
-            gc_stats = [
-                shard.stack.reclaim_engine()[1].stats
-                for shard in cluster.shards
-                if shard.stack.reclaim_engine()[1] is not None
-            ]
-            rows.append(
-                {
-                    "scheme": name,
-                    "hints": mode,
-                    "gc_layer": gc_layer,
-                    "num_shards": num_shards,
-                    "web_hit_ratio": web["hit_ratio"],
-                    "web_p99_us": web["p99_us"],
-                    "web_goodput_kops": web["goodput_kops"],
-                    "purge_p99_us": purge["p99_us"],
-                    "cluster_shed_rate": report.shed_rate,
-                    "waf_app_max": max(r["waf_app"] for r in shard_rows),
-                    "waf_device_max": max(r["waf_device"] for r in shard_rows),
-                    "gc_copied_bytes": sum(s.copied_bytes for s in gc_stats),
-                    "gc_migrated_units": sum(s.units_migrated for s in gc_stats),
-                    "gc_dropped_units": sum(s.units_dropped for s in gc_stats),
-                    "gc_hint_dropped_units": sum(
-                        s.hint_dropped_units for s in gc_stats
-                    ),
-                    "gc_hint_drop_spans": drop_spans["count"],
-                    "gc_victims": sum(s.victims_reclaimed for s in gc_stats),
-                }
-            )
-    return rows
-
-
-def run_hint_smoke(seed: int = 7) -> List[Dict[str, object]]:
-    """`repro hint-sweep --smoke`: the full {off, ztl, full} × four-
-    scheme grid on two shards with ~3k requests per tenant — twelve
-    rows, CI-sized, still exercising every hint path (ZTL drop, F2FS
-    block-run drop, FTL discard-ahead) and the span reconciliation."""
-    return run_hint_sweep(
-        num_shards=2,
-        offered_kops=12.0,
-        requests_per_tenant=3_000,
-        seed=seed,
-    )

@@ -7,84 +7,19 @@ be regenerated mechanically.
 
 from __future__ import annotations
 
+import csv
 import io
 from typing import Dict, List, Optional, Sequence
 
 
 def _union_columns(rows: List[Dict[str, object]]) -> List[str]:
     """Ordered union of keys across rows, so ragged row sets (e.g.
-    serving tenant rows followed by per-shard rows) keep every column."""
+    tenant rows followed by per-shard rows) keep every column."""
     seen: Dict[str, None] = {}
     for row in rows:
         for key in row:
             seen.setdefault(key)
     return list(seen)
-
-
-# Legacy per-layer reclamation counter names → the uniform gc_* family.
-# Each layer historically reported the same three facts (victims
-# reclaimed, units migrated, units dropped) under its own spelling, so a
-# mixed-scheme table unioned four synonymous columns; canonicalizing at
-# render time keeps old row producers working while the table stays one
-# column per fact.
-GC_COLUMN_ALIASES: Dict[str, str] = {
-    "zones_collected": "gc_victims",
-    "sections_cleaned": "gc_victims",
-    "erased_blocks": "gc_victims",
-    "regions_evicted": "gc_victims",
-    "regions_migrated": "gc_migrated_units",
-    "blocks_migrated": "gc_migrated_units",
-    "moved_pages": "gc_migrated_units",
-    "regions_dropped": "gc_dropped_units",
-    "items_evicted": "gc_dropped_units",
-    "gc_zone_resets": "gc_resets",
-    "gc_runs": "gc_triggers",
-    "throttled_steps": "gc_throttled_steps",
-    "copy_throttle_events": "gc_copy_throttle_events",
-}
-
-
-# Tie-break order for conflicting aliases: the alias table's
-# declaration order, independent of row dict insertion order.
-_ALIAS_RANK: Dict[str, int] = {alias: i for i, alias in enumerate(GC_COLUMN_ALIASES)}
-
-
-def canonicalize_gc_columns(
-    rows: List[Dict[str, object]],
-) -> List[Dict[str, object]]:
-    """Fold per-layer GC counter spellings into the ``gc_*`` family.
-
-    A canonical key already present in a row wins over an alias (row
-    producers that emit both keep their explicit value); when two
-    *aliases* in one row map to the same canonical key, the one earlier
-    in :data:`GC_COLUMN_ALIASES` wins — deterministic regardless of the
-    row's insertion order.  Rows without any aliased key pass through
-    unchanged.
-    """
-    out: List[Dict[str, object]] = []
-    for row in rows:
-        if not any(key in GC_COLUMN_ALIASES for key in row):
-            out.append(row)
-            continue
-        new: Dict[str, object] = {}
-        # canonical target -> alias that currently supplies its value
-        supplied_by: Dict[str, str] = {}
-        for key, value in row.items():
-            target = GC_COLUMN_ALIASES.get(key, key)
-            if target == key:
-                new[target] = value
-                continue
-            if target in row:
-                continue  # explicit canonical value wins over any alias
-            prev = supplied_by.get(target)
-            if prev is None:
-                new[target] = value
-                supplied_by[target] = key
-            elif _ALIAS_RANK[key] < _ALIAS_RANK[prev]:
-                new[target] = value
-                supplied_by[target] = key
-        out.append(new)
-    return out
 
 
 def format_table(
@@ -95,7 +30,6 @@ def format_table(
     """Render rows as an aligned text table."""
     if not rows:
         return f"{title}\n(no rows)" if title else "(no rows)"
-    rows = canonicalize_gc_columns(rows)
     if columns is None:
         columns = _union_columns(rows)
     rendered: List[List[str]] = [[_cell(row.get(col)) for col in columns] for row in rows]
@@ -115,16 +49,17 @@ def format_table(
 
 
 def rows_to_csv(rows: List[Dict[str, object]], columns: Optional[Sequence[str]] = None) -> str:
-    """Render rows as CSV text (simple values, no quoting of commas)."""
+    """Render rows as CSV text; a cell holding a comma, a quote or a
+    newline is quoted, so no value can shift the columns after it."""
     if not rows:
         return ""
-    rows = canonicalize_gc_columns(rows)
     if columns is None:
         columns = _union_columns(rows)
-    lines = [",".join(str(col) for col in columns)]
-    for row in rows:
-        lines.append(",".join(_cell(row.get(col)) for col in columns))
-    return "\n".join(lines)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([str(col) for col in columns])
+    writer.writerows([_cell(row.get(col)) for col in columns] for row in rows)
+    return out.getvalue()[:-1]  # no trailing newline
 
 
 def _cell(value: object) -> str:

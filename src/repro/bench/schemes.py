@@ -26,6 +26,7 @@ from repro.cache.backends import (
 )
 from repro.cache.config import CacheConfig
 from repro.cache.engine import HybridCache
+from repro.errors import ConfigError
 from repro.f2fs.fs import F2fs
 from repro.f2fs.gc import CleanerConfig
 from repro.f2fs.layout import F2fsConfig
@@ -451,6 +452,52 @@ def build_z_cache(
     )
 
 
+# Flash regions are reclaimed FIFO, as CacheLib's navy engine does
+# (the paper's "LRU" §4.1 setting is the DRAM tier's item policy,
+# which RamCache implements).  FIFO keeps region death order equal to
+# write order — the property that keeps zone GC cheap (Table 1).
+# reclaim_window models navy's clean-region pool: region reuse
+# deviates slightly from strict FIFO, leaving straggler regions in
+# dying zones — the source of Table 1's low-1.x WAFs.  Zone-Cache
+# reclaims exactly one zone at a time (no pool), matching §3.2.
+NAVY = {"eviction_policy": "fifo", "reclaim_window": 128}
+
+
+def provision(
+    name: str,
+    scale: SchemeScale,
+    zones: int,
+    cache_zones: int,
+    file_zones: int,
+    block_fills_lba: bool = False,
+) -> Dict[str, object]:
+    """:func:`build_scheme` keywords for one ``zones``-zone device of
+    scheme ``name`` — the evaluation's provisioning rule, written once.
+
+    Cache budgets follow each scheme's OP model (§4.1): Zone-Cache
+    caches the whole device (no OP at all, §3.2) and takes only the
+    reclaim-policy override, not navy's clean-region pool; the
+    host-side schemes cache ``cache_zones`` and keep the rest as
+    host-visible spare zones the ZTL/F2FS reclaim into, File-Cache's
+    F2FS on its own ``file_zones`` device (metadata + provisioning
+    around the same cache budget); Block-Cache's OP is *internal*,
+    behind the FTL — with ``block_fills_lba`` it fills its exposed LBA
+    space and that internal OP is the only headroom its GC gets.
+    """
+    media = zones * scale.zone_size
+    if name == "Zone-Cache":
+        return dict(media_bytes=media, cache_bytes=None, eviction_policy="fifo")
+    fills = name == "Block-Cache" and block_fills_lba
+    kwargs: Dict[str, object] = dict(
+        media_bytes=media,
+        cache_bytes=media if fills else cache_zones * scale.zone_size,
+        **NAVY,
+    )
+    if name == "File-Cache":
+        kwargs["file_media_bytes"] = file_zones * scale.zone_size
+    return kwargs
+
+
 def build_scheme(
     name: str,
     clock: SimClock,
@@ -481,13 +528,13 @@ def build_scheme(
     try:
         builder = builders[name]
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown scheme {name!r}; expected one of {ALL_SCHEME_NAMES}"
-        )
+        ) from None
     if name == "Zone-Cache":
         return builder(clock, scale, media_bytes, cache_bytes=cache_bytes, **kwargs)
     if cache_bytes is None:
-        raise ValueError(f"{name} requires an explicit cache_bytes budget")
+        raise ConfigError(f"{name} requires an explicit cache_bytes budget")
     if name == "File-Cache" and file_media_bytes is not None:
         media_bytes = file_media_bytes
     return builder(clock, scale, media_bytes, cache_bytes, **kwargs)

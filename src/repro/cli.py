@@ -5,8 +5,11 @@ Examples::
     python -m repro fig2                  # Figure 2 at default scale
     python -m repro table1 --quick        # faster, smaller run
     python -m repro fig5 --csv out.csv    # also dump rows as CSV
-    python -m repro all                   # every table and figure
+    python -m repro all --smoke           # every experiment, CI-sized
     python -m repro profile serve --smoke # cProfile a run, top-N by cumtime
+
+What can be named, and what ``--quick`` / ``--smoke`` / ``--plot`` do for
+it, comes from the registry in :mod:`repro.bench.experiments`.
 """
 
 from __future__ import annotations
@@ -14,153 +17,28 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
+from repro.bench.experiments import EXPERIMENTS, Plot, Rows, run_sweep
+from repro.bench.plots import line_plot, scheme_bars
 from repro.bench.reporting import format_table, rows_to_csv
 
 
-def _fig2(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_fig2_overall
-
-    return run_fig2_overall(num_ops=20_000 if quick else 60_000)
-
-
-def _fig3(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_fig3_insertion_time
-
-    series = run_fig3_insertion_time(num_sets=40_000 if quick else None)
-    rows: List[dict] = []
-    for label, points in series.items():
-        for point in points:
-            rows.append({"series": label, **point})
-    return rows
+def _add_size_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--quick", action="store_true", help="smaller/faster run (coarser numbers)"
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help=(
+            "the experiment's CI-sized grid: seconds, not minutes, still "
+            "driving every code path of the full run (wins over --quick)"
+        ),
+    )
 
 
-def _fig4(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_fig4_op_sweep
-
-    return run_fig4_op_sweep(num_ops=20_000 if quick else 60_000)
-
-
-def _table1(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_table1_waf
-
-    return run_table1_waf(num_ops=20_000 if quick else 60_000)
-
-
-def _fig5(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_fig5_rocksdb
-
-    if quick:
-        return run_fig5_rocksdb(num_keys=40_000, num_reads=3_000, warmup_reads=6_000)
-    return run_fig5_rocksdb()
-
-
-def _table2(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_table2_cache_sizes
-
-    if quick:
-        return run_table2_cache_sizes(
-            num_keys=40_000, num_reads=3_000, warmup_reads=6_000
-        )
-    return run_table2_cache_sizes()
-
-
-def _serve(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_serving_sweep
-
-    if quick:
-        return run_serving_sweep(
-            offered_kops=(40.0, 240.0), requests_per_tenant=1_500
-        )
-    return run_serving_sweep()
-
-
-def _gc_sweep(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_gc_ablation
-
-    if quick:
-        return run_gc_ablation(
-            policies=("greedy", "cost_benefit"),
-            paces=(8,),
-            requests_per_tenant=6_000,
-        )
-    return run_gc_ablation()
-
-
-def _gc_qos(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_gc_qos_sweep
-
-    if quick:
-        return run_gc_qos_sweep(
-            offered_kops=(12.0,), requests_per_tenant=4_000
-        )
-    return run_gc_qos_sweep()
-
-
-def _zone_cost(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_zone_cost_ablation
-
-    if quick:
-        return run_zone_cost_ablation(requests_per_tenant=4_000)
-    return run_zone_cost_ablation()
-
-
-def _failover(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_failover_sweep
-
-    if quick:
-        return run_failover_sweep(requests_per_tenant=3_000)
-    return run_failover_sweep()
-
-
-def _invalidate(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_invalidation_sweep
-
-    if quick:
-        return run_invalidation_sweep(num_shards=2, requests_per_tenant=6_000)
-    return run_invalidation_sweep()
-
-
-def _hint_sweep(quick: bool) -> List[dict]:
-    from repro.bench.experiments import run_hint_sweep
-
-    if quick:
-        return run_hint_sweep(num_shards=2, requests_per_tenant=6_000)
-    return run_hint_sweep()
-
-
-EXPERIMENTS: Dict[str, Callable[[bool], List[dict]]] = {
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "table1": _table1,
-    "fig5": _fig5,
-    "table2": _table2,
-    "serve": _serve,
-    "gc-sweep": _gc_sweep,
-    "gc-qos": _gc_qos,
-    "zone-cost": _zone_cost,
-    "failover": _failover,
-    "invalidate": _invalidate,
-    "hint-sweep": _hint_sweep,
-}
-
-TITLES = {
-    "fig2": "Figure 2: four schemes — throughput and hit ratio",
-    "fig3": "Figure 3: region buffer fill times (large vs small regions)",
-    "fig4": "Figure 4: OP-ratio sweep",
-    "table1": "Table 1: WA factor vs OP ratio",
-    "fig5": "Figure 5: RocksDB with each scheme as secondary cache",
-    "table2": "Table 2: Zone-Cache cache-size sweep",
-    "serve": "Serving sweep: offered load vs p99 and shed rate per scheme",
-    "gc-sweep": "GC ablation: victim policy x watermark x pacing per scheme",
-    "gc-qos": "GC-QoS co-scheduling: adaptive pacing x GC-aware routing",
-    "zone-cost": "Zone-cost ablation: {zero, measured} costs x {Region, Z}-Cache",
-    "failover": "Failover sweep: kill a shard mid-diurnal load, R=1 vs R=2",
-    "invalidate": "Invalidation storm: bump tenant namespaces mid-run, per scheme",
-    "hint-sweep": "Hint ablation: cache->GC hints {off, ztl, full} per scheme",
-}
+def _size(args: argparse.Namespace) -> str:
+    return "smoke" if args.smoke else "quick" if args.quick else "full"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,15 +48,17 @@ def build_parser() -> argparse.ArgumentParser:
             "Reproduce the evaluation of 'Can ZNS SSDs be Better Storage "
             "Devices for Persistent Cache?' (HotStorage '24)."
         ),
+        epilog="experiments:\n" + "\n".join(
+            f"  {name:<11} {exp.title}" for name, exp in sorted(EXPERIMENTS.items())
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "experiment",
         choices=sorted(EXPERIMENTS) + ["all"],
-        help="which paper result to regenerate",
+        help="which result to regenerate",
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller/faster run (coarser numbers)"
-    )
+    _add_size_flags(parser)
     parser.add_argument(
         "--csv", metavar="PATH", help="also write result rows to a CSV file"
     )
@@ -190,131 +70,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--plot", action="store_true",
         help="also render an ASCII chart of each result's shape",
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help=(
-            "with 'serve': tiny mixed-fleet run (2 shards, 2 tenants, "
-            "~2k requests) used as the CI smoke test; with 'gc-sweep': "
-            "two policies with tracing on, verifying reclaim spans; with "
-            "'gc-qos': one scheme, all four pacing x routing combos; with "
-            "'zone-cost': both schemes x both cost presets, short stream; "
-            "with 'failover': one scheme, four shards, R in {1,2}, one kill; "
-            "with 'invalidate': all five schemes, two shards, ~4k requests; "
-            "with 'hint-sweep': the full hint ablation grid on two shards"
-        ),
-    )
     return parser
 
 
-def _plot_for(name: str, rows: List[dict]) -> str:
-    from repro.bench.plots import line_plot, scheme_bars
-
-    if name in ("fig2", "fig4"):
-        return scheme_bars(
-            rows, "throughput_mops_per_min", title="throughput (Mops/min)"
-        )
-    if name == "fig5":
-        return scheme_bars(rows, "kops_per_sec", title="throughput (kops/s)")
-    if name == "table2":
-        return scheme_bars(
-            rows, "hit_ratio_pct", label_key="cache_zones", title="hit ratio (%)"
-        )
-    if name == "table1":
-        return scheme_bars(rows, "waf", title="WA factor")
-    if name == "fig3":
-        large = [r["fill_time_us"] for r in rows if r["series"] == "large_region"]
-        return line_plot(large, title="large-region fill time (us) per sequence")
-    if name == "serve":
-        web = [
-            {**r, "load": f"{r['scheme']}@{r['offered_total_kops']:g}k"}
-            for r in rows
-            if r.get("tenant") == "web" and "offered_total_kops" in r
-        ]
-        if not web:
-            return ""
-        return scheme_bars(
-            web, "p99_us", label_key="load", title="web tenant p99 (us)"
-        )
-    if name == "gc-qos":
-        labeled = [
-            {**r, "combo": f"{r['scheme'][:6]}/{r['pacing'][:4]}+{r['routing']}"}
-            for r in rows
-        ]
-        return scheme_bars(
-            labeled, "web_p99_us", label_key="combo", title="web tenant p99 (us)"
-        )
-    if name == "zone-cost":
-        labeled = [
-            {**r, "combo": f"{r['scheme'][:6]}/{r['cost_preset']}"}
-            for r in rows
-        ]
-        return scheme_bars(
-            labeled, "web_p99_us", label_key="combo", title="web tenant p99 (us)"
-        )
-    if name == "failover":
-        labeled = [
-            {**r, "combo": f"{r['scheme'][:6]}/R{r['replicas']}"} for r in rows
-        ]
-        return scheme_bars(
-            labeled,
-            "fleet_availability",
-            label_key="combo",
-            title="availability under shard loss",
-        )
-    if name == "invalidate":
-        return scheme_bars(
-            rows, "gc_copied_bytes", title="post-storm GC copied bytes"
-        )
-    if name == "hint-sweep":
-        labeled = [{**r, "combo": f"{r['scheme']}/{r['hints']}"} for r in rows]
-        return scheme_bars(
-            labeled,
-            "gc_copied_bytes",
-            label_key="combo",
-            title="GC copied bytes by hint coverage",
-        )
-    if name == "gc-sweep":
-        labeled = [
-            {**r, "combo": f"{r['scheme']}/{r['gc_policy']}@w{r['watermark_scale']}"}
-            for r in rows
-        ]
-        return scheme_bars(
-            labeled, "gc_copied_bytes", label_key="combo", title="GC copied bytes"
-        )
-    return ""
-
-
-def _rows_for(name: str, smoke: bool, quick: bool) -> List[dict]:
-    """One experiment run, honoring the smoke variants where they exist."""
-    if name == "serve" and smoke:
-        from repro.bench.experiments import run_serving_smoke
-
-        return run_serving_smoke()
-    if name == "gc-sweep" and smoke:
-        from repro.bench.experiments import run_gc_smoke
-
-        return run_gc_smoke()
-    if name == "gc-qos" and smoke:
-        from repro.bench.experiments import run_gc_qos_smoke
-
-        return run_gc_qos_smoke()
-    if name == "zone-cost" and smoke:
-        from repro.bench.experiments import run_zone_cost_smoke
-
-        return run_zone_cost_smoke()
-    if name == "failover" and smoke:
-        from repro.bench.experiments import run_failover_smoke
-
-        return run_failover_smoke()
-    if name == "invalidate" and smoke:
-        from repro.bench.experiments import run_invalidation_smoke
-
-        return run_invalidation_smoke()
-    if name == "hint-sweep" and smoke:
-        from repro.bench.experiments import run_hint_smoke
-
-        return run_hint_smoke()
-    return EXPERIMENTS[name](quick)
+def render_plot(plot: Plot, rows: Rows) -> str:
+    """The ASCII chart a registry entry's :class:`Plot` describes."""
+    if plot.line_of is not None:
+        column, wanted = plot.line_of
+        series = [row[plot.value] for row in rows if row[column] == wanted]
+        return line_plot(series, title=plot.title)
+    labeled = [
+        {**row, "label": "/".join(f"{row[column]}" for column in plot.labels)}
+        for row in rows
+    ]
+    return scheme_bars(labeled, plot.value, label_key="label", title=plot.title)
 
 
 def _run_profile(argv: List[str]) -> int:
@@ -336,13 +105,7 @@ def _run_profile(argv: List[str]) -> int:
         choices=sorted(EXPERIMENTS),
         help="which experiment to profile",
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="profile the smoke variant (serve / gc-sweep / gc-qos)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller/faster run"
-    )
+    _add_size_flags(parser)
     parser.add_argument(
         "--top", type=int, default=25,
         help="how many functions to print (default 25)",
@@ -355,12 +118,11 @@ def _run_profile(argv: List[str]) -> int:
     profiler = cProfile.Profile()
     started = time.time()
     profiler.enable()
-    rows = _rows_for(args.experiment, args.smoke, args.quick)
+    rows = run_sweep(args.experiment, _size(args))
     profiler.disable()
     elapsed = time.time() - started
     print(
-        f"profiled {args.experiment}"
-        f"{' --smoke' if args.smoke else ''}: "
+        f"profiled {args.experiment} ({_size(args)}): "
         f"{len(rows)} result rows in {elapsed:.2f}s wall clock\n"
     )
     stats = pstats.Stats(profiler)
@@ -376,20 +138,21 @@ def run(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     all_rows: List[dict] = []
+    # One memo per invocation: under `all`, a projection (table1) reuses
+    # the rows its source experiment (fig4) just produced.
+    memo: dict = {}
     for name in names:
         started = time.time()
         print(f"running {name} ...", flush=True)
-        rows = _rows_for(name, args.smoke, args.quick)
+        rows = run_sweep(name, _size(args), memo)
         elapsed = time.time() - started
         shown = rows[: args.max_rows]
-        print(format_table(shown, title=TITLES[name]))
+        print(format_table(shown, title=EXPERIMENTS[name].title))
         if len(rows) > len(shown):
             print(f"... ({len(rows) - len(shown)} more rows)")
         if args.plot:
-            chart = _plot_for(name, rows)
-            if chart:
-                print()
-                print(chart)
+            print()
+            print(render_plot(EXPERIMENTS[name].plot, rows))
         print(f"({elapsed:.1f}s wall clock)\n")
         for row in rows:
             all_rows.append({"experiment": name, **row})

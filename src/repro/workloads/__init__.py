@@ -17,6 +17,7 @@ from repro.workloads.distributions import (
     ValueSizeSampler,
 )
 from repro.workloads.cachebench import (
+    MEAN_ENTRY_BYTES,
     CacheBenchConfig,
     CacheBenchDriver,
     CacheOp,
@@ -31,6 +32,7 @@ __all__ = [
     "ZipfSampler",
     "ValueSizeSampler",
     "CacheOp",
+    "MEAN_ENTRY_BYTES",
     "CacheBenchConfig",
     "CacheBenchDriver",
     "WorkloadResult",

@@ -30,6 +30,11 @@ KIND_SET = 1
 KIND_DELETE = 2
 KIND_NAMES = ("get", "set", "delete")
 
+# Mean on-flash entry under the default value-size mix: the weighted
+# mean value (1536 B) plus the 16-byte key and 16-byte entry header.
+# Experiments size keyspaces against a byte budget by dividing by it.
+MEAN_ENTRY_BYTES = 1568
+
 
 @dataclass(frozen=True)
 class CacheBenchConfig:
@@ -166,6 +171,14 @@ class CacheBenchDriver:
     def value_bytes(self, key_index: int, size: int) -> bytes:
         unit = b"v%014d" % key_index
         return (unit * -(-size // len(unit)))[:size]
+
+    def populate(self, cache: HybridCache) -> None:
+        """CacheBench-style population phase: one set per key (not measured)."""
+        for key_index in range(self.config.num_keys):
+            cache.set(
+                self.key_bytes(key_index),
+                self.value_bytes(key_index, self._sizes.sample()),
+            )
 
     def run(self, cache: HybridCache) -> WorkloadResult:
         """Execute the mix; stats are reset after warm-up."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.experiments import run_sweep
 from repro.flash import (
     BlockSsd,
     BlockSsdConfig,
@@ -54,3 +55,17 @@ def make_payload(length: int, tag: int) -> bytes:
     unit = bytes([tag % 256]) * 64
     reps = -(-length // len(unit))
     return (unit * reps)[:length]
+
+
+@pytest.fixture(scope="session")
+def sweep_rows():
+    """``sweep_rows(name, size="smoke")``: an experiment's rows at a
+    registry size, computed once per session.  For tests that only
+    *read* rows — a determinism test takes its first run from here and
+    keeps its own second run."""
+    memo: dict = {}
+
+    def rows(name: str, size: str = "smoke"):
+        return run_sweep(name, size, memo)
+
+    return rows

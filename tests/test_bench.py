@@ -1,6 +1,9 @@
 """Tests for the benchmark harness: reporting, scheme builders, and
 small-scale shape checks of the experiment functions."""
 
+import csv
+import io
+
 import pytest
 
 from repro.bench import (
@@ -9,9 +12,8 @@ from repro.bench import (
     build_scheme,
     format_table,
     rows_to_csv,
-    run_fig2_overall,
-    run_fig3_insertion_time,
 )
+from repro.bench.experiments import run_sweep
 from repro.sim import SimClock
 from repro.units import KIB
 
@@ -42,14 +44,31 @@ class TestReporting:
         assert "(no rows)" in format_table([])
 
     def test_csv(self):
-        csv = rows_to_csv(self.ROWS)
-        lines = csv.splitlines()
+        lines = rows_to_csv(self.ROWS).splitlines()
         assert lines[0] == "scheme,value,count"
         assert lines[1].startswith("A,1.235")
         assert lines[2].endswith(",")  # None renders empty
 
     def test_csv_empty(self):
         assert rows_to_csv([]) == ""
+
+    def test_csv_quotes_what_would_shift_columns(self):
+        """Regression: cells were joined with "," unquoted, so a value
+        holding a comma (``str(list)``) silently shifted every column
+        after it.  Comma-free cells render byte-for-byte as before."""
+        rows = [
+            {"a": "[1, 2]", "b": 'say "hi"', "c": "two\nlines", "d": 1.5},
+            {"a": "plain", "b": None, "c": 7, "d": 2.0},
+        ]
+        text = rows_to_csv(rows)
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert parsed == [
+            ["a", "b", "c", "d"],
+            ["[1, 2]", 'say "hi"', "two\nlines", "1.5"],
+            ["plain", "", "7", "2"],
+        ]
+        assert text.splitlines()[-1] == "plain,,7,2"
+        assert not text.endswith("\n")
 
 
 class TestSchemeBuilders:
@@ -91,28 +110,29 @@ class TestSchemeBuilders:
 class TestExperimentShapes:
     """Miniature experiment runs: fast, checking structure not numbers."""
 
-    def test_fig2_rows_structure(self):
-        rows = run_fig2_overall(
-            scale=SMALL, zones=8, cache_zones=6, file_zones=14,
+    @pytest.fixture(scope="class")
+    def fig2_rows(self):
+        return run_sweep(
+            "fig2", scale=SMALL, zones=8, cache_zones=6, file_zones=14,
             num_keys=1200, num_ops=2500,
         )
-        assert {r["scheme"] for r in rows} == set(SCHEME_NAMES)
-        for row in rows:
+
+    def test_fig2_rows_structure(self, fig2_rows):
+        assert {r["scheme"] for r in fig2_rows} == set(SCHEME_NAMES)
+        for row in fig2_rows:
             assert row["throughput_mops_per_min"] > 0
             assert 0 <= row["hit_ratio"] <= 1
             assert row["waf_app"] >= 1.0
 
-    def test_fig2_zone_cache_is_biggest(self):
-        rows = run_fig2_overall(
-            scale=SMALL, zones=8, cache_zones=6, file_zones=14,
-            num_keys=1200, num_ops=2000,
-        )
-        by_scheme = {r["scheme"]: r for r in rows}
+    def test_fig2_zone_cache_is_biggest(self, fig2_rows):
+        by_scheme = {r["scheme"]: r for r in fig2_rows}
         assert by_scheme["Zone-Cache"]["cache_mib"] > by_scheme["Block-Cache"]["cache_mib"]
 
     def test_fig3_series_structure(self):
-        series = run_fig3_insertion_time(scale=SMALL, zones=8, num_sets=3000)
-        assert set(series) == {"large_region", "small_region"}
+        rows = run_sweep("fig3", scale=SMALL, zones=8, num_sets=3000)
+        series = {"large_region": [], "small_region": []}
+        for row in rows:
+            series[row["series"]].append(row)
         # Small regions seal far more often than zone-sized ones.
         assert len(series["small_region"]) > 4 * len(series["large_region"])
         for points in series.values():

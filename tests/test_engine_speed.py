@@ -34,13 +34,15 @@ import hashlib
 import heapq
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-import repro.bench.experiments as experiments
+from repro.bench.experiments import sweep_cells
+from repro.bench.fleet import SERVING_SCALE, FleetCell, build_fleet, tenant_mix
 from repro.bench.schemes import (
     SchemeScale,
     build_scheme,
@@ -50,13 +52,10 @@ from repro.bench.schemes import (
 from repro.cache.lifecycle import LifecycleConfig
 from repro.serve import (
     CacheCluster,
-    FailoverPlan,
     InvalidationPlan,
-    ReplicationConfig,
     RoutingConfig,
     Server,
     ServerConfig,
-    ShardKill,
     ShardSpec,
     TenantConfig,
     TenantInvalidate,
@@ -200,8 +199,10 @@ def _enable_tracing(cluster: CacheCluster) -> None:
 
 
 def _smoke_server(trace: bool = False, schemes: tuple = None) -> Server:
-    """The run_serving_smoke cluster/tenants, optionally traced."""
-    scale = experiments._serving_scale()
+    """The mixed Region+Zone fleet `repro serve --smoke` used to run (or
+    a homogeneous ``schemes`` fleet under the same load), optionally
+    traced — pinned here, provisioned by hand on purpose."""
+    scale = SERVING_SCALE
     media = 12 * scale.zone_size
     if schemes is None:
         specs = [
@@ -232,45 +233,24 @@ def _smoke_server(trace: bool = False, schemes: tuple = None) -> Server:
     cluster = CacheCluster(specs, scale=scale)
     if trace:
         _enable_tracing(cluster)
-    tenants = experiments._serving_tenants(
-        total_rate=120_000.0, requests_per_tenant=1_000, num_keys=1_500, seed=7
+    tenants = tenant_mix(
+        FleetCell(
+            shards=tuple(spec.scheme for spec in specs),
+            offered_kops=120.0,
+            requests_per_tenant=1_000,
+            num_keys=1_500,
+        )
     )
     return Server(cluster, tenants, ServerConfig(max_queue_depth=24))
 
 
 def _failover_smoke_server(trace: bool = False) -> Server:
-    """The R=2 cell of run_failover_smoke, optionally traced."""
-    scale = experiments._serving_scale()
-    num_shards, offered_kops, requests = 4, 12.0, 1_500
-    media = 10 * scale.zone_size
-    overrides = {"eviction_policy": "fifo", "reclaim_window": 128}
-    duration_ns = int(requests / (0.7 * offered_kops * 1000) * 1e9)
-    cluster = CacheCluster.homogeneous(
-        "Region-Cache",
-        num_shards,
-        media,
-        6 * scale.zone_size,
-        scale=scale,
-        cache_overrides=tuple(sorted(overrides.items()))
-        + experiments._gc_qos_overrides("Region-Cache"),
-        replication=ReplicationConfig(replicas=2, hint_limit=8192),
-    )
-    if trace:
-        _enable_tracing(cluster)
-    tenants = experiments._serving_tenants(
-        offered_kops * 1000,
-        requests,
-        int(1.05 * num_shards * media / 1568),
-        7,
-        web_arrival="diurnal",
-    )
-    kill = ShardKill(int(0.35 * duration_ns), 0, int(0.25 * duration_ns))
-    return Server(
-        cluster,
-        tenants,
-        ServerConfig(max_queue_depth=128),
-        failover=FailoverPlan((kill,)),
-    )
+    """The R=2 cell of the failover smoke, built by the sweep's own
+    builder, optionally traced."""
+    (cell,) = [
+        cell for _, cell in sweep_cells("failover", "smoke") if cell.replicas == 2
+    ]
+    return build_fleet(replace(cell, trace=trace))
 
 
 def _bump_server(trace: bool = False, rate: float = 50_000.0) -> Server:

@@ -54,6 +54,37 @@ class TestErrorHierarchy:
         with pytest.raises(errors.ConfigError):
             PoolConfig(**kwargs)
 
+    def test_unknown_scheme_and_missing_budget_are_config_errors(self):
+        from repro.bench.schemes import SchemeScale, build_scheme
+
+        with pytest.raises(errors.ConfigError, match="Z-Cache"):
+            build_scheme("Quantum-Cache", SimClock(), SchemeScale(), 1 << 24, 1 << 23)
+        with pytest.raises(errors.ConfigError, match="cache_bytes"):
+            build_scheme("Region-Cache", SimClock(), SchemeScale(), 1 << 24)
+
+    def test_unknown_hint_mode_is_a_config_error(self):
+        from repro.bench.experiments import _hint_lifecycle
+
+        with pytest.raises(errors.ConfigError, match="full"):
+            _hint_lifecycle("partial")
+
+    def test_unknown_experiment_names_the_valid_ones(self):
+        from repro.bench.experiments import run_sweep
+
+        with pytest.raises(errors.ConfigError, match="hint-sweep"):
+            run_sweep("fig99")
+
+    @pytest.mark.parametrize(
+        "name, override", [("fig2", "requests_per_tenant"), ("failover", "num_ops")]
+    )
+    def test_override_neither_axis_nor_cell_field_is_rejected(self, name, override):
+        """An override is accepted only if it is an axis of the sweep or
+        a field of its cell; the error names what would have been."""
+        from repro.bench.experiments import run_sweep
+
+        with pytest.raises(errors.ConfigError, match="accepts"):
+            run_sweep(name, "smoke", **{override: 1})
+
 
 class TestRngStreams:
     def test_same_seed_same_stream(self):

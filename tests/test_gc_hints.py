@@ -554,16 +554,9 @@ class TestE2eP99Signal:
 
 class TestHintSweep:
     @pytest.mark.slow
-    def test_drop_counters_reconcile_with_trace_spans(self):
-        from repro.bench.experiments import run_hint_sweep
-
-        rows = run_hint_sweep(
-            num_shards=2,
-            requests_per_tenant=3_000,
-            schemes=("Block-Cache", "File-Cache"),
-            modes=("off", "full"),
-        )
-        assert len(rows) == 4
+    def test_drop_counters_reconcile_with_trace_spans(self, sweep_rows):
+        rows = sweep_rows("hint-sweep")  # two shards, 3000 requests
+        assert len(rows) == 12
         by_cell = {(r["scheme"], r["hints"]): r for r in rows}
         for row in rows:
             assert row["gc_hint_dropped_units"] == row["gc_hint_drop_spans"]
@@ -576,10 +569,10 @@ class TestHintSweep:
             assert full["gc_copied_bytes"] < off["gc_copied_bytes"]
 
     @pytest.mark.slow
-    def test_smoke_grid_is_deterministic(self):
-        from repro.bench.experiments import run_hint_smoke
+    def test_smoke_grid_is_deterministic(self, sweep_rows):
+        from repro.bench.experiments import run_sweep
 
-        first = run_hint_smoke()
-        second = run_hint_smoke()
+        first = sweep_rows("hint-sweep")
+        second = run_sweep("hint-sweep", "smoke")
         assert first == second
         assert {r["hints"] for r in first} == {"off", "ztl", "full"}

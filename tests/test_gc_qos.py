@@ -438,10 +438,8 @@ class TestServingIntegration:
 
 class TestGcQosSmoke:
     @pytest.fixture(scope="class")
-    def smoke_rows(self):
-        from repro.bench.experiments import run_gc_qos_smoke
-
-        return run_gc_qos_smoke()
+    def smoke_rows(self, sweep_rows):
+        return sweep_rows("gc-qos")
 
     def test_grid_shape(self, smoke_rows):
         combos = {(r["pacing"], r["routing"]) for r in smoke_rows}
@@ -463,6 +461,6 @@ class TestGcQosSmoke:
                 assert row["gc_pace_adjustments"] == 0
 
     def test_deterministic(self, smoke_rows):
-        from repro.bench.experiments import run_gc_qos_smoke
+        from repro.bench.experiments import run_sweep
 
-        assert run_gc_qos_smoke() == smoke_rows
+        assert run_sweep("gc-qos", "smoke") == smoke_rows

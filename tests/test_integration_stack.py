@@ -2,7 +2,6 @@
 with substrate-level invariants checked afterwards."""
 
 
-from repro.bench.experiments import _populate
 from repro.bench.schemes import (
     SchemeScale,
     build_block_cache,
@@ -30,7 +29,7 @@ WORKLOAD = CacheBenchConfig(
 
 def run_mix(stack):
     driver = CacheBenchDriver(WORKLOAD)
-    _populate(driver, stack)
+    driver.populate(stack.cache)
     return driver.run(stack.cache)
 
 

@@ -11,10 +11,7 @@ slow tier.
 
 import pytest
 
-from repro.bench.experiments import (
-    run_invalidation_smoke,
-    run_invalidation_sweep,
-)
+from repro.bench.experiments import run_sweep
 from repro.bench.schemes import SchemeScale
 from repro.cache.lifecycle import LifecycleConfig, split_versioned
 from repro.errors import ConfigError
@@ -334,9 +331,9 @@ class TestServerIntegration:
 
 
 class TestInvalidationSmokeGolden:
-    def test_smoke_deterministic_and_shaped(self):
-        rows_a = run_invalidation_smoke()
-        rows_b = run_invalidation_smoke()
+    def test_smoke_deterministic_and_shaped(self, sweep_rows):
+        rows_a = sweep_rows("invalidate")
+        rows_b = run_sweep("invalidate", "smoke")
         assert rows_a == rows_b
         assert [r["scheme"] for r in rows_a] == [
             "Region-Cache",
@@ -368,7 +365,7 @@ class TestInvalidationSmokeGolden:
 @pytest.mark.slow
 class TestInvalidationSweepAcceptance:
     def test_separation_and_reconciliation_at_full_scale(self):
-        rows = run_invalidation_sweep()
+        rows = run_sweep("invalidate")
         by_scheme = {r["scheme"]: r for r in rows}
         block = by_scheme["Block-Cache"]
         assert block["gc_copied_bytes"] > 0

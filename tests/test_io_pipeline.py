@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.bench.experiments import run_fig2_overall
+from repro.bench.experiments import run_sweep
 from repro.bench.schemes import SchemeScale, build_scheme
 from repro.flash import (
     BlockSsd,
@@ -436,8 +436,8 @@ class TestGoldenSeed:
         assert device.stats.write_latency.p99() == 15_999_019
 
     @pytest.mark.slow
-    def test_fig2_golden(self):
-        rows = run_fig2_overall(zones=12, cache_zones=9, file_zones=18, num_ops=4000)
+    def test_fig2_golden(self, sweep_rows):
+        rows = sweep_rows("fig2")  # zones=12, cache 9, file 18, 4000 ops
         expected = {
             "Block-Cache": dict(
                 cache_mib=36.0,
@@ -592,19 +592,11 @@ class TestFaultGolden:
     including the fault/retry accounting and the sim-clock-derived
     latencies that injected spikes perturb."""
 
-    def test_fault_sweep_rows_reproduce_exactly(self):
-        from repro.bench.experiments import run_fault_sweep
-
-        kwargs = dict(
-            num_ops=2500,
-            num_keys=2500,
-            zones=12,
-            cache_zones=8,
-            file_zones=20,
-            schemes=("Region-Cache", "Block-Cache"),
-        )
-        first = run_fault_sweep(**kwargs)
-        second = run_fault_sweep(**kwargs)
+    def test_fault_sweep_rows_reproduce_exactly(self, sweep_rows):
+        # The registry's smoke grid: 2500 ops over 2500 keys on 12 zones
+        # (cache 8, file 20), Region-Cache and Block-Cache.
+        first = sweep_rows("fault")
+        second = run_sweep("fault", "smoke")
         assert first == second
         for row in first:
             assert row["faults_injected"] > 0, row["scheme"]

@@ -19,7 +19,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.bench.reporting import canonicalize_gc_columns
 from repro.errors import ConfigError
 from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, VictimPolicy as F2fsPolicy
 from repro.flash import NandGeometry, NullBlkDevice, ZnsConfig, ZnsSsd
@@ -397,11 +396,8 @@ class TestGoldenDeterminism:
         assert fs.stats.write_amplification == 2.0156666666666667
 
     @pytest.mark.slow
-    def test_fig2_rows_golden(self):
-        from repro.bench.experiments import run_fig2_overall
-
-        rows = run_fig2_overall(zones=12, cache_zones=9, file_zones=18,
-                                num_ops=4000)
+    def test_fig2_rows_golden(self, sweep_rows):
+        rows = sweep_rows("fig2")  # zones=12, cache 9, file 18, 4000 ops
         keep = ("scheme", "throughput_mops_per_min", "hit_ratio", "waf_app",
                 "waf_device", "get_p99_us", "set_p99_us", "cache_mib")
         assert [{k: row[k] for k in keep} for row in rows] == [
@@ -567,51 +563,15 @@ def test_ztl_reclaim_preserves_live_regions(ops):
 
 
 # --------------------------------------------------------------------------
-# Reporting: gc_* column canonicalization
-# --------------------------------------------------------------------------
-
-class TestGcColumnFamily:
-    def test_aliases_fold_into_gc_family(self):
-        rows = [
-            {"scheme": "a", "zones_collected": 3, "regions_migrated": 5},
-            {"scheme": "b", "gc_victims": 7, "sections_cleaned": 9},
-        ]
-        out = canonicalize_gc_columns(rows)
-        assert out[0] == {"scheme": "a", "gc_victims": 3, "gc_migrated_units": 5}
-        # The explicit canonical value wins over the legacy alias.
-        assert out[1] == {"scheme": "b", "gc_victims": 7}
-
-    def test_rows_without_aliases_pass_through(self):
-        row = {"scheme": "c", "hit_ratio": 0.5}
-        assert canonicalize_gc_columns([row])[0] is row
-
-    def test_conflicting_aliases_resolve_deterministically(self):
-        # Regression: two aliases folding to the same canonical key used
-        # to be last-writer-wins on row insertion order, so the same
-        # logical row could render differently depending on which layer
-        # emitted its counters first.  The alias table's declaration
-        # order now breaks the tie.
-        out = canonicalize_gc_columns([
-            {"scheme": "a", "zones_collected": 3, "sections_cleaned": 9},
-            {"scheme": "b", "sections_cleaned": 9, "zones_collected": 3},
-        ])
-        assert out[0]["gc_victims"] == out[1]["gc_victims"] == 3
-
-
-# --------------------------------------------------------------------------
 # The gc-sweep experiment end to end
 # --------------------------------------------------------------------------
 
 class TestGcAblation:
     @pytest.mark.slow
-    def test_sweep_rows_with_full_attribution(self):
-        from repro.bench.experiments import run_gc_ablation
+    def test_sweep_rows_with_full_attribution(self, sweep_rows):
         from repro.bench.schemes import SCHEME_NAMES
 
-        rows = run_gc_ablation(
-            policies=("greedy",), watermark_scales=(1,), paces=(8,),
-            requests_per_tenant=6_000, trace=True,
-        )
+        rows = sweep_rows("gc-sweep")  # two policies, tracing on
         assert {r["scheme"] for r in rows} == set(SCHEME_NAMES)
         for row in rows:
             # Every migrated byte carries a reclaim span in its chain.

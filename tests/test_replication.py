@@ -10,7 +10,7 @@ slow tier.
 
 import pytest
 
-from repro.bench.experiments import run_failover_smoke, run_failover_sweep
+from repro.bench.experiments import run_sweep
 from repro.bench.schemes import SchemeScale
 from repro.errors import ConfigError
 from repro.serve import (
@@ -433,9 +433,9 @@ class TestSpanReconciliation:
 
 
 class TestFailoverSmokeGolden:
-    def test_smoke_deterministic_and_shaped(self):
-        rows_a = run_failover_smoke()
-        rows_b = run_failover_smoke()
+    def test_smoke_deterministic_and_shaped(self, sweep_rows):
+        rows_a = sweep_rows("failover")
+        rows_b = run_sweep("failover", "smoke")
         assert rows_a == rows_b
         assert len(rows_a) == 2
         r1, r2 = rows_a
@@ -454,7 +454,7 @@ class TestFailoverSweepAcceptance:
         mid-diurnal keeps availability >= 99% and the hit ratio within
         5% of steady state by sweep end for Region-Cache and Z-Cache;
         R=1 demonstrably fails the availability bar."""
-        rows = run_failover_sweep()
+        rows = run_sweep("failover")
         by_cell = {(r["scheme"], r["replicas"]): r for r in rows}
         for scheme in ("Region-Cache", "Z-Cache"):
             r2 = by_cell[(scheme, 2)]

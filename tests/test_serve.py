@@ -13,11 +13,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.bench.experiments import (
-    _serving_scale,
-    run_serving_smoke,
-    run_serving_sweep,
-)
+from repro.bench.experiments import run_sweep
+from repro.bench.fleet import SERVING_SCALE, FleetCell, build_fleet
 from repro.bench.schemes import SchemeScale, build_scheme
 from repro.cache import AdmissionConfig, CacheConfig, TinyLfuAdmission
 from repro.cache.admission import CountMinSketch, build_admission
@@ -580,19 +577,31 @@ class TestClosedLoopParity:
 
 class TestServingExperimentGolden:
     def test_smoke_golden(self):
-        rows_a = run_serving_smoke()
-        rows_b = run_serving_smoke()
-        assert rows_a == rows_b
-        tenants = [row["tenant"] for row in rows_a if "tenant" in row]
-        assert tenants == ["web", "batch"]
-        assert all(row["cluster_shed_rate"] > 0 for row in rows_a[:2])
-        shard_schemes = [row["scheme"] for row in rows_a if "scheme" in row]
+        """A mixed two-shard fleet (Region-Cache + Zone-Cache on matched
+        NAND — what `serve --smoke` used to run), twice: same rows,
+        still exercising routing, QoS and shedding."""
+        cell = FleetCell(
+            shards=("Region-Cache", "Zone-Cache"),
+            zones=12,
+            cache_zones=9,
+            offered_kops=120.0,
+            requests_per_tenant=1_000,
+            num_keys=1_500,
+            max_queue_depth=24,
+        )
+        report_a = build_fleet(cell).run()
+        report_b = build_fleet(cell).run()
+        assert report_a.tenant_rows == report_b.tenant_rows
+        assert report_a.shard_rows == report_b.shard_rows
+        assert [row["tenant"] for row in report_a.tenant_rows] == ["web", "batch"]
+        assert report_a.shed_rate > 0
+        shard_schemes = [row["scheme"] for row in report_a.shard_rows]
         assert shard_schemes == ["Region-Cache", "Zone-Cache"]
 
-    def test_sweep_golden(self):
-        kwargs = dict(offered_kops=(40.0, 360.0), requests_per_tenant=700)
-        rows_a = run_serving_sweep(**kwargs)
-        rows_b = run_serving_sweep(**kwargs)
+    def test_sweep_golden(self, sweep_rows):
+        # The registry's smoke grid: loads 40k and 360k, 700 requests.
+        rows_a = sweep_rows("serve")
+        rows_b = run_sweep("serve", "smoke")
         assert rows_a == rows_b
         schemes = {row["scheme"] for row in rows_a}
         assert schemes == {
@@ -602,19 +611,18 @@ class TestServingExperimentGolden:
             past_knee = [
                 row
                 for row in rows_a
-                if row["scheme"] == scheme
-                and row["offered_total_kops"] == 360.0
-                and row["tenant"] == "web"
+                if row["scheme"] == scheme and row["offered_total_kops"] == 360.0
             ]
             assert len(past_knee) == 1
             row = past_knee[0]
             # Past the knee: shedding engages, p99 stays bounded.
-            assert row["shed_rate"] > 0.0, scheme
-            assert row["p99_us"] < 100_000, scheme
-            assert math.isfinite(row["goodput_kops"])
+            assert row["web_shed_rate"] > 0.0, scheme
+            assert row["web_p99_us"] < 100_000, scheme
+            assert math.isfinite(row["web_goodput_kops"])
 
     def test_sweep_tinylfu_variant(self):
-        rows = run_serving_sweep(
+        rows = run_sweep(
+            "serve",
             offered_kops=(40.0,),
             requests_per_tenant=500,
             schemes=("Region-Cache",),
@@ -626,5 +634,5 @@ class TestServingExperimentGolden:
         # The reduced serving scale must be small enough that Zone-Cache
         # actually flushes regions (at full scale its 4 MiB region buffer
         # would absorb a whole smoke run in RAM).
-        scale = _serving_scale()
+        scale = SERVING_SCALE
         assert scale.zone_size <= 512 * KIB

@@ -25,6 +25,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.bench.fleet import build_fleet, zone_mgmt_columns
 from repro.bench.reporting import rows_to_csv
 from repro.bench.schemes import SchemeScale, build_scheme
 from repro.errors import ZoneResourceError, ZoneStateError
@@ -293,8 +294,6 @@ class TestZoneCostModel:
     def test_zns_columns_reconcile_with_tracer_attribution(self):
         """Acceptance: the ``zns_*`` bench columns equal the tracer's
         per-op service-time sums, command for command."""
-        from repro.bench.experiments import _zone_mgmt_columns
-
         costs = ZoneCostConfig(
             open_ns=3_000,
             close_ns=2_000,
@@ -322,7 +321,7 @@ class TestZoneCostModel:
         assert mgmt.close_ns == by_op["close"]
         assert mgmt.finish_ns == by_op["finish"]
         assert mgmt.reset_ns == by_op["reset"]
-        cols = _zone_mgmt_columns([zns])
+        cols = zone_mgmt_columns([zns])
         assert cols["zns_open_us"] == mgmt.open_ns / 1000
         assert cols["zns_close_us"] == mgmt.close_ns / 1000
         assert cols["zns_finish_us"] == mgmt.finish_ns / 1000
@@ -333,9 +332,7 @@ class TestZoneCostModel:
         )
 
     def test_zone_mgmt_columns_zero_for_conventional_devices(self):
-        from repro.bench.experiments import _zone_mgmt_columns
-
-        cols = _zone_mgmt_columns([object()])
+        cols = zone_mgmt_columns([object()])
         assert cols == {
             "zns_open_us": 0.0,
             "zns_close_us": 0.0,
@@ -537,28 +534,16 @@ class TestZCacheDeterminism:
     def test_serving_smoke_double_run_rows_identical(self):
         """Two fresh Z-Cache clusters under the serving smoke load: the
         CSV-serialized tenant and shard rows diff empty."""
-        import repro.bench.experiments as experiments
-        from repro.serve import CacheCluster, Server, ServerConfig
+        from repro.bench.experiments import sweep_cells
+
+        (_, cell), *_ = sweep_cells(
+            "serve", "smoke", schemes=("Z-Cache",), num_shards=2, zones=12,
+            cache_zones=9, offered_kops=(120.0,), requests_per_tenant=1_000,
+            num_keys=1_500, max_queue_depth=24,
+        )
 
         def one_run():
-            scale = experiments._serving_scale()
-            cluster = CacheCluster.homogeneous(
-                "Z-Cache",
-                2,
-                12 * scale.zone_size,
-                9 * scale.zone_size,
-                scale=scale,
-                cache_overrides=(("eviction_policy", "fifo"),),
-            )
-            tenants = experiments._serving_tenants(
-                total_rate=120_000.0,
-                requests_per_tenant=1_000,
-                num_keys=1_500,
-                seed=7,
-            )
-            report = Server(
-                cluster, tenants, ServerConfig(max_queue_depth=24)
-            ).run()
+            report = build_fleet(cell).run()
             return report.tenant_rows + report.shard_rows
 
         first, second = one_run(), one_run()
@@ -572,7 +557,7 @@ class TestZCacheDeterminism:
 
 # --- zero-cost golden regression --------------------------------------------------
 
-# run_gc_qos_smoke() rows captured immediately before the cost model was
+# gc-qos smoke rows captured immediately before the cost model was
 # introduced.  With every ZoneCostConfig field 0 (the default) the cost
 # model must be invisible: these rows stay byte-identical.
 GC_QOS_ZERO_COST_GOLDEN = [
@@ -583,7 +568,7 @@ GC_QOS_ZERO_COST_GOLDEN = [
         "web_slo_attainment": 0.904480135249366, "batch_p99_us": 41610.582,
         "batch_goodput_kops": 1.4830009830537176,
         "cluster_shed_rate": 0.279375, "rerouted_writes": 0,
-        "rerouted_web": 0, "rerouted_batch": 0, "gc_layer": "ztl",
+        "web_rerouted": 0, "batch_rerouted": 0, "gc_layer": "ztl",
         "gc_victims": 33, "gc_migrated_units": 436, "gc_stall_us_p99": 0.0,
         "gc_throttled_steps": 0, "gc_pace_adjustments": 0,
         "gc_pace_clamps": 0, "gc_pace_units_end": 8,
@@ -595,7 +580,7 @@ GC_QOS_ZERO_COST_GOLDEN = [
         "web_slo_attainment": 0.906636670416198, "batch_p99_us": 42560.417,
         "batch_goodput_kops": 1.5600952643320853,
         "cluster_shed_rate": 0.28225, "rerouted_writes": 319,
-        "rerouted_web": 100, "rerouted_batch": 219, "gc_layer": "ztl",
+        "web_rerouted": 100, "batch_rerouted": 219, "gc_layer": "ztl",
         "gc_victims": 34, "gc_migrated_units": 449, "gc_stall_us_p99": 0.0,
         "gc_throttled_steps": 0, "gc_pace_adjustments": 0,
         "gc_pace_clamps": 0, "gc_pace_units_end": 8,
@@ -607,7 +592,7 @@ GC_QOS_ZERO_COST_GOLDEN = [
         "web_slo_attainment": 0.904480135249366, "batch_p99_us": 41610.582,
         "batch_goodput_kops": 1.5229368871505715,
         "cluster_shed_rate": 0.279625, "rerouted_writes": 0,
-        "rerouted_web": 0, "rerouted_batch": 0, "gc_layer": "ztl",
+        "web_rerouted": 0, "batch_rerouted": 0, "gc_layer": "ztl",
         "gc_victims": 33, "gc_migrated_units": 435, "gc_stall_us_p99": 0.0,
         "gc_throttled_steps": 0, "gc_pace_adjustments": 5,
         "gc_pace_clamps": 5, "gc_pace_units_end": 2,
@@ -619,7 +604,7 @@ GC_QOS_ZERO_COST_GOLDEN = [
         "web_slo_attainment": 0.906636670416198, "batch_p99_us": 44121.622,
         "batch_goodput_kops": 1.5373820760737846,
         "cluster_shed_rate": 0.28225, "rerouted_writes": 319,
-        "rerouted_web": 100, "rerouted_batch": 219, "gc_layer": "ztl",
+        "web_rerouted": 100, "batch_rerouted": 219, "gc_layer": "ztl",
         "gc_victims": 34, "gc_migrated_units": 449, "gc_stall_us_p99": 0.0,
         "gc_throttled_steps": 0, "gc_pace_adjustments": 5,
         "gc_pace_clamps": 5, "gc_pace_units_end": 2,
@@ -628,10 +613,8 @@ GC_QOS_ZERO_COST_GOLDEN = [
 
 
 @pytest.mark.slow
-def test_gc_qos_zero_cost_rows_match_pre_cost_model_golden():
-    from repro.bench.experiments import run_gc_qos_smoke
-
-    rows = run_gc_qos_smoke()
+def test_gc_qos_zero_cost_rows_match_pre_cost_model_golden(sweep_rows):
+    rows = sweep_rows("gc-qos")
     assert len(rows) == len(GC_QOS_ZERO_COST_GOLDEN)
     for row, want in zip(rows, GC_QOS_ZERO_COST_GOLDEN):
         for key, value in want.items():
@@ -641,13 +624,11 @@ def test_gc_qos_zero_cost_rows_match_pre_cost_model_golden():
 
 
 @pytest.mark.slow
-def test_zone_cost_smoke_shape_and_knee_ordering():
+def test_zone_cost_smoke_shape_and_knee_ordering(sweep_rows):
     """The ablation's reason to exist, asserted: with measured costs the
     Z-Cache rows beat the Region-Cache rows on web p99 at the knee, and
     the zns_* columns are zero exactly when the preset is zero."""
-    from repro.bench.experiments import run_zone_cost_smoke
-
-    rows = run_zone_cost_smoke()
+    rows = sweep_rows("zone-cost")
     assert len(rows) == 4
     cell = {(r["scheme"], r["cost_preset"]): r for r in rows}
     for (scheme, preset), row in cell.items():
