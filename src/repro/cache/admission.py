@@ -108,6 +108,16 @@ class CountMinSketch:
             for counts, salt in zip(self._rows, self._salts)
         )
 
+    def at_least(self, key: bytes, threshold: int) -> bool:
+        """``estimate(key) >= threshold``, stopping at the first row under
+        it: the minimum reaches the threshold only if every row does."""
+        width = self.width
+        crc32 = zlib.crc32
+        for counts, salt in zip(self._rows, self._salts):
+            if counts[crc32(key, salt) % width] < threshold:
+                return False
+        return True
+
     def halve(self) -> None:
         """Age every counter (TinyLFU's periodic reset keeps the sketch
         tracking *recent* popularity instead of all-time popularity)."""

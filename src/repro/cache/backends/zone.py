@@ -179,11 +179,20 @@ class ZCacheRegionStore(ZtlRegionStore):
         keys = EntryCodec.scan_keys(payload)
         if not keys:
             return self.cold_group
-        estimate = self.sketch.estimate
+        at_least = self.sketch.at_least
         threshold = self.hot_threshold
-        hot = sum(1 for key in keys if estimate(key) >= threshold)
-        if 2 * hot >= len(keys):
-            self.hot_regions += 1
-            return 0
+        # 2 * hot >= len(keys), decided as soon as either side has it.
+        hot_needed = (len(keys) + 1) // 2
+        cold_spare = len(keys) - hot_needed
+        for key in keys:
+            if at_least(key, threshold):
+                hot_needed -= 1
+                if not hot_needed:
+                    self.hot_regions += 1
+                    return 0
+            elif cold_spare:
+                cold_spare -= 1
+            else:
+                break
         self.cold_regions += 1
         return self.cold_group

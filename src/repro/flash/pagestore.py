@@ -2,17 +2,19 @@
 
 All four devices (ZNS SSD, block SSD, nullblk, HDD) keep their media
 contents here: sparse, fixed-size ``bytearray`` chunks allocated on the
-first write that touches them.  ``store`` / ``load`` / ``clear`` are
-slice copies over whole extents, never per-page loops, and ``store``
-accepts any buffer (``bytes``, ``bytearray``, a read-only ``memoryview``
-of a region buffer) without materialising it first.
+first write that touches them.  ``store`` / ``load`` / ``move`` /
+``clear`` are slice copies over whole extents, never per-page loops, and
+``store`` accepts any buffer (``bytes``, ``bytearray``, a read-only
+``memoryview`` of a region buffer) without materialising it first.
 
 Ownership rule: the store **copies in and copies out**.  It never keeps
 a reference to a caller's buffer, and ``load`` returns fresh ``bytes``,
 so a caller may recycle its buffer the moment ``store`` returns and may
-keep a loaded payload across any later reset.  It holds bytearrays only
-— never a ``memoryview`` — so a device (and the cached stack template
-around it) stays ``copy.deepcopy``-able.
+keep a loaded payload across any later reset.  Bytes that only change
+place inside the store (a GC survivor) never leave it: ``move`` copies
+chunk to chunk.  It holds bytearrays only — never a ``memoryview`` — so
+a device (and the cached stack template around it) stays
+``copy.deepcopy``-able.
 """
 
 from __future__ import annotations
@@ -70,6 +72,35 @@ class PageStore:
         if start + length <= self.chunk_size:
             return self._slice(index, start, start + length)
         return b"".join(self._slice(*span) for span in self._spans(offset, length))
+
+    def move(self, src: int, dst: int, length: int) -> None:
+        """Copy ``[src, src + length)`` to ``dst``, chunk to chunk.
+
+        The same result as ``store(dst, load(src, length))`` with one
+        slice copy per piece and no intermediate ``bytes``.
+        """
+        if abs(src - dst) < length:
+            # Overlapping extents: a piece copied early could overwrite
+            # source bytes a later piece still has to read.
+            self.store(dst, self.load(src, length))
+            return
+        size = self.chunk_size
+        while length > 0:
+            from_index, from_start = divmod(src, size)
+            index, start = divmod(dst, size)
+            take = min(size - from_start, size - start, length)
+            source = self._chunks.get(from_index)
+            self._fill(
+                index,
+                start,
+                start + take,
+                bytes(take)
+                if source is None
+                else memoryview(source)[from_start : from_start + take],
+            )
+            src += take
+            dst += take
+            length -= take
 
     def clear(self, offset: int, length: int) -> None:
         """Zero a range; chunks it covers entirely are dropped."""

@@ -8,18 +8,22 @@ all cleaning, the device never relocates data — ``media_write_bytes``
 always equals ``host_write_bytes`` and device WA is exactly 1.0, the
 property the paper's Zone-Cache exploits (§3.2).
 
-All media traffic flows through an :class:`~repro.sim.io.IoPipeline`;
-``read_many``/``write_many`` expose batched submission so the ZTL's GC
-copy loop and region flushes pipeline across pool channels.
+All media traffic reserves the device's :class:`~repro.sim.io.IoPipeline`
+pool; ``read_many``/``write_many``/``copy_many`` charge a whole batch at
+one instant so region flushes and the ZTL's GC copy loop pipeline across
+pool channels.  Reads and writes check, land and charge a command from
+the values in hand — an :class:`~repro.sim.io.IoRequest` is built only
+for the fault injector, when one is armed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     AlignmentError,
+    ConfigError,
     OutOfRangeError,
     ZoneDeadError,
     ZoneResourceError,
@@ -28,7 +32,13 @@ from repro.errors import (
 from repro.flash.device import DeviceStats
 from repro.flash.nand import NandGeometry, NandTiming
 from repro.flash.pagestore import PageStore
-from repro.flash.zone import Zone, ZoneCostConfig, ZoneMgmtStats, ZoneState
+from repro.flash.zone import (
+    OPEN_STATES,
+    Zone,
+    ZoneCostConfig,
+    ZoneMgmtStats,
+    ZoneState,
+)
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector, FaultKind
 from repro.sim.io import (
@@ -38,7 +48,6 @@ from repro.sim.io import (
     IoRequest,
     IoTracer,
     PoolConfig,
-    TraceRecord,
 )
 
 
@@ -60,6 +69,18 @@ class ZnsConfig:
     # free-transition model (and every golden) bit-identical.
     zone_costs: ZoneCostConfig = field(default_factory=ZoneCostConfig)
 
+    def __post_init__(self) -> None:
+        zone_size = self.resolved_zone_size()
+        if zone_size % self.geometry.block_size != 0:
+            raise ConfigError(
+                f"zone_size {zone_size} is not a multiple of the NAND block "
+                f"size {self.geometry.block_size}"
+            )
+        if self.max_open_zones < 1 or self.max_active_zones < self.max_open_zones:
+            raise ConfigError("need max_active_zones >= max_open_zones >= 1")
+        if self.geometry.total_bytes < zone_size:
+            raise ConfigError("geometry too small for even one zone")
+
     def resolved_zone_size(self) -> int:
         if self.zone_size:
             return self.zone_size
@@ -80,17 +101,8 @@ class ZnsSsd:
         self._clock = clock
         self.config = config
         zone_size = config.resolved_zone_size()
-        if zone_size % config.geometry.block_size != 0:
-            raise ValueError(
-                f"zone_size {zone_size} is not a multiple of the NAND block "
-                f"size {config.geometry.block_size}"
-            )
-        if config.max_open_zones < 1 or config.max_active_zones < config.max_open_zones:
-            raise ValueError("need max_active_zones >= max_open_zones >= 1")
         self.zone_size = zone_size
         self.num_zones = config.geometry.total_bytes // zone_size
-        if self.num_zones < 1:
-            raise ValueError("geometry too small for even one zone")
         self.zones: List[Zone] = [
             Zone(index=i, start=i * zone_size, size=zone_size)
             for i in range(self.num_zones)
@@ -140,7 +152,7 @@ class ZnsSsd:
 
     def zone_of(self, offset: int) -> Zone:
         """Zone containing byte ``offset``."""
-        if not 0 <= offset < self.capacity_bytes:
+        if not 0 <= offset < self._capacity_bytes:
             raise OutOfRangeError(f"offset {offset} outside device of {self.capacity_bytes}B")
         return self.zones[offset // self.zone_size]
 
@@ -158,85 +170,16 @@ class ZnsSsd:
         — later foreground commands queue behind it — but the caller is
         not blocked and the shared clock does not advance.
         """
-        pipeline = self.pipeline
-        if pipeline.faults is None and not background:
-            # Fast path: no fault gate, foreground — arithmetically
-            # identical to the submit() path below but without building
-            # an IoRequest or walking dispatch frames.  Traced and
-            # untraced reads both run it; tracing only adds the record.
-            self._check_readable(offset, length)
-            data = self._load(offset, length)
-            service_ns = self._read_service_ns(length)
-            clock = self._clock
-            now = clock.now
-            done, wait, channel = pipeline.pool.acquire(now, service_ns, offset)
-            if done > clock.now:
-                clock.now = done
-            stats = self._stats
-            recorder = stats.read_latency
-            recorder._samples.append(done - now)
-            recorder._sorted = None
-            stats.host_read_bytes += length
-            stats.media_read_bytes += length
-            tracer = self.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    TraceRecord(
-                        tracer.allocate_id(), tracer.current_parent, "zns", "read",
-                        offset, length, None, False, now, done, wait, service_ns,
-                        channel,
-                    )
-                )
-            return IoCompletion(
-                latency_ns=done - now,
-                data=data,
-                submitted_ns=now,
-                started_ns=done - service_ns,
-                completed_ns=done,
-                wait_ns=wait,
-                service_ns=service_ns,
-                channel=channel,
-            )
-        self._poll_zone_faults()
-        self._check_readable(offset, length)
-        data = self._load(offset, length)
-        completion = self.pipeline.submit(
-            IoRequest(IoOp.READ, offset, length, layer="zns", background=background),
-            self._read_service_ns(length),
-        )
-        if not background:
-            self._stats.read_latency.record(completion.latency_ns)
-        self._stats.host_read_bytes += length
-        self._stats.media_read_bytes += length
-        completion.data = data
-        return completion
+        return self._read_batch(((offset, length),), background)[0]
 
     def read_many(
         self, extents: List[Tuple[int, int]], background: bool = False
     ) -> List[IoCompletion]:
-        """Batched reads: one submission, overlapped across pool channels."""
-        self._poll_zone_faults()
-        batch: List[Tuple[IoRequest, int]] = []
-        payloads: List[bytes] = []
-        for offset, length in extents:
-            self._check_readable(offset, length)
-            payloads.append(self._load(offset, length))
-            batch.append(
-                (
-                    IoRequest(
-                        IoOp.READ, offset, length, layer="zns", background=background
-                    ),
-                    self._read_service_ns(length),
-                )
-            )
-        completions = self.pipeline.submit_many(batch)
-        for completion, (offset, length), data in zip(completions, extents, payloads):
-            if not background:
-                self._stats.read_latency.record(completion.latency_ns)
-            self._stats.host_read_bytes += length
-            self._stats.media_read_bytes += length
-            completion.data = data
-        return completions
+        """Batched reads: one submission, overlapped across pool channels.
+
+        Every extent is validated before the first one is charged.
+        """
+        return self._read_batch(extents, background)
 
     def write(self, offset: int, data: bytes, background: bool = False) -> IoCompletion:
         """Sequential write: must land exactly on the zone's write pointer.
@@ -244,12 +187,7 @@ class ZnsSsd:
         ``background=True`` behaves as for :meth:`read`: the program time
         is reserved on the device pool without blocking the caller.
         """
-        self._poll_zone_faults()
-        request, service_ns = self._gate_write(offset, data, background)
-        self._prepare_write(offset, data)
-        completion = self.pipeline.submit(request, service_ns)
-        self._account_write(len(data), completion, background)
-        return completion
+        return IoCompletion(*self._program(((offset, data),), background)[0])
 
     def write_many(
         self, items: List[Tuple[int, bytes]], background: bool = False
@@ -260,55 +198,32 @@ class ZnsSsd:
         before the batch is queued — an invalid extent raises before any
         media time is charged for it.
         """
-        self._poll_zone_faults()
-        batch: List[Tuple[IoRequest, int]] = []
-        stored: List[Tuple[int, bytes]] = []
-        # For torn-write modelling the extents service back-to-back, so
-        # extent k's media window starts after the preceding services.
-        virtual_now = self._clock.now
-        for offset, data in items:
-            request, service_ns = self._gate_write(
-                offset, data, background, virtual_now=virtual_now, batch=batch,
-                stored=stored,
-            )
-            self._prepare_write(offset, data)
-            virtual_now += service_ns
-            batch.append((request, service_ns))
-            stored.append((offset, data))
-        completions = self.pipeline.submit_many(batch)
-        for completion, (offset, data) in zip(completions, stored):
-            self._account_write(len(data), completion, background)
-        return completions
+        return [IoCompletion(*done) for done in self._program(items, background)]
 
     def append(self, zone_index: int, data: bytes) -> "AppendResult":
         """Zone Append: device picks the offset (the current write pointer)."""
-        self._poll_zone_faults()
         self._check_zone_index(zone_index)
-        self._check_aligned(0, len(data))
         zone = self.zones[zone_index]
         offset = zone.write_pointer
-        request = IoRequest(IoOp.APPEND, offset, len(data), zone=zone_index, layer="zns")
-        service_ns = self._write_service_ns(len(data))
-        self.pipeline.fault_gate(request, service_ns)
-        zone.check_writable(offset, len(data))
-        self._ensure_open_budget(zone)
-        self._note_write_open(zone)
-        self._maybe_tear(zone, offset, data, service_ns)
-        self.media.store(offset, data)
-        zone.advance(len(data))
-        completion = self.pipeline.submit(request, service_ns)
-        self._account_write(len(data), completion, background=False)
-        return AppendResult(
-            latency_ns=completion.latency_ns,
-            request=completion.request,
-            submitted_ns=completion.submitted_ns,
-            started_ns=completion.started_ns,
-            completed_ns=completion.completed_ns,
-            wait_ns=completion.wait_ns,
-            service_ns=completion.service_ns,
-            channel=completion.channel,
-            offset=offset,
-        )
+        done = self._program(((offset, data),), False, IoOp.APPEND, zone)[0]
+        return AppendResult(*done, offset=offset)
+
+    def copy_many(self, pairs: List[Tuple[int, int]], length: int) -> None:
+        """Background copy of ``length`` bytes from ``src`` to ``dst`` for
+        each ``(src, dst)`` pair: the GC mover.
+
+        The commands, their order, checks, pool reservations, stats and
+        trace records are those of ``read_many`` then ``write_many``
+        (both ``background=True``) over the same extents — all reads,
+        then all writes — but the bytes go chunk to chunk inside the page
+        store instead of up to the caller and back down.  The copies run
+        in order as the writes land, which moves the same bytes as long
+        as no source overlaps an earlier destination: true of every
+        source that holds written data, since a write only ever lands on
+        a write pointer.
+        """
+        self._read_batch([(src, length) for src, _ in pairs], True, load=False)
+        self._program([(dst, src) for src, dst in pairs], True, length=length)
 
     def reset_zone(self, zone_index: int) -> IoCompletion:
         """Reset: discard zone contents, write pointer back to start."""
@@ -423,90 +338,57 @@ class ZnsSsd:
             self.zones[event.zone_index].die(state)
             faults.note_zone_fault(event)
 
-    def _check_readable(self, offset: int, length: int) -> None:
-        """OFFLINE zones fail reads too (READ_ONLY zones still serve them)."""
-        if length <= 0:
-            return
-        first = self.zone_of(offset)
-        last = self.zone_of(offset + length - 1)
-        for zone in (first, last):
-            if zone.state is ZoneState.OFFLINE:
-                raise ZoneDeadError(
-                    f"zone {zone.index} is offline; reads fail",
-                    zone_index=zone.index,
-                )
-
-    def _gate_write(
+    def _inject(
         self,
+        op: IoOp,
         offset: int,
-        data: bytes,
+        length: int,
+        zone: Optional[int],
         background: bool,
-        virtual_now: Optional[int] = None,
-        batch: Optional[List[Tuple[IoRequest, int]]] = None,
-        stored: Optional[List[Tuple[int, bytes]]] = None,
-    ) -> Tuple[IoRequest, int]:
-        """Build + fault-gate a write request before any state mutation.
-
-        A raised fault (typed error or power cut) leaves the zone
-        untouched, so the caller can retry safely.  On a power cut the
-        torn prefix is persisted first, and any already-validated batch
-        extents are submitted so their media time is charged.
-        """
-        self._check_aligned(offset, len(data))
-        zone = self.zone_of(offset)
+        service_ns: int,
+    ) -> int:
+        """Show one command to the armed fault injector, before any state
+        changes for it; returns the latency the injector adds.  The
+        injector is the only consumer of an :class:`IoRequest`."""
         request = IoRequest(
-            IoOp.WRITE,
-            offset,
-            len(data),
-            zone=zone.index,
-            layer="zns",
-            background=background,
+            op, offset, length, zone=zone, layer="zns", background=background
         )
-        service_ns = self._write_service_ns(len(data))
         self.pipeline.fault_gate(request, service_ns)
-        zone.check_writable(offset, len(data))
-        self._ensure_open_budget(zone)
-        self._note_write_open(zone)
-        if self.pipeline.faults is not None:
-            now = self._clock.now if virtual_now is None else virtual_now
-            torn = self._maybe_tear(zone, offset, data, service_ns, now=now,
-                                    flush=(batch, stored, background))
-            assert not torn  # _maybe_tear raises when the cut hits
-        return request, service_ns
+        return request.injected_latency_ns
 
     def _maybe_tear(
         self,
         zone: Zone,
         offset: int,
-        data: bytes,
+        source,
+        length: int,
         service_ns: int,
-        now: Optional[int] = None,
-        flush: Optional[tuple] = None,
-    ) -> bool:
+        ahead_ns: int,
+        landed: List[Tuple[int, int, int, int]],
+        background: bool,
+        op: IoOp,
+    ) -> None:
         """If the power cut lands inside this write's media window,
-        persist the aligned prefix, flush any pending batch, and trip
-        the power (raises :class:`PowerCutError`)."""
+        persist the aligned prefix, charge the extents of the batch that
+        landed before it, and trip the power (raises
+        :class:`PowerCutError`).  The extents service back-to-back, so
+        this one's window opens ``ahead_ns`` from now."""
         faults = self.pipeline.faults
-        if faults is None:
-            return False
-        if now is None:
-            now = self._clock.now
-        keep = faults.torn_write_bytes(now, service_ns, len(data), self.block_size)
+        keep = faults.torn_write_bytes(
+            self._clock.now + ahead_ns, service_ns, length, self.block_size
+        )
         if keep is None:
-            return False
+            return
         if keep:
-            self.media.store(offset, data[:keep])
+            if isinstance(source, int):
+                self.media.move(source, offset, keep)
+            else:
+                self.media.store(offset, memoryview(source)[:keep])
             zone.advance(keep)
             self._stats.host_write_bytes += keep
             self._stats.media_write_bytes += keep
-        if flush is not None:
-            batch, stored, background = flush
-            if batch:
-                completions = self.pipeline.submit_many(batch)
-                for completion, (_, done_data) in zip(completions, stored):
-                    self._account_write(len(done_data), completion, background)
+        self._charge_writes(landed, background, op)
         faults.trip_power()
-        return True  # pragma: no cover - trip_power always raises
 
     # --- internals -------------------------------------------------------------------
 
@@ -518,23 +400,200 @@ class ZnsSsd:
             self.config.timing.command_overhead_ns + extra_ns,
         )
 
-    def _load(self, offset: int, length: int) -> bytes:
-        page_size = self._page_size
-        if offset % page_size or length % page_size or length <= 0:
+    def _check_readable(self, offset: int, length: int) -> None:
+        """A read must lie inside the device, touch no OFFLINE zone
+        (READ_ONLY zones still serve reads) and be page-aligned."""
+        if length <= 0:
             self._check_aligned(offset, length)  # raises the typed error
-        if offset + length > self._capacity_bytes:
+        if offset < 0 or offset + length > self._capacity_bytes:
             raise OutOfRangeError(
-                f"read (offset={offset}, length={length}) exceeds capacity"
+                f"read (offset={offset}, length={length}) outside device of "
+                f"{self._capacity_bytes}B"
             )
-        return self.media.load(offset, length)
+        first = offset // self.zone_size
+        last = (offset + length - 1) // self.zone_size
+        for zone in self.zones[first : last + 1]:
+            if zone.state is ZoneState.OFFLINE:
+                raise ZoneDeadError(
+                    f"zone {zone.index} is offline; reads fail",
+                    zone_index=zone.index,
+                )
+        page_size = self._page_size
+        if offset % page_size or length % page_size:
+            self._check_aligned(offset, length)
 
-    def _prepare_write(self, offset: int, data: bytes) -> None:
-        self._check_aligned(offset, len(data))
-        zone = self.zone_of(offset)
-        zone.check_writable(offset, len(data))
-        self._ensure_open_budget(zone)
-        self.media.store(offset, data)
-        zone.advance(len(data))
+    def _read_batch(
+        self, extents: Sequence[Tuple[int, int]], background: bool, load: bool = True
+    ) -> List[IoCompletion]:
+        """The one read-side body: ``read``, ``read_many`` and the read
+        half of ``copy_many``.
+
+        Every extent is validated first; then each is charged at one
+        instant — fault injector (when armed), pool, trace record, stats
+        — and the clock moves to the last foreground completion.
+        ``load=False`` charges the reads and leaves the bytes where they
+        are (no completions come back).
+        """
+        faults = self.pipeline.faults
+        if faults is not None:
+            self._poll_zone_faults()
+        for offset, length in extents:
+            self._check_readable(offset, length)
+        clock = self._clock
+        now = barrier = clock.now
+        stats = self._stats
+        completions: List[IoCompletion] = []
+        for offset, length in extents:
+            service_ns = self._read_service_ns(length)
+            if faults is not None:
+                service_ns += self._inject(
+                    IoOp.READ, offset, length, None, background, service_ns
+                )
+            done, wait, channel = self._reserve(
+                "read", offset, length, None, background, now, service_ns
+            )
+            stats.host_read_bytes += length
+            stats.media_read_bytes += length
+            latency = 0
+            if not background:
+                latency = done - now
+                recorder = stats.read_latency
+                recorder._samples.append(latency)
+                recorder._sorted = None
+                if done > barrier:
+                    barrier = done
+            if load:
+                completions.append(
+                    IoCompletion(
+                        latency, self.media.load(offset, length), None, now,
+                        done - service_ns, done, wait, service_ns, channel,
+                    )
+                )
+        clock.now = barrier
+        return completions
+
+    def _program(
+        self,
+        items: Iterable[Tuple[int, Any]],
+        background: bool,
+        op: IoOp = IoOp.WRITE,
+        zone: Optional[Zone] = None,
+        length: Optional[int] = None,
+    ) -> List[tuple]:
+        """The one write-side body: ``write``, ``write_many``, ``append``
+        and the write half of ``copy_many`` all land here.  Returns one
+        :class:`IoCompletion` argument tuple per extent.
+
+        ``items`` are ``(offset, source)`` in submission order.  A source
+        is the buffer to store or, when ``length`` is given, the media
+        offset that many bytes are moved from.  ``zone`` pins the target
+        (Zone Append names its zone; a write's offset implies it).
+
+        Per extent, in order: alignment, zone, write pointer and
+        open/active budget are checked once, before any state changes;
+        the fault injector, when armed, sees the command first, so a
+        raised fault leaves the zone untouched and the caller can retry;
+        then the bytes land, once, and the write pointer moves.  Only
+        after every extent has landed is the batch charged — all at one
+        instant, pipelined across the pool — so an invalid extent raises
+        before any media time is charged for it.
+        """
+        faults = self.pipeline.faults
+        if faults is not None:
+            self._poll_zone_faults()
+        page_size = self._page_size
+        media = self.media
+        moving = length is not None
+        landed: List[Tuple[int, int, int, int]] = []
+        # For torn-write modelling the extents service back-to-back, so
+        # extent k's media window starts after the preceding services.
+        ahead_ns = 0
+        for offset, source in items:
+            if not moving:
+                length = len(source)
+            if offset % page_size or length % page_size or length <= 0:
+                self._check_aligned(offset, length)
+            target = zone if zone is not None else self.zone_of(offset)
+            service_ns = self._write_service_ns(length)
+            extra_ns = 0
+            if faults is not None:
+                extra_ns = self._inject(
+                    op, offset, length, target.index, background, service_ns
+                )
+            target.check_writable(offset, length)
+            is_open = target.state in OPEN_STATES
+            if not is_open:
+                self._ensure_open_budget(target)
+            # LRU clock for the forced-close victim.
+            self._touch_tick = tick = self._touch_tick + 1
+            self._open_touch[target.index] = tick
+            if not is_open:
+                self._note_implicit_open(target)
+            if faults is not None:
+                self._maybe_tear(
+                    target, offset, source, length, service_ns, ahead_ns,
+                    landed, background, op,
+                )
+            if moving:
+                media.move(source, offset, length)
+            else:
+                media.store(offset, source)
+            target.advance(length)
+            landed.append((offset, length, target.index, service_ns + extra_ns))
+            ahead_ns += service_ns
+        return self._charge_writes(landed, background, op)
+
+    def _charge_writes(
+        self, landed: List[Tuple[int, int, int, int]], background: bool, op: IoOp
+    ) -> List[tuple]:
+        """Charge landed ``(offset, length, zone, service_ns)`` extents as
+        one batch; the clock moves to the last foreground completion."""
+        clock = self._clock
+        now = barrier = clock.now
+        stats = self._stats
+        completions: List[tuple] = []
+        for offset, length, zone_index, service_ns in landed:
+            done, wait, channel = self._reserve(
+                op.value, offset, length, zone_index, background, now, service_ns
+            )
+            latency = 0
+            if not background:
+                latency = done - now
+                stats.write_latency.record(latency)
+                if done > barrier:
+                    barrier = done
+            stats.host_write_bytes += length
+            stats.media_write_bytes += length  # no device GC: WA == 1.0
+            completions.append(
+                (latency, None, None, now, done - service_ns, done, wait,
+                 service_ns, channel)
+            )
+        clock.now = barrier
+        return completions
+
+    def _reserve(
+        self,
+        op: str,
+        offset: int,
+        length: int,
+        zone: Optional[int],
+        background: bool,
+        now: int,
+        service_ns: int,
+    ) -> Tuple[int, int, int]:
+        """Occupy the pool for one command issued at ``now`` and put its
+        record on the trace stream; returns ``(done, wait, channel)``."""
+        reserved = self.pipeline.pool.acquire(
+            now, service_ns, offset, not background
+        )
+        tracer = self.tracer
+        if tracer.enabled:
+            done, wait, channel = reserved
+            tracer.record(
+                "zns", op, offset, length, zone, background, now, done, wait,
+                service_ns, channel,
+            )
+        return reserved
 
     def _read_service_ns(self, length: int) -> int:
         ns = self._read_ns_cache.get(length)
@@ -555,14 +614,6 @@ class ZnsSsd:
             )
             self._write_ns_cache[length] = ns
         return ns
-
-    def _account_write(
-        self, length: int, completion: IoCompletion, background: bool
-    ) -> None:
-        if not background:
-            self._stats.write_latency.record(completion.latency_ns)
-        self._stats.host_write_bytes += length
-        self._stats.media_write_bytes += length  # no device GC: WA == 1.0
 
     def _ensure_open_budget(self, zone: Zone) -> None:
         """Enforce max-open/max-active before a zone becomes (implicitly) open.
@@ -623,16 +674,12 @@ class ZnsSsd:
         mgmt.forced_closes += 1
         mgmt.close_ns += completion.service_ns
 
-    def _note_write_open(self, zone: Zone) -> None:
-        """Touch the LRU clock; charge the implicit open when costed.
+    def _note_implicit_open(self, zone: Zone) -> None:
+        """Count a write's implicit open; charge it when costed.
 
         Zero-cost implicit opens are counted but charge nothing and emit
         no trace record — the historical free-transition model.
         """
-        self._touch_tick += 1
-        self._open_touch[zone.index] = self._touch_tick
-        if zone.is_open:
-            return
         mgmt = self.zone_mgmt
         mgmt.implicit_opens += 1
         cost = self._zone_costs.open_ns

@@ -94,6 +94,13 @@ class ReclaimSource(abc.ABC):
     def release_victim(self, victim_id: int) -> None:
         """All units processed: erase/reset/wipe the container."""
 
+    def least_valid_fraction(self) -> float:
+        """A lower bound on the candidates' valid fractions, cheaper than
+        their views.  When even the bound is over what the pacer accepts,
+        every pick would be deferred, so the engine asks before it builds
+        views.  The default claims nothing."""
+        return 0.0
+
     def flush_step(self) -> None:
         """End-of-step hook for sources that batch their migrations."""
 
@@ -179,7 +186,13 @@ class ReclaimEngine:
         second-best fallback): rewrites keep concentrating dead units
         into old containers, so waiting is what keeps WA low.
         """
-        views = self.source.candidate_views()
+        source, pacer = self.source, self.pacer
+        free = source.free_units()
+        if self.policy.pure and not pacer.accepts(
+            source.least_valid_fraction(), free
+        ):
+            return None  # whichever candidate scored best, it would be deferred
+        views = source.candidate_views()
         if not views:
             return None
         if self.dead_first:
@@ -190,9 +203,9 @@ class ReclaimEngine:
         if chosen is None:
             return None
         view = next(v for v in views if v.victim_id == chosen)
-        if not self.pacer.accepts(view.valid_fraction, self.source.free_units()):
+        if not pacer.accepts(view.valid_fraction, free):
             return None
-        if view.valid_fraction <= self.pacer.config.victim_valid_threshold:
+        if view.valid_fraction <= pacer.config.victim_valid_threshold:
             return chosen
         # Emergency admission: the policy's pick is over the valid-data
         # threshold, so it may cost a whole container of survivor slots

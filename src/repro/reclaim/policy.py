@@ -42,6 +42,9 @@ class VictimPolicy(abc.ABC):
     """Scoring interface; lower scores are better victims."""
 
     name: str = "base"
+    # ``select`` is a function of the views alone, so the engine may skip
+    # it (and the views) for a pick whose outcome is already decided.
+    pure: bool = True
 
     @abc.abstractmethod
     def score(self, view: VictimView):
@@ -128,6 +131,7 @@ class RandomPolicy(VictimPolicy):
     policy must beat.  Seeded, so runs stay reproducible."""
 
     name = "random"
+    pure = False  # every select draws from the stream
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = make_rng(seed, "reclaim.policy")

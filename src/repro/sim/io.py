@@ -472,6 +472,26 @@ class IoTracer:
             0, None, layer, op, offset, length, zone, False, 0, 0, 0, 0, -1, self
         )
 
+    def record(
+        self, layer: str, op: str, offset: int, length: int, zone: Optional[int],
+        background: bool, submitted_ns: int, completed_ns: int, wait_ns: int,
+        service_ns: int, channel: int,
+    ) -> None:
+        """Put one finished command on the stream: next id, the innermost
+        open span as parent, one record, in one call (a device's data
+        path emits one per command)."""
+        self._next_id = record_id = self._next_id + 1
+        stack = self._stack
+        finished = TraceRecord(
+            record_id, stack[-1] if stack else None, layer, op, offset, length,
+            zone, background, submitted_ns, completed_ns, wait_ns, service_ns,
+            channel,
+        )
+        if self._capture:
+            self.records.append(finished)
+        for callback in self._subscribers:
+            callback(finished)
+
     def on_completion(self, completion: IoCompletion) -> None:
         """Record a finished device request (called by the pipeline)."""
         request = completion.request
@@ -507,12 +527,7 @@ class IoTracer:
         if not self.enabled or self._clock is None:
             return
         now = self._clock.now
-        self.emit(
-            TraceRecord(
-                self.allocate_id(), self.current_parent, layer, op, offset,
-                length, zone, False, now, now, 0, 0, -1,
-            )
-        )
+        self.record(layer, op, offset, length, zone, False, now, now, 0, 0, -1)
 
     def emit(self, record: TraceRecord) -> None:
         """Hand a finished record to ``records`` and every subscriber."""

@@ -17,39 +17,42 @@ class SlotBitmap:
             raise ValueError(f"num_slots must be positive, got {num_slots}")
         self._bits = 0
         self._num_slots = num_slots
-        self._valid_count = 0
+        # Popcount of ``_bits``.  A plain attribute: victim selection
+        # reads it for every finished zone on every pick.
+        self.valid_count = 0
 
     @property
     def num_slots(self) -> int:
         return self._num_slots
 
     @property
-    def valid_count(self) -> int:
-        return self._valid_count
-
-    @property
     def valid_fraction(self) -> float:
-        return self._valid_count / self._num_slots
+        return self.valid_count / self._num_slots
 
     def is_set(self, slot: int) -> bool:
-        self._check(slot)
+        if not 0 <= slot < self._num_slots:
+            raise self._out_of_range(slot)
         return bool(self._bits >> slot & 1)
 
     def set(self, slot: int) -> None:
-        self._check(slot)
-        if not self._bits >> slot & 1:
-            self._bits |= 1 << slot
-            self._valid_count += 1
+        if not 0 <= slot < self._num_slots:
+            raise self._out_of_range(slot)
+        bit = 1 << slot
+        if not self._bits & bit:
+            self._bits |= bit
+            self.valid_count += 1
 
     def clear(self, slot: int) -> None:
-        self._check(slot)
-        if self._bits >> slot & 1:
-            self._bits &= ~(1 << slot)
-            self._valid_count -= 1
+        if not 0 <= slot < self._num_slots:
+            raise self._out_of_range(slot)
+        bit = 1 << slot
+        if self._bits & bit:
+            self._bits ^= bit
+            self.valid_count -= 1
 
     def clear_all(self) -> None:
         self._bits = 0
-        self._valid_count = 0
+        self.valid_count = 0
 
     def valid_slots(self) -> Iterator[int]:
         """Iterate indices of set bits in ascending order."""
@@ -61,9 +64,8 @@ class SlotBitmap:
             bits >>= 1
             slot += 1
 
-    def _check(self, slot: int) -> None:
-        if not 0 <= slot < self._num_slots:
-            raise IndexError(f"slot {slot} outside [0, {self._num_slots})")
+    def _out_of_range(self, slot: int) -> IndexError:
+        return IndexError(f"slot {slot} outside [0, {self._num_slots})")
 
     def __repr__(self) -> str:
-        return f"SlotBitmap({self._valid_count}/{self._num_slots})"
+        return f"SlotBitmap({self.valid_count}/{self._num_slots})"

@@ -133,19 +133,27 @@ class _ZoneReclaimSource(ReclaimSource):
         return self.book.empty_count
 
     def candidate_views(self) -> List[VictimView]:
+        book = self.book
+        records = book.records
+        tick, slots = book.tick, book.slots_per_zone
         views = []
-        for zone in self.book.finished_zones:
-            record = self.book.record(zone)
+        for zone in book.finished_zones:
+            record = records[zone]
+            valid = record.bitmap.valid_count
             views.append(
-                VictimView(
-                    victim_id=zone,
-                    valid_count=record.valid_count,
-                    valid_fraction=record.valid_fraction,
-                    age=self.book.tick - record.mtime,
-                    group=record.group,
-                )
+                VictimView(zone, valid, valid / slots, tick - record.mtime, record.group)
             )
         return views
+
+    def least_valid_fraction(self) -> float:
+        book = self.book
+        records = book.records
+        least = slots = book.slots_per_zone
+        for zone in book.finished_zones:
+            valid = records[zone].bitmap.valid_count
+            if valid < least:
+                least = valid
+        return least / slots
 
     def pending_units(self, victim_id: int) -> List[int]:
         return list(self.book.record(victim_id).bitmap.valid_slots())
@@ -165,11 +173,13 @@ class _ZoneReclaimSource(ReclaimSource):
         if keep:
             if owner._migrate_many is not None:
                 # Batched path: the layer allocates targets itself so
-                # it can submit the copy loop as one pipelined batch.
+                # it can submit the copy loop as one pipelined batch, and
+                # clears the bit as the survivor moves — one that cannot
+                # (the GC stream ran out of zones) stays valid here.
                 self._survivors.append(region_id)
-            else:
-                target = self.book.allocate_gc_slot()
-                owner._migrate(region_id, target)
+                return UnitOutcome.MIGRATED
+            target = self.book.allocate_gc_slot()
+            owner._migrate(region_id, target)
             record.bitmap.clear(slot)
             return UnitOutcome.MIGRATED
         owner._drop(region_id)

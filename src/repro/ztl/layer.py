@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import (
+    ConfigError,
     PowerCutError,
     ReproError,
     RetryableError,
@@ -31,7 +32,7 @@ from repro.errors import (
 )
 from repro.flash.zone import ZoneState
 from repro.flash.znsssd import ZnsSsd
-from repro.sim.io import IoCompletion, IoTracer
+from repro.sim.io import IoCompletion
 from repro.ztl.allocator import ZoneBook, ZoneRecord
 from repro.ztl.gc import GcConfig, MigrationHint, ZoneGarbageCollector
 from repro.ztl.mapping import RegionLocation, RegionMap
@@ -96,25 +97,25 @@ class RegionTranslationLayer:
         on_drop: Optional[Callable[[int], None]] = None,
     ) -> None:
         if config.region_size <= 0 or device.zone_size % config.region_size != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"region_size {config.region_size} must divide zone size "
                 f"{device.zone_size}"
             )
         if config.region_size % device.block_size != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"region_size {config.region_size} must be a multiple of the "
                 f"device page size {device.block_size}"
             )
         num_zones = config.usable_zones or device.num_zones
         if not 2 <= num_zones <= device.num_zones:
-            raise ValueError(
+            raise ConfigError(
                 f"usable_zones {num_zones} must be in [2, {device.num_zones}]"
             )
         if config.host_groups < 1:
-            raise ValueError(f"host_groups must be >= 1, got {config.host_groups}")
+            raise ConfigError(f"host_groups must be >= 1, got {config.host_groups}")
         # Host streams + the GC stream must fit in the device's open budget.
         if config.host_open_zones * config.host_groups + 1 > device.config.max_open_zones:
-            raise ValueError(
+            raise ConfigError(
                 f"host_open_zones {config.host_open_zones} x host_groups "
                 f"{config.host_groups} + 1 GC stream exceeds device "
                 f"max_open_zones {device.config.max_open_zones}"
@@ -311,15 +312,23 @@ class RegionTranslationLayer:
         self.stats.migrated_region_writes += 1
 
     def _migrate_regions(self, region_ids: List[int]) -> None:
-        """Batched GC relocation: one read batch, one write batch.
+        """Batched GC relocation: one device copy batch per pace step.
 
         The copy loop is the GC hot path, so the reads for every
-        surviving region in a pace step are submitted together (and
+        surviving region in a pace step are charged together (and
         likewise the rewrites) — with a multi-channel device pool the
-        whole burst overlaps instead of serializing.  Mapping and slot
-        bookkeeping stay strictly sequential, exactly as the one-region
-        path, so allocation order (and therefore on-media layout) is
-        unchanged.
+        whole burst overlaps instead of serializing — and the bytes move
+        inside the device (:meth:`ZnsSsd.copy_many`); a survivor never
+        comes up the stack.  Mapping and slot bookkeeping stay strictly
+        sequential, exactly as the one-region path, so allocation order
+        (and therefore on-media layout) is unchanged.
+
+        The batch is atomic per survivor: a target slot is allocated
+        before anything is changed for that survivor, and when the GC
+        stream runs out of zones mid-batch the survivors already rebound
+        still land before the error propagates — book, map, bitmaps,
+        write pointers and media agree, and nothing is charged for a
+        survivor that did not move.
 
         With fault injection armed the batched path is unsafe (a fault
         mid-batch would leave mappings bound to slots whose data never
@@ -329,31 +338,32 @@ class RegionTranslationLayer:
         if self.device.pipeline.faults is not None:
             self._migrate_regions_resilient(region_ids)
             return
+        region_size, zone_size = self.region_size, self.zone_size
+        book, mapping = self.book, self.map
+        records = book.records
         with self.tracer.span(
-            "ztl.gc", "migrate", length=len(region_ids) * self.region_size
+            "ztl.gc", "migrate", length=len(region_ids) * region_size
         ):
-            olds = [self.map.lookup(region_id) for region_id in region_ids]
-            extents: List[Tuple[int, int]] = [
-                (old.byte_offset(self.zone_size, self.region_size), self.region_size)
-                for old in olds
-            ]
-            reads = self.device.read_many(extents, background=True)
-            items: List[Tuple[int, bytes]] = []
-            for region_id, old, completion in zip(region_ids, olds, reads):
-                assert completion.data is not None
-                self.book.record(old.zone_index).bitmap.clear(old.slot)
-                target = self.book.allocate_gc_slot()
-                slot = target.next_slot
-                location = RegionLocation(target.zone_index, slot)
-                items.append(
-                    (location.byte_offset(self.zone_size, self.region_size),
-                     completion.data)
-                )
-                target.bitmap.set(slot)
-                self.map.bind(region_id, location)
-                self.book.note_slot_written(target)
-                self.stats.migrated_region_writes += 1
-            self.device.write_many(items, background=True)
+            pairs: List[Tuple[int, int]] = []
+            try:
+                for region_id in region_ids:
+                    old = mapping.lookup(region_id)
+                    target = book.allocate_gc_slot()
+                    slot = target.next_slot
+                    pairs.append(
+                        (
+                            old.zone_index * zone_size + old.slot * region_size,
+                            target.zone_index * zone_size + slot * region_size,
+                        )
+                    )
+                    records[old.zone_index].bitmap.clear(old.slot)
+                    target.bitmap.set(slot)
+                    mapping.bind(region_id, RegionLocation(target.zone_index, slot))
+                    book.note_slot_written(target)
+            finally:
+                if pairs:
+                    self.device.copy_many(pairs, region_size)
+                    self.stats.migrated_region_writes += len(pairs)
 
     def _migrate_regions_resilient(self, region_ids: List[int]) -> None:
         with self.tracer.span(

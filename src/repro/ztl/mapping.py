@@ -8,15 +8,16 @@ address using the in-region offset and in-zone address".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.errors import RegionNotMappedError
 
 
-@dataclass(frozen=True)
-class RegionLocation:
-    """Physical placement of a region: which zone, which slot within it."""
+class RegionLocation(NamedTuple):
+    """Physical placement of a region: which zone, which slot within it.
+
+    A tuple, so the reverse map hashes and compares its keys in C.
+    """
 
     zone_index: int
     slot: int
@@ -56,14 +57,17 @@ class RegionMap:
     def bind(self, region_id: int, location: RegionLocation) -> None:
         """Map ``region_id`` to ``location``, replacing any previous binding
         of either side (rewrite and relocation both funnel through here)."""
-        old_location = self._forward.pop(region_id, None)
+        forward, reverse = self._forward, self._reverse
+        # The two dicts are exact inverses, so each stale entry is known
+        # to be there and the new ones overwrite in place.
+        old_location = forward.get(region_id)
         if old_location is not None:
-            self._reverse.pop(old_location, None)
-        old_region = self._reverse.pop(location, None)
+            del reverse[old_location]
+        old_region = reverse.get(location)
         if old_region is not None:
-            self._forward.pop(old_region, None)
-        self._forward[region_id] = location
-        self._reverse[location] = region_id
+            del forward[old_region]
+        forward[region_id] = location
+        reverse[location] = region_id
 
     def unbind(self, region_id: int) -> Optional[RegionLocation]:
         """Remove ``region_id``'s mapping; returns the freed location."""

@@ -237,6 +237,8 @@ class TestAdmission:
             expected = sketch.estimate(key)
             assert sketch.add(key) == expected
             assert sketch.estimate(key) == expected + 1
+            for threshold in (expected, expected + 1, expected + 2):
+                assert sketch.at_least(key, threshold) == (expected + 1 >= threshold)
 
 
 class TestCacheConfig:

@@ -54,6 +54,32 @@ class TestErrorHierarchy:
         with pytest.raises(errors.ConfigError):
             PoolConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "zns, ztl, match",
+        [
+            ({"zone_size": 3 * 4096}, {}, "NAND block"),
+            ({"max_open_zones": 0}, {}, "max_open_zones"),
+            ({"max_open_zones": 8, "max_active_zones": 4}, {}, "max_active_zones"),
+            ({"zone_size": 1 << 30}, {}, "even one zone"),
+            ({}, {"region_size": 48 * 1024}, "divide zone size"),
+            ({}, {"region_size": 2048}, "page size"),
+            ({}, {"usable_zones": 1}, "usable_zones"),
+            ({}, {"host_groups": 0}, "host_groups"),
+            ({"max_open_zones": 4}, {"host_open_zones": 2, "host_groups": 2}, "GC stream"),
+        ],
+    )
+    def test_zns_and_ztl_geometry_nonsense_is_a_config_error(self, zns, ztl, match):
+        from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
+        from repro.ztl import RegionTranslationLayer, ZtlConfig
+
+        geometry = NandGeometry(page_size=4096, pages_per_block=16, num_blocks=64)
+        with pytest.raises(errors.ConfigError, match=match):
+            config = ZnsConfig(**{"geometry": geometry, "zone_size": 1 << 18, **zns})
+            RegionTranslationLayer(
+                ZnsSsd(SimClock(), config),
+                ZtlConfig(**{"region_size": 64 * 1024, **ztl}),
+            )
+
     def test_unknown_scheme_and_missing_budget_are_config_errors(self):
         from repro.bench.schemes import SchemeScale, build_scheme
 

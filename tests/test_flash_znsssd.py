@@ -6,11 +6,13 @@ from repro.errors import (
     AlignmentError,
     OutOfRangeError,
     WritePointerError,
+    ZoneDeadError,
     ZoneResourceError,
     ZoneStateError,
 )
-from repro.flash import ZnsConfig, ZnsSsd
-from repro.flash.zone import ZoneState
+from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
+from repro.flash.zone import ZoneCostConfig, ZoneState
+from repro.sim import PoolConfig, SimClock, TraceRecord
 from tests.conftest import make_payload
 
 PAGE = 4096
@@ -175,3 +177,145 @@ class TestZnsTiming:
         assert dirty_reset == clean_reset  # command itself is constant-time
         delayed_read = zns_ssd.read(zns_ssd.zone_size, PAGE).latency_ns
         assert delayed_read > baseline_read  # queued behind the erase
+
+
+class TestZnsReadableZones:
+    def test_read_over_an_offline_middle_zone_fails(self, zns_ssd):
+        """Every zone an extent touches is checked, not just its ends."""
+        size = zns_ssd.zone_size
+        for zone_idx in range(3):
+            zns_ssd.write(zone_idx * size, make_payload(size, zone_idx + 1))
+        zns_ssd.zones[1].die(ZoneState.OFFLINE)
+        with pytest.raises(ZoneDeadError) as direct:
+            zns_ssd.read(size, PAGE)
+        served = zns_ssd.pipeline.pool.requests_served
+        with pytest.raises(ZoneDeadError) as spanning:
+            zns_ssd.read(0, 3 * size)
+        assert spanning.value.zone_index == direct.value.zone_index == 1
+        with pytest.raises(ZoneDeadError):
+            zns_ssd.read_many([(2 * size, PAGE), (0, 3 * size)])
+        with pytest.raises(ZoneDeadError):
+            zns_ssd.copy_many([(2 * size, 4 * size), (0, 5 * size)], 3 * size)
+        assert zns_ssd.pipeline.pool.requests_served == served  # nothing charged
+        # READ_ONLY zones still serve reads.
+        zns_ssd.zones[2].die(ZoneState.READ_ONLY)
+        assert zns_ssd.read(2 * size, PAGE).data == make_payload(PAGE, 3)
+
+
+REGION = 8 * PAGE
+
+
+def _copy_twin(max_open: int = 4, costs: ZoneCostConfig = ZoneCostConfig()) -> ZnsSsd:
+    """Zone 0 full, zone 1 holding three regions, both tracers capturing."""
+    geometry = NandGeometry(page_size=PAGE, pages_per_block=16, num_blocks=32)
+    device = ZnsSsd(
+        SimClock(),
+        ZnsConfig(
+            geometry=geometry,
+            zone_size=4 * geometry.block_size,
+            max_open_zones=max_open,
+            max_active_zones=max_open + 2,
+            zone_costs=costs,
+        ),
+        io=PoolConfig(channels=2, queue_depth=2),
+    )
+    device.tracer.enable()
+    for slot in range(device.zone_size // REGION):
+        device.write(slot * REGION, make_payload(REGION, slot + 1))
+    for slot in range(3):
+        device.write(device.zone_size + slot * REGION, make_payload(REGION, 100 + slot))
+    return device
+
+
+def _via_caller(device: ZnsSsd, pairs, length) -> None:
+    """What GC did before ``copy_many``: the survivors come up as bytes."""
+    reads = device.read_many([(src, length) for src, _ in pairs], background=True)
+    device.write_many(
+        [(dst, read.data) for (_, dst), read in zip(pairs, reads)], background=True
+    )
+
+
+def _state(device: ZnsSsd) -> dict:
+    stats = device.stats
+    return {
+        "media": device.media.load(0, device.capacity_bytes),
+        "allocated": device.media.allocated_bytes,
+        "zones": [(z.state, z.write_pointer) for z in device.zones],
+        "stats": stats.snapshot(),
+        "latencies": (stats.read_latency._samples, stats.write_latency._samples),
+        "zone_mgmt": device.zone_mgmt,
+        "open_touch": (device._open_touch, device._touch_tick),
+        "pool": device.pipeline.snapshot(),
+        "slots": device.pipeline.pool._slots,
+        "clock": device._clock.now,
+        "records": [
+            tuple(getattr(record, name) for name in TraceRecord.__slots__)
+            for record in device.tracer.records
+        ],
+    }
+
+
+class TestZnsCopyMany:
+    """``copy_many`` against twins driven by ``read_many`` + ``write_many``."""
+
+    @pytest.mark.parametrize(
+        "costs", [ZoneCostConfig(), ZoneCostConfig.measured()], ids=["free", "measured"]
+    )
+    def test_same_commands_same_order_same_everything(self, costs):
+        moved, reference = _copy_twin(costs=costs), _copy_twin(costs=costs)
+        size = moved.zone_size
+        pairs = [
+            (1 * REGION, 2 * size),
+            (3 * REGION, 2 * size + REGION),
+            (size + REGION, 3 * size),
+            (5 * REGION, 2 * size + 2 * REGION),
+        ]
+        with moved.tracer.span("ztl.gc", "migrate"):
+            assert moved.copy_many(pairs, REGION) is None
+        with reference.tracer.span("ztl.gc", "migrate"):
+            _via_caller(reference, pairs, REGION)
+        assert _state(moved) == _state(reference)
+        reads, writes = [
+            [r.offset for r in moved.tracer.records if r.background and r.op == op]
+            for op in ("read", "write")
+        ]
+        assert reads == [src for src, _ in pairs]
+        assert writes == [dst for _, dst in pairs]
+        assert moved.read(2 * size + REGION, REGION).data == make_payload(REGION, 4)
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("offline_source", ZoneDeadError),
+            ("full_target", ZoneStateError),
+            ("dead_target", ZoneDeadError),
+            ("misaligned_length", AlignmentError),
+            ("misaligned_target", AlignmentError),
+            ("open_budget", ZoneResourceError),
+        ],
+    )
+    def test_same_typed_error_from_the_same_state(self, case, error):
+        twins = _copy_twin(max_open=2), _copy_twin(max_open=2)
+        size = twins[0].zone_size
+        # The first pair is good, so a later one fails mid-batch.
+        pairs, length = [(0, 2 * size), (REGION, 2 * size + REGION)], REGION
+        for device in twins:
+            if case == "offline_source":
+                device.zones[0].die(ZoneState.OFFLINE)
+            elif case == "dead_target":
+                device.zones[2].die(ZoneState.READ_ONLY)
+            elif case == "open_budget":
+                device.write(4 * size, make_payload(PAGE, 9))  # second open zone
+        if case == "full_target":
+            pairs[1] = (REGION, 0)
+        elif case == "misaligned_length":
+            length = REGION + 1
+        elif case == "misaligned_target":
+            pairs[1] = (REGION, 2 * size + REGION + 1)
+        raised = []
+        for device, drive in zip(twins, (ZnsSsd.copy_many, _via_caller)):
+            with pytest.raises(error) as caught:
+                drive(device, pairs, length)
+            raised.append((type(caught.value), str(caught.value)))
+        assert raised[0] == raised[1]
+        assert _state(twins[0]) == _state(twins[1])

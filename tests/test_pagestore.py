@@ -2,8 +2,9 @@
 windowed victim draw's read-ahead fast path.
 
 * ``PageStore`` against the semantics of the per-page ``Dict[int, bytes]``
-  stores it replaced (hypothesis model test), laziness of the sparse 4 GiB
-  HDD, and ``copy.deepcopy`` independence of every device.
+  stores it replaced (hypothesis model test), ``move`` against a twin that
+  loads and stores, laziness of the sparse 4 GiB HDD, and ``copy.deepcopy``
+  independence of every device.
 * Aliasing: a sealed region's bytes on every backend still equal what was
   sealed after the engine has recycled and refilled the region buffer; the
   payload handed to ``write_region`` is a read-only view; torn-write
@@ -124,6 +125,44 @@ def test_pagestore_matches_page_dict(ops):
     live_chunks = {ppn // CHUNK_PAGES for ppn in model.pages}
     chunk_bytes = CHUNK_PAGES * PAGE
     assert len(live_chunks) * chunk_bytes <= store.allocated_bytes <= TOTAL_PAGES * PAGE
+
+
+_MOVES = st.lists(
+    st.tuples(
+        st.sampled_from(("store", "move", "clear")),
+        st.integers(0, TOTAL_PAGES * PAGE - 1),
+        st.integers(0, TOTAL_PAGES * PAGE - 1),
+        st.integers(1, 3 * CHUNK_PAGES * PAGE),
+        st.integers(1, 255),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_MOVES)
+def test_move_matches_a_twin_that_loads_and_stores(ops):
+    """Byte-granular extents: within one chunk, across chunk boundaries on
+    either side, overlapping, and from space never written (zeros)."""
+    size = TOTAL_PAGES * PAGE
+    store, twin = PageStore(CHUNK_PAGES * PAGE), PageStore(CHUNK_PAGES * PAGE)
+    for op, src, dst, length, tag in ops:
+        length = min(length, size - src, size - dst)
+        if op == "store":
+            payload = bytes((tag + i) % 251 + 1 for i in range(length))
+            store.store(dst, payload)
+            twin.store(dst, payload)
+        elif op == "clear":
+            store.clear(dst, length)
+            twin.clear(dst, length)
+        else:
+            store.move(src, dst, length)
+            twin.store(dst, twin.load(src, length))
+        assert store.load(0, size) == twin.load(0, size)
+        assert store.allocated_bytes == twin.allocated_bytes
+    clone = copy.deepcopy(store)  # bytearrays only: no view was kept
+    clone.store(0, b"\xff" * size)
+    assert store.load(0, size) == twin.load(0, size)
 
 
 def test_store_is_byte_granular_and_copies_in():

@@ -267,6 +267,64 @@ class TestEngineMechanics:
         source.free = 1
         assert engine.pick_victim() == 1  # emergency takes it
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        valid=st.lists(st.integers(0, 8), max_size=6),
+        ages=st.lists(st.integers(0, 20), min_size=6, max_size=6),
+        groups=st.lists(st.integers(0, 1), min_size=6, max_size=6),
+        threshold=st.sampled_from((0.0, 0.2, 0.5, 0.9, 1.0)),
+        free=st.integers(0, 4),
+        dead_first=st.booleans(),
+        policy=st.sampled_from(
+            ("greedy", "cost_benefit", "age_threshold", "random", "cold_defer")
+        ),
+    )
+    def test_valid_fraction_bound_only_skips_picks_that_would_defer(
+        self, valid, ages, groups, threshold, free, dead_first, policy
+    ):
+        """A source that answers ``least_valid_fraction`` gets the same
+        pick as one that claims nothing, and the stateful random policy
+        draws the same stream."""
+
+        class Views(_ScriptedSource):
+            built = 0
+
+            def candidate_views(self):
+                self.built += 1
+                return [
+                    VictimView(vid, count, count / 8, ages[vid], groups[vid])
+                    for vid, count in enumerate(valid)
+                ]
+
+        class Bounded(Views):
+            def least_valid_fraction(self):
+                return min(valid, default=8) / 8
+
+        picks = []
+        for source in (Bounded({}, free), Views({}, free)):
+            engine = ReclaimEngine(
+                source,
+                make_victim_policy(policy, seed=3),
+                ReclaimPacer(
+                    PacerConfig(
+                        background=5, target=5, emergency=1,
+                        victim_valid_threshold=threshold,
+                    )
+                ),
+                dead_first=dead_first,
+            )
+            picks.append([engine.pick_victim() for _ in range(3)])
+            if policy == "random":
+                picks[-1].append(engine.policy._rng.getstate())
+            else:
+                picks[-1].append(source.built)
+        bounded, plain = picks
+        assert bounded[:3] == plain[:3]
+        if policy == "random":
+            assert bounded[3] == plain[3]
+        elif valid and min(valid) / 8 > threshold and free > 1:
+            assert (bounded[3], plain[3]) == (0, 3)  # deferred without views
+
     def test_spans_cover_migrate_and_reset(self):
         tracer = IoTracer(SimClock()).enable()
         source = _ScriptedSource({1: [10, 11]}, free=0)
@@ -554,6 +612,10 @@ def test_ztl_reclaim_preserves_live_regions(ops):
             live.discard(region_id)
         else:
             layer.gc.collect(max_zones=1)
+        source = layer.gc.engine.source
+        assert source.least_valid_fraction() == min(
+            (view.valid_fraction for view in source.candidate_views()), default=1.0
+        )
     assert {rid for rid in range(15) if layer.has_region(rid)} == live
     placements = [
         (layer.map.lookup(rid).zone_index, layer.map.lookup(rid).slot)

@@ -10,8 +10,9 @@ transients make the allocator grow and trim the heap every rotation).
 
 Steady-state rotations are measured per scheme (every region slot has
 been written and reclaimed before), on rotations where background
-relocation was quiescent: a ZTL migration legitimately reads a whole
-region back, and an F2FS checkpoint pickles its tables.
+relocation was quiescent: an F2FS checkpoint pickles its tables, and a
+ZTL migration is measured on its own below — its survivors move chunk to
+chunk inside the device and never come up the stack as ``bytes``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import tracemalloc
 import pytest
 
 from repro.bench.schemes import ALL_SCHEME_NAMES, SchemeScale, build_scheme
+from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
 from repro.sim import SimClock
 from repro.units import KIB, MIB
+from repro.ztl import GcConfig, RegionTranslationLayer, ZtlConfig
 
 SCALE = SchemeScale(
     zone_size=512 * KIB, region_size=128 * KIB, pages_per_block=32, ram_bytes=16 * KIB
@@ -86,3 +89,44 @@ def test_rotation_allocates_nothing_region_sized(scheme):
         f"{scheme}: a rotation transiently allocated {max(quiescent_peaks)}B "
         f"(region is {region_size}B) — something copies the region again"
     )
+
+
+def test_gc_step_moves_its_survivors_without_a_region_sized_transient():
+    region, survivors = 32 * KIB, 12
+    geometry = NandGeometry(page_size=4 * KIB, pages_per_block=32, num_blocks=32)
+    device = ZnsSsd(SimClock(), ZnsConfig(geometry=geometry, zone_size=512 * KIB))
+    layer = RegionTranslationLayer(
+        device,
+        ZtlConfig(
+            region_size=region,
+            host_open_zones=1,
+            gc=GcConfig(min_empty_zones=1, victim_valid_threshold=1.0),
+        ),
+    )
+    slots = layer.slots_per_zone
+
+    def fill_a_zone_then_kill(first_region: int) -> None:
+        for region_id in range(first_region, first_region + slots):
+            layer.write_region(region_id, bytes([region_id % 251 + 1]) * region)
+        for region_id in range(first_region, first_region + slots - survivors):
+            layer.invalidate_region(region_id)
+
+    fill_a_zone_then_kill(0)
+    assert layer.gc.collect() == 1  # everything has run once before measuring
+    fill_a_zone_then_kill(slots)
+    migrated = layer.stats.migrated_region_writes
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert layer.gc.collect() == 1
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert layer.stats.migrated_region_writes == migrated + survivors
+    # Above both ends: the chunks the survivors now occupy are the data.
+    assert peak - max(before, after) < region, (
+        f"a GC step over {survivors} survivors transiently allocated "
+        f"{peak - max(before, after)}B (a region is {region}B)"
+    )
+    for region_id in range(2 * slots - survivors, 2 * slots):
+        assert layer.read_region(region_id).data == bytes([region_id % 251 + 1]) * region

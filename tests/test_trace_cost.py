@@ -11,8 +11,9 @@ monkeypatched constructor do, on any machine:
 * the record the subscriber receives is the only thing the tracer
   allocated for that span, has no ``__dict__``, and once closed holds no
   reference back to its tracer;
-* a traced foreground fault-free ``ZnsSsd.read`` runs the same fast path
-  as an untraced one: no ``IoRequest``, the same ``IoCompletion``.
+* a traced fault-free ``ZnsSsd.read`` or ``write`` runs the same code as
+  an untraced one: no ``IoRequest`` (only an armed fault injector gets
+  one), the same ``IoCompletion``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import repro.flash.znsssd as znsssd_module
 import repro.sim.io as io_module
 from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
 from repro.sim import IoCompletion, IoTracer, SimClock, TraceRecord
+from repro.sim.faults import FaultInjector
 from repro.units import KIB
 
 MAX_CALLS_PER_SPAN = 5
@@ -107,17 +109,16 @@ def test_record_is_the_only_allocation_and_keeps_no_tracer():
     assert all(isinstance(r, (int, str, type(None))) for r in referents), referents
 
 
-def _device(clock: SimClock) -> ZnsSsd:
+def _device(clock: SimClock, faults=None) -> ZnsSsd:
     geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
-    device = ZnsSsd(clock, ZnsConfig(geometry=geometry, zone_size=256 * KIB))
+    device = ZnsSsd(
+        clock, ZnsConfig(geometry=geometry, zone_size=256 * KIB), faults=faults
+    )
     device.write(0, bytes(range(256)) * 64)
     return device
 
 
-def test_traced_foreground_read_takes_the_untraced_path(monkeypatch):
-    plain, traced = _device(SimClock()), _device(SimClock())
-    records = []
-    traced.tracer.subscribe(records.append)
+def _count_requests(monkeypatch) -> list:
     built = []
     real_request = znsssd_module.IoRequest
     monkeypatch.setattr(
@@ -125,6 +126,14 @@ def test_traced_foreground_read_takes_the_untraced_path(monkeypatch):
         "IoRequest",
         lambda *a, **kw: (built.append(1), real_request(*a, **kw))[1],
     )
+    return built
+
+
+def test_traced_foreground_read_takes_the_untraced_path(monkeypatch):
+    plain, traced = _device(SimClock()), _device(SimClock())
+    records = []
+    traced.tracer.subscribe(records.append)
+    built = _count_requests(monkeypatch)
     with traced.tracer.span("backend", "read"):
         got = traced.read(4 * KIB, 8 * KIB)
     want = plain.read(4 * KIB, 8 * KIB)
@@ -141,7 +150,41 @@ def test_traced_foreground_read_takes_the_untraced_path(monkeypatch):
     for name in ("submitted_ns", "completed_ns", "wait_ns", "service_ns", "channel"):
         assert getattr(read, name) == getattr(got, name), name
 
-    # Background reads are still full pipeline requests.
+    # Background reads run the same body: a reservation, no request.
     traced.read(0, 4 * KIB, background=True)
-    assert built == [1]
+    assert built == []
     assert records[-1].background is True
+
+
+def test_fault_free_traced_write_builds_no_request(monkeypatch):
+    plain, traced = _device(SimClock()), _device(SimClock())
+    records = []
+    traced.tracer.subscribe(records.append)
+    built = _count_requests(monkeypatch)
+    payload = bytes(8 * KIB)
+    with traced.tracer.span("ztl", "write_region"):
+        got = traced.write(16 * KIB, payload)
+    want = plain.write(16 * KIB, payload)
+    traced.write_many([(24 * KIB, payload)], background=True)
+    traced.copy_many([(0, 32 * KIB)], 8 * KIB)
+    traced.append(1, payload)
+    assert built == []
+    for name in IoCompletion.__slots__:
+        assert getattr(got, name) == getattr(want, name), name
+
+    write, span = records[:2]
+    assert (write.layer, write.op, write.parent_id) == ("zns", "write", span.record_id)
+    assert (write.offset, write.length, write.zone) == (16 * KIB, 8 * KIB, 0)
+    for name in ("submitted_ns", "completed_ns", "wait_ns", "service_ns", "channel"):
+        assert getattr(write, name) == getattr(got, name), name
+    assert [(r.op, r.background) for r in records[2:]] == [
+        ("write", True), ("read", True), ("write", True), ("append", False)
+    ]
+
+    # The fault injector is the one consumer: armed, each command shows
+    # it exactly one request.
+    armed = _device(SimClock(), faults=FaultInjector(seed=1))
+    del built[:]
+    armed.write(16 * KIB, payload)
+    armed.read(0, 4 * KIB)
+    assert built == [1, 1]

@@ -527,6 +527,34 @@ class TestZCacheDeterminism:
             [{k: str(v) for k, v in r.items()} for r in rerun], columns=columns
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        keys=st.lists(st.integers(0, 40), max_size=12),
+        seen=st.lists(st.integers(0, 40), max_size=80),
+        threshold=st.integers(1, 3),
+    )
+    def test_classify_is_the_majority_vote_over_sketch_estimates(
+        self, keys, seen, threshold
+    ):
+        """The vote stops as soon as it is decided and a key's rows stop
+        at the first one under the threshold; the group and the counters
+        are those of counting every key's full estimate."""
+        from repro.cache.item import EntryCodec
+
+        store = _z_cache_stack().cache.store
+        store.hot_threshold = threshold
+        for key in seen:
+            store.sketch.add(b"key%02d" % key)
+        payload = b"".join(
+            EntryCodec.encode(b"key%02d" % key, b"v" * 10) for key in keys
+        ) + bytes(64)
+        hot = sum(store.sketch.estimate(b"key%02d" % k) >= threshold for k in keys)
+        expected = 0 if keys and 2 * hot >= len(keys) else store.cold_group
+        assert store._classify(payload) == expected
+        assert (store.hot_regions, store.cold_regions) == (
+            (1, 0) if expected == 0 else (0, 1 if keys else 0)
+        )
+
     def test_admission_and_store_share_one_sketch(self):
         stack = _z_cache_stack()
         assert stack.cache.admission.sketch is stack.cache.store.sketch

@@ -166,6 +166,47 @@ class TestZtlGc:
             for region_id in range(layer.total_slots + 8):
                 layer.write_region(region_id, payload(region_id))
 
+    def test_gc_batch_is_atomic_when_the_gc_stream_runs_out_of_zones(self):
+        """A survivor is rebound only with a slot in hand, and the ones
+        already rebound land before the error propagates."""
+        geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=24)
+        zns = ZnsSsd(
+            SimClock(), ZnsConfig(geometry=geometry, zone_size=4 * geometry.block_size)
+        )
+        layer = RegionTranslationLayer(
+            zns,
+            ZtlConfig(
+                region_size=REGION, host_open_zones=1, gc=GcConfig(min_empty_zones=1)
+            ),
+        )
+        for region_id in range(8):  # zone 0 holds regions 0-3, zone 1 holds 4-7
+            layer.write_region(region_id, payload(region_id))
+        layer._migrate_regions([0, 1, 2])
+        layer.book._empty.clear()
+        stats = zns.stats
+        before = (stats.host_read_bytes, stats.host_write_bytes)
+        with pytest.raises(TranslationFullError):
+            layer._migrate_regions([3, 4])  # one slot left on the GC stream
+        # Region 3 took that slot and its bytes are there; region 4 never
+        # moved, and nothing was read or written for it.
+        assert (stats.host_read_bytes, stats.host_write_bytes) == (
+            before[0] + REGION,
+            before[1] + REGION,
+        )
+        assert layer.stats.migrated_region_writes == 4
+        gc_zone = layer.map.lookup(3).zone_index
+        assert layer.map.lookup(4) == (1, 0)
+        assert layer.book.record(1).bitmap.is_set(0)
+        for record in layer.book.records:
+            zone = zns.zones[record.zone_index]
+            assert zone.written_bytes == record.next_slot * REGION
+            for slot in range(layer.slots_per_zone):
+                mapped = layer._region_at(record.zone_index, slot) is not None
+                assert record.bitmap.is_set(slot) == mapped
+        assert layer.book.record(gc_zone).valid_count == 4
+        for region_id in range(8):
+            assert layer.read_region(region_id).data == payload(region_id)
+
     def test_usable_zones_restricts_capacity(self):
         layer = make_layer(usable_zones=10)
         assert layer.num_zones == 10
