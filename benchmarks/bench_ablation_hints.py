@@ -36,7 +36,7 @@ def run_one(use_hints: bool):
             meta = cache.regions.meta(region_id)
             if meta is not None:
                 for key in list(meta.keys):
-                    cache.index.remove(key)
+                    cache.index.pop(key, None)
                     meta.note_removed(key)
 
         layer.gc.migration_hint = migration_hint

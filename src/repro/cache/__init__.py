@@ -26,7 +26,6 @@ percentiles, and per-layer write-amplification.
 
 from repro.cache.config import CacheConfig, CpuCosts
 from repro.cache.item import EntryCodec, EntryLocation
-from repro.cache.index import ShardedIndex
 from repro.cache.region import RegionBuffer, RegionMeta
 from repro.cache.eviction import EvictionPolicyKind, make_eviction_policy
 from repro.cache.region_manager import RegionManager
@@ -55,7 +54,6 @@ __all__ = [
     "CpuCosts",
     "EntryCodec",
     "EntryLocation",
-    "ShardedIndex",
     "RegionBuffer",
     "RegionMeta",
     "EvictionPolicyKind",

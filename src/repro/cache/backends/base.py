@@ -15,8 +15,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.errors import OutOfRangeError
-from repro.sim.io import NULL_TRACER, IoTracer
+from repro.errors import OutOfRangeError, RegionSizeError
+from repro.sim.io import IoTracer
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,22 @@ class WafRaw:
 
 
 class RegionStore(abc.ABC):
-    """Backend interface: fixed-size regions addressed by dense ids."""
+    """Backend interface: fixed-size regions addressed by dense ids.
 
-    @property
-    @abc.abstractmethod
-    def region_size(self) -> int:
-        """Bytes per region."""
+    ``region_size`` is the bytes per region, ``num_regions`` the region
+    slots the cache may use, ``block_size`` the alignment of the media
+    underneath (ranged reads are widened to it), and ``tracer`` the I/O
+    tracer of the stack's device pipeline, so the engine can open spans
+    on the same bus its device commands are reported to.
+    """
 
-    @property
-    @abc.abstractmethod
-    def num_regions(self) -> int:
-        """Number of region slots the cache may use."""
+    def __init__(
+        self, region_size: int, num_regions: int, block_size: int, tracer: IoTracer
+    ) -> None:
+        self.region_size = region_size
+        self.num_regions = num_regions
+        self.tracer = tracer
+        self._block_size = block_size
 
     @abc.abstractmethod
     def write_region(self, region_id: int, payload: bytes) -> int:
@@ -81,9 +86,41 @@ class RegionStore(abc.ABC):
         buffer ownership").
         """
 
-    @abc.abstractmethod
     def read(self, region_id: int, offset: int, length: int) -> bytes:
-        """Read an entry range; implementations handle device alignment."""
+        """Read an entry range: the one read body of every scheme.
+
+        The range must lie inside the region (a location that does not
+        is a bug above, never the neighbour region's bytes).  It is
+        widened to device alignment — the read amplification every
+        byte-addressed cache pays on a block device — fetched through
+        the scheme's :meth:`_read_window` and cut back with one slice.
+        """
+        end = offset + length
+        if (
+            not 0 <= region_id < self.num_regions
+            or offset < 0
+            or length <= 0
+            or end > self.region_size
+        ):
+            raise OutOfRangeError(
+                f"read (region={region_id}, offset={offset}, length={length}) "
+                f"outside [0, {self.num_regions}) regions of {self.region_size}B"
+            )
+        block_size = self._block_size
+        skip = offset % block_size
+        aligned_offset = offset - skip
+        aligned_length = end + -end % block_size - aligned_offset
+        tracer = self.tracer
+        if tracer.enabled:
+            with tracer.span("backend", "read", offset=offset, length=length):
+                data = self._read_window(region_id, aligned_offset, aligned_length)
+        else:
+            data = self._read_window(region_id, aligned_offset, aligned_length)
+        return data[skip : skip + length]
+
+    @abc.abstractmethod
+    def _read_window(self, region_id: int, offset: int, length: int) -> bytes:
+        """The bytes of a block-aligned window inside a valid region."""
 
     @abc.abstractmethod
     def invalidate_region(self, region_id: int) -> None:
@@ -103,20 +140,19 @@ class RegionStore(abc.ABC):
         """Human-readable scheme label used in benchmark tables."""
         return type(self).__name__
 
-    @property
-    def tracer(self) -> IoTracer:
-        """The I/O tracer of this store's stack (never-recording default).
-
-        Backends with a real device underneath override this to expose
-        the device pipeline's tracer, so the engine can open spans on the
-        same bus its device commands are reported to.
-        """
-        return NULL_TRACER
-
     def check_region_id(self, region_id: int) -> None:
         if not 0 <= region_id < self.num_regions:
             raise OutOfRangeError(
                 f"region {region_id} outside [0, {self.num_regions})"
+            )
+
+    def check_write(self, region_id: int, payload) -> None:
+        """A region write names a valid region and carries exactly one
+        region of bytes."""
+        self.check_region_id(region_id)
+        if len(payload) != self.region_size:
+            raise RegionSizeError(
+                f"payload must be exactly {self.region_size}B, got {len(payload)}"
             )
 
 
@@ -125,8 +161,8 @@ def aligned_window(offset: int, length: int, alignment: int) -> tuple[int, int, 
 
     Returns ``(aligned_offset, aligned_length, slice_start)`` where
     ``slice_start`` is where the requested bytes begin inside the aligned
-    read — this is the read-amplification every byte-addressed cache pays
-    on a block device.
+    read.  The reference for the arithmetic :meth:`RegionStore.read`
+    does inline (the tests hold the two together).
     """
     aligned_offset = (offset // alignment) * alignment
     end = offset + length

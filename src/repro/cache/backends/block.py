@@ -8,9 +8,8 @@ and GC tail latency the paper measures against.
 
 from __future__ import annotations
 
-from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw, aligned_window
+from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
 from repro.flash.blockssd import BlockSsd
-from repro.sim.io import IoTracer
 
 
 class BlockRegionStore(RegionStore):
@@ -33,45 +32,21 @@ class BlockRegionStore(RegionStore):
                 f"{num_regions} regions of {region_size}B exceed device "
                 f"capacity {device.capacity_bytes}B"
             )
+        super().__init__(region_size, num_regions, device.block_size, device.tracer)
         self.device = device
-        self._region_size = region_size
-        self._num_regions = num_regions
         self.use_discard = use_discard
-
-    @property
-    def region_size(self) -> int:
-        return self._region_size
-
-    @property
-    def num_regions(self) -> int:
-        return self._num_regions
 
     @property
     def scheme_name(self) -> str:
         return "Block-Cache"
 
-    @property
-    def tracer(self) -> IoTracer:
-        return self.device.tracer
-
     def write_region(self, region_id: int, payload: bytes) -> int:
-        self.check_region_id(region_id)
-        if len(payload) != self._region_size:
-            raise ValueError(
-                f"payload must be exactly {self._region_size}B, got {len(payload)}"
-            )
+        self.check_write(region_id, payload)
         with self.tracer.span("backend", "write_region", length=len(payload)):
-            return self.device.write(region_id * self._region_size, payload).latency_ns
+            return self.device.write(region_id * self.region_size, payload).latency_ns
 
-    def read(self, region_id: int, offset: int, length: int) -> bytes:
-        self.check_region_id(region_id)
-        base = region_id * self._region_size
-        aligned_offset, aligned_length, skip = aligned_window(
-            offset, length, self.device.block_size
-        )
-        with self.tracer.span("backend", "read", offset=offset, length=length):
-            data = self.device.read(base + aligned_offset, aligned_length).data
-        return data[skip : skip + length]
+    def _read_window(self, region_id: int, offset: int, length: int) -> bytes:
+        return self.device.read(region_id * self.region_size + offset, length).data
 
     def invalidate_region(self, region_id: int) -> None:
         """Optionally TRIM the dead range so the FTL skips relocating it.
@@ -82,7 +57,7 @@ class BlockRegionStore(RegionStore):
         """
         self.check_region_id(region_id)
         if self.use_discard:
-            self.device.discard(region_id * self._region_size, self._region_size)
+            self.device.discard(region_id * self.region_size, self.region_size)
 
     def waf(self) -> WafBreakdown:
         return WafBreakdown(app=1.0, device=self.device.stats.write_amplification)

@@ -8,10 +8,9 @@ block-granular mapping overhead, filesystem WA, and provisioning space.
 
 from __future__ import annotations
 
-from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw, aligned_window
+from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
 from repro.f2fs.file import F2fsFile
 from repro.f2fs.fs import F2fs
-from repro.sim.io import IoTracer
 
 
 class FileRegionStore(RegionStore):
@@ -37,48 +36,26 @@ class FileRegionStore(RegionStore):
                 f"cache of {num_regions}×{region_size}B does not fit in the "
                 f"filesystem's usable {fs.usable_bytes}B"
             )
+        super().__init__(region_size, num_regions, block_size, fs.tracer)
         self.fs = fs
-        self._region_size = region_size
-        self._num_regions = num_regions
         if fs.exists(file_name):
             self.file: F2fsFile = fs.open(file_name)
         else:
             self.file = fs.create(file_name)
 
     @property
-    def region_size(self) -> int:
-        return self._region_size
-
-    @property
-    def num_regions(self) -> int:
-        return self._num_regions
-
-    @property
     def scheme_name(self) -> str:
         return "File-Cache"
 
-    @property
-    def tracer(self) -> IoTracer:
-        return self.fs.tracer
-
     def write_region(self, region_id: int, payload: bytes) -> int:
-        self.check_region_id(region_id)
-        if len(payload) != self._region_size:
-            raise ValueError(
-                f"payload must be exactly {self._region_size}B, got {len(payload)}"
-            )
+        self.check_write(region_id, payload)
         with self.tracer.span("backend", "write_region", length=len(payload)):
-            return self.file.pwrite(region_id * self._region_size, payload)
+            return self.file.pwrite(region_id * self.region_size, payload)
 
-    def read(self, region_id: int, offset: int, length: int) -> bytes:
-        self.check_region_id(region_id)
-        base = region_id * self._region_size
-        aligned_offset, aligned_length, skip = aligned_window(
-            offset, length, self.fs.layout.block_size
+    def _read_window(self, region_id: int, offset: int, length: int) -> bytes:
+        return self.fs.pread(
+            self.file.file_id, region_id * self.region_size + offset, length
         )
-        with self.tracer.span("backend", "read", offset=offset, length=length):
-            data = self.file.pread(base + aligned_offset, aligned_length)
-        return data[skip : skip + length]
 
     def invalidate_region(self, region_id: int) -> None:
         """No-op: a file offers no way to declare a range dead.
@@ -116,8 +93,8 @@ class FileRegionStore(RegionStore):
         owner_id, file_block = owner
         if owner_id != self.file.file_id:
             return None
-        region_id = file_block * self.fs.layout.block_size // self._region_size
-        return region_id if region_id < self._num_regions else None
+        region_id = file_block * self.fs.layout.block_size // self.region_size
+        return region_id if region_id < self.num_regions else None
 
     def waf(self) -> WafBreakdown:
         return WafBreakdown(

@@ -12,9 +12,8 @@ knob Figure 4 sweeps.
 
 from __future__ import annotations
 
-from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw, aligned_window
+from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
 from repro.errors import CacheConfigError
-from repro.sim.io import IoTracer
 from repro.ztl.layer import RegionTranslationLayer
 
 
@@ -30,55 +29,30 @@ class ZtlRegionStore(RegionStore):
                 f"layer's {layer.total_slots} slots (GC would thrash at 100% "
                 "utilization)"
             )
+        super().__init__(
+            layer.region_size, num_regions, layer.device.block_size, layer.tracer
+        )
         self.layer = layer
-        self._num_regions = num_regions
-
-    @property
-    def region_size(self) -> int:
-        return self.layer.region_size
-
-    @property
-    def num_regions(self) -> int:
-        return self._num_regions
 
     @property
     def op_ratio(self) -> float:
         """Fraction of layer slots held back as GC headroom."""
-        return 1.0 - self._num_regions / self.layer.total_slots
+        return 1.0 - self.num_regions / self.layer.total_slots
 
     @property
     def scheme_name(self) -> str:
         return "Region-Cache"
 
-    @property
-    def tracer(self) -> IoTracer:
-        return self.layer.tracer
-
     def write_region(self, region_id: int, payload: bytes) -> int:
         self.check_region_id(region_id)
-        tracer = self.layer.tracer
+        tracer = self.tracer
         if tracer.enabled:
             with tracer.span("backend", "write_region", length=len(payload)):
                 return self.layer.write_region(region_id, payload).latency_ns
         return self.layer.write_region(region_id, payload).latency_ns
 
-    def read(self, region_id: int, offset: int, length: int) -> bytes:
-        self.check_region_id(region_id)
-        aligned_offset, aligned_length, skip = aligned_window(
-            offset, length, self.layer.device.block_size
-        )
-        aligned_length = min(aligned_length, self.region_size - aligned_offset)
-        tracer = self.layer.tracer
-        if tracer.enabled:
-            with tracer.span("backend", "read", offset=offset, length=length):
-                data = self.layer.read_region(
-                    region_id, aligned_offset, aligned_length
-                ).data
-        else:
-            data = self.layer.read_region(
-                region_id, aligned_offset, aligned_length
-            ).data
-        return data[skip : skip + length]
+    def _read_window(self, region_id: int, offset: int, length: int) -> bytes:
+        return self.layer.read_region(region_id, offset, length).data
 
     def invalidate_region(self, region_id: int) -> None:
         """Tell the layer the region is dead so GC never migrates it."""

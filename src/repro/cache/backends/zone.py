@@ -15,13 +15,12 @@ worth of bytes.
 from __future__ import annotations
 
 from repro.cache.admission import CountMinSketch
-from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw, aligned_window
+from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
 from repro.cache.backends.region import ZtlRegionStore
 from repro.cache.item import EntryCodec
 from repro.errors import CacheConfigError
 from repro.flash.zone import ZoneState
 from repro.flash.znsssd import ZnsSsd
-from repro.sim.io import IoTracer
 from repro.ztl.layer import RegionTranslationLayer
 
 
@@ -35,34 +34,20 @@ class ZoneRegionStore(RegionStore):
             raise ValueError(
                 f"num_regions {num_regions} must be in [1, {device.num_zones}]"
             )
+        super().__init__(
+            device.zone_size, num_regions, device.block_size, device.tracer
+        )
         self.device = device
-        self._num_regions = num_regions
         self.zone_resets = 0
-
-    @property
-    def region_size(self) -> int:
-        return self.device.zone_size
-
-    @property
-    def num_regions(self) -> int:
-        return self._num_regions
 
     @property
     def scheme_name(self) -> str:
         return "Zone-Cache"
 
-    @property
-    def tracer(self) -> IoTracer:
-        return self.device.tracer
-
     def write_region(self, region_id: int, payload: bytes) -> int:
         """Reset the zone (if dirty) and write the whole region into it."""
-        self.check_region_id(region_id)
-        if len(payload) != self.region_size:
-            raise ValueError(
-                f"payload must be exactly {self.region_size}B, got {len(payload)}"
-            )
-        tracer = self.device.tracer
+        self.check_write(region_id, payload)
+        tracer = self.tracer
         if tracer.enabled:
             with tracer.span("backend", "write_region", length=len(payload)):
                 return self._write_region_impl(region_id, payload)
@@ -77,21 +62,8 @@ class ZoneRegionStore(RegionStore):
         latency += self.device.write(zone.start, payload).latency_ns
         return latency
 
-    def read(self, region_id: int, offset: int, length: int) -> bytes:
-        self.check_region_id(region_id)
-        zone = self.device.zones[region_id]
-        aligned_offset, aligned_length, skip = aligned_window(
-            offset, length, self.device.block_size
-        )
-        tracer = self.device.tracer
-        if tracer.enabled:
-            with tracer.span("backend", "read", offset=offset, length=length):
-                data = self.device.read(
-                    zone.start + aligned_offset, aligned_length
-                ).data
-        else:
-            data = self.device.read(zone.start + aligned_offset, aligned_length).data
-        return data[skip : skip + length]
+    def _read_window(self, region_id: int, offset: int, length: int) -> bytes:
+        return self.device.read(region_id * self.region_size + offset, length).data
 
     def invalidate_region(self, region_id: int) -> None:
         """Eagerly reset the zone — eviction *is* the cleaning command."""
@@ -166,7 +138,7 @@ class ZCacheRegionStore(ZtlRegionStore):
     def write_region(self, region_id: int, payload: bytes) -> int:
         self.check_region_id(region_id)
         group = self._classify(payload)
-        tracer = self.layer.tracer
+        tracer = self.tracer
         if tracer.enabled:
             with tracer.span("backend", "write_region", length=len(payload)):
                 return self.layer.write_region(

@@ -87,7 +87,6 @@ class CacheConfig:
     # leaves a few live stragglers in otherwise-dead zones — the source
     # of the low-1.x steady-state WAFs in the paper's Table 1.
     reclaim_window: int = 1
-    index_shards: int = 16
     read_from_buffer: bool = True
     populate_ram_on_flash_hit: bool = True
     # Per-item CRC32 (generation-salted) appended to every on-flash
@@ -130,8 +129,6 @@ class CacheConfig:
             )
         if self.reclaim_window < 1:
             raise CacheConfigError("reclaim_window must be >= 1")
-        if self.index_shards < 1:
-            raise CacheConfigError("index_shards must be >= 1")
 
     @property
     def flash_bytes(self) -> int:

@@ -1,6 +1,6 @@
 """The hybrid cache engine (CacheLib stand-in).
 
-``HybridCache`` composes the DRAM tier, the sharded index, the region
+``HybridCache`` composes the DRAM tier, the key → location index, the region
 manager and a scheme backend into the get/set/delete API the paper's
 workloads drive.  The data path mirrors CacheLib's log-structured
 engine:
@@ -26,7 +26,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.cache.admission import AdmissionPolicy, build_admission
 from repro.cache.backends.base import RegionStore, WafBreakdown
 from repro.cache.config import CacheConfig
-from repro.cache.index import ShardedIndex
 from repro.cache.item import EntryCodec, EntryLocation
 from repro.cache.lifecycle import ItemLifecycle, tenant_token
 from repro.cache.ram_cache import RamCache
@@ -89,6 +88,7 @@ class HybridCache:
         self._set_ns = config.cpu.set_per_item_ns
         self._delete_ns = config.cpu.delete_ns
         self._copy_ns_per_kib = config.cpu.buffer_copy_ns_per_kib
+        self._populate_ram = config.populate_ram_on_flash_hit
         self._entry_overhead = EntryCodec.entry_size(
             b"", b"", checksum=config.checksums
         )
@@ -96,7 +96,10 @@ class HybridCache:
             admission if admission is not None else build_admission(config.admission)
         )
         self.ram = RamCache(config.ram_bytes)
-        self.index = ShardedIndex(config.index_shards)
+        # key -> where its newest admitted entry lives.  One flat dict:
+        # the eviction cost model charges by item count
+        # (``CpuCosts.eviction_teardown_ns``), never by shard.
+        self.index: Dict[bytes, EntryLocation] = {}
         # The reclaim window may not exceed an eighth of the region pool:
         # wider windows randomize reuse order enough that zone-level
         # garbage never concentrates and backend GC degenerates.
@@ -178,24 +181,21 @@ class HybridCache:
             return value
         stats.ram_lookups.total += 1
         location = self.index.get(key)
-        if location is None:
-            lookups = stats.lookups
-            lookups.total += 1
-            recorder = stats.get_latency
-            recorder._samples.append(clock.now - start_ns)
-            recorder._sorted = None
-            stats.finished_at_ns = clock.now
-            return None
-        value = self._read_entry(key, location)
-        if value is None:
-            stats.flash_lookups.record(False)
-            self._finish_lookup(start_ns, hit=False)
-            return None
-        stats.flash_lookups.record(True)
-        self.regions.touch(location.region_id)
-        if self.config.populate_ram_on_flash_hit:
-            self.ram.put(key, value)
-        self._finish_lookup(start_ns, hit=True)
+        if location is not None:
+            value = self._read_entry(key, location)
+            flash_lookups = stats.flash_lookups
+            flash_lookups.total += 1
+            if value is not None:
+                flash_lookups.hits += 1
+                stats.lookups.hits += 1
+                self.regions.touch(location.region_id)
+                if self._populate_ram:
+                    self.ram.put(key, value)
+        stats.lookups.total += 1
+        recorder = stats.get_latency
+        recorder._samples.append(clock.now - start_ns)
+        recorder._sorted = None
+        stats.finished_at_ns = clock.now
         return value
 
     def set(self, key: bytes, value: bytes, ttl_seconds: Optional[float] = None) -> bool:
@@ -249,7 +249,9 @@ class HybridCache:
             buffer = self._buffer
         clock.now += self._copy_ns_per_kib * (entry_size // 1024)
         location = buffer.append(key, value, expiry_ns)
-        old = self.index.put(key, location)
+        index = self.index
+        old = index.get(key)
+        index[key] = location
         if old is not None and old.region_id != buffer.region_id:
             self.regions.note_key_removed(old.region_id, key, "overwritten")
         elif old is not None:
@@ -274,7 +276,7 @@ class HybridCache:
         if self._expiry:
             self.lifecycle.clear_ttl(key)
         in_ram = self.ram.remove(key)
-        location = self.index.remove(key)
+        location = self.index.pop(key, None)
         if location is not None:
             self._note_removed(location, key, "deleted")
         recorder = stats.delete_latency
@@ -371,7 +373,7 @@ class HybridCache:
         for key in list(meta.keys):
             location = self.index.get(key)
             if location is not None and location.region_id == region_id:
-                self.index.remove(key)
+                del self.index[key]
                 self.stats.dropped_items += 1
             if self._versioning and not ns.is_current(key):
                 reason = "invalidated"
@@ -406,10 +408,7 @@ class HybridCache:
                     "salt": meta.salt,
                 }
             )
-        index = {}
-        for key in self.index.keys():
-            location = self.index.get(key)
-            index[key] = (location.region_id, location.offset, location.length)
+        index = {key: tuple(location) for key, location in self.index.items()}
         return {
             "config": {
                 "region_size": self.config.region_size,
@@ -477,7 +476,7 @@ class HybridCache:
         cache._open_keys = set()
         cache._open_sizes = {}
         for key, (region_id, offset, length) in state["index"].items():
-            cache.index.put(key, EntryLocation(region_id, offset, length))
+            cache.index[key] = EntryLocation(region_id, offset, length)
             meta = cache.regions.meta(region_id)
             if meta is not None and key in meta.keys:
                 meta.entry_bytes[key] = length
@@ -525,7 +524,7 @@ class HybridCache:
             effective_window,
             dead_first=config.lifecycle.dead_first_eviction,
         )
-        cache.index = ShardedIndex(config.index_shards)
+        cache.index = {}
         cache.seal_journal = []
         cache._journal_seq = 0
         # Journal entries arrive in seq order; the last event per region
@@ -573,7 +572,7 @@ class HybridCache:
                     cache.regions.note_key_removed(
                         previous_rid, entry.key, "overwritten"
                     )
-                cache.index.put(entry.key, EntryLocation(rid, offset, length))
+                cache.index[entry.key] = EntryLocation(rid, offset, length)
                 key_region[entry.key] = rid
                 keys.add(entry.key)
                 sizes[entry.key] = length
@@ -743,9 +742,8 @@ class HybridCache:
         for key in self._open_keys:
             location = self.index.get(key)
             if location is not None and location.region_id == dead_region_id:
-                self.index.put(
-                    key,
-                    EntryLocation(new_region_id, location.offset, location.length),
+                self.index[key] = EntryLocation(
+                    new_region_id, location.offset, location.length
                 )
         self.store.tracer.emit_event(
             "engine.fault", "reroute_flush", offset=new_region_id
@@ -761,7 +759,7 @@ class HybridCache:
             for key in list(meta.keys):
                 location = self.index.get(key)
                 if location is not None and location.region_id == region_id:
-                    self.index.remove(key)
+                    del self.index[key]
                     self.stats.dropped_items += 1
         self.regions.quarantine(region_id)
         self.stats.quarantined_regions += 1
@@ -779,7 +777,7 @@ class HybridCache:
         for key in list(meta.keys):
             location = self.index.get(key)
             if location is not None and location.region_id == region_id:
-                self.index.remove(key)
+                del self.index[key]
                 self.stats.dropped_items += 1
             reason = (
                 "invalidated"
@@ -799,7 +797,7 @@ class HybridCache:
         for key in evicted:
             location = self.index.get(key)
             if location is not None and location.region_id == region_id:
-                self.index.remove(key)
+                del self.index[key]
                 if ns is not None and not ns.is_current(key):
                     # Dead-generation bytes discovered at eviction: the
                     # bump never scanned, so this is where they are
@@ -818,45 +816,51 @@ class HybridCache:
             self._quarantine_region(region_id)
 
     def _read_entry(self, key: bytes, location: EntryLocation) -> Optional[bytes]:
-        if (
-            location.region_id == self._buffer.region_id
-            and self.config.read_from_buffer
-        ):
-            blob = self._buffer.read(location.offset, location.length)
-            salt = self._buffer.salt
+        """The value the index says lives at ``location``, or None.
+
+        The open region is served from its buffer; a sealed one by a
+        ranged backend read with retry/degradation.  The entry is decoded
+        where it lies and checked — truncation, salted CRC, key match,
+        expiry — and whatever fails reads as a miss.
+        """
+        region_id, offset, length = location
+        buffer = self._buffer
+        if region_id == buffer.region_id and self.config.read_from_buffer:
+            blob = buffer.read(offset, length)
+            salt = buffer.salt
         else:
-            blob = self._read_location(location)
+            blob = self._read_location(region_id, offset, length)
             if blob is None:
                 return None
-            meta = self.regions.meta(location.region_id)
+            meta = self.regions.meta(region_id)
             salt = meta.salt if meta is not None else 0
         try:
-            entry = EntryCodec.decode_entry(blob, salt=salt)
+            stored_key, value, expiry_ns = EntryCodec.read_entry(blob, salt)
         except (ValueError, EntryCorruptError):
             # Torn or corrupt on-flash bytes: drop the item, serve a miss.
             self.stats.corrupt_reads += 1
             self._drop_flash_copy(key)
             return None
-        if entry.key != key:
+        if stored_key != key:
             # Stale index entry (should not happen; counted defensively).
             self.stats.stale_index_reads += 1
-            self.index.remove(key)
+            self.index.pop(key, None)
             return None
-        if entry.is_expired(self._clock.now):
+        if expiry_ns and self._clock.now >= expiry_ns:
             self.stats.expired_reads += 1
             self._purge_expired(key)
             return None
-        return entry.value
+        return value
 
-    def _read_location(self, location: EntryLocation) -> Optional[bytes]:
+    def _read_location(
+        self, region_id: int, offset: int, length: int
+    ) -> Optional[bytes]:
         """Ranged backend read with retry/degradation; None means miss."""
         policy = self.config.retry
         attempt = 0
         while True:
             try:
-                return self.store.read(
-                    location.region_id, location.offset, location.length
-                )
+                return self.store.read(region_id, offset, length)
             except PowerCutError:
                 raise
             except RetryableError:
@@ -872,14 +876,14 @@ class HybridCache:
             except FatalDeviceError:
                 self.stats.io_errors += 1
                 self.stats.degraded_misses += 1
-                self._quarantine_region(location.region_id)
+                self._quarantine_region(region_id)
                 return None
             except TranslationError:
                 # The middle layer dropped the region (its zone died
                 # under GC): purge the stale mappings, count misses.
                 self.stats.io_errors += 1
                 self.stats.degraded_misses += 1
-                self._purge_region(location.region_id)
+                self._purge_region(region_id)
                 return None
 
     def _journal(self, event: str, region_id: int, salt: int = 0) -> None:
@@ -903,7 +907,7 @@ class HybridCache:
     def _purge_expired(self, key: bytes) -> None:
         self.lifecycle.clear_ttl(key)
         self.ram.remove(key)
-        location = self.index.remove(key)
+        location = self.index.pop(key, None)
         if location is not None:
             self._note_removed(location, key, "expired")
 
@@ -911,13 +915,13 @@ class HybridCache:
         """Purge a key whose namespace generation was bumped past."""
         self.lifecycle.clear_ttl(key)
         self.ram.remove(key)
-        location = self.index.remove(key)
+        location = self.index.pop(key, None)
         if location is not None:
             self._note_removed(location, key, "invalidated")
 
     def _drop_flash_copy(self, key: bytes) -> None:
         """An unadmitted overwrite supersedes any flash copy."""
-        location = self.index.remove(key)
+        location = self.index.pop(key, None)
         if location is not None:
             self._note_removed(location, key, "overwritten")
 

@@ -26,6 +26,7 @@ from typing import List, NamedTuple, Tuple
 from repro.errors import EntryCorruptError
 
 _HEADER = struct.Struct("<IIQ")  # key length, value length, expiry (ns, 0=none)
+_HEADER_SIZE = _HEADER.size
 _CRC = struct.Struct("<I")
 _CHECKSUM_FLAG = 0x8000_0000
 
@@ -39,7 +40,8 @@ class EntryLocation(NamedTuple):
 
 
 class DecodedEntry(NamedTuple):
-    """One decoded cache entry (a tuple: one is built per flash hit)."""
+    """One decoded cache entry, as region scans and tests hold it (a
+    flash hit reads the bare tuple: :meth:`EntryCodec.read_entry`)."""
 
     key: bytes
     value: bytes
@@ -95,35 +97,42 @@ class EntryCodec:
     @classmethod
     def decode(cls, blob: bytes) -> Tuple[bytes, bytes]:
         """Unpack (key, value) from ``blob`` (must start at the header)."""
-        entry = cls.decode_entry(blob)
-        return entry.key, entry.value
+        return cls.read_entry(blob)[:2]
 
     @classmethod
     def decode_entry(cls, blob: bytes, salt: int = 0) -> DecodedEntry:
-        """Unpack a full :class:`DecodedEntry` including expiry.
+        """Unpack a full :class:`DecodedEntry` including expiry (see
+        :meth:`read_entry` for what it raises)."""
+        return DecodedEntry(*cls.read_entry(blob, salt))
+
+    @classmethod
+    def read_entry(cls, blob: bytes, salt: int = 0) -> Tuple[bytes, bytes, int]:
+        """``(key, value, expiry_ns)`` of the entry ``blob`` starts with:
+        one header unpack, one slice each for key and value.
 
         Raises :class:`ValueError` on a truncated blob and
         :class:`EntryCorruptError` when a checksummed entry fails its
         salted CRC (torn write or stale previous-generation bytes).
         """
-        if len(blob) < cls.HEADER_SIZE:
-            raise ValueError(f"entry blob too short: {len(blob)}B")
+        size = len(blob)
+        if size < _HEADER_SIZE:
+            raise ValueError(f"entry blob too short: {size}B")
         raw_key_len, value_len, expiry_ns = _HEADER.unpack_from(blob)
-        has_crc = bool(raw_key_len & _CHECKSUM_FLAG)
-        key_len = raw_key_len & ~_CHECKSUM_FLAG
-        need = cls.HEADER_SIZE + key_len + value_len
-        total = need + cls.CRC_SIZE if has_crc else need
-        if len(blob) < total:
-            raise ValueError(f"entry blob truncated: {len(blob)} < {total}")
-        key = blob[cls.HEADER_SIZE : cls.HEADER_SIZE + key_len]
-        value = blob[cls.HEADER_SIZE + key_len : need]
+        has_crc = raw_key_len & _CHECKSUM_FLAG
+        key_end = _HEADER_SIZE + (raw_key_len & ~_CHECKSUM_FLAG)
+        need = key_end + value_len
+        total = need + _CRC.size if has_crc else need
+        if size < total:
+            raise ValueError(f"entry blob truncated: {size} < {total}")
+        key = blob[_HEADER_SIZE:key_end]
+        value = blob[key_end:need]
         if has_crc:
             (stored,) = _CRC.unpack_from(blob, need)
             if stored != cls._crc(key, value, expiry_ns, salt):
                 raise EntryCorruptError(
                     f"checksum mismatch for key {key[:24]!r}"
                 )
-        return DecodedEntry(key, value, expiry_ns)
+        return key, value, expiry_ns
 
     @classmethod
     def scan_region(

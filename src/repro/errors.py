@@ -143,6 +143,14 @@ class CacheError(ReproError):
     """Base class for cache-engine errors."""
 
 
+class RegionSizeError(CacheError, ValueError):
+    """A region write's payload is not exactly one region long.
+
+    Raised by every scheme backend and by the translation layer under
+    Region-Cache.  Subclasses :class:`ValueError` for the same reason
+    :class:`ConfigError` does."""
+
+
 class CacheConfigError(CacheError, ConfigError):
     """Invalid cache configuration (sizes, ratios, backend mismatch)."""
 

@@ -94,6 +94,8 @@ class F2fs:
             migrate_block=self._migrate_block,
             release_section=self._reset_section_zone,
         )
+        # The I/O tracer shared with the main-area (data) device.
+        self.tracer: IoTracer = data_device.tracer
         self.cleaner.tracer = self.tracer
         self.cleaner.bind_clock(clock)
         self.stats = F2fsStats()
@@ -105,11 +107,6 @@ class F2fs:
         # area; node blocks are invalidated and rewritten when any data
         # block they index is remapped.
         self._node_addr: dict = {}
-
-    @property
-    def tracer(self) -> IoTracer:
-        """The I/O tracer shared with the main-area (data) device."""
-        return self.data_device.tracer
 
     # --- lifecycle ------------------------------------------------------------------
 
@@ -262,54 +259,45 @@ class F2fs:
             )
         if length <= 0:
             return b""
-        with self.tracer.span("f2fs", "pread", offset=offset, length=length):
-            self._clock.advance(self.config.cpu_ns_per_block * (length // block_size))
-            # Node/NAT lookup touches the metadata device (block-granular
-            # indexing is not free — §3.1's "additional mapping overhead").
-            self.meta_device.read(0, self.meta_device.block_size)
-            chunks: List[bytes] = []
-            for run_addr, run_len, is_hole in self._runs(file_id, offset, length):
-                if is_hole:
-                    chunks.append(b"\x00" * run_len)
-                else:
-                    device_offset = self.layout.device_offset(run_addr)
-                    chunks.append(self.data_device.read(device_offset, run_len).data)
+        tracer = self.tracer
+        if tracer.enabled:
+            with tracer.span("f2fs", "pread", offset=offset, length=length):
+                chunks = self._read_runs(file_id, offset, length)
+        else:
+            chunks = self._read_runs(file_id, offset, length)
         self.stats.host_read_bytes += length
-        return b"".join(chunks)
+        return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
     # --- internals --------------------------------------------------------------------------
 
-    def _runs(self, file_id: int, offset: int, length: int):
-        """Yield (block_addr, run_bytes, is_hole) coalescing contiguous blocks."""
+    def _read_runs(self, file_id: int, offset: int, length: int) -> List[bytes]:
+        """The bytes of ``[offset, offset + length)`` as one piece per
+        run of physically contiguous blocks (or of holes), in file order:
+        a walk of the file's NAT map, one device read per mapped run."""
         block_size = self.layout.block_size
-        first = offset // block_size
         count = length // block_size
-        run_start: Optional[int] = None
-        run_len = 0
-        prev_addr: Optional[int] = None
-        hole_len = 0
-        for i in range(count):
-            addr = self.nat.get_block(file_id, first + i)
+        self._clock.now += self.config.cpu_ns_per_block * count
+        # Node/NAT lookup touches the metadata device (block-granular
+        # indexing is not free — §3.1's "additional mapping overhead").
+        self.meta_device.read(0, self.meta_device.block_size)
+        block_map = self.nat.block_map(file_id)
+        read, device_offset = self.data_device.read, self.layout.device_offset
+        chunks: List[bytes] = []
+        first = offset // block_size
+        end = first + count
+        while first < end:
+            addr = block_map.get(first)
+            run = 1
             if addr is None:
-                if run_start is not None:
-                    yield run_start, run_len * block_size, False
-                    run_start, run_len, prev_addr = None, 0, None
-                hole_len += 1
-                continue
-            if hole_len:
-                yield 0, hole_len * block_size, True
-                hole_len = 0
-            if run_start is not None and addr == prev_addr + 1:
-                run_len += 1
+                while first + run < end and block_map.get(first + run) is None:
+                    run += 1
+                chunks.append(bytes(run * block_size))
             else:
-                if run_start is not None:
-                    yield run_start, run_len * block_size, False
-                run_start, run_len = addr, 1
-            prev_addr = addr
-        if hole_len:
-            yield 0, hole_len * block_size, True
-        if run_start is not None:
-            yield run_start, run_len * block_size, False
+                while first + run < end and block_map.get(first + run) == addr + run:
+                    run += 1
+                chunks.append(read(device_offset(addr), run * block_size).data)
+            first += run
+        return chunks
 
     def _allocate_with_cleaning(self, stream: LogStream, count: int) -> List[int]:
         try:

@@ -119,10 +119,13 @@ class F2fsLayout:
         return block_addr % self.blocks_per_section
 
     def device_offset(self, block_addr: int) -> int:
-        """Byte offset on the zoned device for a main-area block address."""
-        section = self.section_of_block(block_addr)
-        offset = self.block_offset_in_section(block_addr)
-        return section * self.zone_size + offset * self.block_size
+        """Byte offset on the zoned device for a main-area block address.
+
+        A section is exactly one zone and a zone a whole number of
+        blocks, so section ``s``, block ``o`` sits at ``s * zone_size +
+        o * block_size`` — the block address times the block size.
+        """
+        return block_addr * self.block_size
 
     def block_addr(self, section: int, offset: int) -> int:
         return section * self.blocks_per_section + offset

@@ -67,6 +67,11 @@ class NodeAddressTable:
 
     # --- block mapping --------------------------------------------------------------
 
+    def block_map(self, file_id: int) -> Dict[int, int]:
+        """The live ``file block -> main-area block`` map of one file
+        (read-only to callers: a ranged read walks it directly)."""
+        return self._maps[file_id]
+
     def get_block(self, file_id: int, file_block: int) -> Optional[int]:
         return self._maps[file_id].get(file_block)
 

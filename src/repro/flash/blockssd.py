@@ -14,7 +14,7 @@ background work on other channels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.flash.device import BlockDevice, DeviceStats, check_alignment
 from repro.flash.ftl import FtlConfig, PageMappedFtl
@@ -68,6 +68,12 @@ class BlockSsd(BlockDevice):
         self._stats = DeviceStats()
         self.media = PageStore()  # logical (LBA-space) contents
         self._bytes_since_maintenance = 0
+        self._page_size = config.geometry.page_size
+        self._capacity = self._ftl.logical_capacity_bytes
+        # NAND timing plus FTL CPU is a pure function of the transfer
+        # length, and the hot path re-reads a handful of window sizes.
+        self._read_ns: Dict[int, int] = {}
+        self._write_ns: Dict[int, int] = {}
 
     # --- BlockDevice interface -------------------------------------------------
 
@@ -89,58 +95,29 @@ class BlockSsd(BlockDevice):
         return self._ftl
 
     def read(self, offset: int, length: int) -> IoCompletion:
-        check_alignment(offset, length, self.block_size, self.capacity_bytes)
-        count = length // self.config.geometry.page_size
-        data = self.media.load(offset, length)
-        service = self.config.timing.read_ns(
-            count, length, self.config.geometry.parallelism
-        ) + self.config.ftl_cpu_ns_per_page * count
-        completion = self.pipeline.submit(
-            IoRequest(IoOp.READ, offset, length, layer="block"), service
+        check_alignment(offset, length, self._page_size, self._capacity)
+        service = self._read_ns.get(length)
+        if service is None:
+            count = length // self._page_size
+            service = self._read_ns[length] = self.config.timing.read_ns(
+                count, length, self.config.geometry.parallelism
+            ) + self.config.ftl_cpu_ns_per_page * count
+        completion = self.pipeline.charge_foreground(
+            "block", "read", offset, length, service
         )
-        self._stats.host_read_bytes += length
-        self._stats.media_read_bytes += length
-        self._stats.read_latency.record(completion.latency_ns)
-        completion.data = data
+        stats = self._stats
+        stats.host_read_bytes += length
+        stats.media_read_bytes += length
+        stats.read_latency.record(completion.latency_ns)
+        completion.data = self.media.load(offset, length)
         return completion
 
     def write(self, offset: int, data: bytes) -> IoCompletion:
-        check_alignment(offset, len(data), self.block_size, self.capacity_bytes)
-        request = IoRequest(IoOp.WRITE, offset, len(data), layer="block")
-        service = self._write_service_ns(offset, len(data))
-        # Gate before the FTL mutates its mapping: an injected fault
-        # leaves the device untouched and the write can be retried.
-        self.pipeline.fault_gate(request, service)
-        self._maybe_tear(offset, data, service)
-        self._store_pages(offset, data)
-        completion = self.pipeline.submit(request, service)
-        self._stats.write_latency.record(completion.latency_ns)
-        return completion
+        return self._program(((offset, data),))[0]
 
     def write_many(self, items: List[Tuple[int, bytes]]) -> List[IoCompletion]:
-        """Pipelined batch write: one submission, overlapped across channels.
-
-        FTL bookkeeping (mapping updates, GC triggers, maintenance debt)
-        still happens per extent, in order, before the batch is queued —
-        the GC/maintenance reservations land on the pool first, exactly
-        as in the synchronous path, so a serial pool reproduces the
-        synchronous loop bit for bit.
-        """
-        batch: List[Tuple[IoRequest, int]] = []
-        virtual_now = self._clock.now
-        for offset, data in items:
-            check_alignment(offset, len(data), self.block_size, self.capacity_bytes)
-            request = IoRequest(IoOp.WRITE, offset, len(data), layer="block")
-            service = self._write_service_ns(offset, len(data))
-            self.pipeline.fault_gate(request, service)
-            self._maybe_tear(offset, data, service, now=virtual_now, batch=batch)
-            virtual_now += service
-            self._store_pages(offset, data)
-            batch.append((request, service))
-        completions = self.pipeline.submit_many(batch)
-        for completion in completions:
-            self._stats.write_latency.record(completion.latency_ns)
-        return completions
+        """Pipelined batch write: one submission, overlapped across channels."""
+        return self._program(items)
 
     def discard(self, offset: int, length: int) -> IoCompletion:
         """TRIM a range so the FTL stops relocating its dead pages."""
@@ -157,30 +134,83 @@ class BlockSsd(BlockDevice):
 
     # --- internals ---------------------------------------------------------------
 
+    def _program(self, items: Iterable[Tuple[int, bytes]]) -> List[IoCompletion]:
+        """The one write-side body, ``write`` and ``write_many``.
+
+        Per extent, in order: the fault injector (when armed) sees the
+        command before the FTL mutates its mapping, so an injected fault
+        leaves the device untouched and the write can be retried; then
+        the FTL bookkeeping (mapping updates, GC triggers, maintenance
+        debt), whose GC/maintenance reservations land on the pool first,
+        exactly as a lone write's do.  Only then is the batch charged,
+        all at one instant — a serial pool reproduces a loop of single
+        writes bit for bit.
+        """
+        faults = self.pipeline.faults
+        landed: List[Tuple[int, int, int]] = []
+        # For torn-write modelling the extents service back-to-back, so
+        # extent k's media window starts after the preceding services.
+        ahead_ns = 0
+        for offset, data in items:
+            length = len(data)
+            check_alignment(offset, length, self._page_size, self._capacity)
+            service = self._write_service_ns(offset, length)
+            extra_ns = 0
+            if faults is not None:
+                extra_ns = self.pipeline.inject(
+                    "write", offset, length, None, "block", False, service
+                )
+                self._maybe_tear(offset, data, service, ahead_ns, landed)
+            self._store_pages(offset, data)
+            landed.append((offset, length, service + extra_ns))
+            ahead_ns += service
+        return self._charge_writes(landed)
+
+    def _charge_writes(
+        self, landed: List[Tuple[int, int, int]]
+    ) -> List[IoCompletion]:
+        """Charge landed ``(offset, length, service_ns)`` extents as one
+        batch; the clock moves to the last completion."""
+        clock = self._clock
+        now = barrier = clock.now
+        charge, record = self.pipeline.charge, self._stats.write_latency.record
+        completions: List[IoCompletion] = []
+        for offset, length, service in landed:
+            done, wait, channel, _ = charge(
+                "block", "write", offset, length, None, False, now, service,
+                gated=True,
+            )
+            record(done - now)
+            barrier = max(barrier, done)
+            completions.append(
+                IoCompletion(
+                    done - now, None, None, now, done - service, done, wait,
+                    service, channel,
+                )
+            )
+        clock.now = barrier
+        return completions
+
     def _maybe_tear(
         self,
         offset: int,
         data: bytes,
         service_ns: int,
-        now: Optional[int] = None,
-        batch: Optional[List[Tuple[IoRequest, int]]] = None,
+        ahead_ns: int,
+        landed: List[Tuple[int, int, int]],
     ) -> None:
-        """Power-cut landing inside this write: persist the page-aligned
-        prefix, submit any already-validated batch, and raise."""
+        """Power-cut landing inside this write's media window (it opens
+        ``ahead_ns`` from now): persist the page-aligned prefix, charge
+        the extents of the batch that landed before it, and raise."""
         faults = self.pipeline.faults
-        if faults is None:
-            return
-        if now is None:
-            now = self._clock.now
-        keep = faults.torn_write_bytes(now, service_ns, len(data), self.block_size)
+        keep = faults.torn_write_bytes(
+            self._clock.now + ahead_ns, service_ns, len(data), self._page_size
+        )
         if keep is None:
             return
         if keep:
             self._store_pages(offset, data[:keep])
-        if batch:
-            completions = self.pipeline.submit_many(batch)
-            for completion in completions:
-                self._stats.write_latency.record(completion.latency_ns)
+        self._charge_writes(landed)
         faults.trip_power()
 
     def _store_pages(self, offset: int, data: bytes) -> None:
@@ -230,10 +260,13 @@ class BlockSsd(BlockDevice):
         self._stats.erase_count += report.erased_blocks
 
     def _write_service_ns(self, offset: int, length: int) -> int:
-        count = length // self.config.geometry.page_size
-        return self.config.timing.program_ns(
-            count, length, self.config.geometry.parallelism
-        ) + self.config.ftl_cpu_ns_per_page * count
+        service = self._write_ns.get(length)
+        if service is None:
+            count = length // self._page_size
+            service = self._write_ns[length] = self.config.timing.program_ns(
+                count, length, self.config.geometry.parallelism
+            ) + self.config.ftl_cpu_ns_per_page * count
+        return service
 
     def _note_host_write(self, num_bytes: int) -> None:
         """Accrue background maintenance debt proportional to write load."""

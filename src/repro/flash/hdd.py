@@ -20,7 +20,7 @@ from repro.flash.device import BlockDevice, DeviceStats, check_alignment
 from repro.flash.pagestore import PageStore
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector
-from repro.sim.io import IoCompletion, IoOp, IoPipeline, IoRequest, IoTracer, PoolConfig
+from repro.sim.io import IoCompletion, IoPipeline, IoTracer, PoolConfig
 from repro.sim.rng import make_rng
 from repro.units import GIB, KIB, msec
 
@@ -78,26 +78,26 @@ class HddDevice(BlockDevice):
 
     def read(self, offset: int, length: int) -> IoCompletion:
         check_alignment(offset, length, self.block_size, self.capacity_bytes)
-        data = self.media.load(offset, length)
-        completion = self.pipeline.submit(
-            IoRequest(IoOp.READ, offset, length, layer="hdd"),
-            self._service_ns(offset, length),
+        completion = self.pipeline.charge_foreground(
+            "hdd", "read", offset, length, self._service_ns(offset, length)
         )
         self._stats.host_read_bytes += length
         self._stats.media_read_bytes += length
         self._stats.read_latency.record(completion.latency_ns)
-        completion.data = data
+        completion.data = self.media.load(offset, length)
         return completion
 
     def write(self, offset: int, data: bytes) -> IoCompletion:
-        check_alignment(offset, len(data), self.block_size, self.capacity_bytes)
-        self.media.store(offset, data)
-        completion = self.pipeline.submit(
-            IoRequest(IoOp.WRITE, offset, len(data), layer="hdd"),
-            self._service_ns(offset, len(data)),
+        length = len(data)
+        check_alignment(offset, length, self.block_size, self.capacity_bytes)
+        # The fault injector sees the command before any byte moves (the
+        # arm has moved by then).
+        completion = self.pipeline.charge_foreground(
+            "hdd", "write", offset, length, self._service_ns(offset, length)
         )
-        self._stats.host_write_bytes += len(data)
-        self._stats.media_write_bytes += len(data)
+        self.media.store(offset, data)
+        self._stats.host_write_bytes += length
+        self._stats.media_write_bytes += length
         self._stats.write_latency.record(completion.latency_ns)
         return completion
 

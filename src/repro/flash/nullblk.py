@@ -14,7 +14,7 @@ from repro.flash.device import BlockDevice, DeviceStats, check_alignment
 from repro.flash.pagestore import PageStore
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector
-from repro.sim.io import IoCompletion, IoOp, IoPipeline, IoRequest, IoTracer, PoolConfig
+from repro.sim.io import IoCompletion, IoPipeline, IoTracer, PoolConfig
 from repro.units import KIB, MIB, usec
 
 
@@ -57,23 +57,26 @@ class NullBlkDevice(BlockDevice):
 
     def read(self, offset: int, length: int) -> IoCompletion:
         check_alignment(offset, length, self._block_size, self._capacity)
-        data = self.media.load(offset, length)
-        completion = self.pipeline.submit(
-            IoRequest(IoOp.READ, offset, length, layer="nullblk"), self._latency_ns
+        completion = self.pipeline.charge_foreground(
+            "nullblk", "read", offset, length, self._latency_ns
         )
-        self._stats.host_read_bytes += length
-        self._stats.media_read_bytes += length
-        self._stats.read_latency.record(completion.latency_ns)
-        completion.data = data
+        stats = self._stats
+        stats.host_read_bytes += length
+        stats.media_read_bytes += length
+        stats.read_latency.record(completion.latency_ns)
+        completion.data = self.media.load(offset, length)
         return completion
 
     def write(self, offset: int, data: bytes) -> IoCompletion:
-        check_alignment(offset, len(data), self._block_size, self._capacity)
-        self.media.store(offset, data)
-        completion = self.pipeline.submit(
-            IoRequest(IoOp.WRITE, offset, len(data), layer="nullblk"), self._latency_ns
+        length = len(data)
+        check_alignment(offset, length, self._block_size, self._capacity)
+        # The fault injector sees the command before any byte moves.
+        completion = self.pipeline.charge_foreground(
+            "nullblk", "write", offset, length, self._latency_ns
         )
-        self._stats.host_write_bytes += len(data)
-        self._stats.media_write_bytes += len(data)
-        self._stats.write_latency.record(completion.latency_ns)
+        self.media.store(offset, data)
+        stats = self._stats
+        stats.host_write_bytes += length
+        stats.media_write_bytes += length
+        stats.write_latency.record(completion.latency_ns)
         return completion

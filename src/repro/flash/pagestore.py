@@ -68,10 +68,17 @@ class PageStore:
 
     def load(self, offset: int, length: int) -> bytes:
         """A fresh ``bytes`` copy of ``[offset, offset + length)``."""
-        index, start = divmod(offset, self.chunk_size)
-        if start + length <= self.chunk_size:
-            return self._slice(index, start, start + length)
-        return b"".join(self._slice(*span) for span in self._spans(offset, length))
+        size = self.chunk_size
+        index, start = divmod(offset, size)
+        if start + length > size:
+            return b"".join(
+                self.load(piece * size + a, b - a)
+                for piece, a, b in self._spans(offset, length)
+            )
+        chunk = self._chunks.get(index)
+        if chunk is None:
+            return bytes(length)
+        return bytes(memoryview(chunk)[start : start + length])
 
     def move(self, src: int, dst: int, length: int) -> None:
         """Copy ``[src, src + length)`` to ``dst``, chunk to chunk.
@@ -131,9 +138,3 @@ class PageStore:
         # ``chunk[a:b] = data`` would first materialise a temporary
         # bytearray of the whole payload.
         memoryview(chunk)[start:end] = data
-
-    def _slice(self, index: int, start: int, end: int) -> bytes:
-        chunk = self._chunks.get(index)
-        if chunk is None:
-            return bytes(end - start)
-        return bytes(memoryview(chunk)[start:end])

@@ -8,12 +8,14 @@ all cleaning, the device never relocates data — ``media_write_bytes``
 always equals ``host_write_bytes`` and device WA is exactly 1.0, the
 property the paper's Zone-Cache exploits (§3.2).
 
-All media traffic reserves the device's :class:`~repro.sim.io.IoPipeline`
-pool; ``read_many``/``write_many``/``copy_many`` charge a whole batch at
-one instant so region flushes and the ZTL's GC copy loop pipeline across
-pool channels.  Reads and writes check, land and charge a command from
-the values in hand — an :class:`~repro.sim.io.IoRequest` is built only
-for the fault injector, when one is armed.
+All media traffic is charged through the device's
+:class:`~repro.sim.io.IoPipeline` (:meth:`~repro.sim.io.IoPipeline.charge`:
+fault injector when armed, pool, trace record);
+``read_many``/``write_many``/``copy_many`` charge a whole batch at one
+instant so region flushes and the ZTL's GC copy loop pipeline across pool
+channels.  Reads and writes check, land and charge a command from the
+values in hand — an :class:`~repro.sim.io.IoRequest` is built only for
+the fault injector, when one is armed.
 """
 
 from __future__ import annotations
@@ -170,7 +172,22 @@ class ZnsSsd:
         — later foreground commands queue behind it — but the caller is
         not blocked and the shared clock does not advance.
         """
-        return self._read_batch(((offset, length),), background)[0]
+        if self.pipeline.faults is not None:
+            self._poll_zone_faults()
+        self._check_readable(offset, length)
+        clock = self._clock
+        now = clock.now
+        done, wait, channel, service_ns = self._charge_read(
+            offset, length, background, now
+        )
+        latency = 0
+        if not background:
+            latency = done - now
+            clock.now = done
+        return IoCompletion(
+            latency, self.media.load(offset, length), None, now,
+            done - service_ns, done, wait, service_ns, channel,
+        )
 
     def read_many(
         self, extents: List[Tuple[int, int]], background: bool = False
@@ -338,24 +355,6 @@ class ZnsSsd:
             self.zones[event.zone_index].die(state)
             faults.note_zone_fault(event)
 
-    def _inject(
-        self,
-        op: IoOp,
-        offset: int,
-        length: int,
-        zone: Optional[int],
-        background: bool,
-        service_ns: int,
-    ) -> int:
-        """Show one command to the armed fault injector, before any state
-        changes for it; returns the latency the injector adds.  The
-        injector is the only consumer of an :class:`IoRequest`."""
-        request = IoRequest(
-            op, offset, length, zone=zone, layer="zns", background=background
-        )
-        self.pipeline.fault_gate(request, service_ns)
-        return request.injected_latency_ns
-
     def _maybe_tear(
         self,
         zone: Zone,
@@ -410,13 +409,12 @@ class ZnsSsd:
                 f"read (offset={offset}, length={length}) outside device of "
                 f"{self._capacity_bytes}B"
             )
-        first = offset // self.zone_size
-        last = (offset + length - 1) // self.zone_size
-        for zone in self.zones[first : last + 1]:
-            if zone.state is ZoneState.OFFLINE:
+        zones, zone_size = self.zones, self.zone_size
+        last = (offset + length - 1) // zone_size
+        for index in range(offset // zone_size, last + 1):
+            if zones[index].state is ZoneState.OFFLINE:
                 raise ZoneDeadError(
-                    f"zone {zone.index} is offline; reads fail",
-                    zone_index=zone.index,
+                    f"zone {index} is offline; reads fail", zone_index=index
                 )
         page_size = self._page_size
         if offset % page_size or length % page_size:
@@ -425,41 +423,28 @@ class ZnsSsd:
     def _read_batch(
         self, extents: Sequence[Tuple[int, int]], background: bool, load: bool = True
     ) -> List[IoCompletion]:
-        """The one read-side body: ``read``, ``read_many`` and the read
-        half of ``copy_many``.
+        """``read_many`` and the read half of ``copy_many``.
 
         Every extent is validated first; then each is charged at one
-        instant — fault injector (when armed), pool, trace record, stats
-        — and the clock moves to the last foreground completion.
-        ``load=False`` charges the reads and leaves the bytes where they
-        are (no completions come back).
+        instant (:meth:`_charge_read`, the routine ``read`` charges its
+        single extent with) and the clock moves to the last foreground
+        completion.  ``load=False`` charges the reads and leaves the
+        bytes where they are (no completions come back).
         """
-        faults = self.pipeline.faults
-        if faults is not None:
+        if self.pipeline.faults is not None:
             self._poll_zone_faults()
         for offset, length in extents:
             self._check_readable(offset, length)
         clock = self._clock
         now = barrier = clock.now
-        stats = self._stats
         completions: List[IoCompletion] = []
         for offset, length in extents:
-            service_ns = self._read_service_ns(length)
-            if faults is not None:
-                service_ns += self._inject(
-                    IoOp.READ, offset, length, None, background, service_ns
-                )
-            done, wait, channel = self._reserve(
-                "read", offset, length, None, background, now, service_ns
+            done, wait, channel, service_ns = self._charge_read(
+                offset, length, background, now
             )
-            stats.host_read_bytes += length
-            stats.media_read_bytes += length
             latency = 0
             if not background:
                 latency = done - now
-                recorder = stats.read_latency
-                recorder._samples.append(latency)
-                recorder._sorted = None
                 if done > barrier:
                     barrier = done
             if load:
@@ -471,6 +456,26 @@ class ZnsSsd:
                 )
         clock.now = barrier
         return completions
+
+    def _charge_read(
+        self, offset: int, length: int, background: bool, now: int
+    ) -> Tuple[int, int, int, int]:
+        """Charge one validated read extent issued at ``now`` and count
+        it; returns the pipeline's ``(done, wait, channel, service_ns)``."""
+        service_ns = self._read_ns_cache.get(length)
+        if service_ns is None:
+            service_ns = self._read_service_ns(length)
+        charged = self.pipeline.charge(
+            "zns", "read", offset, length, None, background, now, service_ns
+        )
+        stats = self._stats
+        stats.host_read_bytes += length
+        stats.media_read_bytes += length
+        if not background:
+            recorder = stats.read_latency
+            recorder._samples.append(charged[0] - now)
+            recorder._sorted = None
+        return charged
 
     def _program(
         self,
@@ -517,8 +522,9 @@ class ZnsSsd:
             service_ns = self._write_service_ns(length)
             extra_ns = 0
             if faults is not None:
-                extra_ns = self._inject(
-                    op, offset, length, target.index, background, service_ns
+                extra_ns = self.pipeline.inject(
+                    op.value, offset, length, target.index, "zns", background,
+                    service_ns,
                 )
             target.check_writable(offset, length)
             is_open = target.state in OPEN_STATES
@@ -551,10 +557,12 @@ class ZnsSsd:
         clock = self._clock
         now = barrier = clock.now
         stats = self._stats
+        charge, op_name = self.pipeline.charge, op.value
         completions: List[tuple] = []
         for offset, length, zone_index, service_ns in landed:
-            done, wait, channel = self._reserve(
-                op.value, offset, length, zone_index, background, now, service_ns
+            done, wait, channel, _ = charge(
+                "zns", op_name, offset, length, zone_index, background, now,
+                service_ns, gated=True,
             )
             latency = 0
             if not background:
@@ -571,38 +579,11 @@ class ZnsSsd:
         clock.now = barrier
         return completions
 
-    def _reserve(
-        self,
-        op: str,
-        offset: int,
-        length: int,
-        zone: Optional[int],
-        background: bool,
-        now: int,
-        service_ns: int,
-    ) -> Tuple[int, int, int]:
-        """Occupy the pool for one command issued at ``now`` and put its
-        record on the trace stream; returns ``(done, wait, channel)``."""
-        reserved = self.pipeline.pool.acquire(
-            now, service_ns, offset, not background
-        )
-        tracer = self.tracer
-        if tracer.enabled:
-            done, wait, channel = reserved
-            tracer.record(
-                "zns", op, offset, length, zone, background, now, done, wait,
-                service_ns, channel,
-            )
-        return reserved
-
     def _read_service_ns(self, length: int) -> int:
-        ns = self._read_ns_cache.get(length)
-        if ns is None:
-            count = length // self.block_size
-            ns = self.config.timing.read_ns(
-                count, length, self.config.geometry.parallelism
-            )
-            self._read_ns_cache[length] = ns
+        """Memo miss: NAND read time of a ``length``-byte transfer."""
+        ns = self._read_ns_cache[length] = self.config.timing.read_ns(
+            length // self.block_size, length, self.config.geometry.parallelism
+        )
         return ns
 
     def _write_service_ns(self, length: int) -> int:

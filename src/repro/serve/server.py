@@ -725,9 +725,8 @@ class Server:
             self._probe_armed = False
 
     def _probes_needed(self) -> bool:
-        for tenant in self.tenants:
-            if tenant.issued < tenant.budget:
-                return True
+        """Only while some shard is down or not yet back ``UP``: a probe
+        of a healthy fleet does nothing, and the next kill re-arms."""
         for shard in self.cluster.shards:
             if not shard.alive or shard.health != HEALTH_UP:
                 return True

@@ -6,9 +6,10 @@ metadata journal writes — flows through one submission path built from
 three pieces:
 
 * :class:`IoRequest` / :class:`IoCompletion` — typed request records
-  carrying the op kind, address, length, the layer that originated the
-  request, and a parent id linking it to the higher-level operation that
-  caused it.
+  carrying the op kind, address, length and the layer that originated
+  the request.  A request object exists where something consumes one:
+  the management commands (reset, finish, open, close, discard, GC,
+  maintenance) and the armed fault injector.
 * :class:`ResourcePool` — N parallel channels (dies) with a configurable
   per-channel queue depth, generalizing the old single serial
   ``ResourceTimeline``.  With ``channels=1, queue_depth=1`` it is
@@ -22,11 +23,15 @@ three pieces:
   linked chain down to the NAND commands it produced.  Cross-layer WAF
   and tail-latency attribution become queries over one record stream.
 
-:class:`IoPipeline` ties the three together per device and adds batched
-submission (:meth:`IoPipeline.submit_many`): a batch is dispatched at one
-virtual instant and pipelined across the pool's channels, which is how
-region-sized flushes and GC copy loops become one pipelined batch instead
-of a loop of synchronous calls.
+:class:`IoPipeline` ties the three together per device.  Every device's
+``read`` and ``write`` charge their commands through one routine,
+:meth:`IoPipeline.charge` — fault injector (when armed), pool, one trace
+record — from the values in hand; :meth:`IoPipeline.submit` /
+:meth:`IoPipeline.submit_many` wrap the same routine for callers that
+hold a request object.  A batch is charged at one virtual instant and
+pipelined across the pool's channels, which is how region-sized flushes
+and GC copy loops become one pipelined batch instead of a loop of
+synchronous calls.
 """
 
 from __future__ import annotations
@@ -66,15 +71,14 @@ class IoOp(enum.Enum):
 class IoRequest:
     """One unit of device traffic.
 
-    ``layer`` names the layer of origin (``"zns"``, ``"ftl.gc"``, …);
-    ``parent_id`` links the request to the enclosing tracer span (filled
-    in automatically at submission when a span is open).  ``background``
-    requests occupy the pool without blocking the submitter — the model
-    for GC/maintenance work the host never waits on directly.
+    ``layer`` names the layer of origin (``"zns"``, ``"ftl.gc"``, …).
+    ``background`` requests occupy the pool without blocking the
+    submitter — the model for GC/maintenance work the host never waits
+    on directly.  Its trace record is parented to whatever span is open
+    when the command is charged.
 
-    A hand-rolled ``__slots__`` class (not a dataclass): one request is
-    built per simulated device command, so construction cost is on the
-    engine's critical path.
+    A hand-rolled ``__slots__`` class (not a dataclass), built
+    positionally by :meth:`IoPipeline.inject`.
     """
 
     __slots__ = (
@@ -83,9 +87,7 @@ class IoRequest:
         "length",
         "zone",
         "layer",
-        "parent_id",
         "background",
-        "request_id",
         "fault_checked",
         "injected_latency_ns",
     )
@@ -97,9 +99,7 @@ class IoRequest:
         length: int = 0,
         zone: Optional[int] = None,
         layer: str = "device",
-        parent_id: Optional[int] = None,
         background: bool = False,
-        request_id: int = -1,
         fault_checked: bool = False,
         injected_latency_ns: int = 0,
     ) -> None:
@@ -108,9 +108,7 @@ class IoRequest:
         self.length = length
         self.zone = zone
         self.layer = layer
-        self.parent_id = parent_id
         self.background = background
-        self.request_id = request_id
         # Fault-injection bookkeeping: the gate runs at most once per
         # request (devices may pre-gate before mutating state), and any
         # injected latency spike is carried to dispatch here.
@@ -448,10 +446,6 @@ class IoTracer:
         """Id of the innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def allocate_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
     def span(
         self,
         layer: str,
@@ -478,8 +472,8 @@ class IoTracer:
         service_ns: int, channel: int,
     ) -> None:
         """Put one finished command on the stream: next id, the innermost
-        open span as parent, one record, in one call (a device's data
-        path emits one per command)."""
+        open span as parent, one record, in one call (every device
+        command is one, through :meth:`IoPipeline.charge`)."""
         self._next_id = record_id = self._next_id + 1
         stack = self._stack
         finished = TraceRecord(
@@ -491,28 +485,6 @@ class IoTracer:
             self.records.append(finished)
         for callback in self._subscribers:
             callback(finished)
-
-    def on_completion(self, completion: IoCompletion) -> None:
-        """Record a finished device request (called by the pipeline)."""
-        request = completion.request
-        assert request is not None
-        self.emit(
-            TraceRecord(
-                request.request_id,
-                request.parent_id,
-                request.layer,
-                request.op.value,
-                request.offset,
-                request.length,
-                request.zone,
-                request.background,
-                completion.submitted_ns,
-                completion.completed_ns,
-                completion.wait_ns,
-                completion.service_ns,
-                completion.channel,
-            )
-        )
 
     def emit_event(
         self,
@@ -528,13 +500,6 @@ class IoTracer:
             return
         now = self._clock.now
         self.record(layer, op, offset, length, zone, False, now, now, 0, 0, -1)
-
-    def emit(self, record: TraceRecord) -> None:
-        """Hand a finished record to ``records`` and every subscriber."""
-        if self._capture:
-            self.records.append(record)
-        for callback in self._subscribers:
-            callback(record)
 
     # --- queries --------------------------------------------------------------
 
@@ -626,13 +591,73 @@ class IoPipeline:
         if faults is not None:
             faults.bind(clock, self.tracer)
 
+    def inject(
+        self, op: str, offset: int, length: int, zone: Optional[int],
+        layer: str, background: bool, service_ns: int,
+    ) -> int:
+        """Show one data command to the armed fault injector; returns the
+        latency it adds.  A raised fault must leave the device exactly as
+        it was, so a device whose command changes state (a write) calls
+        this before the first change and charges with ``gated=True``.
+        The injector is the only consumer of a data command's
+        :class:`IoRequest`; this is the one place one is built."""
+        return self.faults.inspect(
+            self.name,
+            IoRequest(IoOp(op), offset, length, zone, layer, background),
+            service_ns,
+        )
+
+    def charge(
+        self, layer: str, op: str, offset: int, length: int,
+        zone: Optional[int], background: bool, now: int, service_ns: int,
+        gated: bool = False,
+    ) -> Tuple[int, int, int, int]:
+        """Charge one command issued at ``now``: the fault injector sees
+        it first (when one is armed and the caller has not shown it the
+        command already), then it occupies the pool, then its record goes
+        on the trace stream.  Returns ``(done, wait, channel,
+        service_ns)`` with any injected latency in ``service_ns``.  The
+        clock is the caller's to move: a batch charges every command at
+        one ``now`` and advances to the last foreground ``done``."""
+        if self.faults is not None and not gated:
+            service_ns += self.inject(
+                op, offset, length, zone, layer, background, service_ns
+            )
+        done, wait, channel = self.pool.acquire(
+            now, service_ns, offset, not background
+        )
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record(
+                layer, op, offset, length, zone, background, now, done, wait,
+                service_ns, channel,
+            )
+        return done, wait, channel, service_ns
+
+    def charge_foreground(
+        self, layer: str, op: str, offset: int, length: int, service_ns: int
+    ) -> IoCompletion:
+        """:meth:`charge` for one foreground command issued now: the
+        clock moves to its completion (the caller both observes and
+        spends any queueing delay) and the completion comes back without
+        data."""
+        clock = self.clock
+        now = clock.now
+        done, wait, channel, service_ns = self.charge(
+            layer, op, offset, length, None, False, now, service_ns
+        )
+        clock.now = done
+        return IoCompletion(
+            done - now, None, None, now, done - service_ns, done, wait,
+            service_ns, channel,
+        )
+
     def fault_gate(self, request: IoRequest, service_ns: int) -> None:
         """Run the fault injector against a request, at most once.
 
-        Devices call this *before* mutating any state for the request
-        (write-pointer advances, page stores) so that a raised fault
-        leaves the device exactly as it was and the operation can be
-        retried.  Requests not pre-gated are gated at dispatch.
+        A management command that changes device state (a zone reset)
+        gates its request *before* the change, so a raised fault leaves
+        the device as it was; :meth:`submit` gates whatever was not.
         """
         if self.faults is None or request.fault_checked:
             return
@@ -642,18 +667,14 @@ class IoPipeline:
         )
 
     def submit(self, request: IoRequest, service_ns: int) -> IoCompletion:
-        """Submit one request synchronously (or reserve, if background).
+        """Charge one request synchronously (or reserve, if background).
 
         Foreground submissions advance the shared clock to the completion
         time — the command both observes and spends any queueing delay.
         """
         completion = self._dispatch(request, service_ns, self.clock.now)
         if not request.background:
-            clock = self.clock
-            if completion.completed_ns > clock.now:
-                clock.now = completion.completed_ns
-        if self.tracer.enabled:
-            self.tracer.on_completion(completion)
+            self.clock.advance_to(completion.completed_ns)
         return completion
 
     def submit_many(
@@ -669,16 +690,13 @@ class IoPipeline:
         With a serial pool this is arithmetically identical to a loop of
         synchronous submissions.
         """
-        now = self.clock.now
+        now = barrier = self.clock.now
         completions: List[IoCompletion] = []
-        barrier = now
         for request, service_ns in batch:
             completion = self._dispatch(request, service_ns, now)
             if not request.background:
                 barrier = max(barrier, completion.completed_ns)
             completions.append(completion)
-            if self.tracer.enabled:
-                self.tracer.on_completion(completion)
         self.clock.advance_to(barrier)
         return completions
 
@@ -688,36 +706,17 @@ class IoPipeline:
     def _dispatch(
         self, request: IoRequest, service_ns: int, now: int
     ) -> IoCompletion:
-        if self.faults is not None:
-            self.fault_gate(request, service_ns)
-            if request.injected_latency_ns:
-                service_ns += request.injected_latency_ns
-        tracer = self.tracer
-        if tracer.enabled:
-            # Ids/parent links only matter to trace records; skipping the
-            # allocation when tracing is off keeps the disabled tracer
-            # truly free.  The shared counter stays monotonic, so a
-            # tracer enabled mid-run still produces unambiguous ids.
-            request.request_id = tracer.allocate_id()
-            if request.parent_id is None:
-                request.parent_id = tracer.current_parent
-        if request.background:
-            done, wait, channel = self.pool.reserve_background(
-                now, service_ns, request.offset
-            )
-            observed = 0
-        else:
-            done, wait, channel = self.pool.acquire(now, service_ns, request.offset)
-            observed = done - now
+        """:meth:`charge` for a caller that holds a request object."""
+        self.fault_gate(request, service_ns)
+        background = request.background
+        done, wait, channel, service_ns = self.charge(
+            request.layer, request.op.value, request.offset, request.length,
+            request.zone, background, now,
+            service_ns + request.injected_latency_ns, gated=True,
+        )
         return IoCompletion(
-            latency_ns=observed,
-            request=request,
-            submitted_ns=now,
-            started_ns=done - service_ns,
-            completed_ns=done,
-            wait_ns=wait,
-            service_ns=service_ns,
-            channel=channel,
+            0 if background else done - now, None, request, now,
+            done - service_ns, done, wait, service_ns, channel,
         )
 
     def __repr__(self) -> str:

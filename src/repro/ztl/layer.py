@@ -23,7 +23,9 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.errors import (
     ConfigError,
+    OutOfRangeError,
     PowerCutError,
+    RegionSizeError,
     ReproError,
     RetryableError,
     TranslationFullError,
@@ -178,7 +180,7 @@ class RegionTranslationLayer:
         region lands in (only meaningful with ``host_groups > 1``).
         """
         if len(data) != self.region_size:
-            raise ValueError(
+            raise RegionSizeError(
                 f"region write must be exactly {self.region_size}B, got {len(data)}"
             )
         tracer = self.tracer
@@ -236,21 +238,22 @@ class RegionTranslationLayer:
         self, region_id: int, offset: int = 0, length: Optional[int] = None
     ) -> IoCompletion:
         """Read ``length`` bytes at ``offset`` within a live region."""
-        location = self.map.lookup(region_id)
+        zone_index, slot = self.map.lookup(region_id)
+        region_size = self.region_size
         if length is None:
-            length = self.region_size - offset
-        if offset < 0 or offset + length > self.region_size:
-            raise ValueError(
+            length = region_size - offset
+        if offset < 0 or offset + length > region_size:
+            raise OutOfRangeError(
                 f"read (offset={offset}, length={length}) exceeds region size "
-                f"{self.region_size}"
+                f"{region_size}"
             )
-        base = location.byte_offset(self.zone_size, self.region_size)
+        device_offset = zone_index * self.zone_size + slot * region_size + offset
         self.stats.host_reads += 1
         tracer = self.tracer
         if tracer.enabled:
             with tracer.span("ztl", "read_region", offset=offset, length=length):
-                return self.device.read(base + offset, length)
-        return self.device.read(base + offset, length)
+                return self.device.read(device_offset, length)
+        return self.device.read(device_offset, length)
 
     def has_region(self, region_id: int) -> bool:
         return region_id in self.map

@@ -1,18 +1,22 @@
-"""Unit tests for the four RegionStore backends and shared helpers."""
+"""Unit tests for the RegionStore backends and shared helpers."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.admission import CountMinSketch
 from repro.cache.backends import (
     BlockRegionStore,
     FileRegionStore,
     WafRaw,
+    ZCacheRegionStore,
     ZoneRegionStore,
     ZtlRegionStore,
 )
 from repro.cache.backends.base import aligned_window
-from repro.errors import CacheConfigError, OutOfRangeError
+from repro.cache.item import EntryCodec
+from repro.cache.region import RegionBuffer
+from repro.errors import CacheConfigError, OutOfRangeError, RegionSizeError, ReproError
 from repro.f2fs import CleanerConfig, F2fs, F2fsConfig
 from repro.flash import (
     BlockSsd,
@@ -172,6 +176,142 @@ class TestRegionStoreContract:
 
     def test_scheme_name(self, store):
         assert store.scheme_name.endswith("-Cache")
+
+
+def z_cache_store():
+    zns = ZnsSsd(SimClock(), ZnsConfig(geometry=geometry(), zone_size=4 * 64 * KIB))
+    layer = RegionTranslationLayer(
+        zns,
+        ZtlConfig(region_size=REGION, host_open_zones=1, host_groups=2,
+                  gc=GcConfig(min_empty_zones=2)),
+    )
+    return ZCacheRegionStore(layer, 16, CountMinSketch(64, 2))
+
+
+@pytest.mark.parametrize(
+    "factory", [*(f for _, f in backend_cases()), z_cache_store],
+    ids=[*(name for name, _ in backend_cases()), "zcache"],
+)
+def test_bad_location_and_bad_payload_raise_typed_errors(factory):
+    """A location that runs past its region is an ``OutOfRangeError`` on
+    every scheme — it used to read the neighbour region's bytes on
+    Block-/File-/Zone-Cache and escape as a bare ``ValueError`` from the
+    translation layer — and a wrong-size payload a ``RegionSizeError``."""
+    store = factory()
+    size = store.region_size
+    store.write_region(0, payload(1, size))
+    store.write_region(1, payload(2, size))
+    for offset, length in [(size - 100, 200), (size, 16), (-8, 16), (0, size + 1), (64, 0)]:
+        with pytest.raises(OutOfRangeError):
+            store.read(0, offset, length)
+    with pytest.raises(OutOfRangeError):
+        store.read(store.num_regions, 0, 16)
+    assert store.read(0, size - 100, 100) == payload(1, 100)  # the tail is fine
+    for bad in (b"short", bytes(size + PAGE)):
+        with pytest.raises(RegionSizeError) as caught:
+            store.write_region(0, bad)
+        assert isinstance(caught.value, ReproError)
+    assert store.read(0, 0, 64) == payload(1, 64)  # and nothing was written
+
+
+def _packed_region(size: int, salt: int, tag: int):
+    """A region of checksummed entries of mixed sizes, packed to the last
+    byte that fits; returns the payload and the entry locations."""
+    buffer = RegionBuffer(0, size, 0, checksums=True, salt=salt)
+    entries = []
+    lengths = [37, 3000, 4096 - 28, 900, 5000, 1, 4100, 250]
+    index = 0
+    while True:
+        key = b"k%d-%d" % (tag, index)
+        value = bytes([(tag + index) % 251 + 1]) * lengths[index % len(lengths)]
+        if not buffer.fits(EntryCodec.entry_size(key, value, checksum=True)):
+            tail = buffer.remaining - EntryCodec.entry_size(key, b"", checksum=True)
+            if tail < 0:
+                break
+            value = value[:1] * tail  # the last entry ends on the region's last byte
+        location = buffer.append(key, value)
+        entries.append((location.offset, location.length, key, value))
+        index += 1
+    return bytes(buffer.finalize()), entries
+
+
+def _old_read(store, region_id: int, offset: int, length: int) -> bytes:
+    """Each backend's ``read`` body as it was before they shared one."""
+    if isinstance(store, ZtlRegionStore):
+        block = store.layer.device.block_size
+        aligned_offset, aligned_length, skip = aligned_window(offset, length, block)
+        aligned_length = min(aligned_length, store.region_size - aligned_offset)
+        data = store.layer.read_region(region_id, aligned_offset, aligned_length).data
+    elif isinstance(store, FileRegionStore):
+        aligned_offset, aligned_length, skip = aligned_window(
+            offset, length, store.fs.layout.block_size
+        )
+        data = store.file.pread(
+            region_id * store.region_size + aligned_offset, aligned_length
+        )
+    else:
+        aligned_offset, aligned_length, skip = aligned_window(
+            offset, length, store.device.block_size
+        )
+        base = (
+            store.device.zones[region_id].start
+            if isinstance(store, ZoneRegionStore)
+            else region_id * store.region_size
+        )
+        data = store.device.read(base + aligned_offset, aligned_length).data
+    return data[skip : skip + length]
+
+
+@pytest.mark.parametrize(
+    "factory", [*(f for _, f in backend_cases()), z_cache_store],
+    ids=[*(name for name, _ in backend_cases()), "zcache"],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shared_read_equals_each_backends_old_formula(factory, data):
+    """Same bytes, same simulated time and same device traffic as the
+    four pasted bodies, for any range inside a region: block-straddling,
+    block-aligned, the region's tail, and whole checksummed entries
+    (which still verify against the region's salt)."""
+    new, old = factory(), factory()
+    size = new.region_size
+    entries = {}
+    for region_id in (0, 1):
+        packed, entries[region_id] = _packed_region(size, salt=9 + region_id, tag=region_id)
+        new.write_region(region_id, packed)
+        old.write_region(region_id, packed)
+    for _ in range(6):
+        region_id = data.draw(st.integers(0, 1))
+        if data.draw(st.booleans()):
+            offset, length, key, value = data.draw(st.sampled_from(entries[region_id]))
+        else:
+            offset = data.draw(st.integers(0, size - 1) | st.sampled_from(
+                [0, PAGE - 1, PAGE, size - PAGE, size - 1]
+            ))
+            length = data.draw(st.integers(1, size - offset))
+            key = None
+        got = new.read(region_id, offset, length)
+        assert got == _old_read(old, region_id, offset, length)
+        if key is not None:
+            assert EntryCodec.read_entry(got, salt=9 + region_id) == (key, value, 0)
+    assert _clock_of(new).now == _clock_of(old).now
+    assert _device_of(new).stats.host_read_bytes == _device_of(old).stats.host_read_bytes
+    assert (
+        _device_of(new).pipeline.pool.requests_served
+        == _device_of(old).pipeline.pool.requests_served
+    )
+
+
+def _device_of(store):
+    if isinstance(store, ZtlRegionStore):
+        return store.layer.device
+    if isinstance(store, FileRegionStore):
+        return store.fs.data_device
+    return store.device
+
+
+def _clock_of(store):
+    return _device_of(store).pipeline.clock
 
 
 class TestBackendSpecifics:

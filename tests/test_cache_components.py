@@ -8,12 +8,10 @@ from repro.cache import (
     CacheConfig,
     CpuCosts,
     EntryCodec,
-    EntryLocation,
     ProbabilisticAdmission,
     RamCache,
     RegionBuffer,
     RegionMeta,
-    ShardedIndex,
     make_eviction_policy,
 )
 from repro.cache.admission import CountMinSketch, SizeThresholdAdmission
@@ -73,36 +71,6 @@ class TestEntryCodec:
         cut = len(packed) - 5
         assert EntryCodec.scan_keys(view[:cut]) == keys[:-1]
         assert all(type(key) is bytes for key in EntryCodec.scan_keys(view))
-
-
-class TestShardedIndex:
-    def test_put_get_remove(self):
-        index = ShardedIndex(4)
-        loc = EntryLocation(1, 0, 10)
-        assert index.put(b"a", loc) is None
-        assert index.get(b"a") == loc
-        assert b"a" in index
-        assert index.remove(b"a") == loc
-        assert index.get(b"a") is None
-
-    def test_put_returns_old(self):
-        index = ShardedIndex(4)
-        old = EntryLocation(1, 0, 10)
-        new = EntryLocation(2, 5, 10)
-        index.put(b"a", old)
-        assert index.put(b"a", new) == old
-        assert index.get(b"a") == new
-
-    def test_len_spans_shards(self):
-        index = ShardedIndex(4)
-        for i in range(100):
-            index.put(f"key{i}".encode(), EntryLocation(0, i, 1))
-        assert len(index) == 100
-        assert len(set(index.keys())) == 100
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            ShardedIndex(0)
 
 
 class TestRegionBuffer:
@@ -253,7 +221,7 @@ class TestCacheConfig:
             {"num_regions": 1},
             {"ram_bytes": -1},
             {"eviction_policy": "mru"},
-            {"index_shards": 0},
+            {"reclaim_window": 0},
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -431,3 +431,178 @@ class TestPowerCutSmoke:
         with pytest.raises(PowerCutError):
             stack.cache.set(b"after", b"the-lights-went-out")
             stack.cache.flush()
+
+
+class RecordingInjector(FaultInjector):
+    """Notes every command it is shown and what the device looked like
+    at that moment."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.seen = []
+        self.snapshot = lambda: None
+
+    def inspect(self, pipeline_name, request, service_ns):
+        self.seen.append(
+            (pipeline_name, request.op.value, request.offset, request.length,
+             self.snapshot())
+        )
+        return super().inspect(pipeline_name, request, service_ns)
+
+
+def _zns_device(clock, faults):
+    from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
+
+    geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
+    return ZnsSsd(clock, ZnsConfig(geometry=geometry, zone_size=256 * KIB), faults=faults)
+
+
+def _block_device(clock, faults):
+    from repro.flash import BlockSsd, BlockSsdConfig, NandGeometry
+
+    geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
+    return BlockSsd(clock, BlockSsdConfig(geometry=geometry), faults=faults)
+
+
+def _nullblk_device(clock, faults):
+    from repro.flash import NullBlkDevice
+
+    return NullBlkDevice(clock, capacity_bytes=1 * MIB, faults=faults)
+
+
+def _hdd_device(clock, faults):
+    from repro.flash import HddConfig, HddDevice
+
+    return HddDevice(clock, HddConfig(capacity_bytes=16 * MIB), faults=faults)
+
+
+class TestChargeRoutineUnderFaults:
+    """Every device's ``read`` and ``write`` charge through
+    ``IoPipeline.charge``.  Armed, the injector sees each command exactly
+    once and before the device has changed anything for it, so a raised
+    fault leaves the device as it was and the command can be retried."""
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            pytest.param(_zns_device, "znsssd", id="znsssd"),
+            pytest.param(_block_device, "blockssd", id="blockssd"),
+            pytest.param(_nullblk_device, "nullblk", id="nullblk"),
+            pytest.param(_hdd_device, "hdd", id="hdd"),
+        ],
+    )
+    def test_each_command_seen_once_before_any_state_change(self, make, name):
+        clock = SimClock()
+        # The second write command fails, once.
+        faults = RecordingInjector(
+            seed=1,
+            rules=(
+                FaultRule(
+                    FaultKind.MEDIA_ERROR, op="write", after_requests=1,
+                    max_injections=1,
+                ),
+            ),
+        )
+        device = make(clock, faults)
+        faults.snapshot = lambda: (
+            clock.now,
+            device.media.allocated_bytes,
+            device.stats.host_write_bytes,
+            device.stats.host_read_bytes,
+            device.pipeline.pool.requests_served,
+        )
+        first, second = bytes([1]) * (8 * KIB), bytes([2]) * (8 * KIB)
+        device.write(0, first)
+        assert faults.seen == [(name, "write", 0, 8 * KIB, (0, 0, 0, 0, 0))]
+        device.read(4 * KIB, 4 * KIB)
+        assert [entry[:4] for entry in faults.seen[1:]] == [
+            (name, "read", 4 * KIB, 4 * KIB)
+        ]
+        assert faults.seen[1][4][3] == 0  # shown before it was counted
+
+        before = faults.snapshot()
+        with pytest.raises(TransientMediaError):
+            device.write(8 * KIB, second)
+        assert faults.snapshot() == before
+        assert device.read(8 * KIB, 8 * KIB).data == bytes(8 * KIB)
+        del faults.seen[:]
+        device.write(8 * KIB, second)  # the retry lands where the fault was
+        assert device.read(0, 16 * KIB).data == first + second
+        assert [entry[:4] for entry in faults.seen] == [
+            (name, "write", 8 * KIB, 8 * KIB),
+            (name, "read", 0, 16 * KIB),
+        ]
+        assert device.stats.host_write_bytes == 16 * KIB
+
+    @pytest.mark.parametrize("scheme", SCHEMES + ("Z-Cache",))
+    def test_transient_read_faults_cost_what_they_did(self, scheme):
+        """Read faults → engine retries → degraded misses, in the numbers
+        of the commit before the devices shared one charge routine."""
+        assert _read_fault_outcome(scheme) == PARENT_READ_FAULT_OUTCOMES[scheme]
+
+    @pytest.mark.parametrize("scheme", SCHEMES + ("Z-Cache",))
+    def test_power_cut_tears_the_same_write(self, scheme):
+        assert _power_cut_outcome(scheme) == PARENT_POWER_CUT_OUTCOMES[scheme]
+
+
+def _faulty_stack(scheme, faults):
+    scale = ZONE_SCALE if scheme == "Zone-Cache" else SCALE
+    cache = None if scheme == "Zone-Cache" else CACHE
+    return build_scheme(scheme, SimClock(), scale, MEDIA, cache, faults=faults)
+
+
+def _read_fault_outcome(scheme):
+    faults = FaultInjector(
+        seed=17,
+        rules=(
+            FaultRule(FaultKind.MEDIA_ERROR, probability=0.3, op="read"),
+            FaultRule(FaultKind.LATENCY, probability=0.05, extra_latency_ns=150_000),
+        ),
+    )
+    stack = _faulty_stack(scheme, faults)
+    hits, misses = run_workload(stack, ops=1500)
+    stats = stack.cache.stats
+    return (
+        hits, misses, stats.retries, stats.degraded_misses, stats.io_errors,
+        faults.stats.count(FaultKind.MEDIA_ERROR),
+        faults.stats.latency_injected_ns, stack.clock.now,
+    )
+
+
+# Cut instants that land inside a device write on each scheme.
+CUT_AT_NS = {"Zone-Cache": 6_500_000, "File-Cache": 5_000_000}
+
+
+def _power_cut_outcome(scheme):
+    faults = FaultInjector(seed=3, power_cut_at_ns=CUT_AT_NS.get(scheme, 9_000_000))
+    stack = _faulty_stack(scheme, faults)
+    with pytest.raises(PowerCutError):
+        run_workload(stack, ops=100_000)
+    device = stack.substrate["device"]
+    return (
+        stack.clock.now, faults.stats.torn_writes, faults.stats.torn_bytes_dropped,
+        device.stats.host_write_bytes, device.media.allocated_bytes,
+        stack.cache.stats.sets, stack.cache.stats.flushes,
+    )
+
+
+# Recorded on the last commit whose BlockSsd / NullBlkDevice / HddDevice
+# gated their commands in ``IoPipeline._dispatch``.
+# (hits, misses, retries, degraded_misses, io_errors, media errors
+# injected, latency injected, final sim instant)
+PARENT_READ_FAULT_OUTCOMES = {
+    "Block-Cache": (440, 271, 118, 8, 8, 118, 1350000, 81287031),
+    "Zone-Cache": (440, 271, 102, 8, 8, 102, 1200000, 58164737),
+    "File-Cache": (413, 298, 245, 35, 35, 245, 4650000, 155027785),
+    "Region-Cache": (440, 271, 118, 8, 8, 118, 1350000, 79227031),
+    "Z-Cache": (440, 271, 118, 8, 8, 118, 1350000, 79227031),
+}
+# (sim instant of the cut, torn writes, torn bytes dropped, device host
+# write bytes, media bytes held, sets, flushes)
+PARENT_POWER_CUT_OUTCOMES = {
+    "Block-Cache": (9000000, 1, 12288, 167936, 196608, 224, 10),
+    "Zone-Cache": (6500000, 1, 126976, 135168, 196608, 332, 1),
+    "File-Cache": (5000000, 1, 4096, 73728, 131072, 91, 3),
+    "Region-Cache": (9000000, 1, 8192, 172032, 262144, 224, 10),
+    "Z-Cache": (9000000, 1, 8192, 172032, 262144, 224, 10),
+}

@@ -263,6 +263,34 @@ class TestFailoverLifecycle:
         assert report.fleet_row["kills"] == 1
         assert report.fleet_row["recovery_ms"] > 3.0  # at least the outage
 
+    def test_probes_stop_once_the_fleet_is_healthy(self):
+        """The health probe fires while a shard is down or resyncing and
+        not after: a probe of a healthy fleet is a no-op event, and it
+        used to fire every interval until the last tenant request."""
+        probes = []
+
+        class CountingServer(Server):
+            def _on_probe(self, now_ns, index):
+                probes.append(now_ns)
+                super()._on_probe(now_ns, index)
+
+        cluster = _cluster(replicas=2, shards=2)
+        server = CountingServer(
+            cluster,
+            _tenants(num_ops=3000),
+            ServerConfig(48),
+            failover=FailoverPlan((ShardKill(3 * MSEC, 0, 3 * MSEC),)),
+        )
+        report = server.run()
+        back_up_ns, state = cluster.shards[0].health_log[-1]
+        assert state == HEALTH_UP
+        interval = cluster.replication.probe_interval_ns
+        assert probes and probes[0] == 3 * MSEC + interval
+        assert probes[-1] < back_up_ns + interval
+        # The run went on long after that, and reports what it always did.
+        assert report.sim_seconds * 1e9 > 4 * back_up_ns
+        assert report.fleet_row["kills"] == 1
+
     def test_hinted_handoff_replays_missed_writes(self):
         cluster, _, report = _kill_run()
         killed = cluster.shards[0]

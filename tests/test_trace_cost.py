@@ -13,7 +13,8 @@ monkeypatched constructor do, on any machine:
   reference back to its tracer;
 * a traced fault-free ``ZnsSsd.read`` or ``write`` runs the same code as
   an untraced one: no ``IoRequest`` (only an armed fault injector gets
-  one), the same ``IoCompletion``.
+  one), the same ``IoCompletion`` — and the same holds for the data
+  commands of ``BlockSsd``, ``NullBlkDevice`` and ``HddDevice``.
 """
 
 from __future__ import annotations
@@ -22,9 +23,21 @@ import gc
 import sys
 import tracemalloc
 
+import pytest
+
+import repro.flash.blockssd as blockssd_module
 import repro.flash.znsssd as znsssd_module
 import repro.sim.io as io_module
-from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
+from repro.flash import (
+    BlockSsd,
+    BlockSsdConfig,
+    HddConfig,
+    HddDevice,
+    NandGeometry,
+    NullBlkDevice,
+    ZnsConfig,
+    ZnsSsd,
+)
 from repro.sim import IoCompletion, IoTracer, SimClock, TraceRecord
 from repro.sim.faults import FaultInjector
 from repro.units import KIB
@@ -119,13 +132,16 @@ def _device(clock: SimClock, faults=None) -> ZnsSsd:
 
 
 def _count_requests(monkeypatch) -> list:
+    """Every ``IoRequest`` built from here on, by the device (management
+    commands) or by its pipeline (``IoPipeline.inject``, data commands)."""
     built = []
-    real_request = znsssd_module.IoRequest
-    monkeypatch.setattr(
-        znsssd_module,
-        "IoRequest",
-        lambda *a, **kw: (built.append(1), real_request(*a, **kw))[1],
-    )
+    real_request = io_module.IoRequest
+    for module in (znsssd_module, blockssd_module, io_module):
+        monkeypatch.setattr(
+            module,
+            "IoRequest",
+            lambda *a, **kw: (built.append(1), real_request(*a, **kw))[1],
+        )
     return built
 
 
@@ -186,5 +202,55 @@ def test_fault_free_traced_write_builds_no_request(monkeypatch):
     armed = _device(SimClock(), faults=FaultInjector(seed=1))
     del built[:]
     armed.write(16 * KIB, payload)
+    armed.read(0, 4 * KIB)
+    assert built == [1, 1]
+
+
+def _block_device(clock, faults=None):
+    geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
+    return BlockSsd(clock, BlockSsdConfig(geometry=geometry), faults=faults)
+
+
+@pytest.mark.parametrize(
+    "make, layer",
+    [
+        (_block_device, "block"),
+        (lambda clock, faults=None: NullBlkDevice(clock, faults=faults), "nullblk"),
+        (lambda clock, faults=None: HddDevice(clock, HddConfig(), faults=faults), "hdd"),
+    ],
+    ids=["blockssd", "nullblk", "hdd"],
+)
+def test_block_device_data_commands_build_no_request(monkeypatch, make, layer):
+    plain, traced = make(SimClock()), make(SimClock())
+    records = []
+    traced.tracer.subscribe(records.append)
+    built = _count_requests(monkeypatch)
+    payload = bytes(range(256)) * 32
+    with traced.tracer.span("backend", "write_region"):
+        wrote = traced.write(8 * KIB, payload)
+    traced.write_many([(16 * KIB, payload), (24 * KIB, payload)])
+    got = traced.read(8 * KIB, 4 * KIB)
+    assert built == []
+    plain_wrote = plain.write(8 * KIB, payload)
+    plain.write_many([(16 * KIB, payload), (24 * KIB, payload)])
+    want = plain.read(8 * KIB, 4 * KIB)
+    for name in IoCompletion.__slots__:
+        assert getattr(wrote, name) == getattr(plain_wrote, name), name
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.data == payload[: 4 * KIB]
+    assert traced._clock.now == plain._clock.now
+
+    write, span = records[:2]
+    assert (write.layer, write.op, write.parent_id) == (layer, "write", span.record_id)
+    assert [(r.layer, r.op) for r in records[2:]] == [
+        (layer, "write"), (layer, "write"), (layer, "read")
+    ]
+    for name in ("submitted_ns", "completed_ns", "wait_ns", "service_ns", "channel"):
+        assert getattr(records[-1], name) == getattr(got, name), name
+
+    # Armed, each command shows the injector exactly one request.
+    armed = make(SimClock(), faults=FaultInjector(seed=1))
+    del built[:]
+    armed.write(0, payload)
     armed.read(0, 4 * KIB)
     assert built == [1, 1]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import RegionNotMappedError, TranslationFullError
+from repro.errors import OutOfRangeError, RegionNotMappedError, TranslationFullError
 from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
 from repro.sim import SimClock
 from repro.units import KIB
@@ -65,7 +65,7 @@ class TestZtlBasics:
     def test_read_beyond_region_rejected(self):
         layer = make_layer()
         layer.write_region(1, payload(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRangeError):
             layer.read_region(1, offset=REGION - 4096, length=8192)
 
     def test_wrong_size_write_rejected(self):

@@ -2,13 +2,17 @@
 choosing-metrics guide.
 
     python tools/ab_pairs.py PARENT CHANGE --workload serve_failover --seed 7 -n 10
+    python tools/ab_pairs.py PARENT CHANGE --workload all -n 10 --json OUT.json
 
 PARENT and CHANGE are two checkouts of this repository.  Each pair runs
 ``benchmarks/perf/run.py --workload W --seed S --seconds 6 --trace 0``
 once in each, alternating which side goes first.  A gain is claimed only
 when the change wins at least nine tenths of the pairs run (a tie counts
 for neither side) and the medians differ by more than the parent's own
-spread, taken as the distance between its quartiles.
+spread, taken as the distance between its quartiles.  ``--workload all``
+runs every workload of the parent's ``BENCHMARK.json`` in turn and ends
+with one summary table: the no-regression table of a change that claims
+a gain on one of them.  ``--json`` writes every run and every verdict.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import re
 import statistics
 import subprocess
 import sys
+from typing import Dict, List
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
@@ -35,44 +40,94 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
     return {"sim_digest": digest, **{k: m["value"] for k, m in doc["metrics"].items()}}
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent"), parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("-n", "--pairs", type=int, default=10)
-    parser.add_argument("--metrics", nargs="+", default=["sim_ops_per_host_s"])
-    args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("quartiles need at least two pairs")
-    with open(f"{args.parent}/BENCHMARK.json") as handle:
-        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
-    runs, judged = {"parent": [], "change": []}, args.metrics[0]
+def judge(metric: str, better: str, parent: List[float], change: List[float]) -> dict:
+    """Section 8's verdict on one metric over the pairs run."""
+    sign = -1 if better == "lower" else 1
+    p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    c_q1, c_med, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
+    wins = sum(sign * c > sign * p for p, c in zip(parent, change))
+    moved = abs(c_med - p_med) > p_q3 - p_q1
+    gain = moved and sign * c_med > sign * p_med and wins >= 0.9 * len(parent)
+    return {
+        "metric": metric, "parent": [p_q1, p_med, p_q3], "change": [c_q1, c_med, c_q3],
+        "delta": c_med / p_med - 1 if p_med else 0.0, "wins": wins,
+        "ties": sum(c == p for p, c in zip(parent, change)),
+        "parent_iqr": p_q3 - p_q1, "gain": gain,
+    }
+
+
+def run_pairs(args, workload: str, better: Dict[str, str]) -> dict:
+    """``args.pairs`` alternating pairs of one workload, printed as they
+    finish, then judged on every metric in ``args.metrics``."""
+    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    judged = args.metrics[0]
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args.workload, args.seed))
+            runs[side].append(run_once(getattr(args, side), workload, args.seed))
         parent, change = runs["parent"][-1][judged], runs["change"][-1][judged]
         print(f"pair {pair + 1:2d} ({order[0]} first): parent {parent:.6g}  "
               f"change {change:.6g}  ({change / parent - 1:+.1%})", flush=True)
     digests = {run["sim_digest"] for side in runs.values() for run in side}
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs; sim_digest "
+    print(f"{workload} seed {args.seed}, {args.pairs} pairs; sim_digest "
           f"{'identical' if len(digests) == 1 else 'DIFFERS'} across all runs")
+    verdicts = []
     for metric in args.metrics:
-        sign = -1 if better[metric] == "lower" else 1
-        parent = [run[metric] for run in runs["parent"]]
-        change = [run[metric] for run in runs["change"]]
-        p_q1, p_med, p_q3 = statistics.quantiles(parent, n=4, method="inclusive")
-        c_q1, c_med, c_q3 = statistics.quantiles(change, n=4, method="inclusive")
-        wins = sum(sign * c > sign * p for p, c in zip(parent, change))
-        ties = sum(c == p for p, c in zip(parent, change))
-        moved = abs(c_med - p_med) > p_q3 - p_q1
-        gain = moved and sign * c_med > sign * p_med and wins >= 0.9 * args.pairs
+        verdict = judge(
+            metric, better[metric],
+            [run[metric] for run in runs["parent"]],
+            [run[metric] for run in runs["change"]],
+        )
+        verdicts.append(verdict)
+        (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = verdict["parent"], verdict["change"]
         print(f"{metric}: parent {p_med:.6g} [{p_q1:.6g} .. {p_q3:.6g}]  change "
               f"{c_med:.6g} [{c_q1:.6g} .. {c_q3:.6g}]  medians "
-              f"{c_med / p_med - 1:+.1%}; change wins {wins}/{args.pairs}, ties "
-              f"{ties}; parent IQR {p_q3 - p_q1:.6g} -> "
-              f"{'gain' if gain else 'no resolvable gain'}")
+              f"{verdict['delta']:+.1%}; change wins {verdict['wins']}/{args.pairs}, "
+              f"ties {verdict['ties']}; parent IQR {verdict['parent_iqr']:.6g} -> "
+              f"{'gain' if verdict['gain'] else 'no resolvable gain'}")
+    return {
+        "workload": workload, "seed": args.seed, "pairs": args.pairs,
+        "digest_identical": len(digests) == 1, "verdicts": verdicts, "runs": runs,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent"), parser.add_argument("change")
+    parser.add_argument("--workload", required=True,
+                        help="a BENCHMARK.json workload name, or 'all'")
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("-n", "--pairs", type=int, default=10)
+    parser.add_argument("--metrics", nargs="+", default=["sim_ops_per_host_s"])
+    parser.add_argument("--json", metavar="OUT", help="write runs and verdicts here")
+    args = parser.parse_args()
+    if args.pairs < 2:
+        parser.error("quartiles need at least two pairs")
+    with open(f"{args.parent}/BENCHMARK.json") as handle:
+        benchmark = json.load(handle)
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    if args.workload != "all":
+        workloads = [args.workload]
+    results = [run_pairs(args, workload, better) for workload in workloads]
+    if len(results) > 1:
+        print(f"\n{'workload':16s}{'metric':20s}{'parent':>10s}{'change':>10s}"
+              f"{'delta':>8s}{'wins':>7s}  verdict")
+        for result in results:
+            for verdict in result["verdicts"]:
+                sign = -1 if better[verdict["metric"]] == "lower" else 1
+                worse = sign * verdict["delta"] < -bound[verdict["metric"]]
+                word = "gain" if verdict["gain"] else "REGRESSION" if worse else "within bound"
+                if not result["digest_identical"]:
+                    word += ", sim_digest DIFFERS"
+                print(f"{result['workload']:16s}{verdict['metric']:20s}"
+                      f"{verdict['parent'][1]:10.5g}{verdict['change'][1]:10.5g}"
+                      f"{verdict['delta']:+8.1%}"
+                      f"{verdict['wins']:4d}/{result['pairs']:<2d}  {word}")
+    if args.json:
+        with open(args.json, "w") as handle:
+            json.dump(results, handle, indent=1)
     return 0
 
 
