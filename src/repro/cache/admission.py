@@ -15,9 +15,9 @@ tenant out of the log.
 from __future__ import annotations
 
 import abc
-import zlib
 from dataclasses import dataclass
-from typing import List
+from zlib import crc32
+from typing import List, Tuple
 
 from repro.errors import CacheConfigError
 from repro.sim.rng import make_rng
@@ -77,11 +77,11 @@ class CountMinSketch:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.width = width
         self.depth = depth
-        self._salts = [
-            zlib.crc32(f"cms.{seed}.{row}".encode()) & 0xFFFFFFFF
+        # One (counters, salt) pair per row: what every probe walks.
+        self._rows: List[Tuple[List[int], int]] = [
+            ([0] * width, crc32(f"cms.{seed}.{row}".encode()) & 0xFFFFFFFF)
             for row in range(depth)
         ]
-        self._rows: List[List[int]] = [[0] * width for _ in range(depth)]
 
     def add(self, key: bytes) -> int:
         """Count one access; returns the estimate from *before* it.
@@ -90,9 +90,8 @@ class CountMinSketch:
         admission decision costs ``depth`` CRCs rather than ``2 × depth``.
         """
         width = self.width
-        crc32 = zlib.crc32
         before = -1
-        for counts, salt in zip(self._rows, self._salts):
+        for counts, salt in self._rows:
             slot = crc32(key, salt) % width
             count = counts[slot]
             if before < 0 or count < before:
@@ -102,18 +101,15 @@ class CountMinSketch:
 
     def estimate(self, key: bytes) -> int:
         width = self.width
-        crc32 = zlib.crc32
         return min(
-            counts[crc32(key, salt) % width]
-            for counts, salt in zip(self._rows, self._salts)
+            counts[crc32(key, salt) % width] for counts, salt in self._rows
         )
 
     def at_least(self, key: bytes, threshold: int) -> bool:
         """``estimate(key) >= threshold``, stopping at the first row under
         it: the minimum reaches the threshold only if every row does."""
         width = self.width
-        crc32 = zlib.crc32
-        for counts, salt in zip(self._rows, self._salts):
+        for counts, salt in self._rows:
             if counts[crc32(key, salt) % width] < threshold:
                 return False
         return True
@@ -121,9 +117,9 @@ class CountMinSketch:
     def halve(self) -> None:
         """Age every counter (TinyLFU's periodic reset keeps the sketch
         tracking *recent* popularity instead of all-time popularity)."""
-        for row in self._rows:
-            for i, value in enumerate(row):
-                row[i] = value >> 1
+        for counts, _ in self._rows:
+            for i, value in enumerate(counts):
+                counts[i] = value >> 1
 
 
 class TinyLfuAdmission(AdmissionPolicy):

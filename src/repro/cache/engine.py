@@ -21,7 +21,7 @@ engine:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.admission import AdmissionPolicy, build_admission
 from repro.cache.backends.base import RegionStore, WafBreakdown
@@ -89,6 +89,7 @@ class HybridCache:
         self._delete_ns = config.cpu.delete_ns
         self._copy_ns_per_kib = config.cpu.buffer_copy_ns_per_kib
         self._populate_ram = config.populate_ram_on_flash_hit
+        self._region_size = config.region_size
         self._entry_overhead = EntryCodec.entry_size(
             b"", b"", checksum=config.checksums
         )
@@ -123,10 +124,11 @@ class HybridCache:
         self._journal_seq = 0
         self.seal_journal: List[JournalEntry] = []
         self._buffer: RegionBuffer = self._open_fresh_region()
-        self._open_keys: Set[bytes] = set()
-        # Per-key on-flash entry sizes for the open region, carried into
-        # RegionMeta at seal time so removals account in bytes.
-        self._open_sizes: Dict[bytes, int] = {}
+        # The open region's live keys -> on-flash entry bytes, in append
+        # order; it becomes ``RegionMeta.keys`` at seal (handed over, not
+        # copied), so a region has one key map from first append to
+        # eviction.
+        self._open_entries: Dict[bytes, int] = {}
         # TTL bookkeeping for items whose set() carried an expiry; the
         # authoritative copy also travels in the on-flash entry header.
         self._expiry: dict = self.lifecycle.expiry
@@ -221,10 +223,9 @@ class HybridCache:
         # Reject before charging anything: a refused set must leave the
         # clock, stats and every tier exactly as it found them.
         entry_size = self._entry_overhead + len(key) + len(value)
-        if entry_size > self.config.region_size:
+        if entry_size > self._region_size:
             raise ObjectTooLargeError(
-                f"entry of {entry_size}B exceeds region size "
-                f"{self.config.region_size}"
+                f"entry of {entry_size}B exceeds region size {self._region_size}"
             )
         if ttl_seconds is not None and not ttl_seconds > 0:
             raise InvalidTtlError(f"ttl_seconds must be positive, got {ttl_seconds}")
@@ -244,7 +245,7 @@ class HybridCache:
             self._finish_mutation(start_ns, stats.set_latency)
             return False
         buffer = self._buffer
-        if entry_size > buffer.remaining:
+        if entry_size > buffer.capacity - buffer.used:
             self._seal_and_rotate()
             buffer = self._buffer
         clock.now += self._copy_ns_per_kib * (entry_size // 1024)
@@ -252,13 +253,13 @@ class HybridCache:
         index = self.index
         old = index.get(key)
         index[key] = location
-        if old is not None and old.region_id != buffer.region_id:
-            self.regions.note_key_removed(old.region_id, key, "overwritten")
-        elif old is not None:
-            # Superseded within the open buffer: its bytes die in place.
-            self.regions.ledger.note_dead(old.length, "overwritten")
-        self._open_keys.add(key)
-        self._open_sizes[key] = location.length
+        if old is not None:
+            if old.region_id != location.region_id:
+                self.regions.note_key_removed(old.region_id, key, "overwritten")
+            else:
+                # Superseded within the open buffer: its bytes die in place.
+                self.regions.ledger.note_dead(old.length, "overwritten")
+        self._open_entries[key] = location.length
         stats.sets_admitted += 1
         recorder = stats.set_latency
         recorder._samples.append(clock.now - start_ns)
@@ -459,7 +460,7 @@ class HybridCache:
         for entry in state["sealed"]:
             meta = RegionMeta(
                 entry["region_id"],
-                keys=set(entry["keys"]),
+                keys=dict.fromkeys(entry["keys"], 0),
                 salt=entry.get("salt", 0),
             )
             cache.regions.seal(meta)
@@ -473,13 +474,12 @@ class HybridCache:
             checksums=config.checksums,
             salt=cache._generation,
         )
-        cache._open_keys = set()
-        cache._open_sizes = {}
+        cache._open_entries = {}
         for key, (region_id, offset, length) in state["index"].items():
             cache.index[key] = EntryLocation(region_id, offset, length)
             meta = cache.regions.meta(region_id)
             if meta is not None and key in meta.keys:
-                meta.entry_bytes[key] = length
+                meta.keys[key] = length
                 meta.live_bytes += length
         for key, expiry_ns in state["expiry"].items():
             cache.lifecycle.note_ttl(key, expiry_ns)
@@ -564,8 +564,7 @@ class HybridCache:
             )
             if torn:
                 cache.stats.torn_items_dropped += 1
-            keys: Set[bytes] = set()
-            sizes: Dict[bytes, int] = {}
+            keys: Dict[bytes, int] = {}
             for offset, length, entry in entries:
                 previous_rid = key_region.get(entry.key)
                 if previous_rid is not None and previous_rid != rid:
@@ -574,17 +573,12 @@ class HybridCache:
                     )
                 cache.index[entry.key] = EntryLocation(rid, offset, length)
                 key_region[entry.key] = rid
-                keys.add(entry.key)
-                sizes[entry.key] = length
+                keys[entry.key] = length
                 if entry.expiry_ns:
                     cache.lifecycle.note_ttl(entry.key, entry.expiry_ns)
                 cache.stats.recovered_items += 1
             meta = RegionMeta(
-                rid,
-                keys=keys,
-                salt=salt,
-                entry_bytes=sizes,
-                live_bytes=sum(sizes.values()),
+                rid, keys=keys, salt=salt, live_bytes=sum(keys.values())
             )
             cache.regions.seal(meta)
             replayed.append((rid, salt))
@@ -605,8 +599,7 @@ class HybridCache:
             [salt for _, salt in replayed] + [cache._generation]
         )
         cache._buffer = cache._open_fresh_region()
-        cache._open_keys = set()
-        cache._open_sizes = {}
+        cache._open_entries = {}
         cache.stats.recovery_ns = clock.now - start_ns
         return cache
 
@@ -654,21 +647,19 @@ class HybridCache:
         # returns, and only then is the storage handed to the successor.
         region_id = self._flush_payload(buffer.region_id, buffer.finalize())
         self.stats.flushes += 1
-        # The open key set and size map become the sealed region's: hand
-        # them over and start fresh ones rather than copying.
-        sizes = self._open_sizes
+        # The open region's key map becomes the sealed region's: hand it
+        # over and start a fresh one rather than copying.
+        entries = self._open_entries
         meta = RegionMeta(
             region_id,
-            keys=self._open_keys,
+            keys=entries,
+            fill_duration_ns=fill_ns,
             salt=buffer.salt,
-            entry_bytes=sizes,
-            live_bytes=sum(sizes.values()),
+            live_bytes=sum(entries.values()),
         )
-        meta.fill_duration_ns = fill_ns
         self.regions.seal(meta)
         self._journal("seal", region_id, buffer.salt)
-        self._open_keys = set()
-        self._open_sizes = {}
+        self._open_entries = {}
         self._buffer = self._open_fresh_region(recycle=buffer)
 
     def _purge_due(self) -> None:
@@ -739,7 +730,7 @@ class HybridCache:
                 self._evict_keys(new_region_id, evicted)
             if not self.regions.is_quarantined(new_region_id):
                 break
-        for key in self._open_keys:
+        for key in self._open_entries:
             location = self.index.get(key)
             if location is not None and location.region_id == dead_region_id:
                 self.index[key] = EntryLocation(
@@ -786,7 +777,7 @@ class HybridCache:
             )
             self.regions.note_key_removed(region_id, key, reason)
 
-    def _evict_keys(self, region_id: int, evicted: Set[bytes]) -> None:
+    def _evict_keys(self, region_id: int, evicted: Dict[bytes, int]) -> None:
         """Tear down index entries of a reclaimed region (lock-convoy model)."""
         self.store.tracer.emit_event(
             "reclaim.cache", "evict", offset=region_id, length=len(evicted)
@@ -895,11 +886,11 @@ class HybridCache:
         return expiry is not None and self._clock.now >= expiry
 
     def _note_removed(self, location: EntryLocation, key: bytes, reason: str) -> None:
-        """Shared removal accounting: open-buffer keys leave the seal
-        set, sealed keys report to the region's liveness ledger."""
+        """Shared removal accounting: open-buffer keys leave the open
+        region's key map, sealed keys report to the region's liveness
+        ledger."""
         if location.region_id == self._buffer.region_id:
-            self._open_keys.discard(key)
-            if self._open_sizes.pop(key, None) is not None:
+            if self._open_entries.pop(key, None) is not None:
                 self.regions.ledger.note_dead(location.length, reason)
         else:
             self.regions.note_key_removed(location.region_id, key, reason)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import partial
 from typing import List, NamedTuple, Tuple
 
 from repro.errors import EntryCorruptError
@@ -37,6 +38,11 @@ class EntryLocation(NamedTuple):
     region_id: int
     offset: int
     length: int
+
+
+# ``location_of((region_id, offset, length))``: an :class:`EntryLocation`
+# from a plain triple, skipping the namedtuple's Python-level ``__new__``.
+location_of = partial(tuple.__new__, EntryLocation)
 
 
 class DecodedEntry(NamedTuple):
@@ -73,21 +79,13 @@ class EntryCodec:
         crc = cls._crc(key, value, expiry_ns, salt)
         return header + key + value + _CRC.pack(crc)
 
-    @staticmethod
-    def encode_into(
-        buffer: bytearray, offset: int, key: bytes, value: bytes, expiry_ns: int
-    ) -> None:
-        """Pack an unchecksummed entry straight into ``buffer`` at ``offset``.
-
-        Writes exactly the bytes ``encode(key, value, expiry_ns)`` returns
-        (the caller has checked they fit).  The header goes in last, so a
-        key or value the buffer refuses leaves no parseable entry behind.
-        """
-        key_at = offset + _HEADER.size
-        value_at = key_at + len(key)
-        buffer[key_at:value_at] = key
-        buffer[value_at : value_at + len(value)] = value
-        _HEADER.pack_into(buffer, offset, len(key), len(value), expiry_ns)
+    # ``pack_header_into(buffer, offset, key_len, value_len, expiry_ns)``:
+    # the in-place half of :meth:`encode` for an unchecksummed entry.  A
+    # writer that owns its buffer copies the key to ``offset +
+    # HEADER_SIZE`` and the value right behind it, then stamps the header
+    # — last, so a key or value the buffer refuses leaves no parseable
+    # entry behind.  ``RegionBuffer.append`` is the one such writer.
+    pack_header_into = _HEADER.pack_into
 
     @classmethod
     def entry_size(cls, key: bytes, value: bytes, checksum: bool = False) -> int:

@@ -40,19 +40,25 @@ class RamCache:
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Insert/replace; silently skips items larger than the whole tier."""
-        size = len(key) + len(value)
-        if size > self.capacity_bytes:
-            return
-        old = self._items.pop(key, None)
+        """Insert/replace.  An item larger than the whole tier is not
+        kept, and neither is the key's previous value: the tier never
+        answers with bytes an overwrite has superseded."""
+        items = self._items
+        capacity = self.capacity_bytes
+        key_size = len(key)
+        size = key_size + len(value)
+        used = self._used
+        old = items.pop(key, None)
         if old is not None:
-            self._used -= len(key) + len(old)
-        self._items[key] = value
-        self._used += size
-        while self._used > self.capacity_bytes:
-            evicted_key, evicted_value = self._items.popitem(last=False)
-            self._used -= len(evicted_key) + len(evicted_value)
-            self.evictions += 1
+            used -= key_size + len(old)
+        if size <= capacity:
+            items[key] = value
+            used += size
+            while used > capacity:
+                evicted_key, evicted_value = items.popitem(last=False)
+                used -= len(evicted_key) + len(evicted_value)
+                self.evictions += 1
+        self._used = used
 
     def remove(self, key: bytes) -> bool:
         value = self._items.pop(key, None)

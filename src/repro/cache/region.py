@@ -5,16 +5,19 @@ packed into an in-memory :class:`RegionBuffer` ("a larger region size
 requires setting up a larger region buffer in memory", §3.2); when the
 buffer cannot fit the next entry it is flushed to the backend and
 sealed.  :class:`RegionMeta` tracks which keys currently live in a
-sealed region so that whole-region eviction can drop exactly those index
-entries.
+sealed region (and how many bytes each holds) so that whole-region
+eviction can drop exactly those index entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
-from repro.cache.item import EntryCodec, EntryLocation
+from repro.cache.item import EntryCodec, EntryLocation, location_of
+
+_HEADER_SIZE = EntryCodec.HEADER_SIZE
+_pack_header_into = EntryCodec.pack_header_into
 
 
 class RegionBuffer:
@@ -52,43 +55,46 @@ class RegionBuffer:
             if recycle.capacity != capacity:
                 raise ValueError("a recycled buffer must have the same capacity")
             self._buffer = recycle._buffer
-            self._stale = max(recycle._stale, recycle._used)
-        self._used = 0
-
-    @property
-    def used(self) -> int:
-        return self._used
+            self._stale = max(recycle._stale, recycle.used)
+        self.used = 0
 
     @property
     def remaining(self) -> int:
-        return self.capacity - self._used
+        return self.capacity - self.used
 
     def fits(self, entry_bytes: int) -> bool:
         return entry_bytes <= self.remaining
 
     def append(self, key: bytes, value: bytes, expiry_ns: int = 0) -> EntryLocation:
         """Pack an entry; returns its location within this (open) region."""
-        offset = self._used
+        key_len, value_len = len(key), len(value)
+        offset = self.used
+        key_at = offset + _HEADER_SIZE
+        value_at = key_at + key_len
+        end = value_at + value_len
         checksums = self.checksums
-        size = EntryCodec.HEADER_SIZE + len(key) + len(value)
         if checksums:
-            size += EntryCodec.CRC_SIZE
-        if size > self.capacity - offset:
+            end += EntryCodec.CRC_SIZE
+        if end > self.capacity:
             raise ValueError(
-                f"entry of {size}B does not fit ({self.capacity - offset}B left)"
+                f"entry of {end - offset}B does not fit "
+                f"({self.capacity - offset}B left)"
             )
+        buffer = self._buffer
         if checksums:
-            self._buffer[offset : offset + size] = EntryCodec.encode(
+            buffer[offset:end] = EntryCodec.encode(
                 key, value, expiry_ns, checksum=True, salt=self.salt
             )
         else:
-            EntryCodec.encode_into(self._buffer, offset, key, value, expiry_ns)
-        self._used = offset + size
-        return EntryLocation(self.region_id, offset, size)
+            buffer[key_at:value_at] = key
+            buffer[value_at:end] = value
+            _pack_header_into(buffer, offset, key_len, value_len, expiry_ns)
+        self.used = end
+        return location_of((self.region_id, offset, end - offset))
 
     def read(self, offset: int, length: int) -> bytes:
         """Serve a read from the open buffer (CacheLib's read-from-buffer)."""
-        if offset + length > self._used:
+        if offset + length > self.used:
             raise ValueError("read beyond buffered data")
         return bytes(self._buffer[offset : offset + length])
 
@@ -100,9 +106,9 @@ class RegionBuffer:
         so whoever flushes it must copy it out (every device's page
         store does) and keep no reference to it.
         """
-        if self._stale > self._used:
-            self._buffer[self._used : self._stale] = bytes(self._stale - self._used)
-            self._stale = self._used
+        if self._stale > self.used:
+            self._buffer[self.used : self._stale] = bytes(self._stale - self.used)
+            self._stale = self.used
         return memoryview(self._buffer).toreadonly()
 
 
@@ -112,15 +118,16 @@ class RegionMeta:
 
     region_id: int
     sealed_seq: int = 0
-    keys: Set[bytes] = field(default_factory=set)
+    # The region's live keys, each with its on-flash entry size, in the
+    # order they were first appended.  This one map is what eviction,
+    # the GC hints and recovery read, and what the liveness ledger
+    # debits in bytes; the engine fills it while the region is open and
+    # hands it over at seal.
+    keys: Dict[bytes, int] = field(default_factory=dict)
     fill_duration_ns: int = 0
     # Generation salt the region's entries were checksummed with (0 when
     # checksums are off) — needed to verify reads after a warm restart.
     salt: int = 0
-    # Per-key on-flash entry sizes, maintained by the seal/recovery
-    # paths so the liveness ledger can account removals in bytes (keys
-    # without a recorded size account as 0 — older snapshots).
-    entry_bytes: Dict[bytes, int] = field(default_factory=dict)
     live_bytes: int = 0
     dead_bytes: int = 0
 
@@ -129,17 +136,13 @@ class RegionMeta:
         return len(self.keys)
 
     def note_inserted(self, key: bytes, nbytes: int = 0) -> None:
-        self.keys.add(key)
-        if nbytes:
-            self.entry_bytes[key] = nbytes
-            self.live_bytes += nbytes
+        self.keys[key] = nbytes
+        self.live_bytes += nbytes
 
     def note_removed(self, key: bytes) -> Optional[int]:
         """Forget a key; returns its entry size if it was live, else None."""
-        if key not in self.keys:
-            return None
-        self.keys.discard(key)
-        nbytes = self.entry_bytes.pop(key, 0)
-        self.live_bytes -= nbytes
-        self.dead_bytes += nbytes
+        nbytes = self.keys.pop(key, None)
+        if nbytes is not None:
+            self.live_bytes -= nbytes
+            self.dead_bytes += nbytes
         return nbytes

@@ -3,7 +3,7 @@
 CacheLib "evicts entire regions rather than individual cache objects" to
 amortize flash GC cost (§2.1).  The manager owns the fixed pool of
 region ids, the sealed-region eviction order, and the per-region key
-sets the engine needs to purge the index when a region is reclaimed.
+maps the engine needs to purge the index when a region is reclaimed.
 """
 
 from __future__ import annotations
@@ -83,16 +83,17 @@ class RegionManager:
 
     # --- lifecycle ---------------------------------------------------------------
 
-    def allocate(self) -> Tuple[int, Set[bytes]]:
+    def allocate(self) -> Tuple[int, Dict[bytes, int]]:
         """Take a region for filling.
 
-        Returns ``(region_id, evicted_keys)``: if the free pool is empty,
-        the eviction policy's victim is reclaimed and every key still
-        living in it is returned so the engine can drop the index entries
-        (this is the hit-ratio cost of large regions, §3.2).
+        Returns ``(region_id, evicted)``: if the free pool is empty, the
+        eviction policy's victim is reclaimed and its key map (every key
+        still living in it, with its entry size) is returned so the
+        engine can drop the index entries (this is the hit-ratio cost of
+        large regions, §3.2).
         """
         if self._free:
-            return self._free.popleft(), set()
+            return self._free.popleft(), {}
         victim = self._pick_dead_victim() if self._dead_first else None
         if victim is None:
             victim = self._pick_windowed_victim()
@@ -192,8 +193,10 @@ class RegionManager:
         """
         meta = self._sealed.get(region_id)
         if meta is not None:
-            nbytes = meta.note_removed(key)
+            nbytes = meta.keys.pop(key, None)
             if nbytes is not None:
+                meta.live_bytes -= nbytes
+                meta.dead_bytes += nbytes
                 self.ledger.note_dead(nbytes, reason)
 
     def live_bytes(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import (
     AlignmentError,
@@ -196,10 +196,12 @@ class F2fs:
         data = memoryview(data)
         num_blocks = len(data) // block_size
         first_block = offset // block_size
-        new_blocks = sum(
-            1
-            for i in range(num_blocks)
-            if self.nat.get_block(file_id, first_block + i) is None
+        end_block = first_block + num_blocks
+        new_blocks = num_blocks - sum(
+            map(
+                self.nat.block_map(file_id).__contains__,
+                range(first_block, end_block),
+            )
         )
         if self.live_bytes + new_blocks * block_size > self.usable_bytes:
             raise NoSpaceError(
@@ -215,23 +217,23 @@ class F2fs:
                 addresses = self._write_blocks_resilient(
                     LogStream.HOT_DATA, addresses, data
                 )
+                runs = self._section_runs(addresses)
             else:
-                self._write_blocks(addresses, data)
-            for i, block_addr in enumerate(addresses):
-                file_block = first_block + i
-                old = self.nat.set_block(file_id, file_block, block_addr)
-                if old is not None:
-                    self.sit.mark_invalid(old)
-                self.sit.mark_valid(block_addr, (file_id, file_block))
-                self.cleaner.note_section_written(
-                    self.layout.section_of_block(block_addr)
-                )
+                runs = self._section_runs(addresses)
+                self._write_blocks(runs, data)
+            # The remap, a run at a time: the file's old blocks go stale,
+            # then the new ones become valid and stamp their sections.
+            sit, cleaner = self.sit, self.cleaner
+            per_section = self.layout.blocks_per_section
+            stale = self.nat.set_blocks(file_id, first_block, addresses)
+            for _, block_addr, count in self._section_runs(stale):
+                sit.mark_invalid_run(block_addr, count)
+            for index, block_addr, count in runs:
+                sit.mark_valid_run(block_addr, count, file_id, first_block + index)
+                cleaner.note_section_written(block_addr // per_section, count)
             self.nat.update_size(file_id, offset + len(data))
-            touched_groups = {
-                (first_block + i) // self.config.blocks_per_node
-                for i in range(num_blocks)
-            }
-            for group in touched_groups:
+            per_node = self.config.blocks_per_node
+            for group in range(first_block // per_node, (end_block - 1) // per_node + 1):
                 self._write_node_block(file_id, group)
             self.stats.host_write_bytes += len(data)
             self._note_meta_updates(num_blocks)
@@ -307,35 +309,51 @@ class F2fs:
                 raise
             return self.logs.allocate_blocks(stream, count)
 
-    def _write_blocks(self, addresses: List[int], data: memoryview) -> None:
-        """Write payload to allocated blocks, coalescing contiguous runs.
+    def _section_runs(
+        self, addresses: Sequence[Optional[int]]
+    ) -> List[Tuple[int, int, int]]:
+        """``(index, first address, count)`` of every maximal run of
+        consecutive block addresses in ``addresses``.
 
-        The coalesced runs are submitted as one batch: on a serial device
-        pool this is identical to writing them one by one, but a pool
-        with multiple channels or queue depth overlaps the runs — the
-        flush of one ``pwrite`` becomes a single pipelined submission.
+        A run never leaves its section: contiguous addresses may continue
+        into the physically adjacent section when a log head rolls over,
+        but a zone is only written through its own write pointer and the
+        SIT keeps one bitmap per section.  ``None`` entries (file blocks
+        that had no mapping) belong to no run.
+        """
+        per_section = self.layout.blocks_per_section
+        runs: List[Tuple[int, int, int]] = []
+        i, total = 0, len(addresses)
+        while i < total:
+            first = addresses[i]
+            j = i + 1
+            if first is not None:
+                while (
+                    j < total
+                    and addresses[j] == first + j - i
+                    and addresses[j] % per_section
+                ):
+                    j += 1
+                runs.append((i, first, j - i))
+            i = j
+        return runs
+
+    def _write_blocks(
+        self, runs: List[Tuple[int, int, int]], data: memoryview
+    ) -> None:
+        """Write payload to allocated blocks, one device write per run.
+
+        The runs are submitted as one batch: on a serial device pool
+        this is identical to writing them one by one, but a pool with
+        multiple channels or queue depth overlaps the runs — the flush
+        of one ``pwrite`` becomes a single pipelined submission.
         """
         block_size = self.layout.block_size
         items: List[Tuple[int, bytes]] = []
-        i = 0
-        while i < len(addresses):
-            j = i
-            # Contiguous addresses may continue into the physically
-            # adjacent section when a log head rolls over; a zone can only
-            # be written through its own write pointer, so a run must
-            # break at every section (= zone) boundary.
-            while (
-                j + 1 < len(addresses)
-                and addresses[j + 1] == addresses[j] + 1
-                and self.layout.block_offset_in_section(addresses[j + 1]) != 0
-            ):
-                j += 1
-            run = addresses[i : j + 1]
-            device_offset = self.layout.device_offset(run[0])
-            payload = data[i * block_size : (j + 1) * block_size]
-            items.append((device_offset, payload))
+        for index, block_addr, count in runs:
+            payload = data[index * block_size : (index + count) * block_size]
+            items.append((block_addr * block_size, payload))
             self.stats.data_write_bytes += len(payload)
-            i = j + 1
         self.data_device.write_many(items)
 
     def _write_blocks_resilient(

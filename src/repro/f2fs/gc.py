@@ -255,9 +255,10 @@ class Cleaner:
 
     # --- hooks from the filesystem ----------------------------------------------------
 
-    def note_section_written(self, section: int) -> None:
-        """Track write recency for the cost-benefit policy."""
-        self._tick += 1
+    def note_section_written(self, section: int, blocks: int = 1) -> None:
+        """Track write recency for the cost-benefit policy: one tick per
+        block written, the section stamped with the last."""
+        self._tick += blocks
         self._mtime[section] = self._tick
 
     def needs_cleaning(self) -> bool:

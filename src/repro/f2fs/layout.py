@@ -10,6 +10,7 @@ the configuration the paper benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.units import KIB
 
@@ -91,7 +92,7 @@ class F2fsLayout:
             reserved_sections=reserved,
         )
 
-    @property
+    @cached_property
     def blocks_per_section(self) -> int:
         return self.zone_size // self.block_size
 

@@ -8,7 +8,7 @@ update that must eventually reach the conventional metadata device.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 
 class NodeAddressTable:
@@ -79,6 +79,17 @@ class NodeAddressTable:
         """Map a file block; returns the previous address (now stale)."""
         old = self._maps[file_id].get(file_block)
         self._maps[file_id][file_block] = block_addr
+        return old
+
+    def set_blocks(
+        self, file_id: int, first_block: int, addresses: List[int]
+    ) -> List[Optional[int]]:
+        """Map consecutive file blocks from ``first_block`` on; returns
+        their previous addresses (now stale; None where unmapped)."""
+        block_map = self._maps[file_id]
+        blocks = range(first_block, first_block + len(addresses))
+        old = list(map(block_map.get, blocks))
+        block_map.update(zip(blocks, addresses))
         return old
 
     def clear_block(self, file_id: int, file_block: int) -> Optional[int]:

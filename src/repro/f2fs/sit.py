@@ -31,21 +31,32 @@ class SegmentInfoTable:
         self._owners: Dict[int, BlockOwner] = {}
         self.total_valid_blocks = 0
 
+    def mark_valid_run(
+        self, first_addr: int, count: int, file_id: int, first_file_block: int
+    ) -> None:
+        """Blocks ``[first_addr, first_addr + count)`` — one run inside
+        one section — now hold file blocks ``first_file_block``… of
+        ``file_id``: one mask operation on the section's bitmap."""
+        section, offset = self._split(first_addr)
+        self.total_valid_blocks += self._bitmaps[section].set_run(offset, count)
+        owners = self._owners
+        for i in range(count):
+            owners[first_addr + i] = (file_id, first_file_block + i)
+
+    def mark_invalid_run(self, first_addr: int, count: int) -> None:
+        """Blocks ``[first_addr, first_addr + count)`` (inside one
+        section) are stale; already-invalid ones stay so."""
+        section, offset = self._split(first_addr)
+        self.total_valid_blocks -= self._bitmaps[section].clear_run(offset, count)
+        forget = self._owners.pop
+        for block_addr in range(first_addr, first_addr + count):
+            forget(block_addr, None)
+
     def mark_valid(self, block_addr: int, owner: BlockOwner) -> None:
-        section, offset = self._split(block_addr)
-        bitmap = self._bitmaps[section]
-        if not bitmap.is_set(offset):
-            bitmap.set(offset)
-            self.total_valid_blocks += 1
-        self._owners[block_addr] = owner
+        self.mark_valid_run(block_addr, 1, owner[0], owner[1])
 
     def mark_invalid(self, block_addr: int) -> None:
-        section, offset = self._split(block_addr)
-        bitmap = self._bitmaps[section]
-        if bitmap.is_set(offset):
-            bitmap.clear(offset)
-            self.total_valid_blocks -= 1
-        self._owners.pop(block_addr, None)
+        self.mark_invalid_run(block_addr, 1)
 
     def is_valid(self, block_addr: int) -> bool:
         section, offset = self._split(block_addr)

@@ -125,7 +125,7 @@ class BlockSsd(BlockDevice):
         page_size = self.config.geometry.page_size
         first = offset // page_size
         count = length // page_size
-        self._ftl.discard_pages(list(range(first, first + count)))
+        self._ftl.discard_pages(range(first, first + count))
         self.media.clear(offset, length)
         return self.pipeline.submit(
             IoRequest(IoOp.DISCARD, offset, length, layer="block"),
@@ -218,8 +218,7 @@ class BlockSsd(BlockDevice):
         page_size = self.config.geometry.page_size
         first = offset // page_size
         count = len(data) // page_size
-        lpns = list(range(first, first + count))
-        report = self._ftl.write_pages(lpns)
+        report = self._ftl.write_pages(range(first, first + count))
         self.media.store(offset, data)
         # Background GC work the FTL had to do occupies the device first;
         # the host write then queues behind it.

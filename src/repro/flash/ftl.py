@@ -20,7 +20,7 @@ happened* (pages programmed, pages moved, blocks erased) and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import ConfigError, DeviceFullError
 from repro.flash.nand import NandGeometry
@@ -107,9 +107,6 @@ class _BlockInfo:
     # feeds the cost-benefit victim policy.
     mtime: int = 0
 
-    def is_full(self, pages_per_block: int) -> bool:
-        return self.next_page >= pages_per_block
-
 
 class _FtlReclaimSource(ReclaimSource):
     """Erase-block adapter the shared engine drives."""
@@ -130,7 +127,7 @@ class _FtlReclaimSource(ReclaimSource):
         for block in ftl._blocks:
             if block.index in ftl._gc_active:
                 continue
-            if not block.is_full(pages):
+            if block.next_page < pages:
                 continue
             views.append(
                 VictimView(
@@ -168,9 +165,7 @@ class _FtlReclaimSource(ReclaimSource):
                 ftl.discard_pages(range(start, start + ftl._hint_region_pages))
                 hints.on_drop(region_id)
                 return UnitOutcome.DROPPED
-        block.lpns[page_idx] = None
-        block.valid_count -= 1
-        ftl._program(lpn)
+        ftl._program((lpn,))
         ftl.total_moved_pages += 1
         if ftl._gc_report is not None:
             ftl._gc_report.moved_pages += 1
@@ -242,30 +237,51 @@ class PageMappedFtl:
         """Current physical (block, page) of a logical page, if mapped."""
         return self._l2p.get(lpn)
 
-    def write_pages(self, lpns: List[int]) -> FtlWriteReport:
+    def write_pages(self, lpns: Sequence[int]) -> FtlWriteReport:
         """Log-write the given logical pages; runs GC if the pool is low.
 
         Returns the :class:`FtlWriteReport` describing all media work,
         including relocation performed by any GC this write triggered.
+        The whole run is validated before the first page is programmed,
+        so a refused write leaves the FTL exactly as it found it.
         """
         report = FtlWriteReport()
-        for lpn in lpns:
-            if not 0 <= lpn < self.logical_pages:
-                raise DeviceFullError(
-                    f"lpn {lpn} outside logical space of {self.logical_pages} pages"
-                )
-            self._maybe_gc(report)
-            self._invalidate(lpn)
-            self._program(lpn)
-            report.host_pages += 1
-        self.total_host_pages += report.host_pages
+        if not lpns:
+            return report
+        if min(lpns) < 0 or max(lpns) >= self.logical_pages:
+            bad = next(lpn for lpn in lpns if not 0 <= lpn < self.logical_pages)
+            raise DeviceFullError(
+                f"lpn {bad} outside logical space of {self.logical_pages} pages"
+            )
+        # The GC trigger reads only the free-block count, which moves
+        # when a block is opened or a drain erases one: asking before the
+        # first page, after a poll that drained and after every page that
+        # opened a block is asking before every page.  Between two such
+        # points the pages go down as one run.
+        pages_per_block = self.geometry.pages_per_block
+        done, total = 0, len(lpns)
+        poll = True
+        while done < total:
+            drained = poll and self._maybe_gc(report)
+            space = pages_per_block - self._active.next_page
+            poll = drained or space <= 0  # a full active block: this page opens one
+            count = 1 if poll else min(space, total - done)
+            self._program(lpns[done : done + count])
+            done += count
+        report.host_pages = total
+        self.total_host_pages += total
         return report
 
-    def discard_pages(self, lpns: List[int]) -> None:
+    def discard_pages(self, lpns: Sequence[int]) -> None:
         """TRIM: drop mappings so GC does not relocate dead data."""
+        l2p, blocks = self._l2p, self._blocks
         for lpn in lpns:
-            self._invalidate(lpn)
-            self._l2p.pop(lpn, None)
+            loc = l2p.pop(lpn, None)
+            if loc is not None:
+                block = blocks[loc[0]]
+                if block.lpns[loc[1]] == lpn:
+                    block.lpns[loc[1]] = None
+                    block.valid_count -= 1
 
     def bind_hints(self, hints, region_size: int, num_regions: int) -> None:
         """Wire the cache's §3.4 :class:`~repro.reclaim.GcHints`.
@@ -287,41 +303,50 @@ class PageMappedFtl:
 
     # --- internals -----------------------------------------------------------
 
-    def _invalidate(self, lpn: int) -> None:
-        loc = self._l2p.get(lpn)
-        if loc is None:
-            return
-        block_idx, page_idx = loc
-        block = self._blocks[block_idx]
-        if block.lpns[page_idx] == lpn:
-            block.lpns[page_idx] = None
-            block.valid_count -= 1
-
-    def _program(self, lpn: int) -> None:
-        if self._active.is_full(self.geometry.pages_per_block):
-            self._open_new_active()
+    def _program(self, lpns: Sequence[int]) -> None:
+        """Move a run of logical pages to the active block's write point
+        — the one page placement, under host writes and GC moves alike:
+        a block is opened first if the active one is full (the run must
+        then fit: the caller sends one page), each page's previous
+        physical slot goes invalid and the next free slot takes it.
+        """
         block = self._active
-        page_idx = block.next_page
-        block.lpns[page_idx] = lpn
-        block.valid_count += 1
-        block.next_page += 1
-        self._tick += 1
+        if block.next_page >= self.geometry.pages_per_block:
+            block = self._open_new_active()
+        l2p, blocks = self._l2p, self._blocks
+        slots, index, page_idx = block.lpns, block.index, block.next_page
+        for lpn in lpns:
+            loc = l2p.get(lpn)
+            if loc is not None:
+                old = blocks[loc[0]]
+                if old.lpns[loc[1]] == lpn:
+                    old.lpns[loc[1]] = None
+                    old.valid_count -= 1
+            slots[page_idx] = lpn
+            l2p[lpn] = (index, page_idx)
+            page_idx += 1
+        block.valid_count += len(lpns)
+        block.next_page = page_idx
+        self._tick += len(lpns)
         block.mtime = self._tick
-        self._l2p[lpn] = (block.index, page_idx)
 
-    def _open_new_active(self) -> None:
+    def _open_new_active(self) -> _BlockInfo:
         if not self._free:
             raise DeviceFullError("FTL has no free blocks and GC could not help")
         self._gc_active.discard(self._active.index)
         self._active = self._blocks[self._free.pop()]
         self._gc_active.add(self._active.index)
+        return self._active
 
-    def _maybe_gc(self, report: FtlWriteReport) -> None:
+    def _maybe_gc(self, report: FtlWriteReport) -> bool:
+        """Drain to the target watermark if the trigger says so; True
+        when it did (the pool moved, so the trigger must be asked again)."""
         if not self.reclaim.needs_reclaim():
-            return
+            return False
         report.gc_runs += 1
         self._gc_report = report
         try:
             self.reclaim.drain_to_target()
         finally:
             self._gc_report = None
+        return True

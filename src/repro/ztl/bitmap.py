@@ -50,6 +50,36 @@ class SlotBitmap:
             self._bits ^= bit
             self.valid_count -= 1
 
+    def set_run(self, start: int, count: int) -> int:
+        """Set slots ``[start, start + count)`` with one mask operation;
+        returns how many of them were clear before.  A run reaching
+        outside the bitmap raises ``IndexError`` and changes nothing.
+        ``set`` is the run of one, without the mask arithmetic."""
+        mask = self._run_mask(start, count)
+        fresh = mask & ~self._bits
+        changed = count if fresh == mask else bin(fresh).count("1")
+        self._bits |= mask
+        self.valid_count += changed
+        return changed
+
+    def clear_run(self, start: int, count: int) -> int:
+        """Clear slots ``[start, start + count)`` with one mask
+        operation; returns how many of them were set before (range
+        checked like :meth:`set_run`)."""
+        mask = self._run_mask(start, count)
+        hit = mask & self._bits
+        changed = count if hit == mask else bin(hit).count("1")
+        self._bits ^= hit
+        self.valid_count -= changed
+        return changed
+
+    def _run_mask(self, start: int, count: int) -> int:
+        if start < 0 or count < 0 or start + count > self._num_slots:
+            raise IndexError(
+                f"slots [{start}, {start + count}) outside [0, {self._num_slots})"
+            )
+        return ((1 << count) - 1) << start
+
     def clear_all(self) -> None:
         self._bits = 0
         self.valid_count = 0

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.schemes import ALL_SCHEME_NAMES, SchemeScale, build_scheme
 from repro.cache.admission import CountMinSketch
 from repro.cache.backends import (
     BlockRegionStore,
@@ -370,3 +371,28 @@ class TestBackendSpecifics:
         layer = RegionTranslationLayer(zns, ZtlConfig(region_size=REGION))
         store = ZtlRegionStore(layer, layer.total_slots // 2)
         assert store.op_ratio == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
+def test_oversize_overwrite_never_serves_the_superseded_value(scheme):
+    """A value larger than the whole DRAM tier replaces a small one: the
+    tier used to keep the small value and ``get`` served it — stale
+    bytes from a cache whose contract is *never a wrong value*."""
+    scale = SchemeScale(
+        zone_size=1 * MIB, region_size=16 * KIB, pages_per_block=64, ram_bytes=1024
+    )
+    if scheme == "Zone-Cache":
+        stack = build_scheme(scheme, SimClock(), scale, 8 * MIB)
+    else:
+        stack = build_scheme(
+            scheme, SimClock(), scale, 8 * MIB, 4 * MIB, file_media_bytes=12 * MIB
+        )
+    cache = stack.cache
+    small, large = b"s" * 100, b"L" * 2000
+    for _ in range(2):  # Z-Cache's doorkeeper admits a key it has seen
+        cache.set(b"k", small)
+    assert cache.get(b"k") == small
+    cache.set(b"k", large)
+    assert cache.get(b"k") == large
+    cache.flush()
+    assert cache.get(b"k") == large

@@ -160,6 +160,18 @@ class TestRamCache:
         ram.put(b"a", b"1" * 100)
         assert ram.get(b"a") is None
 
+    def test_oversized_overwrite_drops_the_previous_value(self):
+        """``put(k, small)`` then ``put(k, larger than the tier)`` used
+        to return early and keep serving the small, superseded value."""
+        ram = RamCache(1024)
+        ram.put(b"k", b"old" * 30)
+        ram.put(b"other", b"x" * 50)
+        ram.put(b"k", b"new" * 700)
+        assert ram.get(b"k") is None
+        assert b"k" not in ram
+        assert ram.used_bytes == len(b"other") + 50
+        assert ram.get(b"other") == b"x" * 50 and ram.evictions == 0
+
     def test_replace_updates_budget(self):
         ram = RamCache(1024)
         ram.put(b"a", b"1" * 100)

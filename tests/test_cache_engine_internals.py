@@ -101,7 +101,7 @@ class TestKeySetCoherence:
         cache.set(keys[0], b"y" * 1200)  # now in the open buffer
         meta = cache.regions.meta(old_location.region_id)
         assert keys[0] not in meta.keys
-        assert keys[0] in cache._open_keys
+        assert keys[0] in cache._open_entries
 
     def test_eviction_only_drops_own_keys(self):
         """A key overwritten into a newer region must survive the old

@@ -122,4 +122,4 @@ class TestWindowedReclaim:
         manager.seal(RegionMeta(b))
         victim, evicted = manager.allocate()
         assert victim == a
-        assert evicted == {b"k1"}
+        assert evicted == {b"k1": 0}

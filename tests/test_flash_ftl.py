@@ -42,6 +42,34 @@ class TestFtlBasics:
         with pytest.raises(DeviceFullError):
             ftl.write_pages([ftl.logical_pages])
 
+    def test_refused_write_leaves_the_ftl_untouched(self):
+        """``write_pages([ok, ok, bad])`` used to program the first two
+        pages, then raise before counting them as host pages: the
+        mapping moved and ``write_amplification`` ran over pages it
+        never counted.  The run is validated before anything lands."""
+        ftl = make_ftl()
+        ftl.write_pages([1, 2, 3])
+
+        def snapshot():
+            return (
+                dict(ftl._l2p),
+                [
+                    (list(b.lpns), b.valid_count, b.next_page, b.mtime)
+                    for b in ftl._blocks
+                ],
+                list(ftl._free), ftl._active.index, ftl._tick,
+                ftl.total_host_pages, ftl.total_moved_pages,
+                ftl.total_erased_blocks, ftl.write_amplification,
+                ftl.reclaim.stats.triggers,
+            )
+
+        before = snapshot()
+        for run in ([1, 2, ftl.logical_pages], [4, -1], [ftl.logical_pages + 7]):
+            with pytest.raises(DeviceFullError):
+                ftl.write_pages(run)
+            assert snapshot() == before
+        assert ftl.write_pages([]).host_pages == 0 and snapshot() == before
+
     def test_discard_unmaps(self):
         ftl = make_ftl()
         ftl.write_pages([5])

@@ -1,0 +1,502 @@
+"""Differential properties for the run-granular write path.
+
+The flush path works a run at a time — one mask operation per run on a
+section's validity bitmap, one NAT update and one SIT call per run of a
+``pwrite``, one page placement per run of an FTL write with the GC
+trigger asked only where its answer can change.  Each of those replaced
+a per-unit loop; the loops are kept *here*, as the reference, and
+hypothesis drives both through the same random sequences:
+
+* ``SlotBitmap.set_run`` / ``clear_run`` against loops of ``set`` /
+  ``clear`` (overlapping, already-set, bitmap-edge and out-of-range runs);
+* two ``F2fs`` instances, one remapping per block as it used to, through
+  random ``pwrite`` / overwrite / ``delete`` sequences small enough to
+  clean — same SIT, NAT, node map, cleaner recency, stats and clock;
+* two FTLs small enough to GC, one polling the trigger before every page
+  and placing pages one at a time — same mapping, block tables, trigger
+  points (``gc_runs``) and GC work;
+* and, on the engine, the ownership rule of the one-map-per-region
+  design: after any get/set/delete/TTL sequence a region's key map is
+  exactly the index entries that point into it, ``live_bytes`` their sum.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.cache import CacheConfig, HybridCache
+from repro.cache.backends import BlockRegionStore
+from repro.errors import DeviceFullError, NoSpaceError
+from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, fsck
+from repro.f2fs.segment import LogStream
+from repro.flash import (
+    BlockSsd,
+    BlockSsdConfig,
+    FtlConfig,
+    NandGeometry,
+    NullBlkDevice,
+    ZnsConfig,
+    ZnsSsd,
+)
+from repro.flash.ftl import FtlWriteReport, PageMappedFtl, _FtlReclaimSource
+from repro.reclaim import UnitOutcome
+from repro.sim import SimClock
+from repro.units import KIB, MIB
+from repro.ztl.bitmap import SlotBitmap
+
+PAGE = 4 * KIB
+SLOW_OK = [HealthCheck.too_slow]
+
+
+# --- SlotBitmap: one mask operation vs a loop of single-slot calls ---------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_slots=st.integers(1, 70),
+    ops=st.lists(
+        st.tuples(st.booleans(), st.integers(-3, 75), st.integers(-1, 75)),
+        max_size=30,
+    ),
+)
+def test_bitmap_runs_equal_loops_of_single_slots(num_slots, ops):
+    runs, loops = SlotBitmap(num_slots), SlotBitmap(num_slots)
+    for setting, start, count in ops:
+        run_op = runs.set_run if setting else runs.clear_run
+        if start < 0 or count < 0 or start + count > num_slots:
+            before = (runs._bits, runs.valid_count)
+            with pytest.raises(IndexError):
+                run_op(start, count)
+            assert (runs._bits, runs.valid_count) == before
+            continue
+        changed = 0
+        for slot in range(start, start + count):
+            if loops.is_set(slot) != setting:
+                changed += 1
+            (loops.set if setting else loops.clear)(slot)
+        assert run_op(start, count) == changed
+        assert (runs._bits, runs.valid_count) == (loops._bits, loops.valid_count)
+        assert list(runs.valid_slots()) == list(loops.valid_slots())
+
+
+# --- F2fs: the run-at-a-time remap vs the per-block loop -------------------------
+
+
+def _make_fs() -> F2fs:
+    """16 sections of 32 blocks, 12 usable — twice what the two files
+    can hold live, so the cleaner always finds room (tighter, and the
+    known small-filesystem wedge of ROADMAP item 1 cuts a run short);
+    a few hundred blocks of writes roll every log head and start it."""
+    clock = SimClock()
+    geometry = NandGeometry(page_size=PAGE, pages_per_block=8, num_blocks=64)
+    zns = ZnsSsd(clock, ZnsConfig(geometry=geometry, zone_size=4 * geometry.block_size))
+    meta = NullBlkDevice(clock, capacity_bytes=4 * MIB)
+    fs = F2fs(
+        clock, zns, meta,
+        F2fsConfig(
+            provision_ratio=0.25, checkpoint_interval_blocks=1 << 30, blocks_per_node=24
+        ),
+        CleanerConfig(low_watermark=3, pace_blocks=8),
+    )
+    fs.mkfs()
+    return fs
+
+
+def _reference_write_blocks(fs: F2fs, addresses, data) -> None:
+    """``F2fs._write_blocks`` as it coalesced runs before ``_section_runs``."""
+    block_size = fs.layout.block_size
+    items = []
+    i = 0
+    while i < len(addresses):
+        j = i
+        while (
+            j + 1 < len(addresses)
+            and addresses[j + 1] == addresses[j] + 1
+            and fs.layout.block_offset_in_section(addresses[j + 1]) != 0
+        ):
+            j += 1
+        payload = data[i * block_size : (j + 1) * block_size]
+        items.append((fs.layout.device_offset(addresses[i]), payload))
+        fs.stats.data_write_bytes += len(payload)
+        i = j + 1
+    fs.data_device.write_many(items)
+
+
+def _reference_pwrite(fs: F2fs, file_id: int, offset: int, data: bytes) -> int:
+    """``F2fs.pwrite`` with the per-block remap loop it used to run."""
+    block_size = fs.layout.block_size
+    data = memoryview(data)
+    num_blocks = len(data) // block_size
+    first_block = offset // block_size
+    new_blocks = sum(
+        1
+        for i in range(num_blocks)
+        if fs.nat.get_block(file_id, first_block + i) is None
+    )
+    if fs.live_bytes + new_blocks * block_size > fs.usable_bytes:
+        raise NoSpaceError("reference: no space")
+    start_ns = fs._clock.now
+    with fs.tracer.span("f2fs", "pwrite", offset=offset, length=len(data)):
+        fs._clock.advance(fs.config.cpu_ns_per_block * num_blocks)
+        addresses = fs._allocate_with_cleaning(LogStream.HOT_DATA, num_blocks)
+        _reference_write_blocks(fs, addresses, data)
+        for i, block_addr in enumerate(addresses):
+            file_block = first_block + i
+            old = fs.nat.set_block(file_id, file_block, block_addr)
+            if old is not None:
+                fs.sit.mark_invalid(old)
+            fs.sit.mark_valid(block_addr, (file_id, file_block))
+            fs.cleaner.note_section_written(fs.layout.section_of_block(block_addr))
+        fs.nat.update_size(file_id, offset + len(data))
+        touched_groups = {
+            (first_block + i) // fs.config.blocks_per_node for i in range(num_blocks)
+        }
+        for group in touched_groups:
+            fs._write_node_block(file_id, group)
+        fs.stats.host_write_bytes += len(data)
+        fs._note_meta_updates(num_blocks)
+        fs._blocks_since_checkpoint += num_blocks
+        fs.cleaner.background_step()
+    return fs._clock.now - start_ns
+
+
+def _reference_fs() -> F2fs:
+    """An ``F2fs`` whose SIT marks one block at a time, bit by bit (the
+    bodies ``mark_valid`` / ``mark_invalid`` had before the run forms —
+    node blocks, ``delete`` and the cleaner go through them too), and
+    whose ``pwrite`` remaps block by block."""
+    fs = _make_fs()
+    sit = fs.sit
+
+    def mark_valid(block_addr, owner):
+        section, slot = sit._split(block_addr)
+        bitmap = sit._bitmaps[section]
+        if not bitmap.is_set(slot):
+            bitmap.set(slot)
+            sit.total_valid_blocks += 1
+        sit._owners[block_addr] = owner
+
+    def mark_invalid(block_addr):
+        section, slot = sit._split(block_addr)
+        bitmap = sit._bitmaps[section]
+        if bitmap.is_set(slot):
+            bitmap.clear(slot)
+            sit.total_valid_blocks -= 1
+        sit._owners.pop(block_addr, None)
+
+    sit.mark_valid, sit.mark_invalid = mark_valid, mark_invalid
+    fs.pwrite = functools.partial(_reference_pwrite, fs)
+    return fs
+
+
+def _fs_state(fs: F2fs):
+    return (
+        fs.sit.to_state(),
+        [(bitmap._bits, bitmap.valid_count) for bitmap in fs.sit._bitmaps],
+        fs.sit.total_valid_blocks,
+        fs.nat.to_state(),
+        dict(fs._node_addr),
+        list(fs.cleaner._mtime),
+        fs.cleaner._tick,
+        fs.logs.to_state(),
+        fs.stats,
+        fs._clock.now,
+    )
+
+
+def _drive_both_filesystems(ops) -> F2fs:
+    """Apply ``ops`` — ``(name, block, extent, tag)`` writes and
+    ``(name,)`` deletes — to both filesystems, comparing after each."""
+    runs, blocks = _make_fs(), _reference_fs()
+    for op in ops:
+        outcomes = []
+        for fs in (runs, blocks):
+            name = op[0]
+            try:
+                if len(op) == 1:
+                    if fs.exists(name):
+                        fs.delete(name)
+                else:
+                    _, block, extent, tag = op
+                    handle = fs.open(name) if fs.exists(name) else fs.create(name)
+                    handle.pwrite(block * PAGE, bytes([tag]) * (extent * PAGE))
+                outcomes.append(None)
+            except NoSpaceError:
+                outcomes.append(NoSpaceError)
+        assert outcomes[0] is outcomes[1]
+        assert _fs_state(runs) == _fs_state(blocks)
+    for fs in (runs, blocks):
+        report = fsck(fs)
+        assert report.clean, report.errors[:3]
+    for name in ("a", "b"):
+        if runs.exists(name):
+            size = runs.nat.size_of(runs.nat.lookup_file(name))
+            assert runs.open(name).pread(0, size) == blocks.open(name).pread(0, size)
+    return runs
+
+
+def _random_fs_ops(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [
+        (rng.choice("ab"),)
+        if rng.random() < 0.04
+        else (rng.choice("ab"), rng.randrange(50), rng.randrange(1, 41), rng.randrange(256))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=SLOW_OK)
+@given(
+    seed=st.integers(0, 1 << 16),
+    ops=st.lists(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(["a", "b"]), st.integers(0, 50), st.integers(1, 40),
+                st.integers(0, 255),
+            ),
+            st.tuples(st.sampled_from(["a", "b"])),
+        ),
+        max_size=60,
+    ),
+)
+def test_f2fs_run_remap_equals_per_block_remap(seed, ops):
+    """A seeded prefix ages the filesystem into cleaning; the drawn
+    operations then land on fragmented maps and rolling log heads."""
+    _drive_both_filesystems(_random_fs_ops(seed, 40) + ops)
+
+
+def test_f2fs_run_remap_equals_per_block_remap_under_cleaning():
+    fs = _drive_both_filesystems(_random_fs_ops(24, 250))
+    assert fs.cleaner.sections_cleaned > 20 and fs.cleaner.blocks_migrated > 100
+
+
+# --- FTL: one poll per trigger point vs one per page -----------------------------
+
+
+class _PerPageSource(_FtlReclaimSource):
+    def migrate_unit(self, block_index: int, page_idx: int) -> UnitOutcome:
+        ftl = self.ftl
+        block = ftl._blocks[block_index]
+        lpn = block.lpns[page_idx]
+        if lpn is None:
+            return UnitOutcome.SKIPPED
+        block.lpns[page_idx] = None
+        block.valid_count -= 1
+        ftl._program_one(lpn)
+        ftl.total_moved_pages += 1
+        if ftl._gc_report is not None:
+            ftl._gc_report.moved_pages += 1
+        return UnitOutcome.MIGRATED
+
+
+class _PerPageFtl(PageMappedFtl):
+    """The FTL's write path as it was: the GC trigger polled before every
+    page, ``_invalidate`` and a one-page ``_program`` per page, GC moving
+    pages through that same one-page ``_program``."""
+
+    def __init__(self, geometry, config) -> None:
+        super().__init__(geometry, config)
+        self.reclaim.source = _PerPageSource(self)
+
+    def write_pages(self, lpns):
+        report = FtlWriteReport()
+        for lpn in lpns:
+            if not 0 <= lpn < self.logical_pages:
+                raise DeviceFullError(f"lpn {lpn} outside logical space")
+            if self.reclaim.needs_reclaim():
+                report.gc_runs += 1
+                self._gc_report = report
+                try:
+                    self.reclaim.drain_to_target()
+                finally:
+                    self._gc_report = None
+            self._invalidate(lpn)
+            self._program_one(lpn)
+            report.host_pages += 1
+        self.total_host_pages += report.host_pages
+        return report
+
+    def discard_pages(self, lpns):
+        for lpn in lpns:
+            self._invalidate(lpn)
+            self._l2p.pop(lpn, None)
+
+    def _invalidate(self, lpn):
+        loc = self._l2p.get(lpn)
+        if loc is None:
+            return
+        block = self._blocks[loc[0]]
+        if block.lpns[loc[1]] == lpn:
+            block.lpns[loc[1]] = None
+            block.valid_count -= 1
+
+    def _program_one(self, lpn):
+        if self._active.next_page >= self.geometry.pages_per_block:
+            self._open_new_active()
+        block = self._active
+        page_idx = block.next_page
+        block.lpns[page_idx] = lpn
+        block.valid_count += 1
+        block.next_page += 1
+        self._tick += 1
+        block.mtime = self._tick
+        self._l2p[lpn] = (block.index, page_idx)
+
+
+def _ftl_state(ftl: PageMappedFtl):
+    return (
+        dict(ftl._l2p),
+        [(list(b.lpns), b.valid_count, b.next_page, b.mtime) for b in ftl._blocks],
+        list(ftl._free),
+        ftl._active.index,
+        sorted(ftl._gc_active),
+        ftl._tick,
+        ftl.total_host_pages,
+        ftl.total_moved_pages,
+        ftl.total_erased_blocks,
+        ftl.reclaim.stats.triggers,
+        ftl.reclaim.stats.victims_reclaimed,
+        ftl.reclaim.stats.units_migrated,
+    )
+
+
+def _drive_both_ftls(policy: str, ops) -> PageMappedFtl:
+    """Apply ``ops`` — ``(discard?, lpns)`` — to both FTLs, comparing
+    state and the trigger count after each."""
+    geometry = NandGeometry(page_size=PAGE, pages_per_block=4, num_blocks=16)
+    config = FtlConfig(0.25, 2, 4, gc_policy=policy)
+    runs, pages = PageMappedFtl(geometry, config), _PerPageFtl(geometry, config)
+    assert runs.logical_pages >= 40
+    gc_runs = [0, 0]
+    for discard, lpns in ops:
+        for side, ftl in enumerate((runs, pages)):
+            if discard:
+                ftl.discard_pages(lpns)
+            else:
+                report = ftl.write_pages(lpns)
+                assert report.host_pages == len(lpns)
+                gc_runs[side] += report.gc_runs
+        assert _ftl_state(runs) == _ftl_state(pages)
+        assert gc_runs[0] == gc_runs[1]
+    return runs
+
+
+def _random_ftl_ops(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [
+        (rng.random() < 0.1, [rng.randrange(40) for _ in range(rng.randrange(1, 15))])
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=SLOW_OK)
+@given(
+    policy=st.sampled_from(["greedy", "cost_benefit"]),
+    seed=st.integers(0, 1 << 16),
+    ops=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.lists(st.integers(0, 39), min_size=1, max_size=14),
+        ),
+        max_size=60,
+    ),
+)
+def test_ftl_run_writes_equal_per_page_writes(policy, seed, ops):
+    """A seeded prefix fills the device to its GC watermark; the drawn
+    runs (duplicates within a run included) then trigger drains."""
+    _drive_both_ftls(policy, _random_ftl_ops(seed, 12) + ops)
+
+
+@pytest.mark.parametrize("policy", ["greedy", "cost_benefit"])
+def test_ftl_run_writes_equal_per_page_writes_under_gc(policy):
+    ftl = _drive_both_ftls(policy, _random_ftl_ops(24, 400))
+    assert ftl.total_erased_blocks > 100 and ftl.total_moved_pages > 100
+
+
+# --- engine: one key map per region, owned by whoever holds the region -----------
+
+REGION = 16 * KIB
+
+
+def _make_cache() -> tuple:
+    clock = SimClock()
+    geometry = NandGeometry(page_size=PAGE, pages_per_block=16, num_blocks=128)
+    device = BlockSsd(clock, BlockSsdConfig(geometry=geometry, ftl=FtlConfig(0.25)))
+    store = BlockRegionStore(device, REGION, 5)
+    config = CacheConfig(region_size=REGION, num_regions=5, ram_bytes=2 * KIB)
+    return HybridCache(clock, store, config), clock
+
+
+def _assert_key_maps_are_the_index(cache: HybridCache) -> None:
+    by_region: dict = {}
+    for key, location in cache.index.items():
+        by_region.setdefault(location.region_id, {})[key] = location.length
+    open_id = cache._buffer.region_id
+    assert cache._open_entries == by_region.pop(open_id, {})
+    sealed = cache.regions._sealed
+    assert set(by_region) <= set(sealed)
+    for region_id, meta in sealed.items():
+        assert meta.keys == by_region.get(region_id, {})
+        assert meta.live_bytes == sum(meta.keys.values())
+    ledger = cache.regions.ledger
+    assert ledger.total_dead_bytes >= cache.regions.sealed_dead_bytes()
+
+
+def _drive_cache(ops) -> HybridCache:
+    cache, clock = _make_cache()
+    for kind, key_index, size in ops:
+        key = b"key-%03d" % key_index
+        if kind == "set":
+            cache.set(key, bytes([key_index]) * size)
+        elif kind == "ttl":
+            cache.set(key, bytes([key_index]) * size, ttl_seconds=size / 1e6)
+        elif kind == "get":
+            value = cache.get(key)
+            assert value is None or value[:1] == bytes([key_index])
+        elif kind == "delete":
+            cache.delete(key)
+        else:
+            clock.advance(size * 1000)
+        _assert_key_maps_are_the_index(cache)
+    cache.flush()
+    _assert_key_maps_are_the_index(cache)
+    return cache
+
+
+_CACHE_OPS = ["set", "set", "set", "ttl", "get", "delete", "tick"]
+
+
+def _random_cache_ops(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [
+        (rng.choice(_CACHE_OPS), rng.randrange(31), rng.randrange(100, 4001))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=SLOW_OK)
+@given(
+    seed=st.integers(0, 1 << 16),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(_CACHE_OPS), st.integers(0, 30), st.integers(100, 4000)
+        ),
+        max_size=100,
+    ),
+)
+def test_region_key_maps_equal_the_index(seed, ops):
+    """A seeded prefix fills the five regions; the drawn operations then
+    overwrite across sealed regions and evict."""
+    _drive_cache(_random_cache_ops(seed, 80) + ops)
+
+
+def test_region_key_maps_equal_the_index_under_eviction():
+    cache = _drive_cache(_random_cache_ops(24, 800))
+    ledger = cache.regions.ledger
+    assert cache.regions.regions_evicted > 20
+    assert all(ledger.dead_items[why] for why in ("expired", "deleted", "overwritten"))

@@ -3,6 +3,7 @@ choosing-metrics guide.
 
     python tools/ab_pairs.py PARENT CHANGE --workload serve_failover --seed 7 -n 10
     python tools/ab_pairs.py PARENT CHANGE --workload all -n 10 --json OUT.json
+    python tools/ab_pairs.py PARENT CHANGE --workload closed_fill --seed 7,53 -n 10
 
 PARENT and CHANGE are two checkouts of this repository.  Each pair runs
 ``benchmarks/perf/run.py --workload W --seed S --seconds 6 --trace 0``
@@ -12,7 +13,10 @@ for neither side) and the medians differ by more than the parent's own
 spread, taken as the distance between its quartiles.  ``--workload all``
 runs every workload of the parent's ``BENCHMARK.json`` in turn and ends
 with one summary table: the no-regression table of a change that claims
-a gain on one of them.  ``--json`` writes every run and every verdict.
+a gain on one of them.  ``--seed`` takes a comma-separated list and the
+whole procedure — pairs, verdicts, summary table — is repeated per seed,
+so the development seed and the held-out one are one command.  ``--json``
+writes every run and every verdict.
 """
 
 from __future__ import annotations
@@ -56,20 +60,26 @@ def judge(metric: str, better: str, parent: List[float], change: List[float]) ->
     }
 
 
-def run_pairs(args, workload: str, better: Dict[str, str]) -> dict:
-    """``args.pairs`` alternating pairs of one workload, printed as they
-    finish, then judged on every metric in ``args.metrics``."""
+def seed_list(text: str) -> List[int]:
+    """``"7,53"`` -> ``[7, 53]`` (argparse reports a bad seed by name)."""
+    return [int(seed) for seed in text.split(",")]
+
+
+def run_pairs(args, workload: str, seed: int, better: Dict[str, str]) -> dict:
+    """``args.pairs`` alternating pairs of one workload at one seed,
+    printed as they finish, then judged on every metric in
+    ``args.metrics``."""
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
     judged = args.metrics[0]
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), workload, args.seed))
+            runs[side].append(run_once(getattr(args, side), workload, seed))
         parent, change = runs["parent"][-1][judged], runs["change"][-1][judged]
         print(f"pair {pair + 1:2d} ({order[0]} first): parent {parent:.6g}  "
               f"change {change:.6g}  ({change / parent - 1:+.1%})", flush=True)
     digests = {run["sim_digest"] for side in runs.values() for run in side}
-    print(f"{workload} seed {args.seed}, {args.pairs} pairs; sim_digest "
+    print(f"{workload} seed {seed}, {args.pairs} pairs; sim_digest "
           f"{'identical' if len(digests) == 1 else 'DIFFERS'} across all runs")
     verdicts = []
     for metric in args.metrics:
@@ -86,7 +96,7 @@ def run_pairs(args, workload: str, better: Dict[str, str]) -> dict:
               f"ties {verdict['ties']}; parent IQR {verdict['parent_iqr']:.6g} -> "
               f"{'gain' if verdict['gain'] else 'no resolvable gain'}")
     return {
-        "workload": workload, "seed": args.seed, "pairs": args.pairs,
+        "workload": workload, "seed": seed, "pairs": args.pairs,
         "digest_identical": len(digests) == 1, "verdicts": verdicts, "runs": runs,
     }
 
@@ -96,7 +106,8 @@ def main() -> int:
     parser.add_argument("parent"), parser.add_argument("change")
     parser.add_argument("--workload", required=True,
                         help="a BENCHMARK.json workload name, or 'all'")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=seed_list, default=[7], metavar="SEED[,SEED...]",
+                        help="one table per seed (default 7)")
     parser.add_argument("-n", "--pairs", type=int, default=10)
     parser.add_argument("--metrics", nargs="+", default=["sim_ops_per_host_s"])
     parser.add_argument("--json", metavar="OUT", help="write runs and verdicts here")
@@ -110,21 +121,26 @@ def main() -> int:
     workloads = [w["name"] for w in benchmark["workloads"]]
     if args.workload != "all":
         workloads = [args.workload]
-    results = [run_pairs(args, workload, better) for workload in workloads]
-    if len(results) > 1:
-        print(f"\n{'workload':16s}{'metric':20s}{'parent':>10s}{'change':>10s}"
-              f"{'delta':>8s}{'wins':>7s}  verdict")
-        for result in results:
-            for verdict in result["verdicts"]:
-                sign = -1 if better[verdict["metric"]] == "lower" else 1
-                worse = sign * verdict["delta"] < -bound[verdict["metric"]]
-                word = "gain" if verdict["gain"] else "REGRESSION" if worse else "within bound"
-                if not result["digest_identical"]:
-                    word += ", sim_digest DIFFERS"
-                print(f"{result['workload']:16s}{verdict['metric']:20s}"
-                      f"{verdict['parent'][1]:10.5g}{verdict['change'][1]:10.5g}"
-                      f"{verdict['delta']:+8.1%}"
-                      f"{verdict['wins']:4d}/{result['pairs']:<2d}  {word}")
+    results = []
+    for seed in args.seed:
+        of_seed = [run_pairs(args, workload, seed, better) for workload in workloads]
+        results.extend(of_seed)
+        if len(of_seed) > 1 or len(args.seed) > 1:
+            print(f"\nseed {seed}\n{'workload':16s}{'metric':20s}{'parent':>12s}"
+                  f"{'change':>12s}{'delta':>8s}{'wins':>7s}  verdict")
+            for result in of_seed:
+                for verdict in result["verdicts"]:
+                    sign = -1 if better[verdict["metric"]] == "lower" else 1
+                    worse = sign * verdict["delta"] < -bound[verdict["metric"]]
+                    word = ("gain" if verdict["gain"]
+                            else "REGRESSION" if worse else "within bound")
+                    if not result["digest_identical"]:
+                        word += ", sim_digest DIFFERS"
+                    print(f"{result['workload']:16s}{verdict['metric']:20s}"
+                          f"{verdict['parent'][1]:12.6g}{verdict['change'][1]:12.6g}"
+                          f"{verdict['delta']:+8.1%}"
+                          f"{verdict['wins']:4d}/{result['pairs']:<2d}  {word}")
+            print(flush=True)
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(results, handle, indent=1)
