@@ -87,8 +87,6 @@ class CacheConfig:
     # leaves a few live stragglers in otherwise-dead zones — the source
     # of the low-1.x steady-state WAFs in the paper's Table 1.
     reclaim_window: int = 1
-    read_from_buffer: bool = True
-    populate_ram_on_flash_hit: bool = True
     # Per-item CRC32 (generation-salted) appended to every on-flash
     # entry.  Off by default: the non-checksummed format is what the
     # golden benchmarks lock.  Required for crash recovery to replay a

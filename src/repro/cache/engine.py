@@ -88,7 +88,6 @@ class HybridCache:
         self._set_ns = config.cpu.set_per_item_ns
         self._delete_ns = config.cpu.delete_ns
         self._copy_ns_per_kib = config.cpu.buffer_copy_ns_per_kib
-        self._populate_ram = config.populate_ram_on_flash_hit
         self._region_size = config.region_size
         self._entry_overhead = EntryCodec.entry_size(
             b"", b"", checksum=config.checksums
@@ -191,8 +190,7 @@ class HybridCache:
                 flash_lookups.hits += 1
                 stats.lookups.hits += 1
                 self.regions.touch(location.region_id)
-                if self._populate_ram:
-                    self.ram.put(key, value)
+                self.ram.put(key, value)
         stats.lookups.total += 1
         recorder = stats.get_latency
         recorder._samples.append(clock.now - start_ns)
@@ -665,12 +663,13 @@ class HybridCache:
     def _purge_due(self) -> None:
         """Lazy TTL sweep at region rotation.
 
-        Without it expiry is access-only: an expired-but-never-reread
-        item's bytes stay in its region's key set forever, so eviction
-        ordering never sees TTL decay.  Rotation is a natural epoch —
-        frequent under write pressure, free when no TTLs are in use.
+        An expired item nobody re-reads is purged here — index entry,
+        region key map and live bytes — so eviction ordering sees TTL
+        decay without waiting for an access.  Rotation is a natural
+        epoch — frequent under write pressure, free when no TTLs are in
+        use.
         """
-        if not self.lifecycle.config.sweep_expired or not self._expiry:
+        if not self._expiry:
             return
         due = list(self.lifecycle.due(self._clock.now))
         for key in due:
@@ -816,7 +815,7 @@ class HybridCache:
         """
         region_id, offset, length = location
         buffer = self._buffer
-        if region_id == buffer.region_id and self.config.read_from_buffer:
+        if region_id == buffer.region_id:
             blob = buffer.read(offset, length)
             salt = buffer.salt
         else:

@@ -55,9 +55,6 @@ class LifecycleConfig:
     ``hint_drop_position`` additionally drops regions whose eviction
     position is at or below the threshold (0.0 = only dead regions are
     dropped; 1.0 = every region the hint is asked about).
-    ``sweep_expired`` purges due-TTL items at region rotation so expiry
-    is visible to eviction ordering without waiting for a re-read; it is
-    on by default because it only acts when TTLs are in use.
     """
 
     versioning: bool = False
@@ -65,7 +62,6 @@ class LifecycleConfig:
     gc_hints: bool = False
     hint_drop_position: float = 0.0
     hint_layers: str = "ztl"
-    sweep_expired: bool = True
 
     HINT_LAYER_CHOICES = ("ztl", "all")
 

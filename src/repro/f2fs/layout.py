@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from repro.errors import ConfigError
 from repro.units import KIB
 
 
@@ -44,19 +45,19 @@ class F2fsConfig:
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
-            raise ValueError("block_size must be positive")
+            raise ConfigError("block_size must be positive")
         if self.segments_per_section < 1:
-            raise ValueError("segments_per_section must be >= 1")
+            raise ConfigError("segments_per_section must be >= 1")
         if not 0.0 <= self.provision_ratio < 0.9:
-            raise ValueError("provision_ratio must be in [0, 0.9)")
+            raise ConfigError("provision_ratio must be in [0, 0.9)")
         if self.meta_batch_blocks < 1:
-            raise ValueError("meta_batch_blocks must be >= 1")
+            raise ConfigError("meta_batch_blocks must be >= 1")
         if self.cpu_ns_per_block < 0:
-            raise ValueError("cpu_ns_per_block must be >= 0")
+            raise ConfigError("cpu_ns_per_block must be >= 0")
         if self.blocks_per_node < 1:
-            raise ValueError("blocks_per_node must be >= 1")
+            raise ConfigError("blocks_per_node must be >= 1")
         if self.checkpoint_interval_blocks < 1:
-            raise ValueError("checkpoint_interval_blocks must be >= 1")
+            raise ConfigError("checkpoint_interval_blocks must be >= 1")
 
 
 @dataclass(frozen=True)

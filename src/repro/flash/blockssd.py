@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import ConfigError
 from repro.flash.device import BlockDevice, DeviceStats, check_alignment
 from repro.flash.ftl import FtlConfig, PageMappedFtl
 from repro.flash.nand import NandGeometry, NandTiming
 from repro.flash.pagestore import PageStore
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector
-from repro.sim.io import IoCompletion, IoOp, IoPipeline, IoRequest, IoTracer, PoolConfig
+from repro.sim.io import IoCompletion, IoPipeline, IoTracer, PoolConfig
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,14 @@ class BlockSsdConfig:
     # SSDs have no equivalent ("simple internal operation logic").
     maintenance_interval_bytes: int = 4 * 1024 * 1024
     maintenance_ns: int = 12_000_000
+
+    def __post_init__(self) -> None:
+        # maintenance_interval_bytes == 0 turns housekeeping off.
+        for name in (
+            "ftl_cpu_ns_per_page", "maintenance_interval_bytes", "maintenance_ns"
+        ):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class BlockSsd(BlockDevice):
@@ -122,14 +131,19 @@ class BlockSsd(BlockDevice):
     def discard(self, offset: int, length: int) -> IoCompletion:
         """TRIM a range so the FTL stops relocating its dead pages."""
         check_alignment(offset, length, self.block_size, self.capacity_bytes)
+        pipeline = self.pipeline
+        service = self.config.timing.command_overhead_ns
+        if pipeline.faults is not None:
+            service += pipeline.inject(
+                "discard", offset, length, None, "block", False, service
+            )
         page_size = self.config.geometry.page_size
         first = offset // page_size
         count = length // page_size
         self._ftl.discard_pages(range(first, first + count))
         self.media.clear(offset, length)
-        return self.pipeline.submit(
-            IoRequest(IoOp.DISCARD, offset, length, layer="block"),
-            self.config.timing.command_overhead_ns,
+        return pipeline.charge_foreground(
+            "block", "discard", offset, length, service, gated=True
         )
 
     # --- internals ---------------------------------------------------------------
@@ -184,8 +198,8 @@ class BlockSsd(BlockDevice):
             barrier = max(barrier, done)
             completions.append(
                 IoCompletion(
-                    done - now, None, None, now, done - service, done, wait,
-                    service, channel,
+                    done - now, None, now, done - service, done, wait, service,
+                    channel,
                 )
             )
         clock.now = barrier
@@ -232,26 +246,19 @@ class BlockSsd(BlockDevice):
                 report.moved_pages * page_size,
                 self.config.geometry.parallelism,
             ) + self.config.timing.erase_ns(report.erased_blocks)
-            with self.pipeline.tracer.span(
-                "reclaim.ftl",
-                "migrate",
-                offset=offset,
-                length=report.moved_pages * page_size,
+            moved_bytes = report.moved_pages * page_size
+            pipeline = self.pipeline
+            with pipeline.tracer.span(
+                "reclaim.ftl", "migrate", offset=offset, length=moved_bytes
             ):
-                self.pipeline.submit(
-                    IoRequest(
-                        IoOp.GC,
-                        offset,
-                        report.moved_pages * page_size,
-                        layer="ftl.gc",
-                        background=True,
-                    ),
-                    gc_service,
+                pipeline.charge(
+                    "ftl.gc", "gc", offset, moved_bytes, None, True,
+                    self._clock.now, gc_service,
                 )
             # The host write queues behind this GC burst: charge it as
             # foreground stall so gc_stall_us_p99 covers device GC too.
             self._ftl.reclaim.stats.stall.record(gc_service)
-            self._stats.media_read_bytes += report.moved_pages * page_size
+            self._stats.media_read_bytes += moved_bytes
             self._stats.gc_runs += report.gc_runs
         self._note_host_write(len(data))
         self._stats.host_write_bytes += len(data)
@@ -274,8 +281,8 @@ class BlockSsd(BlockDevice):
         self._bytes_since_maintenance += num_bytes
         while self._bytes_since_maintenance >= self.config.maintenance_interval_bytes:
             self._bytes_since_maintenance -= self.config.maintenance_interval_bytes
-            self.pipeline.submit(
-                IoRequest(IoOp.MAINTENANCE, layer="ftl", background=True),
+            self.pipeline.charge(
+                "ftl", "maintenance", 0, 0, None, True, self._clock.now,
                 self.config.maintenance_ns,
             )
 

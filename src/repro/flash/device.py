@@ -101,8 +101,9 @@ class BlockDevice(abc.ABC):
         """Write several extents as one submission batch.
 
         The default is a synchronous loop; devices whose pipeline can
-        overlap commands (see :meth:`~repro.sim.io.IoPipeline.submit_many`)
-        override this to pipeline the batch across channels.
+        overlap commands override this to charge the whole batch at one
+        instant (:meth:`~repro.sim.io.IoPipeline.charge`), pipelined
+        across channels.
         """
         return [self.write(offset, data) for offset, data in items]
 

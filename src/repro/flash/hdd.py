@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import ConfigError
 from repro.flash.device import BlockDevice, DeviceStats, check_alignment
 from repro.flash.pagestore import PageStore
 from repro.sim.clock import SimClock
@@ -38,8 +39,20 @@ class HddConfig:
     sequential_window: int = 256 * KIB
 
     def __post_init__(self) -> None:
+        if self.block_size <= 0:
+            raise ConfigError(f"block_size must be positive, got {self.block_size}")
         if self.capacity_bytes <= 0 or self.capacity_bytes % self.block_size:
-            raise ValueError("capacity must be a positive multiple of block_size")
+            raise ConfigError("capacity must be a positive multiple of block_size")
+        for name in (
+            "avg_seek_ns", "full_stroke_seek_ns", "rotation_ns", "sequential_window"
+        ):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.transfer_bytes_per_ns <= 0:
+            raise ConfigError(
+                f"transfer_bytes_per_ns must be positive, got "
+                f"{self.transfer_bytes_per_ns}"
+            )
 
 
 class HddDevice(BlockDevice):

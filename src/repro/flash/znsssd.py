@@ -13,9 +13,9 @@ All media traffic is charged through the device's
 fault injector when armed, pool, trace record);
 ``read_many``/``write_many``/``copy_many`` charge a whole batch at one
 instant so region flushes and the ZTL's GC copy loop pipeline across pool
-channels.  Reads and writes check, land and charge a command from the
-values in hand — an :class:`~repro.sim.io.IoRequest` is built only for
-the fault injector, when one is armed.
+channels.  Every command — data or zone management — is checked, shown
+to the armed fault injector, applied and then charged from the values
+in hand, so an injected fault leaves the zone as it was.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.errors import (
     OutOfRangeError,
     ZoneDeadError,
     ZoneResourceError,
-    ZoneStateError,
 )
 from repro.flash.device import DeviceStats
 from repro.flash.nand import NandGeometry, NandTiming
@@ -43,14 +42,7 @@ from repro.flash.zone import (
 )
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector, FaultKind
-from repro.sim.io import (
-    IoCompletion,
-    IoOp,
-    IoPipeline,
-    IoRequest,
-    IoTracer,
-    PoolConfig,
-)
+from repro.sim.io import IoCompletion, IoOp, IoPipeline, IoTracer, PoolConfig
 
 
 @dataclass(frozen=True)
@@ -185,8 +177,8 @@ class ZnsSsd:
             latency = done - now
             clock.now = done
         return IoCompletion(
-            latency, self.media.load(offset, length), None, now,
-            done - service_ns, done, wait, service_ns, channel,
+            latency, self.media.load(offset, length), now, done - service_ns,
+            done, wait, service_ns, channel,
         )
 
     def read_many(
@@ -248,30 +240,22 @@ class ZnsSsd:
         self._check_zone_index(zone_index)
         zone = self.zones[zone_index]
         had_data = zone.written_bytes > 0
-        request = IoRequest(IoOp.RESET, zone.start, zone=zone_index, layer="zns")
-        self.pipeline.fault_gate(request, self.config.timing.command_overhead_ns)
+        timing = self.config.timing
+        service_ns = self._gate(
+            "reset", zone, timing.command_overhead_ns + self._zone_costs.reset_ns
+        )
         zone.reset()
         self.media.clear(zone.start, self.zone_size)
         # The reset command itself is fast; the media erase proceeds in the
         # background and *later* commands queue behind it.
-        completion = self.pipeline.submit(
-            request,
-            self.config.timing.command_overhead_ns + self._zone_costs.reset_ns,
-        )
+        completion = self._charge_command("reset", zone, service_ns)
         self.zone_mgmt.resets += 1
         self.zone_mgmt.reset_ns += completion.service_ns
         if had_data:
             blocks = self.zone_size // self.config.geometry.block_size
-            self.pipeline.submit(
-                IoRequest(
-                    IoOp.ERASE,
-                    zone.start,
-                    self.zone_size,
-                    zone=zone_index,
-                    layer="zns",
-                    background=True,
-                ),
-                self.config.timing.erase_ns(blocks),
+            self.pipeline.charge(
+                "zns", "erase", zone.start, self.zone_size, zone_index, True,
+                self._clock.now, timing.erase_ns(blocks),
             )
             self._stats.erase_count += blocks
         return completion
@@ -280,10 +264,15 @@ class ZnsSsd:
         """Finish: write pointer jumps to the zone end; state becomes FULL."""
         self._poll_zone_faults()
         self._check_zone_index(zone_index)
-        self.zones[zone_index].finish()
-        completion = self._zone_command(
-            IoOp.FINISH, zone_index, self._zone_costs.finish_ns
+        zone = self.zones[zone_index]
+        zone.check_alive()
+        service_ns = self._gate(
+            "finish",
+            zone,
+            self.config.timing.command_overhead_ns + self._zone_costs.finish_ns,
         )
+        zone.finish()
+        completion = self._charge_command("finish", zone, service_ns)
         self.zone_mgmt.finishes += 1
         self.zone_mgmt.finish_ns += completion.service_ns
         return completion
@@ -293,13 +282,18 @@ class ZnsSsd:
         self._poll_zone_faults()
         self._check_zone_index(zone_index)
         zone = self.zones[zone_index]
+        zone.check_open()
         newly_open = not zone.is_open
         if newly_open:
             self._ensure_open_budget(zone)
-        zone.open_explicit()
-        completion = self._zone_command(
-            IoOp.OPEN, zone_index, self._zone_costs.open_ns if newly_open else 0
+        service_ns = self._gate(
+            "open",
+            zone,
+            self.config.timing.command_overhead_ns
+            + (self._zone_costs.open_ns if newly_open else 0),
         )
+        zone.open_explicit()
+        completion = self._charge_command("open", zone, service_ns)
         if newly_open:
             self.zone_mgmt.explicit_opens += 1
             self._touch_tick += 1
@@ -308,33 +302,12 @@ class ZnsSsd:
         return completion
 
     def close_zone(self, zone_index: int) -> IoCompletion:
-        """Close an open zone (frees an open slot, keeps an active slot).
-
-        Under ``ZoneCostConfig.finish_on_close``, closing a zone that
-        holds data pads it to FULL instead (a FINISH command at finish
-        cost): the zone frees its *active* slot too, at the price of the
-        unwritten tail.  An empty zone still just reverts to EMPTY.
-        """
+        """Close an open zone (frees an open slot, keeps an active slot)."""
         self._check_zone_index(zone_index)
         zone = self.zones[zone_index]
-        if self._zone_costs.finish_on_close and zone.written_bytes > 0:
-            if not zone.is_open:
-                raise ZoneStateError(
-                    f"zone {zone_index} is {zone.state.value}; only open zones close"
-                )
-            zone.finish()
-            completion = self._zone_command(
-                IoOp.FINISH, zone_index, self._zone_costs.finish_ns
-            )
-            self.zone_mgmt.finishes += 1
-            self.zone_mgmt.finish_ns += completion.service_ns
-            return completion
-        zone.close()
-        completion = self._zone_command(
-            IoOp.CLOSE, zone_index, self._zone_costs.close_ns
-        )
+        zone.check_close()
+        completion = self._close(zone)
         self.zone_mgmt.closes += 1
-        self.zone_mgmt.close_ns += completion.service_ns
         return completion
 
     # --- fault handling --------------------------------------------------------------
@@ -391,13 +364,36 @@ class ZnsSsd:
 
     # --- internals -------------------------------------------------------------------
 
-    def _zone_command(
-        self, op: IoOp, zone_index: int, extra_ns: int = 0
-    ) -> IoCompletion:
-        return self.pipeline.submit(
-            IoRequest(op, self.zones[zone_index].start, zone=zone_index, layer="zns"),
-            self.config.timing.command_overhead_ns + extra_ns,
+    def _gate(self, op: str, zone: Zone, service_ns: int) -> int:
+        """Show a zone-management command to the armed fault injector
+        before the caller changes any state; returns its service time
+        with any injected latency added."""
+        pipeline = self.pipeline
+        if pipeline.faults is None:
+            return service_ns
+        return service_ns + pipeline.inject(
+            op, zone.start, 0, zone.index, "zns", False, service_ns
         )
+
+    def _charge_command(self, op: str, zone: Zone, service_ns: int) -> IoCompletion:
+        """Charge a gated zone-management command issued now; the clock
+        moves to its completion."""
+        return self.pipeline.charge_foreground(
+            "zns", op, zone.start, 0, service_ns, zone.index, gated=True
+        )
+
+    def _close(self, zone: Zone) -> IoCompletion:
+        """Park an open zone CLOSED (EMPTY if nothing was written), at
+        close cost: the body of ``close_zone`` and of a forced close."""
+        service_ns = self._gate(
+            "close",
+            zone,
+            self.config.timing.command_overhead_ns + self._zone_costs.close_ns,
+        )
+        zone.close()
+        completion = self._charge_command("close", zone, service_ns)
+        self.zone_mgmt.close_ns += completion.service_ns
+        return completion
 
     def _check_readable(self, offset: int, length: int) -> None:
         """A read must lie inside the device, touch no OFFLINE zone
@@ -450,7 +446,7 @@ class ZnsSsd:
             if load:
                 completions.append(
                     IoCompletion(
-                        latency, self.media.load(offset, length), None, now,
+                        latency, self.media.load(offset, length), now,
                         done - service_ns, done, wait, service_ns, channel,
                     )
                 )
@@ -527,14 +523,12 @@ class ZnsSsd:
                     service_ns,
                 )
             target.check_writable(offset, length)
-            is_open = target.state in OPEN_STATES
-            if not is_open:
+            if target.state not in OPEN_STATES:
                 self._ensure_open_budget(target)
+                self._note_implicit_open(target)
             # LRU clock for the forced-close victim.
             self._touch_tick = tick = self._touch_tick + 1
             self._open_touch[target.index] = tick
-            if not is_open:
-                self._note_implicit_open(target)
             if faults is not None:
                 self._maybe_tear(
                     target, offset, source, length, service_ns, ahead_ns,
@@ -573,8 +567,8 @@ class ZnsSsd:
             stats.host_write_bytes += length
             stats.media_write_bytes += length  # no device GC: WA == 1.0
             completions.append(
-                (latency, None, None, now, done - service_ns, done, wait,
-                 service_ns, channel)
+                (latency, None, now, done - service_ns, done, wait, service_ns,
+                 channel)
             )
         clock.now = barrier
         return completions
@@ -624,36 +618,17 @@ class ZnsSsd:
     def _force_close_lru(self) -> None:
         """Close the least-recently-written open zone to free an open slot.
 
-        With ``finish_on_close`` the eviction pads the victim to FULL
-        (FINISH at finish cost — it frees an active slot as well);
-        otherwise it parks the victim CLOSED at close cost.  Either way
-        the forced transition is charged through the pipeline, so the
-        hidden contention cost lands in foreground latency.
+        The victim is parked CLOSED at close cost, charged through the
+        pipeline, so the hidden contention cost lands in foreground
+        latency.
         """
         touch = self._open_touch
         victim = min(
             (z for z in self.zones if z.is_open),
             key=lambda z: touch.get(z.index, 0),
         )
-        mgmt = self.zone_mgmt
-        costs = self._zone_costs
-        if costs.finish_on_close and victim.written_bytes > 0:
-            victim.finish()
-            completion = self.pipeline.submit(
-                IoRequest(IoOp.FINISH, victim.start, zone=victim.index, layer="zns"),
-                self.config.timing.command_overhead_ns + costs.finish_ns,
-            )
-            mgmt.forced_closes += 1
-            mgmt.finishes += 1
-            mgmt.finish_ns += completion.service_ns
-            return
-        victim.close()
-        completion = self.pipeline.submit(
-            IoRequest(IoOp.CLOSE, victim.start, zone=victim.index, layer="zns"),
-            self.config.timing.command_overhead_ns + costs.close_ns,
-        )
-        mgmt.forced_closes += 1
-        mgmt.close_ns += completion.service_ns
+        self._close(victim)
+        self.zone_mgmt.forced_closes += 1
 
     def _note_implicit_open(self, zone: Zone) -> None:
         """Count a write's implicit open; charge it when costed.
@@ -662,14 +637,11 @@ class ZnsSsd:
         no trace record — the historical free-transition model.
         """
         mgmt = self.zone_mgmt
-        mgmt.implicit_opens += 1
         cost = self._zone_costs.open_ns
         if cost:
-            completion = self.pipeline.submit(
-                IoRequest(IoOp.OPEN, zone.start, zone=zone.index, layer="zns"),
-                cost,
-            )
-            mgmt.open_ns += completion.service_ns
+            service_ns = self._gate("open", zone, cost)
+            mgmt.open_ns += self._charge_command("open", zone, service_ns).service_ns
+        mgmt.implicit_opens += 1
 
     def _check_zone_index(self, zone_index: int) -> None:
         if not 0 <= zone_index < self.num_zones:

@@ -10,7 +10,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.errors import WritePointerError, ZoneDeadError, ZoneStateError
+from repro.errors import (
+    ConfigError,
+    WritePointerError,
+    ZoneDeadError,
+    ZoneStateError,
+)
 
 
 class ZoneState(enum.Enum):
@@ -50,16 +55,6 @@ class ZoneCostConfig:
     pipeline, so the tracer attributes the hidden cost) instead of
     failing the write.  Off by default: the historical behaviour is a
     hard :class:`~repro.errors.ZoneResourceError`.
-
-    ``finish_on_close`` models firmware that pads a partially-written
-    zone to FULL instead of parking it CLOSED: closing (explicitly or
-    via forced-close contention) a zone with data becomes a FINISH —
-    write pointer jumps to the zone end, the zone stops holding *active*
-    resources, and the (expensive, ``finish_ns``) padding is charged
-    through the pipeline.  The trade is real on drives whose closed
-    zones pin XOR/parity context: finishing releases the resource but
-    wastes the unwritten tail until reset.  Off by default; zero
-    behaviour change for every pre-existing golden.
     """
 
     open_ns: int = 0
@@ -67,12 +62,11 @@ class ZoneCostConfig:
     finish_ns: int = 0
     reset_ns: int = 0
     forced_close: bool = False
-    finish_on_close: bool = False
 
     def __post_init__(self) -> None:
         for name in ("open_ns", "close_ns", "finish_ns", "reset_ns"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def any_nonzero(self) -> bool:
@@ -212,28 +206,40 @@ class Zone:
         self.write_pointer = self.start
         self.state = ZoneState.EMPTY
 
-    def finish(self) -> None:
+    # The explicit transitions validate in a separate ``check_*`` that
+    # raises the typed error and changes nothing, so a device can refuse
+    # an illegal command before it shows the command to the fault
+    # injector.
+
+    def check_alive(self) -> None:
+        """Finishing is legal in every state but READ_ONLY / OFFLINE."""
         if self.state in DEAD_STATES:
             raise ZoneDeadError(
                 f"zone {self.index} is {self.state.value}", zone_index=self.index
             )
+
+    def finish(self) -> None:
+        self.check_alive()
         self.write_pointer = self.end
         self.state = ZoneState.FULL
 
-    def open_explicit(self) -> None:
-        if self.state in DEAD_STATES:
-            raise ZoneDeadError(
-                f"zone {self.index} is {self.state.value}", zone_index=self.index
-            )
+    def check_open(self) -> None:
+        self.check_alive()
         if self.state == ZoneState.FULL:
             raise ZoneStateError(f"zone {self.index} is full; cannot open")
+
+    def open_explicit(self) -> None:
+        self.check_open()
         self.state = ZoneState.EXPLICIT_OPEN
 
-    def close(self) -> None:
+    def check_close(self) -> None:
         if self.state not in OPEN_STATES:
             raise ZoneStateError(
                 f"zone {self.index} is {self.state.value}; only open zones close"
             )
+
+    def close(self) -> None:
+        self.check_close()
         # A closed zone with nothing written reverts to empty per spec.
         if self.write_pointer == self.start:
             self.state = ZoneState.EMPTY

@@ -25,6 +25,7 @@ _LEN = struct.Struct("<HI")  # key length (u16), value length (u32)
 _HEADER = _LEN.size
 MAX_KEY_LEN = 0xFFFF
 MAX_VALUE_LEN = 0xFFFFFFFF
+MIN_BLOCK_SIZE = 64  # smallest target a data block may be built to
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class DataBlockBuilder:
     """Accumulates sorted entries until the target block size."""
 
     def __init__(self, target_size: int = 4096) -> None:
-        if target_size < 64:
-            raise ValueError("target_size must be >= 64")
+        if target_size < MIN_BLOCK_SIZE:
+            raise ValueError(f"target_size must be >= {MIN_BLOCK_SIZE}")
         self.target_size = target_size
         self.num_entries = 0
         self.estimated_size = 0

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.errors import ConfigError
+from repro.lsm.block import MIN_BLOCK_SIZE
 from repro.lsm.sstable import SSTable, SSTableBuilder
 from repro.lsm.table_space import TableSpace
 from repro.lsm.version import Version
@@ -26,6 +28,21 @@ class CompactionConfig:
     max_table_bytes: int = 512 * 1024
     block_size: int = 4096
     bits_per_key: int = 10
+
+    def __post_init__(self) -> None:
+        minimums = (
+            ("l0_trigger", 1),
+            ("l1_target_bytes", 1),
+            ("level_multiplier", 1),
+            ("max_table_bytes", 1),
+            ("block_size", MIN_BLOCK_SIZE),
+            ("bits_per_key", 1),
+        )
+        for name, minimum in minimums:
+            if getattr(self, name) < minimum:
+                raise ConfigError(
+                    f"{name} must be >= {minimum}, got {getattr(self, name)}"
+                )
 
 
 class Compactor:

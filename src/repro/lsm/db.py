@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.errors import DbClosedError, LsmError
+from repro.errors import ConfigError, DbClosedError, LsmError
 from repro.flash.device import BlockDevice
 from repro.lsm.block import MAX_KEY_LEN, MAX_VALUE_LEN, block_get
 from repro.lsm.bloom import bloom_hashes
@@ -42,6 +42,22 @@ class DbConfig:
     compaction: CompactionConfig = field(default_factory=CompactionConfig)
     cpu_get_ns: int = 2_000
     cpu_put_ns: int = 1_500
+
+    def __post_init__(self) -> None:
+        minimums = (
+            ("memtable_bytes", 1024),  # the memtable's own floor
+            ("block_cache_bytes", 0),
+            ("wal_bytes", 1),
+            ("manifest_bytes", 1),
+            ("num_levels", 2),  # L0 plus at least one sorted level
+            ("cpu_get_ns", 0),
+            ("cpu_put_ns", 0),
+        )
+        for name, minimum in minimums:
+            if getattr(self, name) < minimum:
+                raise ConfigError(
+                    f"{name} must be >= {minimum}, got {getattr(self, name)}"
+                )
 
 
 @dataclass

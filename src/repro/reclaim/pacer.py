@@ -15,8 +15,9 @@ behind one validated config so the bench can sweep them uniformly:
   ``victim_valid_threshold`` so forward progress is guaranteed.
 * ``pace_units`` — units migrated per background step (0 = unbounded).
 * ``copy_tokens_per_step`` — optional token bucket on copy *bytes*: each
-  step refills the bucket and migrations stop when it is dry, bounding
-  GC bandwidth independently of unit count (0 = unlimited, the default).
+  step refills the bucket (which holds four refills) and migrations stop
+  when it is dry, bounding GC bandwidth independently of unit count
+  (0 = unlimited, the default).
 
 On top of the static levers sits the optional :class:`AdaptivePacing`
 controller (the GC↔QoS loop): AIMD on the observed foreground stall —
@@ -50,19 +51,10 @@ class AdaptivePacingConfig:
     windowed stall p99 against it: under budget, ``pace_units`` grows by
     ``increase_units`` (and the copy-token refill by an eighth of its
     static value); over budget, both are cut by ``decrease_factor``.
-    The runtime values stay inside [static/``max_scale``, static ×
-    ``max_scale``] so a misbehaving signal can never wedge or unleash
-    reclamation entirely.
-
-    ``signal`` picks what the controller compares against the budget:
-    ``"stall"`` (default) is the device-side foreground stall the
-    reclamation layer inflicted; ``"e2e_p99"`` is the tenant-observed
-    end-to-end service latency fed in through
-    :meth:`ReclaimPacer.note_external_latency` — closing the loop on
-    what the SLO actually covers instead of a device-side proxy.  With
-    the external signal selected but no samples fed in a window, the
-    controller treats the interval as under budget (no news is good
-    news, matching the stall signal's empty-window behaviour).
+    The runtime values stay inside [max(1, static/``max_scale``), static
+    × ``max_scale``] so a misbehaving signal can never wedge or unleash
+    reclamation entirely.  An interval with no stall samples counts as
+    under budget.
     """
 
     stall_slo_ns: int
@@ -70,33 +62,18 @@ class AdaptivePacingConfig:
     increase_units: int = 1
     decrease_factor: float = 0.5
     max_scale: int = 4
-    min_pace_units: int = 1
-    signal: str = "stall"
-
-    SIGNAL_CHOICES = ("stall", "e2e_p99")
 
     def __post_init__(self) -> None:
         ensure_at_least("stall_slo_ns", self.stall_slo_ns, 1)
-        if self.signal not in self.SIGNAL_CHOICES:
-            raise ValueError(
-                f"signal must be one of {self.SIGNAL_CHOICES}, got {self.signal!r}"
-            )
         ensure_at_least("interval_steps", self.interval_steps, 1)
         ensure_at_least("increase_units", self.increase_units, 1)
         ensure_between("decrease_factor", self.decrease_factor, 0.01, 0.99)
         ensure_at_least("max_scale", self.max_scale, 1)
-        ensure_at_least("min_pace_units", self.min_pace_units, 1)
 
 
 @dataclass(frozen=True)
 class PacerConfig:
-    """Watermark + pacing knobs; defaults are neutral (no throttling).
-
-    ``copy_bucket_cap`` is ``None`` for the default cap (4 ×
-    ``copy_tokens_per_step``); an explicit cap must be able to hold at
-    least one refill (``>= copy_tokens_per_step``) and is ignored while
-    the bucket is disabled (``copy_tokens_per_step == 0``).
-    """
+    """Watermark + pacing knobs; defaults are neutral (no throttling)."""
 
     background: int = 2
     target: int = 2
@@ -105,7 +82,6 @@ class PacerConfig:
     victim_valid_threshold: float = 1.0
     pace_units: int = 0
     copy_tokens_per_step: int = 0
-    copy_bucket_cap: Optional[int] = None
     adaptive: Optional[AdaptivePacingConfig] = None
 
     def __post_init__(self) -> None:
@@ -116,16 +92,6 @@ class PacerConfig:
         ensure_fraction("victim_valid_threshold", self.victim_valid_threshold)
         ensure_at_least("pace_units", self.pace_units, 0)
         ensure_at_least("copy_tokens_per_step", self.copy_tokens_per_step, 0)
-        if self.copy_bucket_cap is not None and self.copy_tokens_per_step > 0:
-            ensure_at_least(
-                "copy_bucket_cap", self.copy_bucket_cap, self.copy_tokens_per_step
-            )
-
-    @property
-    def bucket_cap(self) -> int:
-        if self.copy_bucket_cap is None:
-            return 4 * self.copy_tokens_per_step
-        return self.copy_bucket_cap
 
 
 class ReclaimPacer:
@@ -144,7 +110,8 @@ class ReclaimPacer:
         adaptive: Optional[AdaptivePacingConfig] = None,
     ) -> None:
         self.config = config
-        self._bucket_cap = config.bucket_cap
+        # The copy-token bucket holds four refills.
+        self._bucket_cap = 4 * config.copy_tokens_per_step
         self._tokens = self._bucket_cap
         # Adaptive-pacing runtime values (static unless a controller runs).
         self.pace_units = config.pace_units
@@ -162,9 +129,6 @@ class ReclaimPacer:
         # Foreground-stall accounting: wall time (ns) host operations
         # spent blocked on reclamation, windowed per adjustment interval.
         self.stall = LatencyRecorder("reclaim_stall")
-        # Tenant-observed end-to-end latency window for the "e2e_p99"
-        # adaptive signal; fed by the serving layer, never by the engine.
-        self.external = LatencyRecorder("e2e_latency")
 
     # --- watermark decisions -----------------------------------------------------
 
@@ -249,24 +213,13 @@ class ReclaimPacer:
         self.adaptive = adaptive
         self._steps_since_adjust = 0
 
-    def note_external_latency(self, latency_ns: int) -> None:
-        """Feed one tenant-observed e2e latency sample (``"e2e_p99"``).
-
-        Cheap no-op unless an adaptive controller consuming the external
-        signal is attached, so serving loops can call it unconditionally
-        per completion without perturbing static configurations.
-        """
-        if self.adaptive is not None and self.adaptive.signal == "e2e_p99":
-            self.external.record(latency_ns)
-
     def observe_step(self) -> None:
         """Controller hook the engine calls once per background step.
 
-        Every ``interval_steps`` calls, the windowed p99 of the selected
-        signal (device-side stall or tenant-fed e2e latency) is compared
-        against the SLO budget and the runtime pace is adjusted; the
-        window then resets so the controller tracks the *current*
-        interference regime, not the whole run.
+        Every ``interval_steps`` calls, the windowed foreground-stall p99
+        is compared against the SLO budget and the runtime pace is
+        adjusted; the window then resets so the controller tracks the
+        *current* interference regime, not the whole run.
         """
         if self.adaptive is None:
             return
@@ -274,12 +227,10 @@ class ReclaimPacer:
         if self._steps_since_adjust < self.adaptive.interval_steps:
             return
         self._steps_since_adjust = 0
-        window = (
-            self.external if self.adaptive.signal == "e2e_p99" else self.stall
-        )
-        over = window.count > 0 and window.p99() > self.adaptive.stall_slo_ns
+        stall = self.stall
+        over = stall.count > 0 and stall.p99() > self.adaptive.stall_slo_ns
         self._adjust(over)
-        window.reset()
+        stall.reset()
 
     def _adjust(self, over_budget: bool) -> None:
         adaptive = self.adaptive
@@ -289,7 +240,7 @@ class ReclaimPacer:
             self.pace_clamps += 1
         static_pace = self.config.pace_units
         if static_pace > 0:
-            floor = max(adaptive.min_pace_units, static_pace // adaptive.max_scale)
+            floor = max(1, static_pace // adaptive.max_scale)
             ceiling = static_pace * adaptive.max_scale
             if over_budget:
                 self.pace_units = max(

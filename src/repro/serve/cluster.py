@@ -63,13 +63,6 @@ class RoutingConfig:
     write prefers the one that has stalled foreground traffic least and
     has the most reclamation headroom left.  Exact ties resolve to the
     nearest successor on the ring.
-
-    ``diversion_journal`` closes the read-side hole of gc_aware
-    routing: a rerouted write is recorded (key → diverted shard) so a
-    later read that misses at its home shard consults the journal
-    before declaring a miss, fetches from the diverted shard, and
-    read-repairs the value home.  Entries expire on read-repair, on a
-    stale consult, or when a later write lands at the home shard.
     """
 
     policy: str = "static"
@@ -77,17 +70,11 @@ class RoutingConfig:
     reroute_level: str = "urgent"
     stall_weight: float = 1.0
     headroom_weight: float = 1.0
-    diversion_journal: bool = False
 
     def __post_init__(self) -> None:
         if self.stall_weight < 0 or self.headroom_weight < 0:
             raise ConfigError(
                 "stall_weight and headroom_weight must be non-negative"
-            )
-        if self.diversion_journal and self.policy != "gc_aware":
-            raise ConfigError(
-                "diversion_journal requires the gc_aware routing policy "
-                "(static routing never diverts a write)"
             )
         if self.policy not in ROUTING_POLICIES:
             raise ConfigError(
@@ -305,13 +292,6 @@ class CacheCluster:
         self._home_cache: Dict[bytes, Shard] = {}
         self._successor_cache: Dict[bytes, Tuple[Shard, ...]] = {}
         self._replica_cache: Dict[bytes, Tuple[Shard, ...]] = {}
-        # Diversion journal (RoutingConfig.diversion_journal): last
-        # shard a gc_aware write for a key was rerouted to, so reads can
-        # recover it; empty and untouched when the feature is off.
-        self.diversions: Dict[bytes, Shard] = {}
-        self.diversions_recorded = 0
-        self.diversions_recovered = 0
-        self.diversions_stale = 0
         for shard in self.shards:
             shard.hint_journal = HintJournal(self.replication.hint_limit)
             if self.replication.replicas > 1:
@@ -401,9 +381,6 @@ class CacheCluster:
         home_rank = home.pressure_rank()
         routing = self.routing
         if home_rank < PRESSURE_RANK[routing.reroute_level]:
-            if routing.diversion_journal:
-                # Home-shard rewrite: any journaled diversion is stale.
-                self.diversions.pop(key, None)
             return home, None
         best: Optional[Shard] = None
         best_score: Optional[Tuple[int, float]] = None
@@ -424,14 +401,9 @@ class CacheCluster:
                 best = shard
                 best_score = score
         if best is None:
-            if routing.diversion_journal:
-                self.diversions.pop(key, None)
             return home, None
         home.rerouted_out += 1
         best.rerouted_in += 1
-        if routing.diversion_journal:
-            self.diversions[key] = best
-            self.diversions_recorded += 1
         return best, home
 
     @property

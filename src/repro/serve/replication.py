@@ -78,7 +78,6 @@ class ReplicationConfig:
     """
 
     replicas: int = 1
-    read_repair: bool = True
     # Bounded hint journal per shard (entries).  Overflow drops the
     # oldest hint (counted) — a production handoff queue is finite too.
     hint_limit: int = 4096

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.engine import HybridCache
@@ -170,16 +169,6 @@ class Server:
                 "routing; gc_aware is not supported with a failover plan"
             )
         self.tenants = [Tenant(t) for t in tenants]
-        # Diversion-journal reads (RoutingConfig.diversion_journal):
-        # active only under gc_aware routing, where writes can divert.
-        self._diversion_active = (
-            cluster.routing.diversion_journal
-            and cluster.routing.policy == "gc_aware"
-        )
-        # Per-shard pacer to feed tenant-observed e2e latency into
-        # (AdaptivePacingConfig signal="e2e_p99"); resolved at run()
-        # time so enable_adaptive_pacing() after construction counts.
-        self._e2e_feed: List[Optional[object]] = []
         self._events = EventScheduler()
         self._ran = False
         self._end_ns = 0
@@ -198,25 +187,6 @@ class Server:
 
     # --- main loop ----------------------------------------------------------
 
-    def _resolve_e2e_feed(self) -> None:
-        """Pick out, per shard, the reclaim pacer that wants the
-        tenant-observed e2e latency signal (``signal="e2e_p99"``).
-        Shards with no reclamation layer, no adaptive controller, or the
-        device-side stall signal get ``None`` — zero per-completion cost
-        for every pre-existing configuration."""
-        self._e2e_feed = []
-        for shard in self.cluster.shards:
-            _, engine = shard.stack.reclaim_engine()
-            pacer = engine.pacer if engine is not None else None
-            if (
-                pacer is not None
-                and pacer.adaptive is not None
-                and pacer.adaptive.signal == "e2e_p99"
-            ):
-                self._e2e_feed.append(pacer)
-            else:
-                self._e2e_feed.append(None)
-
     def run(self) -> ServingReport:
         """Serve every tenant's stream to completion; single-shot.
 
@@ -232,7 +202,6 @@ class Server:
                 "trackers are consumed by the first run; build a new Server"
             )
         self._ran = True
-        self._resolve_e2e_feed()
         tenants = self.tenants
         cluster = self.cluster
         replicated = self._replication_armed()
@@ -369,19 +338,12 @@ class Server:
             _, arrival_ns, kind, key, tenant_index, key_index = item
             tenant = self.tenants[tenant_index]
             is_get = kind == KIND_GET
-            # A diverted copy is consulted between a get's home miss and
-            # its set-on-miss fill.
-            on_miss = (
-                partial(self._recover_diverted, shard)
-                if is_get and self._diversion_active
-                else None
-            )
             apply = tenant.driver.apply_kind_value
             if tracer.enabled:
                 with tracer.span("serve", KIND_NAMES[kind], offset=shard.index):
-                    hit, value = apply(cache, kind, key_index, key, on_miss)
+                    hit, value = apply(cache, kind, key_index, key)
             else:
-                hit, value = apply(cache, kind, key_index, key, on_miss)
+                hit, value = apply(cache, kind, key_index, key)
             shard.served += 1
             done_ns = clock.now - shard.epoch_ns
             latency = done_ns - arrival_ns
@@ -396,9 +358,6 @@ class Server:
                 slo.gets += 1
                 if hit:
                     slo.get_hits += 1
-            pacer = self._e2e_feed[shard.index]
-            if pacer is not None:
-                pacer.external.record(latency)
             if is_get and self.inval_stats is not None:
                 self.inval_stats.note_lookup(done_ns, hit, latency)
             fleet = self._fleet
@@ -459,30 +418,6 @@ class Server:
                     self._set_health(shard, HEALTH_UP, now_ns)
         if shard.alive and shard.queue and not shard.busy:
             self._serve_next(now_ns, shard)
-
-    # --- diversion journal ---------------------------------------------------
-
-    def _recover_diverted(self, home: Shard, key: bytes) -> Optional[bytes]:
-        """A home-missed get consults the diversion journal before
-        declaring a miss: fetch the key from its journaled diverted
-        shard and read-repair it into ``home``.
-
-        The entry is consumed either way: on a hit the value is home
-        again (so the journal is no longer needed), on a miss the
-        diverted copy was evicted and the entry is stale.
-        """
-        cluster = self.cluster
-        diverted = cluster.diversions.pop(key, None)
-        if diverted is None or diverted is home:
-            return None
-        value = diverted.stack.cache.get(key)
-        if value is None:
-            cluster.diversions_stale += 1
-            return None
-        cluster.diversions_recovered += 1
-        home.stack.cache.set(key, value)
-        _emit(home, "serve.divert", "recover")
-        return value
 
     # --- invalidation -------------------------------------------------------
 
@@ -601,20 +536,13 @@ class Server:
         served off a fallback replica repairs the DOWN primary via a
         (weaker) repair hint.
         """
-        cluster = self.cluster
-        repl = cluster.replication
-        replicas = cluster.replica_set(key)
+        replicas = self.cluster.replica_set(key)
         primary = replicas[0]
-        fleet = self._fleet
         if kind_int == KIND_GET:
             if hit:
-                if (
-                    shard is not primary
-                    and repl.read_repair
-                    and primary.health == HEALTH_DOWN
-                ):
+                if shard is not primary and primary.health == HEALTH_DOWN:
                     if primary.hint_journal.append_repair(KIND_SET, key, value):
-                        fleet.read_repairs += 1
+                        self._fleet.read_repairs += 1
                 return
             if value is None:
                 return  # bare miss: nothing written anywhere

@@ -1,8 +1,8 @@
 """Seeded, deterministic fault injection on the unified I/O pipeline.
 
 The :class:`FaultInjector` hooks :class:`repro.sim.io.IoPipeline`'s
-submission path (``IoPipeline.fault_gate``) — the single choke point PR 1
-built — and can
+one charge routine (``IoPipeline.inject``, which every device command
+passes through before it changes device state) and can
 
 * fail individual requests with typed errors (``TransientMediaError``,
   ``AppendFailedError``, ``ZoneResourceError``) via probability rules,
@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     AppendFailedError,
+    ConfigError,
     PowerCutError,
     TransientMediaError,
     ZoneResourceError,
@@ -85,17 +86,17 @@ class FaultRule:
 
     def __post_init__(self) -> None:
         if self.kind not in _REQUEST_KINDS:
-            raise ValueError(
+            raise ConfigError(
                 f"rule kind must be a per-request fault, got {self.kind}"
             )
         if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
+            raise ConfigError(f"probability must be in [0, 1], got {self.probability}")
         if self.kind is FaultKind.LATENCY and self.extra_latency_ns <= 0:
-            raise ValueError("LATENCY rules need extra_latency_ns > 0")
+            raise ConfigError("LATENCY rules need extra_latency_ns > 0")
         if self.extra_latency_ns < 0:
-            raise ValueError("extra_latency_ns must be >= 0")
+            raise ConfigError("extra_latency_ns must be >= 0")
         if self.after_requests < 0 or self.max_injections < 0:
-            raise ValueError("after_requests/max_injections must be >= 0")
+            raise ConfigError("after_requests/max_injections must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,9 @@ class ZoneFault:
 
     def __post_init__(self) -> None:
         if self.kind not in (FaultKind.ZONE_READONLY, FaultKind.ZONE_OFFLINE):
-            raise ValueError(f"zone fault kind must flip zone state, got {self.kind}")
+            raise ConfigError(f"zone fault kind must flip zone state, got {self.kind}")
         if self.at_ns < 0:
-            raise ValueError("at_ns must be >= 0")
+            raise ConfigError("at_ns must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,9 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise ConfigError("max_attempts must be >= 1")
         if self.backoff_ns < 0 or self.multiplier < 1:
-            raise ValueError("backoff_ns >= 0 and multiplier >= 1 required")
+            raise ConfigError("backoff_ns >= 0 and multiplier >= 1 required")
 
     def backoff_for(self, attempt: int) -> int:
         """Delay before retry number ``attempt`` (0-based)."""
@@ -228,9 +229,8 @@ class FaultInjector:
 
         Returns extra latency to add to the service time; raises the
         typed error of the first error rule that fires.  Called by
-        ``IoPipeline.fault_gate`` *before* the owning device mutates
-        any state for the request, so raising here is always safe to
-        retry.
+        ``IoPipeline.inject`` *before* the owning device mutates any
+        state for the request, so raising here is always safe to retry.
         """
         if not self.enabled:
             return 0

@@ -7,9 +7,8 @@ three pieces:
 
 * :class:`IoRequest` / :class:`IoCompletion` — typed request records
   carrying the op kind, address, length and the layer that originated
-  the request.  A request object exists where something consumes one:
-  the management commands (reset, finish, open, close, discard, GC,
-  maintenance) and the armed fault injector.
+  the request.  The armed fault injector is the one consumer of a
+  request object, so one is built only inside :meth:`IoPipeline.inject`.
 * :class:`ResourcePool` — N parallel channels (dies) with a configurable
   per-channel queue depth, generalizing the old single serial
   ``ResourceTimeline``.  With ``channels=1, queue_depth=1`` it is
@@ -23,15 +22,16 @@ three pieces:
   linked chain down to the NAND commands it produced.  Cross-layer WAF
   and tail-latency attribution become queries over one record stream.
 
-:class:`IoPipeline` ties the three together per device.  Every device's
-``read`` and ``write`` charge their commands through one routine,
-:meth:`IoPipeline.charge` — fault injector (when armed), pool, one trace
-record — from the values in hand; :meth:`IoPipeline.submit` /
-:meth:`IoPipeline.submit_many` wrap the same routine for callers that
-hold a request object.  A batch is charged at one virtual instant and
-pipelined across the pool's channels, which is how region-sized flushes
-and GC copy loops become one pipelined batch instead of a loop of
-synchronous calls.
+:class:`IoPipeline` ties the three together per device.  Every device
+command — data, zone management, discard, GC, maintenance — is charged
+through one routine, :meth:`IoPipeline.charge` — fault injector (when
+armed), pool, one trace record — from the values in hand.  A command
+that changes device state shows itself to the injector first
+(:meth:`IoPipeline.inject`), makes its change, then charges with
+``gated=True``, so an injected fault leaves the device as it was.  A
+batch is charged at one virtual instant and pipelined across the pool's
+channels, which is how region-sized flushes and GC copy loops become one
+pipelined batch instead of a loop of synchronous calls.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import contextlib
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.sim.clock import SimClock, check_service_time
@@ -81,16 +81,7 @@ class IoRequest:
     positionally by :meth:`IoPipeline.inject`.
     """
 
-    __slots__ = (
-        "op",
-        "offset",
-        "length",
-        "zone",
-        "layer",
-        "background",
-        "fault_checked",
-        "injected_latency_ns",
-    )
+    __slots__ = ("op", "offset", "length", "zone", "layer", "background")
 
     def __init__(
         self,
@@ -100,8 +91,6 @@ class IoRequest:
         zone: Optional[int] = None,
         layer: str = "device",
         background: bool = False,
-        fault_checked: bool = False,
-        injected_latency_ns: int = 0,
     ) -> None:
         self.op = op
         self.offset = offset
@@ -109,11 +98,6 @@ class IoRequest:
         self.zone = zone
         self.layer = layer
         self.background = background
-        # Fault-injection bookkeeping: the gate runs at most once per
-        # request (devices may pre-gate before mutating state), and any
-        # injected latency spike is carried to dispatch here.
-        self.fault_checked = fault_checked
-        self.injected_latency_ns = injected_latency_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -135,7 +119,6 @@ class IoCompletion:
     __slots__ = (
         "latency_ns",
         "data",
-        "request",
         "submitted_ns",
         "started_ns",
         "completed_ns",
@@ -148,7 +131,6 @@ class IoCompletion:
         self,
         latency_ns: int,
         data: Optional[bytes] = None,
-        request: Optional[IoRequest] = None,
         submitted_ns: int = 0,
         started_ns: int = 0,
         completed_ns: int = 0,
@@ -158,7 +140,6 @@ class IoCompletion:
     ) -> None:
         self.latency_ns = latency_ns
         self.data = data
-        self.request = request
         self.submitted_ns = submitted_ns
         self.started_ns = started_ns
         self.completed_ns = completed_ns
@@ -595,12 +576,12 @@ class IoPipeline:
         self, op: str, offset: int, length: int, zone: Optional[int],
         layer: str, background: bool, service_ns: int,
     ) -> int:
-        """Show one data command to the armed fault injector; returns the
+        """Show one command to the armed fault injector; returns the
         latency it adds.  A raised fault must leave the device exactly as
-        it was, so a device whose command changes state (a write) calls
-        this before the first change and charges with ``gated=True``.
-        The injector is the only consumer of a data command's
-        :class:`IoRequest`; this is the one place one is built."""
+        it was, so a device whose command changes state (a write, a zone
+        transition, a discard) calls this before the first change and
+        charges with ``gated=True``.  The injector is the only consumer
+        of an :class:`IoRequest`; this is the one place one is built."""
         return self.faults.inspect(
             self.name,
             IoRequest(IoOp(op), offset, length, zone, layer, background),
@@ -635,7 +616,8 @@ class IoPipeline:
         return done, wait, channel, service_ns
 
     def charge_foreground(
-        self, layer: str, op: str, offset: int, length: int, service_ns: int
+        self, layer: str, op: str, offset: int, length: int, service_ns: int,
+        zone: Optional[int] = None, gated: bool = False,
     ) -> IoCompletion:
         """:meth:`charge` for one foreground command issued now: the
         clock moves to its completion (the caller both observes and
@@ -644,80 +626,16 @@ class IoPipeline:
         clock = self.clock
         now = clock.now
         done, wait, channel, service_ns = self.charge(
-            layer, op, offset, length, None, False, now, service_ns
+            layer, op, offset, length, zone, False, now, service_ns, gated
         )
         clock.now = done
         return IoCompletion(
-            done - now, None, None, now, done - service_ns, done, wait,
-            service_ns, channel,
+            done - now, None, now, done - service_ns, done, wait, service_ns,
+            channel,
         )
-
-    def fault_gate(self, request: IoRequest, service_ns: int) -> None:
-        """Run the fault injector against a request, at most once.
-
-        A management command that changes device state (a zone reset)
-        gates its request *before* the change, so a raised fault leaves
-        the device as it was; :meth:`submit` gates whatever was not.
-        """
-        if self.faults is None or request.fault_checked:
-            return
-        request.fault_checked = True
-        request.injected_latency_ns = self.faults.inspect(
-            self.name, request, service_ns
-        )
-
-    def submit(self, request: IoRequest, service_ns: int) -> IoCompletion:
-        """Charge one request synchronously (or reserve, if background).
-
-        Foreground submissions advance the shared clock to the completion
-        time — the command both observes and spends any queueing delay.
-        """
-        completion = self._dispatch(request, service_ns, self.clock.now)
-        if not request.background:
-            self.clock.advance_to(completion.completed_ns)
-        return completion
-
-    def submit_many(
-        self, batch: Iterable[Tuple[IoRequest, int]]
-    ) -> List[IoCompletion]:
-        """Submit a batch at one virtual instant, pipelined across the pool.
-
-        All requests are queued at the current time; the pool spreads
-        them over its channels/slots, so a region-sized flush or a GC
-        copy loop overlaps across dies instead of serializing.  The
-        clock advances to the last *foreground* completion (the batch
-        barrier); per-request latencies include intra-batch queueing.
-        With a serial pool this is arithmetically identical to a loop of
-        synchronous submissions.
-        """
-        now = barrier = self.clock.now
-        completions: List[IoCompletion] = []
-        for request, service_ns in batch:
-            completion = self._dispatch(request, service_ns, now)
-            if not request.background:
-                barrier = max(barrier, completion.completed_ns)
-            completions.append(completion)
-        self.clock.advance_to(barrier)
-        return completions
 
     def snapshot(self) -> Dict[str, float]:
         return {"name": self.name, **self.pool.snapshot()}
-
-    def _dispatch(
-        self, request: IoRequest, service_ns: int, now: int
-    ) -> IoCompletion:
-        """:meth:`charge` for a caller that holds a request object."""
-        self.fault_gate(request, service_ns)
-        background = request.background
-        done, wait, channel, service_ns = self.charge(
-            request.layer, request.op.value, request.offset, request.length,
-            request.zone, background, now,
-            service_ns + request.injected_latency_ns, gated=True,
-        )
-        return IoCompletion(
-            0 if background else done - now, None, request, now,
-            done - service_ns, done, wait, service_ns, channel,
-        )
 
     def __repr__(self) -> str:
         return f"IoPipeline({self.name!r}, {self.pool!r})"

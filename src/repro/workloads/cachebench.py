@@ -11,7 +11,7 @@ minute), hit ratio, WAF breakdown, and latency percentiles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cache.engine import HybridCache
 from repro.errors import ConfigError
@@ -35,6 +35,12 @@ KIND_NAMES = ("get", "set", "delete")
 # Experiments size keyspaces against a byte budget by dividing by it.
 MEAN_ENTRY_BYTES = 1568
 
+# Deletes model invalidations of *stale* content: they sample uniformly
+# from this cold fraction of the popularity ranking rather than by
+# popularity (popularity-weighted deletes would cap the hit ratio at
+# sets/(sets+deletes) = 0.6, far below the paper's 94%).
+DELETE_COLD_FRACTION = 0.3
+
 
 @dataclass(frozen=True)
 class CacheBenchConfig:
@@ -51,12 +57,6 @@ class CacheBenchConfig:
     value_weights: Tuple[float, ...] = (2.0, 4.0, 3.0, 1.0)
     warmup_ops: int = 0
     set_on_miss: bool = False
-    # Deletes model invalidations of *stale* content: they sample
-    # uniformly from the cold fraction of the popularity ranking rather
-    # than by popularity (popularity-weighted deletes would cap the hit
-    # ratio at sets/(sets+deletes) = 0.6, far below the paper's 94%).
-    delete_uniform: bool = True
-    delete_cold_fraction: float = 0.3
     seed: int = 7
 
     def __post_init__(self) -> None:
@@ -148,6 +148,10 @@ class CacheBenchDriver:
         self.config = config
         self._keys = ZipfSampler(config.num_keys, config.zipf_theta, config.seed)
         self._delete_keys = UniformSampler(config.num_keys, config.seed)
+        # Deletes draw a rank uniformly from the cold tail
+        # [first_cold_rank, num_keys) of the popularity ranking.
+        self._first_cold_rank = int(config.num_keys * (1.0 - DELETE_COLD_FRACTION))
+        self._cold_span = max(1, config.num_keys - self._first_cold_rank)
         self._sizes = ValueSizeSampler(
             config.value_sizes, config.value_weights, config.seed
         )
@@ -221,17 +225,8 @@ class CacheBenchDriver:
             return CacheOp("get", self._keys.sample())
         if draw < config.get_ratio + config.set_ratio:
             return CacheOp("set", self._keys.sample())
-        if config.delete_uniform:
-            first_cold_rank = int(
-                config.num_keys * (1.0 - config.delete_cold_fraction)
-            )
-            rank = first_cold_rank + self._delete_keys.sample() % max(
-                1, config.num_keys - first_cold_rank
-            )
-            key_index = self._keys.key_of_rank(rank)
-        else:
-            key_index = self._keys.sample()
-        return CacheOp("delete", key_index)
+        rank = self._first_cold_rank + self._delete_keys.sample() % self._cold_span
+        return CacheOp("delete", self._keys.key_of_rank(rank))
 
     def next_ops(self, n: int) -> Tuple[List[int], List[int]]:
         """Pre-draw ``n`` ops, bit-identical to ``n`` :meth:`next_op` calls.
@@ -250,18 +245,13 @@ class CacheBenchDriver:
             KIND_GET if u < get_t else (KIND_SET if u < set_t else KIND_DELETE)
             for u in us
         ]
-        if not config.delete_uniform:
-            # Every op (deletes included) draws from the Zipf stream in
-            # op order, so one bulk draw covers the whole batch.
-            return kinds, self._keys.sample_many(n)
         num_deletes = kinds.count(KIND_DELETE)
         zipf_keys = self._keys.sample_many(n - num_deletes)
         if num_deletes == 0:
             return kinds, zipf_keys
         key_indices = [0] * n
         zi = 0
-        first_cold_rank = int(config.num_keys * (1.0 - config.delete_cold_fraction))
-        cold_span = max(1, config.num_keys - first_cold_rank)
+        first_cold_rank, cold_span = self._first_cold_rank, self._cold_span
         sample_delete = self._delete_keys.sample
         key_of_rank = self._keys.key_of_rank
         for i, kind in enumerate(kinds):
@@ -298,12 +288,7 @@ class CacheBenchDriver:
         return False
 
     def apply_kind_value(
-        self,
-        cache: HybridCache,
-        kind: int,
-        key_index: int,
-        key: bytes,
-        on_miss: Optional[Callable[[bytes], Optional[bytes]]] = None,
+        self, cache: HybridCache, kind: int, key_index: int, key: bytes
     ) -> Tuple[bool, Optional[bytes]]:
         """:meth:`apply_op` for the serving loop's pre-generated streams.
 
@@ -315,16 +300,9 @@ class CacheBenchDriver:
         reuse the primary's bytes and never re-draw from the size
         stream); ``None`` for a bare miss or a delete.  Draw-for-draw
         identical to :meth:`apply_op`.
-
-        ``on_miss(key)`` is asked for the value before a get is declared
-        a miss (and before the set-on-miss fill draws a size); a value
-        it returns — and has already installed in ``cache`` — makes the
-        get a hit.
         """
         if kind == KIND_GET:
             value = cache.get(key)
-            if value is None and on_miss is not None:
-                value = on_miss(key)
             if value is None:
                 if self.config.set_on_miss:
                     written = self.value_bytes(key_index, self._sizes.sample())

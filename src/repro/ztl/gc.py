@@ -67,7 +67,6 @@ class GcConfig:
 
     min_empty_zones: int = 2
     victim_valid_threshold: float = 0.20
-    max_zones_per_run: int = 1
     emergency_empty_zones: int = 1
     # At or below this many empty zones GC steps run unbounded and the
     # pacer reports the "urgent" pressure level (-1 = disabled, the
@@ -91,7 +90,6 @@ class GcConfig:
     def __post_init__(self) -> None:
         ensure_at_least("min_empty_zones", self.min_empty_zones, 1)
         ensure_fraction("victim_valid_threshold", self.victim_valid_threshold)
-        ensure_at_least("max_zones_per_run", self.max_zones_per_run, 1)
         ensure_between(
             "emergency_empty_zones", self.emergency_empty_zones, 0, self.min_empty_zones
         )

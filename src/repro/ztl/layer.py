@@ -30,9 +30,7 @@ from repro.errors import (
     RetryableError,
     TranslationFullError,
     ZoneDeadError,
-    ZoneStateError,
 )
-from repro.flash.zone import ZoneState
 from repro.flash.znsssd import ZnsSsd
 from repro.sim.io import IoCompletion
 from repro.ztl.allocator import ZoneBook, ZoneRecord
@@ -207,18 +205,6 @@ class RegionTranslationLayer:
                 self._retire_zone(
                     zone if zone is not None else record.zone_index
                 )
-            except ZoneStateError as error:
-                # Under finish_on_close the device may pad our open zone
-                # to FULL behind our back (forced-close contention); the
-                # positioned write then bounces off the FULL state.  The
-                # zone's data is intact — take the book's view to FULL
-                # and land the region in a fresh slot.  Anything else is
-                # a real bug: re-raise.
-                device_zone = self.device.zones[record.zone_index]
-                if device_zone.state is not ZoneState.FULL:
-                    raise
-                last_error = error
-                self.book.mark_finished(record.zone_index)
         else:
             assert last_error is not None
             raise last_error

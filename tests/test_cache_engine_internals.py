@@ -11,16 +11,13 @@ from repro.units import KIB
 REGION = 16 * KIB
 
 
-def make_cache(num_regions=8, ram_kib=8, read_from_buffer=True):
+def make_cache(num_regions=8, ram_kib=8):
     clock = SimClock()
     geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=128)
     device = BlockSsd(clock, BlockSsdConfig(geometry=geometry, ftl=FtlConfig(0.25)))
     store = BlockRegionStore(device, REGION, num_regions)
     config = CacheConfig(
-        region_size=REGION,
-        num_regions=num_regions,
-        ram_bytes=ram_kib * KIB,
-        read_from_buffer=read_from_buffer,
+        region_size=REGION, num_regions=num_regions, ram_bytes=ram_kib * KIB
     )
     return HybridCache(clock, store, config), clock, device
 
@@ -33,15 +30,6 @@ class TestOpenBuffer:
         reads_before = device.stats.host_read_bytes
         assert cache.get(b"k") == b"v" * 100
         assert device.stats.host_read_bytes == reads_before  # buffer hit
-
-    def test_read_from_buffer_disabled_goes_to_device(self):
-        cache, clock, device = make_cache(read_from_buffer=False)
-        cache.set(b"k", b"v" * 100)
-        cache.flush()  # must be on flash to be readable at all
-        cache.ram.clear()
-        reads_before = device.stats.host_read_bytes
-        assert cache.get(b"k") == b"v" * 100
-        assert device.stats.host_read_bytes > reads_before
 
     def test_overwrite_in_open_buffer_reads_newest(self):
         cache, *_ = make_cache()

@@ -3,7 +3,12 @@
 import pytest
 
 from repro import errors
-from repro.sim import make_rng
+from repro.f2fs import F2fsConfig
+from repro.flash import BlockSsdConfig, HddConfig
+from repro.flash.zone import ZoneCostConfig
+from repro.lsm.compaction import CompactionConfig
+from repro.lsm.db import DbConfig
+from repro.sim import FaultKind, FaultRule, RetryPolicy, ZoneFault, make_rng
 from repro.sim.clock import SimClock
 
 
@@ -110,6 +115,42 @@ class TestErrorHierarchy:
 
         with pytest.raises(errors.ConfigError, match="accepts"):
             run_sweep(name, "smoke", **{override: 1})
+
+    @pytest.mark.parametrize(
+        "config, kwargs",
+        [
+            (F2fsConfig, {"block_size": 0}),
+            (F2fsConfig, {"segments_per_section": 0}),
+            (F2fsConfig, {"provision_ratio": 0.95}),
+            (F2fsConfig, {"meta_batch_blocks": 0}),
+            (F2fsConfig, {"cpu_ns_per_block": -1}),
+            (F2fsConfig, {"blocks_per_node": 0}),
+            (F2fsConfig, {"checkpoint_interval_blocks": 0}),
+            (HddConfig, {"capacity_bytes": 5000}),
+            (HddConfig, {"block_size": 0}),
+            (HddConfig, {"transfer_bytes_per_ns": 0.0}),
+            (BlockSsdConfig, {"maintenance_ns": -1}),
+            (BlockSsdConfig, {"ftl_cpu_ns_per_page": -1}),
+            (ZoneCostConfig, {"finish_ns": -1}),
+            (RetryPolicy, {"max_attempts": 0}),
+            (RetryPolicy, {"multiplier": 0}),
+            (FaultRule, {"kind": FaultKind.MEDIA_ERROR, "probability": 1.5}),
+            (FaultRule, {"kind": FaultKind.LATENCY, "extra_latency_ns": 0}),
+            (ZoneFault, {"zone_index": 0, "at_ns": -1}),
+            (DbConfig, {"cpu_get_ns": -1}),
+            (DbConfig, {"memtable_bytes": 512}),
+            (DbConfig, {"num_levels": 1}),
+            (CompactionConfig, {"level_multiplier": 0}),
+            (CompactionConfig, {"l0_trigger": 0}),
+            (CompactionConfig, {"block_size": 0}),
+        ],
+        ids=lambda value: value.__name__ if isinstance(value, type) else list(value)[-1],
+    )
+    def test_config_nonsense_is_a_config_error(self, config, kwargs):
+        """A config rejects a nonsense value when it is built, with a
+        ``ConfigError`` — never later, and never a bare ``ValueError``."""
+        with pytest.raises(errors.ConfigError):
+            config(**kwargs)
 
 
 class TestRngStreams:

@@ -545,6 +545,108 @@ class TestChargeRoutineUnderFaults:
         assert _power_cut_outcome(scheme) == PARENT_POWER_CUT_OUTCOMES[scheme]
 
 
+def _fail_once(op):
+    """An injector whose first ``op`` command raises a media error."""
+    return FaultInjector(
+        seed=1,
+        rules=(FaultRule(FaultKind.MEDIA_ERROR, op=op, max_injections=1),),
+    )
+
+
+def _zns_state(device):
+    """Everything a zone-management command may change on a ZnsSsd."""
+    from dataclasses import astuple
+
+    return (
+        [(zone.state, zone.write_pointer) for zone in device.zones],
+        astuple(device.zone_mgmt),
+        dict(device._open_touch),
+        device._clock.now,
+        device.pipeline.pool.requests_served,
+        device.media.allocated_bytes,
+        device.stats.erase_count,
+    )
+
+
+class TestManagementCommandsUnderFaults:
+    """Zone management and discard consult the injector before they
+    change anything, as data commands do: a faulted command leaves the
+    device exactly as it was, and the retry then succeeds."""
+
+    @pytest.mark.parametrize("op", ["finish", "open", "close", "reset"])
+    def test_faulted_zone_command_changes_nothing(self, op):
+        from repro.flash.zone import ZoneState
+
+        device = _zns_device(SimClock(), _fail_once(op))
+        device.write(0, bytes([7]) * (8 * KIB))  # zone 0: IMPLICIT_OPEN
+        zone_index = 1 if op == "open" else 0
+        command = getattr(device, f"{op}_zone")
+        before = _zns_state(device)
+        with pytest.raises(TransientMediaError):
+            command(zone_index)
+        assert _zns_state(device) == before
+        assert device.read(0, 8 * KIB).data == bytes([7]) * (8 * KIB)
+        command(zone_index)  # the retry is a plain command
+        want = {
+            "finish": ZoneState.FULL,
+            "open": ZoneState.EXPLICIT_OPEN,
+            "close": ZoneState.CLOSED,
+            "reset": ZoneState.EMPTY,
+        }[op]
+        assert device.zones[zone_index].state is want
+
+    def test_faulted_forced_close_changes_nothing(self):
+        from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
+        from repro.flash.zone import ZoneCostConfig, ZoneState
+
+        geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
+        device = ZnsSsd(
+            SimClock(),
+            ZnsConfig(
+                geometry=geometry,
+                zone_size=256 * KIB,
+                max_open_zones=1,
+                max_active_zones=2,
+                zone_costs=ZoneCostConfig(close_ns=20_000, forced_close=True),
+            ),
+            faults=_fail_once("close"),
+        )
+        payload = bytes([3]) * (4 * KIB)
+        device.write(0, payload)
+        before = _zns_state(device)
+        # Opening zone 1 must force zone 0 closed; that close faults.
+        with pytest.raises(TransientMediaError):
+            device.write(256 * KIB, payload)
+        assert _zns_state(device) == before
+        assert device.zones[0].state is ZoneState.IMPLICIT_OPEN
+        device.write(256 * KIB, payload)
+        assert device.zones[0].state is ZoneState.CLOSED
+        assert device.zones[1].state is ZoneState.IMPLICIT_OPEN
+        assert device.zone_mgmt.forced_closes == 1
+
+    def test_faulted_discard_changes_nothing(self):
+        device = _block_device(SimClock(), _fail_once("discard"))
+        data = bytes(range(256)) * 32
+        device.write(0, data)
+        ftl = device.ftl
+
+        def state():
+            return (
+                dict(ftl._l2p),
+                ftl.total_host_pages,
+                device.media.load(0, len(data)),
+                device._clock.now,
+                device.pipeline.pool.requests_served,
+            )
+
+        before = state()
+        with pytest.raises(TransientMediaError):
+            device.discard(0, 4 * KIB)
+        assert state() == before
+        device.discard(0, 4 * KIB)
+        assert device.read(0, 8 * KIB).data == bytes(4 * KIB) + data[4 * KIB:]
+
+
 def _faulty_stack(scheme, faults):
     scale = ZONE_SCALE if scheme == "Zone-Cache" else SCALE
     cache = None if scheme == "Zone-Cache" else CACHE

@@ -11,9 +11,6 @@ Four layers of assurance:
 * the scheme builders: ``hint_layers="all"`` binds hints into the
   substrate, the historical ``"ztl"`` value leaves the new layers
   unhinted (bit-compat);
-* the serving side: the gc_aware diversion journal recovers hits the
-  journal-less router lost, and the adaptive pacer's ``"e2e_p99"``
-  signal consumes tenant-observed latency instead of device stall;
 * end to end: a small ``run_hint_sweep`` grid reconciles
   ``gc_hint_dropped_units`` against the per-layer drop spans exactly.
 """
@@ -35,7 +32,6 @@ from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, VictimPolicy, fsck
 from repro.flash import NandGeometry, NullBlkDevice, ZnsConfig, ZnsSsd
 from repro.flash.ftl import FtlConfig, PageMappedFtl
 from repro.reclaim import (
-    AdaptivePacingConfig,
     GcHints,
     GreedyPolicy,
     PacerConfig,
@@ -45,18 +41,9 @@ from repro.reclaim import (
     UnitOutcome,
     VictimView,
 )
-from repro.serve import (
-    PRESSURE_RANK,
-    CacheCluster,
-    RoutingConfig,
-    Server,
-    ServerConfig,
-    TenantConfig,
-)
 from repro.sim import SimClock
 from repro.sim.io import IoTracer
 from repro.units import KIB, MIB
-from repro.workloads.cachebench import CacheBenchConfig
 
 PAGE = 4 * KIB
 
@@ -369,183 +356,6 @@ class TestBuilderWiring:
                                       hint_layers="all"),
         )
         assert stack.substrate["fs"].cleaner.engine.source.hints is None
-
-
-# --------------------------------------------------------------------------
-# Diversion journal: gc_aware reroutes stay readable
-# --------------------------------------------------------------------------
-
-def _zone_cluster(num_shards=3, routing=None):
-    return CacheCluster.homogeneous(
-        "Zone-Cache",
-        num_shards,
-        8 * SCALE.zone_size,
-        None,
-        scale=SCALE,
-        cache_overrides=(("eviction_policy", "fifo"),),
-        routing=routing,
-    )
-
-
-def _tenant(name, rate, num_ops, seed=3, get_ratio=0.5, set_ratio=0.5):
-    workload = CacheBenchConfig(
-        num_ops=num_ops, num_keys=120, get_ratio=get_ratio,
-        set_ratio=set_ratio, delete_ratio=0.0, seed=seed,
-    )
-    return TenantConfig(name, rate_ops_per_sec=rate, workload=workload,
-                        slo_p99_ms=5.0, seed=seed + 7)
-
-
-class TestDiversionJournal:
-    def test_requires_gc_aware_policy(self):
-        with pytest.raises(ConfigError):
-            RoutingConfig(policy="static", diversion_journal=True)
-
-    def test_reroutes_are_journaled_and_home_rewrite_expires(self):
-        cluster = _zone_cluster(
-            routing=RoutingConfig(policy="gc_aware", diversion_journal=True)
-        )
-        pressured = cluster.shards[0]
-        pressured.pressure_rank = lambda: PRESSURE_RANK["emergency"]
-        journaled = []
-        for i in range(100):
-            key = f"k{i}".encode()
-            shard, home = cluster.route_for(key, is_write=True)
-            if home is not None:
-                assert cluster.diversions[key] is shard
-                journaled.append(key)
-        assert journaled
-        assert cluster.diversions_recorded == len(journaled)
-        # Pressure clears; the next home write supersedes the diversion.
-        del pressured.pressure_rank
-        shard, home = cluster.route_for(journaled[0], is_write=True)
-        assert home is None and shard is cluster.shard_for(journaled[0])
-        assert journaled[0] not in cluster.diversions
-
-    def _run_pair(self, journal):
-        cluster = _zone_cluster(
-            routing=RoutingConfig(policy="gc_aware", diversion_journal=journal)
-        )
-        cluster.shards[0].pressure_rank = lambda: PRESSURE_RANK["emergency"]
-        report = Server(
-            cluster, [_tenant("w", 50_000.0, 1200)], ServerConfig()
-        ).run()
-        return cluster, report
-
-    def test_journal_recovers_hits_the_plain_router_loses(self):
-        # The PR 6 regression pair: same seed, same pressure, journal
-        # off vs on.  Rerouted writes are invisible to ring-faithful
-        # reads without the journal, so enabling it must strictly raise
-        # the tenant's hit ratio — and actually exercise the journal.
-        plain_cluster, plain = self._run_pair(journal=False)
-        journal_cluster, journaled = self._run_pair(journal=True)
-        assert sum(r["rerouted_out"] for r in plain.shard_rows) > 0
-        assert journal_cluster.diversions_recovered > 0
-        assert (
-            journaled.tenant_rows[0]["hit_ratio"]
-            > plain.tenant_rows[0]["hit_ratio"]
-        )
-        assert (
-            journal_cluster.diversions_recorded
-            >= journal_cluster.diversions_recovered
-        )
-
-    def test_journal_is_inert_without_reroutes(self):
-        # No pressure → no diversions → the journal-on run must be
-        # draw-for-draw identical to the journal-off run.
-        reports = []
-        for journal in (False, True):
-            cluster = _zone_cluster(
-                routing=RoutingConfig(policy="gc_aware",
-                                      diversion_journal=journal)
-            )
-            reports.append(
-                Server(
-                    cluster, [_tenant("w", 50_000.0, 600)], ServerConfig()
-                ).run()
-            )
-            assert cluster.diversions_recorded == 0
-        assert reports[0].tenant_rows == reports[1].tenant_rows
-        assert reports[0].shard_rows == reports[1].shard_rows
-
-
-# --------------------------------------------------------------------------
-# Adaptive pacing on the tenant-observed e2e p99 signal
-# --------------------------------------------------------------------------
-
-class TestE2eP99Signal:
-    def _adaptive(self, **kwargs):
-        defaults = dict(stall_slo_ns=1000, interval_steps=1,
-                        signal="e2e_p99")
-        defaults.update(kwargs)
-        return AdaptivePacingConfig(**defaults)
-
-    def test_signal_validated(self):
-        with pytest.raises(ValueError):
-            AdaptivePacingConfig(stall_slo_ns=1000, signal="vibes")
-
-    def test_external_samples_only_recorded_when_consumed(self):
-        static = ReclaimPacer(PacerConfig(pace_units=4))
-        static.note_external_latency(500)
-        assert static.external.count == 0  # no controller: no-op
-
-        stall = ReclaimPacer(
-            PacerConfig(pace_units=4),
-            AdaptivePacingConfig(stall_slo_ns=1000, signal="stall"),
-        )
-        stall.note_external_latency(500)
-        assert stall.external.count == 0  # stall signal ignores the feed
-
-        e2e = ReclaimPacer(PacerConfig(pace_units=4), self._adaptive())
-        e2e.note_external_latency(500)
-        assert e2e.external.count == 1
-
-    def test_controller_clamps_on_e2e_latency_not_stall(self):
-        pacer = ReclaimPacer(PacerConfig(pace_units=4), self._adaptive())
-        # Device stall is screaming but the tenants are fine: relax.
-        pacer.stall.record(10_000_000)
-        pacer.observe_step()
-        assert pacer.pace_units == 5
-        # Tenants over budget: clamp, and the window resets after.
-        pacer.note_external_latency(5000)
-        pacer.observe_step()
-        assert pacer.pace_units == 2
-        assert pacer.external.count == 0
-        # Empty external window = under budget (no news is good news).
-        pacer.observe_step()
-        assert pacer.pace_units == 3
-
-    def test_server_feeds_completion_latency_per_shard(self):
-        cluster = CacheCluster.homogeneous(
-            "Region-Cache", 2, 10 * SCALE.zone_size, 5 * SCALE.zone_size,
-            scale=SCALE, cache_overrides=(("eviction_policy", "fifo"),),
-        )
-        pacers = []
-        for shard in cluster.shards:
-            assert shard.stack.enable_adaptive_pacing(
-                self._adaptive(interval_steps=1_000_000)
-            )
-            pacers.append(shard.stack.reclaim_engine()[1].pacer)
-        Server(cluster, [_tenant("w", 50_000.0, 400)], ServerConfig()).run()
-        # The giant interval means no window ever reset: every completed
-        # op fed exactly one sample to its serving shard's pacer.
-        for shard, pacer in zip(cluster.shards, pacers):
-            assert pacer.external.count == shard.served
-        assert sum(p.external.count for p in pacers) > 0
-
-    def test_stall_signal_ignores_the_feed_end_to_end(self):
-        cluster = CacheCluster.homogeneous(
-            "Region-Cache", 2, 10 * SCALE.zone_size, 5 * SCALE.zone_size,
-            scale=SCALE, cache_overrides=(("eviction_policy", "fifo"),),
-        )
-        for shard in cluster.shards:
-            shard.stack.enable_adaptive_pacing(
-                AdaptivePacingConfig(stall_slo_ns=1000, signal="stall",
-                                     interval_steps=1_000_000)
-            )
-        Server(cluster, [_tenant("w", 50_000.0, 400)], ServerConfig()).run()
-        for shard in cluster.shards:
-            assert shard.stack.reclaim_engine()[1].pacer.external.count == 0
 
 
 # --------------------------------------------------------------------------

@@ -3,11 +3,9 @@
 Covers both halves of the loop and the accounting fixes that ride with
 it:
 
-* copy-token bucket: an oversized migration unit is granted at a full
-  bucket (rate-limited, not wedged) — the livelock regression;
-* ``copy_bucket_cap`` uses None-vs-set semantics (an explicit cap equal
-  to a falsy-adjacent value is honored) and is validated against the
-  refill;
+* copy-token bucket: the bucket holds four refills, and a migration
+  unit larger than that is granted at a full bucket (rate-limited, not
+  wedged) — the livelock regression;
 * ``throttled_steps`` counts distinct throttled steps, with the raw
   per-unit rejections in ``copy_throttle_events``;
 * the AIMD controller relaxes/clamps the runtime pace inside its
@@ -43,25 +41,29 @@ from repro.workloads.cachebench import CacheBenchConfig
 
 
 # --------------------------------------------------------------------------
-# Copy-token bucket: livelock fix + cap semantics + throttle counting
+# Copy-token bucket: livelock fix + derived cap + throttle counting
 # --------------------------------------------------------------------------
 
 class TestCopyTokenBucket:
     def test_oversized_unit_granted_at_full_bucket(self):
-        # Regression: a unit twice the bucket cap used to fail try_reserve
-        # forever (tokens can never reach nbytes), wedging reclamation.
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=50, copy_bucket_cap=50))
-        assert pacer.try_reserve(100)  # full bucket admits anything
-        pacer.spend(100)
-        assert pacer.copy_tokens == -50  # debt paid back by later refills
-        assert not pacer.try_reserve(100)  # in debt: throttled
+        # Regression: a unit larger than the bucket cap (4 x refill) used
+        # to fail try_reserve forever (tokens can never reach nbytes),
+        # wedging reclamation.
+        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=50))
+        assert pacer.bucket_cap == 200
+        assert pacer.try_reserve(400)  # full bucket admits anything
+        pacer.spend(400)
+        assert pacer.copy_tokens == -200  # debt paid back by later refills
+        assert not pacer.try_reserve(400)  # in debt: throttled
+        for _ in range(7):
+            pacer.refill()
+        assert pacer.copy_tokens == 150
+        assert not pacer.try_reserve(400)  # 150 < cap
         pacer.refill()
-        assert not pacer.try_reserve(100)  # tokens == 0 < cap
-        pacer.refill()
-        assert pacer.try_reserve(100)  # back at cap: admitted again
+        assert pacer.try_reserve(400)  # back at cap: admitted again
 
     def test_oversized_unit_unblocks_within_bounded_refills(self):
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=10, copy_bucket_cap=40))
+        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=10))
         pacer.spend(35)
         nbytes = 1000  # far over the cap
         for _ in range(8):  # ceil(debt/refill) + slack
@@ -71,35 +73,24 @@ class TestCopyTokenBucket:
         else:
             pytest.fail("oversized reserve never unblocked")
 
-    def test_explicit_cap_equal_to_refill_is_honored(self):
-        # Regression: `cap or default` treated an explicit small cap as
-        # falsy only at 0, but the sentinel must be None — an explicit
-        # cap == refill is a real configuration, not "use the default".
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=100, copy_bucket_cap=100))
-        assert pacer.bucket_cap == 100
-        pacer.spend(100)
-        pacer.refill()
-        pacer.refill()
-        assert pacer.copy_tokens == 100  # capped at the explicit value
-
     def test_default_cap_is_four_refills(self):
         pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=100))
         assert pacer.bucket_cap == 400
-
-    def test_cap_below_refill_rejected(self):
-        with pytest.raises(ConfigError):
-            PacerConfig(copy_tokens_per_step=100, copy_bucket_cap=99)
+        pacer.spend(100)
+        pacer.refill()
+        pacer.refill()
+        assert pacer.copy_tokens == 400  # refills stop at the cap
 
     def test_cap_ignored_while_bucket_disabled(self):
-        # No refill -> no bucket; an explicit cap must not trip validation.
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=0, copy_bucket_cap=7))
+        # No refill -> no bucket: every reserve is admitted.
+        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=0))
         assert pacer.try_reserve(1 << 40)
 
     def test_throttled_steps_counts_distinct_steps(self):
         # Regression: every rejected unit used to bump throttled_steps,
         # conflating "steps that hit the budget" with "units rejected".
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=10, copy_bucket_cap=10))
-        pacer.spend(10)
+        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=10))
+        pacer.spend(40)
         for _ in range(5):
             assert not pacer.try_reserve(10)
         assert pacer.throttled_steps == 1
@@ -114,17 +105,16 @@ class TestCopyTokenBucket:
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     refill=st.integers(1, 64),
-    cap_scale=st.integers(1, 8),
     ops=st.lists(
         st.tuples(st.booleans(), st.integers(1, 512)),  # (do_refill, nbytes)
         max_size=120,
     ),
 )
-def test_prop_bucket_invariants(refill, cap_scale, ops):
+def test_prop_bucket_invariants(refill, ops):
     """Tokens never exceed the cap, and a granted reserve is either
     affordable or taken at a full bucket (the no-deadlock invariant)."""
-    cap = refill * cap_scale
-    pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=refill, copy_bucket_cap=cap))
+    cap = 4 * refill
+    pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=refill))
     for do_refill, nbytes in ops:
         if do_refill:
             pacer.refill()
@@ -138,14 +128,13 @@ def test_prop_bucket_invariants(refill, cap_scale, ops):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     refill=st.integers(1, 64),
-    cap_scale=st.integers(1, 8),
     debt=st.integers(0, 4096),
     nbytes=st.integers(1, 4096),
 )
-def test_prop_bucket_never_deadlocks(refill, cap_scale, debt, nbytes):
+def test_prop_bucket_never_deadlocks(refill, debt, nbytes):
     """From any debt, a bounded number of refills unblocks any unit."""
-    cap = refill * cap_scale
-    pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=refill, copy_bucket_cap=cap))
+    cap = 4 * refill
+    pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=refill))
     pacer.spend(debt)
     bound = (debt + cap) // refill + 2
     for _ in range(bound):

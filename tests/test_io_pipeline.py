@@ -30,9 +30,7 @@ from repro.flash import (
 )
 from repro.flash.ftl import FtlConfig
 from repro.sim import (
-    IoOp,
     IoPipeline,
-    IoRequest,
     IoTracer,
     PoolConfig,
     ResourcePool,
@@ -161,11 +159,29 @@ class TestResourcePoolParallel:
         assert snap["total_busy_ns"] == 10
 
 
+def charge_batch(pipeline, commands):
+    """Charge ``(layer, op, offset, background, service_ns)`` commands at
+    one instant and move the clock to the last foreground completion —
+    what a device does with a batch.  Returns each ``charge`` result."""
+    clock = pipeline.clock
+    now = barrier = clock.now
+    results = []
+    for layer, op, offset, background, service_ns in commands:
+        result = pipeline.charge(
+            layer, op, offset, 4096, None, background, now, service_ns
+        )
+        if not background:
+            barrier = max(barrier, result[0])
+        results.append(result)
+    clock.now = barrier
+    return results
+
+
 class TestIoPipeline:
     def test_foreground_advances_clock(self):
         clock = SimClock()
         pipeline = IoPipeline(clock)
-        completion = pipeline.submit(IoRequest(IoOp.WRITE, 0, 4096), 500)
+        completion = pipeline.charge_foreground("zns", "write", 0, 4096, 500)
         assert clock.now == 500
         assert completion.latency_ns == 500
         assert completion.wait_ns == 0
@@ -174,71 +190,69 @@ class TestIoPipeline:
     def test_background_reserves_without_blocking(self):
         clock = SimClock()
         pipeline = IoPipeline(clock)
-        completion = pipeline.submit(
-            IoRequest(IoOp.GC, background=True), 1_000
+        done, wait, _, _ = pipeline.charge(
+            "ftl.gc", "gc", 0, 0, None, True, clock.now, 1_000
         )
+        assert (done, wait) == (1_000, 0)
         assert clock.now == 0
-        assert completion.latency_ns == 0
         assert pipeline.pool.busy_until == 1_000
         # The next foreground command queues behind the reservation.
-        completion = pipeline.submit(IoRequest(IoOp.READ), 100)
+        completion = pipeline.charge_foreground("zns", "read", 0, 4096, 100)
         assert completion.wait_ns == 1_000
         assert clock.now == 1_100
 
     def test_submit_many_serial_equals_loop(self):
         """On a serial pool a batch is arithmetically a synchronous loop."""
-        batch = [(IoRequest(IoOp.WRITE, i * 4096, 4096), 300 + i) for i in range(10)]
         loop_clock = SimClock()
         loop_pipeline = IoPipeline(loop_clock)
-        for request, service in [
-            (IoRequest(IoOp.WRITE, i * 4096, 4096), 300 + i) for i in range(10)
-        ]:
-            loop_pipeline.submit(request, service)
+        for i in range(10):
+            loop_pipeline.charge_foreground("zns", "write", i * 4096, 4096, 300 + i)
         batch_clock = SimClock()
         batch_pipeline = IoPipeline(batch_clock)
-        completions = batch_pipeline.submit_many(batch)
+        results = charge_batch(
+            batch_pipeline,
+            [("zns", "write", i * 4096, False, 300 + i) for i in range(10)],
+        )
         assert batch_clock.now == loop_clock.now
-        assert completions[-1].completed_ns == loop_clock.now
+        assert results[-1][0] == loop_clock.now
         assert (
             batch_pipeline.pool.total_busy_ns == loop_pipeline.pool.total_busy_ns
         )
 
     def test_submit_many_pipelines_across_channels(self):
+        batch = [("zns", "write", i * 4096, False, 1_000) for i in range(8)]
         serial_clock = SimClock()
-        serial = IoPipeline(serial_clock, config=PoolConfig())
-        serial.submit_many(
-            [(IoRequest(IoOp.WRITE, i * 4096, 4096), 1_000) for i in range(8)]
-        )
+        charge_batch(IoPipeline(serial_clock, config=PoolConfig()), batch)
         wide_clock = SimClock()
-        wide = IoPipeline(wide_clock, config=PoolConfig(channels=4))
-        wide.submit_many(
-            [(IoRequest(IoOp.WRITE, i * 4096, 4096), 1_000) for i in range(8)]
-        )
+        charge_batch(IoPipeline(wide_clock, config=PoolConfig(channels=4)), batch)
         assert serial_clock.now == 8_000
         assert wide_clock.now == 2_000
 
     def test_batch_mixes_background_and_foreground(self):
         clock = SimClock()
         pipeline = IoPipeline(clock)
-        completions = pipeline.submit_many(
+        results = charge_batch(
+            pipeline,
             [
-                (IoRequest(IoOp.WRITE, 0, 4096), 100),
-                (IoRequest(IoOp.GC, background=True), 10_000),
-                (IoRequest(IoOp.WRITE, 4096, 4096), 100),
-            ]
+                ("zns", "write", 0, False, 100),
+                ("ftl.gc", "gc", 0, True, 10_000),
+                ("zns", "write", 4096, False, 100),
+            ],
         )
-        # Barrier is the last *foreground* completion; the background
-        # reservation extends the pool, not the clock.
+        # The background reservation extends the pool; the foreground
+        # write queued behind it is what moves the clock.
+        assert [done for done, *_ in results] == [100, 10_100, 10_200]
         assert clock.now == 10_200
-        assert completions[1].latency_ns == 0
         assert pipeline.pool.busy_until == 10_200
+        # Only the foreground write's queueing is charged as wait.
+        assert pipeline.pool.total_wait_ns == 10_100
 
     def test_requests_parented_to_open_span(self):
         clock = SimClock()
         tracer = IoTracer(clock).enable()
         pipeline = IoPipeline(clock, tracer=tracer)
         with tracer.span("backend", "write_region", length=4096):
-            pipeline.submit(IoRequest(IoOp.WRITE, 0, 4096, layer="zns"), 100)
+            pipeline.charge_foreground("zns", "write", 0, 4096, 100)
         write = tracer.find(layer="zns", op="write")[0]
         assert tracer.layer_chain(write.record_id) == ["backend", "zns"]
 
@@ -246,7 +260,7 @@ class TestIoPipeline:
         clock = SimClock()
         pipeline = IoPipeline(clock)
         with pipeline.tracer.span("engine", "set"):
-            pipeline.submit(IoRequest(IoOp.WRITE, 0, 4096), 100)
+            pipeline.charge_foreground("zns", "write", 0, 4096, 100)
         assert len(pipeline.tracer) == 0
 
 

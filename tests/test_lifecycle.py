@@ -285,32 +285,28 @@ class TestTtlSweep:
     def test_expired_items_purged_at_rotation_without_access(self):
         """Regression: TTL purge used to be access-only — an expired key
         nobody re-read kept its index entry (and its bytes counted live)
-        until eviction.  The sweep purges due items at region rotation.
+        until eviction.  Region rotation purges every due item: index,
+        DRAM tier, expiry table and its region's key map, with the bytes
+        booked dead as "expired" — all before anything reads the key.
         """
         stack = make_stack()
         cache, clock = stack.cache, stack.clock
         cache.set(b"short", b"v" * 64, ttl_seconds=0.05)
         cache.flush()
+        region_id = cache.index[b"short"].region_id
+        live_before = cache.regions.meta(region_id).live_bytes
         clock.advance(int(1e9))
         # Never read b"short"; just force a rotation via new writes.
         for i in range(8):
             cache.set(b"fill%03d" % i, b"x" * (4 * KIB))
-        assert not cache.contains(b"short")
+        assert b"short" not in cache.index
+        assert b"short" not in cache.ram
+        assert b"short" not in cache.lifecycle.expiry
+        meta = cache.regions.meta(region_id)
+        assert b"short" not in meta.keys
+        assert meta.live_bytes < live_before
         assert cache.regions.ledger.dead_bytes["expired"] > 0
-        assert cache.regions.ledger.dead_items["expired"] >= 1
-
-    def test_sweep_can_be_disabled(self):
-        stack = make_stack(sweep_expired=False)
-        cache, clock = stack.cache, stack.clock
-        cache.set(b"short", b"v" * 64, ttl_seconds=0.05)
-        cache.flush()
-        clock.advance(int(1e9))
-        for i in range(8):
-            cache.set(b"fill%03d" % i, b"x" * (4 * KIB))
-        # Without the sweep the expired item lingers until accessed.
-        assert b"short" in cache.index
-        assert cache.get(b"short") is None  # access-time purge still works
-        assert not cache.contains(b"short")
+        assert cache.regions.ledger.dead_items["expired"] == 1
 
     @settings(max_examples=100, deadline=None)
     @given(

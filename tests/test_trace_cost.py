@@ -14,7 +14,8 @@ monkeypatched constructor do, on any machine:
 * a traced fault-free ``ZnsSsd.read`` or ``write`` runs the same code as
   an untraced one: no ``IoRequest`` (only an armed fault injector gets
   one), the same ``IoCompletion`` — and the same holds for the data
-  commands of ``BlockSsd``, ``NullBlkDevice`` and ``HddDevice``.
+  commands of ``BlockSsd``, ``NullBlkDevice`` and ``HddDevice``, and
+  for zone management and discard.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import tracemalloc
 
 import pytest
 
-import repro.flash.blockssd as blockssd_module
-import repro.flash.znsssd as znsssd_module
 import repro.sim.io as io_module
 from repro.flash import (
     BlockSsd,
@@ -132,16 +131,15 @@ def _device(clock: SimClock, faults=None) -> ZnsSsd:
 
 
 def _count_requests(monkeypatch) -> list:
-    """Every ``IoRequest`` built from here on, by the device (management
-    commands) or by its pipeline (``IoPipeline.inject``, data commands)."""
+    """Every ``IoRequest`` built from here on: ``IoPipeline.inject`` is
+    the one place a device command gets one."""
     built = []
     real_request = io_module.IoRequest
-    for module in (znsssd_module, blockssd_module, io_module):
-        monkeypatch.setattr(
-            module,
-            "IoRequest",
-            lambda *a, **kw: (built.append(1), real_request(*a, **kw))[1],
-        )
+    monkeypatch.setattr(
+        io_module,
+        "IoRequest",
+        lambda *a, **kw: (built.append(1), real_request(*a, **kw))[1],
+    )
     return built
 
 
@@ -204,6 +202,24 @@ def test_fault_free_traced_write_builds_no_request(monkeypatch):
     armed.write(16 * KIB, payload)
     armed.read(0, 4 * KIB)
     assert built == [1, 1]
+
+
+def test_management_commands_build_a_request_only_when_armed(monkeypatch):
+    def drive(device):
+        device.open_zone(2)
+        device.close_zone(2)
+        device.finish_zone(3)
+        device.reset_zone(0)  # held data: reset, then a background erase
+        return device
+
+    built = _count_requests(monkeypatch)
+    drive(_device(SimClock()))
+    block = _block_device(SimClock())
+    block.write(0, bytes(8 * KIB))
+    block.discard(0, 8 * KIB)
+    assert built == []
+    drive(_device(SimClock(), faults=FaultInjector(seed=1)))
+    assert len(built) == 1 + 5  # the setup write, then one per command
 
 
 def _block_device(clock, faults=None):

@@ -348,46 +348,27 @@ class TestZoneCostModel:
         assert ZoneCostConfig.measured().any_nonzero
 
 
-# --- finish-on-close policy -------------------------------------------------------
+# --- explicit close --------------------------------------------------------------
 
 
-class TestFinishOnClose:
-    """``ZoneCostConfig.finish_on_close``: firmware that pads data-holding
-    zones to FULL at close time instead of parking them CLOSED, releasing
-    the *active* resource at the price of the unwritten tail."""
+class TestCloseZone:
+    """``close_zone`` parks a data-holding open zone CLOSED (it stays
+    active) at close cost; an open zone with nothing written reverts to
+    EMPTY; only open zones close."""
 
-    def test_close_with_data_pads_to_full_as_finish(self):
-        costs = ZoneCostConfig(close_ns=2_000, finish_ns=9_000, finish_on_close=True)
-        zns = make_zns(costs)
-        overhead = zns.config.timing.command_overhead_ns
-        zns.append(0, b"\xaa" * PAGE)
-        zns.close_zone(0)
-        zone = zns.zones[0]
-        assert zone.state is ZoneState.FULL
-        assert zone.write_pointer == zone.end
-        assert not zone.is_active
-        mgmt = zns.zone_mgmt
-        # The close became a FINISH: charged at finish cost, and the
-        # close-family counters never move.
-        assert mgmt.finishes == 1
-        assert mgmt.finish_ns == overhead + costs.finish_ns
-        assert mgmt.closes == 0
-        assert mgmt.close_ns == 0
-
-    def test_close_of_empty_zone_still_reverts_to_empty(self):
-        costs = ZoneCostConfig(close_ns=2_000, finish_on_close=True)
+    def test_close_of_empty_zone_reverts_to_empty(self):
+        costs = ZoneCostConfig(close_ns=2_000)
         zns = make_zns(costs)
         overhead = zns.config.timing.command_overhead_ns
         zns.open_zone(0)
         zns.close_zone(0)
-        # Nothing written: the ordinary close path (and cost) applies.
         assert zns.zones[0].state is ZoneState.EMPTY
         assert zns.zone_mgmt.closes == 1
         assert zns.zone_mgmt.close_ns == overhead + costs.close_ns
         assert zns.zone_mgmt.finishes == 0
 
     def test_close_of_non_open_zone_raises_typed_error(self):
-        zns = make_zns(ZoneCostConfig(finish_on_close=True))
+        zns = make_zns()
         zns.append(0, b"\xbb" * PAGE)
         zns.finish_zone(0)  # FULL now
         with pytest.raises(ZoneStateError):
@@ -395,63 +376,7 @@ class TestFinishOnClose:
         with pytest.raises(ZoneStateError):
             zns.close_zone(1)  # EMPTY, never opened
 
-    def test_forced_close_pads_victim_and_frees_active_slot(self):
-        """Contrast with ``test_active_cap_raises_even_with_forced_close``:
-        padding the victim FULL releases its active slot, so the same
-        max_active=2 squeeze that raises under plain forced close now
-        admits the third zone."""
-        costs = ZoneCostConfig(finish_ns=9_000, forced_close=True, finish_on_close=True)
-        zns = make_zns(costs, max_open=2, max_active=2)
-        overhead = zns.config.timing.command_overhead_ns
-        payload = b"\xcc" * PAGE
-        zns.append(0, payload)
-        zns.append(1, payload)
-        zns.append(0, payload)  # zone 1 is now the LRU open zone
-        zns.append(2, payload)  # forced close pads zone 1 FULL
-        assert zns.zones[1].state is ZoneState.FULL
-        assert not zns.zones[1].is_active
-        assert zns.zones[0].is_open and zns.zones[2].is_open
-        mgmt = zns.zone_mgmt
-        assert mgmt.forced_closes == 1
-        assert mgmt.finishes == 1
-        assert mgmt.finish_ns == overhead + costs.finish_ns
-        assert mgmt.closes == 0
-
-    def test_ztl_absorbs_surprise_full_open_zone(self):
-        """The layer's open zone gets padded to FULL behind its back
-        (forced-close contention from a co-located stream); the next
-        region write bounces off the FULL state, the book marks the zone
-        finished, and the write lands in a fresh slot — no data loss."""
-        from repro.ztl import GcConfig, RegionTranslationLayer, ZtlConfig
-
-        region = 16 * KIB
-        geometry = NandGeometry(page_size=PAGE, pages_per_block=16, num_blocks=64)
-        zns = ZnsSsd(
-            SimClock(),
-            ZnsConfig(
-                geometry=geometry,
-                zone_size=4 * geometry.block_size,
-                zone_costs=ZoneCostConfig(finish_on_close=True),
-            ),
-        )
-        layer = RegionTranslationLayer(
-            zns,
-            ZtlConfig(
-                region_size=region,
-                host_open_zones=1,
-                gc=GcConfig(min_empty_zones=2, victim_valid_threshold=0.2),
-            ),
-        )
-        layer.write_region(1, bytes([1]) * region)
-        padded = layer.map.lookup(1).zone_index
-        zns.close_zone(padded)  # finish_on_close: pads it FULL under the ZTL
-        assert zns.zones[padded].state is ZoneState.FULL
-        layer.write_region(2, bytes([2]) * region)
-        assert layer.map.lookup(2).zone_index != padded
-        assert layer.read_region(1).data == bytes([1]) * region
-        assert layer.read_region(2).data == bytes([2]) * region
-
-    def test_default_off_close_behaviour_unchanged(self):
+    def test_close_with_data_parks_zone_closed(self):
         zns = make_zns(ZoneCostConfig(close_ns=2_000))
         zns.append(0, b"\xdd" * PAGE)
         zns.close_zone(0)
