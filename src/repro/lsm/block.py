@@ -7,19 +7,25 @@ with CacheLib in the paper's setup.
 
 Only this module knows the entry framing, ``[key_len u16][value_len u32]
 [key][value]``: :class:`DataBlockBuilder` encodes it, :func:`iter_block`
-and :func:`block_get` walk it.  Blocks are zero-padded on media, so an
-all-zero header ends a block — and the builder refuses the one entry
-(empty key, empty value) that would encode to it.
+walks it and :func:`index_entries` turns that walk into a block's
+lookup index.  Blocks are zero-padded on media, so an all-zero header
+ends a block — and the builder refuses the one entry (empty key, empty
+value) that would encode to it.
 """
 
 from __future__ import annotations
 
 import bisect
 import struct
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import LsmError
+
+# A block's lookup index: its keys in order, and where each key's value
+# starts and ends in the block's bytes.
+BlockIndex = Tuple[List[bytes], "array[int]", "array[int]"]
 
 _LEN = struct.Struct("<HI")  # key length (u16), value length (u32)
 _HEADER = _LEN.size
@@ -106,32 +112,29 @@ def iter_block(blob: bytes) -> Iterator[Tuple[bytes, bytes]]:
         pos = value_end
 
 
-def block_get(blob: bytes, key: bytes) -> Optional[bytes]:
-    """Point lookup straight off the serialized block.
+def index_entries(blob: bytes) -> BlockIndex:
+    """The lookup index of a serialized block: ``(keys, starts, ends)``.
 
-    Walks the entry headers and slices out one key per entry until the
-    first key ``>=`` the target (the builder enforces strictly ascending
-    keys), so nothing but the returned value is materialised.
+    ``keys`` is the block's keys in order (``bytes``, so they order
+    whatever type ``blob`` is); value ``i`` is ``blob[starts[i]:ends[i]]``
+    in this or any other copy of the same bytes.  A point read is then one
+    C ``bisect`` over ``keys`` plus one slice.  Built once per block of a
+    table (:meth:`SSTable.index_block`), since a table's bytes never change.
     """
-    unpack, last = _LEN.unpack_from, len(blob) - _HEADER
-    is_view = isinstance(blob, memoryview)  # views compare equal but do not order
-    pos = 0
-    while pos <= last:
-        key_len, value_len = unpack(blob, pos)
-        if not key_len and not value_len:
-            return None  # zero padding reached
-        key_end = pos + _HEADER + key_len
-        found = blob[pos + _HEADER : key_end]
-        if is_view:
-            found = bytes(found)
-        if found >= key:
-            return blob[key_end : key_end + value_len] if found == key else None
-        pos = key_end + value_len
-    return None
+    keys: List[bytes] = []
+    starts, ends = array("q"), array("q")
+    end = 0
+    for key, value in iter_block(blob):
+        start = end + _HEADER + len(key)
+        end = start + len(value)
+        keys.append(key)
+        starts.append(start)
+        ends.append(end)
+    return keys, starts, ends
 
 
 class DataBlock:
-    """A fully decoded block (tests and tools; reads use :func:`block_get`)."""
+    """A fully decoded block (tests and tools; reads use :func:`index_entries`)."""
 
     def __init__(self, blob: bytes) -> None:
         self._entries = list(iter_block(blob))

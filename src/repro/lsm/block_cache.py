@@ -51,8 +51,10 @@ class BlockCache:
     def get(self, key: BlockKey) -> Optional[bytes]:
         """DRAM first, then the secondary cache (with DRAM re-population)."""
         block = self._items.get(key)
-        self.dram_lookups.record(block is not None)
+        dram_lookups = self.dram_lookups
+        dram_lookups.total += 1
         if block is not None:
+            dram_lookups.hits += 1
             self._items.move_to_end(key)
             return block
         if self.secondary is None:

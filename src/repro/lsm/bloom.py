@@ -23,7 +23,12 @@ def bloom_hashes(key: bytes) -> Tuple[int, int]:
 
 
 class BloomFilter:
-    """Double-hashing bloom filter over byte keys."""
+    """Double-hashing bloom filter over byte keys.
+
+    ``Db.get`` runs :meth:`may_contain`'s probe inline over ``_bits``,
+    ``num_bits`` and ``num_hashes``; a change to the bit layout must
+    change both.
+    """
 
     def __init__(self, num_bits: int, num_hashes: int) -> None:
         if num_bits < 8:

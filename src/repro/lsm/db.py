@@ -9,12 +9,13 @@ flash cache (µs), or HDD (ms).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import ConfigError, DbClosedError, LsmError
 from repro.flash.device import BlockDevice
-from repro.lsm.block import MAX_KEY_LEN, MAX_VALUE_LEN, block_get
+from repro.lsm.block import MAX_KEY_LEN, MAX_VALUE_LEN
 from repro.lsm.bloom import bloom_hashes
 from repro.lsm.block_cache import BlockCache, SecondaryCache
 from repro.lsm.compaction import TOMBSTONE, CompactionConfig, Compactor
@@ -160,36 +161,68 @@ class Db:
     # --- read path --------------------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
-        self._check_open()
-        start_ns = self._clock.now
-        self._clock.advance(self.config.cpu_get_ns)
-        self.stats.gets += 1
+        if not self._open:
+            raise DbClosedError("database is closed")
+        clock = self._clock
+        start_ns = clock.now
+        clock.now = start_ns + self.config.cpu_get_ns  # validated >= 0
+        stats = self.stats
+        stats.gets += 1
         encoded = self.memtable.get(key)
         if encoded is None:
             encoded = self._search_tables(key)
-        self.stats.get_latency.record(self._clock.now - start_ns)
+        recorder = stats.get_latency
+        recorder._samples.append(clock.now - start_ns)
+        recorder._sorted = None
+        found = stats.found
+        found.total += 1
         if encoded is None or encoded == TOMBSTONE:
-            self.stats.found.record(False)
             return None
-        self.stats.found.record(True)
+        found.hits += 1
         return encoded[1:]
 
     def _search_tables(self, key: bytes) -> Optional[bytes]:
-        hashes = bloom_hashes(key)  # once, for every table probed
-        for table in self.version.candidates_for(key):  # key is in their ranges
-            if not table.bloom.may_contain(key, hashes):
-                continue
-            handle = table.block_for(key)
-            if handle is None:
-                continue
-            cache_key = (table.table_id, handle.offset)
-            blob = self.block_cache.get(cache_key)
-            if blob is None:
-                blob = table.read_block(handle)
-                self.block_cache.put(cache_key, blob)
-            value = block_get(blob, key)
-            if value is not None:
-                return value
+        """The newest stored entry of ``key`` in one walk: every L0 table
+        whose range covers it (newest first), then the one fenced table of
+        each deeper level, stopping at the first table that holds it."""
+        h1, h2 = bloom_hashes(key)  # once, for every table probed
+        version, block_cache = self.version, self.block_cache
+        fences = version.fences
+        for level, tables in enumerate(version.levels):
+            if level:
+                i = bisect_right(fences[level], key)
+                if not i:
+                    continue
+                tables = tables[i - 1 : i]
+            for table in tables:
+                if not table.smallest <= key <= table.largest:
+                    continue
+                # BloomFilter.may_contain on the one digest, inline.
+                bloom = table.bloom
+                bits, num_bits = bloom._bits, bloom.num_bits
+                bit, step = h1 % num_bits, h2 % num_bits
+                for _ in range(bloom.num_hashes):
+                    if not bits[bit >> 3] >> (bit & 7) & 1:
+                        break
+                    bit += step
+                    if bit >= num_bits:
+                        bit -= num_bits
+                else:
+                    # index_keys[0] is table.smallest, so block >= 0.
+                    block = bisect_right(table.index_keys, key) - 1
+                    handle = table.index_handles[block]
+                    cache_key = (table.table_id, handle.offset)
+                    blob = block_cache.get(cache_key)
+                    if blob is None:
+                        blob = table.read_block(handle)
+                        block_cache.put(cache_key, blob)
+                    index = table.entry_indexes[block]
+                    if index is None:
+                        index = table.index_block(block, blob)
+                    keys, starts, ends = index
+                    slot = bisect_left(keys, key)
+                    if slot < len(keys) and keys[slot] == key:
+                        return blob[starts[slot] : ends[slot]]
         return None
 
     # --- iteration --------------------------------------------------------------------

@@ -9,19 +9,25 @@ the footer carries a magic, the meta blob's location, and the table id —
 so a table can be fully re-opened from the device after a crash
 (:meth:`SSTable.open`).  At runtime the index/bloom stay pinned in
 memory, the equivalent of RocksDB's "index block caching enabled"
-(§4.2).
+(§4.2), and so does each data block's entry index once a lookup has
+landed in that block (:meth:`SSTable.index_block`).
 """
 
 from __future__ import annotations
 
-import bisect
 import pickle
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import LsmError
-from repro.lsm.block import BlockHandle, DataBlockBuilder, iter_block
+from repro.lsm.block import (
+    BlockHandle,
+    BlockIndex,
+    DataBlockBuilder,
+    index_entries,
+    iter_block,
+)
 from repro.lsm.bloom import BloomFilter
 from repro.lsm.table_space import TableSpace
 from repro.units import align_up
@@ -44,13 +50,21 @@ class SSTable:
     largest: bytes
     num_entries: int
     space: TableSpace = field(repr=False)
+    # Entry index of each data block (None until a lookup lands in it);
+    # like index_keys and the bloom filter it lives as long as this
+    # handle: compaction drops it with the table, reopen starts empty.
+    entry_indexes: List[Optional[BlockIndex]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    def block_for(self, key: bytes) -> Optional[BlockHandle]:
-        """Handle of the single block that could hold ``key``."""
-        idx = bisect.bisect_right(self.index_keys, key) - 1
-        if idx < 0:
-            return None
-        return self.index_handles[idx]
+    def __post_init__(self) -> None:
+        self.entry_indexes = [None] * len(self.index_handles)
+
+    def index_block(self, block: int, blob: bytes) -> BlockIndex:
+        """Build and pin the entry index of data block ``block`` from
+        ``blob``, its bytes as any tier delivered them."""
+        index = self.entry_indexes[block] = index_entries(blob)
+        return index
 
     def read_block(self, handle: BlockHandle) -> bytes:
         """Read a data block from the device (aligned to device blocks)."""

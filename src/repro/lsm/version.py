@@ -3,15 +3,14 @@
 L0 tables may overlap (newest first wins); L1+ levels hold sorted,
 non-overlapping runs searched by binary search on the smallest keys.
 
-``levels`` is read freely (scans, the manifest, tests) but changed only
-through the mutators here: each L1+ level carries a pinned *fence* array
-of its tables' smallest keys, rebuilt when that level changes and never
-per lookup.
+``levels`` and ``fences`` are read freely (``Db.get`` walks them, as do
+scans, the manifest and tests) but changed only through the mutators
+here: each L1+ level carries a pinned *fence* array of its tables'
+smallest keys, rebuilt when that level changes and never per lookup.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, List
 
 from repro.lsm.sstable import SSTable
@@ -24,7 +23,8 @@ class Version:
         if num_levels < 2:
             raise ValueError("need at least 2 levels")
         self.levels: List[List[SSTable]] = [[] for _ in range(num_levels)]
-        self._fences: List[List[bytes]] = [[] for _ in range(num_levels)]
+        # fences[level][i] is levels[level][i].smallest (L0 stays empty).
+        self.fences: List[List[bytes]] = [[] for _ in range(num_levels)]
 
     @property
     def num_levels(self) -> int:
@@ -47,26 +47,14 @@ class Version:
                     f"level {level} tables overlap: {a.table_id} and {b.table_id}"
                 )
         self.levels[level] = ordered
-        self._fences[level] = [t.smallest for t in ordered]
+        self.fences[level] = [t.smallest for t in ordered]
 
     def remove(self, level: int, table: SSTable) -> None:
         """Take one table out of a level (it was merged into the next)."""
         index = self.levels[level].index(table)
         del self.levels[level][index]
         if level:  # L0 overlaps, so it is scanned, not fenced
-            del self._fences[level][index]
-
-    def candidates_for(self, key: bytes) -> List[SSTable]:
-        """Tables that could hold ``key``, in search priority order."""
-        levels = self.levels
-        result = [t for t in levels[0] if t.smallest <= key <= t.largest]
-        for level in range(1, len(levels)):
-            idx = bisect.bisect_right(self._fences[level], key) - 1
-            if idx >= 0:
-                table = levels[level][idx]
-                if key <= table.largest:
-                    result.append(table)
-        return result
+            del self.fences[level][index]
 
     def level_bytes(self, level: int) -> int:
         return sum(t.extent_size for t in self.levels[level])

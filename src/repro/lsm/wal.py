@@ -7,7 +7,10 @@ blocks from earlier epochs that were never overwritten.
 
 Block layout: ``[epoch u32][payload ...]``; records inside the payload
 stream are ``[length u32][bytes]``, and a length of 0 means the rest of
-the block is sync padding.
+the block is sync padding.  A length field may straddle two blocks, so
+a sync that leaves fewer padding bytes than a length field is followed,
+before the next record, by one all-zero block of the same epoch: replay
+then reads the short pad as a zero length too.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ class WriteAheadLog:
         self.epoch = 1
         self._cursor = 0  # byte offset of the next block to write
         self._pending = bytearray()
+        self._short_pad = False  # the last sync left < one length field
         self.records_appended = 0
         self.bytes_flushed = 0
 
@@ -54,10 +58,14 @@ class WriteAheadLog:
         """
         pending, payload = self._pending, self.payload_per_block
         needed_blocks = -(-(len(pending) + _LEN.size + len(record)) // payload)
+        needed_blocks += self._short_pad
         if self._cursor + needed_blocks * self._block_size > self.size:
             raise WalFullError(
                 f"WAL extent of {self.size}B exhausted at epoch {self.epoch}"
             )
+        if self._short_pad:
+            self._short_pad = False
+            self._write_block(bytes(payload))
         pending += _LEN.pack(len(record))
         pending += record
         self.records_appended += 1
@@ -69,6 +77,9 @@ class WriteAheadLog:
     def sync(self) -> None:
         """Flush any buffered tail (zero-padded to a whole block)."""
         if self._pending:
+            self._short_pad = (
+                self.payload_per_block - len(self._pending) < _LEN.size
+            )
             chunk = bytes(self._pending).ljust(self.payload_per_block, b"\x00")
             self._pending.clear()
             self._write_block(chunk)
@@ -78,6 +89,7 @@ class WriteAheadLog:
         self.epoch += 1
         self._cursor = 0
         self._pending.clear()
+        self._short_pad = False
 
     def replay(self, epoch: int) -> Iterator[bytes]:
         """Yield the records of ``epoch`` from the device (crash recovery)."""

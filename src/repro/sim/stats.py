@@ -8,6 +8,7 @@ named monotonic counter, and ``RatioStat`` tracks hit/miss style ratios.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List, Optional
 
 
@@ -72,14 +73,17 @@ class LatencyRecorder:
     The fast paths append to ``_samples`` directly (and clear
     ``_sorted``) instead of calling :meth:`record`; keep any new
     bookkeeping inside those two fields so the inlined sites stay
-    faithful.
+    faithful.  ``_samples`` is an ``array('q')``: 8 bytes a sample
+    instead of a list slot plus a boxed int, so a run that does more
+    operations in the same wall time does not grow the heap by 40 bytes
+    for each of them.
     """
 
     __slots__ = ("name", "_samples", "_sorted")
 
     def __init__(self, name: str = "latency") -> None:
         self.name = name
-        self._samples: List[int] = []
+        self._samples = array("q")
         self._sorted: Optional[List[int]] = None
 
     def record(self, latency_ns: int) -> None:
@@ -144,7 +148,7 @@ class LatencyRecorder:
         }
 
     def reset(self) -> None:
-        self._samples.clear()
+        del self._samples[:]  # array.clear() is Python 3.13+
         self._sorted = None
 
     def __repr__(self) -> str:

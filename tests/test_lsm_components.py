@@ -1,6 +1,8 @@
 """Unit tests for LSM building blocks: bloom, blocks, extents, memtable,
 WAL, version manifest."""
 
+import bisect
+
 import pytest
 
 from repro.errors import LsmError, NoSpaceError
@@ -233,6 +235,29 @@ class TestWal:
         wal.sync()
         assert list(wal.replay(wal.epoch)) == [b"first", b"second"]
 
+    @pytest.mark.parametrize("pad", [1, 2, 3, 4])
+    def test_short_sync_padding_costs_one_zero_block_only_if_appended_to(
+        self, pad
+    ):
+        wal, device = self.make()
+        first = b"f" * (wal.payload_per_block - pad - 4)
+        wal.append(first)
+        wal.sync()
+        wal.append(b"second")
+        wal.sync()
+        assert list(wal.replay(wal.epoch)) == [first, b"second"]
+        # The zero block sits between the two synced blocks.
+        assert wal.bytes_flushed == (3 if pad < 4 else 2) * device.block_size
+
+        wal.reset()  # a flush: sync then reset never writes the zero block
+        wal.append(first)
+        wal.sync()
+        wal.reset()
+        wal.append(b"next epoch")
+        wal.sync()
+        assert list(wal.replay(wal.epoch)) == [b"next epoch"]
+        assert wal.bytes_flushed == (5 if pad < 4 else 4) * device.block_size
+
     def test_replay_ignores_stale_epochs(self):
         wal, device = self.make()
         wal.append(b"old-record")
@@ -270,8 +295,8 @@ class TestVersion:
         t2 = self.make_table(2, b"a", b"z", space)
         version.add_l0(t1)
         version.add_l0(t2)
-        candidates = version.candidates_for(b"m")
-        assert [t.table_id for t in candidates[:2]] == [2, 1]
+        assert [t.table_id for t in version.levels[0]] == [2, 1]
+        assert version.fences[0] == []  # L0 overlaps: scanned, not fenced
 
     def test_leveled_binary_search(self):
         space = TableSpace(NullBlkDevice(SimClock(), capacity_bytes=1 * MIB))
@@ -279,8 +304,13 @@ class TestVersion:
         ta = self.make_table(1, b"a", b"f", space)
         tb = self.make_table(2, b"g", b"p", space)
         version.install_level(1, [tb, ta])  # order normalized internally
-        assert version.candidates_for(b"h") == [tb]
-        assert version.candidates_for(b"q") == []
+        assert version.levels[1] == [ta, tb]
+        assert version.fences[1] == [b"a", b"g"]
+        # The bisect Db.get runs over the fence picks the one table.
+        assert bisect.bisect_right(version.fences[1], b"h") == 2
+        assert bisect.bisect_right(version.fences[1], b"0") == 0
+        version.remove(1, ta)
+        assert version.fences[1] == [b"g"]
 
     def test_overlap_rejected(self):
         space = TableSpace(NullBlkDevice(SimClock(), capacity_bytes=1 * MIB))

@@ -8,7 +8,7 @@ import pytest
 from repro.bench.schemes import SchemeScale, build_region_cache, build_zone_cache
 from repro.errors import DbClosedError, LsmError
 from repro.flash import HddConfig, HddDevice
-from repro.lsm import CacheLibSecondaryCache, Db, DbConfig
+from repro.lsm import CacheLibSecondaryCache, Db, DbConfig, SSTable
 from repro.lsm.compaction import CompactionConfig
 from repro.sim import SimClock
 from repro.units import KIB, MIB
@@ -211,6 +211,74 @@ class TestSecondaryCacheCoupling:
         db.block_cache._items.clear()  # force out of DRAM
         db.get(hot)
         assert db.stats.get_latency.max() < 2_000_000  # < 2 ms
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_a_dict_model_from_every_tier(self, seed, monkeypatch):
+        """Random put/delete/flush/get and one crash + reopen against a
+        dict, with a 4 KiB DRAM block cache over a flash secondary cache:
+        gets are served from the memtable, DRAM, flash and the HDD, and
+        entry indexes are built from flash and HDD bytes, each (table,
+        block) at most once per open."""
+        builds = []
+        real_index_block = SSTable.index_block
+
+        def index_block(table, block, blob):
+            assert table.entry_indexes[block] is None
+            builds.append((opens, table.table_id, block))
+            return real_index_block(table, block, blob)
+
+        monkeypatch.setattr(SSTable, "index_block", index_block)
+        opens = 1
+        clock = SimClock()
+        stack = build_region_cache(clock, self.SCALE, 8 * 256 * KIB, 6 * 256 * KIB)
+        secondary = CacheLibSecondaryCache(stack.cache)
+        db, _ = make_db(
+            clock=clock, secondary=secondary, memtable_kib=16, block_cache_kib=4
+        )
+        hdd = db.device
+
+        def tiers():
+            cache = db.block_cache
+            return (
+                cache.dram_lookups.hits,
+                cache.secondary_lookups.hits,
+                hdd.stats.read_latency.count,
+            )
+
+        rng = random.Random(seed)
+        model = {}
+        served = [0, 0, 0]  # gets that moved the DRAM / flash / HDD counter
+        built_from = set()
+        for step in range(4000):
+            i = rng.randrange(600)
+            draw = rng.random()
+            if draw < 0.35:
+                value = rng.randbytes(rng.randrange(0, 120))
+                db.put(key(i), value)
+                model[i] = value
+            elif draw < 0.42:
+                db.delete(key(i))
+                model.pop(i, None)
+            elif draw < 0.425:
+                db.flush_memtable()
+            else:
+                before, built = tiers(), len(builds)
+                assert db.get(key(i)) == model.get(i), (step, i)
+                moved = [b - a for a, b in zip(before, tiers())]
+                for tier, delta in enumerate(moved):
+                    served[tier] += delta > 0
+                if len(builds) > built:
+                    built_from.add("hdd" if moved[2] else "flash")
+            if step == 2000:
+                db.sync_wal()
+                db.simulate_crash()
+                opens += 1
+                db = Db.reopen(clock, hdd, db.config, secondary)
+        for i in range(600):
+            assert db.get(key(i)) == model.get(i), i
+        assert all(served), served
+        assert built_from == {"hdd", "flash"}
+        assert len(builds) == len(set(builds))
 
     def test_zone_cache_also_works_as_secondary(self):
         clock = SimClock()

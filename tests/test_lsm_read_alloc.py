@@ -1,11 +1,14 @@
 """Structural guard for the LSM point-read path.
 
-``Db.get`` answers from the serialized block: it must not decode the
-block (a full decode holds about twice the block size in key and value
-slices), must not construct a ``DataBlock``, must not rebuild a level's
-fence list, and must hash the key at most once however many tables it
-probes.  None of that changes a simulated number, so no golden notices a
-regression; ``tracemalloc`` and two counters do, on any machine.
+``Db.get`` answers from the block bytes through a pinned entry index: it
+decodes a data block once per block per table (``SSTable.index_block``,
+the first time a lookup lands there) and never per get, constructs no
+``DataBlock``, rebuilds no level's fence list, hashes the key at most
+once however many tables it probes, and enters at most
+``MAX_FRAMES_PER_DRAM_HIT`` Python frames when the block is in the DRAM
+block cache.  None of that changes a simulated number, so no golden
+notices a regression; ``tracemalloc``, ``sys.setprofile`` and a few
+counters do, on any machine.
 """
 
 from __future__ import annotations
@@ -16,13 +19,17 @@ import tracemalloc
 import pytest
 
 from repro.flash import HddConfig, HddDevice
-from repro.lsm import DataBlock, Db, DbConfig
+from repro.lsm import DataBlock, Db, DbConfig, SSTable
 from repro.lsm import bloom as bloom_module
 from repro.lsm.compaction import CompactionConfig
 from repro.sim import SimClock
 from repro.units import KIB, MIB
+from tests.test_trace_cost import _python_calls
 
 NUM_KEYS = 6000
+# Frames per get served from the DRAM block cache (the commit before the
+# pinned entry index: 15.7).
+MAX_FRAMES_PER_DRAM_HIT = 8
 
 
 def _key(i: int) -> bytes:
@@ -57,11 +64,33 @@ def db() -> Db:
     return db
 
 
-def test_cached_gets_hold_no_block_sized_transient(db, monkeypatch):
+@pytest.fixture
+def index_builds(monkeypatch):
+    """(table id, block) of every entry index built while the test runs;
+    building one a table already holds fails on the spot."""
+    builds = []
+    real = SSTable.index_block
+
+    def counted(table, block, blob):
+        assert table.entry_indexes[block] is None, (
+            f"table {table.table_id} block {block} indexed twice"
+        )
+        builds.append((table.table_id, block))
+        return real(table, block, blob)
+
+    monkeypatch.setattr(SSTable, "index_block", counted)
+    return builds
+
+
+def test_cached_gets_hold_no_block_sized_transient(db, monkeypatch, index_builds):
+    """Decodes once per block per table, never per get; after warm-up a
+    cached get holds no block-sized transient."""
     block_size = db.config.compaction.block_size
     keys = [_key(i * 13 % 200) for i in range(1000)]  # 200 keys: ~20 hot blocks
     for key in keys:
-        db.get(key)  # warm the DRAM block cache
+        db.get(key)  # warm the DRAM block cache and the entry indexes
+    assert len(index_builds) == len(set(index_builds))
+    warm_builds = len(index_builds)
 
     decodes, digests = [], []
     real_init, real_blake2b = DataBlock.__init__, hashlib.blake2b
@@ -73,7 +102,7 @@ def test_cached_gets_hold_no_block_sized_transient(db, monkeypatch):
         bloom_module.hashlib, "blake2b",
         lambda *a, **kw: (digests.append(1), real_blake2b(*a, **kw))[1],
     )
-    fences = [id(level) for level in db.version._fences]
+    fences = [id(level) for level in db.version.fences]
     dram = db.block_cache.dram_lookups
     hits_before, lookups_before = dram.hits, dram.total
 
@@ -100,7 +129,25 @@ def test_cached_gets_hold_no_block_sized_transient(db, monkeypatch):
         f"a cached get transiently held {worst}B (a data block is {block_size}B) "
         "— something decodes or copies the block again"
     )
+    assert len(index_builds) == warm_builds, "a warm get rebuilt an entry index"
     assert not decodes, "Db.get constructed a DataBlock"
-    assert fences == [id(level) for level in db.version._fences], (
+    assert fences == [id(level) for level in db.version.fences], (
         "a level's fence list was rebuilt by a lookup"
     )
+
+
+def test_frames_per_get_that_hits_the_dram_block_cache(db):
+    keys = [_key(i * 17 % 200) for i in range(400)]
+    for key in keys:
+        db.get(key)  # blocks in DRAM, entry indexes built
+    dram = db.block_cache.dram_lookups
+    hits_before, lookups_before = dram.hits, dram.total
+
+    def get_all():
+        for key in keys:
+            db.get(key)
+
+    frames = _python_calls(get_all)
+    assert dram.total - lookups_before == dram.hits - hits_before >= len(keys)
+    per_get = len(frames) / len(keys)
+    assert per_get <= MAX_FRAMES_PER_DRAM_HIT, sorted(set(frames))

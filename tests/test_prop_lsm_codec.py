@@ -1,14 +1,15 @@
 """Property tests for the LSM tier's serialized-block decoders, the
 one-pass table build and ``Version``'s pinned fences.
 
-``DataBlock`` (full decode + binary search) is the reference the header
-walk of ``block_get`` is compared against; the per-key ``add`` loop is
-the reference for ``BloomFilter.for_keys``; a linear scan over
-``Version.levels`` is the reference for the fenced ``candidates_for``.
+``DataBlock`` (full decode + binary search) is the reference the pinned
+entry index of ``index_entries`` is compared against; the per-key ``add``
+loop is the reference for ``BloomFilter.for_keys``; a linear scan over
+``Version.levels`` is the reference for the fence bisect ``Db.get`` runs.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from types import SimpleNamespace
 
@@ -24,7 +25,7 @@ from repro.lsm import (
     TableSpace,
     Version,
 )
-from repro.lsm.block import block_get, iter_block
+from repro.lsm.block import index_entries, iter_block
 from repro.lsm.bloom import bloom_hashes
 from repro.sim import SimClock
 from repro.units import MIB
@@ -76,12 +77,20 @@ def test_block_decoders_agree_with_full_decode(entries, with_max_key, padding, w
 
     assert reference.entries() == ordered
     assert list(iter_block(blob)) == ordered
+    keys, starts, ends = index_entries(blob)
+    assert keys == [key for key, _ in ordered]
+    assert all(type(key) is bytes for key in keys)
     probes = {b"", b"\xff" * 65_536}  # below the first, above the last
     for key, _ in ordered:
         probes.add(key)
         probes.update(_neighbours(key))  # between neighbours
     for probe in probes:
-        assert block_get(blob, probe) == reference.get(probe) == entries.get(probe)
+        # Db.get's in-block lookup: one bisect, one slice of the blob.
+        slot = bisect.bisect_left(keys, probe)
+        found = None
+        if slot < len(keys) and keys[slot] == probe:
+            found = blob[starts[slot] : ends[slot]]
+        assert found == reference.get(probe) == entries.get(probe)
 
 
 @PROPERTY
@@ -143,6 +152,17 @@ def _linear_candidates(version: Version, key: bytes) -> list:
     ]
 
 
+def _fenced_candidates(version: Version, key: bytes) -> list:
+    """The tables ``Db.get`` visits for ``key``, in its order: L0 by range
+    check, then one fence bisect per deeper level."""
+    found = [t for t in version.levels[0] if t.smallest <= key <= t.largest]
+    for level in range(1, version.num_levels):
+        i = bisect.bisect_right(version.fences[level], key)
+        if i and key <= version.levels[level][i - 1].largest:
+            found.append(version.levels[level][i - 1])
+    return found
+
+
 range_strategy = st.tuples(
     st.integers(0, KEYSPACE - 1), st.integers(0, KEYSPACE - 1)
 ).map(sorted)
@@ -183,10 +203,15 @@ def test_version_fences_track_every_mutation(ops):
         elif version.levels[op[1]]:
             level = version.levels[op[1]]
             version.remove(op[1], level[op[2] % len(level)])
+        assert version.fences[0] == []
+        for level in range(1, version.num_levels):
+            assert version.fences[level] == [
+                t.smallest for t in version.levels[level]
+            ]
         # Every two-digit key plus probes below, between and above them all.
         for probe in [b"", b"0", b"99"] + [_key(i) for i in range(KEYSPACE)] + [
             _key(i) + b"+" for i in range(KEYSPACE)
         ]:
-            assert version.candidates_for(probe) == _linear_candidates(
+            assert _fenced_candidates(version, probe) == _linear_candidates(
                 version, probe
             )
