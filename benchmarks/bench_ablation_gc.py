@@ -33,14 +33,14 @@ def sweep_thresholds(thresholds=(0.10, 0.30, 0.50)):
         )
         driver.populate(stack.cache)
         result = driver.run(stack.cache)
-        layer = stack.substrate["layer"]
+        engine = stack.substrate["layer"].reclaim
         rows.append(
             {
                 "victim_threshold": threshold,
                 "waf_app": result.waf_app,
                 "throughput_mops_per_min": result.ops_per_minute_m,
                 "hit_ratio": result.hit_ratio,
-                "gc_victims": layer.gc.zones_collected,
+                "gc_victims": engine.stats.victims_reclaimed,
             }
         )
     return rows

@@ -10,6 +10,7 @@ from conftest import run_once
 
 from repro.bench.reporting import format_table
 from repro.bench.schemes import SchemeScale, build_region_cache
+from repro.reclaim import GcHints
 from repro.sim import SimClock
 from repro.workloads import CacheBenchConfig, CacheBenchDriver
 from repro.ztl.gc import GcConfig
@@ -24,7 +25,7 @@ def run_one(use_hints: bool):
         gc=GcConfig(min_empty_zones=2, victim_valid_threshold=0.35),
     )
     cache = stack.cache
-    layer = stack.substrate["layer"]
+    engine = stack.substrate["layer"].reclaim
     if use_hints:
         def migration_hint(region_id: int) -> bool:
             # Co-design: regions already near cache eviction are not
@@ -39,8 +40,7 @@ def run_one(use_hints: bool):
                     cache.index.pop(key, None)
                     meta.note_removed(key)
 
-        layer.gc.migration_hint = migration_hint
-        layer.gc.on_drop = on_drop
+        stack.substrate["store"].bind_gc_hints(GcHints(migration_hint, on_drop))
     driver = CacheBenchDriver(
         CacheBenchConfig(
             num_ops=20_000, num_keys=45_000, zipf_theta=1.0,
@@ -54,8 +54,8 @@ def run_one(use_hints: bool):
         "waf_app": result.waf_app,
         "hit_ratio": result.hit_ratio,
         "throughput_mops_per_min": result.ops_per_minute_m,
-        "migrated": layer.gc.regions_migrated,
-        "dropped": layer.gc.regions_dropped,
+        "migrated": engine.stats.units_migrated,
+        "dropped": engine.stats.units_dropped,
     }
 
 

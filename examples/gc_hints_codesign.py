@@ -6,14 +6,17 @@ regions are needed to be migrated.  By using the cache or upper
 application information or hints, the GC overhead can be effectively
 minimized without explicitly sacrificing the cache hit ratio."
 
-This example wires exactly that: the middle layer's collector asks the
-cache whether a region is worth keeping; cold regions are *dropped*
-instead of migrated.  Compare WAF and hit ratio with and without hints.
+This example wires exactly that: the store binds a pair of
+:class:`~repro.reclaim.GcHints` into the middle layer's GC, which asks
+the cache whether a region is worth keeping; cold regions are *dropped*
+instead of migrated, and the layer reports each drop so the cache purges
+its index.  Compare WAF and hit ratio with and without hints.
 
 Run:  python examples/gc_hints_codesign.py
 """
 
 from repro.bench.schemes import SchemeScale, build_region_cache
+from repro.reclaim import GcHints
 from repro.sim import SimClock
 from repro.workloads import CacheBenchConfig, CacheBenchDriver
 from repro.ztl.gc import GcConfig
@@ -30,7 +33,7 @@ def run(use_hints: bool):
         gc=GcConfig(min_empty_zones=2, victim_valid_threshold=0.35),
     )
     cache = stack.cache
-    layer = stack.substrate["layer"]
+    engine = stack.substrate["layer"].reclaim
 
     if use_hints:
         # Co-design hook: drop regions the cache no longer indexes many
@@ -48,8 +51,7 @@ def run(use_hints: bool):
                     cache.index.pop(key, None)
                     meta.note_removed(key)
 
-        layer.gc.migration_hint = migration_hint
-        layer.gc.on_drop = on_drop
+        stack.substrate["store"].bind_gc_hints(GcHints(migration_hint, on_drop))
 
     driver = CacheBenchDriver(
         CacheBenchConfig(
@@ -63,7 +65,7 @@ def run(use_hints: bool):
     print(
         f"{label}: WAF(app) {result.waf_app:.3f}   hit {result.hit_ratio:.4f}   "
         f"{result.ops_per_minute_m:.3f} Mops/min   "
-        f"migrated {layer.gc.regions_migrated}   dropped {layer.gc.regions_dropped}"
+        f"migrated {engine.stats.units_migrated}   dropped {engine.stats.units_dropped}"
     )
 
 

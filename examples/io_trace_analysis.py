@@ -17,7 +17,6 @@ import time
 from collections import Counter
 
 from repro.bench.schemes import SchemeScale, build_block_cache
-from repro.flash import IoEvent, IoTrace
 from repro.sim import SimClock
 from repro.units import KIB
 
@@ -31,6 +30,35 @@ def build():
         SimClock(), scale, media_bytes=32 * scale.zone_size,
         cache_bytes=24 * scale.zone_size,
     )
+
+
+class DevicePattern:
+    """Bytes per op and write sequentiality of the device's commands,
+    folded in one record at a time as the stream goes past."""
+
+    def __init__(self) -> None:
+        self.bytes_by_op = Counter()
+        self.writes = 0
+        self.write_size = 0
+        self.contiguous = 0
+        self._next_offset = None
+
+    def add(self, record) -> None:
+        self.bytes_by_op[record.op] += record.length
+        if record.op != "write":
+            return
+        if self.writes == 0:
+            self.write_size = record.length
+        elif record.offset == self._next_offset:
+            self.contiguous += 1
+        self.writes += 1
+        self._next_offset = record.offset + record.length
+
+    @property
+    def sequential_fraction(self) -> float:
+        """Fraction of writes contiguous with their predecessor — the
+        sequentiality a log-structured cache is supposed to produce."""
+        return self.contiguous / (self.writes - 1) if self.writes > 1 else 1.0
 
 
 def drive(cache) -> float:
@@ -51,14 +79,13 @@ def main() -> None:
 
     # Stream every record as it is emitted; nothing is captured, so the
     # run holds no more memory than an untraced one.
-    trace = IoTrace()
+    pattern = DevicePattern()
     per_op = Counter()
 
     def on_record(record) -> None:
         per_op[record.layer, record.op] += 1
         if record.layer == "block":
-            trace.record(IoEvent(record.submitted_ns, record.op, record.offset,
-                                 record.length, record.latency_ns))
+            pattern.add(record)
 
     tracer.subscribe(on_record)
     traced_s = drive(stack.cache)
@@ -76,16 +103,15 @@ def main() -> None:
     flush_write = capture.find(layer="block", op="write")[-1]
     chain = capture.layer_chain(flush_write.record_id)
 
-    by_op = trace.bytes_by_op()
-    writes = trace.by_op("write")
+    by_op = pattern.bytes_by_op
     print("What the device actually sees under a log-structured cache:\n")
     print("  object writes issued by the app : 40000 × 1 KiB (random keys)")
-    print(f"  device write commands           : {len(writes)}")
-    print(f"  device write size               : {writes[0].length // 1024} KiB each")
-    print(f"  bytes written / read            : {by_op.get('write', 0):,} / "
-          f"{by_op.get('read', 0):,}")
+    print(f"  device write commands           : {pattern.writes}")
+    print(f"  device write size               : {pattern.write_size // 1024} KiB each")
+    print(f"  bytes written / read            : {by_op['write']:,} / "
+          f"{by_op['read']:,}")
     print(f"  write sequentiality             : "
-          f"{trace.sequential_fraction('write'):.1%} of writes contiguous")
+          f"{pattern.sequential_fraction:.1%} of writes contiguous")
     print(f"  device-level WAF                : "
           f"{device.stats.write_amplification:.3f}")
     print(f"  one flush, layer by layer       : {' → '.join(chain)} "

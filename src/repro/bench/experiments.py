@@ -55,7 +55,6 @@ from repro.cache.admission import AdmissionConfig
 from repro.cache.lifecycle import LifecycleConfig
 from repro.errors import ConfigError
 from repro.f2fs.gc import CleanerConfig
-from repro.f2fs.gc import VictimPolicy as F2fsVictimPolicy
 from repro.flash.ftl import FtlConfig
 from repro.flash.zone import ZoneCostConfig
 from repro.sim.clock import SimClock
@@ -747,7 +746,7 @@ def _gc_reclaim_overrides(
         cleaner = CleanerConfig(
             low_watermark=3 * watermark_scale,
             pace_blocks=pace if pace > 0 else 1 << 20,
-            policy=F2fsVictimPolicy(policy),
+            policy=policy,
             # Ablation policies (random, age_threshold) can nominate
             # near-full sections; defer those and fall back to
             # least-valid under emergency so the log heads never wedge.

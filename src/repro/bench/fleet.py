@@ -18,7 +18,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.bench.schemes import SchemeScale, SchemeStack, provision
 from repro.errors import ConfigError
 from repro.f2fs.gc import CleanerConfig
-from repro.f2fs.gc import VictimPolicy as F2fsVictimPolicy
 from repro.flash.ftl import FtlConfig
 from repro.reclaim import AdaptivePacingConfig
 from repro.serve import (
@@ -192,7 +191,7 @@ def reclaim_overrides(preset: str, scheme: str) -> tuple:
             urgent_sections=2,
             emergency_sections=1,
             pace_blocks=16,
-            policy=F2fsVictimPolicy.COST_BENEFIT,
+            policy="cost_benefit",
             victim_valid_threshold=0.90,
         )
         return (("cleaner", cleaner),)

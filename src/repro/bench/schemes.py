@@ -104,10 +104,10 @@ class SchemeStack:
         """
         layer = self.substrate.get("layer")
         if layer is not None:
-            return "ztl", layer.gc.engine
+            return "ztl", layer.reclaim
         fs = self.substrate.get("fs")
         if fs is not None:
-            return "f2fs", fs.cleaner.engine
+            return "f2fs", fs.reclaim
         ftl = getattr(self.substrate.get("device"), "ftl", None)
         if ftl is not None:
             return "ftl", ftl.reclaim
@@ -150,6 +150,19 @@ class SchemeStack:
             return False
         engine.pacer.enable_adaptive(adaptive)
         return True
+
+
+def _bind_gc_hints(cache: HybridCache, store) -> None:
+    """§3.4 co-design: the one rule for which reclaim layer asks the
+    cache whether a region is worth copying (and tells it what it
+    dropped).  ``hint_layers="ztl"`` — the historical coverage — hints
+    only the zone translation layer; ``"all"`` also the F2FS cleaner
+    and the FTL."""
+    lifecycle = cache.config.lifecycle
+    if lifecycle.gc_hints and (
+        lifecycle.hint_layers == "all" or isinstance(store, ZtlRegionStore)
+    ):
+        store.bind_gc_hints(GcHints(cache.migration_worth, cache.on_region_dropped))
 
 
 def _cache_config(scale: SchemeScale, region_size: int, num_regions: int,
@@ -198,14 +211,7 @@ def build_block_cache(
     store = BlockRegionStore(device, scale.region_size, num_regions)
     config = _cache_config(scale, scale.region_size, num_regions, **cache_overrides)
     cache = HybridCache(clock, store, config)
-    if config.lifecycle.gc_hints and config.lifecycle.hint_layers == "all":
-        # §3.4 full coverage: the FTL asks the cache before copying the
-        # pages of a condemned region and discards them ahead instead.
-        device.ftl.bind_hints(
-            GcHints(cache.migration_worth, cache.on_region_dropped),
-            scale.region_size,
-            num_regions,
-        )
+    _bind_gc_hints(cache, store)
     return SchemeStack(
         name="Block-Cache",
         cache=cache,
@@ -295,12 +301,7 @@ def build_region_cache(
     store = ZtlRegionStore(layer, num_regions)
     config = _cache_config(scale, scale.region_size, num_regions, **cache_overrides)
     cache = HybridCache(clock, store, config)
-    if config.lifecycle.gc_hints:
-        # §3.4 co-design: the cache answers "is this region worth
-        # migrating?" from its liveness ledger and purges dropped
-        # regions from the index (the examples/gc_hints_codesign idiom).
-        layer.gc.migration_hint = cache.migration_worth
-        layer.gc.on_drop = cache.on_region_dropped
+    _bind_gc_hints(cache, store)
     return SchemeStack(
         name="Region-Cache",
         cache=cache,
@@ -365,10 +366,7 @@ def build_file_cache(
     store = FileRegionStore(fs, scale.region_size, num_regions)
     config = _cache_config(scale, scale.region_size, num_regions, **cache_overrides)
     cache = HybridCache(clock, store, config)
-    if config.lifecycle.gc_hints and config.lifecycle.hint_layers == "all":
-        # §3.4 full coverage: the cleaner resolves a victim block back
-        # to its cache region and drops condemned regions' blocks.
-        store.bind_gc_hints(GcHints(cache.migration_worth, cache.on_region_dropped))
+    _bind_gc_hints(cache, store)
     return SchemeStack(
         name="File-Cache",
         cache=cache,
@@ -440,9 +438,7 @@ def build_z_cache(
     )
     config = _cache_config(scale, scale.region_size, num_regions, **cache_overrides)
     cache = HybridCache(clock, store, config, admission=admission)
-    if config.lifecycle.gc_hints:
-        layer.gc.migration_hint = cache.migration_worth
-        layer.gc.on_drop = cache.on_region_dropped
+    _bind_gc_hints(cache, store)
     return SchemeStack(
         name="Z-Cache",
         cache=cache,

@@ -9,7 +9,9 @@ and GC tail latency the paper measures against.
 from __future__ import annotations
 
 from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
+from repro.errors import CacheConfigError
 from repro.flash.blockssd import BlockSsd
+from repro.reclaim import GcHints
 
 
 class BlockRegionStore(RegionStore):
@@ -23,7 +25,7 @@ class BlockRegionStore(RegionStore):
         use_discard: bool = False,
     ) -> None:
         if region_size <= 0 or region_size % device.block_size != 0:
-            raise ValueError(
+            raise CacheConfigError(
                 f"region_size {region_size} must be a positive multiple of the "
                 f"device block size {device.block_size}"
             )
@@ -58,6 +60,16 @@ class BlockRegionStore(RegionStore):
         self.check_region_id(region_id)
         if self.use_discard:
             self.device.discard(region_id * self.region_size, self.region_size)
+
+    def bind_gc_hints(self, hints: GcHints) -> None:
+        """Hand the cache's §3.4 hints to the FTL's GC, with this
+        store's region grid over the logical pages: GC asks the cache
+        before copying the pages of a region and discards a condemned
+        region's whole range ahead instead."""
+        source = self.device.ftl.reclaim.source
+        source.region_pages = self.region_size // self.device.block_size
+        source.num_regions = self.num_regions
+        source.hints = hints
 
     def waf(self) -> WafBreakdown:
         return WafBreakdown(app=1.0, device=self.device.stats.write_amplification)

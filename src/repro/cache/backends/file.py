@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
 from repro.f2fs.file import F2fsFile
 from repro.f2fs.fs import F2fs
+from repro.reclaim import GcHints
 
 
 class FileRegionStore(RegionStore):
@@ -68,21 +69,20 @@ class FileRegionStore(RegionStore):
         """
         self.check_region_id(region_id)
 
-    def bind_gc_hints(self, hints) -> None:
-        """Wire the cache's §3.4 :class:`~repro.reclaim.GcHints` into
-        the filesystem cleaner.
+    def bind_gc_hints(self, hints: GcHints) -> None:
+        """Hand the cache's §3.4 hints to the filesystem cleaner.
 
         The cleaner works in main-area blocks; this binds the block →
         cache-region ownership lookup (via SIT ownership of this store's
-        file) so condemned regions' blocks are unmapped instead of
-        migrated to the cold log.  The callbacks are bound methods on
-        purpose: ``copy.deepcopy`` rebinds a method's ``__self__`` into
-        the cloned object graph (closures it would share), so cached
-        stack templates clone with their hints intact.
+        file) with them, so condemned regions' blocks are unmapped
+        instead of migrated to the cold log.  The lookup is a bound
+        method on purpose: ``copy.deepcopy`` rebinds a method's
+        ``__self__`` into the cloned object graph (closures it would
+        share), so cached stack templates clone with their hints intact.
         """
-        self.fs.cleaner.bind_hints(
-            hints, self._region_of_block, self.fs._drop_block
-        )
+        source = self.fs.reclaim.source
+        source.region_of_block = self._region_of_block
+        source.hints = hints
 
     def _region_of_block(self, block_addr: int):
         """Cache region owning a main-area block, or None for node

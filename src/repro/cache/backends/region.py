@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
 from repro.errors import CacheConfigError
+from repro.reclaim import GcHints
 from repro.ztl.layer import RegionTranslationLayer
 
 
@@ -58,6 +59,14 @@ class ZtlRegionStore(RegionStore):
         """Tell the layer the region is dead so GC never migrates it."""
         self.check_region_id(region_id)
         self.layer.invalidate_region(region_id)
+
+    def bind_gc_hints(self, hints: GcHints) -> None:
+        """Hand the cache's §3.4 hints to the layer's GC: a region the
+        cache does not find worth copying is dropped instead of migrated,
+        and every region the layer drops — on a hint, a dead zone or a
+        survivor with nowhere to land — is reported to ``hints.on_drop``.
+        """
+        self.layer.reclaim.source.hints = hints
 
     def waf(self) -> WafBreakdown:
         return WafBreakdown(

@@ -335,8 +335,9 @@ class HybridCache:
         in it already died (deletes/TTL sweep), when all surviving keys
         belong to dead namespace generations, or when it sits below the
         configured eviction-position threshold (about to be reclaimed
-        anyway).  Wired as ``layer.gc.migration_hint`` by the scheme
-        builders when ``lifecycle.gc_hints`` is set.
+        anyway).  Bound as ``GcHints.migration_worth`` through the
+        store's ``bind_gc_hints`` by the scheme builders when
+        ``lifecycle.gc_hints`` is set.
         """
         regions = self.regions
         meta = regions.meta(region_id)
@@ -362,7 +363,7 @@ class HybridCache:
         """Backend GC dropped a region the hint refused to migrate:
         purge its index entries and account each key's bytes by cause
         (dead generations as "invalidated", the rest as "dropped").
-        Wired as ``layer.gc.on_drop`` next to :meth:`migration_worth`."""
+        Bound as ``GcHints.on_drop`` next to :meth:`migration_worth`."""
         meta = self.regions.meta(region_id)
         if meta is None:
             return

@@ -14,9 +14,11 @@ for that analysis:
   6 GiB nullblk device.
 * **Block-granular mapping** — 4 KiB indexing, the "additional mapping
   overhead" the paper contrasts with the middle layer's region map.
-* **Section cleaning** — greedy / cost-benefit victim selection with
-  background pacing (small increments), which is why File-Cache shows
-  the *lowest* tail latency in Figure 5(d) despite its overheads.
+* **Section cleaning** — the filesystem's own
+  :class:`~repro.reclaim.ReclaimEngine` (``fs.reclaim``) over a section
+  source: cost-benefit / greedy victim selection with background pacing
+  (small increments), which is why File-Cache shows the *lowest* tail
+  latency in Figure 5(d) despite its overheads.
 * **Provisioning** — a reserved fraction of sections (default 20%),
   the "additional space provisioning" the paper charges against F2FS.
 
@@ -29,7 +31,7 @@ from repro.f2fs.layout import F2fsConfig, F2fsLayout
 from repro.f2fs.sit import SegmentInfoTable
 from repro.f2fs.nat import NodeAddressTable
 from repro.f2fs.segment import LogManager, LogStream
-from repro.f2fs.gc import Cleaner, CleanerConfig, VictimPolicy
+from repro.f2fs.gc import CleanerConfig
 from repro.f2fs.file import F2fsFile
 from repro.f2fs.fs import F2fs, F2fsStats
 from repro.f2fs.fsck import FsckReport, fsck
@@ -41,9 +43,7 @@ __all__ = [
     "NodeAddressTable",
     "LogManager",
     "LogStream",
-    "Cleaner",
     "CleanerConfig",
-    "VictimPolicy",
     "F2fsFile",
     "F2fs",
     "F2fsStats",

@@ -1,6 +1,8 @@
 """The F2FS-like filesystem facade.
 
-Wires the layout, NAT, SIT, log manager and cleaner onto two devices:
+Wires the layout, NAT, SIT, log manager and the section cleaner (a
+:class:`~repro.reclaim.ReclaimEngine` over :mod:`repro.f2fs.gc`'s
+section source, ``fs.reclaim``) onto two devices:
 
 * a :class:`~repro.flash.ZnsSsd` carrying the main (data) area, one
   section per zone, and
@@ -30,13 +32,14 @@ from repro.errors import (
     ZoneDeadError,
 )
 from repro.f2fs.file import F2fsFile
-from repro.f2fs.gc import Cleaner, CleanerConfig
+from repro.f2fs.gc import CleanerConfig, _SectionReclaimSource
 from repro.f2fs.layout import F2fsConfig, F2fsLayout
 from repro.f2fs.nat import NodeAddressTable
 from repro.f2fs.segment import LogManager, LogStream
 from repro.f2fs.sit import SegmentInfoTable
 from repro.flash.device import BlockDevice
 from repro.flash.znsssd import ZnsSsd
+from repro.reclaim import ReclaimEngine, ReclaimPacer, make_victim_policy
 from repro.sim.clock import SimClock
 from repro.sim.io import IoTracer
 
@@ -86,18 +89,21 @@ class F2fs:
             self.layout.num_sections, self.layout.blocks_per_section
         )
         self.logs = LogManager(self.layout)
-        self.cleaner = Cleaner(
-            self.layout,
-            self.sit,
-            self.logs,
-            cleaner_config,
-            migrate_block=self._migrate_block,
-            release_section=self._reset_section_zone,
-        )
         # The I/O tracer shared with the main-area (data) device.
         self.tracer: IoTracer = data_device.tracer
-        self.cleaner.tracer = self.tracer
-        self.cleaner.bind_clock(clock)
+        # Write recency the cost-benefit cleaner reads as section age
+        # (see _note_section_written).
+        self._section_mtime = [0] * self.layout.num_sections
+        self._write_tick = 0
+        # Section cleaning; a store binds the cache's §3.4 hints on its
+        # source (``FileRegionStore.bind_gc_hints``).
+        self.reclaim = ReclaimEngine(
+            _SectionReclaimSource(self),
+            make_victim_policy(cleaner_config.policy),
+            ReclaimPacer(cleaner_config.pacer_config()),
+            tracer=self.tracer,
+            clock=clock,
+        )
         self.stats = F2fsStats()
         self._meta_pending_updates = 0
         self._meta_cursor_block = 1  # block 0 is the superblock
@@ -223,14 +229,14 @@ class F2fs:
                 self._write_blocks(runs, data)
             # The remap, a run at a time: the file's old blocks go stale,
             # then the new ones become valid and stamp their sections.
-            sit, cleaner = self.sit, self.cleaner
+            sit = self.sit
             per_section = self.layout.blocks_per_section
             stale = self.nat.set_blocks(file_id, first_block, addresses)
             for _, block_addr, count in self._section_runs(stale):
                 sit.mark_invalid_run(block_addr, count)
             for index, block_addr, count in runs:
                 sit.mark_valid_run(block_addr, count, file_id, first_block + index)
-                cleaner.note_section_written(block_addr // per_section, count)
+                self._note_section_written(block_addr // per_section, count)
             self.nat.update_size(file_id, offset + len(data))
             per_node = self.config.blocks_per_node
             for group in range(first_block // per_node, (end_block - 1) // per_node + 1):
@@ -241,7 +247,7 @@ class F2fs:
             if self._blocks_since_checkpoint >= self.config.checkpoint_interval_blocks:
                 self.checkpoint()
             try:
-                self.cleaner.background_step()
+                self.reclaim.background_step()
             except PowerCutError:
                 raise
             except RetryableError:
@@ -305,7 +311,13 @@ class F2fs:
         try:
             return self.logs.allocate_blocks(stream, count)
         except NoSpaceError:
-            if not self.cleaner.clean_one_section():
+            # Foreground (emergency) cleaning: finish one whole victim
+            # now, bounded so a persistently faulting device cannot
+            # livelock the write (each retry-triggered early return
+            # costs one step).
+            if not self.reclaim.collect(
+                max_victims=1, max_steps=self.layout.blocks_per_section + 8
+            ):
                 raise
             return self.logs.allocate_blocks(stream, count)
 
@@ -441,10 +453,16 @@ class F2fs:
         # can tell node blocks from data blocks.
         self.sit.mark_valid(addr, (-file_id, group))
         self._node_addr[key] = addr
-        self.cleaner.note_section_written(self.layout.section_of_block(addr))
+        self._note_section_written(self.layout.section_of_block(addr))
+
+    def _note_section_written(self, section: int, blocks: int = 1) -> None:
+        """Track write recency for the cost-benefit policy: one tick per
+        block written, the section stamped with the last."""
+        self._write_tick += blocks
+        self._section_mtime[section] = self._write_tick
 
     def _migrate_block(self, block_addr: int) -> None:
-        """Cleaner callback: relocate one valid block to the cold log."""
+        """Cleaning: relocate one valid block to the cold log."""
         owner = self.sit.owner_of(block_addr)
         if owner is None:
             return
@@ -468,7 +486,7 @@ class F2fs:
         self._note_meta_updates(1)
 
     def _drop_block(self, block_addr: int) -> None:
-        """Cleaner callback for §3.4 hint drops: unmap one condemned
+        """Cleaning under §3.4 hints: unmap one condemned
         data block without copying it — SIT invalidate plus NAT unmap,
         one metadata update, zero data-device I/O."""
         owner = self.sit.owner_of(block_addr)
@@ -531,7 +549,7 @@ class F2fs:
         self.tracer.emit_event("f2fs.fault", "retire_section", zone=section)
 
     def _reset_section_zone(self, section: int) -> None:
-        """Cleaner callback: a fully-migrated section maps to a zone reset."""
+        """Cleaning: a fully-migrated section maps to a zone reset."""
         for _ in range(5):
             try:
                 self.data_device.reset_zone(section)
@@ -613,8 +631,6 @@ class F2fs:
             (int(key.split(":")[0]), int(key.split(":")[1])): addr
             for key, addr in state.get("nodes", {}).items()
         }
-        self.cleaner.sit = self.sit
-        self.cleaner.logs = self.logs
 
     def _require_formatted(self) -> None:
         if not self._mkfs_done:

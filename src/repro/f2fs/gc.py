@@ -2,19 +2,17 @@
 
 F2FS cleans at section granularity: pick a victim section, migrate its
 valid blocks to the cold-data log, then the whole section — and on ZNS
-the zone underneath it — can be reset.  The victim policies mirror
-F2FS's:
-
-* ``GREEDY`` — fewest valid blocks (foreground cleaning).
-* ``COST_BENEFIT`` — weighs free space gained against section age
-  (background cleaning; avoids repeatedly scrubbing hot sections).
-* ``AGE_THRESHOLD`` / ``RANDOM`` — ablation policies from
-  :mod:`repro.reclaim` (greedy gated on age; a seeded random baseline).
+the zone underneath it — can be reset.  The victim policy is one of
+:data:`repro.reclaim.POLICY_NAMES`, the vocabulary every layer shares:
+``cost_benefit`` (F2FS's background cleaning, the default: weighs free
+space gained against section age and avoids repeatedly scrubbing hot
+sections), ``greedy`` (fewest valid blocks, F2FS's foreground cleaning)
+and the ablation policies.
 
 The selection/pacing loop is the shared
-:class:`~repro.reclaim.ReclaimEngine`; this module provides the
-section-shaped :class:`~repro.reclaim.ReclaimSource` and keeps the
-public ``Cleaner`` surface the filesystem already wires.
+:class:`~repro.reclaim.ReclaimEngine` the filesystem owns as
+``fs.reclaim``; this module provides its section-shaped
+:class:`~repro.reclaim.ReclaimSource` and the thresholds.
 
 Cleaning is *paced*: at most ``pace_blocks`` are migrated per foreground
 trigger, so the stall any single operation observes stays small.  This
@@ -25,33 +23,25 @@ latency").
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import PowerCutError, RetryableError
-from repro.f2fs.layout import F2fsLayout
-from repro.f2fs.segment import LogManager
-from repro.f2fs.sit import SegmentInfoTable
 from repro.reclaim import (
-    AdaptivePacingConfig,
     PacerConfig,
-    ReclaimEngine,
-    ReclaimPacer,
     ReclaimSource,
     UnitOutcome,
     VictimView,
     ensure_at_least,
-    make_victim_policy,
+    ensure_between,
+    ensure_choice,
+    ensure_fraction,
 )
+from repro.reclaim.policy import POLICY_NAMES
 from repro.sim.io import IoTracer
 
-
-class VictimPolicy(enum.Enum):
-    GREEDY = "greedy"
-    COST_BENEFIT = "cost_benefit"
-    AGE_THRESHOLD = "age_threshold"
-    RANDOM = "random"
+if TYPE_CHECKING:
+    from repro.f2fs.fs import F2fs
 
 
 @dataclass(frozen=True)
@@ -60,12 +50,13 @@ class CleanerConfig:
 
     Cleaning starts when free sections fall below ``low_watermark`` and
     keeps a victim "in progress" until it is fully migrated; at most
-    ``pace_blocks`` blocks move per trigger.
+    ``pace_blocks`` blocks move per trigger.  ``policy`` picks the victim
+    scorer from :data:`repro.reclaim.POLICY_NAMES`.
     """
 
     low_watermark: int = 3
     pace_blocks: int = 16
-    policy: VictimPolicy = VictimPolicy.COST_BENEFIT
+    policy: str = "cost_benefit"
     # Defer victims holding more than this fraction of valid blocks
     # (1.0 = accept anything, the historical behavior).  Below
     # ``emergency_sections`` free sections the engine cleans the
@@ -76,14 +67,15 @@ class CleanerConfig:
     # At or below this many free sections cleaning runs unbounded and the
     # pacer reports "urgent" (-1 = disabled, the historical behavior).
     urgent_sections: int = -1
-    # Optional AIMD controller on pace_blocks (None = static pacing);
-    # see repro.reclaim.AdaptivePacingConfig.
-    adaptive: Optional["AdaptivePacingConfig"] = None
 
     def __post_init__(self) -> None:
         ensure_at_least("low_watermark", self.low_watermark, 1)
         ensure_at_least("pace_blocks", self.pace_blocks, 1)
-        ensure_at_least("emergency_sections", self.emergency_sections, 0)
+        ensure_choice("policy", self.policy, POLICY_NAMES)
+        ensure_fraction("victim_valid_threshold", self.victim_valid_threshold)
+        ensure_between(
+            "emergency_sections", self.emergency_sections, 0, self.low_watermark
+        )
         ensure_at_least("urgent_sections", self.urgent_sections, -1)
 
     def pacer_config(self) -> PacerConfig:
@@ -94,32 +86,40 @@ class CleanerConfig:
             emergency=self.emergency_sections,
             victim_valid_threshold=self.victim_valid_threshold,
             pace_units=self.pace_blocks,
-            adaptive=self.adaptive,
         )
 
 
 class _SectionReclaimSource(ReclaimSource):
-    """Section-shaped adapter over the SIT + log manager."""
+    """Section-shaped adapter over the filesystem's SIT and log manager:
+    victims are sealed sections, units their valid blocks.
+
+    ``region_of_block`` is the §3.4 hint geometry a
+    :class:`~repro.cache.backends.FileRegionStore` binds with the hints:
+    the cache region a main-area block backs, or None for node blocks,
+    other files and tail slack (those always migrate).
+    """
 
     name = "f2fs"
 
-    def __init__(self, owner: "Cleaner") -> None:
-        self.owner = owner
-        self.unit_bytes = owner.layout.block_size
+    def __init__(self, fs: "F2fs") -> None:
+        self.fs = fs
+        self.unit_bytes = fs.layout.block_size
+        self.region_of_block: Optional[Callable[[int], Optional[int]]] = None
 
     def free_units(self) -> int:
-        return self.owner.logs.free_section_count
+        return self.fs.logs.free_section_count
 
     def candidate_views(self) -> List[VictimView]:
-        owner = self.owner
-        sit = owner.sit
-        open_sections = set(owner.logs.open_sections())
+        fs = self.fs
+        sit, logs = fs.sit, fs.logs
+        mtime, tick = fs._section_mtime, fs._write_tick
+        open_sections = set(logs.open_sections())
         views = []
-        for section in range(owner.layout.num_sections):
+        for section in range(fs.layout.num_sections):
             if (
                 section in open_sections
-                or owner.logs.is_free(section)
-                or owner.logs.is_retired(section)
+                or logs.is_free(section)
+                or logs.is_retired(section)
             ):
                 continue
             views.append(
@@ -127,31 +127,31 @@ class _SectionReclaimSource(ReclaimSource):
                     victim_id=section,
                     valid_count=sit.valid_count(section),
                     valid_fraction=sit.valid_fraction(section),
-                    age=owner._tick - owner._mtime[section],
+                    age=tick - mtime[section],
                 )
             )
         return views
 
     def pending_units(self, section: int) -> List[int]:
-        return list(self.owner.sit.valid_blocks(section))
+        return list(self.fs.sit.valid_blocks(section))
 
     def migrate_unit(self, section: int, block_addr: int) -> UnitOutcome:
-        owner = self.owner
-        if not owner.sit.is_valid(block_addr):
+        fs = self.fs
+        if not fs.sit.is_valid(block_addr):
             return UnitOutcome.SKIPPED  # invalidated since the list was built
         hints = self.hints
-        if hints is not None and owner._region_of_block is not None:
-            region_id = owner._region_of_block(block_addr)
+        if hints is not None:
+            region_id = self.region_of_block(block_addr)
             if region_id is not None and not hints.migration_worth(region_id):
                 # §3.4 drop path: the cache condemned the region this
                 # block backs, so unmap it instead of copying it to the
                 # cold log.  No device I/O happens — just SIT/NAT
-                # bookkeeping the filesystem wires via ``bind_hints``.
-                owner._drop_block(block_addr)
+                # bookkeeping.
+                fs._drop_block(block_addr)
                 hints.on_drop(region_id)
                 return UnitOutcome.DROPPED
         try:
-            owner._migrate_block(block_addr)
+            fs._migrate_block(block_addr)
         except PowerCutError:
             raise
         except RetryableError:
@@ -161,128 +161,12 @@ class _SectionReclaimSource(ReclaimSource):
         return UnitOutcome.MIGRATED
 
     def release_victim(self, section: int) -> None:
-        owner = self.owner
-        owner.sit.wipe_section(section)
-        owner._release_section(section)
-        owner.logs.release_section(section)
+        fs = self.fs
+        fs.sit.wipe_section(section)
+        fs._reset_section_zone(section)
+        fs.logs.release_section(section)
 
     def step_span(self, tracer: IoTracer, section: int):
         # Preserve the historical "f2fs.gc" span each cleaning step emits
         # (nested inside the engine's uniform reclaim.f2fs span).
         return tracer.span("f2fs.gc", "clean", zone=section)
-
-
-class Cleaner:
-    """Incremental section cleaner.
-
-    Data movement is delegated to ``migrate_block(block_addr)`` and
-    section disposal to ``release_section(section)`` so the cleaner stays
-    a policy object (the filesystem wires the callbacks).
-    """
-
-    def __init__(
-        self,
-        layout: F2fsLayout,
-        sit: SegmentInfoTable,
-        logs: LogManager,
-        config: CleanerConfig,
-        migrate_block: Callable[[int], None],
-        release_section: Callable[[int], None],
-    ) -> None:
-        self.layout = layout
-        self.sit = sit
-        self.logs = logs
-        self.config = config
-        self._migrate_block = migrate_block
-        self._release_section = release_section
-        # §3.4 hint wiring (bind_hints): block → cache region ownership
-        # and the no-copy drop callback.  None = hints disabled.
-        self._region_of_block: Optional[Callable[[int], Optional[int]]] = None
-        self._drop_block: Optional[Callable[[int], None]] = None
-        # Age proxy: bump per section every time it is opened by a log head.
-        self._mtime = [0] * layout.num_sections
-        self._tick = 0
-        self.engine = ReclaimEngine(
-            _SectionReclaimSource(self),
-            make_victim_policy(config.policy.value),
-            ReclaimPacer(config.pacer_config()),
-        )
-
-    # --- counters / wiring (legacy names, engine-backed) ----------------------------
-
-    @property
-    def sections_cleaned(self) -> int:
-        return self.engine.stats.victims_reclaimed
-
-    @property
-    def blocks_migrated(self) -> int:
-        return self.engine.stats.units_migrated
-
-    @property
-    def io_retries(self) -> int:
-        return self.engine.stats.retries
-
-    @property
-    def tracer(self) -> IoTracer:
-        """The data device's tracer; each cleaning step appears as an
-        "f2fs.gc" span (inside the uniform reclaim.f2fs span)."""
-        return self.engine.tracer
-
-    @tracer.setter
-    def tracer(self, tracer: IoTracer) -> None:
-        self.engine.tracer = tracer
-
-    def bind_clock(self, clock) -> None:
-        """Attach the simulation clock for foreground-stall accounting."""
-        self.engine.clock = clock
-
-    def bind_hints(
-        self,
-        hints,
-        region_of_block: Callable[[int], Optional[int]],
-        drop_block: Callable[[int], None],
-    ) -> None:
-        """Wire the cache's §3.4 :class:`~repro.reclaim.GcHints`.
-
-        ``region_of_block(block_addr)`` maps a main-area block to the
-        cache region it backs (None for node blocks, other files, or
-        out-of-range offsets — those always migrate).  ``drop_block``
-        unmaps one condemned block without copying it.
-        """
-        self.engine.source.hints = hints
-        self._region_of_block = region_of_block
-        self._drop_block = drop_block
-
-    # --- hooks from the filesystem ----------------------------------------------------
-
-    def note_section_written(self, section: int, blocks: int = 1) -> None:
-        """Track write recency for the cost-benefit policy: one tick per
-        block written, the section stamped with the last."""
-        self._tick += blocks
-        self._mtime[section] = self._tick
-
-    def needs_cleaning(self) -> bool:
-        return self.engine.needs_reclaim()
-
-    # --- cleaning --------------------------------------------------------------------
-
-    def background_step(self) -> int:
-        """Paced cleaning; returns blocks migrated this step."""
-        return self.engine.background_step()
-
-    def clean_one_section(self) -> bool:
-        """Foreground (emergency) cleaning: finish an entire victim now.
-
-        Returns True if a section was fully reclaimed.  Bounded: a
-        persistently faulting device must not livelock the foreground
-        path (each retry-triggered early return costs one step).
-        """
-        return (
-            self.engine.collect(
-                max_victims=1, max_steps=self.layout.blocks_per_section + 8
-            )
-            > 0
-        )
-
-    def _pick_victim(self) -> Optional[int]:
-        return self.engine.pick_victim()

@@ -27,7 +27,6 @@ from repro.flash.zone import Zone, ZoneState
 from repro.flash.znsssd import ZnsSsd, ZnsConfig
 from repro.flash.nullblk import NullBlkDevice
 from repro.flash.hdd import HddDevice, HddConfig
-from repro.flash.trace import IoEvent, IoTrace, TracingBlockDevice
 
 __all__ = [
     "NandGeometry",
@@ -48,7 +47,4 @@ __all__ = [
     "NullBlkDevice",
     "HddDevice",
     "HddConfig",
-    "IoEvent",
-    "IoTrace",
-    "TracingBlockDevice",
 ]

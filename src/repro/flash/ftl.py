@@ -109,13 +109,22 @@ class _BlockInfo:
 
 
 class _FtlReclaimSource(ReclaimSource):
-    """Erase-block adapter the shared engine drives."""
+    """Erase-block adapter the shared engine drives.
+
+    ``region_pages`` / ``num_regions`` are the §3.4 hint geometry a
+    :class:`~repro.cache.backends.BlockRegionStore` binds with the
+    hints: the cache's region grid over the logical pages (region ``i``
+    at page ``i * region_pages``), so GC can map a victim page back to
+    the region it backs and discard-ahead condemned regions wholesale.
+    """
 
     name = "ftl"
 
     def __init__(self, ftl: "PageMappedFtl") -> None:
         self.ftl = ftl
         self.unit_bytes = ftl.geometry.page_size
+        self.region_pages = 0
+        self.num_regions = 0
 
     def free_units(self) -> int:
         return len(self.ftl._free)
@@ -151,9 +160,9 @@ class _FtlReclaimSource(ReclaimSource):
         if lpn is None:
             return UnitOutcome.SKIPPED
         hints = self.hints
-        if hints is not None and ftl._hint_region_pages:
-            region_id = lpn // ftl._hint_region_pages
-            if region_id < ftl._hint_num_regions and not hints.migration_worth(
+        if hints is not None:
+            region_id = lpn // self.region_pages
+            if region_id < self.num_regions and not hints.migration_worth(
                 region_id
             ):
                 # §3.4 discard-ahead: the cache condemned this page's
@@ -161,8 +170,8 @@ class _FtlReclaimSource(ReclaimSource):
                 # instead of relocating it page by page.  The region's
                 # other pages in this (or any) victim become SKIPPED
                 # once their mappings clear — no media programs happen.
-                start = region_id * ftl._hint_region_pages
-                ftl.discard_pages(range(start, start + ftl._hint_region_pages))
+                start = region_id * self.region_pages
+                ftl.discard_pages(range(start, start + self.region_pages))
                 hints.on_drop(region_id)
                 return UnitOutcome.DROPPED
         ftl._program((lpn,))
@@ -208,10 +217,6 @@ class PageMappedFtl:
         self.total_erased_blocks = 0
         # Report for the host write whose GC drain is in progress, if any.
         self._gc_report: Optional[FtlWriteReport] = None
-        # §3.4 hint geometry (bind_hints): lpn // pages-per-region maps a
-        # logical page to the cache region it backs.  0 = hints disabled.
-        self._hint_region_pages = 0
-        self._hint_num_regions = 0
         self.reclaim = ReclaimEngine(
             _FtlReclaimSource(self),
             make_victim_policy(config.gc_policy),
@@ -282,24 +287,6 @@ class PageMappedFtl:
                 if block.lpns[loc[1]] == lpn:
                     block.lpns[loc[1]] = None
                     block.valid_count -= 1
-
-    def bind_hints(self, hints, region_size: int, num_regions: int) -> None:
-        """Wire the cache's §3.4 :class:`~repro.reclaim.GcHints`.
-
-        ``region_size``/``num_regions`` describe the cache's region grid
-        over the logical byte space (region ``i`` at byte offset
-        ``i * region_size``), so GC can map a victim page back to the
-        region it backs and discard-ahead condemned regions wholesale.
-        """
-        page_size = self.geometry.page_size
-        if region_size <= 0 or region_size % page_size != 0:
-            raise ConfigError(
-                f"region_size {region_size} must be a positive multiple of the "
-                f"page size {page_size}"
-            )
-        self.reclaim.source.hints = hints
-        self._hint_region_pages = region_size // page_size
-        self._hint_num_regions = num_regions
 
     # --- internals -----------------------------------------------------------
 

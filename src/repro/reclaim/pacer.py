@@ -82,7 +82,6 @@ class PacerConfig:
     victim_valid_threshold: float = 1.0
     pace_units: int = 0
     copy_tokens_per_step: int = 0
-    adaptive: Optional[AdaptivePacingConfig] = None
 
     def __post_init__(self) -> None:
         ensure_at_least("background", self.background, 1)
@@ -98,17 +97,12 @@ class ReclaimPacer:
     """Runtime side of :class:`PacerConfig`: bucket state + stall stats.
 
     ``pace_units`` and ``copy_tokens_per_step`` are *runtime* copies of
-    the static config; with an :class:`AdaptivePacingConfig` attached
-    (at construction, via the config, or later through
-    :meth:`enable_adaptive`) the AIMD controller moves them between
+    the static config; once :meth:`enable_adaptive` attaches an
+    :class:`AdaptivePacingConfig` the AIMD controller moves them between
     adjustment intervals.  Without one they never change.
     """
 
-    def __init__(
-        self,
-        config: PacerConfig,
-        adaptive: Optional[AdaptivePacingConfig] = None,
-    ) -> None:
+    def __init__(self, config: PacerConfig) -> None:
         self.config = config
         # The copy-token bucket holds four refills.
         self._bucket_cap = 4 * config.copy_tokens_per_step
@@ -116,7 +110,7 @@ class ReclaimPacer:
         # Adaptive-pacing runtime values (static unless a controller runs).
         self.pace_units = config.pace_units
         self.copy_tokens_per_step = config.copy_tokens_per_step
-        self.adaptive = adaptive if adaptive is not None else config.adaptive
+        self.adaptive: Optional[AdaptivePacingConfig] = None
         self._steps_since_adjust = 0
         # Distinct steps that hit the copy budget vs raw per-unit
         # rejections (one throttled step rejects every remaining unit).

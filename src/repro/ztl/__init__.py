@@ -13,11 +13,13 @@ reset-granular).  Key pieces, mirroring Figure 1(c):
 * :class:`~repro.ztl.allocator.ZoneBook` — open-zone pool supporting
   concurrent writing of multiple zones; zones are finished when no space
   remains for another region.
-* :class:`~repro.ztl.gc.ZoneGarbageCollector` — background collection
-  driven by an empty-zone low watermark and a valid-data victim
-  threshold, both configurable as the paper prescribes; supports
-  cache-provided *hints* that drop cold regions instead of migrating
-  them (the co-design direction in §3.4).
+* :mod:`repro.ztl.gc` — background collection driven by an empty-zone
+  low watermark and a valid-data victim threshold
+  (:class:`~repro.ztl.GcConfig`), both configurable as the paper
+  prescribes: the zone-shaped source of the layer's
+  :class:`~repro.reclaim.ReclaimEngine` (``layer.reclaim``), whose
+  cache-provided *hints* drop cold regions instead of migrating them
+  (the co-design direction in §3.4).
 * :class:`~repro.ztl.layer.RegionTranslationLayer` — the facade the
   Region-Cache backend talks to.
 """
@@ -25,7 +27,7 @@ reset-granular).  Key pieces, mirroring Figure 1(c):
 from repro.ztl.bitmap import SlotBitmap
 from repro.ztl.mapping import RegionLocation, RegionMap
 from repro.ztl.allocator import ZoneBook, ZoneUse
-from repro.ztl.gc import GcConfig, ZoneGarbageCollector
+from repro.ztl.gc import GcConfig
 from repro.ztl.layer import RegionTranslationLayer, ZtlConfig, ZtlStats
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
     "ZoneBook",
     "ZoneUse",
     "GcConfig",
-    "ZoneGarbageCollector",
     "RegionTranslationLayer",
     "ZtlConfig",
     "ZtlStats",

@@ -1,35 +1,32 @@
 """Middle-layer garbage collection (the paper's §3.3 "Garbage Collection").
 
-A background thread is simulated by invoking :meth:`ZoneGarbageCollector.
-maybe_collect` after foreground writes: it checks "the empty zone number
-and valid data size of the finished zones", and when empty zones fall
-below ``min_empty_zones`` it selects a victim (preferring zones whose
-valid fraction is below ``victim_valid_threshold``), migrates the valid
+A background thread is simulated by a paced
+:meth:`~repro.reclaim.ReclaimEngine.background_step` after each
+foreground write: it checks "the empty zone number and valid data size
+of the finished zones", and when empty zones fall below
+``min_empty_zones`` it selects a victim (preferring zones whose valid
+fraction is below ``victim_valid_threshold``), migrates the valid
 regions to the GC stream zone, and resets the victim.
 
-The selection/pacing/accounting loop itself lives in
-:mod:`repro.reclaim`; this module supplies the zone-shaped
-:class:`~repro.reclaim.ReclaimSource` and keeps the public
-``ZoneGarbageCollector`` surface the layer and tests already use.
+The selection/pacing/accounting loop is the shared
+:class:`~repro.reclaim.ReclaimEngine` the layer owns as
+``layer.reclaim``; this module supplies its zone-shaped
+:class:`~repro.reclaim.ReclaimSource` and the thresholds.
 
-The ``migration_hint`` hook is the co-design lever from §3.4: given a
-region id it may return False to *drop* the region instead of migrating
-it ("not all the valid regions are needed to be migrated"), trading a
-little hit ratio for less GC work.
+The source's :class:`~repro.reclaim.GcHints` are the co-design lever
+from §3.4: given a region id, ``migration_worth`` may return False to
+*drop* the region instead of migrating it ("not all the valid regions
+are needed to be migrated"), trading a little hit ratio for less GC
+work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, List
 
-from repro.errors import TranslationFullError
 from repro.reclaim import (
-    AdaptivePacingConfig,
-    GcHints,
     PacerConfig,
-    ReclaimEngine,
-    ReclaimPacer,
     ReclaimSource,
     UnitOutcome,
     VictimView,
@@ -37,16 +34,11 @@ from repro.reclaim import (
     ensure_between,
     ensure_choice,
     ensure_fraction,
-    make_victim_policy,
 )
 from repro.reclaim.policy import POLICY_NAMES
-from repro.sim.io import NULL_TRACER, IoTracer
-from repro.ztl.allocator import ZoneBook, ZoneRecord
 
-# Returns True to migrate the region, False to drop it.
-MigrationHint = Callable[[int], bool]
-# Called with (region_id,) when GC drops a region so the owner can purge it.
-DropCallback = Callable[[int], None]
+if TYPE_CHECKING:
+    from repro.ztl.layer import RegionTranslationLayer
 
 
 @dataclass(frozen=True)
@@ -79,9 +71,6 @@ class GcConfig:
     # Optional copy-bandwidth cap in bytes refilled per background check
     # (0 = unlimited); see repro.reclaim.PacerConfig.copy_tokens_per_step.
     copy_tokens_per_step: int = 0
-    # Optional AIMD controller on pace/copy-tokens (None = static pacing);
-    # see repro.reclaim.AdaptivePacingConfig.
-    adaptive: Optional["AdaptivePacingConfig"] = None
     # Lifecycle integration: take zero-valid zones before the policy
     # order (see repro.reclaim.ReclaimEngine).  Off by default — the
     # golden rows lock the policy-ordered behavior.
@@ -107,31 +96,29 @@ class GcConfig:
             victim_valid_threshold=self.victim_valid_threshold,
             pace_units=self.pace_regions,
             copy_tokens_per_step=self.copy_tokens_per_step,
-            adaptive=self.adaptive,
         )
 
 
 class _ZoneReclaimSource(ReclaimSource):
-    """Zone-shaped adapter the shared engine drives."""
+    """Zone-shaped adapter the shared engine drives: victims are finished
+    zones of the layer's :class:`~repro.ztl.allocator.ZoneBook`, units
+    are their valid slots.  Survivors of one step are staged and moved
+    as one batch by the layer (:meth:`flush_step`)."""
 
     name = "ztl"
 
-    def __init__(self, owner: "ZoneGarbageCollector", unit_bytes: int) -> None:
-        self.owner = owner
-        self.unit_bytes = unit_bytes
+    def __init__(self, layer: "RegionTranslationLayer") -> None:
+        self.layer = layer
+        self.unit_bytes = layer.region_size
         # Batched-migration staging for the current step (cleared before
-        # the migrate_many call so a raise loses them, as it always did).
+        # the batch call so a raise loses them, as it always did).
         self._survivors: List[int] = []
 
-    @property
-    def book(self) -> ZoneBook:
-        return self.owner._book
-
     def free_units(self) -> int:
-        return self.book.empty_count
+        return self.layer.book.empty_count
 
     def candidate_views(self) -> List[VictimView]:
-        book = self.book
+        book = self.layer.book
         records = book.records
         tick, slots = book.tick, book.slots_per_zone
         views = []
@@ -144,7 +131,7 @@ class _ZoneReclaimSource(ReclaimSource):
         return views
 
     def least_valid_fraction(self) -> float:
-        book = self.book
+        book = self.layer.book
         records = book.records
         least = slots = book.slots_per_zone
         for zone in book.finished_zones:
@@ -154,208 +141,36 @@ class _ZoneReclaimSource(ReclaimSource):
         return least / slots
 
     def pending_units(self, victim_id: int) -> List[int]:
-        return list(self.book.record(victim_id).bitmap.valid_slots())
+        return list(self.layer.book.record(victim_id).bitmap.valid_slots())
 
     def migrate_unit(self, victim_id: int, slot: int) -> UnitOutcome:
-        owner = self.owner
-        record = self.book.record(victim_id)
+        layer = self.layer
+        record = layer.book.record(victim_id)
         if not record.bitmap.is_set(slot):
             return UnitOutcome.SKIPPED  # invalidated since the victim was chosen
-        region_id = owner._region_at(victim_id, slot)
+        region_id = layer._region_at(victim_id, slot)
         if region_id is None:
             record.bitmap.clear(slot)
             return UnitOutcome.SKIPPED
-        keep = True
-        if self.hints is not None:
-            keep = self.hints.migration_worth(region_id)
-        if keep:
-            if owner._migrate_many is not None:
-                # Batched path: the layer allocates targets itself so
-                # it can submit the copy loop as one pipelined batch, and
-                # clears the bit as the survivor moves — one that cannot
-                # (the GC stream ran out of zones) stays valid here.
-                self._survivors.append(region_id)
-                return UnitOutcome.MIGRATED
-            target = self.book.allocate_gc_slot()
-            owner._migrate(region_id, target)
+        hints = self.hints
+        if hints is not None and not hints.migration_worth(region_id):
+            layer._drop_region(region_id)
             record.bitmap.clear(slot)
-            return UnitOutcome.MIGRATED
-        owner._drop(region_id)
-        record.bitmap.clear(slot)
-        return UnitOutcome.DROPPED
+            return UnitOutcome.DROPPED
+        # The layer allocates targets itself so it can submit the copy
+        # loop as one pipelined batch, and clears the bit as the survivor
+        # moves — one that cannot (the GC stream ran out of zones) stays
+        # valid here.
+        self._survivors.append(region_id)
+        return UnitOutcome.MIGRATED
 
     def flush_step(self) -> None:
         if not self._survivors:
             return
         survivors = self._survivors
         self._survivors = []
-        assert self.owner._migrate_many is not None
-        self.owner._migrate_many(survivors)
+        self.layer._migrate_regions(survivors)
 
     def release_victim(self, victim_id: int) -> None:
-        self.owner._reset(victim_id)
-        self.book.mark_empty(victim_id)
-
-
-class ZoneGarbageCollector:
-    """Selects victims and migrates valid regions; owns no I/O itself.
-
-    The actual data movement is delegated to the layer through the
-    ``migrate`` and ``reset`` callables so this class stays a pure
-    policy + orchestration object (easy to unit test).  Selection,
-    pacing, and counters are provided by a shared
-    :class:`~repro.reclaim.ReclaimEngine`.
-    """
-
-    def __init__(
-        self,
-        book: ZoneBook,
-        config: GcConfig,
-        migrate: Callable[[int, ZoneRecord], None],
-        reset: Callable[[int], None],
-        migration_hint: Optional[MigrationHint] = None,
-        on_drop: Optional[DropCallback] = None,
-        migrate_many: Optional[Callable[[List[int]], None]] = None,
-        tracer: IoTracer = NULL_TRACER,
-        clock=None,
-        unit_bytes: int = 0,
-    ) -> None:
-        self._book = book
-        self.config = config
-        self._migrate = migrate
-        self._migrate_many = migrate_many
-        self._reset = reset
-        self._source = _ZoneReclaimSource(self, unit_bytes)
-        self._migration_hint: Optional[MigrationHint] = None
-        self._on_drop: Optional[DropCallback] = None
-        self.migration_hint = migration_hint
-        self.on_drop = on_drop
-        self.engine = ReclaimEngine(
-            self._source,
-            make_victim_policy(config.policy),
-            ReclaimPacer(config.pacer_config()),
-            tracer=tracer,
-            clock=clock,
-            dead_first=config.dead_first,
-        )
-
-    # --- §3.4 hints (legacy attribute surface, GcHints-backed) ----------------------
-    #
-    # Builders and tests assign ``gc.migration_hint`` / ``gc.on_drop``
-    # directly; the setters keep the source's first-class
-    # :class:`~repro.reclaim.GcHints` in sync so drop accounting is
-    # uniform across every layer on the shared engine.
-
-    @property
-    def migration_hint(self) -> Optional[MigrationHint]:
-        return self._migration_hint
-
-    @migration_hint.setter
-    def migration_hint(self, hint: Optional[MigrationHint]) -> None:
-        self._migration_hint = hint
-        self._sync_hints()
-
-    @property
-    def on_drop(self) -> Optional[DropCallback]:
-        return self._on_drop
-
-    @on_drop.setter
-    def on_drop(self, callback: Optional[DropCallback]) -> None:
-        self._on_drop = callback
-        self._sync_hints()
-
-    def _sync_hints(self) -> None:
-        if self._migration_hint is None:
-            self._source.hints = None
-            return
-        on_drop = self._on_drop if self._on_drop is not None else lambda region: None
-        self._source.hints = GcHints(self._migration_hint, on_drop)
-
-    # --- counters (legacy names, engine-backed) -------------------------------------
-
-    @property
-    def zones_collected(self) -> int:
-        return self.engine.stats.victims_reclaimed
-
-    @property
-    def regions_migrated(self) -> int:
-        return self.engine.stats.units_migrated
-
-    @property
-    def regions_dropped(self) -> int:
-        return self.engine.stats.units_dropped
-
-    # The layer pokes these directly when zones die or state is restored.
-
-    @property
-    def _victim(self) -> Optional[int]:
-        return self.engine.victim
-
-    @_victim.setter
-    def _victim(self, value: Optional[int]) -> None:
-        if value is None:
-            self.engine.abandon_victim()
-        else:
-            self.engine._victim = value
-
-    @property
-    def _pending(self) -> List[int]:
-        return self.engine._pending
-
-    @_pending.setter
-    def _pending(self, value: List[int]) -> None:
-        self.engine._pending = list(value)
-
-    # --- policy -------------------------------------------------------------------
-
-    def needs_collection(self) -> bool:
-        return self.engine.needs_reclaim()
-
-    def pick_victim(self) -> Optional[int]:
-        """Finished zone the policy scores cheapest, if worth taking.
-
-        Only zones below the valid-data threshold qualify during normal
-        background GC; when the empty pool is at the emergency level the
-        best-scoring zone is returned regardless so the device can
-        always make forward progress.
-        """
-        return self.engine.pick_victim()
-
-    # --- execution ------------------------------------------------------------------
-
-    def maybe_collect(self) -> int:
-        """Paced background check; returns regions processed this step.
-
-        The collector keeps one victim "in progress" across calls and
-        migrates at most ``pace_regions`` regions per call, so no single
-        foreground operation queues behind a whole zone's migration.
-        """
-        return self.engine.background_step()
-
-    def collect(self, max_zones: int = 1) -> int:
-        """Emergency foreground collection: finish whole victims now."""
-        return self.engine.collect(max_victims=max_zones)
-
-    # Wired by the layer: region lookup by location and drop handling.
-    _region_lookup: Optional[Callable[[int, int], Optional[int]]] = None
-    _drop_handler: Optional[Callable[[int], None]] = None
-
-    def bind_lookup(
-        self,
-        region_lookup: Callable[[int, int], Optional[int]],
-        drop_handler: Callable[[int], None],
-    ) -> None:
-        """Late-bind the layer's mapping accessors (avoids a ctor cycle)."""
-        self._region_lookup = region_lookup
-        self._drop_handler = drop_handler
-
-    def _region_at(self, zone_index: int, slot: int) -> Optional[int]:
-        if self._region_lookup is None:
-            raise TranslationFullError("GC not bound to a translation layer")
-        return self._region_lookup(zone_index, slot)
-
-    def _drop(self, region_id: int) -> None:
-        if self._drop_handler is not None:
-            self._drop_handler(region_id)
-        if self.on_drop is not None:
-            self.on_drop(region_id)
+        self.layer._reset_zone(victim_id)
+        self.layer.book.mark_empty(victim_id)

@@ -11,7 +11,9 @@
   zone's bitmap bit, as happens "if CacheLib rewrites a region".
 
 Internally it drives the ZNS device, keeps the region map and zone
-bitmaps coherent, and runs the background GC check after each write.
+bitmaps coherent, and runs a paced step of its reclaim engine
+(``reclaim``, a :class:`~repro.reclaim.ReclaimEngine` over the zone
+source of :mod:`repro.ztl.gc`) after each write.
 Application-level write amplification — the metric of Table 1 — is
 ``(host + migrated region writes) / host region writes``.
 """
@@ -19,7 +21,7 @@ Application-level write amplification — the metric of Table 1 — is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import (
     ConfigError,
@@ -32,9 +34,10 @@ from repro.errors import (
     ZoneDeadError,
 )
 from repro.flash.znsssd import ZnsSsd
+from repro.reclaim import ReclaimEngine, ReclaimPacer, make_victim_policy
 from repro.sim.io import IoCompletion
 from repro.ztl.allocator import ZoneBook, ZoneRecord
-from repro.ztl.gc import GcConfig, MigrationHint, ZoneGarbageCollector
+from repro.ztl.gc import GcConfig, _ZoneReclaimSource
 from repro.ztl.mapping import RegionLocation, RegionMap
 
 
@@ -89,13 +92,7 @@ class ZtlStats:
 class RegionTranslationLayer:
     """Region interface over a :class:`~repro.flash.ZnsSsd`."""
 
-    def __init__(
-        self,
-        device: ZnsSsd,
-        config: ZtlConfig,
-        migration_hint: Optional[MigrationHint] = None,
-        on_drop: Optional[Callable[[int], None]] = None,
-    ) -> None:
+    def __init__(self, device: ZnsSsd, config: ZtlConfig) -> None:
         if config.region_size <= 0 or device.zone_size % config.region_size != 0:
             raise ConfigError(
                 f"region_size {config.region_size} must divide zone size "
@@ -125,7 +122,6 @@ class RegionTranslationLayer:
         # operation by the backend above and by GC below.
         self.tracer = device.tracer
         self.config = config
-        self._on_drop = on_drop
         self.region_size = config.region_size
         self.zone_size = device.zone_size
         self.slots_per_zone = device.zone_size // config.region_size
@@ -138,19 +134,17 @@ class RegionTranslationLayer:
         )
         self.map = RegionMap()
         self.stats = ZtlStats()
-        self.gc = ZoneGarbageCollector(
-            self.book,
-            config.gc,
-            migrate=self._migrate_region,
-            reset=self._reset_zone,
-            migration_hint=migration_hint,
-            on_drop=on_drop,
-            migrate_many=self._migrate_regions,
+        # §3.3 middle-layer GC; a store binds the cache's §3.4 hints on
+        # its source (``ZtlRegionStore.bind_gc_hints``).
+        gc = config.gc
+        self.reclaim = ReclaimEngine(
+            _ZoneReclaimSource(self),
+            make_victim_policy(gc.policy),
+            ReclaimPacer(gc.pacer_config()),
             tracer=device.tracer,
             clock=device.pipeline.clock,
-            unit_bytes=config.region_size,
+            dead_first=gc.dead_first,
         )
-        self.gc.bind_lookup(self._region_at, self._drop_region)
 
     # --- capacity ------------------------------------------------------------------
 
@@ -211,7 +205,7 @@ class RegionTranslationLayer:
         self.stats.host_region_writes += 1
         # Background thread check (paper: runs continuously; we piggyback).
         try:
-            self.gc.maybe_collect()
+            self.reclaim.background_step()
         except PowerCutError:
             raise
         except RetryableError:
@@ -264,7 +258,7 @@ class RegionTranslationLayer:
             try:
                 return self.book.allocate_host_slot(group)
             except TranslationFullError:
-                if self.gc.collect(max_zones=1) == 0:
+                if self.reclaim.collect(max_victims=1) == 0:
                     raise
         raise TranslationFullError(
             "GC cannot free zones faster than the host consumes them; "
@@ -272,9 +266,9 @@ class RegionTranslationLayer:
         )
 
     def _write_to_record(
-        self, region_id: int, record: ZoneRecord, data: bytes, background: bool = False
+        self, region_id: int, record: ZoneRecord, data: bytes
     ) -> IoCompletion:
-        if self.config.use_zone_append and not background:
+        if self.config.use_zone_append:
             result = self.device.append(record.zone_index, data)
             slot = (result.offset % self.zone_size) // self.region_size
             location = RegionLocation(record.zone_index, slot)
@@ -282,26 +276,16 @@ class RegionTranslationLayer:
             slot = record.next_slot
             location = RegionLocation(record.zone_index, slot)
             offset = location.byte_offset(self.zone_size, self.region_size)
-            result = self.device.write(offset, data, background=background)
+            result = self.device.write(offset, data)
         record.bitmap.set(slot)
         self.map.bind(region_id, location)
         self.book.note_slot_written(record)
         return result
 
-    def _migrate_region(self, region_id: int, target: ZoneRecord) -> None:
-        """GC relocation on the background thread (§3.3): the device is
-        kept busy — foreground I/O queues behind the migration — but the
-        cache itself is not blocked."""
-        old = self.map.lookup(region_id)
-        offset = old.byte_offset(self.zone_size, self.region_size)
-        data = self.device.read(offset, self.region_size, background=True).data
-        assert data is not None
-        self.book.record(old.zone_index).bitmap.clear(old.slot)
-        self._write_to_record(region_id, target, data, background=True)
-        self.stats.migrated_region_writes += 1
-
     def _migrate_regions(self, region_ids: List[int]) -> None:
-        """Batched GC relocation: one device copy batch per pace step.
+        """GC relocation on the background thread (§3.3), one device copy
+        batch per pace step: the device is kept busy — foreground I/O
+        queues behind the migration — but the cache itself is not blocked.
 
         The copy loop is the GC hot path, so the reads for every
         surviving region in a pace step are charged together (and
@@ -309,8 +293,8 @@ class RegionTranslationLayer:
         whole burst overlaps instead of serializing — and the bytes move
         inside the device (:meth:`ZnsSsd.copy_many`); a survivor never
         comes up the stack.  Mapping and slot bookkeeping stay strictly
-        sequential, exactly as the one-region path, so allocation order
-        (and therefore on-media layout) is unchanged.
+        sequential, one survivor after another, so allocation order (and
+        therefore on-media layout) is that of a per-region loop.
 
         The batch is atomic per survivor: a target slot is allocated
         before anything is changed for that survivor, and when the GC
@@ -386,8 +370,6 @@ class RegionTranslationLayer:
         self.book.record(old.zone_index).bitmap.clear(old.slot)
         if data is None:
             self._drop_region(region_id)
-            if self._on_drop is not None:
-                self._on_drop(region_id)
             return
         for _ in range(4):
             try:
@@ -418,8 +400,6 @@ class RegionTranslationLayer:
             return
         # Nowhere to land the survivor: drop it rather than stall GC.
         self._drop_region(region_id)
-        if self._on_drop is not None:
-            self._on_drop(region_id)
 
     def _retire_zone(self, zone_index: int) -> None:
         """Take a dead zone out of service: drop its regions, tell the
@@ -429,12 +409,8 @@ class RegionTranslationLayer:
             region_id = self._region_at(zone_index, slot)
             if region_id is not None:
                 self._drop_region(region_id)
-                if self._on_drop is not None:
-                    self._on_drop(region_id)
         self.book.retire(zone_index)
-        if self.gc._victim == zone_index:
-            self.gc._victim = None
-            self.gc._pending = []
+        self.reclaim.abandon_victim(zone_index)
         self.stats.dead_zones += 1
         self.tracer.emit_event("ztl.fault", "retire_zone", zone=zone_index)
 
@@ -452,8 +428,14 @@ class RegionTranslationLayer:
         return self.map.region_at(RegionLocation(zone_index, slot))
 
     def _drop_region(self, region_id: int) -> None:
+        """The one drop routine — a §3.4 hint, a dead zone or a survivor
+        with nowhere to land: unmap the region and tell the cache (its
+        bound ``hints.on_drop``) so the index purges what it lost."""
         self.map.unbind(region_id)
         self.stats.dropped_regions += 1
+        hints = self.reclaim.source.hints
+        if hints is not None:
+            hints.on_drop(region_id)
 
     # --- persistence (warm restart) -----------------------------------------------
 
@@ -532,12 +514,9 @@ class RegionTranslationLayer:
                 self.book._finished.append(record.zone_index)
         for region_id_str, (zone_index, slot) in state["mapping"].items():
             self.map.bind(int(region_id_str), RegionLocation(zone_index, slot))
-        # Re-point the collector at the rebuilt book and clear any
-        # in-progress victim from the previous life.
-        self.gc._book = self.book
-        self.gc._victim = None
-        self.gc._pending = []
-        self.gc.bind_lookup(self._region_at, self._drop_region)
+        # The engine's source reads the rebuilt book; only an in-progress
+        # victim from the previous life has to go.
+        self.reclaim.abandon_victim()
 
     def __repr__(self) -> str:
         return (

@@ -38,7 +38,7 @@ PINNED: Dict[str, Tuple[str, ...]] = {
         "ram_bytes", "reclaim_window", "region_size", "retry",
     ),
     "CleanerConfig": (
-        "adaptive", "emergency_sections", "low_watermark", "pace_blocks", "policy",
+        "emergency_sections", "low_watermark", "pace_blocks", "policy",
         "urgent_sections", "victim_valid_threshold",
     ),
     "CompactionConfig": (
@@ -64,7 +64,7 @@ PINNED: Dict[str, Tuple[str, ...]] = {
         "op_ratio",
     ),
     "GcConfig": (
-        "adaptive", "copy_tokens_per_step", "dead_first", "emergency_empty_zones",
+        "copy_tokens_per_step", "dead_first", "emergency_empty_zones",
         "min_empty_zones", "pace_regions", "policy", "urgent_empty_zones",
         "victim_valid_threshold",
     ),
@@ -77,8 +77,8 @@ PINNED: Dict[str, Tuple[str, ...]] = {
         "versioning",
     ),
     "PacerConfig": (
-        "adaptive", "background", "copy_tokens_per_step", "emergency", "pace_units",
-        "target", "urgent", "victim_valid_threshold",
+        "background", "copy_tokens_per_step", "emergency", "pace_units", "target",
+        "urgent", "victim_valid_threshold",
     ),
     "PoolConfig": ("channels", "queue_depth", "stripe_bytes"),
     "ReplicationConfig": (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import errors
-from repro.f2fs import F2fsConfig
+from repro.f2fs import CleanerConfig, F2fsConfig
 from repro.flash import BlockSsdConfig, HddConfig
 from repro.flash.zone import ZoneCostConfig
 from repro.lsm.compaction import CompactionConfig
@@ -126,6 +126,10 @@ class TestErrorHierarchy:
             (F2fsConfig, {"cpu_ns_per_block": -1}),
             (F2fsConfig, {"blocks_per_node": 0}),
             (F2fsConfig, {"checkpoint_interval_blocks": 0}),
+            (CleanerConfig, {"victim_valid_threshold": 2.0}),
+            (CleanerConfig, {"low_watermark": 3, "emergency_sections": 9}),
+            (CleanerConfig, {"urgent_sections": -2}),
+            (CleanerConfig, {"policy": "lifo"}),
             (HddConfig, {"capacity_bytes": 5000}),
             (HddConfig, {"block_size": 0}),
             (HddConfig, {"transfer_bytes_per_ns": 0.0}),

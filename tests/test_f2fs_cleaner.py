@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, VictimPolicy, fsck
+from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, fsck
 from repro.flash import NandGeometry, NullBlkDevice, ZnsConfig, ZnsSsd
 from repro.sim import SimClock
 from repro.units import KIB, MIB
@@ -12,7 +12,7 @@ from repro.units import KIB, MIB
 PAGE = 4 * KIB
 
 
-def make_fs(pace_blocks=8, low_watermark=3, policy=VictimPolicy.COST_BENEFIT):
+def make_fs(pace_blocks=8, low_watermark=3, policy="cost_benefit"):
     clock = SimClock()
     geometry = NandGeometry(page_size=PAGE, pages_per_block=16, num_blocks=256)
     zns = ZnsSsd(clock, ZnsConfig(geometry=geometry, zone_size=8 * geometry.block_size))
@@ -52,43 +52,43 @@ class TestCleanerPacing:
         rng = random.Random(7)
         max_step = 0
         for step in range(4000):
-            before = fs.cleaner.blocks_migrated
+            before = fs.reclaim.stats.units_migrated
             handle.pwrite(rng.randrange(500) * PAGE, b"\x42" * PAGE)
-            moved = fs.cleaner.blocks_migrated - before
+            moved = fs.reclaim.stats.units_migrated - before
             max_step = max(max_step, moved)
-        assert fs.cleaner.sections_cleaned > 0
+        assert fs.reclaim.stats.victims_reclaimed > 0
         assert max_step <= 4
 
     def test_victim_finished_across_steps(self):
         fs, _ = make_fs(pace_blocks=2)
         churn(fs, blocks=5000)
         # The incremental victim must never be left dangling forever.
-        assert fs.cleaner.sections_cleaned > 0
+        assert fs.reclaim.stats.victims_reclaimed > 0
         assert fsck(fs).clean
 
     def test_needs_cleaning_threshold(self):
         fs, _ = make_fs(low_watermark=5)
-        assert not fs.cleaner.needs_cleaning()
+        assert not fs.reclaim.needs_reclaim()
         # Consume sections until below the watermark.
         handle = fs.create("data")
         i = 0
         while fs.logs.free_section_count >= 5:
             handle.pwrite(i * PAGE, b"\x01" * PAGE)
             i += 1
-        assert fs.cleaner.needs_cleaning()
+        assert fs.reclaim.needs_reclaim()
 
 
 class TestVictimPolicies:
-    @pytest.mark.parametrize("policy", [VictimPolicy.GREEDY, VictimPolicy.COST_BENEFIT])
+    @pytest.mark.parametrize("policy", ["greedy", "cost_benefit"])
     def test_policies_clean_and_stay_consistent(self, policy):
         fs, _ = make_fs(policy=policy)
         churn(fs, blocks=5000)
-        assert fs.cleaner.sections_cleaned > 0
+        assert fs.reclaim.stats.victims_reclaimed > 0
         report = fsck(fs)
         assert report.clean, report.errors
 
     def test_greedy_prefers_emptier_sections(self):
-        fs, _ = make_fs(policy=VictimPolicy.GREEDY)
+        fs, _ = make_fs(policy="greedy")
         # Build two used sections with different valid fractions by
         # overwriting one file's blocks (invalidating its old section).
         handle = fs.create("data")
@@ -97,7 +97,7 @@ class TestVictimPolicies:
             handle.pwrite(i * PAGE, b"\x01" * PAGE)
         for i in range(blocks_per_section // 2):
             handle.pwrite(i * PAGE, b"\x02" * PAGE)  # invalidates half of s0
-        victim = fs.cleaner._pick_victim()
+        victim = fs.reclaim.pick_victim()
         assert victim is not None
         # The victim must not be a pristine (fully valid) section when a
         # half-dead one exists.
@@ -113,6 +113,6 @@ class TestCleanerCallbacks:
     def test_migrated_blocks_keep_owner_coherence(self):
         fs, _ = make_fs()
         handle = churn(fs, blocks=5000)
-        assert fs.cleaner.blocks_migrated > 0
+        assert fs.reclaim.stats.units_migrated > 0
         report = fsck(fs)
         assert report.clean, report.errors[:3]

@@ -10,7 +10,7 @@ from repro.errors import (
     FileNotFoundInFsError,
     NoSpaceError,
 )
-from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, VictimPolicy
+from repro.f2fs import CleanerConfig, F2fs, F2fsConfig
 from repro.flash import NandGeometry, NullBlkDevice, ZnsConfig, ZnsSsd
 from repro.sim import SimClock
 from repro.units import KIB, MIB
@@ -22,7 +22,7 @@ def make_fs(
     num_blocks=512,
     zone_blocks=8,
     provision=0.20,
-    policy=VictimPolicy.COST_BENEFIT,
+    policy="cost_benefit",
     checkpoint_interval=10**6,
 ):
     clock = SimClock()
@@ -157,7 +157,7 @@ class TestF2fsCleaning:
     def test_cleaning_occurs_and_data_survives(self):
         fs = make_fs()
         handle, expected, extent = self.churn(fs)
-        assert fs.cleaner.sections_cleaned > 0
+        assert fs.reclaim.stats.victims_reclaimed > 0
         for i, tag in expected.items():
             assert handle.pread(i * extent * BLOCK, extent * BLOCK) == blockdata(
                 tag, extent
@@ -169,9 +169,9 @@ class TestF2fsCleaning:
         assert fs.stats.write_amplification > 1.0
 
     def test_greedy_policy_also_works(self):
-        fs = make_fs(policy=VictimPolicy.GREEDY)
+        fs = make_fs(policy="greedy")
         handle, expected, extent = self.churn(fs, steps=800)
-        assert fs.cleaner.sections_cleaned > 0
+        assert fs.reclaim.stats.victims_reclaimed > 0
         for i, tag in list(expected.items())[:64]:
             assert handle.pread(i * extent * BLOCK, extent * BLOCK) == blockdata(
                 tag, extent

@@ -89,7 +89,7 @@ def stack_retries(stack) -> int:
         total += layer.stats.gc_retries
     fs = stack.substrate.get("fs")
     if fs is not None:
-        total += fs.stats.io_retries + fs.cleaner.io_retries
+        total += fs.stats.io_retries + fs.reclaim.stats.retries
     return total
 
 

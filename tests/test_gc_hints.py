@@ -8,9 +8,12 @@ Four layers of assurance:
 * the two newly-hinted reclamation layers: the F2FS cleaner's
   block-drop path (SIT/NAT unmap, metadata stays fsck-clean) and the
   FTL's region discard-ahead;
-* the scheme builders: ``hint_layers="all"`` binds hints into the
-  substrate, the historical ``"ztl"`` value leaves the new layers
-  unhinted (bit-compat);
+* the scheme builders: one table over every scheme and hint mode says
+  exactly which reclaim engine holds hints — ``hint_layers="all"``
+  binds them into every substrate, the historical ``"ztl"`` value
+  leaves the F2FS cleaner and the FTL unhinted (bit-compat);
+* the ZTL's one drop routine: every region the layer drops reaches the
+  cache, a dead zone's included;
 * end to end: a small ``run_hint_sweep`` grid reconciles
   ``gc_hint_dropped_units`` against the per-layer drop spans exactly.
 """
@@ -21,16 +24,26 @@ import random
 
 import pytest
 
+from repro.bench.fleet import SERVING_SCALE
 from repro.bench.schemes import (
+    ALL_SCHEME_NAMES,
     SchemeScale,
-    build_block_cache,
-    build_file_cache,
+    build_region_cache,
+    build_scheme,
 )
+from repro.cache.backends import BlockRegionStore, FileRegionStore
 from repro.cache.lifecycle import LifecycleConfig
 from repro.errors import CacheConfigError, ConfigError
-from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, VictimPolicy, fsck
-from repro.flash import NandGeometry, NullBlkDevice, ZnsConfig, ZnsSsd
-from repro.flash.ftl import FtlConfig, PageMappedFtl
+from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, fsck
+from repro.flash import (
+    BlockSsd,
+    BlockSsdConfig,
+    NandGeometry,
+    NullBlkDevice,
+    ZnsConfig,
+    ZnsSsd,
+)
+from repro.flash.ftl import FtlConfig
 from repro.reclaim import (
     GcHints,
     GreedyPolicy,
@@ -151,8 +164,7 @@ def _make_fs():
     fs = F2fs(
         clock, zns, meta,
         F2fsConfig(checkpoint_interval_blocks=1 << 30),
-        CleanerConfig(low_watermark=3, pace_blocks=8,
-                      policy=VictimPolicy.COST_BENEFIT),
+        CleanerConfig(low_watermark=3, pace_blocks=8, policy="cost_benefit"),
     )
     fs.mkfs()
     return fs
@@ -160,52 +172,41 @@ def _make_fs():
 
 class TestF2fsCleanerHints:
     REGION_BLOCKS = 4  # 16 KiB regions over 4 KiB filesystem blocks
+    SPREAD = 600  # blocks the churn rewrites: 150 regions
 
-    def _bind(self, fs, handle, migration_worth, dropped):
-        def region_of_block(block_addr):
-            owner = fs.sit.owner_of(block_addr)
-            if owner is None:
-                return None
-            owner_id, file_block = owner
-            if owner_id != handle.file_id:
-                return None
-            return file_block // self.REGION_BLOCKS
-
-        fs.cleaner.bind_hints(
-            GcHints(migration_worth, dropped.append),
-            region_of_block,
-            fs._drop_block,
+    def _bind(self, fs, migration_worth, dropped):
+        """The cache file and its hints, bound the one way a store does."""
+        store = FileRegionStore(
+            fs, self.REGION_BLOCKS * PAGE, self.SPREAD // self.REGION_BLOCKS
         )
+        store.bind_gc_hints(GcHints(migration_worth, dropped.append))
+        return store.file
 
-    def _churn(self, fs, handle, blocks=5000, spread=600, seed=5):
+    def _churn(self, handle, blocks=5000, seed=5):
         rng = random.Random(seed)
         for step in range(blocks):
             handle.pwrite(
-                rng.randrange(spread) * PAGE, bytes([step % 251 + 1]) * PAGE
+                rng.randrange(self.SPREAD) * PAGE, bytes([step % 251 + 1]) * PAGE
             )
 
     def test_condemned_regions_drop_instead_of_migrate(self):
         fs = _make_fs()
-        handle = fs.create("data")
         dropped = []
-        self._bind(fs, handle, lambda region_id: False, dropped)
-        self._churn(fs, handle)
-        stats = fs.cleaner.engine.stats
+        self._churn(self._bind(fs, lambda region_id: False, dropped))
+        stats = fs.reclaim.stats
         assert stats.hint_dropped_units > 0
         assert stats.hint_dropped_units == stats.units_dropped
         # Everything the file owned was condemned: the cleaner moved no
         # data blocks for it, and dropping left the metadata coherent.
         assert dropped
-        assert fs.cleaner.sections_cleaned > 0
+        assert stats.victims_reclaimed > 0
         assert fsck(fs).clean
 
     def test_worthy_regions_still_migrate(self):
         fs = _make_fs()
-        handle = fs.create("data")
         dropped = []
-        self._bind(fs, handle, lambda region_id: True, dropped)
-        self._churn(fs, handle)
-        stats = fs.cleaner.engine.stats
+        self._churn(self._bind(fs, lambda region_id: True, dropped))
+        stats = fs.reclaim.stats
         assert stats.hint_dropped_units == 0
         assert stats.units_migrated > 0
         assert not dropped
@@ -215,11 +216,9 @@ class TestF2fsCleanerHints:
         # Condemn only even regions: a mixed victim section drops some
         # blocks and migrates the rest, and the filesystem stays clean.
         fs = _make_fs()
-        handle = fs.create("data")
         dropped = []
-        self._bind(fs, handle, lambda region_id: region_id % 2 == 1, dropped)
-        self._churn(fs, handle)
-        stats = fs.cleaner.engine.stats
+        self._churn(self._bind(fs, lambda region_id: region_id % 2 == 1, dropped))
+        stats = fs.reclaim.stats
         assert stats.hint_dropped_units > 0
         assert stats.units_migrated > 0
         assert all(region_id % 2 == 0 for region_id in dropped)
@@ -230,31 +229,35 @@ class TestF2fsCleanerHints:
 # FTL: discard-ahead of condemned regions
 # --------------------------------------------------------------------------
 
-def _make_ftl():
+def _make_ssd():
     geometry = NandGeometry(page_size=PAGE, pages_per_block=8, num_blocks=32)
-    return PageMappedFtl(geometry, FtlConfig(0.25, 2, 4))
+    return BlockSsd(
+        SimClock(), BlockSsdConfig(geometry=geometry, ftl=FtlConfig(0.25, 2, 4))
+    )
 
 
 class TestFtlDiscardAhead:
     REGION_PAGES = 4
 
+    def _bind(self, ssd, migration_worth, on_drop):
+        """Hints over a grid of ``REGION_PAGES``-page regions, bound the
+        one way a store does; returns the FTL the tests drive."""
+        num_regions = ssd.ftl.logical_pages // self.REGION_PAGES
+        store = BlockRegionStore(ssd, self.REGION_PAGES * PAGE, num_regions)
+        store.bind_gc_hints(GcHints(migration_worth, on_drop))
+        return ssd.ftl
+
     def test_bind_hints_validates_region_alignment(self):
-        ftl = _make_ftl()
+        # The hint grid is the store's region grid, and the store refuses
+        # a region that is not whole pages before anything can bind.
         with pytest.raises(ConfigError):
-            ftl.bind_hints(
-                GcHints(lambda r: True, lambda r: None), PAGE + 1, 4
-            )
+            BlockRegionStore(_make_ssd(), PAGE + 1, 4)
 
     def test_condemned_regions_discarded_not_copied(self):
-        ftl = _make_ftl()
-        ftl.write_pages(list(range(ftl.logical_pages)))
+        ssd = _make_ssd()
+        ssd.ftl.write_pages(list(range(ssd.ftl.logical_pages)))
         dropped = []
-        num_regions = ftl.logical_pages // self.REGION_PAGES
-        ftl.bind_hints(
-            GcHints(lambda region_id: False, dropped.append),
-            self.REGION_PAGES * PAGE,
-            num_regions,
-        )
+        ftl = self._bind(ssd, lambda region_id: False, dropped.append)
         rng = random.Random(11)
         for _ in range(ftl.logical_pages * 4):
             ftl.write_pages([rng.randrange(ftl.logical_pages)])
@@ -267,15 +270,10 @@ class TestFtlDiscardAhead:
         assert dropped
 
     def test_discard_ahead_unmaps_the_whole_region(self):
-        ftl = _make_ftl()
-        ftl.write_pages(list(range(ftl.logical_pages)))
+        ssd = _make_ssd()
+        ssd.ftl.write_pages(list(range(ssd.ftl.logical_pages)))
         dropped = []
-        num_regions = ftl.logical_pages // self.REGION_PAGES
-        ftl.bind_hints(
-            GcHints(lambda region_id: False, dropped.append),
-            self.REGION_PAGES * PAGE,
-            num_regions,
-        )
+        ftl = self._bind(ssd, lambda region_id: False, dropped.append)
         # Random rewrites until GC condemns its first region, then stop:
         # the discard must have unmapped the region's whole logical
         # range.  Only the write that triggered the collection may have
@@ -294,11 +292,9 @@ class TestFtlDiscardAhead:
                 assert ftl.physical_of(lpn) is None
 
     def test_worthy_regions_unaffected(self):
-        template, hinted = _make_ftl(), _make_ftl()
-        hinted.bind_hints(
-            GcHints(lambda region_id: True, lambda region_id: None),
-            self.REGION_PAGES * PAGE,
-            hinted.logical_pages // self.REGION_PAGES,
+        template = _make_ssd().ftl
+        hinted = self._bind(
+            _make_ssd(), lambda region_id: True, lambda region_id: None
         )
         for ftl in (template, hinted):
             rng = random.Random(11)
@@ -315,47 +311,85 @@ class TestFtlDiscardAhead:
 # Builder wiring: hint_layers gates the substrate bindings
 # --------------------------------------------------------------------------
 
-class TestBuilderWiring:
-    def _lifecycle(self, **kwargs):
-        return LifecycleConfig(versioning=True, gc_hints=True, **kwargs)
+# The reclaim engine each scheme's stack carries (Zone-Cache has none).
+RECLAIM_LAYER = {
+    "Region-Cache": "ztl",
+    "Zone-Cache": "none",
+    "File-Cache": "f2fs",
+    "Block-Cache": "ftl",
+    "Z-Cache": "ztl",
+}
+# Engines that hold the cache's hints under each mode: the historical
+# "ztl" coverage stops at the zone translation layer.
+HINTED_LAYERS = {"off": (), "ztl": ("ztl",), "all": ("ztl", "f2fs", "ftl")}
 
+
+class TestBuilderWiring:
     def test_hint_layers_validated(self):
         with pytest.raises(CacheConfigError):
             LifecycleConfig(hint_layers="ftl-only")
 
-    def test_block_cache_full_binds_ftl_hints(self):
-        stack = build_block_cache(
-            SimClock(), SCALE, 16 * 256 * KIB, 8 * 256 * KIB,
-            lifecycle=self._lifecycle(hint_layers="all"),
+    @pytest.mark.parametrize("mode", list(HINTED_LAYERS))
+    @pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
+    def test_hint_binding_table(self, scheme, mode):
+        # "off" keeps hint_layers="all": gc_hints alone decides.
+        lifecycle = LifecycleConfig(
+            versioning=True,
+            gc_hints=mode != "off",
+            hint_layers="all" if mode == "off" else mode,
         )
-        source = stack.substrate["device"].ftl.reclaim.source
-        assert source.hints is not None
-        assert source.hints.migration_worth == stack.cache.migration_worth
+        zone = SCALE.zone_size
+        cache_bytes = {"Zone-Cache": None, "File-Cache": 6 * zone}.get(scheme, 8 * zone)
+        stack = build_scheme(
+            scheme, SimClock(), SCALE, 16 * zone, cache_bytes, lifecycle=lifecycle
+        )
+        layer, engine = stack.reclaim_engine()
+        assert layer == RECLAIM_LAYER[scheme]
+        if engine is None:
+            return
+        hints = engine.source.hints
+        if layer not in HINTED_LAYERS[mode]:
+            assert hints is None
+            return
+        assert hints.migration_worth == stack.cache.migration_worth
+        assert hints.on_drop == stack.cache.on_region_dropped
 
-    def test_block_cache_ztl_only_leaves_ftl_unhinted(self):
-        # The historical hint wiring stops at the ZTL; a block SSD's FTL
-        # only joins in under hint_layers="all".
-        stack = build_block_cache(
-            SimClock(), SCALE, 16 * 256 * KIB, 8 * 256 * KIB,
-            lifecycle=self._lifecycle(hint_layers="ztl"),
-        )
-        assert stack.substrate["device"].ftl.reclaim.source.hints is None
 
-    def test_file_cache_full_binds_cleaner_hints(self):
-        stack = build_file_cache(
-            SimClock(), SCALE, 16 * 256 * KIB, 6 * 256 * KIB,
-            lifecycle=self._lifecycle(hint_layers="all"),
-        )
-        fs = stack.substrate["fs"]
-        assert fs.cleaner.engine.source.hints is not None
+# --------------------------------------------------------------------------
+# The ZTL's one drop routine
+# --------------------------------------------------------------------------
 
-    def test_hints_off_binds_nothing(self):
-        stack = build_file_cache(
-            SimClock(), SCALE, 16 * 256 * KIB, 6 * 256 * KIB,
-            lifecycle=LifecycleConfig(versioning=True, gc_hints=False,
-                                      hint_layers="all"),
+class TestZtlDropRoutine:
+    def test_retired_zone_drops_reach_the_cache(self):
+        """A zone that dies takes its regions with it: each one is
+        dropped through the routine that tells the cache, so the index
+        forgets it and the ledger attributes its bytes at once — not on
+        some later read of a region that is gone."""
+        scale = SERVING_SCALE
+        stack = build_region_cache(
+            SimClock(), scale, 10 * scale.zone_size, 8 * scale.zone_size,
+            lifecycle=LifecycleConfig(gc_hints=True),
         )
-        assert stack.substrate["fs"].cleaner.engine.source.hints is None
+        cache, layer = stack.cache, stack.substrate["layer"]
+        for i in range(3000):
+            cache.set(b"key-%06d" % i, b"v" * 1000)
+        zone = next(
+            record.zone_index
+            for record in layer.book.records
+            if record.bitmap.valid_count == layer.slots_per_zone
+        )
+        regions = {layer._region_at(zone, slot) for slot in range(layer.slots_per_zone)}
+        stranded = [key for key, loc in cache.index.items() if loc.region_id in regions]
+        assert len(regions) == 16 and stranded
+        dropped_items = cache.stats.dropped_items
+        ledger = cache.regions.ledger
+        dropped_bytes = ledger.dead_bytes["dropped"]
+        layer._retire_zone(zone)
+        assert layer.stats.dead_zones == 1
+        assert not any(loc.region_id in regions for loc in cache.index.values())
+        assert cache.stats.dropped_items == dropped_items + len(stranded)
+        assert ledger.dead_items["dropped"] == len(stranded)
+        assert ledger.dead_bytes["dropped"] > dropped_bytes
 
 
 # --------------------------------------------------------------------------

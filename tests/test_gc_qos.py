@@ -155,6 +155,12 @@ def _adaptive(**overrides):
     return AdaptivePacingConfig(**config)
 
 
+def _adaptive_pacer(config):
+    pacer = ReclaimPacer(config)
+    pacer.enable_adaptive(_adaptive())
+    return pacer
+
+
 class TestAdaptivePacing:
     def test_static_without_controller(self):
         pacer = ReclaimPacer(PacerConfig(pace_units=8))
@@ -164,7 +170,7 @@ class TestAdaptivePacing:
         assert pacer.pace_adjustments == 0
 
     def test_relax_under_budget(self):
-        pacer = ReclaimPacer(PacerConfig(pace_units=8), adaptive=_adaptive())
+        pacer = _adaptive_pacer(PacerConfig(pace_units=8))
         for _ in range(4):
             pacer.stall.record(10)  # well under the 1000ns budget
             pacer.observe_step()
@@ -173,13 +179,13 @@ class TestAdaptivePacing:
         assert pacer.pace_clamps == 0
 
     def test_relax_bounded_by_ceiling(self):
-        pacer = ReclaimPacer(PacerConfig(pace_units=8), adaptive=_adaptive())
+        pacer = _adaptive_pacer(PacerConfig(pace_units=8))
         for _ in range(400):
             pacer.observe_step()  # empty window counts as under budget
         assert pacer.pace_units == 32  # 8 * max_scale
 
     def test_clamp_over_budget_with_floor(self):
-        pacer = ReclaimPacer(PacerConfig(pace_units=8), adaptive=_adaptive())
+        pacer = _adaptive_pacer(PacerConfig(pace_units=8))
         for _ in range(400):
             pacer.stall.record(1_000_000)
             pacer.observe_step()
@@ -187,7 +193,7 @@ class TestAdaptivePacing:
         assert pacer.pace_clamps > 0
 
     def test_stall_window_resets_each_interval(self):
-        pacer = ReclaimPacer(PacerConfig(pace_units=8), adaptive=_adaptive())
+        pacer = _adaptive_pacer(PacerConfig(pace_units=8))
         for _ in range(4):
             pacer.stall.record(1_000_000)
             pacer.observe_step()
@@ -199,10 +205,7 @@ class TestAdaptivePacing:
         assert pacer.pace_units == 6  # relaxes again on the fresh window
 
     def test_copy_tokens_follow_the_controller(self):
-        pacer = ReclaimPacer(
-            PacerConfig(pace_units=8, copy_tokens_per_step=64),
-            adaptive=_adaptive(),
-        )
+        pacer = _adaptive_pacer(PacerConfig(pace_units=8, copy_tokens_per_step=64))
         for _ in range(4):
             pacer.stall.record(1_000_000)
             pacer.observe_step()

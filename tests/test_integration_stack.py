@@ -55,8 +55,8 @@ class TestRegionCacheStack:
         stack = build_region_cache(SimClock(), SCALE, MEDIA, CACHE)
         run_mix(stack)
         layer = stack.substrate["layer"]
-        assert layer.stats.migrated_region_writes == layer.gc.regions_migrated
-        assert layer.stats.gc_zone_resets == layer.gc.zones_collected
+        assert layer.stats.migrated_region_writes == layer.reclaim.stats.units_migrated
+        assert layer.stats.gc_zone_resets == layer.reclaim.stats.victims_reclaimed
 
 
 class TestZoneCacheStack:

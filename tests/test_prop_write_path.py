@@ -151,7 +151,7 @@ def _reference_pwrite(fs: F2fs, file_id: int, offset: int, data: bytes) -> int:
             if old is not None:
                 fs.sit.mark_invalid(old)
             fs.sit.mark_valid(block_addr, (file_id, file_block))
-            fs.cleaner.note_section_written(fs.layout.section_of_block(block_addr))
+            fs._note_section_written(fs.layout.section_of_block(block_addr))
         fs.nat.update_size(file_id, offset + len(data))
         touched_groups = {
             (first_block + i) // fs.config.blocks_per_node for i in range(num_blocks)
@@ -161,7 +161,7 @@ def _reference_pwrite(fs: F2fs, file_id: int, offset: int, data: bytes) -> int:
         fs.stats.host_write_bytes += len(data)
         fs._note_meta_updates(num_blocks)
         fs._blocks_since_checkpoint += num_blocks
-        fs.cleaner.background_step()
+        fs.reclaim.background_step()
     return fs._clock.now - start_ns
 
 
@@ -201,8 +201,8 @@ def _fs_state(fs: F2fs):
         fs.sit.total_valid_blocks,
         fs.nat.to_state(),
         dict(fs._node_addr),
-        list(fs.cleaner._mtime),
-        fs.cleaner._tick,
+        list(fs._section_mtime),
+        fs._write_tick,
         fs.logs.to_state(),
         fs.stats,
         fs._clock.now,
@@ -272,7 +272,8 @@ def test_f2fs_run_remap_equals_per_block_remap(seed, ops):
 
 def test_f2fs_run_remap_equals_per_block_remap_under_cleaning():
     fs = _drive_both_filesystems(_random_fs_ops(24, 250))
-    assert fs.cleaner.sections_cleaned > 20 and fs.cleaner.blocks_migrated > 100
+    stats = fs.reclaim.stats
+    assert stats.victims_reclaimed > 20 and stats.units_migrated > 100
 
 
 # --- FTL: one poll per trigger point vs one per page -----------------------------

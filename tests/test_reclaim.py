@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.errors import ConfigError
-from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, VictimPolicy as F2fsPolicy
+from repro.f2fs import CleanerConfig, F2fs, F2fsConfig
 from repro.flash import NandGeometry, NullBlkDevice, ZnsConfig, ZnsSsd
 from repro.flash.ftl import FtlConfig, PageMappedFtl
 from repro.reclaim import (
@@ -406,8 +406,8 @@ class TestGoldenDeterminism:
         assert layer.stats.host_region_writes == 1020
         assert layer.stats.migrated_region_writes == 3010
         assert layer.stats.gc_zone_resets == 238
-        assert layer.gc.zones_collected == 238
-        assert layer.gc.regions_migrated == 3010
+        assert layer.reclaim.stats.victims_reclaimed == 238
+        assert layer.reclaim.stats.units_migrated == 3010
         assert layer.stats.app_write_amplification == 3.950980392156863
         assert device.stats.media_write_bytes == 264110080
         assert [
@@ -437,19 +437,19 @@ class TestGoldenDeterminism:
         return clock, zns, fs
 
     def test_f2fs_cost_benefit_golden(self):
-        clock, zns, fs = self._f2fs_run(F2fsPolicy.COST_BENEFIT)
+        clock, zns, fs = self._f2fs_run("cost_benefit")
         assert clock.now == 9220097856
-        assert fs.cleaner.sections_cleaned == 67
-        assert fs.cleaner.blocks_migrated == 228
+        assert fs.reclaim.stats.victims_reclaimed == 67
+        assert fs.reclaim.stats.units_migrated == 228
         assert fs.stats.data_write_bytes == 50085888
         assert fs.stats.write_amplification == 2.054333333333333
         assert zns.stats.media_write_bytes == 50085888
 
     def test_f2fs_greedy_golden(self):
-        clock, _zns, fs = self._f2fs_run(F2fsPolicy.GREEDY)
+        clock, _zns, fs = self._f2fs_run("greedy")
         assert clock.now == 9016436000
-        assert fs.cleaner.sections_cleaned == 65
-        assert fs.cleaner.blocks_migrated == 0
+        assert fs.reclaim.stats.victims_reclaimed == 65
+        assert fs.reclaim.stats.units_migrated == 0
         assert fs.stats.write_amplification == 2.0156666666666667
 
     @pytest.mark.slow
@@ -542,7 +542,7 @@ class TestReclaimTracing:
         rng = random.Random(3)
         for _ in range(200):
             layer.write_region(rng.randrange(12), payload)
-        engine = layer.gc.engine
+        engine = layer.reclaim
         assert engine.stats.victims_reclaimed > 0
         tracer = device.tracer
         by_id = {r.record_id: r for r in tracer.records}
@@ -610,8 +610,8 @@ def test_ztl_reclaim_preserves_live_regions(ops):
             layer.invalidate_region(region_id)
             live.discard(region_id)
         else:
-            layer.gc.collect(max_zones=1)
-        source = layer.gc.engine.source
+            layer.reclaim.collect(max_victims=1)
+        source = layer.reclaim.source
         assert source.least_valid_fraction() == min(
             (view.valid_fraction for view in source.candidate_views()), default=1.0
         )

@@ -112,13 +112,13 @@ def test_gc_step_moves_its_survivors_without_a_region_sized_transient():
             layer.invalidate_region(region_id)
 
     fill_a_zone_then_kill(0)
-    assert layer.gc.collect() == 1  # everything has run once before measuring
+    assert layer.reclaim.collect() == 1  # everything has run once before measuring
     fill_a_zone_then_kill(slots)
     migrated = layer.stats.migrated_region_writes
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        assert layer.gc.collect() == 1
+        assert layer.reclaim.collect() == 1
         after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

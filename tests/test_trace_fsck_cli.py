@@ -1,4 +1,4 @@
-"""Tests for the I/O trace module, the F2FS fsck, and the CLI."""
+"""Tests for a device's trace records, the F2FS fsck, and the CLI."""
 
 import random
 
@@ -6,76 +6,50 @@ import pytest
 
 from repro.cli import build_parser, run
 from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, fsck
-from repro.flash import (
-    IoEvent,
-    IoTrace,
-    NandGeometry,
-    NullBlkDevice,
-    TracingBlockDevice,
-    ZnsConfig,
-    ZnsSsd,
-)
+from repro.flash import IoTracer, NandGeometry, NullBlkDevice, ZnsConfig, ZnsSsd
 from repro.sim import SimClock
 from repro.units import KIB, MIB
 
 PAGE = 4 * KIB
 
 
-class TestIoTrace:
+class TestDeviceRecords:
+    """What a flat per-command trace gave, read off the stack's one
+    record stream (:class:`~repro.sim.io.IoTracer`)."""
+
     def make_traced(self):
-        clock = SimClock()
-        device = TracingBlockDevice(NullBlkDevice(clock, capacity_bytes=1 * MIB))
-        return device, clock
+        tracer = IoTracer().enable()
+        return NullBlkDevice(SimClock(), capacity_bytes=1 * MIB, tracer=tracer), tracer
 
     def test_records_reads_and_writes(self):
-        device, _ = self.make_traced()
+        device, tracer = self.make_traced()
         device.write(0, b"x" * PAGE)
         device.read(0, PAGE)
-        assert len(device.trace) == 2
-        assert device.trace.events[0].op == "write"
-        assert device.trace.events[1].op == "read"
+        assert [(r.layer, r.op) for r in tracer.records] == [
+            ("nullblk", "write"), ("nullblk", "read"),
+        ]
 
     def test_timestamps_increase(self):
-        device, _ = self.make_traced()
+        device, tracer = self.make_traced()
         device.write(0, b"x" * PAGE)
         device.write(PAGE, b"x" * PAGE)
-        t0, t1 = (e.timestamp_ns for e in device.trace.events)
-        assert t1 > t0
+        first, second = tracer.records
+        assert second.submitted_ns >= first.completed_ns > first.submitted_ns
 
     def test_bytes_by_op(self):
-        device, _ = self.make_traced()
+        device, tracer = self.make_traced()
         device.write(0, b"x" * PAGE)
         device.write(PAGE, b"x" * PAGE)
         device.read(0, PAGE)
-        assert device.trace.bytes_by_op() == {"write": 2 * PAGE, "read": PAGE}
-
-    def test_sequential_fraction(self):
-        device, _ = self.make_traced()
-        for i in range(4):
-            device.write(i * PAGE, b"x" * PAGE)  # fully sequential
-        assert device.trace.sequential_fraction("write") == 1.0
-        device.write(32 * PAGE, b"x" * PAGE)  # one jump
-        assert device.trace.sequential_fraction("write") == pytest.approx(3 / 4)
-
-    def test_csv_output(self):
-        device, _ = self.make_traced()
-        device.write(0, b"x" * PAGE)
-        csv = device.trace.to_csv()
-        assert csv.splitlines()[0] == "timestamp_ns,op,offset,length,latency_ns"
-        assert len(csv.splitlines()) == 2
-
-    def test_delegates_device_properties(self):
-        device, _ = self.make_traced()
-        assert device.capacity_bytes == 1 * MIB
-        assert device.block_size == PAGE
-        device.write(0, b"x" * PAGE)
-        assert device.stats.host_write_bytes == PAGE
+        assert [(r.op, r.offset, r.length) for r in tracer.records] == [
+            ("write", 0, PAGE), ("write", PAGE, PAGE), ("read", 0, PAGE),
+        ]
 
     def test_clear(self):
-        trace = IoTrace()
-        trace.record(IoEvent(0, "read", 0, 10, 5))
-        trace.clear()
-        assert len(trace) == 0
+        device, tracer = self.make_traced()
+        device.read(0, PAGE)
+        tracer.clear()
+        assert len(tracer) == 0
 
 
 class TestFsck:
@@ -107,7 +81,7 @@ class TestFsck:
     def test_clean_after_cleaning_and_remount(self):
         fs = self.make_fs()
         self.populate(fs, blocks=3000)
-        assert fs.cleaner.sections_cleaned > 0
+        assert fs.reclaim.stats.victims_reclaimed > 0
         assert fsck(fs).clean
         fs.checkpoint()
         remounted = F2fs.mount(SimClock(), fs.data_device, fs.meta_device,

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.cache.backends import ZtlRegionStore
 from repro.errors import OutOfRangeError, RegionNotMappedError, TranslationFullError
 from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
+from repro.reclaim import GcHints
 from repro.sim import SimClock
 from repro.units import KIB
 from repro.ztl import GcConfig, RegionTranslationLayer, ZtlConfig
@@ -35,9 +37,10 @@ def make_layer(
             usable_zones=usable_zones,
             gc=GcConfig(min_empty_zones=min_empty, victim_valid_threshold=threshold),
         ),
-        migration_hint=hint,
-        on_drop=on_drop,
     )
+    if hint is not None:
+        store = ZtlRegionStore(layer, layer.total_slots - 1)
+        store.bind_gc_hints(GcHints(hint, on_drop or (lambda region_id: None)))
     return layer
 
 
@@ -112,7 +115,7 @@ class TestZtlGc:
     def test_gc_reclaims_zones(self):
         layer = make_layer()
         self.churn(layer)
-        assert layer.gc.zones_collected > 0
+        assert layer.reclaim.stats.victims_reclaimed > 0
         assert layer.book.empty_count >= 1
 
     def test_data_survives_gc(self):
@@ -145,8 +148,8 @@ class TestZtlGc:
         dropped = []
         layer = make_layer(hint=lambda region_id: False, on_drop=dropped.append)
         self.churn(layer, live=200, steps=800)
-        assert layer.gc.regions_dropped > 0
-        assert layer.gc.regions_migrated == 0
+        assert layer.reclaim.stats.units_dropped > 0
+        assert layer.reclaim.stats.units_migrated == 0
         assert dropped
         assert layer.stats.app_write_amplification == pytest.approx(1.0)
 
