@@ -19,7 +19,6 @@ from repro.bench.schemes import SchemeScale, SchemeStack, provision
 from repro.errors import ConfigError
 from repro.f2fs.gc import CleanerConfig
 from repro.flash.ftl import FtlConfig
-from repro.reclaim import AdaptivePacingConfig
 from repro.serve import (
     CacheCluster,
     FailoverPlan,
@@ -58,9 +57,9 @@ WEB_SHARE, OTHER_SHARE = 0.7, 0.3
 STORM_DURATION_FRAC = 0.10
 # Bounded hint journal per shard (entries).
 HINT_LIMIT = 8192
-# AIMD reclaim pacing, budgeted at half the interactive tenant's 2 ms
+# AIMD reclaim pacing's stall budget: half the interactive tenant's 2 ms
 # p99 SLO (device-side stall is only part of the end-to-end path).
-ADAPTIVE_PACING = AdaptivePacingConfig(stall_slo_ns=1_000_000, interval_steps=16)
+ADAPTIVE_STALL_SLO_NS = 1_000_000
 
 RECLAIM_PRESETS = ("default", "qos", "storm")
 TENANT_MIXES = ("steady", "diurnal", "storm")
@@ -302,17 +301,16 @@ def build_fleet(cell: FleetCell) -> Server:
     """Turn a cell into an un-run :class:`~repro.serve.Server` — the one
     place a sweep fleet is provisioned.  ``Server.run()`` is single-shot,
     so every cell (and every test that wants a cell's fleet) builds its
-    own; cached stacks make the rebuild cheap."""
+    own."""
     cluster = CacheCluster(
         [shard_spec(cell, scheme) for scheme in cell.shards],
         scale=SERVING_SCALE,
         routing=RoutingConfig(policy=cell.routing),
-        cache_stacks=True,
         replication=ReplicationConfig(replicas=cell.replicas, hint_limit=HINT_LIMIT),
     )
     for shard in cluster.shards:
         if cell.pacing == "adaptive":
-            shard.stack.enable_adaptive_pacing(ADAPTIVE_PACING)
+            shard.stack.enable_adaptive_pacing(ADAPTIVE_STALL_SLO_NS)
         if cell.trace:
             shard.stack.cache.store.tracer.enable()
     failover = invalidations = None
@@ -361,9 +359,8 @@ def run_fleet_cell(cell: FleetCell) -> FleetRun:
             if engine is None:
                 continue
             # Unconditional: the FTL's engine is born on the shared
-            # NULL_TRACER (and deep-copied stacks carry a private copy
-            # of it), the ZTL/F2FS engines already point here — either
-            # way the drop spans must join the device stream the
+            # NULL_TRACER, the ZTL/F2FS engines already point here —
+            # either way the drop spans must join the device stream the
             # counter subscribes to.
             engine.tracer = shard.stack.cache.store.tracer
             engine.tracer.subscribe(count_drop)

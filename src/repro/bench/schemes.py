@@ -3,7 +3,9 @@
 The paper compares "hardware-compatible" devices: a WD ZN540 ZNS SSD and
 a WD SN540 block SSD built from the same NAND (§4).  These builders keep
 that property: every scheme gets the same :class:`NandGeometry` /
-:class:`NandTiming`, only the translation stack differs.
+:class:`NandTiming`, only the translation stack differs.  A builder makes
+its device and layer, then hands the store to one shared tail,
+:func:`_assemble`.
 
 Geometry is scaled (DESIGN.md "Scaling rules"): the default
 :class:`SchemeScale` uses 4 MiB zones and 64 KiB regions, preserving the
@@ -12,14 +14,14 @@ paper's zone:region ratio (1077 MiB : 16 MiB ≈ 67 : 1 → 64 : 1).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.cache.admission import TinyLfuAdmission
+from repro.cache.admission import AdmissionPolicy, TinyLfuAdmission
 from repro.cache.backends import (
     BlockRegionStore,
     FileRegionStore,
+    RegionStore,
     ZCacheRegionStore,
     ZoneRegionStore,
     ZtlRegionStore,
@@ -138,8 +140,9 @@ class SchemeStack:
             "gc_stall_us_p99": engine.stats.stall_us_p99,
         }
 
-    def enable_adaptive_pacing(self, adaptive) -> bool:
-        """Attach an AIMD pacing controller to the reclamation layer.
+    def enable_adaptive_pacing(self, stall_slo_ns: int) -> bool:
+        """Attach the AIMD pacing controller to the reclamation layer,
+        budgeted at ``stall_slo_ns`` of foreground stall.
 
         Returns False when the scheme has none (Zone-Cache).  Built
         clusters use this to close the GC↔QoS loop without rebuilding
@@ -148,32 +151,55 @@ class SchemeStack:
         _, engine = self.reclaim_engine()
         if engine is None:
             return False
-        engine.pacer.enable_adaptive(adaptive)
+        engine.pacer.enable_adaptive(stall_slo_ns)
         return True
 
 
-def _bind_gc_hints(cache: HybridCache, store) -> None:
-    """§3.4 co-design: the one rule for which reclaim layer asks the
+def _zns_device(clock: SimClock, scale: SchemeScale, media_bytes: int,
+                faults: Optional[FaultInjector],
+                zone_costs: Optional[ZoneCostConfig]) -> ZnsSsd:
+    """The one ZNS SSD every zoned scheme runs on, from ``scale``'s NAND."""
+    return ZnsSsd(
+        clock,
+        ZnsConfig(
+            geometry=scale.geometry_for(media_bytes),
+            timing=scale.timing,
+            zone_size=scale.zone_size,
+            zone_costs=zone_costs if zone_costs is not None else ZoneCostConfig(),
+        ),
+        io=scale.io,
+        tracer=IoTracer(),
+        faults=faults,
+    )
+
+
+def _assemble(name: str, clock: SimClock, scale: SchemeScale, store: RegionStore,
+              num_regions: int, substrate: Dict[str, object],
+              faults: Optional[FaultInjector], cache_overrides: Dict[str, object],
+              admission: Optional[AdmissionPolicy] = None) -> SchemeStack:
+    """The tail every builder shares: cache config → HybridCache → §3.4
+    hint binding → SchemeStack.
+
+    With ``LifecycleConfig.gc_hints`` the layer that reclaims asks the
     cache whether a region is worth copying (and tells it what it
-    dropped).  ``hint_layers="ztl"`` — the historical coverage — hints
-    only the zone translation layer; ``"all"`` also the F2FS cleaner
-    and the FTL."""
-    lifecycle = cache.config.lifecycle
-    if lifecycle.gc_hints and (
-        lifecycle.hint_layers == "all" or isinstance(store, ZtlRegionStore)
+    dropped): only the ZTL under ``hint_layers="ztl"``, the historical
+    coverage; also the F2FS cleaner and the FTL under ``"all"``.
+    Zone-Cache has no reclaiming layer, so it is never hinted.
+    """
+    defaults = dict(region_size=store.region_size, num_regions=num_regions,
+                    ram_bytes=scale.ram_bytes)
+    config = CacheConfig(**{**defaults, **cache_overrides})
+    cache = HybridCache(clock, store, config, admission)
+    stack = SchemeStack(
+        name, cache, clock, {**substrate, "store": store, "faults": faults}
+    )
+    layer_name, engine = stack.reclaim_engine()
+    lifecycle = config.lifecycle
+    if engine is not None and lifecycle.gc_hints and (
+        lifecycle.hint_layers == "all" or layer_name == "ztl"
     ):
         store.bind_gc_hints(GcHints(cache.migration_worth, cache.on_region_dropped))
-
-
-def _cache_config(scale: SchemeScale, region_size: int, num_regions: int,
-                  **overrides) -> CacheConfig:
-    defaults = dict(
-        region_size=region_size,
-        num_regions=num_regions,
-        ram_bytes=scale.ram_bytes,
-    )
-    defaults.update(overrides)
-    return CacheConfig(**defaults)
+    return stack
 
 
 def build_block_cache(
@@ -181,7 +207,6 @@ def build_block_cache(
     scale: SchemeScale,
     media_bytes: int,
     cache_bytes: int,
-    ftl_op_ratio: float = 0.20,
     ftl: Optional[FtlConfig] = None,
     faults: Optional[FaultInjector] = None,
     zone_costs: Optional[ZoneCostConfig] = None,
@@ -190,18 +215,17 @@ def build_block_cache(
     """Block-Cache: regions on a conventional SSD with internal OP + GC.
 
     ``ftl`` overrides the whole FTL config (GC policy/watermark sweeps);
-    when omitted, only ``ftl_op_ratio`` deviates from the defaults.
-    ``zone_costs`` is accepted (so mixed fleets can apply one override to
-    every shard) but has nothing to charge: a block SSD has no zones.
+    the default is the stock 20%-OP greedy FTL.  ``zone_costs`` is
+    accepted (so mixed fleets can apply one override to every shard) but
+    has nothing to charge: a block SSD has no zones.
     """
     del zone_costs
-    geometry = scale.geometry_for(media_bytes)
     device = BlockSsd(
         clock,
         BlockSsdConfig(
-            geometry=geometry,
+            geometry=scale.geometry_for(media_bytes),
             timing=scale.timing,
-            ftl=ftl if ftl is not None else FtlConfig(op_ratio=ftl_op_ratio),
+            ftl=ftl if ftl is not None else FtlConfig(),
         ),
         io=scale.io,
         tracer=IoTracer(),
@@ -209,14 +233,9 @@ def build_block_cache(
     )
     num_regions = min(cache_bytes, device.capacity_bytes) // scale.region_size
     store = BlockRegionStore(device, scale.region_size, num_regions)
-    config = _cache_config(scale, scale.region_size, num_regions, **cache_overrides)
-    cache = HybridCache(clock, store, config)
-    _bind_gc_hints(cache, store)
-    return SchemeStack(
-        name="Block-Cache",
-        cache=cache,
-        clock=clock,
-        substrate={"device": device, "store": store, "faults": faults},
+    return _assemble(
+        "Block-Cache", clock, scale, store, num_regions, {"device": device},
+        faults, cache_overrides,
     )
 
 
@@ -230,30 +249,67 @@ def build_zone_cache(
     **cache_overrides,
 ) -> SchemeStack:
     """Zone-Cache: one region per zone, no OP — the whole device caches."""
-    geometry = scale.geometry_for(media_bytes)
-    device = ZnsSsd(
-        clock,
-        ZnsConfig(
-            geometry=geometry,
-            timing=scale.timing,
-            zone_size=scale.zone_size,
-            zone_costs=zone_costs if zone_costs is not None else ZoneCostConfig(),
-        ),
-        io=scale.io,
-        tracer=IoTracer(),
-        faults=faults,
-    )
+    device = _zns_device(clock, scale, media_bytes, faults, zone_costs)
     if cache_bytes is None:
         num_regions = device.num_zones
     else:
         num_regions = min(cache_bytes // scale.zone_size, device.num_zones)
     store = ZoneRegionStore(device, num_regions)
-    config = _cache_config(scale, scale.zone_size, num_regions, **cache_overrides)
-    return SchemeStack(
-        name="Zone-Cache",
-        cache=HybridCache(clock, store, config),
-        clock=clock,
-        substrate={"device": device, "store": store, "faults": faults},
+    return _assemble(
+        "Zone-Cache", clock, scale, store, num_regions, {"device": device},
+        faults, cache_overrides,
+    )
+
+
+def _build_ztl_cache(
+    name: str,
+    clock: SimClock,
+    scale: SchemeScale,
+    media_bytes: int,
+    cache_bytes: int,
+    gc: Optional[GcConfig] = None,
+    faults: Optional[FaultInjector] = None,
+    zone_costs: Optional[ZoneCostConfig] = None,
+    **cache_overrides,
+) -> SchemeStack:
+    """Region-Cache, or Z-Cache when ``name`` says so.
+
+    Z-Cache is the Z-CacheLib scheme (arxiv 2410.11260): Region-Cache
+    plus ZNS-native hot/cold separation, and exactly three differences.
+    The ZTL keeps a separate open-zone pool per lifetime group — two
+    groups of one open zone each, so the open-zone footprint matches
+    Region-Cache's two host-open zones.  GC defaults to the lazy
+    ``cold_defer`` policy: harvest hot zones once they decay, leave cold
+    zones sealed instead of recopying their stable survivors.  And one
+    TinyLFU sketch serves both admission and the flush-time hot/cold
+    classifier (:class:`ZCacheRegionStore`); its threshold of 1 admits
+    everything (hit-ratio parity with Region-Cache) while still feeding
+    the sketch.
+    """
+    z_cache = name == "Z-Cache"
+    device = _zns_device(clock, scale, media_bytes, faults, zone_costs)
+    if gc is None:
+        # The empty-zone watermark scales with the device: the paper's
+        # example is 8 empty zones on a 904-zone device (~1%).
+        gc = GcConfig(
+            min_empty_zones=max(2, device.num_zones // 12),
+            victim_valid_threshold=0.20,
+            policy="cold_defer" if z_cache else "greedy",
+        )
+    groups = dict(host_open_zones=1, host_groups=2) if z_cache else {}
+    layer = RegionTranslationLayer(
+        device, ZtlConfig(region_size=scale.region_size, gc=gc, **groups)
+    )
+    num_regions = min(cache_bytes // scale.region_size, layer.total_slots - 1)
+    admission = None
+    if z_cache:
+        admission = TinyLfuAdmission(threshold=1)
+        store = ZCacheRegionStore(layer, num_regions, admission.sketch)
+    else:
+        store = ZtlRegionStore(layer, num_regions)
+    return _assemble(
+        name, clock, scale, store, num_regions,
+        {"device": device, "layer": layer}, faults, cache_overrides, admission,
     )
 
 
@@ -262,52 +318,15 @@ def build_region_cache(
     scale: SchemeScale,
     media_bytes: int,
     cache_bytes: int,
-    host_open_zones: int = 2,
     gc: Optional[GcConfig] = None,
     faults: Optional[FaultInjector] = None,
     zone_costs: Optional[ZoneCostConfig] = None,
     **cache_overrides,
 ) -> SchemeStack:
     """Region-Cache: flexible regions through the zone translation layer."""
-    geometry = scale.geometry_for(media_bytes)
-    device = ZnsSsd(
-        clock,
-        ZnsConfig(
-            geometry=geometry,
-            timing=scale.timing,
-            zone_size=scale.zone_size,
-            zone_costs=zone_costs if zone_costs is not None else ZoneCostConfig(),
-        ),
-        io=scale.io,
-        tracer=IoTracer(),
-        faults=faults,
-    )
-    if gc is None:
-        # The empty-zone watermark scales with the device: the paper's
-        # example is 8 empty zones on a 904-zone device (~1%).
-        gc = GcConfig(
-            min_empty_zones=max(2, device.num_zones // 12),
-            victim_valid_threshold=0.20,
-        )
-    layer = RegionTranslationLayer(
-        device,
-        ZtlConfig(
-            region_size=scale.region_size,
-            host_open_zones=host_open_zones,
-            gc=gc,
-        ),
-    )
-    num_regions = min(cache_bytes // scale.region_size, layer.total_slots - 1)
-    store = ZtlRegionStore(layer, num_regions)
-    config = _cache_config(scale, scale.region_size, num_regions, **cache_overrides)
-    cache = HybridCache(clock, store, config)
-    _bind_gc_hints(cache, store)
-    return SchemeStack(
-        name="Region-Cache",
-        cache=cache,
-        clock=clock,
-        substrate={"device": device, "layer": layer, "store": store,
-                   "faults": faults},
+    return _build_ztl_cache(
+        "Region-Cache", clock, scale, media_bytes, cache_bytes, gc, faults,
+        zone_costs, **cache_overrides,
     )
 
 
@@ -317,7 +336,6 @@ def build_file_cache(
     media_bytes: int,
     cache_bytes: int,
     provision_ratio: float = 0.20,
-    meta_bytes: int = 16 * MIB,
     cleaner: Optional[CleanerConfig] = None,
     faults: Optional[FaultInjector] = None,
     zone_costs: Optional[ZoneCostConfig] = None,
@@ -328,24 +346,12 @@ def build_file_cache(
     ``cleaner`` overrides the section-cleaning config (policy/watermark
     sweeps); the default is F2FS's stock cost-benefit cleaner.
     """
-    geometry = scale.geometry_for(media_bytes)
-    device = ZnsSsd(
-        clock,
-        ZnsConfig(
-            geometry=geometry,
-            timing=scale.timing,
-            zone_size=scale.zone_size,
-            zone_costs=zone_costs if zone_costs is not None else ZoneCostConfig(),
-        ),
-        io=scale.io,
-        tracer=IoTracer(),
-        faults=faults,
-    )
+    device = _zns_device(clock, scale, media_bytes, faults, zone_costs)
     # The metadata device shares the data device's tracer so one trace
     # shows the whole stack (journal writes included).
     meta = NullBlkDevice(
         clock,
-        capacity_bytes=meta_bytes,
+        capacity_bytes=16 * MIB,  # the F2FS metadata area
         block_size=scale.page_size,
         tracer=device.tracer,
         faults=faults,
@@ -364,87 +370,9 @@ def build_file_cache(
     fs.mkfs()
     num_regions = min(cache_bytes, fs.usable_bytes) // scale.region_size
     store = FileRegionStore(fs, scale.region_size, num_regions)
-    config = _cache_config(scale, scale.region_size, num_regions, **cache_overrides)
-    cache = HybridCache(clock, store, config)
-    _bind_gc_hints(cache, store)
-    return SchemeStack(
-        name="File-Cache",
-        cache=cache,
-        clock=clock,
-        substrate={"device": device, "meta": meta, "fs": fs, "store": store,
-                   "faults": faults},
-    )
-
-
-def build_z_cache(
-    clock: SimClock,
-    scale: SchemeScale,
-    media_bytes: int,
-    cache_bytes: int,
-    host_open_zones: int = 1,
-    host_groups: int = 2,
-    hot_threshold: int = 2,
-    admission_threshold: int = 1,
-    gc: Optional[GcConfig] = None,
-    faults: Optional[FaultInjector] = None,
-    zone_costs: Optional[ZoneCostConfig] = None,
-    **cache_overrides,
-) -> SchemeStack:
-    """Z-Cache: Region-Cache plus ZNS-native hot/cold separation.
-
-    The Z-CacheLib scheme (arxiv 2410.11260): one TinyLFU sketch serves
-    both the admission filter and the flush-time hot/cold classifier
-    (:class:`ZCacheRegionStore`), the ZTL keeps a separate open-zone
-    pool per lifetime group (one open zone each, so the open-zone
-    footprint matches Region-Cache's), and GC defaults to the lazy
-    ``cold_defer`` policy — harvest hot zones once they decay, leave
-    cold zones sealed instead of recopying their stable survivors.
-    ``admission_threshold=1`` admits everything (hit-ratio parity with
-    Region-Cache) while still feeding the sketch; raise it to also
-    filter one-hit wonders from flash.
-    """
-    geometry = scale.geometry_for(media_bytes)
-    device = ZnsSsd(
-        clock,
-        ZnsConfig(
-            geometry=geometry,
-            timing=scale.timing,
-            zone_size=scale.zone_size,
-            zone_costs=zone_costs if zone_costs is not None else ZoneCostConfig(),
-        ),
-        io=scale.io,
-        tracer=IoTracer(),
-        faults=faults,
-    )
-    if gc is None:
-        gc = GcConfig(
-            min_empty_zones=max(2, device.num_zones // 12),
-            victim_valid_threshold=0.20,
-            policy="cold_defer",
-        )
-    layer = RegionTranslationLayer(
-        device,
-        ZtlConfig(
-            region_size=scale.region_size,
-            host_open_zones=host_open_zones,
-            host_groups=host_groups,
-            gc=gc,
-        ),
-    )
-    num_regions = min(cache_bytes // scale.region_size, layer.total_slots - 1)
-    admission = TinyLfuAdmission(threshold=admission_threshold)
-    store = ZCacheRegionStore(
-        layer, num_regions, admission.sketch, hot_threshold=hot_threshold
-    )
-    config = _cache_config(scale, scale.region_size, num_regions, **cache_overrides)
-    cache = HybridCache(clock, store, config, admission=admission)
-    _bind_gc_hints(cache, store)
-    return SchemeStack(
-        name="Z-Cache",
-        cache=cache,
-        clock=clock,
-        substrate={"device": device, "layer": layer, "store": store,
-                   "faults": faults},
+    return _assemble(
+        "File-Cache", clock, scale, store, num_regions,
+        {"device": device, "meta": meta, "fs": fs}, faults, cache_overrides,
     )
 
 
@@ -503,7 +431,7 @@ def build_scheme(
     file_media_bytes: Optional[int] = None,
     **kwargs,
 ) -> SchemeStack:
-    """Build any scheme by its paper name (see :data:`SCHEME_NAMES`).
+    """Build any scheme by its paper name (see :data:`ALL_SCHEME_NAMES`).
 
     This is the one construction path every experiment shares (the fault
     sweep, the figures, db_bench and the serving cluster all route
@@ -512,92 +440,21 @@ def build_scheme(
     device" (its no-OP premise), the other schemes require an explicit
     budget, and File-Cache may get a larger device via
     ``file_media_bytes`` (F2FS needs room for metadata + provisioning
-    around the same cache budget, as §4.1 provisions it).
+    around the same cache budget, as §4.1 provisions it).  Z-Cache is
+    built by the Region-Cache builder; its name selects its differences.
     """
-    builders: Dict[str, Callable[..., SchemeStack]] = {
-        "Block-Cache": build_block_cache,
-        "Zone-Cache": build_zone_cache,
-        "File-Cache": build_file_cache,
-        "Region-Cache": build_region_cache,
-        "Z-Cache": build_z_cache,
-    }
-    try:
-        builder = builders[name]
-    except KeyError:
+    if name not in ALL_SCHEME_NAMES:
         raise ConfigError(
             f"unknown scheme {name!r}; expected one of {ALL_SCHEME_NAMES}"
-        ) from None
+        )
     if name == "Zone-Cache":
-        return builder(clock, scale, media_bytes, cache_bytes=cache_bytes, **kwargs)
+        return build_zone_cache(clock, scale, media_bytes, cache_bytes, **kwargs)
     if cache_bytes is None:
         raise ConfigError(f"{name} requires an explicit cache_bytes budget")
-    if name == "File-Cache" and file_media_bytes is not None:
-        media_bytes = file_media_bytes
-    return builder(clock, scale, media_bytes, cache_bytes, **kwargs)
-
-
-# Pristine (never-run) stacks keyed by their full construction shape.
-_STACK_TEMPLATES: Dict[Tuple, SchemeStack] = {}
-
-
-def clear_stack_cache() -> None:
-    """Drop all cached stack templates (tests, memory-sensitive sweeps)."""
-    _STACK_TEMPLATES.clear()
-
-
-def build_scheme_cached(
-    name: str,
-    scale: SchemeScale,
-    media_bytes: int,
-    cache_bytes: Optional[int] = None,
-    file_media_bytes: Optional[int] = None,
-    **kwargs,
-) -> SchemeStack:
-    """:func:`build_scheme`, amortizing construction across sweep cells.
-
-    A pristine template per distinct construction shape is built once
-    and deep-copied per request, so a sweep that rebuilds the same
-    cluster for every cell pays construction-time simulation once.  The
-    win is concentrated where construction itself simulates I/O —
-    File-Cache's ``mkfs`` journal writes; for the other schemes cloning
-    is roughly break-even with a fresh build, so callers with one-off
-    stacks should keep calling :func:`build_scheme`.
-
-    Clones are fully independent — each carries its own clock, device,
-    and state, positioned exactly where a fresh build would leave them —
-    and never alias the template, which is built once and never run.
-    Unhashable overrides (config objects, fault injectors) fall back to
-    an uncached fresh build.
-    """
-    try:
-        key = (
-            name,
-            scale,
-            media_bytes,
-            cache_bytes,
-            file_media_bytes,
-            tuple(sorted(kwargs.items())),
-        )
-        template = _STACK_TEMPLATES.get(key)
-    except TypeError:
-        return build_scheme(
-            name,
-            SimClock(),
-            scale,
-            media_bytes,
-            cache_bytes,
-            file_media_bytes=file_media_bytes,
-            **kwargs,
-        )
-    if template is None:
-        template = build_scheme(
-            name,
-            SimClock(),
-            scale,
-            media_bytes,
-            cache_bytes,
-            file_media_bytes=file_media_bytes,
-            **kwargs,
-        )
-        _STACK_TEMPLATES[key] = template
-    return copy.deepcopy(template)
+    if name == "Block-Cache":
+        return build_block_cache(clock, scale, media_bytes, cache_bytes, **kwargs)
+    if name == "File-Cache":
+        if file_media_bytes is not None:
+            media_bytes = file_media_bytes
+        return build_file_cache(clock, scale, media_bytes, cache_bytes, **kwargs)
+    return _build_ztl_cache(name, clock, scale, media_bytes, cache_bytes, **kwargs)

@@ -75,10 +75,7 @@ class FileRegionStore(RegionStore):
         The cleaner works in main-area blocks; this binds the block →
         cache-region ownership lookup (via SIT ownership of this store's
         file) with them, so condemned regions' blocks are unmapped
-        instead of migrated to the cold log.  The lookup is a bound
-        method on purpose: ``copy.deepcopy`` rebinds a method's
-        ``__self__`` into the cloned object graph (closures it would
-        share), so cached stack templates clone with their hints intact.
+        instead of migrated to the cold log.
         """
         source = self.fs.reclaim.source
         source.region_of_block = self._region_of_block

@@ -13,8 +13,7 @@ so a caller may recycle its buffer the moment ``store`` returns and may
 keep a loaded payload across any later reset.  Bytes that only change
 place inside the store (a GC survivor) never leave it: ``move`` copies
 chunk to chunk.  It holds bytearrays only — never a ``memoryview`` — so
-a device (and the cached stack template around it) stays
-``copy.deepcopy``-able.
+no chunk can pin or alias a buffer it was handed.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from repro.reclaim.engine import (
     ReclaimStats,
     UnitOutcome,
 )
-from repro.reclaim.pacer import AdaptivePacingConfig, PacerConfig, ReclaimPacer
+from repro.reclaim.pacer import PacerConfig, ReclaimPacer
 from repro.reclaim.policy import (
     POLICY_NAMES,
     AgeThresholdPolicy,
@@ -49,7 +49,6 @@ from repro.reclaim.policy import (
 )
 
 __all__ = [
-    "AdaptivePacingConfig",
     "AgeThresholdPolicy",
     "ColdDeferPolicy",
     "CostBenefitPolicy",

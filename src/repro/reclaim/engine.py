@@ -229,7 +229,7 @@ class ReclaimEngine:
         pacer = self.pacer
         started = (
             self.clock.now
-            if self.clock is not None and pacer.adaptive is not None
+            if self.clock is not None and pacer.stall_slo_ns is not None
             else None
         )
         processed = self._step(pacer.step_budget(self.source.free_units()))
@@ -268,7 +268,7 @@ class ReclaimEngine:
             if started is not None:
                 stalled = self.clock.now - started
                 self.stats.stall.record(stalled)
-                if self.pacer.adaptive is not None:
+                if self.pacer.stall_slo_ns is not None:
                     # Emergency stalls are exactly the signal the AIMD
                     # controller must clamp on; feed its window too.
                     self.pacer.stall.record(stalled)

@@ -19,13 +19,13 @@ behind one validated config so the bench can sweep them uniformly:
   when it is dry, bounding GC bandwidth independently of unit count
   (0 = unlimited, the default).
 
-On top of the static levers sits the optional :class:`AdaptivePacing`
-controller (the GC↔QoS loop): AIMD on the observed foreground stall —
-additive relax of ``pace_units``/``copy_tokens_per_step`` while stall
-p99 is under the layer's ``stall_slo_ns`` budget, multiplicative clamp
-when it is over — bounded by a floor/ceiling derived from the static
-config.  With no controller attached the pacer is exactly the static
-one, bit for bit.
+On top of the static levers sits the optional adaptive controller (the
+GC↔QoS loop, armed by :meth:`ReclaimPacer.enable_adaptive`): AIMD on the
+observed foreground stall — additive relax of
+``pace_units``/``copy_tokens_per_step`` while stall p99 is under the
+layer's ``stall_slo_ns`` budget, multiplicative clamp when it is over —
+bounded by a floor/ceiling derived from the static config.  With no
+controller attached the pacer is exactly the static one, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,34 +41,18 @@ from repro.reclaim.config import (
 from repro.sim.stats import LatencyRecorder
 
 
-@dataclass(frozen=True)
-class AdaptivePacingConfig:
-    """AIMD shape for the adaptive reclaim-pacing controller.
-
-    ``stall_slo_ns`` is the layer's foreground-stall budget (typically a
-    fraction of the tenant latency SLO the fleet serves under).  Every
-    ``interval_steps`` background steps the controller compares the
-    windowed stall p99 against it: under budget, ``pace_units`` grows by
-    ``increase_units`` (and the copy-token refill by an eighth of its
-    static value); over budget, both are cut by ``decrease_factor``.
-    The runtime values stay inside [max(1, static/``max_scale``), static
-    × ``max_scale``] so a misbehaving signal can never wedge or unleash
-    reclamation entirely.  An interval with no stall samples counts as
-    under budget.
-    """
-
-    stall_slo_ns: int
-    interval_steps: int = 32
-    increase_units: int = 1
-    decrease_factor: float = 0.5
-    max_scale: int = 4
-
-    def __post_init__(self) -> None:
-        ensure_at_least("stall_slo_ns", self.stall_slo_ns, 1)
-        ensure_at_least("interval_steps", self.interval_steps, 1)
-        ensure_at_least("increase_units", self.increase_units, 1)
-        ensure_between("decrease_factor", self.decrease_factor, 0.01, 0.99)
-        ensure_at_least("max_scale", self.max_scale, 1)
+# The adaptive controller's AIMD shape.  Every ADAPTIVE_INTERVAL_STEPS
+# background steps it compares the windowed stall p99 against the
+# budget: under it, ``pace_units`` grows by ADAPTIVE_INCREASE_UNITS (and
+# the copy-token refill by an eighth of its static value); over it, both
+# are cut by ADAPTIVE_DECREASE_FACTOR.  The runtime values stay inside
+# [max(1, static / ADAPTIVE_MAX_SCALE), static × ADAPTIVE_MAX_SCALE], so a
+# misbehaving signal can never wedge or unleash reclamation entirely.
+# An interval with no stall samples counts as under budget.
+ADAPTIVE_INTERVAL_STEPS = 16
+ADAPTIVE_INCREASE_UNITS = 1
+ADAPTIVE_DECREASE_FACTOR = 0.5
+ADAPTIVE_MAX_SCALE = 4
 
 
 @dataclass(frozen=True)
@@ -97,9 +81,9 @@ class ReclaimPacer:
     """Runtime side of :class:`PacerConfig`: bucket state + stall stats.
 
     ``pace_units`` and ``copy_tokens_per_step`` are *runtime* copies of
-    the static config; once :meth:`enable_adaptive` attaches an
-    :class:`AdaptivePacingConfig` the AIMD controller moves them between
-    adjustment intervals.  Without one they never change.
+    the static config; once :meth:`enable_adaptive` attaches the AIMD
+    controller it moves them between adjustment intervals.  Without it
+    they never change.
     """
 
     def __init__(self, config: PacerConfig) -> None:
@@ -110,7 +94,8 @@ class ReclaimPacer:
         # Adaptive-pacing runtime values (static unless a controller runs).
         self.pace_units = config.pace_units
         self.copy_tokens_per_step = config.copy_tokens_per_step
-        self.adaptive: Optional[AdaptivePacingConfig] = None
+        # Foreground-stall budget of the adaptive controller (None = static).
+        self.stall_slo_ns: Optional[int] = None
         self._steps_since_adjust = 0
         # Distinct steps that hit the copy budget vs raw per-unit
         # rejections (one throttled step rejects every remaining unit).
@@ -202,58 +187,62 @@ class ReclaimPacer:
 
     # --- adaptive control ---------------------------------------------------------
 
-    def enable_adaptive(self, adaptive: AdaptivePacingConfig) -> None:
-        """Attach (or replace) the AIMD controller at runtime."""
-        self.adaptive = adaptive
+    def enable_adaptive(self, stall_slo_ns: int) -> None:
+        """Attach (or re-budget) the AIMD controller at runtime.
+
+        ``stall_slo_ns`` is the layer's foreground-stall budget, typically
+        a fraction of the tenant latency SLO the fleet serves under.
+        """
+        ensure_at_least("stall_slo_ns", stall_slo_ns, 1)
+        self.stall_slo_ns = stall_slo_ns
         self._steps_since_adjust = 0
 
     def observe_step(self) -> None:
         """Controller hook the engine calls once per background step.
 
-        Every ``interval_steps`` calls, the windowed foreground-stall p99
-        is compared against the SLO budget and the runtime pace is
-        adjusted; the window then resets so the controller tracks the
-        *current* interference regime, not the whole run.
+        Every :data:`ADAPTIVE_INTERVAL_STEPS` calls, the windowed
+        foreground-stall p99 is compared against the SLO budget and the
+        runtime pace is adjusted; the window then resets so the
+        controller tracks the *current* interference regime, not the
+        whole run.
         """
-        if self.adaptive is None:
+        if self.stall_slo_ns is None:
             return
         self._steps_since_adjust += 1
-        if self._steps_since_adjust < self.adaptive.interval_steps:
+        if self._steps_since_adjust < ADAPTIVE_INTERVAL_STEPS:
             return
         self._steps_since_adjust = 0
         stall = self.stall
-        over = stall.count > 0 and stall.p99() > self.adaptive.stall_slo_ns
+        over = stall.count > 0 and stall.p99() > self.stall_slo_ns
         self._adjust(over)
         stall.reset()
 
     def _adjust(self, over_budget: bool) -> None:
-        adaptive = self.adaptive
-        assert adaptive is not None
         self.pace_adjustments += 1
         if over_budget:
             self.pace_clamps += 1
         static_pace = self.config.pace_units
         if static_pace > 0:
-            floor = max(1, static_pace // adaptive.max_scale)
-            ceiling = static_pace * adaptive.max_scale
+            floor = max(1, static_pace // ADAPTIVE_MAX_SCALE)
+            ceiling = static_pace * ADAPTIVE_MAX_SCALE
             if over_budget:
                 self.pace_units = max(
-                    floor, int(self.pace_units * adaptive.decrease_factor)
+                    floor, int(self.pace_units * ADAPTIVE_DECREASE_FACTOR)
                 )
             else:
                 self.pace_units = min(
-                    ceiling, self.pace_units + adaptive.increase_units
+                    ceiling, self.pace_units + ADAPTIVE_INCREASE_UNITS
                 )
         static_tokens = self.config.copy_tokens_per_step
         if static_tokens > 0:
-            floor = max(1, static_tokens // adaptive.max_scale)
+            floor = max(1, static_tokens // ADAPTIVE_MAX_SCALE)
             # Refilling more than the bucket holds is meaningless, so the
             # cap doubles as the refill ceiling.
-            ceiling = min(self._bucket_cap, static_tokens * adaptive.max_scale)
+            ceiling = min(self._bucket_cap, static_tokens * ADAPTIVE_MAX_SCALE)
             if over_budget:
                 self.copy_tokens_per_step = max(
                     floor,
-                    int(self.copy_tokens_per_step * adaptive.decrease_factor),
+                    int(self.copy_tokens_per_step * ADAPTIVE_DECREASE_FACTOR),
                 )
             else:
                 self.copy_tokens_per_step = min(

@@ -19,7 +19,6 @@ from repro.bench.schemes import (
     SchemeScale,
     SchemeStack,
     build_scheme,
-    build_scheme_cached,
 )
 from repro.errors import ConfigError
 from repro.serve.hashing import ConsistentHashRing
@@ -237,7 +236,6 @@ class CacheCluster:
         scale: Optional[SchemeScale] = None,
         vnodes: int = 128,
         routing: Optional[RoutingConfig] = None,
-        cache_stacks: bool = False,
         replication: Optional[ReplicationConfig] = None,
     ) -> None:
         if not specs:
@@ -261,28 +259,15 @@ class CacheCluster:
         self.shards: List[Shard] = []
         for index, spec in enumerate(specs):
             name = f"shard{index}"
-            if cache_stacks:
-                # Sweep loops rebuild identical clusters per cell; the
-                # cached builder clones a pristine template instead of
-                # re-simulating construction (notably File-Cache mkfs).
-                stack = build_scheme_cached(
-                    spec.scheme,
-                    self.scale,
-                    spec.media_bytes,
-                    spec.cache_bytes,
-                    file_media_bytes=spec.file_media_bytes,
-                    **dict(spec.cache_overrides),
-                )
-            else:
-                stack = build_scheme(
-                    spec.scheme,
-                    SimClock(),
-                    self.scale,
-                    spec.media_bytes,
-                    spec.cache_bytes,
-                    file_media_bytes=spec.file_media_bytes,
-                    **dict(spec.cache_overrides),
-                )
+            stack = build_scheme(
+                spec.scheme,
+                SimClock(),
+                self.scale,
+                spec.media_bytes,
+                spec.cache_bytes,
+                file_media_bytes=spec.file_media_bytes,
+                **dict(spec.cache_overrides),
+            )
             self.shards.append(Shard(index, name, stack))
         self._by_name = {shard.name: shard for shard in self.shards}
         self.ring = ConsistentHashRing([s.name for s in self.shards], vnodes=vnodes)
@@ -309,7 +294,6 @@ class CacheCluster:
         cache_overrides: Tuple[Tuple[str, object], ...] = (),
         vnodes: int = 128,
         routing: Optional[RoutingConfig] = None,
-        cache_stacks: bool = False,
         replication: Optional[ReplicationConfig] = None,
     ) -> "CacheCluster":
         """The common case: N identical shards of one scheme."""
@@ -327,7 +311,6 @@ class CacheCluster:
             scale=scale,
             vnodes=vnodes,
             routing=routing,
-            cache_stacks=cache_stacks,
             replication=replication,
         )
 

@@ -125,16 +125,10 @@ class WorkloadResult:
 
 
 class CacheOp(NamedTuple):
-    """One generated operation, decoupled from its execution.
+    """One operation drawn by :meth:`CacheBenchDriver.next_op`.
 
-    The closed-loop driver applies each op immediately; the serving
-    layer pre-draws the same stream (:meth:`CacheBenchDriver.next_ops`)
-    and applies each op when its shard's queue drains.  Value bytes are
-    materialized at *apply* time so the size-sampler RNG stream is
-    identical in both modes (ops that get shed never draw from it).
-
-    A NamedTuple rather than a dataclass: op construction sits on the
-    generation hot path and tuples allocate in one step.
+    The scalar reference the bulk draw (:meth:`CacheBenchDriver.next_ops`)
+    is property-tested against; nothing applies a ``CacheOp``.
     """
 
     kind: str  # "get" | "set" | "delete"
@@ -185,14 +179,22 @@ class CacheBenchDriver:
             )
 
     def run(self, cache: HybridCache) -> WorkloadResult:
-        """Execute the mix; stats are reset after warm-up."""
-        config = self.config
-        for op_index in range(config.warmup_ops):
-            self._one_op(cache)
+        """Execute the mix; stats are reset after warm-up.
+
+        Ops are drawn in bulk (:meth:`next_ops`) and applied with
+        :meth:`apply_kind_value`, exactly as the serving loop does.  Value
+        bytes are drawn at *apply* time and every stream is its own
+        generator, so drawing the ops ahead changes no draw.
+        """
+        self._apply_ops(cache, self.config.warmup_ops)
         cache.reset_stats()
-        for op_index in range(config.num_ops):
-            self._one_op(cache)
+        self._apply_ops(cache, self.config.num_ops)
         return self.summarize(cache)
+
+    def _apply_ops(self, cache: HybridCache, n: int) -> None:
+        apply, key_bytes = self.apply_kind_value, self.key_bytes
+        for kind, key_index in zip(*self.next_ops(n)):
+            apply(cache, kind, key_index, key_bytes(key_index))
 
     def summarize(self, cache: HybridCache) -> WorkloadResult:
         stats = cache.stats
@@ -266,40 +268,18 @@ class CacheBenchDriver:
                 )
         return kinds, key_indices
 
-    def apply_op(
-        self, cache: HybridCache, op: CacheOp, key_prefix: bytes = b""
-    ) -> bool:
-        """Execute a generated op; returns True for a get that hit.
-
-        ``key_prefix`` namespaces the keyspace (the serving layer gives
-        each tenant a distinct prefix); with the default empty prefix the
-        byte stream is identical to the closed-loop driver's.
-        """
-        key = key_prefix + self.key_bytes(op.key_index)
-        if op.kind == "get":
-            value = cache.get(key)
-            if value is None and self.config.set_on_miss:
-                cache.set(key, self.value_bytes(op.key_index, self._sizes.sample()))
-            return value is not None
-        if op.kind == "set":
-            cache.set(key, self.value_bytes(op.key_index, self._sizes.sample()))
-            return False
-        cache.delete(key)
-        return False
-
     def apply_kind_value(
         self, cache: HybridCache, kind: int, key_index: int, key: bytes
     ) -> Tuple[bool, Optional[bytes]]:
-        """:meth:`apply_op` for the serving loop's pre-generated streams.
+        """Execute one pre-drawn op (:meth:`next_ops`) against ``cache``.
 
-        Takes the ``KIND_*`` integer and the key bytes bound at arrival,
-        so the loop neither constructs a CacheOp nor re-derives the key.
+        Takes the ``KIND_*`` integer and the key bytes — bound at arrival
+        in the serving loop, where ``key`` may carry a tenant prefix.
         Returns ``(hit, value)``: for a get hit, the value read (so a
         fallback read can read-repair without another lookup); for a set
         or a set-on-miss fill, the value written (so replica writes
         reuse the primary's bytes and never re-draw from the size
-        stream); ``None`` for a bare miss or a delete.  Draw-for-draw
-        identical to :meth:`apply_op`.
+        stream); ``None`` for a bare miss or a delete.
         """
         if kind == KIND_GET:
             value = cache.get(key)
@@ -316,6 +296,3 @@ class CacheBenchDriver:
             return False, written
         cache.delete(key)
         return False, None
-
-    def _one_op(self, cache: HybridCache) -> None:
-        self.apply_op(cache, self.next_op())

@@ -1,25 +1,26 @@
-"""Knob ratchet: the pinned inventory of every ``*Config`` dataclass.
+"""Knob ratchet: the pinned inventory of every ``*Config`` dataclass and
+of every scheme builder's keywords.
 
 Each field of a ``*Config`` class under ``src/repro`` is a switch the
-tests have to cover.  This file pins the sorted (class, field) inventory,
-read from the source with the AST (no imports, so nothing a module does
-at import time can hide a field), so a change that adds, renames or
-removes a knob has to edit ``PINNED`` below, where a reviewer sees it.
+tests have to cover, and so is each keyword a ``build_*_cache`` builder
+takes (``build_scheme`` forwards its keywords to them).  This file pins
+the sorted (class, field) inventory and the sorted keyword parameters of
+every builder, read from the source with the AST (no imports, so nothing
+a module does at import time can hide a knob), so a change that adds,
+renames or removes a knob has to edit ``PINNED`` or ``PINNED_BUILDERS``
+below, where the diff shows it.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 from typing import Dict, Tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 PINNED: Dict[str, Tuple[str, ...]] = {
-    "AdaptivePacingConfig": (
-        "decrease_factor", "increase_units", "interval_steps", "max_scale",
-        "stall_slo_ns",
-    ),
     "AdmissionConfig": (
         "max_value_bytes", "policy", "probability", "seed", "tinylfu_decay_ops",
         "tinylfu_depth", "tinylfu_threshold", "tinylfu_width",
@@ -108,24 +109,61 @@ PINNED: Dict[str, Tuple[str, ...]] = {
     ),
 }
 
+# Keyword parameters (defaulted, keyword-only, and the ``**`` catch-all)
+# of every ``build_*_cache`` function, private ones included.
+PINNED_BUILDERS: Dict[str, Tuple[str, ...]] = {
+    "_build_ztl_cache": ("**cache_overrides", "faults", "gc", "zone_costs"),
+    "build_block_cache": ("**cache_overrides", "faults", "ftl", "zone_costs"),
+    "build_file_cache": (
+        "**cache_overrides", "cleaner", "faults", "provision_ratio", "zone_costs",
+    ),
+    "build_region_cache": ("**cache_overrides", "faults", "gc", "zone_costs"),
+    "build_zone_cache": ("**cache_overrides", "cache_bytes", "faults", "zone_costs"),
+}
+
+
+def _source_nodes():
+    for path in sorted(SRC.rglob("*.py")):
+        yield from ast.walk(ast.parse(path.read_text(), str(path)))
+
 
 def config_inventory() -> Dict[str, Tuple[str, ...]]:
     """``{class: sorted annotated field names}`` for every class named
     ``*Config`` defined under ``src/repro``."""
     inventory: Dict[str, Tuple[str, ...]] = {}
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not (isinstance(node, ast.ClassDef) and node.name.endswith("Config")):
-                continue
-            assert node.name not in inventory, f"two classes named {node.name}"
-            inventory[node.name] = tuple(
-                sorted(
-                    stmt.target.id
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                )
+    for node in _source_nodes():
+        if not (isinstance(node, ast.ClassDef) and node.name.endswith("Config")):
+            continue
+        assert node.name not in inventory, f"two classes named {node.name}"
+        inventory[node.name] = tuple(
+            sorted(
+                stmt.target.id
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
             )
+        )
+    return inventory
+
+
+def builder_inventory() -> Dict[str, Tuple[str, ...]]:
+    """``{builder: sorted keyword parameters}`` for every function named
+    ``build_*_cache`` (or ``_build_*_cache``) defined under ``src/repro``."""
+    inventory: Dict[str, Tuple[str, ...]] = {}
+    for node in _source_nodes():
+        if not (
+            isinstance(node, ast.FunctionDef)
+            and re.fullmatch(r"_?build_\w+_cache", node.name)
+        ):
+            continue
+        assert node.name not in inventory, f"two builders named {node.name}"
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        names = [arg.arg for arg in defaulted + args.kwonlyargs]
+        if args.kwarg is not None:
+            names.append("**" + args.kwarg.arg)
+        inventory[node.name] = tuple(sorted(names))
     return inventory
 
 
@@ -138,7 +176,12 @@ def test_config_inventory_is_pinned():
     assert sorted(inventory) == sorted(PINNED)
 
 
+def test_builder_keywords_are_pinned():
+    assert builder_inventory() == PINNED_BUILDERS, "builder knobs: pin them here"
+
+
 def test_pin_is_sorted():
-    assert list(PINNED) == sorted(PINNED)
-    for cls, names in PINNED.items():
-        assert list(names) == sorted(set(names)), cls
+    for pin in (PINNED, PINNED_BUILDERS):
+        assert list(pin) == sorted(pin)
+        for owner, names in pin.items():
+            assert list(names) == sorted(set(names)), owner

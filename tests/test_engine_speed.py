@@ -22,8 +22,6 @@ must never change it:
   R=2 fleet with a shard kill, and a fleet with a namespace bump;
 * a request's key is bound when it arrives, so a bump can never make a
   shard apply a key the ring did not route to it;
-* ``build_scheme_cached`` clones behave exactly like fresh builds and
-  are independent of each other;
 * best-score gc_aware routing picks the least-stalled / most-headroom
   successor and resolves exact ties to the nearest ring successor.
 """
@@ -43,12 +41,7 @@ from hypothesis import given, settings
 
 from repro.bench.experiments import sweep_cells
 from repro.bench.fleet import SERVING_SCALE, FleetCell, build_fleet, tenant_mix
-from repro.bench.schemes import (
-    SchemeScale,
-    build_scheme,
-    build_scheme_cached,
-    clear_stack_cache,
-)
+from repro.bench.schemes import SchemeScale, build_scheme
 from repro.cache.lifecycle import LifecycleConfig
 from repro.serve import (
     CacheCluster,
@@ -444,71 +437,6 @@ def test_key_is_bound_at_arrival_across_a_bump():
         assert keys
         for key in keys:
             assert cluster.shard_for(key) is shard, (shard.index, key)
-
-
-# --- cached stack construction --------------------------------------------------
-
-
-class TestBuildSchemeCached:
-    SCALE = SchemeScale(
-        zone_size=256 * KIB,
-        region_size=16 * KIB,
-        pages_per_block=16,
-        ram_bytes=32 * KIB,
-    )
-
-    def _run_workload(self, stack):
-        driver = CacheBenchDriver(
-            CacheBenchConfig(num_ops=400, warmup_ops=100, num_keys=120, seed=11)
-        )
-        return driver.run(stack.cache)
-
-    def test_cached_stack_rows_equal_fresh_build(self):
-        clear_stack_cache()
-        fresh = build_scheme(
-            "Region-Cache",
-            SimClock(),
-            self.SCALE,
-            12 * self.SCALE.zone_size,
-            9 * self.SCALE.zone_size,
-            eviction_policy="fifo",
-        )
-        cached = build_scheme_cached(
-            "Region-Cache",
-            self.SCALE,
-            12 * self.SCALE.zone_size,
-            9 * self.SCALE.zone_size,
-            eviction_policy="fifo",
-        )
-        assert self._run_workload(fresh) == self._run_workload(cached)
-
-    def test_cached_clones_are_independent(self):
-        clear_stack_cache()
-        args = ("Zone-Cache", self.SCALE, 8 * self.SCALE.zone_size)
-        first = build_scheme_cached(*args)
-        second = build_scheme_cached(*args)
-        assert first.cache is not second.cache
-        assert first.clock is not second.clock
-        result = self._run_workload(first)
-        assert result.operations > 0
-        # The sibling clone saw none of that traffic.
-        assert second.cache.stats.operations == 0
-        assert second.clock.now != first.clock.now
-        # And a third clone reproduces the first run exactly.
-        assert self._run_workload(build_scheme_cached(*args)) == result
-
-    def test_unhashable_overrides_fall_back_to_fresh_build(self):
-        clear_stack_cache()
-        from repro.ztl.gc import GcConfig
-
-        stack = build_scheme_cached(
-            "Region-Cache",
-            self.SCALE,
-            12 * self.SCALE.zone_size,
-            9 * self.SCALE.zone_size,
-            gc=GcConfig(min_empty_zones=2),
-        )
-        assert stack.cache.stats.operations == 0
 
 
 # --- best-score gc_aware routing ------------------------------------------------

@@ -26,7 +26,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.errors import ConfigError
-from repro.reclaim import AdaptivePacingConfig, PacerConfig, ReclaimPacer
+from repro.reclaim import PacerConfig, ReclaimPacer
+from repro.reclaim.pacer import (
+    ADAPTIVE_DECREASE_FACTOR,
+    ADAPTIVE_INCREASE_UNITS,
+    ADAPTIVE_INTERVAL_STEPS,
+    ADAPTIVE_MAX_SCALE,
+)
 from repro.serve import (
     PRESSURE_RANK,
     CacheCluster,
@@ -148,16 +154,13 @@ def test_prop_bucket_never_deadlocks(refill, debt, nbytes):
 # AIMD controller
 # --------------------------------------------------------------------------
 
-def _adaptive(**overrides):
-    config = dict(stall_slo_ns=1000, interval_steps=4, increase_units=2,
-                  decrease_factor=0.5, max_scale=4)
-    config.update(overrides)
-    return AdaptivePacingConfig(**config)
+SLO_NS = 1000
+INTERVAL = ADAPTIVE_INTERVAL_STEPS
 
 
 def _adaptive_pacer(config):
     pacer = ReclaimPacer(config)
-    pacer.enable_adaptive(_adaptive())
+    pacer.enable_adaptive(SLO_NS)
     return pacer
 
 
@@ -171,54 +174,58 @@ class TestAdaptivePacing:
 
     def test_relax_under_budget(self):
         pacer = _adaptive_pacer(PacerConfig(pace_units=8))
-        for _ in range(4):
+        for _ in range(INTERVAL):
             pacer.stall.record(10)  # well under the 1000ns budget
             pacer.observe_step()
-        assert pacer.pace_units == 10  # 8 + increase_units
+        assert pacer.pace_units == 8 + ADAPTIVE_INCREASE_UNITS
         assert pacer.pace_adjustments == 1
         assert pacer.pace_clamps == 0
 
     def test_relax_bounded_by_ceiling(self):
         pacer = _adaptive_pacer(PacerConfig(pace_units=8))
-        for _ in range(400):
+        for _ in range(100 * INTERVAL):
             pacer.observe_step()  # empty window counts as under budget
-        assert pacer.pace_units == 32  # 8 * max_scale
+        assert pacer.pace_units == 8 * ADAPTIVE_MAX_SCALE
 
     def test_clamp_over_budget_with_floor(self):
         pacer = _adaptive_pacer(PacerConfig(pace_units=8))
-        for _ in range(400):
+        for _ in range(25 * INTERVAL):
             pacer.stall.record(1_000_000)
             pacer.observe_step()
-        assert pacer.pace_units == 2  # 8 // max_scale
+        assert pacer.pace_units == 8 // ADAPTIVE_MAX_SCALE
         assert pacer.pace_clamps > 0
 
     def test_stall_window_resets_each_interval(self):
         pacer = _adaptive_pacer(PacerConfig(pace_units=8))
-        for _ in range(4):
+        for _ in range(INTERVAL):
             pacer.stall.record(1_000_000)
             pacer.observe_step()
-        assert pacer.pace_units == 4  # clamped once
+        clamped = int(8 * ADAPTIVE_DECREASE_FACTOR)
+        assert pacer.pace_units == clamped  # clamped once
         assert pacer.stall.count == 0  # window reset: old spikes forgotten
-        for _ in range(4):
+        for _ in range(INTERVAL):
             pacer.stall.record(10)
             pacer.observe_step()
-        assert pacer.pace_units == 6  # relaxes again on the fresh window
+        # Relaxes again on the fresh window.
+        assert pacer.pace_units == clamped + ADAPTIVE_INCREASE_UNITS
 
     def test_copy_tokens_follow_the_controller(self):
         pacer = _adaptive_pacer(PacerConfig(pace_units=8, copy_tokens_per_step=64))
-        for _ in range(4):
+        for _ in range(INTERVAL):
             pacer.stall.record(1_000_000)
             pacer.observe_step()
-        assert pacer.copy_tokens_per_step == 32
-        for _ in range(400):
+        assert pacer.copy_tokens_per_step == int(64 * ADAPTIVE_DECREASE_FACTOR)
+        for _ in range(100 * INTERVAL):
             pacer.observe_step()
         # Refill ceiling is min(bucket cap, static * max_scale) = cap.
         assert pacer.copy_tokens_per_step == pacer.bucket_cap
 
     def test_enable_adaptive_at_runtime(self):
         pacer = ReclaimPacer(PacerConfig(pace_units=8))
-        pacer.enable_adaptive(_adaptive())
-        for _ in range(4):
+        with pytest.raises(ConfigError):
+            pacer.enable_adaptive(0)
+        pacer.enable_adaptive(SLO_NS)
+        for _ in range(INTERVAL):
             pacer.observe_step()
         assert pacer.pace_adjustments == 1
 
@@ -232,10 +239,10 @@ class TestAdaptivePacing:
         region = build_scheme("Region-Cache", SimClock(), scale, media,
                               6 * scale.zone_size)
         zone = build_scheme("Zone-Cache", SimClock(), scale, media, None)
-        assert region.enable_adaptive_pacing(_adaptive())
+        assert region.enable_adaptive_pacing(SLO_NS)
         _, engine = region.reclaim_engine()
-        assert engine.pacer.adaptive is not None
-        assert not zone.enable_adaptive_pacing(_adaptive())
+        assert engine.pacer.stall_slo_ns == SLO_NS
+        assert not zone.enable_adaptive_pacing(SLO_NS)
         assert zone.reclaim_pressure()["level"] == "idle"
 
 
