@@ -51,7 +51,6 @@ from repro.bench.schemes import (
     build_zone_cache,
     provision,
 )
-from repro.cache.admission import AdmissionConfig
 from repro.cache.lifecycle import LifecycleConfig
 from repro.errors import ConfigError
 from repro.f2fs.gc import CleanerConfig
@@ -686,7 +685,7 @@ _TENANT_QOS = (
         "web_p999_us", "web_goodput_kops", "web_shed_rate", "web_slo_attainment",
         "web_hit_ratio", "batch_p99_us", "batch_goodput_kops", "batch_shed_rate",
         "cluster_shed_rate", "cluster_util_max", "cluster_served", "waf_app_max",
-        "waf_device_max", "admission",
+        "waf_device_max",
     ),
     schemes=SCHEME_NAMES,
     num_shards=3,
@@ -696,9 +695,7 @@ _TENANT_QOS = (
     smoke=dict(offered_kops=(40.0, 360.0), requests_per_tenant=700),
 )
 def _serve_cells(
-    base: FleetCell,
-    offered_kops: tuple = (40.0, 120.0, 360.0),
-    admission: str = "admit-all",
+    base: FleetCell, offered_kops: tuple = (40.0, 120.0, 360.0)
 ) -> Cells:
     """Offered load vs p99 / shed rate for each scheme (EXPERIMENTS.md).
 
@@ -710,11 +707,8 @@ def _serve_cells(
     each scheme's knee.  Rows are per (scheme, load) and are
     byte-identical for the same seed (the serving golden test).
     """
-    if admission != "admit-all":
-        policy = AdmissionConfig(policy=admission, seed=base.seed)
-        base = replace(base, cache_overrides=(("admission", policy),))
     for load_kops in offered_kops:
-        yield {"admission": admission}, replace(base, offered_kops=load_kops)
+        yield {}, replace(base, offered_kops=load_kops)
 
 
 # --------------------------------------------------------------------------
@@ -845,8 +839,7 @@ def _gc_sweep_cells(
         "scheme", "pacing", "routing", "offered_total_kops", *_TENANT_QOS,
         "rerouted_writes", "web_rerouted", "batch_rerouted", "gc_layer",
         "gc_victims", "gc_migrated_units", "gc_stall_us_p99",
-        "gc_throttled_steps", "gc_pace_adjustments", "gc_pace_clamps",
-        "gc_pace_units_end",
+        "gc_pace_adjustments", "gc_pace_clamps", "gc_pace_units_end",
     ),
     schemes=SCHEME_NAMES,
     num_shards=2,

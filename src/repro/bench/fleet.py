@@ -76,7 +76,7 @@ class FleetCell:
     scheme's OP rule allows (:func:`shard_spec`).  ``reclaim`` names the
     per-layer reclaim configs (:func:`reclaim_overrides`),
     ``cache_overrides`` adds ``build_scheme`` keywords on every shard
-    (lifecycle, zone costs, admission, an ablation's own reclaim config),
+    (lifecycle, zone costs, an ablation's own reclaim config),
     ``tenants`` names the two-tenant mix (:func:`tenant_mix`).  ``kill``
     = (kill-at, outage) power-cuts shard 0 and ``bumps`` = (web, purge)
     bumps the two storm tenants' namespaces, all as fractions of
@@ -417,11 +417,7 @@ def gc_columns(stack: SchemeStack) -> Row:
         "gc_stall_us_p99": stats.stall_us_p99 if stats is not None else 0.0,
         "gc_cache_evictions": cache_stats.victims_reclaimed,
         "gc_cache_dropped_keys": cache_stats.units_dropped,
-        # Copy-budget and adaptive-pacing telemetry (zeros when static).
-        "gc_throttled_steps": pacer.throttled_steps if pacer is not None else 0,
-        "gc_copy_throttle_events": (
-            pacer.copy_throttle_events if pacer is not None else 0
-        ),
+        # Adaptive-pacing telemetry (zeros when static).
         "gc_pace_adjustments": pacer.pace_adjustments if pacer is not None else 0,
         "gc_pace_clamps": pacer.pace_clamps if pacer is not None else 0,
         "gc_pace_units_end": pacer.pace_units if pacer is not None else 0,

@@ -27,18 +27,10 @@ percentiles, and per-layer write-amplification.
 from repro.cache.config import CacheConfig, CpuCosts
 from repro.cache.item import EntryCodec, EntryLocation
 from repro.cache.region import RegionBuffer, RegionMeta
-from repro.cache.eviction import EvictionPolicyKind, make_eviction_policy
+from repro.cache.eviction import EVICTION_POLICIES, make_eviction_policy
 from repro.cache.region_manager import RegionManager
 from repro.cache.ram_cache import RamCache
-from repro.cache.admission import (
-    AdmissionConfig,
-    AdmissionPolicy,
-    AdmitAll,
-    ProbabilisticAdmission,
-    SizeThresholdAdmission,
-    TinyLfuAdmission,
-    build_admission,
-)
+from repro.cache.admission import AdmissionPolicy, AdmitAll, TinyLfuAdmission
 from repro.cache.stats import CacheStats
 from repro.cache.engine import HybridCache
 from repro.cache.backends import (
@@ -56,17 +48,13 @@ __all__ = [
     "EntryLocation",
     "RegionBuffer",
     "RegionMeta",
-    "EvictionPolicyKind",
+    "EVICTION_POLICIES",
     "make_eviction_policy",
     "RegionManager",
     "RamCache",
-    "AdmissionConfig",
     "AdmissionPolicy",
     "AdmitAll",
-    "ProbabilisticAdmission",
-    "SizeThresholdAdmission",
     "TinyLfuAdmission",
-    "build_admission",
     "CacheStats",
     "HybridCache",
     "RegionStore",

@@ -1,26 +1,18 @@
 """Flash admission policies.
 
-Write-heavy cache workloads burn flash endurance; admission policies
-decide which sets reach the flash log at all.  ``AdmitAll`` matches the
-paper's configuration; ``ProbabilisticAdmission`` (CacheLib's "dynamic
-random admission") is provided for the ablation benches, since rejecting
-a fraction of sets directly reduces application-level write pressure.
-``TinyLfuAdmission`` adds frequency-based admission (a seeded count-min
+Admission decides which sets reach the flash log at all.  ``AdmitAll``
+is the paper's configuration and the engine default.
+``TinyLfuAdmission`` is frequency-based admission (a seeded count-min
 sketch with periodic aging, the W-TinyLFU filter idea): one-hit wonders
-never reach flash, which matters for the multi-tenant serving sweep
-where a scan-heavy tenant would otherwise wash a popularity-driven
-tenant out of the log.
+never reach flash.  Z-Cache (Z-CacheLib, arxiv 2410.11260) builds one
+and reads the same sketch as its flush-time hot/cold classifier.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from zlib import crc32
 from typing import List, Tuple
-
-from repro.errors import CacheConfigError
-from repro.sim.rng import make_rng
 
 
 class AdmissionPolicy(abc.ABC):
@@ -35,31 +27,6 @@ class AdmitAll(AdmissionPolicy):
 
     def admit(self, key: bytes, value: bytes) -> bool:
         return True
-
-
-class ProbabilisticAdmission(AdmissionPolicy):
-    """Admit with fixed probability; deterministic given the seed."""
-
-    def __init__(self, probability: float, seed: int = 42) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {probability}")
-        self.probability = probability
-        self._rng = make_rng(seed, "admission")
-
-    def admit(self, key: bytes, value: bytes) -> bool:
-        return self._rng.random() < self.probability
-
-
-class SizeThresholdAdmission(AdmissionPolicy):
-    """Reject values larger than a threshold (protects region churn)."""
-
-    def __init__(self, max_value_bytes: int) -> None:
-        if max_value_bytes <= 0:
-            raise ValueError("max_value_bytes must be positive")
-        self.max_value_bytes = max_value_bytes
-
-    def admit(self, key: bytes, value: bytes) -> bool:
-        return len(value) <= self.max_value_bytes
 
 
 class CountMinSketch:
@@ -160,65 +127,3 @@ class TinyLfuAdmission(AdmissionPolicy):
         """Frequency estimate without recording an access — the read-only
         probe Z-Cache's hot/cold classifier uses at region-flush time."""
         return self.sketch.estimate(key)
-
-
-ADMISSION_POLICIES = ("admit-all", "probabilistic", "size-threshold", "tinylfu")
-
-
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Declarative admission-policy choice for :class:`CacheConfig`.
-
-    The default (``admit-all``) reproduces the paper's setup exactly;
-    the other policies are selectable per cache instance, which is how
-    the serving sweep gives individual shards/tenant fleets different
-    admission behaviour without bespoke wiring.
-    """
-
-    policy: str = "admit-all"
-    # probabilistic
-    probability: float = 0.5
-    # size-threshold
-    max_value_bytes: int = 64 * 1024
-    # tinylfu
-    tinylfu_width: int = 2048
-    tinylfu_depth: int = 4
-    tinylfu_threshold: int = 2
-    tinylfu_decay_ops: int = 8192
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        if self.policy not in ADMISSION_POLICIES:
-            raise CacheConfigError(
-                f"unknown admission policy {self.policy!r}; expected one of "
-                f"{ADMISSION_POLICIES}"
-            )
-        if not 0.0 <= self.probability <= 1.0:
-            raise CacheConfigError(
-                f"probability must be in [0, 1], got {self.probability}"
-            )
-        if self.max_value_bytes <= 0:
-            raise CacheConfigError("max_value_bytes must be positive")
-        if self.tinylfu_threshold < 1 or self.tinylfu_decay_ops < 1:
-            raise CacheConfigError(
-                "tinylfu_threshold and tinylfu_decay_ops must be >= 1"
-            )
-        if self.tinylfu_width < 8 or self.tinylfu_depth < 1:
-            raise CacheConfigError("tinylfu sketch must be at least 8 x 1")
-
-
-def build_admission(config: AdmissionConfig) -> AdmissionPolicy:
-    """Instantiate the policy an :class:`AdmissionConfig` describes."""
-    if config.policy == "admit-all":
-        return AdmitAll()
-    if config.policy == "probabilistic":
-        return ProbabilisticAdmission(config.probability, seed=config.seed)
-    if config.policy == "size-threshold":
-        return SizeThresholdAdmission(config.max_value_bytes)
-    return TinyLfuAdmission(
-        width=config.tinylfu_width,
-        depth=config.tinylfu_depth,
-        threshold=config.tinylfu_threshold,
-        decay_ops=config.tinylfu_decay_ops,
-        seed=config.seed,
-    )

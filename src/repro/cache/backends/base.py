@@ -126,12 +126,14 @@ class RegionStore(abc.ABC):
     def invalidate_region(self, region_id: int) -> None:
         """The region's contents are dead (evicted); reclaim eagerly."""
 
-    @abc.abstractmethod
     def waf(self) -> WafBreakdown:
-        """Cumulative write-amplification breakdown for this scheme."""
+        """Cumulative write-amplification breakdown for this scheme: the
+        window from an all-zero snapshot to now (1.0 where nothing was
+        written)."""
+        return WafRaw(0, 0, 0, 0).window_to(self.waf_raw())
 
     @abc.abstractmethod
-    def waf_raw(self) -> "WafRaw":
+    def waf_raw(self) -> WafRaw:
         """Raw write counters, so callers can compute *windowed* WAF
         (steady-state WAF excludes the population transient)."""
 

@@ -8,7 +8,7 @@ and GC tail latency the paper measures against.
 
 from __future__ import annotations
 
-from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
+from repro.cache.backends.base import RegionStore, WafRaw
 from repro.errors import CacheConfigError
 from repro.flash.blockssd import BlockSsd
 from repro.reclaim import GcHints
@@ -17,26 +17,19 @@ from repro.reclaim import GcHints
 class BlockRegionStore(RegionStore):
     """Fixed-layout region store over a :class:`~repro.flash.BlockSsd`."""
 
-    def __init__(
-        self,
-        device: BlockSsd,
-        region_size: int,
-        num_regions: int,
-        use_discard: bool = False,
-    ) -> None:
+    def __init__(self, device: BlockSsd, region_size: int, num_regions: int) -> None:
         if region_size <= 0 or region_size % device.block_size != 0:
             raise CacheConfigError(
                 f"region_size {region_size} must be a positive multiple of the "
                 f"device block size {device.block_size}"
             )
         if num_regions * region_size > device.capacity_bytes:
-            raise ValueError(
+            raise CacheConfigError(
                 f"{num_regions} regions of {region_size}B exceed device "
                 f"capacity {device.capacity_bytes}B"
             )
         super().__init__(region_size, num_regions, device.block_size, device.tracer)
         self.device = device
-        self.use_discard = use_discard
 
     @property
     def scheme_name(self) -> str:
@@ -51,15 +44,11 @@ class BlockRegionStore(RegionStore):
         return self.device.read(region_id * self.region_size + offset, length).data
 
     def invalidate_region(self, region_id: int) -> None:
-        """Optionally TRIM the dead range so the FTL skips relocating it.
-
-        Real deployments rarely discard cache regions (the paper's
-        Block-Cache does not), so this defaults off; the ablation bench
-        turns it on to quantify what TRIM would buy.
-        """
+        """No-op: the paper's Block-Cache never TRIMs an evicted region,
+        so the FTL keeps relocating dead cache bytes until they are
+        overwritten.  The §3.4 repair is :meth:`bind_gc_hints`, which
+        lets the FTL's GC discard a condemned region's range instead."""
         self.check_region_id(region_id)
-        if self.use_discard:
-            self.device.discard(region_id * self.region_size, self.region_size)
 
     def bind_gc_hints(self, hints: GcHints) -> None:
         """Hand the cache's §3.4 hints to the FTL's GC, with this
@@ -70,9 +59,6 @@ class BlockRegionStore(RegionStore):
         source.region_pages = self.region_size // self.device.block_size
         source.num_regions = self.num_regions
         source.hints = hints
-
-    def waf(self) -> WafBreakdown:
-        return WafBreakdown(app=1.0, device=self.device.stats.write_amplification)
 
     def waf_raw(self) -> WafRaw:
         stats = self.device.stats

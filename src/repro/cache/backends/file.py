@@ -8,7 +8,8 @@ block-granular mapping overhead, filesystem WA, and provisioning space.
 
 from __future__ import annotations
 
-from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
+from repro.cache.backends.base import RegionStore, WafRaw
+from repro.errors import CacheConfigError
 from repro.f2fs.file import F2fsFile
 from repro.f2fs.fs import F2fs
 from repro.reclaim import GcHints
@@ -28,12 +29,12 @@ class FileRegionStore(RegionStore):
     ) -> None:
         block_size = fs.layout.block_size
         if region_size <= 0 or region_size % block_size != 0:
-            raise ValueError(
+            raise CacheConfigError(
                 f"region_size {region_size} must be a positive multiple of the "
                 f"filesystem block size {block_size}"
             )
         if num_regions * region_size > fs.usable_bytes:
-            raise ValueError(
+            raise CacheConfigError(
                 f"cache of {num_regions}×{region_size}B does not fit in the "
                 f"filesystem's usable {fs.usable_bytes}B"
             )
@@ -92,12 +93,6 @@ class FileRegionStore(RegionStore):
             return None
         region_id = file_block * self.fs.layout.block_size // self.region_size
         return region_id if region_id < self.num_regions else None
-
-    def waf(self) -> WafBreakdown:
-        return WafBreakdown(
-            app=self.fs.stats.write_amplification,
-            device=self.fs.data_device.stats.write_amplification,
-        )
 
     def waf_raw(self) -> WafRaw:
         fs_stats = self.fs.stats

@@ -12,7 +12,7 @@ knob Figure 4 sweeps.
 
 from __future__ import annotations
 
-from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
+from repro.cache.backends.base import RegionStore, WafRaw
 from repro.errors import CacheConfigError
 from repro.reclaim import GcHints
 from repro.ztl.layer import RegionTranslationLayer
@@ -23,7 +23,7 @@ class ZtlRegionStore(RegionStore):
 
     def __init__(self, layer: RegionTranslationLayer, num_regions: int) -> None:
         if num_regions < 1:
-            raise ValueError("num_regions must be >= 1")
+            raise CacheConfigError("num_regions must be >= 1")
         if num_regions >= layer.total_slots:
             raise CacheConfigError(
                 f"cache of {num_regions} regions needs OP headroom below the "
@@ -67,12 +67,6 @@ class ZtlRegionStore(RegionStore):
         survivor with nowhere to land — is reported to ``hints.on_drop``.
         """
         self.layer.reclaim.source.hints = hints
-
-    def waf(self) -> WafBreakdown:
-        return WafBreakdown(
-            app=self.layer.stats.app_write_amplification,
-            device=self.layer.device.stats.write_amplification,
-        )
 
     def waf_raw(self) -> WafRaw:
         layer_stats = self.layer.stats

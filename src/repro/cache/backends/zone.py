@@ -15,7 +15,7 @@ worth of bytes.
 from __future__ import annotations
 
 from repro.cache.admission import CountMinSketch
-from repro.cache.backends.base import RegionStore, WafBreakdown, WafRaw
+from repro.cache.backends.base import RegionStore, WafRaw
 from repro.cache.backends.region import ZtlRegionStore
 from repro.cache.item import EntryCodec
 from repro.errors import CacheConfigError
@@ -31,7 +31,7 @@ class ZoneRegionStore(RegionStore):
         if num_regions == 0:
             num_regions = device.num_zones
         if not 1 <= num_regions <= device.num_zones:
-            raise ValueError(
+            raise CacheConfigError(
                 f"num_regions {num_regions} must be in [1, {device.num_zones}]"
             )
         super().__init__(
@@ -73,13 +73,8 @@ class ZoneRegionStore(RegionStore):
             self.device.reset_zone(region_id)
             self.zone_resets += 1
 
-    def waf(self) -> WafBreakdown:
-        """Zero WA by construction: no middle layer, no device GC."""
-        return WafBreakdown(
-            app=1.0, device=self.device.stats.write_amplification
-        )
-
     def waf_raw(self) -> WafRaw:
+        """Zero app-level WA by construction: no middle layer, no GC."""
         stats = self.device.stats
         return WafRaw(
             app_host=stats.host_write_bytes,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.admission import AdmissionConfig
+from repro.cache.eviction import EVICTION_POLICIES
 from repro.cache.lifecycle import LifecycleConfig
 from repro.errors import CacheConfigError
 from repro.sim.faults import RetryPolicy
@@ -96,15 +96,6 @@ class CacheConfig:
     # AppendFailedError, ZoneResourceError) on reads and region flushes.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     cpu: CpuCosts = field(default_factory=CpuCosts)
-    # Flash admission policy (default admit-all, the paper's setup).  An
-    # explicit AdmissionPolicy passed to HybridCache still wins; this
-    # field makes the choice declarative so scheme builders and the
-    # serving cluster can select per-instance admission by config alone.
-    # Z-Cache additionally reuses the tinylfu policy's CountMinSketch as
-    # its flush-time hot/cold classifier, so a Z-Cache stack always
-    # carries a tinylfu admission config even when the threshold admits
-    # everything (see ``repro.cache.backends.zone.ZCacheRegionStore``).
-    admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     # Tenant item-lifecycle layer: namespace versioning, dead-first
     # eviction, and GC hint wiring.  All off by default — the historical
     # engine behavior (and every golden row) is bit-identical unless a
@@ -120,10 +111,10 @@ class CacheConfig:
             )
         if self.ram_bytes < 0:
             raise CacheConfigError("ram_bytes must be non-negative")
-        if self.eviction_policy not in ("lru", "fifo", "clock"):
+        if self.eviction_policy not in EVICTION_POLICIES:
             raise CacheConfigError(
                 f"unknown eviction_policy {self.eviction_policy!r}; "
-                "expected 'lru', 'fifo', or 'clock'"
+                f"expected one of {EVICTION_POLICIES}"
             )
         if self.reclaim_window < 1:
             raise CacheConfigError("reclaim_window must be >= 1")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.cache.admission import AdmissionPolicy, build_admission
+from repro.cache.admission import AdmissionPolicy, AdmitAll
 from repro.cache.backends.base import RegionStore, WafBreakdown
 from repro.cache.config import CacheConfig
 from repro.cache.item import EntryCodec, EntryLocation
@@ -92,9 +92,7 @@ class HybridCache:
         self._entry_overhead = EntryCodec.entry_size(
             b"", b"", checksum=config.checksums
         )
-        self.admission = (
-            admission if admission is not None else build_admission(config.admission)
-        )
+        self.admission = admission if admission is not None else AdmitAll()
         self.ram = RamCache(config.ram_bytes)
         # key -> where its newest admitted entry lives.  One flat dict:
         # the eviction cost model charges by item count
@@ -513,7 +511,19 @@ class HybridCache:
         The invariant tests assert: a recovered get never serves a torn
         entry, and never serves a value older than the newest one that
         was fully persisted for that key.
+
+        A journal naming a region outside ``config.num_regions`` (one
+        written under a larger configuration) is refused with
+        :class:`CacheConfigError` before anything is rebuilt, as
+        :meth:`warm_restart` refuses a snapshot of a different size.
         """
+        journal = list(journal)
+        for record in journal:
+            if record[0] != "nsbump" and not 0 <= record[1] < config.num_regions:
+                raise CacheConfigError(
+                    f"journaled region {record[1]} outside [0, "
+                    f"{config.num_regions}) of this configuration"
+                )
         start_ns = clock.now
         cache = cls(clock, store, config, admission)
         effective_window = max(1, min(config.reclaim_window, config.num_regions // 8))

@@ -60,7 +60,7 @@ class ReclaimSource(abc.ABC):
 
     ``name`` labels the layer's ``reclaim.<name>`` spans and bench
     columns; ``unit_bytes`` is the payload size of one migrated unit
-    (page/block/region) for copied-byte accounting and token pacing.
+    (page/block/region) for copied-byte accounting.
     ``hints``, when bound, carries the cache's §3.4 drop hints — every
     ``DROPPED`` outcome from a hint-bearing source counts as a hint
     drop in :class:`ReclaimStats`.
@@ -298,12 +298,9 @@ class ReclaimEngine:
         victim = self._victim
         source = self.source
         processed = 0
-        self.pacer.refill()
         with self.tracer.span("reclaim." + source.name, "migrate", zone=victim):
             with source.step_span(self.tracer, victim):
                 while self._pending and (budget is None or processed < budget):
-                    if not self.pacer.try_reserve(source.unit_bytes):
-                        break
                     unit = self._pending.pop()
                     outcome = source.migrate_unit(victim, unit)
                     if outcome is UnitOutcome.SKIPPED:
@@ -318,7 +315,6 @@ class ReclaimEngine:
                     if outcome is UnitOutcome.MIGRATED:
                         self.stats.units_migrated += 1
                         self.stats.copied_bytes += source.unit_bytes
-                        self.pacer.spend(source.unit_bytes)
                     else:
                         self.stats.units_dropped += 1
                         if source.hints is not None:

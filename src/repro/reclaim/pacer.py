@@ -1,4 +1,4 @@
-"""Trigger watermarks, copy-I/O token bucket, and stall accounting.
+"""Trigger watermarks, per-step pacing, and stall accounting.
 
 Each reclamation layer historically hard-wired *when* to collect (a free
 watermark), *how hard* (a per-step pace), and *when to panic* (emergency
@@ -14,18 +14,14 @@ behind one validated config so the bench can sweep them uniformly:
 * ``emergency`` — at or below this free level, victim acceptance ignores
   ``victim_valid_threshold`` so forward progress is guaranteed.
 * ``pace_units`` — units migrated per background step (0 = unbounded).
-* ``copy_tokens_per_step`` — optional token bucket on copy *bytes*: each
-  step refills the bucket (which holds four refills) and migrations stop
-  when it is dry, bounding GC bandwidth independently of unit count
-  (0 = unlimited, the default).
 
 On top of the static levers sits the optional adaptive controller (the
 GC↔QoS loop, armed by :meth:`ReclaimPacer.enable_adaptive`): AIMD on the
-observed foreground stall — additive relax of
-``pace_units``/``copy_tokens_per_step`` while stall p99 is under the
-layer's ``stall_slo_ns`` budget, multiplicative clamp when it is over —
-bounded by a floor/ceiling derived from the static config.  With no
-controller attached the pacer is exactly the static one, bit for bit.
+observed foreground stall — additive relax of ``pace_units`` while stall
+p99 is under the layer's ``stall_slo_ns`` budget, multiplicative clamp
+when it is over — bounded by a floor/ceiling derived from the static
+config.  With no controller attached the pacer is exactly the static
+one, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,9 +39,8 @@ from repro.sim.stats import LatencyRecorder
 
 # The adaptive controller's AIMD shape.  Every ADAPTIVE_INTERVAL_STEPS
 # background steps it compares the windowed stall p99 against the
-# budget: under it, ``pace_units`` grows by ADAPTIVE_INCREASE_UNITS (and
-# the copy-token refill by an eighth of its static value); over it, both
-# are cut by ADAPTIVE_DECREASE_FACTOR.  The runtime values stay inside
+# budget: under it, ``pace_units`` grows by ADAPTIVE_INCREASE_UNITS; over
+# it, it is cut by ADAPTIVE_DECREASE_FACTOR.  The runtime value stays inside
 # [max(1, static / ADAPTIVE_MAX_SCALE), static × ADAPTIVE_MAX_SCALE], so a
 # misbehaving signal can never wedge or unleash reclamation entirely.
 # An interval with no stall samples counts as under budget.
@@ -65,7 +60,6 @@ class PacerConfig:
     emergency: int = 0
     victim_valid_threshold: float = 1.0
     pace_units: int = 0
-    copy_tokens_per_step: int = 0
 
     def __post_init__(self) -> None:
         ensure_at_least("background", self.background, 1)
@@ -74,34 +68,24 @@ class PacerConfig:
         ensure_between("emergency", self.emergency, 0, self.background)
         ensure_fraction("victim_valid_threshold", self.victim_valid_threshold)
         ensure_at_least("pace_units", self.pace_units, 0)
-        ensure_at_least("copy_tokens_per_step", self.copy_tokens_per_step, 0)
 
 
 class ReclaimPacer:
-    """Runtime side of :class:`PacerConfig`: bucket state + stall stats.
+    """Runtime side of :class:`PacerConfig`: pace + stall stats.
 
-    ``pace_units`` and ``copy_tokens_per_step`` are *runtime* copies of
-    the static config; once :meth:`enable_adaptive` attaches the AIMD
-    controller it moves them between adjustment intervals.  Without it
-    they never change.
+    ``pace_units`` is a *runtime* copy of the static config; once
+    :meth:`enable_adaptive` attaches the AIMD controller it moves
+    between adjustment intervals; without the controller it never
+    changes.
     """
 
     def __init__(self, config: PacerConfig) -> None:
         self.config = config
-        # The copy-token bucket holds four refills.
-        self._bucket_cap = 4 * config.copy_tokens_per_step
-        self._tokens = self._bucket_cap
-        # Adaptive-pacing runtime values (static unless a controller runs).
+        # Adaptive-pacing runtime value (static unless a controller runs).
         self.pace_units = config.pace_units
-        self.copy_tokens_per_step = config.copy_tokens_per_step
         # Foreground-stall budget of the adaptive controller (None = static).
         self.stall_slo_ns: Optional[int] = None
         self._steps_since_adjust = 0
-        # Distinct steps that hit the copy budget vs raw per-unit
-        # rejections (one throttled step rejects every remaining unit).
-        self.throttled_steps = 0
-        self.copy_throttle_events = 0
-        self._step_throttled = False
         # AIMD telemetry: decisions taken and how many were clamps.
         self.pace_adjustments = 0
         self.pace_clamps = 0
@@ -147,43 +131,6 @@ class ReclaimPacer:
         if 0 <= self.config.urgent and free_units <= self.config.urgent:
             return None
         return self.pace_units
-
-    def refill(self) -> None:
-        self._step_throttled = False
-        if self.copy_tokens_per_step > 0:
-            self._tokens = min(
-                self._bucket_cap, self._tokens + self.copy_tokens_per_step
-            )
-
-    def try_reserve(self, nbytes: int) -> bool:
-        """May a migration of ``nbytes`` proceed under the copy budget?
-
-        A unit larger than the whole bucket is granted whenever the
-        bucket is full — the balance goes negative and is paid back by
-        later refills — so an oversized migration unit throttles the
-        *rate* of reclamation instead of wedging it forever.
-        """
-        if self.copy_tokens_per_step <= 0:
-            return True
-        if self._tokens >= nbytes or self._tokens >= self._bucket_cap:
-            return True
-        self.copy_throttle_events += 1
-        if not self._step_throttled:
-            self._step_throttled = True
-            self.throttled_steps += 1
-        return False
-
-    def spend(self, nbytes: int) -> None:
-        if self.copy_tokens_per_step > 0:
-            self._tokens -= nbytes
-
-    @property
-    def copy_tokens(self) -> int:
-        return self._tokens
-
-    @property
-    def bucket_cap(self) -> int:
-        return self._bucket_cap
 
     # --- adaptive control ---------------------------------------------------------
 
@@ -232,20 +179,4 @@ class ReclaimPacer:
             else:
                 self.pace_units = min(
                     ceiling, self.pace_units + ADAPTIVE_INCREASE_UNITS
-                )
-        static_tokens = self.config.copy_tokens_per_step
-        if static_tokens > 0:
-            floor = max(1, static_tokens // ADAPTIVE_MAX_SCALE)
-            # Refilling more than the bucket holds is meaningless, so the
-            # cap doubles as the refill ceiling.
-            ceiling = min(self._bucket_cap, static_tokens * ADAPTIVE_MAX_SCALE)
-            if over_budget:
-                self.copy_tokens_per_step = max(
-                    floor,
-                    int(self.copy_tokens_per_step * ADAPTIVE_DECREASE_FACTOR),
-                )
-            else:
-                self.copy_tokens_per_step = min(
-                    ceiling,
-                    self.copy_tokens_per_step + max(1, static_tokens // 8),
                 )

@@ -15,7 +15,7 @@ first-candidate tie-breaking, which reproduces the historical per-layer
 from __future__ import annotations
 
 import abc
-from typing import List, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.reclaim.config import ensure_at_least, ensure_choice
 from repro.sim.rng import make_rng
@@ -187,36 +187,18 @@ def windowed_draw(order_policy, window: int, population: int, rng) -> Optional[i
     This is navy's clean-region pool: instead of strictly reclaiming the
     eviction-order head, the victim is drawn (seeded) from a small
     window, leaving straggler regions behind in dying containers.  The
-    non-chosen candidates return to the head of the order in their
-    original relative order, and the chosen one is left untracked.
+    window is read in place, so the non-chosen candidates keep their
+    places at the head of the order and only the chosen one is untracked.
 
     ``order_policy`` is any object with the cache eviction-policy shape
-    (``pick_victim`` / ``untrack`` / ``track_front`` / ``peek``);
-    ``population`` bounds the window to the number of tracked entries.
+    (``pick_victim`` / ``untrack`` / ``peek``); ``population`` bounds the
+    window to the number of tracked entries.
     """
     if window == 1:
         return order_policy.pick_victim()
     head = order_policy.peek(min(window, population))
-    if head is not None:
-        # FIFO/LRU: the window is simply the head of the order, so read
-        # it in place and untrack only the winner — same candidates, same
-        # single RNG draw, same order afterwards as the loop below.
-        if not head:
-            return None
-        chosen = head[rng.randrange(len(head))]
-        order_policy.untrack(chosen)
-        return chosen
-    candidates: List[int] = []
-    for _ in range(min(window, population)):
-        victim = order_policy.pick_victim()
-        if victim is None:
-            break
-        candidates.append(victim)
-        order_policy.untrack(victim)
-    if not candidates:
+    if not head:
         return None
-    chosen = candidates[rng.randrange(len(candidates))]
-    for candidate in reversed(candidates):
-        if candidate != chosen:
-            order_policy.track_front(candidate)
+    chosen = head[rng.randrange(len(head))]
+    order_policy.untrack(chosen)
     return chosen

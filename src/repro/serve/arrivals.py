@@ -23,6 +23,14 @@ from typing import List
 from repro.errors import ConfigError
 from repro.workloads.distributions import ExponentialSampler
 
+# The shapes of the modulated tenant streams: the diurnal swing (rate ×
+# (1 ± DIURNAL_AMPLITUDE) over DIURNAL_PERIOD_S) and the burst cycle
+# (BURST_ON_S at the burst rate, then BURST_OFF_S below the mean).
+DIURNAL_AMPLITUDE = 0.5
+DIURNAL_PERIOD_S = 0.2
+BURST_ON_S = 0.02
+BURST_OFF_S = 0.08
+
 
 class ArrivalProcess(abc.ABC):
     """Produces the next arrival timestamp given the current one."""
@@ -90,8 +98,8 @@ class DiurnalArrivals(ArrivalProcess):
     def __init__(
         self,
         rate_ops_per_sec: float,
-        amplitude: float = 0.5,
-        period_s: float = 1.0,
+        amplitude: float = DIURNAL_AMPLITUDE,
+        period_s: float = DIURNAL_PERIOD_S,
         seed: int = 1,
     ) -> None:
         if rate_ops_per_sec <= 0:
@@ -128,8 +136,8 @@ class BurstArrivals(ArrivalProcess):
         self,
         rate_ops_per_sec: float,
         burst_factor: float = 4.0,
-        on_s: float = 0.02,
-        off_s: float = 0.08,
+        on_s: float = BURST_ON_S,
+        off_s: float = BURST_OFF_S,
         seed: int = 1,
     ) -> None:
         if rate_ops_per_sec <= 0:

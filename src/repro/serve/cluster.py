@@ -41,6 +41,15 @@ PRESSURE_RANK: Dict[str, int] = {
 
 ROUTING_POLICIES = ("static", "gc_aware")
 
+# The gc_aware policy's shape: a write is diverted once its home shard is
+# at REROUTE_LEVEL or above, to one of the next MAX_REROUTE_DISTANCE ring
+# successors, scored by STALL_WEIGHT * gc_stall_us_p99 - HEADROOM_WEIGHT
+# * free_units within a pressure rank.
+MAX_REROUTE_DISTANCE = 2
+REROUTE_LEVEL = "urgent"
+STALL_WEIGHT = 1.0
+HEADROOM_WEIGHT = 1.0
+
 
 @dataclass(frozen=True)
 class RoutingConfig:
@@ -49,15 +58,15 @@ class RoutingConfig:
     ``static`` is the PR 3 behavior: every request follows the
     consistent-hash ring, period.  ``gc_aware`` keeps reads on the ring
     (a diverted read would just miss) but re-routes a *write* whose home
-    shard is at or above ``reroute_level`` to the ring successor with
+    shard is at or above :data:`REROUTE_LEVEL` to the ring successor with
     the *best pressure score* among those with strictly lower pressure,
-    looking at most ``max_reroute_distance`` successors ahead — the
+    looking at most :data:`MAX_REROUTE_DISTANCE` successors ahead — the
     bound that keeps key affinity: a bounded walk means a later read's
     home shard and the write's landing shard stay within a known ring
     neighborhood.
 
     The score orders candidates first by pressure rank, then by
-    ``stall_weight * gc_stall_us_p99 - headroom_weight * free_units``
+    ``STALL_WEIGHT * gc_stall_us_p99 - HEADROOM_WEIGHT * free_units``
     (lower is better): between two equally-pressured successors the
     write prefers the one that has stalled foreground traffic least and
     has the most reclamation headroom left.  Exact ties resolve to the
@@ -65,30 +74,12 @@ class RoutingConfig:
     """
 
     policy: str = "static"
-    max_reroute_distance: int = 2
-    reroute_level: str = "urgent"
-    stall_weight: float = 1.0
-    headroom_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.stall_weight < 0 or self.headroom_weight < 0:
-            raise ConfigError(
-                "stall_weight and headroom_weight must be non-negative"
-            )
         if self.policy not in ROUTING_POLICIES:
             raise ConfigError(
                 f"unknown routing policy {self.policy!r}; "
                 f"expected one of {ROUTING_POLICIES}"
-            )
-        if self.max_reroute_distance < 1:
-            raise ConfigError(
-                f"max_reroute_distance must be >= 1, "
-                f"got {self.max_reroute_distance}"
-            )
-        if self.reroute_level not in PRESSURE_RANK:
-            raise ConfigError(
-                f"unknown reroute_level {self.reroute_level!r}; "
-                f"expected one of {tuple(PRESSURE_RANK)}"
             )
 
 
@@ -336,7 +327,7 @@ class CacheCluster:
         """The (memoized) reroute candidates after ``key``'s home shard."""
         cached = self._successor_cache.get(key)
         if cached is None:
-            names = self.ring.nodes_for(key, 1 + self.routing.max_reroute_distance)
+            names = self.ring.nodes_for(key, 1 + MAX_REROUTE_DISTANCE)
             cached = tuple(self._by_name[name] for name in names[1:])
             self._successor_cache[key] = cached
         return cached
@@ -346,8 +337,8 @@ class CacheCluster:
 
         Returns ``(shard, None)`` for ring-faithful routing (always for
         reads and under the static policy).  Under ``gc_aware``, a write
-        whose home shard is at/above ``reroute_level`` lands on the
-        best-scoring ring successor (within ``max_reroute_distance``)
+        whose home shard is at/above :data:`REROUTE_LEVEL` lands on the
+        best-scoring ring successor (within :data:`MAX_REROUTE_DISTANCE`)
         with strictly lower pressure, returned as ``(successor, home)``;
         if every nearby successor is just as pressured the write stays
         home.
@@ -362,8 +353,7 @@ class CacheCluster:
     ) -> Tuple[Shard, Optional[Shard]]:
         """gc_aware write routing with the home shard already resolved."""
         home_rank = home.pressure_rank()
-        routing = self.routing
-        if home_rank < PRESSURE_RANK[routing.reroute_level]:
+        if home_rank < PRESSURE_RANK[REROUTE_LEVEL]:
             return home, None
         best: Optional[Shard] = None
         best_score: Optional[Tuple[int, float]] = None
@@ -374,8 +364,8 @@ class CacheCluster:
             pressure = shard.pressure()
             score = (
                 rank,
-                routing.stall_weight * pressure["gc_stall_us_p99"]
-                - routing.headroom_weight * max(0, pressure["free_units"]),
+                STALL_WEIGHT * pressure["gc_stall_us_p99"]
+                - HEADROOM_WEIGHT * max(0, pressure["free_units"]),
             )
             # Strict < keeps ties on the nearest successor: candidates
             # iterate in ring order, so an equal score never displaces

@@ -6,8 +6,8 @@ that nothing consumed.  This module closes that gap with the primitives
 a replicated fleet needs:
 
 * :class:`ReplicationConfig` — R-way successor replication on writes
-  (primary + R−1 replicas in ring order), read fallback, read-repair,
-  hinted handoff, and the failure-detection thresholds.
+  (primary + R−1 replicas in ring order), read fallback, read-repair
+  and hinted handoff; the failure-detection thresholds are constants.
 * Shard **health states** (``UP → SUSPECT → DOWN → RESYNCING → UP``):
   failed requests and probe timeouts move a shard from UP through
   SUSPECT to DOWN; power restoration runs ``crash_recover`` and enters
@@ -58,32 +58,33 @@ PHASE_STORM = "storm"
 PHASE_RECOVERED = "recovered"
 
 
+# Failure detection, counted in failures rather than wall time so it
+# composes with virtual time: a shard is SUSPECT after
+# SUSPECT_AFTER_FAILURES consecutive failures and DOWN after
+# DOWN_AFTER_FAILURES.  Probes every PROBE_INTERVAL_NS poke dead shards
+# so detection happens even when no tenant traffic is homed there.
+SUSPECT_AFTER_FAILURES = 1
+DOWN_AFTER_FAILURES = 3
+PROBE_INTERVAL_NS = int(0.5 * MSEC)
+
+
 @dataclass(frozen=True)
 class ReplicationConfig:
-    """Fleet replication + failure-detection knobs.
+    """Fleet replication knobs.
 
     ``replicas`` counts the primary: 1 (the default) is the PR 3
     behavior — no replica writes, no fallback, every existing golden
     bit-identical.  With R > 1 each write lands on the primary and fans
     out to the next R−1 *distinct* ring successors; reads stay on the
     primary while it is healthy and fall back along the same successor
-    list when it is not.
-
-    Failure detection is counted in failures, not wall time, so it
-    composes with virtual time: a shard is SUSPECT after
-    ``suspect_after_failures`` consecutive failures and DOWN after
-    ``down_after_failures``.  Probes (every ``probe_interval_ms``) poke
-    dead shards so detection happens even when no tenant traffic is
-    homed there.
+    list when it is not.  Failure detection is the module constants
+    above.
     """
 
     replicas: int = 1
     # Bounded hint journal per shard (entries).  Overflow drops the
     # oldest hint (counted) — a production handoff queue is finite too.
     hint_limit: int = 4096
-    probe_interval_ms: float = 0.5
-    suspect_after_failures: int = 1
-    down_after_failures: int = 3
     # Record every acknowledged write (key -> value history) so tests
     # can assert no torn/stale reads after hint replay.  Off by default:
     # it is an oracle, not a serving feature.
@@ -94,24 +95,6 @@ class ReplicationConfig:
             raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
         if self.hint_limit < 1:
             raise ConfigError(f"hint_limit must be >= 1, got {self.hint_limit}")
-        if self.probe_interval_ms <= 0:
-            raise ConfigError(
-                f"probe_interval_ms must be positive, got {self.probe_interval_ms}"
-            )
-        if self.suspect_after_failures < 1:
-            raise ConfigError(
-                "suspect_after_failures must be >= 1, "
-                f"got {self.suspect_after_failures}"
-            )
-        if self.down_after_failures < self.suspect_after_failures:
-            raise ConfigError(
-                "down_after_failures must be >= suspect_after_failures, "
-                f"got {self.down_after_failures} < {self.suspect_after_failures}"
-            )
-
-    @property
-    def probe_interval_ns(self) -> int:
-        return int(self.probe_interval_ms * MSEC)
 
 
 @dataclass(frozen=True)

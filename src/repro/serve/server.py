@@ -42,6 +42,7 @@ from repro.cache.engine import HybridCache
 from repro.errors import ConfigError, ServerAlreadyRanError
 from repro.serve.cluster import CacheCluster, Shard
 from repro.serve.replication import (
+    DOWN_AFTER_FAILURES,
     HEALTH_DOWN,
     HEALTH_RESYNCING,
     HEALTH_SUSPECT,
@@ -49,6 +50,8 @@ from repro.serve.replication import (
     PHASE_RECOVERED,
     PHASE_STEADY,
     PHASE_STORM,
+    PROBE_INTERVAL_NS,
+    SUSPECT_AFTER_FAILURES,
     FailoverPlan,
     FleetStats,
 )
@@ -472,16 +475,15 @@ class Server:
                 self._fleet.note_all_up(now_ns)
 
     def _register_failure(self, shard: Shard, now_ns: int) -> None:
-        repl = self.cluster.replication
         shard.failures += 1
         if (
             shard.health in (HEALTH_UP, HEALTH_RESYNCING)
-            and shard.failures >= repl.suspect_after_failures
+            and shard.failures >= SUSPECT_AFTER_FAILURES
         ):
             self._set_health(shard, HEALTH_SUSPECT, now_ns)
         if (
             shard.health == HEALTH_SUSPECT
-            and shard.failures >= repl.down_after_failures
+            and shard.failures >= DOWN_AFTER_FAILURES
         ):
             self._set_health(shard, HEALTH_DOWN, now_ns)
 
@@ -599,10 +601,9 @@ class Server:
             shard.hint_journal.append(item[2], item[3], item[4])
         push = self._events.push
         push(now_ns + kill.outage_ns, _RECOVER, shard.index)
-        repl = self.cluster.replication
-        if not self._probe_armed and repl.probe_interval_ns > 0:
+        if not self._probe_armed:
             self._probe_armed = True
-            push(now_ns + repl.probe_interval_ns, _PROBE, 0)
+            push(now_ns + PROBE_INTERVAL_NS, _PROBE, 0)
 
     def _on_recover(self, now_ns: int, shard_index: int) -> None:
         """Power back: run crash recovery (charged in simulated time),
@@ -643,12 +644,11 @@ class Server:
     def _on_probe(self, now_ns: int, _index: int) -> None:
         """Fixed-interval health probe: notices dead shards that tenant
         traffic alone would leave undetected."""
-        repl = self.cluster.replication
         for shard in self.cluster.shards:
             if not shard.alive and shard.health != HEALTH_DOWN:
                 self._register_failure(shard, now_ns)
         if self._probes_needed():
-            self._events.push(now_ns + repl.probe_interval_ns, _PROBE, 0)
+            self._events.push(now_ns + PROBE_INTERVAL_NS, _PROBE, 0)
         else:
             self._probe_armed = False
 

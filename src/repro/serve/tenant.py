@@ -40,11 +40,7 @@ class TenantConfig:
     name: str
     rate_ops_per_sec: float = 50_000.0
     arrival: str = "poisson"
-    diurnal_amplitude: float = 0.5
-    diurnal_period_s: float = 0.2
     burst_factor: float = 4.0
-    burst_on_s: float = 0.02
-    burst_off_s: float = 0.08
     flash_crowd_factor: float = 4.0
     flash_crowd_at_s: float = 0.05
     flash_crowd_decay_s: float = 0.05
@@ -123,12 +119,7 @@ class Tenant:
         if config.arrival == "poisson":
             return PoissonArrivals(config.rate_ops_per_sec, seed=config.seed)
         if config.arrival == "diurnal":
-            return DiurnalArrivals(
-                config.rate_ops_per_sec,
-                amplitude=config.diurnal_amplitude,
-                period_s=config.diurnal_period_s,
-                seed=config.seed,
-            )
+            return DiurnalArrivals(config.rate_ops_per_sec, seed=config.seed)
         if config.arrival == "flash_crowd":
             return FlashCrowdArrivals(
                 config.rate_ops_per_sec,
@@ -148,8 +139,6 @@ class Tenant:
         return BurstArrivals(
             config.rate_ops_per_sec,
             burst_factor=config.burst_factor,
-            on_s=config.burst_on_s,
-            off_s=config.burst_off_s,
             seed=config.seed,
         )
 

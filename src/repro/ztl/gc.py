@@ -68,9 +68,6 @@ class GcConfig:
     # foreground reads never queue behind a whole zone's migration.
     pace_regions: int = 8
     policy: str = "greedy"
-    # Optional copy-bandwidth cap in bytes refilled per background check
-    # (0 = unlimited); see repro.reclaim.PacerConfig.copy_tokens_per_step.
-    copy_tokens_per_step: int = 0
     # Lifecycle integration: take zero-valid zones before the policy
     # order (see repro.reclaim.ReclaimEngine).  Off by default — the
     # golden rows lock the policy-ordered behavior.
@@ -85,7 +82,6 @@ class GcConfig:
         ensure_at_least("urgent_empty_zones", self.urgent_empty_zones, -1)
         ensure_at_least("pace_regions", self.pace_regions, 1)
         ensure_choice("policy", self.policy, POLICY_NAMES)
-        ensure_at_least("copy_tokens_per_step", self.copy_tokens_per_step, 0)
 
     def pacer_config(self) -> PacerConfig:
         return PacerConfig(
@@ -95,7 +91,6 @@ class GcConfig:
             emergency=self.emergency_empty_zones,
             victim_valid_threshold=self.victim_valid_threshold,
             pace_units=self.pace_regions,
-            copy_tokens_per_step=self.copy_tokens_per_step,
         )
 
 

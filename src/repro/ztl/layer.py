@@ -45,9 +45,8 @@ from repro.ztl.mapping import RegionLocation, RegionMap
 class ZtlConfig:
     """Middle-layer configuration.
 
-    ``region_size`` must divide the device zone size; ``usable_zones``
-    optionally restricts the layer to the first N zones (the paper's
-    experiments carve 25 or 220 zones out of the device).
+    ``region_size`` must divide the device zone size; the layer manages
+    every zone of the device it is given.
     """
 
     region_size: int
@@ -57,12 +56,6 @@ class ZtlConfig:
     # lifetimes never share a zone (Z-Cache's hot/cold separation).
     # 1 = the historical single-stream layout.
     host_groups: int = 1
-    usable_zones: int = 0  # 0 → all zones
-    # Use the ZNS Zone Append command instead of positioned writes: the
-    # device picks the in-zone offset, so the host never races the write
-    # pointer (the interface advantage §2.2 describes; see also
-    # "Zone append: a new way of writing to zoned storage" [3]).
-    use_zone_append: bool = False
     gc: GcConfig = GcConfig()
 
 
@@ -103,11 +96,9 @@ class RegionTranslationLayer:
                 f"region_size {config.region_size} must be a multiple of the "
                 f"device page size {device.block_size}"
             )
-        num_zones = config.usable_zones or device.num_zones
-        if not 2 <= num_zones <= device.num_zones:
-            raise ConfigError(
-                f"usable_zones {num_zones} must be in [2, {device.num_zones}]"
-            )
+        num_zones = device.num_zones
+        if num_zones < 2:
+            raise ConfigError(f"the layer needs at least 2 zones, got {num_zones}")
         if config.host_groups < 1:
             raise ConfigError(f"host_groups must be >= 1, got {config.host_groups}")
         # Host streams + the GC stream must fit in the device's open budget.
@@ -268,15 +259,11 @@ class RegionTranslationLayer:
     def _write_to_record(
         self, region_id: int, record: ZoneRecord, data: bytes
     ) -> IoCompletion:
-        if self.config.use_zone_append:
-            result = self.device.append(record.zone_index, data)
-            slot = (result.offset % self.zone_size) // self.region_size
-            location = RegionLocation(record.zone_index, slot)
-        else:
-            slot = record.next_slot
-            location = RegionLocation(record.zone_index, slot)
-            offset = location.byte_offset(self.zone_size, self.region_size)
-            result = self.device.write(offset, data)
+        slot = record.next_slot
+        location = RegionLocation(record.zone_index, slot)
+        result = self.device.write(
+            location.byte_offset(self.zone_size, self.region_size), data
+        )
         record.bitmap.set(slot)
         self.map.bind(region_id, location)
         self.book.note_slot_written(record)

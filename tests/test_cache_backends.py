@@ -189,6 +189,39 @@ def z_cache_store():
     return ZCacheRegionStore(layer, 16, CountMinSketch(64, 2))
 
 
+def _layer_write_amplification(stack):
+    """(app, device) WAF read off each layer's own counters."""
+    store = stack.cache.store
+    if isinstance(store, ZtlRegionStore):  # Region-Cache and Z-Cache
+        app, device = store.layer.stats.app_write_amplification, store.layer.device
+    elif isinstance(store, FileRegionStore):
+        app, device = store.fs.stats.write_amplification, store.fs.data_device
+    else:
+        app, device = 1.0, store.device
+    return app, device.stats.write_amplification
+
+
+@pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
+def test_waf_is_each_layers_own_write_amplification(name):
+    """The one ``RegionStore.waf`` (a window from zero over ``waf_raw``)
+    equals, bit for bit, the ratio each layer keeps itself — before any
+    write (1.0) and after churn that makes the ZTL and F2FS collect."""
+    scale = SchemeScale(
+        zone_size=256 * KIB, region_size=REGION, pages_per_block=16, ram_bytes=0
+    )
+    zones = 16 if name == "File-Cache" else 12  # F2FS needs the spare sections
+    cache_bytes = None if name == "Zone-Cache" else 9 * scale.zone_size
+    stack = build_scheme(name, SimClock(), scale, zones * scale.zone_size, cache_bytes)
+    store = stack.cache.store
+    assert (store.waf().app, store.waf().device) == _layer_write_amplification(stack)
+    for i in range(5000):
+        stack.cache.set(b"k%04d" % (i * 7919 % 1500), b"v" * (1000 + i % 2000))
+    waf = store.waf()
+    assert (waf.app, waf.device) == _layer_write_amplification(stack)
+    if name in ("Region-Cache", "Z-Cache", "File-Cache"):
+        assert waf.app > 1.0
+
+
 @pytest.mark.parametrize(
     "factory", [*(f for _, f in backend_cases()), z_cache_store],
     ids=[*(name for name, _ in backend_cases()), "zcache"],
@@ -322,14 +355,6 @@ class TestBackendSpecifics:
         too_many = device.capacity_bytes // REGION + 1
         with pytest.raises(ValueError):
             BlockRegionStore(device, REGION, too_many)
-
-    def test_block_discard_mode(self):
-        clock = SimClock()
-        device = BlockSsd(clock, BlockSsdConfig(geometry=geometry()))
-        store = BlockRegionStore(device, REGION, 8, use_discard=True)
-        store.write_region(0, payload(1))
-        store.invalidate_region(0)
-        assert store.read(0, 0, 64) == b"\x00" * 64
 
     def test_file_store_must_fit_fs(self):
         clock = SimClock()

@@ -8,13 +8,12 @@ from repro.cache import (
     CacheConfig,
     CpuCosts,
     EntryCodec,
-    ProbabilisticAdmission,
     RamCache,
     RegionBuffer,
     RegionMeta,
     make_eviction_policy,
 )
-from repro.cache.admission import CountMinSketch, SizeThresholdAdmission
+from repro.cache.admission import CountMinSketch
 from repro.errors import CacheConfigError
 
 
@@ -189,26 +188,6 @@ class TestRamCache:
 class TestAdmission:
     def test_admit_all(self):
         assert AdmitAll().admit(b"k", b"v")
-
-    def test_probabilistic_bounds(self):
-        always = ProbabilisticAdmission(1.0)
-        never = ProbabilisticAdmission(0.0)
-        assert all(always.admit(b"k", b"v") for _ in range(50))
-        assert not any(never.admit(b"k", b"v") for _ in range(50))
-
-    def test_probabilistic_rate(self):
-        policy = ProbabilisticAdmission(0.5, seed=3)
-        admitted = sum(policy.admit(b"k", b"v") for _ in range(2000))
-        assert 850 < admitted < 1150
-
-    def test_probabilistic_invalid(self):
-        with pytest.raises(ValueError):
-            ProbabilisticAdmission(1.5)
-
-    def test_size_threshold(self):
-        policy = SizeThresholdAdmission(10)
-        assert policy.admit(b"k", b"x" * 10)
-        assert not policy.admit(b"k", b"x" * 11)
 
     def test_sketch_add_returns_the_prior_estimate(self):
         sketch = CountMinSketch(width=16, depth=3, seed=5)

@@ -11,7 +11,7 @@ from repro.bench.schemes import (
     build_region_cache,
     build_zone_cache,
 )
-from repro.cache import CacheConfig, HybridCache, ProbabilisticAdmission
+from repro.cache import AdmissionPolicy, AdmitAll, CacheConfig, HybridCache
 from repro.cache.backends import BlockRegionStore
 from repro.errors import (
     CacheConfigError,
@@ -203,6 +203,13 @@ class TestEngineStats:
         assert waf.total == pytest.approx(waf.app * waf.device)
 
 
+class _RejectAll(AdmissionPolicy):
+    """An admission policy that keeps every set off flash."""
+
+    def admit(self, key: bytes, value: bytes) -> bool:
+        return False
+
+
 class TestEngineAdmission:
     def make_block_cache(self, admission):
         clock = SimClock()
@@ -213,17 +220,16 @@ class TestEngineAdmission:
         return HybridCache(clock, store, config, admission=admission)
 
     def test_rejected_sets_stay_in_ram_only(self):
-        cache = self.make_block_cache(ProbabilisticAdmission(0.0))
+        cache = self.make_block_cache(_RejectAll())
         assert not cache.set(b"k", b"v")
         assert cache.get(b"k") == b"v"  # served by RAM
         cache.ram.clear()
         assert cache.get(b"k") is None  # never reached flash
 
     def test_rejection_drops_stale_flash_copy(self):
-        cache = self.make_block_cache(ProbabilisticAdmission(0.0))
-        cache.admission = ProbabilisticAdmission(1.0)
+        cache = self.make_block_cache(AdmitAll())
         cache.set(b"k", b"old")
-        cache.admission = ProbabilisticAdmission(0.0)
+        cache.admission = _RejectAll()
         cache.set(b"k", b"new")
         cache.ram.clear()
         # The stale flash copy must not resurface.

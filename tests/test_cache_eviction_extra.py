@@ -1,61 +1,10 @@
-"""Tests for the CLOCK policy, track_front, and windowed reclaim."""
+"""Tests for windowed reclaim over the FIFO/LRU region orders."""
 
 import pytest
 
 from repro.cache.eviction import make_eviction_policy
 from repro.cache.region import RegionMeta
 from repro.cache.region_manager import RegionManager
-
-
-class TestClockPolicy:
-    def test_unreferenced_evicted_in_order(self):
-        policy = make_eviction_policy("clock")
-        for region_id in (1, 2, 3):
-            policy.track(region_id)
-        # All enter referenced; first scan strips everyone → oldest wins.
-        assert policy.pick_victim() == 1
-
-    def test_referenced_region_survives_a_lap(self):
-        policy = make_eviction_policy("clock")
-        for region_id in (1, 2, 3):
-            policy.track(region_id)
-        policy.pick_victim()  # strips the initial bits
-        policy.untrack(1)
-        policy.touch(2)
-        # 2 is referenced → skipped once; 3 is clean → victim.
-        assert policy.pick_victim() == 3
-
-    def test_degenerates_to_fifo_when_all_hot(self):
-        policy = make_eviction_policy("clock")
-        for region_id in (1, 2, 3):
-            policy.track(region_id)
-        for region_id in (1, 2, 3):
-            policy.touch(region_id)
-        assert policy.pick_victim() == 1
-
-    def test_track_front(self):
-        policy = make_eviction_policy("clock")
-        policy.track(2)
-        policy.track_front(1)
-        policy.pick_victim()  # strip pass
-        assert policy.pick_victim() == 1
-
-    def test_len_and_untrack(self):
-        policy = make_eviction_policy("clock")
-        policy.track(1)
-        assert len(policy) == 1
-        policy.untrack(1)
-        assert policy.pick_victim() is None
-
-
-class TestTrackFront:
-    @pytest.mark.parametrize("kind", ["lru", "fifo"])
-    def test_front_is_next_victim(self, kind):
-        policy = make_eviction_policy(kind)
-        policy.track(5)
-        policy.track(6)
-        policy.track_front(9)
-        assert policy.pick_victim() == 9
 
 
 class TestWindowedReclaim:

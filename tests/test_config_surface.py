@@ -1,14 +1,18 @@
-"""Knob ratchet: the pinned inventory of every ``*Config`` dataclass and
-of every scheme builder's keywords.
+"""Knob ratchet: the pinned inventory of every ``*Config`` dataclass, of
+every scheme builder's keywords, and of every mechanism selector.
 
 Each field of a ``*Config`` class under ``src/repro`` is a switch the
 tests have to cover, and so is each keyword a ``build_*_cache`` builder
-takes (``build_scheme`` forwards its keywords to them).  This file pins
-the sorted (class, field) inventory and the sorted keyword parameters of
-every builder, read from the source with the AST (no imports, so nothing
-a module does at import time can hide a knob), so a change that adds,
-renames or removes a knob has to edit ``PINNED`` or ``PINNED_BUILDERS``
-below, where the diff shows it.
+takes (``build_scheme`` forwards its keywords to them), and each choice a
+selector tuple offers (``EVICTION_POLICIES``, ``POLICY_NAMES``,
+``ARRIVAL_KINDS``, ...: a name ending in ``_POLICIES``, ``_KINDS``,
+``_CHOICES``, ``_PRESETS``, ``_MIXES`` or ``_MODES``, or ``POLICY_NAMES``).
+This file pins the sorted (class, field) inventory, the sorted keyword
+parameters of every builder and the choices of every selector, read from
+the source with the AST (no imports, so nothing a module does at import
+time can hide a knob), so a change that adds, renames or removes a knob
+or a selectable mechanism has to edit ``PINNED``, ``PINNED_BUILDERS`` or
+``PINNED_SELECTORS`` below, where the diff shows it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,6 @@ from typing import Dict, Tuple
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 PINNED: Dict[str, Tuple[str, ...]] = {
-    "AdmissionConfig": (
-        "max_value_bytes", "policy", "probability", "seed", "tinylfu_decay_ops",
-        "tinylfu_depth", "tinylfu_threshold", "tinylfu_width",
-    ),
     "BlockSsdConfig": (
         "ftl", "ftl_cpu_ns_per_page", "geometry", "maintenance_interval_bytes",
         "maintenance_ns", "timing",
@@ -35,7 +35,7 @@ PINNED: Dict[str, Tuple[str, ...]] = {
         "zipf_theta",
     ),
     "CacheConfig": (
-        "admission", "checksums", "cpu", "eviction_policy", "lifecycle", "num_regions",
+        "checksums", "cpu", "eviction_policy", "lifecycle", "num_regions",
         "ram_bytes", "reclaim_window", "region_size", "retry",
     ),
     "CleanerConfig": (
@@ -65,9 +65,8 @@ PINNED: Dict[str, Tuple[str, ...]] = {
         "op_ratio",
     ),
     "GcConfig": (
-        "copy_tokens_per_step", "dead_first", "emergency_empty_zones",
-        "min_empty_zones", "pace_regions", "policy", "urgent_empty_zones",
-        "victim_valid_threshold",
+        "dead_first", "emergency_empty_zones", "min_empty_zones", "pace_regions",
+        "policy", "urgent_empty_zones", "victim_valid_threshold",
     ),
     "HddConfig": (
         "avg_seek_ns", "block_size", "capacity_bytes", "full_stroke_seek_ns",
@@ -78,22 +77,15 @@ PINNED: Dict[str, Tuple[str, ...]] = {
         "versioning",
     ),
     "PacerConfig": (
-        "background", "copy_tokens_per_step", "emergency", "pace_units", "target",
-        "urgent", "victim_valid_threshold",
+        "background", "emergency", "pace_units", "target", "urgent",
+        "victim_valid_threshold",
     ),
     "PoolConfig": ("channels", "queue_depth", "stripe_bytes"),
-    "ReplicationConfig": (
-        "down_after_failures", "hint_limit", "probe_interval_ms", "replicas",
-        "suspect_after_failures", "track_writes",
-    ),
-    "RoutingConfig": (
-        "headroom_weight", "max_reroute_distance", "policy", "reroute_level",
-        "stall_weight",
-    ),
+    "ReplicationConfig": ("hint_limit", "replicas", "track_writes"),
+    "RoutingConfig": ("policy",),
     "ServerConfig": ("max_queue_depth",),
     "TenantConfig": (
-        "arrival", "burst_factor", "burst_off_s", "burst_on_s", "diurnal_amplitude",
-        "diurnal_period_s", "flash_crowd_at_s", "flash_crowd_decay_s",
+        "arrival", "burst_factor", "flash_crowd_at_s", "flash_crowd_decay_s",
         "flash_crowd_factor", "key_prefix", "name", "rate_limit_burst",
         "rate_limit_ops_per_sec", "rate_ops_per_sec", "seed", "slo_p99_ms",
         "storm_at_s", "storm_duration_s", "storm_factor", "versioned_keys", "workload",
@@ -103,10 +95,7 @@ PINNED: Dict[str, Tuple[str, ...]] = {
         "zone_size",
     ),
     "ZoneCostConfig": ("close_ns", "finish_ns", "forced_close", "open_ns", "reset_ns"),
-    "ZtlConfig": (
-        "gc", "host_groups", "host_open_zones", "region_size", "usable_zones",
-        "use_zone_append",
-    ),
+    "ZtlConfig": ("gc", "host_groups", "host_open_zones", "region_size"),
 }
 
 # Keyword parameters (defaulted, keyword-only, and the ``**`` catch-all)
@@ -120,6 +109,25 @@ PINNED_BUILDERS: Dict[str, Tuple[str, ...]] = {
     "build_region_cache": ("**cache_overrides", "faults", "gc", "zone_costs"),
     "build_zone_cache": ("**cache_overrides", "cache_bytes", "faults", "zone_costs"),
 }
+
+
+# The choices of every selector tuple, in source order (the first is
+# not necessarily the default; the order is what error messages print).
+PINNED_SELECTORS: Dict[str, Tuple[str, ...]] = {
+    "ARRIVAL_KINDS": ("poisson", "diurnal", "burst", "flash_crowd", "storm"),
+    "EVICTION_POLICIES": ("lru", "fifo"),
+    "HINT_LAYER_CHOICES": ("ztl", "all"),
+    "HINT_MODES": ("off", "ztl", "full"),
+    "PACING_MODES": ("static", "adaptive"),
+    "POLICY_NAMES": ("greedy", "cost_benefit", "age_threshold", "random", "cold_defer"),
+    "RECLAIM_PRESETS": ("default", "qos", "storm"),
+    "ROUTING_POLICIES": ("static", "gc_aware"),
+    "TENANT_MIXES": ("steady", "diurnal", "storm"),
+}
+
+SELECTOR_NAME = re.compile(
+    r"[A-Z][A-Z_]*_(POLICIES|KINDS|CHOICES|PRESETS|MIXES|MODES)|POLICY_NAMES"
+)
 
 
 def _source_nodes():
@@ -167,6 +175,26 @@ def builder_inventory() -> Dict[str, Tuple[str, ...]]:
     return inventory
 
 
+def selector_inventory() -> Dict[str, Tuple[str, ...]]:
+    """``{name: choices}`` for every assignment under ``src/repro`` whose
+    target is a selector name; a selector must be a literal tuple of
+    strings, so the pin can read it without importing anything."""
+    inventory: Dict[str, Tuple[str, ...]] = {}
+    for node in _source_nodes():
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Name) and SELECTOR_NAME.fullmatch(target.id):
+                value = node.value
+                assert isinstance(value, ast.Tuple) and all(
+                    isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                    for elt in value.elts
+                ), f"{target.id} must be a literal tuple of strings"
+                assert target.id not in inventory, f"two selectors named {target.id}"
+                inventory[target.id] = tuple(elt.value for elt in value.elts)
+    return inventory
+
+
 def test_config_inventory_is_pinned():
     inventory = config_inventory()
     found = sorted((cls, name) for cls, names in inventory.items() for name in names)
@@ -180,8 +208,21 @@ def test_builder_keywords_are_pinned():
     assert builder_inventory() == PINNED_BUILDERS, "builder knobs: pin them here"
 
 
+def test_selector_choices_are_pinned():
+    assert selector_inventory() == PINNED_SELECTORS, "selectors: pin them here"
+
+
 def test_pin_is_sorted():
     for pin in (PINNED, PINNED_BUILDERS):
         assert list(pin) == sorted(pin)
         for owner, names in pin.items():
             assert list(names) == sorted(set(names)), owner
+    assert list(PINNED_SELECTORS) == sorted(PINNED_SELECTORS)
+    for name, choices in PINNED_SELECTORS.items():
+        assert len(set(choices)) == len(choices), name
+
+
+def test_pin_counts():
+    """21 ``*Config`` classes carrying 136 fields."""
+    assert len(PINNED) == 21
+    assert sum(len(names) for names in PINNED.values()) == 136

@@ -53,7 +53,7 @@ from repro.serve import (
     TenantConfig,
     TenantInvalidate,
 )
-from repro.serve.cluster import PRESSURE_RANK
+from repro.serve.cluster import MAX_REROUTE_DISTANCE, PRESSURE_RANK
 from repro.serve.tenant import Tenant
 from repro.sim import FaultInjector, FaultKind, FaultRule
 from repro.sim.clock import SimClock
@@ -472,28 +472,23 @@ def _fake_pressure(shard, level, stall_us, free_units):
 
 class TestBestScoreRouting:
     def test_picks_best_score_not_first_lower_rank(self):
-        cluster = _zone_cluster(
-            routing=RoutingConfig(policy="gc_aware", max_reroute_distance=3)
-        )
+        cluster = _zone_cluster(routing=RoutingConfig(policy="gc_aware"))
         key = b"score-key"
         home = cluster.shard_for(key)
         successors = cluster.successors_for(key)
-        assert len(successors) == 3
+        assert len(successors) == MAX_REROUTE_DISTANCE == 2
         _fake_pressure(home, "emergency", 500.0, 0)
         # Nearest successor is eligible but heavily stalled; the second
         # is equally ranked with less stall — old first-lower-rank
         # routing would stop at successors[0].
         _fake_pressure(successors[0], "background", 400.0, 5)
         _fake_pressure(successors[1], "background", 10.0, 5)
-        _fake_pressure(successors[2], "urgent", 0.0, 50)
         shard, rerouted_from = cluster.route_from_home(key, home)
         assert rerouted_from is home
         assert shard is successors[1]
 
     def test_lower_rank_beats_better_stall_score(self):
-        cluster = _zone_cluster(
-            routing=RoutingConfig(policy="gc_aware", max_reroute_distance=3)
-        )
+        cluster = _zone_cluster(routing=RoutingConfig(policy="gc_aware"))
         key = b"rank-first"
         home = cluster.shard_for(key)
         successors = cluster.successors_for(key)
@@ -502,14 +497,11 @@ class TestBestScoreRouting:
         # stall/headroom components: rank is the primary score term.
         _fake_pressure(successors[0], "background", 0.0, 1000)
         _fake_pressure(successors[1], "idle", 300.0, 0)
-        _fake_pressure(successors[2], "idle", 300.0, 0)
         shard, _ = cluster.route_from_home(key, home)
         assert shard is successors[1]
 
     def test_exact_ties_resolve_to_nearest_successor(self):
-        cluster = _zone_cluster(
-            routing=RoutingConfig(policy="gc_aware", max_reroute_distance=3)
-        )
+        cluster = _zone_cluster(routing=RoutingConfig(policy="gc_aware"))
         key = b"tie-key"
         home = cluster.shard_for(key)
         successors = cluster.successors_for(key)
@@ -521,25 +513,18 @@ class TestBestScoreRouting:
         assert shard is successors[0]
 
     def test_headroom_breaks_equal_stall(self):
-        cluster = _zone_cluster(
-            routing=RoutingConfig(
-                policy="gc_aware", max_reroute_distance=3, headroom_weight=2.0
-            )
-        )
+        cluster = _zone_cluster(routing=RoutingConfig(policy="gc_aware"))
         key = b"headroom"
         home = cluster.shard_for(key)
         successors = cluster.successors_for(key)
         _fake_pressure(home, "emergency", 0.0, 0)
         _fake_pressure(successors[0], "idle", 25.0, 2)
         _fake_pressure(successors[1], "idle", 25.0, 40)
-        _fake_pressure(successors[2], "idle", 25.0, 2)
         shard, _ = cluster.route_from_home(key, home)
         assert shard is successors[1]
 
     def test_stays_home_when_everyone_is_as_pressured(self):
-        cluster = _zone_cluster(
-            routing=RoutingConfig(policy="gc_aware", max_reroute_distance=3)
-        )
+        cluster = _zone_cluster(routing=RoutingConfig(policy="gc_aware"))
         key = b"no-escape"
         home = cluster.shard_for(key)
         for shard in cluster.shards:

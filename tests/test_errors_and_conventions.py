@@ -10,6 +10,56 @@ from repro.lsm.compaction import CompactionConfig
 from repro.lsm.db import DbConfig
 from repro.sim import FaultKind, FaultRule, RetryPolicy, ZoneFault, make_rng
 from repro.sim.clock import SimClock
+from repro.units import KIB
+
+
+# Region stores over small devices, so a geometry refusal in a store
+# constructor can sit in the config-nonsense table beside the configs
+# (each factory is named after the class it builds, which names the case).
+def _device_geometry():
+    from repro.flash import NandGeometry
+
+    return NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=64)
+
+
+def BlockRegionStore(region_size=64 * KIB, num_regions=8):
+    from repro.cache.backends import BlockRegionStore as Store
+    from repro.flash import BlockSsd
+
+    device = BlockSsd(SimClock(), BlockSsdConfig(geometry=_device_geometry()))
+    return Store(device, region_size, num_regions)
+
+
+def ZoneRegionStore(num_regions=0):
+    from repro.cache.backends import ZoneRegionStore as Store
+    from repro.flash import ZnsConfig, ZnsSsd
+
+    config = ZnsConfig(geometry=_device_geometry(), zone_size=256 * KIB)
+    return Store(ZnsSsd(SimClock(), config), num_regions)
+
+
+def ZtlRegionStore(num_regions=4):
+    from repro.cache.backends import ZtlRegionStore as Store
+    from repro.flash import ZnsConfig, ZnsSsd
+    from repro.ztl import RegionTranslationLayer, ZtlConfig
+
+    config = ZnsConfig(geometry=_device_geometry(), zone_size=256 * KIB)
+    layer = RegionTranslationLayer(
+        ZnsSsd(SimClock(), config), ZtlConfig(region_size=64 * KIB)
+    )
+    return Store(layer, num_regions)
+
+
+def FileRegionStore(region_size=64 * KIB, num_regions=4):
+    from repro.cache.backends import FileRegionStore as Store
+    from repro.f2fs import F2fs
+    from repro.flash import NullBlkDevice, ZnsConfig, ZnsSsd
+
+    clock = SimClock()
+    config = ZnsConfig(geometry=_device_geometry(), zone_size=256 * KIB)
+    fs = F2fs(clock, ZnsSsd(clock, config), NullBlkDevice(clock, capacity_bytes=4 << 20))
+    fs.mkfs()
+    return Store(fs, region_size, num_regions)
 
 
 class TestErrorHierarchy:
@@ -68,7 +118,6 @@ class TestErrorHierarchy:
             ({"zone_size": 1 << 30}, {}, "even one zone"),
             ({}, {"region_size": 48 * 1024}, "divide zone size"),
             ({}, {"region_size": 2048}, "page size"),
-            ({}, {"usable_zones": 1}, "usable_zones"),
             ({}, {"host_groups": 0}, "host_groups"),
             ({"max_open_zones": 4}, {"host_open_zones": 2, "host_groups": 2}, "GC stream"),
         ],
@@ -147,13 +196,25 @@ class TestErrorHierarchy:
             (CompactionConfig, {"level_multiplier": 0}),
             (CompactionConfig, {"l0_trigger": 0}),
             (CompactionConfig, {"block_size": 0}),
+            (BlockRegionStore, {"region_size": 1000}),
+            (BlockRegionStore, {"num_regions": 1 << 20}),
+            (ZoneRegionStore, {"num_regions": 1 << 20}),
+            (ZtlRegionStore, {"num_regions": 0}),
+            (ZtlRegionStore, {"num_regions": 1 << 20}),
+            (FileRegionStore, {"region_size": 1000}),
+            (FileRegionStore, {"num_regions": 1 << 20}),
         ],
-        ids=lambda value: value.__name__ if isinstance(value, type) else list(value)[-1],
+        ids=lambda value: (
+            value.__name__ if callable(value) else list(value)[-1]
+        ),
     )
     def test_config_nonsense_is_a_config_error(self, config, kwargs):
-        """A config rejects a nonsense value when it is built, with a
-        ``ConfigError`` — never later, and never a bare ``ValueError``."""
-        with pytest.raises(errors.ConfigError):
+        """A config — or a region store's geometry — rejects a nonsense
+        value when it is built, with a ``ConfigError`` (a store's is a
+        ``CacheConfigError``) — never later, and never a bare
+        ``ValueError``."""
+        store = config.__name__.endswith("RegionStore")
+        with pytest.raises(errors.CacheConfigError if store else errors.ConfigError):
             config(**kwargs)
 
 

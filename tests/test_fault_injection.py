@@ -286,47 +286,6 @@ class TestFaultMatrix:
             )
             assert survived > 0
 
-    def test_append_errors_on_zone_append_ztl(self):
-        # Zone append is an opt-in ZTL mode (use_zone_append), so the
-        # append-failure kind gets a hand-built Region-Cache stack.
-        from repro.cache import CacheConfig, HybridCache
-        from repro.cache.backends import ZtlRegionStore
-        from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
-        from repro.ztl import GcConfig, RegionTranslationLayer, ZtlConfig
-
-        clock = SimClock()
-        faults = FaultInjector(
-            seed=11, rules=(FaultRule(FaultKind.APPEND_ERROR, probability=0.05),)
-        )
-        geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=256)
-        device = ZnsSsd(
-            clock,
-            ZnsConfig(geometry=geometry, zone_size=4 * geometry.block_size),
-            faults=faults,
-        )
-        layer = RegionTranslationLayer(
-            device,
-            ZtlConfig(
-                region_size=16 * KIB,
-                use_zone_append=True,
-                gc=GcConfig(min_empty_zones=2),
-            ),
-        )
-        store = ZtlRegionStore(layer, 160)
-        config = CacheConfig(region_size=16 * KIB, num_regions=160, ram_bytes=8 * KIB)
-        cache = HybridCache(clock, store, config)
-        rng = random.Random(1)
-        hits = 0
-        for i in range(2000):
-            key = f"key{rng.randrange(300):04d}".encode()
-            if rng.random() < 0.5:
-                cache.set(key, f"v{i}".encode() * 200)
-            elif cache.get(key) is not None:
-                hits += 1
-        assert faults.stats.count(FaultKind.APPEND_ERROR) > 0
-        assert hits > 0
-        assert cache.stats.retries + layer.stats.gc_retries > 0
-
     @pytest.mark.parametrize("scheme", SCHEMES[:2])
     def test_same_seed_reproduces_run(self, scheme):
         def run():

@@ -3,15 +3,10 @@
 Covers both halves of the loop and the accounting fixes that ride with
 it:
 
-* copy-token bucket: the bucket holds four refills, and a migration
-  unit larger than that is granted at a full bucket (rate-limited, not
-  wedged) — the livelock regression;
-* ``throttled_steps`` counts distinct throttled steps, with the raw
-  per-unit rejections in ``copy_throttle_events``;
 * the AIMD controller relaxes/clamps the runtime pace inside its
   floor/ceiling band and windows its stall signal;
 * ``nodes_for``/``route_for``: reads are ring-faithful, write reroutes
-  are bounded to the configured successor distance, the static policy is
+  are bounded to ``MAX_REROUTE_DISTANCE`` successors, the static policy is
   bit-identical to a cluster built with no routing config at all;
 * the serving goodput window covers the last *arrival*, not just the
   last completion, so a fully-shed tail cannot inflate goodput;
@@ -42,112 +37,9 @@ from repro.serve import (
     ServerConfig,
     TenantConfig,
 )
+from repro.serve.cluster import MAX_REROUTE_DISTANCE
 from repro.units import KIB, SEC
 from repro.workloads.cachebench import CacheBenchConfig
-
-
-# --------------------------------------------------------------------------
-# Copy-token bucket: livelock fix + derived cap + throttle counting
-# --------------------------------------------------------------------------
-
-class TestCopyTokenBucket:
-    def test_oversized_unit_granted_at_full_bucket(self):
-        # Regression: a unit larger than the bucket cap (4 x refill) used
-        # to fail try_reserve forever (tokens can never reach nbytes),
-        # wedging reclamation.
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=50))
-        assert pacer.bucket_cap == 200
-        assert pacer.try_reserve(400)  # full bucket admits anything
-        pacer.spend(400)
-        assert pacer.copy_tokens == -200  # debt paid back by later refills
-        assert not pacer.try_reserve(400)  # in debt: throttled
-        for _ in range(7):
-            pacer.refill()
-        assert pacer.copy_tokens == 150
-        assert not pacer.try_reserve(400)  # 150 < cap
-        pacer.refill()
-        assert pacer.try_reserve(400)  # back at cap: admitted again
-
-    def test_oversized_unit_unblocks_within_bounded_refills(self):
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=10))
-        pacer.spend(35)
-        nbytes = 1000  # far over the cap
-        for _ in range(8):  # ceil(debt/refill) + slack
-            if pacer.try_reserve(nbytes):
-                break
-            pacer.refill()
-        else:
-            pytest.fail("oversized reserve never unblocked")
-
-    def test_default_cap_is_four_refills(self):
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=100))
-        assert pacer.bucket_cap == 400
-        pacer.spend(100)
-        pacer.refill()
-        pacer.refill()
-        assert pacer.copy_tokens == 400  # refills stop at the cap
-
-    def test_cap_ignored_while_bucket_disabled(self):
-        # No refill -> no bucket: every reserve is admitted.
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=0))
-        assert pacer.try_reserve(1 << 40)
-
-    def test_throttled_steps_counts_distinct_steps(self):
-        # Regression: every rejected unit used to bump throttled_steps,
-        # conflating "steps that hit the budget" with "units rejected".
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=10))
-        pacer.spend(40)
-        for _ in range(5):
-            assert not pacer.try_reserve(10)
-        assert pacer.throttled_steps == 1
-        assert pacer.copy_throttle_events == 5
-        pacer.refill()  # next step; bucket back at 10
-        pacer.spend(10)
-        assert not pacer.try_reserve(10)
-        assert pacer.throttled_steps == 2
-        assert pacer.copy_throttle_events == 6
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    refill=st.integers(1, 64),
-    ops=st.lists(
-        st.tuples(st.booleans(), st.integers(1, 512)),  # (do_refill, nbytes)
-        max_size=120,
-    ),
-)
-def test_prop_bucket_invariants(refill, ops):
-    """Tokens never exceed the cap, and a granted reserve is either
-    affordable or taken at a full bucket (the no-deadlock invariant)."""
-    cap = 4 * refill
-    pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=refill))
-    for do_refill, nbytes in ops:
-        if do_refill:
-            pacer.refill()
-        before = pacer.copy_tokens
-        if pacer.try_reserve(nbytes):
-            assert before >= nbytes or before >= cap
-            pacer.spend(nbytes)
-        assert pacer.copy_tokens <= cap
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    refill=st.integers(1, 64),
-    debt=st.integers(0, 4096),
-    nbytes=st.integers(1, 4096),
-)
-def test_prop_bucket_never_deadlocks(refill, debt, nbytes):
-    """From any debt, a bounded number of refills unblocks any unit."""
-    cap = 4 * refill
-    pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=refill))
-    pacer.spend(debt)
-    bound = (debt + cap) // refill + 2
-    for _ in range(bound):
-        if pacer.try_reserve(nbytes):
-            return
-        pacer.refill()
-    pytest.fail(f"reserve({nbytes}) still blocked after {bound} refills")
 
 
 # --------------------------------------------------------------------------
@@ -208,17 +100,6 @@ class TestAdaptivePacing:
             pacer.observe_step()
         # Relaxes again on the fresh window.
         assert pacer.pace_units == clamped + ADAPTIVE_INCREASE_UNITS
-
-    def test_copy_tokens_follow_the_controller(self):
-        pacer = _adaptive_pacer(PacerConfig(pace_units=8, copy_tokens_per_step=64))
-        for _ in range(INTERVAL):
-            pacer.stall.record(1_000_000)
-            pacer.observe_step()
-        assert pacer.copy_tokens_per_step == int(64 * ADAPTIVE_DECREASE_FACTOR)
-        for _ in range(100 * INTERVAL):
-            pacer.observe_step()
-        # Refill ceiling is min(bucket cap, static * max_scale) = cap.
-        assert pacer.copy_tokens_per_step == pacer.bucket_cap
 
     def test_enable_adaptive_at_runtime(self):
         pacer = ReclaimPacer(PacerConfig(pace_units=8))
@@ -298,10 +179,6 @@ class TestGcAwareRouting:
     def test_routing_config_validated(self):
         with pytest.raises(ConfigError):
             RoutingConfig(policy="chaotic")
-        with pytest.raises(ConfigError):
-            RoutingConfig(max_reroute_distance=0)
-        with pytest.raises(ConfigError):
-            RoutingConfig(reroute_level="panic")
 
     def test_static_policy_never_reroutes(self):
         cluster = _zone_cluster(routing=RoutingConfig(policy="static"))
@@ -321,10 +198,9 @@ class TestGcAwareRouting:
             assert shard is cluster.shard_for(key)
 
     def test_write_reroutes_within_bounded_distance(self):
-        distance = 1
+        distance = MAX_REROUTE_DISTANCE
         cluster = _zone_cluster(
-            num_shards=4,
-            routing=RoutingConfig(policy="gc_aware", max_reroute_distance=distance),
+            num_shards=4, routing=RoutingConfig(policy="gc_aware")
         )
         pressured = cluster.shards[0]
         pressured.pressure_rank = lambda: PRESSURE_RANK["urgent"]

@@ -1,16 +1,8 @@
-"""Tests for ASCII plotting and the ZTL's zone-append mode."""
-
-import random
+"""Tests for ASCII plotting."""
 
 import pytest
 
 from repro.bench.plots import bar_chart, line_plot, scheme_bars
-from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
-from repro.sim import SimClock
-from repro.units import KIB
-from repro.ztl import GcConfig, RegionTranslationLayer, ZtlConfig
-
-REGION = 64 * KIB
 
 
 class TestBarChart:
@@ -61,50 +53,3 @@ class TestSchemeBars:
         ]
         chart = scheme_bars(rows, "tput")
         assert "A" in chart and "B" in chart
-
-
-class TestZoneAppendMode:
-    def make_layer(self, use_zone_append):
-        clock = SimClock()
-        geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=256)
-        zns = ZnsSsd(clock, ZnsConfig(geometry=geometry, zone_size=4 * geometry.block_size))
-        return RegionTranslationLayer(
-            zns,
-            ZtlConfig(
-                region_size=REGION,
-                use_zone_append=use_zone_append,
-                gc=GcConfig(min_empty_zones=2),
-            ),
-        )
-
-    def payload(self, tag):
-        return bytes([tag % 251 + 1]) * REGION
-
-    def test_append_roundtrip(self):
-        layer = self.make_layer(True)
-        layer.write_region(1, self.payload(1))
-        layer.write_region(2, self.payload(2))
-        assert layer.read_region(1).data == self.payload(1)
-        assert layer.read_region(2).data == self.payload(2)
-
-    def test_append_under_churn_matches_positioned_writes(self):
-        results = {}
-        for mode in (False, True):
-            layer = self.make_layer(mode)
-            rng = random.Random(9)
-            live = 120
-            for region_id in range(live):
-                layer.write_region(region_id, self.payload(region_id))
-            for step in range(600):
-                region_id = rng.randrange(live)
-                layer.write_region(region_id, self.payload(step))
-            results[mode] = [
-                layer.read_region(region_id).data[:8] for region_id in range(live)
-            ]
-        assert results[False] == results[True]
-
-    def test_append_mode_still_wa_free(self):
-        layer = self.make_layer(True)
-        for region_id in range(100):
-            layer.write_region(region_id % 40, self.payload(region_id))
-        assert layer.device.stats.write_amplification == 1.0

@@ -160,24 +160,6 @@ class TestPacer:
         assert not pacer.accepts(0.8, free_units=3)
         assert pacer.accepts(0.8, free_units=1)  # emergency takes anything
 
-    def test_copy_token_bucket(self):
-        pacer = ReclaimPacer(PacerConfig(copy_tokens_per_step=100))
-        assert pacer.copy_tokens == 400  # the bucket holds four refills
-        pacer.spend(320)
-        assert not pacer.try_reserve(100)
-        assert pacer.throttled_steps == 1
-        pacer.refill()
-        assert pacer.copy_tokens == 180
-        assert pacer.try_reserve(100)
-        for _ in range(3):
-            pacer.refill()
-        assert pacer.copy_tokens == 400  # capped
-
-    def test_no_bucket_means_always_admitted(self):
-        pacer = ReclaimPacer(PacerConfig())
-        assert pacer.try_reserve(1 << 40)
-        assert pacer.throttled_steps == 0
-
 
 # --------------------------------------------------------------------------
 # Engine mechanics (scripted source)

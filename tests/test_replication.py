@@ -28,6 +28,11 @@ from repro.serve import (
     ShardKill,
     TenantConfig,
 )
+from repro.serve.replication import (
+    DOWN_AFTER_FAILURES,
+    PROBE_INTERVAL_NS,
+    SUSPECT_AFTER_FAILURES,
+)
 from repro.units import KIB, MSEC
 from repro.workloads import CacheBenchConfig
 from repro.workloads.cachebench import KIND_DELETE, KIND_SET
@@ -86,15 +91,10 @@ class TestValidation:
             ReplicationConfig(replicas=0)
         with pytest.raises(ConfigError):
             ReplicationConfig(hint_limit=0)
-        with pytest.raises(ConfigError):
-            ReplicationConfig(probe_interval_ms=0.0)
-        with pytest.raises(ConfigError):
-            ReplicationConfig(suspect_after_failures=0)
-        with pytest.raises(ConfigError):
-            ReplicationConfig(suspect_after_failures=3, down_after_failures=2)
-        assert ReplicationConfig(probe_interval_ms=0.5).probe_interval_ns == (
-            MSEC // 2
-        )
+        # Failure detection is fixed: suspect at once, down after three,
+        # probes every half millisecond.
+        assert 1 <= SUSPECT_AFTER_FAILURES <= DOWN_AFTER_FAILURES == 3
+        assert PROBE_INTERVAL_NS == MSEC // 2
 
     def test_shard_kill_and_plan(self):
         with pytest.raises(ConfigError):
@@ -284,7 +284,7 @@ class TestFailoverLifecycle:
         report = server.run()
         back_up_ns, state = cluster.shards[0].health_log[-1]
         assert state == HEALTH_UP
-        interval = cluster.replication.probe_interval_ns
+        interval = PROBE_INTERVAL_NS
         assert probes and probes[0] == 3 * MSEC + interval
         assert probes[-1] < back_up_ns + interval
         # The run went on long after that, and reports what it always did.

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from repro.bench.experiments import run_sweep
 from repro.bench.fleet import SERVING_SCALE, FleetCell, build_fleet
 from repro.bench.schemes import SchemeScale, build_scheme
-from repro.cache import AdmissionConfig, CacheConfig, TinyLfuAdmission
-from repro.cache.admission import CountMinSketch, build_admission
+from repro.cache import TinyLfuAdmission
+from repro.cache.admission import CountMinSketch
 from repro.errors import ConfigError, ReproError, ServerAlreadyRanError
 from repro.serve import (
     BurstArrivals,
@@ -358,24 +358,6 @@ class TestAdmission:
             policy.admit(b"k", b"v")  # 4th admit triggers a halve
         assert policy.sketch.estimate(b"k") == 2
 
-    def test_admission_config_validation(self):
-        with pytest.raises(ConfigError):
-            AdmissionConfig(policy="clairvoyant")
-        with pytest.raises(ConfigError):
-            AdmissionConfig(probability=1.5)
-        with pytest.raises(ConfigError):
-            AdmissionConfig(tinylfu_width=4)
-
-    def test_build_admission_and_cache_config(self):
-        policy = build_admission(AdmissionConfig(policy="tinylfu"))
-        assert isinstance(policy, TinyLfuAdmission)
-        config = CacheConfig(
-            region_size=SMALL.region_size,
-            num_regions=16,
-            admission=AdmissionConfig(policy="tinylfu", tinylfu_threshold=2),
-        )
-        assert config.admission.policy == "tinylfu"
-
     def test_tinylfu_engine_filters_one_hit_wonders(self):
         media = 8 * SMALL.zone_size
         stack = build_scheme(
@@ -384,9 +366,8 @@ class TestAdmission:
             SMALL,
             media,
             6 * SMALL.zone_size,
-            admission=AdmissionConfig(policy="tinylfu"),
         )
-        assert isinstance(stack.cache.admission, TinyLfuAdmission)
+        stack.cache.admission = TinyLfuAdmission()
         stack.cache.set(b"once", b"x" * 64)
         assert stack.cache.stats.sets_admitted == 0  # one-hit wonder filtered
         stack.cache.set(b"twice", b"x" * 64)
@@ -619,16 +600,6 @@ class TestServingExperimentGolden:
             assert row["web_shed_rate"] > 0.0, scheme
             assert row["web_p99_us"] < 100_000, scheme
             assert math.isfinite(row["web_goodput_kops"])
-
-    def test_sweep_tinylfu_variant(self):
-        rows = run_sweep(
-            "serve",
-            offered_kops=(40.0,),
-            requests_per_tenant=500,
-            schemes=("Region-Cache",),
-            admission="tinylfu",
-        )
-        assert rows and all(row["admission"] == "tinylfu" for row in rows)
 
     def test_serving_scale_reaches_device(self):
         # The reduced serving scale must be small enough that Zone-Cache

@@ -27,7 +27,7 @@ RENAMED = {
 }
 # `serve` alone emitted one row per (scheme, load, tenant); it now emits
 # one per (scheme, load) with the tenant's columns prefixed by its name.
-SERVE_CELL_COLUMNS = ("scheme", "offered_total_kops", "num_shards", "admission")
+SERVE_CELL_COLUMNS = ("scheme", "offered_total_kops", "num_shards")
 
 
 def _serve_rows_reshaped(tenant_rows):

@@ -252,6 +252,22 @@ class TestCrashRecovery:
     def test_power_cut_anywhere_is_safe(self, cut_ms):
         self.crash_and_check(cut_ms * 1_000_000)
 
+    def test_journal_beyond_the_configured_regions_is_refused(self):
+        """Regression: recovering a 16-region journal with an 8-region
+        config rebuilt every sealed region and served from all of them,
+        a cache larger than configured.  It is refused before anything
+        is rebuilt, naming the first journaled region out of range."""
+        cache, clock, store, config = make_block_cache()
+        for i in range(300):
+            cache.set(f"key{i:04d}".encode(), b"x" * 1200)
+        cache.flush()
+        small = CacheConfig(region_size=REGION, num_regions=8, ram_bytes=8 * KIB)
+        first = next(rid for _, rid, _, _ in cache.seal_journal if rid >= 8)
+        reads = store.device.stats.host_read_bytes
+        with pytest.raises(CacheConfigError, match=f"region {first} outside"):
+            HybridCache.crash_recover(clock, store, small, cache.seal_journal)
+        assert store.device.stats.host_read_bytes == reads  # nothing replayed
+
 
 class TestCrashRecoveryKnownBugs:
     """Two live ``crash_recover`` bugs, kept as strict xfails until the

@@ -523,7 +523,7 @@ GC_QOS_ZERO_COST_GOLDEN = [
         "cluster_shed_rate": 0.279375, "rerouted_writes": 0,
         "web_rerouted": 0, "batch_rerouted": 0, "gc_layer": "ztl",
         "gc_victims": 33, "gc_migrated_units": 436, "gc_stall_us_p99": 0.0,
-        "gc_throttled_steps": 0, "gc_pace_adjustments": 0,
+        "gc_pace_adjustments": 0,
         "gc_pace_clamps": 0, "gc_pace_units_end": 8,
     },
     {
@@ -535,7 +535,7 @@ GC_QOS_ZERO_COST_GOLDEN = [
         "cluster_shed_rate": 0.28225, "rerouted_writes": 319,
         "web_rerouted": 100, "batch_rerouted": 219, "gc_layer": "ztl",
         "gc_victims": 34, "gc_migrated_units": 449, "gc_stall_us_p99": 0.0,
-        "gc_throttled_steps": 0, "gc_pace_adjustments": 0,
+        "gc_pace_adjustments": 0,
         "gc_pace_clamps": 0, "gc_pace_units_end": 8,
     },
     {
@@ -547,7 +547,7 @@ GC_QOS_ZERO_COST_GOLDEN = [
         "cluster_shed_rate": 0.279625, "rerouted_writes": 0,
         "web_rerouted": 0, "batch_rerouted": 0, "gc_layer": "ztl",
         "gc_victims": 33, "gc_migrated_units": 435, "gc_stall_us_p99": 0.0,
-        "gc_throttled_steps": 0, "gc_pace_adjustments": 5,
+        "gc_pace_adjustments": 5,
         "gc_pace_clamps": 5, "gc_pace_units_end": 2,
     },
     {
@@ -559,7 +559,7 @@ GC_QOS_ZERO_COST_GOLDEN = [
         "cluster_shed_rate": 0.28225, "rerouted_writes": 319,
         "web_rerouted": 100, "batch_rerouted": 219, "gc_layer": "ztl",
         "gc_victims": 34, "gc_migrated_units": 449, "gc_stall_us_p99": 0.0,
-        "gc_throttled_steps": 0, "gc_pace_adjustments": 5,
+        "gc_pace_adjustments": 5,
         "gc_pace_clamps": 5, "gc_pace_units_end": 2,
     },
 ]

@@ -22,7 +22,6 @@ def make_layer(
     region_size=REGION,
     min_empty=4,
     threshold=0.2,
-    usable_zones=0,
     hint=None,
     on_drop=None,
 ):
@@ -34,7 +33,6 @@ def make_layer(
         ZtlConfig(
             region_size=region_size,
             host_open_zones=2,
-            usable_zones=usable_zones,
             gc=GcConfig(min_empty_zones=min_empty, victim_valid_threshold=threshold),
         ),
     )
@@ -209,11 +207,6 @@ class TestZtlGc:
         assert layer.book.record(gc_zone).valid_count == 4
         for region_id in range(8):
             assert layer.read_region(region_id).data == payload(region_id)
-
-    def test_usable_zones_restricts_capacity(self):
-        layer = make_layer(usable_zones=10)
-        assert layer.num_zones == 10
-        assert layer.capacity_bytes == 10 * layer.zone_size
 
 
 class TestZoneBook:
