@@ -6,20 +6,23 @@ secondary-cache object, matching how RocksDB's block cache interacts
 with CacheLib in the paper's setup.
 
 Only this module knows the entry framing, ``[key_len u16][value_len u32]
-[key][value]``: :class:`DataBlockBuilder` encodes it, :func:`iter_block`
-walks it and :func:`index_entries` turns that walk into a block's
-lookup index.  Blocks are zero-padded on media, so an all-zero header
-ends a block — and the builder refuses the one entry (empty key, empty
-value) that would encode to it.
+[key][value]``: :meth:`DataBlockBuilder.add_run` is its one encoding
+loop (a whole sorted run becomes blocks in it) and one decoding loop
+serves both :func:`index_entries` (a block's lookup index) and
+:func:`iter_block` (its entries, for compaction and scans).  Blocks are
+zero-padded on media, so an all-zero header ends a block — and the
+builder refuses the one entry (empty key, empty value) that would encode
+to it.
 """
 
 from __future__ import annotations
 
 import bisect
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import LsmError
 
@@ -51,44 +54,80 @@ class BlockHandle:
 
 
 class DataBlockBuilder:
-    """Accumulates sorted entries until the target block size."""
+    """Frames ascending entries into blocks of about ``target_size`` bytes.
+
+    An entry that would push a non-empty open block past the target
+    seals that block into ``blocks`` first.  ``first_keys`` holds the
+    first key of every block (the open one included) and ``keys`` every
+    key framed, in order; keys must ascend across blocks too.
+    """
 
     def __init__(self, target_size: int = 4096) -> None:
         if target_size < MIN_BLOCK_SIZE:
             raise ValueError(f"target_size must be >= {MIN_BLOCK_SIZE}")
         self.target_size = target_size
-        self.num_entries = 0
-        self.estimated_size = 0
+        self.num_entries = 0  # in the open block
+        self.estimated_size = 0  # bytes of the open block
+        self.blocks: List[bytes] = []
+        self.first_keys: List[bytes] = []
+        self.keys: List[bytes] = []
         self._parts: List[bytes] = []
-        self._last_key = b""
-
-    def would_overflow(self, key: bytes, value: bytes) -> bool:
-        return (
-            self.num_entries > 0
-            and self.estimated_size + _HEADER + len(key) + len(value)
-            > self.target_size
-        )
 
     def add(self, key: bytes, value: bytes) -> None:
-        """Append an entry; keys must arrive in strictly ascending order."""
-        if self.num_entries and key <= self._last_key:
-            raise ValueError("keys must be added in strictly ascending order")
-        if not key and not value:
-            raise LsmError("an empty key with an empty value is the padding sentinel")
+        """Frame one entry: a run of one."""
+        self.add_run(((key, value),))
+
+    def add_run(
+        self, entries: Iterable[Tuple[bytes, bytes]], budget: Optional[int] = None
+    ) -> None:
+        """Frame ascending ``entries`` — the one framing loop.  With a
+        ``budget``, stop after the entry that brings the key and value
+        bytes framed by this call to at least ``budget``, leaving the rest
+        of an iterator unread.  A refused entry raises before any of it is
+        framed; the entries before it stay framed."""
+        target, parts, keys = self.target_size, self._parts, self.keys
+        pack, blocks, first_keys = _LEN.pack, self.blocks, self.first_keys
+        size, count = self.estimated_size, self.num_entries
+        last = keys[-1] if keys else b""
+        framed, limit = 0, sys.maxsize if budget is None else budget
         try:
-            header = _LEN.pack(len(key), len(value))
-        except struct.error:
-            raise LsmError(
-                f"a {len(key)}B key / {len(value)}B value exceeds the framing "
-                f"limits of {MAX_KEY_LEN}B / {MAX_VALUE_LEN}B"
-            ) from None
-        self._parts += (header, key, value)
-        self._last_key = key
-        self.num_entries += 1
-        self.estimated_size += _HEADER + len(key) + len(value)
+            for key, value in entries:
+                if key <= last and keys:
+                    raise ValueError("keys must be added in strictly ascending order")
+                key_len, value_len = len(key), len(value)
+                try:
+                    header = pack(key_len, value_len)
+                except struct.error:
+                    raise LsmError(
+                        f"a {key_len}B key / {value_len}B value exceeds the framing "
+                        f"limits of {MAX_KEY_LEN}B / {MAX_VALUE_LEN}B"
+                    ) from None
+                if not key_len + value_len:
+                    raise LsmError(
+                        "an empty key with an empty value is the padding sentinel"
+                    )
+                entry_size = _HEADER + key_len + value_len
+                if count:
+                    if size + entry_size > target:
+                        blocks.append(b"".join(parts))
+                        parts.clear()
+                        size = count = 0
+                        first_keys.append(key)
+                else:
+                    first_keys.append(key)
+                parts += (header, key, value)
+                keys.append(key)
+                last = key
+                size += entry_size
+                count += 1
+                framed += key_len + value_len
+                if framed >= limit:
+                    return
+        finally:
+            self.estimated_size, self.num_entries = size, count
 
     def finish(self) -> bytes:
-        """Serialize; the builder resets for the next block."""
+        """Serialize the open block; the builder goes on with an empty one."""
         blob = b"".join(self._parts)
         self._parts = []
         self.num_entries = 0
@@ -96,20 +135,24 @@ class DataBlockBuilder:
         return blob
 
 
-def iter_block(blob: bytes) -> Iterator[Tuple[bytes, bytes]]:
-    """Every ``(key, value)`` of a serialized block, in key order."""
-    if not isinstance(blob, bytes):
-        blob = bytes(blob)  # a full scan copies every entry out anyway
+def _decode(blob: bytes) -> Tuple[List[bytes], List[int], List[int]]:
+    """The one decoding loop: a serialized block's keys in order and
+    where each key's value starts and ends in ``blob`` (``bytes``)."""
     unpack, last = _LEN.unpack_from, len(blob) - _HEADER
+    keys: List[bytes] = []
+    starts: List[int] = []
+    ends: List[int] = []
     pos = 0
     while pos <= last:
         key_len, value_len = unpack(blob, pos)
         if not key_len and not value_len:
-            return  # zero padding reached
-        key_end = pos + _HEADER + key_len
-        value_end = key_end + value_len
-        yield blob[pos + _HEADER : key_end], blob[key_end:value_end]
-        pos = value_end
+            break  # zero padding reached
+        start = pos + _HEADER + key_len
+        pos = start + value_len
+        keys.append(blob[start - key_len : start])
+        starts.append(start)
+        ends.append(pos)
+    return keys, starts, ends
 
 
 def index_entries(blob: bytes) -> BlockIndex:
@@ -121,16 +164,18 @@ def index_entries(blob: bytes) -> BlockIndex:
     C ``bisect`` over ``keys`` plus one slice.  Built once per block of a
     table (:meth:`SSTable.index_block`), since a table's bytes never change.
     """
-    keys: List[bytes] = []
-    starts, ends = array("q"), array("q")
-    end = 0
-    for key, value in iter_block(blob):
-        start = end + _HEADER + len(key)
-        end = start + len(value)
-        keys.append(key)
-        starts.append(start)
-        ends.append(end)
-    return keys, starts, ends
+    if not isinstance(blob, bytes):
+        blob = bytes(blob)  # bytes keys, whatever the caller holds
+    keys, starts, ends = _decode(blob)
+    return keys, array("q", starts), array("q", ends)
+
+
+def iter_block(blob: bytes) -> Iterator[Tuple[bytes, bytes]]:
+    """Every ``(key, value)`` of a serialized block, in key order."""
+    if not isinstance(blob, bytes):
+        blob = bytes(blob)  # a full scan copies every entry out anyway
+    keys, starts, ends = _decode(blob)
+    return zip(keys, [blob[start:end] for start, end in zip(starts, ends)])
 
 
 class DataBlock:

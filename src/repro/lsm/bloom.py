@@ -12,7 +12,12 @@ import hashlib
 import struct
 from typing import Iterable, Optional, Tuple
 
+import numpy as np
+
 _DIGEST = struct.Struct("<QQ")
+# Keys hashed per step of the bulk build: bounds its transient arrays
+# (16 B of digest and num_hashes 8-byte bit positions per key).
+CHUNK_KEYS = 4096
 
 
 def bloom_hashes(key: bytes) -> Tuple[int, int]:
@@ -41,24 +46,33 @@ class BloomFilter:
 
     @classmethod
     def for_keys(cls, keys: Iterable[bytes], bits_per_key: int = 10) -> "BloomFilter":
+        """The filter of ``keys``, byte for byte what :meth:`add` of each
+        key builds, set in bulk: per chunk of keys, one blake2b digest
+        each into a joined buffer, every probe bit ``(h1 + i*h2) %
+        num_bits`` as one array (reduced first, so nothing overflows 64
+        bits) and one ``packbits`` at the end."""
         keys = list(keys)
         num_bits = max(64, len(keys) * bits_per_key)
         num_hashes = max(1, min(12, int(bits_per_key * 0.69)))
         bloom = cls(num_bits, num_hashes)
-        # add() for every key, unrolled into one loop: bit i of a key is
-        # (h1 + i*h2) % num_bits, stepped here without leaving small ints.
-        bits, probes = bloom._bits, range(num_hashes)
-        for key in keys:
-            h1, h2 = bloom_hashes(key)
-            bit, step = h1 % num_bits, h2 % num_bits
-            for _ in probes:
-                bits[bit >> 3] |= 1 << (bit & 7)
-                bit += step
-                if bit >= num_bits:
-                    bit -= num_bits
+        blake2b, modulus = hashlib.blake2b, np.uint64(num_bits)
+        probes = np.arange(num_hashes, dtype=np.uint64)
+        bits = np.zeros(num_bits, dtype=np.bool_)
+        for start in range(0, len(keys), CHUNK_KEYS):
+            digests = b"".join(
+                [
+                    blake2b(key, digest_size=16).digest()
+                    for key in keys[start : start + CHUNK_KEYS]
+                ]
+            )
+            h1, h2 = np.frombuffer(digests, dtype="<u8").reshape(-1, 2).T
+            h1, h2 = h1 % modulus, (h2 | np.uint64(1)) % modulus
+            bits[(h1[:, None] + h2[:, None] * probes) % modulus] = True
+        bloom._bits = bytearray(np.packbits(bits, bitorder="little").tobytes())
         return bloom
 
     def add(self, key: bytes) -> None:
+        """Set ``key``'s bits (the reference :meth:`for_keys` must match)."""
         h1, h2 = bloom_hashes(key)
         for i in range(self.num_hashes):
             bit = (h1 + i * h2) % self.num_bits

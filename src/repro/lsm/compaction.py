@@ -9,6 +9,7 @@ multiplier per level, as in RocksDB's level compaction).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
@@ -130,36 +131,22 @@ class Compactor:
         """Merge inputs (lowest precedence first) into new tables."""
         merged: Dict[bytes, bytes] = {}
         for table in inputs:
-            for key, value in table.iter_entries():
-                merged[key] = value
+            merged.update(table.iter_entries())
             self.bytes_compacted += table.extent_size
-        drop_tombstones = output_level == self.version.num_levels - 1
+        if output_level == self.version.num_levels - 1:
+            merged = {k: v for k, v in merged.items() if v != TOMBSTONE}
+        keys = sorted(merged)
+        entries = zip(keys, map(merged.__getitem__, keys))
         outputs: List[SSTable] = []
-        builder: Optional[SSTableBuilder] = None
-        built = 0
-        for key in sorted(merged):
-            value = merged[key]
-            if drop_tombstones and value == TOMBSTONE:
-                continue
-            if builder is None:
-                builder = SSTableBuilder(
-                    self.next_table_id(),
-                    self.space,
-                    self.config.block_size,
-                    self.config.bits_per_key,
-                )
-                built = 0
-            builder.add(key, value)
-            built += len(key) + len(value)
-            if built >= self.config.max_table_bytes:
-                table = builder.finish()
-                if table is not None:
-                    outputs.append(table)
-                builder = None
-        if builder is not None:
-            table = builder.finish()
-            if table is not None:
-                outputs.append(table)
+        for first in entries:  # an entry left over starts one more table
+            builder = SSTableBuilder(
+                self.next_table_id(),
+                self.space,
+                self.config.block_size,
+                self.config.bits_per_key,
+            )
+            builder.add_run(chain((first,), entries), self.config.max_table_bytes)
+            outputs.append(builder.finish())
         self.compactions_run += 1
         return outputs
 

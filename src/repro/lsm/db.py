@@ -89,6 +89,9 @@ class Db:
         self.space = TableSpace(device)
         wal_offset = self.space.allocate(config.wal_bytes)
         self.wal = WriteAheadLog(device, wal_offset, config.wal_bytes)
+        # Key plus value bytes of the longest put or delete: its record is
+        # a 1-byte kind and a 2-byte key length ahead of them.
+        self._max_put_bytes = self.wal.max_record_bytes - 3
         manifest_offset = self.space.allocate(config.manifest_bytes)
         self.manifest = Manifest(device, manifest_offset, config.manifest_bytes)
         self.memtable = Memtable(config.memtable_bytes)
@@ -101,40 +104,56 @@ class Db:
     # --- write path -----------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._check_open()
+        if not self._open:
+            raise DbClosedError("database is closed")
+        key_len, value_len = len(key), len(value)
         # Checked before any effect; values are stored behind a 1-byte tag.
-        if len(key) > MAX_KEY_LEN or len(value) >= MAX_VALUE_LEN:
-            raise LsmError(
-                f"a {len(key)}B key / {len(value)}B value exceeds the limits of "
-                f"{MAX_KEY_LEN}B / {MAX_VALUE_LEN - 1}B"
-            )
-        self._clock.advance(self.config.cpu_put_ns)
-        record = b"\x01" + len(key).to_bytes(2, "little") + key + value
-        self._wal_append(record)
-        self.memtable.put(key, b"\x01" + value)
+        if (
+            key_len > MAX_KEY_LEN
+            or value_len >= MAX_VALUE_LEN
+            or key_len + value_len > self._max_put_bytes
+        ):
+            self._refuse(key_len, value_len)
+        self._clock.now += self.config.cpu_put_ns  # validated >= 0
+        record = b"\x01" + key_len.to_bytes(2, "little") + key + value
+        wal = self.wal
+        try:
+            wal.append(record)
+        except WalFullError:
+            # The log extent filled before the memtable did: flush (which
+            # starts a new WAL epoch, which holds any record put accepts)
+            # and retry once.
+            self.flush_memtable()
+            wal.append(record)
         self.stats.puts += 1
-        if self.memtable.is_full:
+        if self.memtable.put(key, b"\x01" + value):
             self.flush_memtable()
 
     def delete(self, key: bytes) -> None:
-        self._check_open()
-        if len(key) > MAX_KEY_LEN:
-            raise LsmError(f"a {len(key)}B key exceeds the {MAX_KEY_LEN}B limit")
-        self._clock.advance(self.config.cpu_put_ns)
-        self._wal_append(b"\x00" + len(key).to_bytes(2, "little") + key)
-        self.memtable.put(key, TOMBSTONE)
+        if not self._open:
+            raise DbClosedError("database is closed")
+        key_len = len(key)
+        if key_len > MAX_KEY_LEN or key_len > self._max_put_bytes:
+            self._refuse(key_len, 0)
+        self._clock.now += self.config.cpu_put_ns
+        record = b"\x00" + key_len.to_bytes(2, "little") + key
+        wal = self.wal
+        try:
+            wal.append(record)
+        except WalFullError:
+            self.flush_memtable()
+            wal.append(record)
         self.stats.deletes += 1
-        if self.memtable.is_full:
+        if self.memtable.put(key, TOMBSTONE):
             self.flush_memtable()
 
-    def _wal_append(self, record: bytes) -> None:
-        try:
-            self.wal.append(record)
-        except WalFullError:
-            # The log extent filled before the memtable did: flush (which
-            # starts a new WAL epoch) and retry once.
-            self.flush_memtable()
-            self.wal.append(record)
+    def _refuse(self, key_len: int, value_len: int) -> None:
+        raise LsmError(
+            f"a {key_len}B key / {value_len}B value exceeds the limits of "
+            f"{MAX_KEY_LEN}B / {MAX_VALUE_LEN - 1}B, or the "
+            f"{self._max_put_bytes}B of key and value one "
+            f"{self.config.wal_bytes}B WAL epoch holds"
+        )
 
     def flush_memtable(self) -> None:
         """Memtable → L0 table; triggers compaction as needed."""
@@ -147,8 +166,7 @@ class Db:
             self.config.compaction.block_size,
             self.config.compaction.bits_per_key,
         )
-        for key, value in self.memtable.sorted_entries():
-            builder.add(key, value)
+        builder.add_run(self.memtable.sorted_entries())
         table = builder.finish()
         if table is not None:
             self.version.add_l0(table)

@@ -13,7 +13,7 @@ import pickle
 import struct
 from typing import List, Optional, Tuple
 
-from repro.errors import LsmError
+from repro.errors import ConfigError, LsmError
 from repro.flash.device import BlockDevice
 from repro.units import align_up
 
@@ -29,7 +29,10 @@ class Manifest:
 
     def __init__(self, device: BlockDevice, offset: int, size: int) -> None:
         if size <= 0 or size % device.block_size != 0:
-            raise ValueError("manifest size must be a positive multiple of blocks")
+            raise ConfigError(
+                f"manifest_bytes must be a positive multiple of the device "
+                f"block size {device.block_size}, got {size}"
+            )
         self.device = device
         self.offset = offset
         self.size = size

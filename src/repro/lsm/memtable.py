@@ -24,26 +24,27 @@ class Memtable:
     def size_bytes(self) -> int:
         return self._size
 
-    @property
-    def is_full(self) -> bool:
-        return self._size >= self.capacity_bytes
-
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, key: bytes, value: bytes) -> None:
-        old = self._items.get(key)
+    def put(self, key: bytes, value: bytes) -> bool:
+        """Store ``value`` under ``key``; True if the memtable is now full."""
+        items = self._items
+        old = items.get(key)
+        size = self._size + len(key) + len(value)
         if old is not None:
-            self._size -= len(key) + len(old)
-        self._items[key] = value
-        self._size += len(key) + len(value)
+            size -= len(key) + len(old)
+        items[key] = value
+        self._size = size
+        return size >= self.capacity_bytes
 
     def get(self, key: bytes) -> Optional[bytes]:
         return self._items.get(key)
 
     def sorted_entries(self) -> Iterator[Tuple[bytes, bytes]]:
-        for key in sorted(self._items):
-            yield key, self._items[key]
+        """Every ``(key, value)`` in key order (no Python frame per entry)."""
+        keys = sorted(self._items)
+        return zip(keys, map(self._items.__getitem__, keys))
 
     def clear(self) -> None:
         self._items.clear()

@@ -18,7 +18,8 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import LsmError
 from repro.lsm.block import (
@@ -77,9 +78,11 @@ class SSTable:
         return data[skip : skip + handle.size]
 
     def iter_entries(self) -> Iterator[Tuple[bytes, bytes]]:
-        """Full scan in key order (used by compaction)."""
-        for handle in self.index_handles:
-            yield from iter_block(self.read_block(handle))
+        """Full scan in key order (compaction, ``Db.scan``): each block is
+        read when the scan reaches it and decoded in one loop."""
+        return chain.from_iterable(
+            map(iter_block, map(self.read_block, self.index_handles))
+        )
 
     def release(self) -> None:
         """Free the table's extent (after compaction supersedes it)."""
@@ -130,61 +133,57 @@ class SSTableBuilder:
         self.space = space
         self.block_size = block_size
         self.bits_per_key = bits_per_key
-        self._builder = DataBlockBuilder(block_size)
-        self._blocks: List[bytes] = []
-        self._index_keys: List[bytes] = []
-        self._keys: List[bytes] = []
+        self._framer = DataBlockBuilder(block_size)
 
     @property
     def num_entries(self) -> int:
-        return len(self._keys)
+        return len(self._framer.keys)
 
     def add(self, key: bytes, value: bytes) -> None:
-        keys, builder = self._keys, self._builder
-        if keys and key <= keys[-1]:
-            raise ValueError("keys must be added in strictly ascending order")
-        if builder.would_overflow(key, value):
-            self._seal_block()
-        builder.add(key, value)
-        if builder.num_entries == 1:
-            self._index_keys.append(key)
-        keys.append(key)
+        self._framer.add(key, value)
+
+    def add_run(
+        self, entries: Iterable[Tuple[bytes, bytes]], budget: Optional[int] = None
+    ) -> None:
+        """Frame a sorted run (see :meth:`DataBlockBuilder.add_run`)."""
+        self._framer.add_run(entries, budget)
 
     def finish(self) -> Optional[SSTable]:
         """Write the table (data + meta + footer) to the device."""
-        if self._builder.num_entries:
-            self._seal_block()
-        if not self._blocks:
+        framer = self._framer
+        blocks, keys = framer.blocks, framer.keys
+        if framer.num_entries:
+            blocks.append(framer.finish())
+        if not blocks:
             return None
         device = self.space.device
+        block_size = device.block_size
         handles: List[BlockHandle] = []
         offset = 0
         padded_blocks: List[bytes] = []
-        for blob in self._blocks:
+        for blob in blocks:
             handles.append(BlockHandle(offset, len(blob)))
-            padded = blob.ljust(align_up(len(blob), device.block_size), b"\x00")
+            padded = blob.ljust(align_up(len(blob), block_size), b"\x00")
             padded_blocks.append(padded)
             offset += len(padded)
         data_payload = b"".join(padded_blocks)
-        smallest, largest = self._keys[0], self._keys[-1]
-        bloom = BloomFilter.for_keys(self._keys, self.bits_per_key)
+        smallest, largest = keys[0], keys[-1]
+        bloom = BloomFilter.for_keys(keys, self.bits_per_key)
         meta_blob = pickle.dumps(
             {
-                "index_keys": self._index_keys,
+                "index_keys": framer.first_keys,
                 "handles": [(h.offset, h.size) for h in handles],
                 "bloom": bloom.to_bytes(),
                 "smallest": smallest,
                 "largest": largest,
-                "num_entries": len(self._keys),
+                "num_entries": len(keys),
             }
         )
         meta_offset = len(data_payload)
-        meta_padded = meta_blob.ljust(
-            align_up(len(meta_blob), device.block_size), b"\x00"
-        )
+        meta_padded = meta_blob.ljust(align_up(len(meta_blob), block_size), b"\x00")
         footer = _FOOTER.pack(
             FOOTER_MAGIC, self.table_id, meta_offset, len(meta_blob), len(data_payload)
-        ).ljust(device.block_size, b"\x00")
+        ).ljust(block_size, b"\x00")
         payload = data_payload + meta_padded + footer
         extent_offset = self.space.allocate(len(payload))
         device.write(extent_offset, payload)
@@ -192,14 +191,11 @@ class SSTableBuilder:
             table_id=self.table_id,
             extent_offset=extent_offset,
             extent_size=len(payload),
-            index_keys=self._index_keys,
+            index_keys=framer.first_keys,
             index_handles=handles,
             bloom=bloom,
             smallest=smallest,
             largest=largest,
-            num_entries=len(self._keys),
+            num_entries=len(keys),
             space=self.space,
         )
-
-    def _seal_block(self) -> None:
-        self._blocks.append(self._builder.finish())

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from typing import Iterator
 
-from repro.errors import LsmError
+from repro.errors import ConfigError, LsmError
 from repro.flash.device import BlockDevice
 
 _EPOCH = struct.Struct("<I")
@@ -34,18 +34,29 @@ class WriteAheadLog:
 
     def __init__(self, device: BlockDevice, offset: int, size: int) -> None:
         if size <= 0 or size % device.block_size != 0:
-            raise ValueError("WAL size must be a positive multiple of block size")
+            raise ConfigError(
+                f"wal_bytes must be a positive multiple of the device block "
+                f"size {device.block_size}, got {size}"
+            )
         if device.block_size <= _EPOCH.size + _LEN.size:
-            raise ValueError("device blocks too small for WAL framing")
+            raise ConfigError(
+                f"a {device.block_size}B device block is too small for WAL framing"
+            )
         self.device = device
         self.offset = offset
         self.size = size
         self._block_size = device.block_size
         self.payload_per_block = device.block_size - _EPOCH.size
+        # Payload bytes one epoch holds, and so the longest record.
+        self._epoch_payload = size // device.block_size * self.payload_per_block
+        self.max_record_bytes = self._epoch_payload - _LEN.size
         self.epoch = 1
         self._cursor = 0  # byte offset of the next block to write
         self._pending = bytearray()
         self._short_pad = False  # the last sync left < one length field
+        # Payload bytes the rest of this epoch takes: what its records and
+        # sync pads so far (a short pad's zero block included) left over.
+        self._room = self._epoch_payload
         self.records_appended = 0
         self.bytes_flushed = 0
 
@@ -56,13 +67,13 @@ class WriteAheadLog:
         record this epoch — the caller must flush the memtable (which
         resets the log) and retry.
         """
-        pending, payload = self._pending, self.payload_per_block
-        needed_blocks = -(-(len(pending) + _LEN.size + len(record)) // payload)
-        needed_blocks += self._short_pad
-        if self._cursor + needed_blocks * self._block_size > self.size:
+        framed = _LEN.size + len(record)
+        if framed > self._room:
             raise WalFullError(
                 f"WAL extent of {self.size}B exhausted at epoch {self.epoch}"
             )
+        self._room -= framed
+        pending, payload = self._pending, self.payload_per_block
         if self._short_pad:
             self._short_pad = False
             self._write_block(bytes(payload))
@@ -77,9 +88,10 @@ class WriteAheadLog:
     def sync(self) -> None:
         """Flush any buffered tail (zero-padded to a whole block)."""
         if self._pending:
-            self._short_pad = (
-                self.payload_per_block - len(self._pending) < _LEN.size
-            )
+            pad = self.payload_per_block - len(self._pending)
+            self._short_pad = pad < _LEN.size
+            # The pad, and the zero block a short pad is followed by.
+            self._room -= pad + self._short_pad * self.payload_per_block
             chunk = bytes(self._pending).ljust(self.payload_per_block, b"\x00")
             self._pending.clear()
             self._write_block(chunk)
@@ -90,6 +102,7 @@ class WriteAheadLog:
         self._cursor = 0
         self._pending.clear()
         self._short_pad = False
+        self._room = self._epoch_payload
 
     def replay(self, epoch: int) -> Iterator[bytes]:
         """Yield the records of ``epoch`` from the device (crash recovery)."""

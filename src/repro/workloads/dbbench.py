@@ -115,9 +115,8 @@ class DbBenchDriver:
         return self._key_format % index
 
     def value_bytes(self, index: int) -> bytes:
-        unit = f"val{index:09d}".encode()
-        reps = -(-self.config.value_size // len(unit))
-        return (unit * reps)[: self.config.value_size]
+        unit, size = b"val%09d" % index, self.config.value_size
+        return (unit * -(-size // len(unit)))[:size]
 
     def setup(self) -> None:
         """Build the scheme stack, the HDD-backed DB, and fillrandom."""

@@ -220,6 +220,18 @@ class TestErrorHierarchy:
             config(**kwargs)
 
 
+    @pytest.mark.parametrize("field", ["wal_bytes", "manifest_bytes"])
+    def test_lsm_extent_off_the_block_grid_is_a_config_error(self, field):
+        """A WAL or manifest extent that is not a whole number of device
+        blocks is refused, naming the field — was a bare ``ValueError``."""
+        from repro.flash import HddConfig, HddDevice
+        from repro.lsm import Db
+
+        clock = SimClock()
+        hdd = HddDevice(clock, HddConfig(capacity_bytes=1 << 24))
+        with pytest.raises(errors.ConfigError, match=field):
+            Db(clock, hdd, DbConfig(**{field: 5000}))
+
 class TestRngStreams:
     def test_same_seed_same_stream(self):
         a = make_rng(5, "workload")

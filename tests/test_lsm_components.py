@@ -67,9 +67,27 @@ class TestDataBlock:
 
     def test_overflow_detection(self):
         builder = DataBlockBuilder(64)
-        builder.add(b"a", b"x" * 20)
-        assert builder.would_overflow(b"b", b"y" * 40)
-        assert not builder.would_overflow(b"b", b"y" * 10)
+        builder.add(b"a", b"x" * 20)  # 27 B framed
+        builder.add(b"b", b"y" * 10)  # 44 B: fits
+        assert builder.blocks == [] and builder.num_entries == 2
+        builder.add(b"c", b"z" * 40)  # 91 B would overflow: seal first
+        assert DataBlock(builder.blocks[0]).entries() == [
+            (b"a", b"x" * 20), (b"b", b"y" * 10),
+        ]
+        assert builder.first_keys == [b"a", b"c"] and builder.num_entries == 1
+
+    def test_run_stops_at_its_budget_and_leaves_the_rest_unread(self):
+        # Compaction cuts its merged run into tables this way: the entry
+        # that brings the key + value bytes to the budget is the last.
+        entries = iter([(b"a", b"12"), (b"b", b"34"), (b"c", b"5")])
+        builder = DataBlockBuilder(64)
+        builder.add_run(entries, budget=6)
+        assert builder.keys == [b"a", b"b"]
+        assert next(entries) == (b"c", b"5")
+        builder.add_run([(b"d", b"x" * 39), (b"e", b"y" * 40)])
+        # "d" fills the block to exactly 64 B; "e" would overflow it.
+        assert builder.first_keys == [b"a", b"e"]
+        assert len(builder.blocks) == 1 and builder.num_entries == 1
 
     def test_decode_zero_padded(self):
         builder = DataBlockBuilder(4096)
@@ -162,8 +180,8 @@ class TestMemtable:
 
     def test_full_detection(self):
         table = Memtable(1024)
-        table.put(b"k", b"v" * 1100)
-        assert table.is_full
+        assert not table.put(b"j", b"v" * 100)
+        assert table.put(b"k", b"v" * 1100)  # put says when it filled
 
     def test_sorted_entries(self):
         table = Memtable(4096)

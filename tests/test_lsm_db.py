@@ -103,6 +103,40 @@ class TestDbBasics:
         db.put(key(1), b"v" * 999)  # 999 B + the 1-byte type tag fits
         assert db.get(key(1)) == b"v" * 999
 
+    @pytest.mark.parametrize("op", ["put", "delete"])
+    def test_record_no_wal_epoch_holds_is_refused_before_any_effect(self, op):
+        # Was charged to the clock and flushed the memtable (an SSTable
+        # written, 21.9 ms of HDD time) before the WAL raised WalFullError.
+        clock = SimClock()
+        hdd = HddDevice(clock, HddConfig(capacity_bytes=64 * MIB))
+        wal_bytes = 2 * MIB if op == "put" else 4 * KIB
+        db = Db(clock, hdd, DbConfig(wal_bytes=wal_bytes))
+        db.put(key(1), b"v")
+
+        def state():
+            return (
+                clock.now, repr(db.stats), dict(db.memtable.sorted_entries()),
+                db.memtable.size_bytes, hdd.stats.host_write_bytes,
+                hdd.stats.write_latency.count, db.wal.records_appended,
+                db.stats.memtable_flushes,
+            )
+
+        before = state()
+        with pytest.raises(LsmError, match="WAL epoch"):
+            if op == "put":
+                db.put(b"big", b"x" * 3 * MIB)
+            else:
+                db.delete(b"k" * 5000)
+        assert state() == before
+        # The longest record an empty epoch holds is still accepted.
+        fits = db.wal.max_record_bytes - 3
+        if op == "put":
+            db.put(b"big", b"x" * (fits - 3))
+            assert db.get(b"big") == b"x" * (fits - 3)
+        else:
+            db.delete(b"k" * fits)
+            assert db.get(b"k" * fits) is None
+
     def test_clock_advances(self):
         db, clock = make_db()
         before = clock.now

@@ -14,21 +14,27 @@ import hashlib
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.flash import NullBlkDevice
+from repro.flash import HddConfig, HddDevice, NullBlkDevice
 from repro.lsm import (
     BloomFilter,
     DataBlock,
     DataBlockBuilder,
+    Db,
+    DbConfig,
     SSTableBuilder,
     TableSpace,
     Version,
+    WriteAheadLog,
 )
 from repro.lsm.block import index_entries, iter_block
-from repro.lsm.bloom import bloom_hashes
+from repro.lsm.bloom import CHUNK_KEYS, bloom_hashes
+from repro.lsm.compaction import TOMBSTONE, CompactionConfig
+from repro.lsm.wal import WalFullError
 from repro.sim import SimClock
-from repro.units import MIB
+from repro.units import KIB, MIB
 
 PROPERTY = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -110,6 +116,23 @@ def test_bloom_bulk_build_matches_per_key_adds(keys, bits_per_key, probes):
     assert all(bulk.may_contain(key) for key in keys)
 
 
+@pytest.mark.parametrize("bits_per_key", [1, 10, 20])
+@pytest.mark.parametrize(
+    "count", [0, 1, CHUNK_KEYS - 1, CHUNK_KEYS, CHUNK_KEYS + 1, 3 * CHUNK_KEYS + 5]
+)
+def test_bloom_bulk_build_matches_per_key_adds_at_chunk_bounds(count, bits_per_key):
+    """The bulk build hashes ``CHUNK_KEYS`` keys per step; on either side
+    of every chunk boundary it sets exactly the per-key ``add`` bits."""
+    keys = [b"%d" % (i * 7919) * (1 + i % 3) for i in range(count)]
+    if keys:
+        keys[0] = b""  # the empty key is a key too
+    bulk = BloomFilter.for_keys(keys, bits_per_key)
+    one_by_one = BloomFilter(bulk.num_bits, bulk.num_hashes)
+    for key in keys:
+        one_by_one.add(key)
+    assert bulk.to_bytes() == one_by_one.to_bytes()
+    assert bulk.num_bits == max(64, count * bits_per_key)
+
 def test_sstable_extent_is_byte_identical_to_pr13():
     """sha256 of a pinned table's whole extent (data blocks, meta blob,
     footer) and of its filter, taken at the parent of the one-pass build."""
@@ -130,6 +153,125 @@ def test_sstable_extent_is_byte_identical_to_pr13():
     assert hashlib.sha256(extent).hexdigest() == (
         "edfb71d1cf0128fb15154a8c835ada3a1ef4434a43e1cf8ab3a8747cb4ee4233"
     )
+
+
+wal_ops = st.lists(
+    st.one_of(
+        st.integers(1, 9000),  # append a record of this many bytes
+        st.integers(4084, 4088),  # ... one that leaves a 0-4 byte sync pad
+        st.just("sync"),
+        st.just("reset"),
+    ),
+    max_size=40,
+)
+
+
+@PROPERTY
+@given(ops=wal_ops)
+def test_wal_refuses_exactly_what_its_blocks_cannot_hold(ops):
+    """``WriteAheadLog.append`` keeps a running count of the payload bytes
+    left in the epoch; it refuses a record exactly when the block count
+    of the pending tail, the record and a short pad's zero block would
+    run past the extent — and replay returns every synced record."""
+    wal = WriteAheadLog(NullBlkDevice(SimClock(), capacity_bytes=1 * MIB), 0, 16 * KIB)
+    payload = wal.payload_per_block
+    synced, pending = [], []
+    for i, op in enumerate(ops):
+        if op == "sync":
+            wal.sync()
+            synced += pending
+            pending = []
+        elif op == "reset":
+            wal.reset()
+            synced, pending = [], []
+        else:
+            record = bytes([i % 251 + 1]) * op
+            blocks = -(-(len(wal._pending) + 4 + op) // payload) + wal._short_pad
+            fits = wal._cursor + blocks * wal.device.block_size <= wal.size
+            try:
+                wal.append(record)
+            except WalFullError:
+                assert not fits
+            else:
+                assert fits
+                pending.append(record)
+    wal.sync()
+    assert list(wal.replay(wal.epoch)) == synced + pending
+
+FILL_KEYS = 30_000
+
+
+def _whole_fill():
+    """A small-``DbConfig`` fill with deletes: flushes, L0 -> L1 merges
+    and L1 -> L2 merges into the last level, where tombstones drop.
+    Returns the clock, the database and a dict model of its contents."""
+    clock = SimClock()
+    config = DbConfig(
+        memtable_bytes=64 * KIB,
+        wal_bytes=128 * KIB,
+        manifest_bytes=16 * KIB,
+        num_levels=3,
+        compaction=CompactionConfig(
+            l0_trigger=3,
+            l1_target_bytes=256 * KIB,
+            level_multiplier=8,
+            max_table_bytes=64 * KIB,
+        ),
+    )
+    db = Db(clock, HddDevice(clock, HddConfig(capacity_bytes=64 * MIB)), config)
+    model = {}
+    for i in range(FILL_KEYS):
+        k = i * 7919 % FILL_KEYS
+        key, value = b"user%012d" % k, b"val%09d" % k * (1 + k % 5)
+        db.put(key, value)
+        model[key] = value
+        if i % 4 == 3:
+            gone = b"user%012d" % (i * 104_729 % FILL_KEYS)
+            db.delete(gone)
+            model.pop(gone, None)
+    db.flush_memtable()
+    return clock, db, model
+
+
+def test_whole_fill_is_byte_identical_to_its_pins():
+    """sha256 of every live table extent, of the manifest and of the WAL
+    extent, and the clock, after a fill that flushes, merges and drops
+    tombstones in the last level; pinned before the one-loop write path."""
+    clock, db, model = _whole_fill()
+    filled_at = clock.now  # before the reads below move the clock
+    device = db.device
+    tables = hashlib.sha256()
+    for level, level_tables in enumerate(db.version.levels):
+        for table in level_tables:
+            tables.update(b"%d:%d:" % (level, table.table_id))
+            tables.update(device.read(table.extent_offset, table.extent_size).data)
+    manifest = device.read(db.manifest.offset, db.manifest.size).data
+    wal = device.read(db.wal.offset, db.wal.size).data
+    assert (filled_at, [len(level) for level in db.version.levels]) == (
+        1_812_956_452, [0, 3, 20],
+    )
+    assert tables.hexdigest() == (
+        "b3e019f04b49a9642d1d0e1cf15c39c74d411f44ec5b4eb6bece00d4b9d5d062"
+    )
+    assert hashlib.sha256(manifest).hexdigest() == (
+        "f76f1c62ccef6cf069cba1be0318b3ab307c9bb3487f793119d60ab24c9c681b"
+    )
+    assert hashlib.sha256(wal).hexdigest() == (
+        "129d022ebb5e04dc6b1131d1c9f11e6547f30710f4016b0132ae83432fd582ef"
+    )
+    # Tombstones reached the last level and were dropped there: some key
+    # whose last operation was a delete is in no table at all.
+    stored = {
+        key
+        for level in db.version.levels
+        for table in level
+        for key, _ in table.iter_entries()
+    }
+    last = [value for t in db.version.levels[-1] for _, value in t.iter_entries()]
+    assert TOMBSTONE not in last
+    assert any(b"user%012d" % k not in stored for k in range(FILL_KEYS)
+               if b"user%012d" % k not in model)
+    assert dict(db.items()) == model
 
 
 # --- Version: every mutation keeps the fences in step with the levels ------
