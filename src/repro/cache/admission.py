@@ -85,8 +85,7 @@ class CountMinSketch:
         """Age every counter (TinyLFU's periodic reset keeps the sketch
         tracking *recent* popularity instead of all-time popularity)."""
         for counts, _ in self._rows:
-            for i, value in enumerate(counts):
-                counts[i] = value >> 1
+            counts[:] = [value >> 1 for value in counts]
 
 
 class TinyLfuAdmission(AdmissionPolicy):

@@ -150,7 +150,8 @@ class RegionStore(abc.ABC):
 
     def check_write(self, region_id: int, payload) -> None:
         """A region write names a valid region and carries exactly one
-        region of bytes."""
+        region of bytes.  (The flush path tests both in line and calls
+        this only to raise.)"""
         self.check_region_id(region_id)
         if len(payload) != self.region_size:
             raise RegionSizeError(

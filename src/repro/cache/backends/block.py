@@ -36,9 +36,15 @@ class BlockRegionStore(RegionStore):
         return "Block-Cache"
 
     def write_region(self, region_id: int, payload: bytes) -> int:
-        self.check_write(region_id, payload)
-        with self.tracer.span("backend", "write_region", length=len(payload)):
-            return self.device.write(region_id * self.region_size, payload).latency_ns
+        if not 0 <= region_id < self.num_regions or len(payload) != self.region_size:
+            self.check_write(region_id, payload)  # raises
+        tracer = self.tracer
+        if tracer.enabled:
+            with tracer.span("backend", "write_region", length=len(payload)):
+                return self.device.write(
+                    region_id * self.region_size, payload
+                ).latency_ns
+        return self.device.write(region_id * self.region_size, payload).latency_ns
 
     def _read_window(self, region_id: int, offset: int, length: int) -> bytes:
         return self.device.read(region_id * self.region_size + offset, length).data
@@ -48,7 +54,8 @@ class BlockRegionStore(RegionStore):
         so the FTL keeps relocating dead cache bytes until they are
         overwritten.  The §3.4 repair is :meth:`bind_gc_hints`, which
         lets the FTL's GC discard a condemned region's range instead."""
-        self.check_region_id(region_id)
+        if not 0 <= region_id < self.num_regions:
+            self.check_region_id(region_id)  # raises
 
     def bind_gc_hints(self, hints: GcHints) -> None:
         """Hand the cache's §3.4 hints to the FTL's GC, with this

@@ -50,9 +50,15 @@ class FileRegionStore(RegionStore):
         return "File-Cache"
 
     def write_region(self, region_id: int, payload: bytes) -> int:
-        self.check_write(region_id, payload)
-        with self.tracer.span("backend", "write_region", length=len(payload)):
-            return self.file.pwrite(region_id * self.region_size, payload)
+        if not 0 <= region_id < self.num_regions or len(payload) != self.region_size:
+            self.check_write(region_id, payload)  # raises
+        tracer = self.tracer
+        if tracer.enabled:
+            with tracer.span("backend", "write_region", length=len(payload)):
+                return self.fs.pwrite(
+                    self.file.file_id, region_id * self.region_size, payload
+                )
+        return self.fs.pwrite(self.file.file_id, region_id * self.region_size, payload)
 
     def _read_window(self, region_id: int, offset: int, length: int) -> bytes:
         return self.fs.pread(
@@ -68,7 +74,8 @@ class FileRegionStore(RegionStore):
         The §3.4 repair is :meth:`bind_gc_hints`: let the *cleaner* ask
         the cache about region worth at migration time instead.
         """
-        self.check_region_id(region_id)
+        if not 0 <= region_id < self.num_regions:
+            self.check_region_id(region_id)  # raises
 
     def bind_gc_hints(self, hints: GcHints) -> None:
         """Hand the cache's §3.4 hints to the filesystem cleaner.

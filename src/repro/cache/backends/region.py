@@ -45,7 +45,8 @@ class ZtlRegionStore(RegionStore):
         return "Region-Cache"
 
     def write_region(self, region_id: int, payload: bytes) -> int:
-        self.check_region_id(region_id)
+        if not 0 <= region_id < self.num_regions:
+            self.check_region_id(region_id)  # raises
         tracer = self.tracer
         if tracer.enabled:
             with tracer.span("backend", "write_region", length=len(payload)):
@@ -57,7 +58,8 @@ class ZtlRegionStore(RegionStore):
 
     def invalidate_region(self, region_id: int) -> None:
         """Tell the layer the region is dead so GC never migrates it."""
-        self.check_region_id(region_id)
+        if not 0 <= region_id < self.num_regions:
+            self.check_region_id(region_id)  # raises
         self.layer.invalidate_region(region_id)
 
     def bind_gc_hints(self, hints: GcHints) -> None:

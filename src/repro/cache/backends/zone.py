@@ -14,6 +14,8 @@ worth of bytes.
 
 from __future__ import annotations
 
+from zlib import crc32
+
 from repro.cache.admission import CountMinSketch
 from repro.cache.backends.base import RegionStore, WafRaw
 from repro.cache.backends.region import ZtlRegionStore
@@ -46,30 +48,37 @@ class ZoneRegionStore(RegionStore):
 
     def write_region(self, region_id: int, payload: bytes) -> int:
         """Reset the zone (if dirty) and write the whole region into it."""
-        self.check_write(region_id, payload)
+        if not 0 <= region_id < self.num_regions or len(payload) != self.region_size:
+            self.check_write(region_id, payload)  # raises
         tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("backend", "write_region", length=len(payload)):
-                return self._write_region_impl(region_id, payload)
-        return self._write_region_impl(region_id, payload)
-
-    def _write_region_impl(self, region_id: int, payload: bytes) -> int:
-        latency = 0
-        zone = self.device.zones[region_id]
-        if zone.state != ZoneState.EMPTY:
-            latency += self.device.reset_zone(region_id).latency_ns
-            self.zone_resets += 1
-        latency += self.device.write(zone.start, payload).latency_ns
-        return latency
+        span = (
+            tracer.span("backend", "write_region", length=len(payload))
+            if tracer.enabled
+            else None
+        )
+        if span is not None:
+            span.__enter__()
+        try:
+            latency = 0
+            device = self.device
+            zone = device.zones[region_id]
+            if zone.state is not ZoneState.EMPTY:
+                latency += device.reset_zone(region_id).latency_ns
+                self.zone_resets += 1
+            return latency + device.write(zone.start, payload).latency_ns
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
     def _read_window(self, region_id: int, offset: int, length: int) -> bytes:
         return self.device.read(region_id * self.region_size + offset, length).data
 
     def invalidate_region(self, region_id: int) -> None:
         """Eagerly reset the zone — eviction *is* the cleaning command."""
-        self.check_region_id(region_id)
+        if not 0 <= region_id < self.num_regions:
+            self.check_region_id(region_id)  # raises
         zone = self.device.zones[region_id]
-        if zone.state != ZoneState.EMPTY:
+        if zone.state is not ZoneState.EMPTY:
             self.device.reset_zone(region_id)
             self.zone_resets += 1
 
@@ -131,7 +140,8 @@ class ZCacheRegionStore(ZtlRegionStore):
         return "Z-Cache"
 
     def write_region(self, region_id: int, payload: bytes) -> int:
-        self.check_region_id(region_id)
+        if not 0 <= region_id < self.num_regions:
+            self.check_region_id(region_id)  # raises
         group = self._classify(payload)
         tracer = self.tracer
         if tracer.enabled:
@@ -142,17 +152,28 @@ class ZCacheRegionStore(ZtlRegionStore):
         return self.layer.write_region(region_id, payload, group=group).latency_ns
 
     def _classify(self, payload) -> int:
-        """Majority vote over the region's keys: hot stream or cold."""
+        """Majority vote over the region's keys: hot stream or cold.
+
+        A key is hot when every sketch row counts it at least
+        ``hot_threshold`` times (``CountMinSketch.at_least``, walked in
+        line: this runs for every key of every flushed region)."""
         keys = EntryCodec.scan_keys(payload)
         if not keys:
             return self.cold_group
-        at_least = self.sketch.at_least
+        sketch = self.sketch
+        rows, width = sketch._rows, sketch.width
         threshold = self.hot_threshold
         # 2 * hot >= len(keys), decided as soon as either side has it.
         hot_needed = (len(keys) + 1) // 2
         cold_spare = len(keys) - hot_needed
         for key in keys:
-            if at_least(key, threshold):
+            for counts, salt in rows:
+                if counts[crc32(key, salt) % width] < threshold:
+                    hot = False
+                    break
+            else:
+                hot = True
+            if hot:
                 hot_needed -= 1
                 if not hot_needed:
                     self.hot_regions += 1

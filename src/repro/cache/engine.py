@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.cache.admission import AdmissionPolicy, AdmitAll
 from repro.cache.backends.base import RegionStore, WafBreakdown
 from repro.cache.config import CacheConfig
-from repro.cache.item import EntryCodec, EntryLocation
+from repro.cache.item import MAX_EXPIRY_NS, EntryCodec, EntryLocation
 from repro.cache.lifecycle import ItemLifecycle, tenant_token
 from repro.cache.ram_cache import RamCache
 from repro.cache.region import RegionBuffer, RegionMeta
@@ -37,6 +37,7 @@ from repro.errors import (
     DeviceError,
     EntryCorruptError,
     FatalDeviceError,
+    InvalidKeyError,
     InvalidTtlError,
     ObjectTooLargeError,
     PowerCutError,
@@ -89,6 +90,11 @@ class HybridCache:
         self._delete_ns = config.cpu.delete_ns
         self._copy_ns_per_kib = config.cpu.buffer_copy_ns_per_kib
         self._region_size = config.region_size
+        # What taking a region for filling costs: fixed per config.
+        self._region_alloc_ns = (
+            config.cpu.region_alloc_ns
+            + config.cpu.buffer_alloc_ns_per_mib * config.region_size // (1024 * 1024)
+        )
         self._entry_overhead = EntryCodec.entry_size(
             b"", b"", checksum=config.checksums
         )
@@ -130,6 +136,17 @@ class HybridCache:
         # authoritative copy also travels in the on-flash entry header.
         self._expiry: dict = self.lifecycle.expiry
 
+    @property
+    def admission(self) -> AdmissionPolicy:
+        """The flash admission policy (settable)."""
+        return self._admission
+
+    @admission.setter
+    def admission(self, policy: AdmissionPolicy) -> None:
+        self._admission = policy
+        # ``set`` calls ``_admit`` per op; admit-all costs it no call.
+        self._admit = None if type(policy) is AdmitAll else policy.admit
+
     # --- public API -----------------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
@@ -137,131 +154,155 @@ class HybridCache:
 
         Expired items (TTL) read as misses and are purged on access.
         """
-        start_ns = self._clock.now
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("engine", "get"):
-                return self._get_impl(key, start_ns)
-        return self._get_impl(key, start_ns)
-
-    def _get_impl(self, key: bytes, start_ns: int) -> Optional[bytes]:
         clock = self._clock
-        clock.now = start_ns + self._get_ns
-        stats = self.stats
-        if self._expiry:
-            expiry = self._expiry.get(key)
-            if expiry is not None and clock.now >= expiry:
-                self._purge_expired(key)
+        start_ns = clock.now
+        tracer = self.tracer
+        # One body, traced or not: an enabled tracer's span is opened and
+        # closed around it by hand rather than by a second call.
+        span = tracer.span("engine", "get") if tracer.enabled else None
+        if span is not None:
+            span.__enter__()
+        try:
+            clock.now = start_ns + self._get_ns
+            stats = self.stats
+            if self._expiry:
+                expiry = self._expiry.get(key)
+                if expiry is not None and clock.now >= expiry:
+                    self._purge_expired(key)
+                    stats.ram_lookups.record(False)
+                    self._finish_lookup(start_ns, hit=False)
+                    return None
+            if self._versioning and not self.lifecycle.namespaces.is_current(key):
+                # The key's namespace generation was bumped past: the item
+                # is dead regardless of which tier still holds bytes for it.
+                # Purging here keeps the guarantee that no read — including
+                # replica fallbacks and crash-recovered indexes — ever
+                # serves a pre-bump generation.
+                self._discard_stale(key)
                 stats.ram_lookups.record(False)
                 self._finish_lookup(start_ns, hit=False)
                 return None
-        if self._versioning and not self.lifecycle.namespaces.is_current(key):
-            # The key's namespace generation was bumped past: the item
-            # is dead regardless of which tier still holds bytes for it.
-            # Purging here keeps the guarantee that no read — including
-            # replica fallbacks and crash-recovered indexes — ever
-            # serves a pre-bump generation.
-            self._discard_stale(key)
-            stats.ram_lookups.record(False)
-            self._finish_lookup(start_ns, hit=False)
-            return None
-        value = self.ram.get(key)
-        if value is not None:
-            ram_lookups = stats.ram_lookups
-            ram_lookups.total += 1
-            ram_lookups.hits += 1
-            lookups = stats.lookups
-            lookups.total += 1
-            lookups.hits += 1
+            value = self.ram.get(key)
+            if value is not None:
+                ram_lookups = stats.ram_lookups
+                ram_lookups.total += 1
+                ram_lookups.hits += 1
+                lookups = stats.lookups
+                lookups.total += 1
+                lookups.hits += 1
+                recorder = stats.get_latency
+                recorder._samples.append(clock.now - start_ns)
+                recorder._sorted = None
+                stats.finished_at_ns = clock.now
+                return value
+            stats.ram_lookups.total += 1
+            location = self.index.get(key)
+            if location is not None:
+                value = self._read_entry(key, location)
+                flash_lookups = stats.flash_lookups
+                flash_lookups.total += 1
+                if value is not None:
+                    flash_lookups.hits += 1
+                    stats.lookups.hits += 1
+                    self.regions.touch(location.region_id)
+                    self.ram.put(key, value)
+            stats.lookups.total += 1
             recorder = stats.get_latency
             recorder._samples.append(clock.now - start_ns)
             recorder._sorted = None
             stats.finished_at_ns = clock.now
             return value
-        stats.ram_lookups.total += 1
-        location = self.index.get(key)
-        if location is not None:
-            value = self._read_entry(key, location)
-            flash_lookups = stats.flash_lookups
-            flash_lookups.total += 1
-            if value is not None:
-                flash_lookups.hits += 1
-                stats.lookups.hits += 1
-                self.regions.touch(location.region_id)
-                self.ram.put(key, value)
-        stats.lookups.total += 1
-        recorder = stats.get_latency
-        recorder._samples.append(clock.now - start_ns)
-        recorder._sorted = None
-        stats.finished_at_ns = clock.now
-        return value
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
     def set(self, key: bytes, value: bytes, ttl_seconds: Optional[float] = None) -> bool:
         """Insert/replace an item; returns True if it reached flash.
 
         ``ttl_seconds`` sets an expiry relative to the simulated clock;
-        expired items read as misses.
+        expired items read as misses.  An empty key, an oversized entry
+        and a TTL that is not positive, is not finite or does not fit the
+        entry header's u64 expiry are refused with a typed error before
+        anything — clock, stats, DRAM tier, TTL ledger, admission sketch
+        — is touched.
         """
-        start_ns = self._clock.now
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("engine", "set"):
-                return self._set_impl(key, value, ttl_seconds, start_ns)
-        return self._set_impl(key, value, ttl_seconds, start_ns)
-
-    def _set_impl(
-        self,
-        key: bytes,
-        value: bytes,
-        ttl_seconds: Optional[float],
-        start_ns: int,
-    ) -> bool:
-        # Reject before charging anything: a refused set must leave the
-        # clock, stats and every tier exactly as it found them.
-        entry_size = self._entry_overhead + len(key) + len(value)
-        if entry_size > self._region_size:
-            raise ObjectTooLargeError(
-                f"entry of {entry_size}B exceeds region size {self._region_size}"
-            )
-        if ttl_seconds is not None and not ttl_seconds > 0:
-            raise InvalidTtlError(f"ttl_seconds must be positive, got {ttl_seconds}")
         clock = self._clock
-        clock.now = start_ns + self._set_ns
-        stats = self.stats
-        stats.sets += 1
-        expiry_ns = 0
-        if ttl_seconds is not None:
-            expiry_ns = clock.now + int(ttl_seconds * 1e9)
-            self.lifecycle.note_ttl(key, expiry_ns)
-        elif self._expiry:
-            self.lifecycle.clear_ttl(key)
-        self.ram.put(key, value)
-        if not self.admission.admit(key, value):
-            self._drop_flash_copy(key)
-            self._finish_mutation(start_ns, stats.set_latency)
-            return False
-        buffer = self._buffer
-        if entry_size > buffer.capacity - buffer.used:
-            self._seal_and_rotate()
+        start_ns = clock.now
+        tracer = self.tracer
+        span = tracer.span("engine", "set") if tracer.enabled else None
+        if span is not None:
+            span.__enter__()
+        try:
+            entry_size = self._entry_overhead + len(key) + len(value)
+            if entry_size > self._region_size:
+                raise ObjectTooLargeError(
+                    f"entry of {entry_size}B exceeds region size {self._region_size}"
+                )
+            if not key:
+                # An empty key packs the all-zero header that marks the
+                # end of a region's entries (item.py): recovery and the
+                # flush-time key scan would stop at it.
+                raise InvalidKeyError("a cache key must not be empty")
+            expiry_ns = 0
+            if ttl_seconds is not None:
+                expiry_ns = self._ttl_expiry(ttl_seconds, start_ns + self._set_ns)
+            clock.now = start_ns + self._set_ns
+            stats = self.stats
+            stats.sets += 1
+            if ttl_seconds is not None:
+                self.lifecycle.note_ttl(key, expiry_ns)
+            elif self._expiry:
+                self.lifecycle.clear_ttl(key)
+            self.ram.put(key, value)
+            admit = self._admit
+            if admit is not None and not admit(key, value):
+                self._drop_flash_copy(key)
+                self._finish_mutation(start_ns, stats.set_latency)
+                return False
             buffer = self._buffer
-        clock.now += self._copy_ns_per_kib * (entry_size // 1024)
-        location = buffer.append(key, value, expiry_ns)
-        index = self.index
-        old = index.get(key)
-        index[key] = location
-        if old is not None:
-            if old.region_id != location.region_id:
-                self.regions.note_key_removed(old.region_id, key, "overwritten")
-            else:
-                # Superseded within the open buffer: its bytes die in place.
-                self.regions.ledger.note_dead(old.length, "overwritten")
-        self._open_entries[key] = location.length
-        stats.sets_admitted += 1
-        recorder = stats.set_latency
-        recorder._samples.append(clock.now - start_ns)
-        recorder._sorted = None
-        stats.finished_at_ns = clock.now
-        return True
+            if entry_size > buffer.capacity - buffer.used:
+                self._seal_and_rotate()
+                buffer = self._buffer
+            clock.now += self._copy_ns_per_kib * (entry_size // 1024)
+            location = buffer.append(key, value, expiry_ns)
+            index = self.index
+            old = index.get(key)
+            index[key] = location
+            if old is not None:
+                if old.region_id != location.region_id:
+                    self.regions.note_key_removed(old.region_id, key, "overwritten")
+                else:
+                    # Superseded within the open buffer: its bytes die in place.
+                    self.regions.ledger.note_dead(old.length, "overwritten")
+            self._open_entries[key] = location.length
+            stats.sets_admitted += 1
+            recorder = stats.set_latency
+            recorder._samples.append(clock.now - start_ns)
+            recorder._sorted = None
+            stats.finished_at_ns = clock.now
+            return True
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
+
+    @staticmethod
+    def _ttl_expiry(ttl_seconds: float, now_ns: int) -> int:
+        """The expiry a TTL set at ``now_ns`` stores, or
+        :class:`InvalidTtlError` when there is none: the TTL is not a
+        positive finite number, or the expiry overflows the entry
+        header's unsigned 64-bit field."""
+        if not ttl_seconds > 0:
+            raise InvalidTtlError(f"ttl_seconds must be positive, got {ttl_seconds}")
+        try:
+            expiry_ns = now_ns + int(ttl_seconds * 1e9)
+        except OverflowError:
+            raise InvalidTtlError(f"ttl_seconds must be finite, got {ttl_seconds}") from None
+        if expiry_ns > MAX_EXPIRY_NS:
+            raise InvalidTtlError(
+                f"ttl_seconds {ttl_seconds} puts the expiry past the "
+                f"{MAX_EXPIRY_NS} ns the entry header can hold"
+            )
+        return expiry_ns
 
     def delete(self, key: bytes) -> bool:
         """Remove a key from every tier; returns True if it existed."""
@@ -620,25 +661,19 @@ class HybridCache:
         # The new buffer's fill window opens *before* the eviction work so
         # that index-teardown stalls show up in region fill times — the
         # Figure 3(a) jump "caused by eviction operations in other threads".
-        opened_at = self._clock.now
+        clock = self._clock
+        opened_at = clock.now
         while True:
             region_id, evicted = self.regions.allocate()
-            self._clock.advance(
-                self.config.cpu.region_alloc_ns
-                + self.config.cpu.buffer_alloc_ns_per_mib
-                * self.config.region_size
-                // (1024 * 1024)
-            )
-            if evicted:
-                self._evict_keys(region_id, evicted)
-            # Invalidation may have discovered the region's media is dead
-            # (e.g. the zone refused its reset) — take another one.
-            if not self.regions.is_quarantined(region_id):
+            clock.now += self._region_alloc_ns
+            # Invalidation may discover the region's media is dead (e.g.
+            # the zone refused its reset) — then take another one.
+            if not evicted or self._evict_keys(region_id, evicted):
                 break
         self._generation += 1
         return RegionBuffer(
             region_id,
-            self.config.region_size,
+            self._region_size,
             opened_at,
             checksums=self.config.checksums,
             salt=self._generation,
@@ -646,28 +681,45 @@ class HybridCache:
         )
 
     def _seal_and_rotate(self) -> None:
-        self._purge_due()
+        """Flush the open region, seal it and open the next one: one
+        pass, journal records appended in place."""
+        if self._expiry:
+            self._purge_due()
         buffer = self._buffer
-        fill_ns = self._clock.now - buffer.opened_at_ns
-        self.stats.region_fill_durations_ns.append(fill_ns)
-        self._journal("flush", buffer.region_id, buffer.salt)
+        clock = self._clock
+        stats = self.stats
+        fill_ns = clock.now - buffer.opened_at_ns
+        stats.region_fill_durations_ns.append(fill_ns)
+        journal = self.seal_journal
+        salt = buffer.salt
+        region_id = buffer.region_id
+        self._journal_seq = seq = self._journal_seq + 1
+        journal.append(("flush", region_id, seq, salt))
         # The flush borrows the buffer's own bytes (read-only view, no
         # copy); the backend has copied them to media by the time it
         # returns, and only then is the storage handed to the successor.
-        region_id = self._flush_payload(buffer.region_id, buffer.finalize())
-        self.stats.flushes += 1
+        payload = buffer.finalize()
+        try:
+            self.store.write_region(region_id, payload)
+        except PowerCutError:
+            raise
+        except (FatalDeviceError, RetryableError) as error:
+            region_id = self._retry_flush(region_id, payload, error)
+        stats.flushes += 1
         # The open region's key map becomes the sealed region's: hand it
         # over and start a fresh one rather than copying.
         entries = self._open_entries
-        meta = RegionMeta(
-            region_id,
-            keys=entries,
-            fill_duration_ns=fill_ns,
-            salt=buffer.salt,
-            live_bytes=sum(entries.values()),
+        self.regions.seal(
+            RegionMeta(
+                region_id,
+                keys=entries,
+                fill_duration_ns=fill_ns,
+                salt=salt,
+                live_bytes=sum(entries.values()),
+            )
         )
-        self.regions.seal(meta)
-        self._journal("seal", region_id, buffer.salt)
+        self._journal_seq = seq = self._journal_seq + 1
+        journal.append(("seal", region_id, seq, salt))
         self._open_entries = {}
         self._buffer = self._open_fresh_region(recycle=buffer)
 
@@ -680,55 +732,52 @@ class HybridCache:
         epoch — frequent under write pressure, free when no TTLs are in
         use.
         """
-        if not self._expiry:
-            return
         due = list(self.lifecycle.due(self._clock.now))
         for key in due:
             self._purge_expired(key)
 
-    def _flush_payload(self, region_id: int, payload: memoryview) -> int:
-        """Write a sealed region with retries; returns where it landed.
+    def _retry_flush(
+        self, region_id: int, payload: memoryview, error: BaseException
+    ) -> int:
+        """A region write raised ``error``: retry it; returns where the
+        flush finally landed.
 
         Transient errors back off and retry per ``config.retry``.  When
         the target region's media is gone (fatal error, or transient
         errors past the budget) the region is quarantined and the
         in-flight flush re-routes to a freshly allocated region — the
         graceful-degradation path: the cache shrinks, it does not crash.
+        After four dead targets the last error propagates.
         """
-        last_error: Optional[BaseException] = None
-        for _ in range(4):
+        policy = self.config.retry
+        stats = self.stats
+        attempt = 0
+        targets = 0
+        while True:
+            if isinstance(error, FatalDeviceError):
+                stats.io_errors += 1
+                gone = True
+            else:
+                attempt += 1
+                stats.retries += 1
+                gone = attempt >= policy.max_attempts
+                if gone:
+                    stats.io_errors += 1
+                else:
+                    self._clock.advance(policy.backoff_for(attempt - 1))
+            if gone:
+                targets += 1
+                region_id = self._reroute_flush(region_id)
+                if targets == 4:
+                    raise error
+                attempt = 0
             try:
-                self._write_region_with_retries(region_id, payload)
+                self.store.write_region(region_id, payload)
                 return region_id
             except PowerCutError:
                 raise
-            except (FatalDeviceError, RetryableError) as error:
-                last_error = error
-                region_id = self._reroute_flush(region_id)
-        assert last_error is not None
-        raise last_error
-
-    def _write_region_with_retries(
-        self, region_id: int, payload: memoryview
-    ) -> None:
-        policy = self.config.retry
-        attempt = 0
-        while True:
-            try:
-                self.store.write_region(region_id, payload)
-                return
-            except PowerCutError:
-                raise
-            except FatalDeviceError:
-                self.stats.io_errors += 1
-                raise
-            except RetryableError:
-                attempt += 1
-                self.stats.retries += 1
-                if attempt >= policy.max_attempts:
-                    self.stats.io_errors += 1
-                    raise
-                self._clock.advance(policy.backoff_for(attempt - 1))
+            except (FatalDeviceError, RetryableError) as next_error:
+                error = next_error
 
     def _reroute_flush(self, dead_region_id: int) -> int:
         """Quarantine a dead flush target and point the open keys at a
@@ -736,9 +785,7 @@ class HybridCache:
         self._quarantine_region(dead_region_id)
         while True:
             new_region_id, evicted = self.regions.allocate()
-            if evicted:
-                self._evict_keys(new_region_id, evicted)
-            if not self.regions.is_quarantined(new_region_id):
+            if not evicted or self._evict_keys(new_region_id, evicted):
                 break
         for key in self._open_entries:
             location = self.index.get(key)
@@ -787,24 +834,36 @@ class HybridCache:
             )
             self.regions.note_key_removed(region_id, key, reason)
 
-    def _evict_keys(self, region_id: int, evicted: Dict[bytes, int]) -> None:
-        """Tear down index entries of a reclaimed region (lock-convoy model)."""
-        self.store.tracer.emit_event(
-            "reclaim.cache", "evict", offset=region_id, length=len(evicted)
-        )
-        self._clock.advance(self.config.cpu.eviction_teardown_ns(len(evicted)))
-        ns = self.lifecycle.namespaces if self._versioning else None
-        ledger = self.regions.ledger
-        for key in evicted:
-            location = self.index.get(key)
-            if location is not None and location.region_id == region_id:
-                del self.index[key]
-                if ns is not None and not ns.is_current(key):
-                    # Dead-generation bytes discovered at eviction: the
-                    # bump never scanned, so this is where they are
-                    # finally accounted.
-                    ledger.note_dead(location.length, "invalidated")
-        self._journal("invalidate", region_id)
+    def _evict_keys(self, region_id: int, evicted: Dict[bytes, int]) -> bool:
+        """Tear down index entries of a reclaimed region (lock-convoy
+        model); False when invalidating it found its media dead (the
+        region is quarantined and must not be filled)."""
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit_event(
+                "reclaim.cache", "evict", offset=region_id, length=len(evicted)
+            )
+        self._clock.now += self.config.cpu.eviction_teardown_ns(len(evicted))
+        index = self.index
+        if self._versioning:
+            ns = self.lifecycle.namespaces
+            ledger = self.regions.ledger
+            for key in evicted:
+                location = index.get(key)
+                if location is not None and location.region_id == region_id:
+                    del index[key]
+                    if not ns.is_current(key):
+                        # Dead-generation bytes discovered at eviction: the
+                        # bump never scanned, so this is where they are
+                        # finally accounted.
+                        ledger.note_dead(location.length, "invalidated")
+        else:
+            for key in evicted:
+                location = index.get(key)
+                if location is not None and location.region_id == region_id:
+                    del index[key]
+        self._journal_seq = seq = self._journal_seq + 1
+        self.seal_journal.append(("invalidate", region_id, seq, 0))
         try:
             self.store.invalidate_region(region_id)
         except PowerCutError:
@@ -815,6 +874,8 @@ class HybridCache:
             self.stats.retries += 1
         except FatalDeviceError:
             self._quarantine_region(region_id)
+            return False
+        return True
 
     def _read_entry(self, key: bytes, location: EntryLocation) -> Optional[bytes]:
         """The value the index says lives at ``location``, or None.

@@ -36,8 +36,10 @@ class RegionEvictionPolicy(abc.ABC):
         """Region to evict next, or None if nothing is tracked."""
 
     @abc.abstractmethod
-    def peek(self, count: int) -> List[int]:
-        """The next ``count`` victims in order, without disturbing it."""
+    def at(self, position: int) -> int:
+        """The victim ``position`` places from the head (0 = next),
+        without disturbing the order; ``position`` must be below
+        ``len(self)``."""
 
     def order(self) -> "List[int]":
         """Region ids in eviction order (next victim first).
@@ -70,8 +72,8 @@ class FifoRegionPolicy(RegionEvictionPolicy):
             return None
         return next(iter(self._order))
 
-    def peek(self, count: int) -> List[int]:
-        return list(islice(self._order, count))
+    def at(self, position: int) -> int:
+        return next(islice(self._order, position, None))
 
     def __len__(self) -> int:
         return len(self._order)

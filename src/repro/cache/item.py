@@ -27,6 +27,8 @@ from typing import List, NamedTuple, Tuple
 from repro.errors import EntryCorruptError
 
 _HEADER = struct.Struct("<IIQ")  # key length, value length, expiry (ns, 0=none)
+# The latest expiry the header can carry; a later one is refused at set().
+MAX_EXPIRY_NS = (1 << 64) - 1
 _HEADER_SIZE = _HEADER.size
 _CRC = struct.Struct("<I")
 _CHECKSUM_FLAG = 0x8000_0000

@@ -8,8 +8,9 @@ maps the engine needs to purge the index when a region is reclaimed.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cache.eviction import make_eviction_policy
 from repro.cache.lifecycle import LivenessLedger
@@ -52,6 +53,10 @@ class RegionManager:
         # taking fully-dead regions as victims before the policy order.
         self.ledger = LivenessLedger()
         self._dead_first = dead_first
+        # Under dead-first: ``(sealed_seq, region_id)`` of every sealed
+        # region whose key map emptied, as a heap.  Entries of regions
+        # since evicted or quarantined go stale and are skipped lazily.
+        self._dead: List[Tuple[int, int]] = []
 
     # --- queries ---------------------------------------------------------------
 
@@ -94,24 +99,34 @@ class RegionManager:
         """
         if self._free:
             return self._free.popleft(), {}
-        victim = self._pick_dead_victim() if self._dead_first else None
+        victim = None
+        if self._dead_first:
+            victim = self._dead_victim()
+            if victim is not None:
+                self.ledger.dead_first_evictions += 1
+        policy = self._policy
         if victim is None:
-            victim = self._pick_windowed_victim()
-        if victim is None:
-            raise RuntimeError("no sealed region to evict — engine bug")
+            victim = windowed_draw(
+                policy, self.reclaim_window, len(self._sealed), self._rng
+            )
+            if victim is None:
+                raise RuntimeError("no sealed region to evict — engine bug")
         meta = self._sealed.pop(victim)
-        self._policy.untrack(victim)
+        policy.untrack(victim)
         evicted = meta.keys  # the popped meta is ours alone: no copy
-        self.reclaim_stats.victims_reclaimed += 1
-        self.reclaim_stats.units_dropped += len(evicted)
+        stats = self.reclaim_stats
+        stats.victims_reclaimed += 1
+        stats.units_dropped += len(evicted)
         return victim, evicted
 
     def seal(self, meta: RegionMeta) -> None:
         """A filled region becomes evictable."""
-        self._seal_seq += 1
-        meta.sealed_seq = self._seal_seq
+        self._seal_seq = seq = self._seal_seq + 1
+        meta.sealed_seq = seq
         self._sealed[meta.region_id] = meta
         self._policy.track(meta.region_id)
+        if self._dead_first and not meta.keys:
+            heapq.heappush(self._dead, (seq, meta.region_id))
 
     def touch(self, region_id: int) -> None:
         """Promote on read hit (LRU policy only reacts)."""
@@ -132,29 +147,25 @@ class RegionManager:
         if self._sealed.pop(region_id, None) is not None:
             self._policy.untrack(region_id)
 
-    def _pick_windowed_victim(self) -> Optional[int]:
-        return windowed_draw(
-            self._policy, self.reclaim_window, len(self._sealed), self._rng
-        )
-
-    def _pick_dead_victim(self) -> Optional[int]:
-        """Oldest fully-dead region, if any — a free victim.
+    def _dead_victim(self) -> Optional[int]:
+        """Oldest fully-dead region (lowest ``sealed_seq``), if any — a
+        free victim.
 
         A region whose keys all died (deletes, TTL sweep, generation
         bumps) costs nothing to reclaim: no index teardown, no hit-ratio
         loss.  Taking it ahead of the policy order is what makes a
         post-storm dead region "sort as a zero-valid victim instantly".
+        The heap top answers; stale tops (regions no longer sealed under
+        that seq) are dropped on the way.
         """
-        victim: Optional[RegionMeta] = None
-        for meta in self._sealed.values():
-            if meta.keys:
-                continue
-            if victim is None or meta.sealed_seq < victim.sealed_seq:
-                victim = meta
-        if victim is None:
-            return None
-        self.ledger.dead_first_evictions += 1
-        return victim.region_id
+        dead, sealed = self._dead, self._sealed
+        while dead:
+            seq, region_id = dead[0]
+            meta = sealed.get(region_id)
+            if meta is not None and meta.sealed_seq == seq:
+                return region_id
+            heapq.heappop(dead)
+        return None
 
     def eviction_position(self, region_id: int) -> Optional[float]:
         """Where a sealed region sits in the eviction order.
@@ -193,11 +204,14 @@ class RegionManager:
         """
         meta = self._sealed.get(region_id)
         if meta is not None:
-            nbytes = meta.keys.pop(key, None)
+            keys = meta.keys
+            nbytes = keys.pop(key, None)
             if nbytes is not None:
                 meta.live_bytes -= nbytes
                 meta.dead_bytes += nbytes
                 self.ledger.note_dead(nbytes, reason)
+                if not keys and self._dead_first:
+                    heapq.heappush(self._dead, (meta.sealed_seq, region_id))
 
     def live_bytes(self) -> int:
         """Bytes still reachable across all sealed regions."""

@@ -160,7 +160,13 @@ class ObjectTooLargeError(CacheError):
 
 
 class InvalidTtlError(CacheError, ValueError):
-    """A ``set`` carried a TTL that is not a positive number of seconds."""
+    """A ``set`` carried a TTL that is not a positive, finite number of
+    seconds, or one whose expiry does not fit the entry header."""
+
+
+class InvalidKeyError(CacheError, ValueError):
+    """A ``set`` carried an empty key (it would encode as the padding
+    sentinel that ends a region's entries)."""
 
 
 class EntryCorruptError(CacheError):

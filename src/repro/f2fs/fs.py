@@ -105,6 +105,9 @@ class F2fs:
             clock=clock,
         )
         self.stats = F2fsStats()
+        # The layout is frozen: its usable capacity is read once here,
+        # not through its property chain on every write.
+        self._usable_bytes = self.layout.usable_bytes
         self._meta_pending_updates = 0
         self._meta_cursor_block = 1  # block 0 is the superblock
         self._blocks_since_checkpoint = 0
@@ -172,7 +175,7 @@ class F2fs:
 
     @property
     def usable_bytes(self) -> int:
-        return self.layout.usable_bytes
+        return self._usable_bytes
 
     @property
     def live_bytes(self) -> int:
@@ -187,9 +190,15 @@ class F2fs:
     # --- data path -----------------------------------------------------------------------
 
     def pwrite(self, file_id: int, offset: int, data: bytes) -> int:
-        """Out-of-place block write; returns total latency in ns."""
-        self._require_formatted()
-        block_size = self.layout.block_size
+        """Out-of-place block write; returns total latency in ns.
+
+        The remap goes a run of blocks at a time (SIT, NAT, section
+        recency), in line: a region flush is a handful of runs.
+        """
+        if not self._mkfs_done:
+            self._require_formatted()  # raises
+        layout = self.layout
+        block_size = layout.block_size
         if offset % block_size or len(data) % block_size:
             raise AlignmentError(
                 f"pwrite (offset={offset}, len={len(data)}) must be "
@@ -203,21 +212,30 @@ class F2fs:
         num_blocks = len(data) // block_size
         first_block = offset // block_size
         end_block = first_block + num_blocks
+        nat, sit = self.nat, self.sit
         new_blocks = num_blocks - sum(
-            map(
-                self.nat.block_map(file_id).__contains__,
-                range(first_block, end_block),
-            )
+            map(nat.block_map(file_id).__contains__, range(first_block, end_block))
         )
-        if self.live_bytes + new_blocks * block_size > self.usable_bytes:
+        # live_bytes, in line.
+        live_blocks = sit.total_valid_blocks - len(self._node_addr)
+        if (live_blocks + new_blocks) * block_size > self._usable_bytes:
             raise NoSpaceError(
                 f"write needs {new_blocks} new blocks but only "
                 f"{self.free_bytes // block_size} remain"
             )
-        start_ns = self._clock.now
-        with self.tracer.span("f2fs", "pwrite", offset=offset, length=len(data)):
+        clock = self._clock
+        start_ns = clock.now
+        tracer = self.tracer
+        span = (
+            tracer.span("f2fs", "pwrite", offset=offset, length=len(data))
+            if tracer.enabled
+            else None
+        )
+        if span is not None:
+            span.__enter__()
+        try:
             # Indexing CPU cost (block-granular mapping, the File-Cache tax).
-            self._clock.advance(self.config.cpu_ns_per_block * num_blocks)
+            clock.advance(self.config.cpu_ns_per_block * num_blocks)
             addresses = self._allocate_with_cleaning(LogStream.HOT_DATA, num_blocks)
             if self.data_device.pipeline.faults is not None:
                 addresses = self._write_blocks_resilient(
@@ -228,16 +246,21 @@ class F2fs:
                 runs = self._section_runs(addresses)
                 self._write_blocks(runs, data)
             # The remap, a run at a time: the file's old blocks go stale,
-            # then the new ones become valid and stamp their sections.
-            sit = self.sit
-            per_section = self.layout.blocks_per_section
-            stale = self.nat.set_blocks(file_id, first_block, addresses)
+            # then the new ones become valid and stamp their sections
+            # (one write tick per block, the section stamped with the
+            # last — _note_section_written, in line).
+            per_section = layout.blocks_per_section
+            stale = nat.set_blocks(file_id, first_block, addresses)
             for _, block_addr, count in self._section_runs(stale):
                 sit.mark_invalid_run(block_addr, count)
+            mtime = self._section_mtime
+            tick = self._write_tick
             for index, block_addr, count in runs:
                 sit.mark_valid_run(block_addr, count, file_id, first_block + index)
-                self._note_section_written(block_addr // per_section, count)
-            self.nat.update_size(file_id, offset + len(data))
+                tick += count
+                mtime[block_addr // per_section] = tick
+            self._write_tick = tick
+            nat.update_size(file_id, offset + len(data))
             per_node = self.config.blocks_per_node
             for group in range(first_block // per_node, (end_block - 1) // per_node + 1):
                 self._write_node_block(file_id, group)
@@ -254,7 +277,10 @@ class F2fs:
                 # Background cleaning hit a transient device error; the
                 # cleaner re-queued the block and will retry next step.
                 self.stats.io_retries += 1
-        return self._clock.now - start_ns
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
+        return clock.now - start_ns
 
     def pread(self, file_id: int, offset: int, length: int) -> bytes:
         """Block-aligned read; unmapped blocks (holes) read as zeros."""
@@ -422,9 +448,10 @@ class F2fs:
         blocks.  Node blocks live in the NODE log on the main area, so
         they contribute to filesystem WA and participate in cleaning."""
         key = (file_id, group)
+        sit = self.sit
         old = self._node_addr.get(key)
         if old is not None:
-            self.sit.mark_invalid(old)
+            sit.mark_invalid_run(old, 1)
         addr = self._allocate_with_cleaning(LogStream.NODE, 1)[0]
         payload = b"\x4e" * self.layout.block_size
         last_error: Optional[BaseException] = None
@@ -450,9 +477,9 @@ class F2fs:
         self.stats.data_write_bytes += self.layout.block_size
         # Node ownership is encoded with a negative file id so the cleaner
         # can tell node blocks from data blocks.
-        self.sit.mark_valid(addr, (-file_id, group))
+        sit.mark_valid_run(addr, 1, -file_id, group)
         self._node_addr[key] = addr
-        self._note_section_written(self.layout.section_of_block(addr))
+        self._note_section_written(addr // self.layout.blocks_per_section)
 
     def _note_section_written(self, section: int, blocks: int = 1) -> None:
         """Track write recency for the cost-benefit policy: one tick per

@@ -36,6 +36,7 @@ from repro.reclaim import (
     ensure_between,
     ensure_choice,
     ensure_fraction,
+    view_of,
 )
 from repro.reclaim.policy import POLICY_NAMES
 from repro.sim.io import IoTracer
@@ -107,28 +108,26 @@ class _SectionReclaimSource(ReclaimSource):
         self.region_of_block: Optional[Callable[[int], Optional[int]]] = None
 
     def free_units(self) -> int:
-        return self.fs.logs.free_section_count
+        # LogManager.free_section_count, read directly: asked after every write.
+        return len(self.fs.logs._free)
 
     def candidate_views(self) -> List[VictimView]:
         fs = self.fs
         sit, logs = fs.sit, fs.logs
         mtime, tick = fs._section_mtime, fs._write_tick
-        open_sections = set(logs.open_sections())
+        # Open (owned by a log head), free and retired sections are no
+        # victims; the SIT bitmaps are read directly, one per section.
+        skip = set(logs.open_sections())
+        skip.update(logs._free)
+        skip.update(logs._retired)
+        bitmaps, per_section = sit._bitmaps, sit.blocks_per_section
         views = []
         for section in range(fs.layout.num_sections):
-            if (
-                section in open_sections
-                or logs.is_free(section)
-                or logs.is_retired(section)
-            ):
+            if section in skip:
                 continue
+            valid = bitmaps[section].valid_count
             views.append(
-                VictimView(
-                    victim_id=section,
-                    valid_count=sit.valid_count(section),
-                    valid_fraction=sit.valid_fraction(section),
-                    age=tick - mtime[section],
-                )
+                view_of((section, valid, valid / per_section, tick - mtime[section], 0))
             )
         return views
 

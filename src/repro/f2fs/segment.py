@@ -29,6 +29,10 @@ class LogStream(enum.Enum):
     COLD_DATA = "cold_data"
     NODE = "node"
 
+    # Members are singletons, so identity hashing is exact; ``Enum``'s
+    # own ``__hash__`` is a Python-level call on every head lookup.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class _LogHead:
@@ -111,13 +115,15 @@ class LogManager:
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         head = self._heads[stream]
+        per_section = self.layout.blocks_per_section
         addresses: List[int] = []
         remaining = count
         while remaining > 0:
-            if head.section is None or head.next_offset >= self.layout.blocks_per_section:
+            if head.section is None or head.next_offset >= per_section:
                 self._roll_head(head)
-            take = min(remaining, self.layout.blocks_per_section - head.next_offset)
-            base = self.layout.block_addr(head.section, head.next_offset)
+            take = min(remaining, per_section - head.next_offset)
+            # F2fsLayout.block_addr, in line.
+            base = head.section * per_section + head.next_offset
             addresses.extend(range(base, base + take))
             head.next_offset += take
             remaining -= take

@@ -9,7 +9,7 @@ it migrates data.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ztl.bitmap import SlotBitmap
 
@@ -37,7 +37,9 @@ class SegmentInfoTable:
         """Blocks ``[first_addr, first_addr + count)`` — one run inside
         one section — now hold file blocks ``first_file_block``… of
         ``file_id``: one mask operation on the section's bitmap."""
-        section, offset = self._split(first_addr)
+        section, offset = divmod(first_addr, self.blocks_per_section)
+        if not 0 <= section < self.num_sections:
+            raise self._outside(first_addr)
         self.total_valid_blocks += self._bitmaps[section].set_run(offset, count)
         owners = self._owners
         for i in range(count):
@@ -46,7 +48,9 @@ class SegmentInfoTable:
     def mark_invalid_run(self, first_addr: int, count: int) -> None:
         """Blocks ``[first_addr, first_addr + count)`` (inside one
         section) are stale; already-invalid ones stay so."""
-        section, offset = self._split(first_addr)
+        section, offset = divmod(first_addr, self.blocks_per_section)
+        if not 0 <= section < self.num_sections:
+            raise self._outside(first_addr)
         self.total_valid_blocks -= self._bitmaps[section].clear_run(offset, count)
         forget = self._owners.pop
         for block_addr in range(first_addr, first_addr + count):
@@ -71,11 +75,10 @@ class SegmentInfoTable:
     def valid_fraction(self, section: int) -> float:
         return self._bitmaps[section].valid_fraction
 
-    def valid_blocks(self, section: int) -> Iterator[int]:
+    def valid_blocks(self, section: int) -> List[int]:
         """Block addresses of valid blocks in a section (ascending)."""
         base = section * self.blocks_per_section
-        for offset in self._bitmaps[section].valid_slots():
-            yield base + offset
+        return [base + offset for offset in self._bitmaps[section].valid_slots()]
 
     def wipe_section(self, section: int) -> None:
         """Clear a section after cleaning (all blocks already migrated)."""
@@ -106,7 +109,11 @@ class SegmentInfoTable:
         return table
 
     def _split(self, block_addr: int) -> Tuple[int, int]:
-        section = block_addr // self.blocks_per_section
+        section, offset = divmod(block_addr, self.blocks_per_section)
         if not 0 <= section < self.num_sections:
-            raise IndexError(f"block {block_addr} outside the main area")
-        return section, block_addr % self.blocks_per_section
+            raise self._outside(block_addr)
+        return section, offset
+
+    @staticmethod
+    def _outside(block_addr: int) -> IndexError:
+        return IndexError(f"block {block_addr} outside the main area")

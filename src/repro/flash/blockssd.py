@@ -157,14 +157,24 @@ class BlockSsd(BlockDevice):
         loop of single writes bit for bit.
         """
         faults = self.pipeline.faults
+        page_size, capacity = self._page_size, self._capacity
         landed: List[Tuple[int, int, int]] = []
         # For torn-write modelling the extents service back-to-back, so
         # extent k's media window starts after the preceding services.
         ahead_ns = 0
         for offset, data in items:
             length = len(data)
-            check_alignment(offset, length, self._page_size, self._capacity)
-            service = self._write_service_ns(offset, length)
+            if (
+                offset % page_size
+                or length % page_size
+                or length <= 0
+                or offset < 0
+                or offset + length > capacity
+            ):
+                check_alignment(offset, length, page_size, capacity)  # raises
+            service = self._write_ns.get(length)
+            if service is None:
+                service = self._write_service_ns(offset, length)
             extra_ns = 0
             if faults is not None:
                 extra_ns = self.pipeline.inject(
@@ -183,14 +193,15 @@ class BlockSsd(BlockDevice):
         batch; the clock moves to the last completion."""
         clock = self._clock
         now = barrier = clock.now
-        charge, record = self.pipeline.charge, self._stats.write_latency.record
+        charge, recorder = self.pipeline.charge, self._stats.write_latency
         completions: List[IoCompletion] = []
         for offset, length, service in landed:
             done = charge(
                 "block", "write", offset, length, None, False, now, service,
                 gated=True,
             )
-            record(done - now)
+            recorder._samples.append(done - now)
+            recorder._sorted = None
             barrier = max(barrier, done)
             completions.append(IoCompletion(done - now))
         clock.now = barrier
@@ -227,7 +238,8 @@ class BlockSsd(BlockDevice):
         self.media.store(offset, data)
         # Background GC work the FTL had to do occupies the device first;
         # the host write then queues behind it.
-        if report.moved_pages or report.erased_blocks:
+        moved_pages = report.moved_pages
+        if moved_pages or report.erased_blocks:
             gc_service = self.config.timing.read_ns(
                 report.moved_pages,
                 report.moved_pages * page_size,
@@ -239,9 +251,16 @@ class BlockSsd(BlockDevice):
             ) + self.config.timing.erase_ns(report.erased_blocks)
             moved_bytes = report.moved_pages * page_size
             pipeline = self.pipeline
-            with pipeline.tracer.span(
-                "reclaim.ftl", "migrate", offset=offset, length=moved_bytes
-            ):
+            tracer = pipeline.tracer
+            if tracer.enabled:
+                with tracer.span(
+                    "reclaim.ftl", "migrate", offset=offset, length=moved_bytes
+                ):
+                    pipeline.charge(
+                        "ftl.gc", "gc", offset, moved_bytes, None, True,
+                        self._clock.now, gc_service,
+                    )
+            else:
                 pipeline.charge(
                     "ftl.gc", "gc", offset, moved_bytes, None, True,
                     self._clock.now, gc_service,
@@ -252,9 +271,10 @@ class BlockSsd(BlockDevice):
             self._stats.media_read_bytes += moved_bytes
             self._stats.gc_runs += report.gc_runs
         self._note_host_write(len(data))
-        self._stats.host_write_bytes += len(data)
-        self._stats.media_write_bytes += report.media_pages * page_size
-        self._stats.erase_count += report.erased_blocks
+        stats = self._stats
+        stats.host_write_bytes += len(data)
+        stats.media_write_bytes += report.media_pages * page_size
+        stats.erase_count += report.erased_blocks
 
     def _write_service_ns(self, offset: int, length: int) -> int:
         service = self._write_ns.get(length)

@@ -34,6 +34,7 @@ from repro.reclaim import (
     ensure_at_least,
     ensure_choice,
     make_victim_policy,
+    view_of,
 )
 from repro.reclaim.policy import POLICY_NAMES
 
@@ -111,6 +112,12 @@ class _BlockInfo:
 class _FtlReclaimSource(ReclaimSource):
     """Erase-block adapter the shared engine drives.
 
+    A victim's units are its *valid* pages (invalid ones are never
+    listed).  ``migrate_unit`` stages a survivor and ``flush_step``
+    moves the staged pages as one run through
+    :meth:`PageMappedFtl._program` — the placement a page-at-a-time move
+    makes, one block-sized piece at a time.
+
     ``region_pages`` / ``num_regions`` are the §3.4 hint geometry a
     :class:`~repro.cache.backends.BlockRegionStore` binds with the
     hints: the cache's region grid over the logical pages (region ``i``
@@ -125,6 +132,8 @@ class _FtlReclaimSource(ReclaimSource):
         self.unit_bytes = ftl.geometry.page_size
         self.region_pages = 0
         self.num_regions = 0
+        # Survivors staged in this step, in relocation order.
+        self._moving: List[int] = []
 
     def free_units(self) -> int:
         return len(self.ftl._free)
@@ -132,33 +141,34 @@ class _FtlReclaimSource(ReclaimSource):
     def candidate_views(self) -> List[VictimView]:
         ftl = self.ftl
         pages = ftl.geometry.pages_per_block
-        views = []
-        for block in ftl._blocks:
-            if block.index in ftl._gc_active:
-                continue
-            if block.next_page < pages:
-                continue
-            views.append(
-                VictimView(
-                    victim_id=block.index,
-                    valid_count=block.valid_count,
-                    valid_fraction=block.valid_count / pages,
-                    age=ftl._tick - block.mtime,
+        tick, active = ftl._tick, ftl._gc_active
+        return [
+            view_of(
+                (
+                    block.index,
+                    block.valid_count,
+                    block.valid_count / pages,
+                    tick - block.mtime,
+                    0,
                 )
             )
-        return views
+            for block in ftl._blocks
+            if block.next_page >= pages and block.index not in active
+        ]
 
     def pending_units(self, block_index: int) -> List[int]:
-        # The engine pops from the end; reversed so pages relocate in
+        # The engine pops from the end; descending, so pages relocate in
         # ascending physical order, exactly like the historical loop.
-        return list(range(self.ftl.geometry.pages_per_block - 1, -1, -1))
+        lpns = self.ftl._blocks[block_index].lpns
+        return [
+            page for page in range(len(lpns) - 1, -1, -1) if lpns[page] is not None
+        ]
 
     def migrate_unit(self, block_index: int, page_idx: int) -> UnitOutcome:
         ftl = self.ftl
-        block = ftl._blocks[block_index]
-        lpn = block.lpns[page_idx]
+        lpn = ftl._blocks[block_index].lpns[page_idx]
         if lpn is None:
-            return UnitOutcome.SKIPPED
+            return UnitOutcome.SKIPPED  # a discard-ahead dropped it
         hints = self.hints
         if hints is not None:
             region_id = lpn // self.region_pages
@@ -170,15 +180,21 @@ class _FtlReclaimSource(ReclaimSource):
                 # instead of relocating it page by page.  The region's
                 # other pages in this (or any) victim become SKIPPED
                 # once their mappings clear — no media programs happen.
+                # Survivors staged before this page move first, as they
+                # would have one page at a time.
+                self.flush_step()
                 start = region_id * self.region_pages
                 ftl.discard_pages(range(start, start + self.region_pages))
                 hints.on_drop(region_id)
                 return UnitOutcome.DROPPED
-        ftl._program((lpn,))
-        ftl.total_moved_pages += 1
-        if ftl._gc_report is not None:
-            ftl._gc_report.moved_pages += 1
+        self._moving.append(lpn)
         return UnitOutcome.MIGRATED
+
+    def flush_step(self) -> None:
+        if self._moving:
+            lpns = self._moving
+            self._moving = []
+            self.ftl._relocate(lpns)
 
     def release_victim(self, block_index: int) -> None:
         ftl = self.ftl
@@ -264,10 +280,11 @@ class PageMappedFtl:
         # opened a block is asking before every page.  Between two such
         # points the pages go down as one run.
         pages_per_block = self.geometry.pages_per_block
+        should_trigger = self.reclaim.pacer.should_trigger
         done, total = 0, len(lpns)
         poll = True
         while done < total:
-            drained = poll and self._maybe_gc(report)
+            drained = poll and should_trigger(len(self._free)) and self._drain(report)
             space = pages_per_block - self._active.next_page
             poll = drained or space <= 0  # a full active block: this page opens one
             count = 1 if poll else min(space, total - done)
@@ -317,6 +334,22 @@ class PageMappedFtl:
         self._tick += len(lpns)
         block.mtime = self._tick
 
+    def _relocate(self, lpns: Sequence[int]) -> None:
+        """GC moves: program a victim's survivors (in order) at the write
+        point, one piece per block they fill — what moving them one page
+        at a time does — and count them as moved pages."""
+        pages_per_block = self.geometry.pages_per_block
+        report = self._gc_report
+        done, total = 0, len(lpns)
+        while done < total:
+            space = pages_per_block - self._active.next_page
+            count = min(space if space > 0 else pages_per_block, total - done)
+            self._program(lpns[done : done + count])
+            done += count
+            self.total_moved_pages += count
+            if report is not None:
+                report.moved_pages += count
+
     def _open_new_active(self) -> _BlockInfo:
         if not self._free:
             raise DeviceFullError("FTL has no free blocks and GC could not help")
@@ -325,11 +358,9 @@ class PageMappedFtl:
         self._gc_active.add(self._active.index)
         return self._active
 
-    def _maybe_gc(self, report: FtlWriteReport) -> bool:
-        """Drain to the target watermark if the trigger says so; True
-        when it did (the pool moved, so the trigger must be asked again)."""
-        if not self.reclaim.needs_reclaim():
-            return False
+    def _drain(self, report: FtlWriteReport) -> bool:
+        """The trigger fired: drain to the target watermark; True (the
+        pool moved, so the trigger must be asked again)."""
         report.gc_runs += 1
         self._gc_report = report
         try:

@@ -37,9 +37,12 @@ class PageStore:
 
     ``chunk_size`` is the allocation unit: a chunk exists from the first
     write that touches it until a :meth:`clear` covers it (zone reset,
-    discard), so the bytes held track the bytes live.  Range checks are
-    the owning device's job (each raises its own typed errors before it
-    gets here).
+    discard), so the bytes held track the bytes live.  A new chunk that
+    a write covers whole is created from the written bytes (one copy, no
+    zero fill first — a reset zone is refilled a whole chunk at a time);
+    one written in part starts zero-filled, so unwritten space reads as
+    zeros.  Range checks are the owning device's job (each raises its
+    own typed errors before it gets here).
     """
 
     def __init__(self, chunk_size: int = CHUNK_BYTES) -> None:
@@ -55,15 +58,37 @@ class PageStore:
 
     def store(self, offset: int, data) -> None:
         """Copy ``data`` (any buffer) to ``offset``; one slice copy per chunk."""
-        index, start = divmod(offset, self.chunk_size)
-        if start + len(data) <= self.chunk_size:
-            self._fill(index, start, start + len(data), data)
+        size = self.chunk_size
+        chunks = self._chunks
+        index, start = divmod(offset, size)
+        length = len(data)
+        if start + length <= size:
+            chunk = chunks.get(index)
+            if chunk is None:
+                if length == size:
+                    chunks[index] = bytearray(data)
+                    return
+                chunk = chunks[index] = bytearray(size)
+            # A memoryview target copies straight from the source buffer;
+            # ``chunk[a:b] = data`` would first materialise a temporary
+            # bytearray of the whole payload.
+            memoryview(chunk)[start : start + length] = data
             return
         view = memoryview(data)
         pos = 0
-        for index, start, stop in self._spans(offset, len(data)):
-            self._fill(index, start, stop, view[pos : pos + stop - start])
-            pos += stop - start
+        while pos < length:
+            end = min(size, start + length - pos)
+            piece = view[pos : pos + end - start]
+            chunk = chunks.get(index)
+            if chunk is None and end - start == size:
+                chunks[index] = bytearray(piece)
+            else:
+                if chunk is None:
+                    chunk = chunks[index] = bytearray(size)
+                memoryview(chunk)[start:end] = piece
+            pos += end - start
+            index += 1
+            start = 0
 
     def load(self, offset: int, length: int) -> bytes:
         """A fresh ``bytes`` copy of ``[offset, offset + length)``."""
@@ -91,30 +116,44 @@ class PageStore:
             self.store(dst, self.load(src, length))
             return
         size = self.chunk_size
+        chunks = self._chunks
         while length > 0:
             from_index, from_start = divmod(src, size)
             index, start = divmod(dst, size)
             take = min(size - from_start, size - start, length)
-            source = self._chunks.get(from_index)
-            self._fill(
-                index,
-                start,
-                start + take,
+            source = chunks.get(from_index)
+            piece = (
                 bytes(take)
                 if source is None
-                else memoryview(source)[from_start : from_start + take],
+                else memoryview(source)[from_start : from_start + take]
             )
+            chunk = chunks.get(index)
+            if chunk is None and take == size:
+                chunks[index] = bytearray(piece)
+            else:
+                if chunk is None:
+                    chunk = chunks[index] = bytearray(size)
+                memoryview(chunk)[start : start + take] = piece
             src += take
             dst += take
             length -= take
 
     def clear(self, offset: int, length: int) -> None:
         """Zero a range; chunks it covers entirely are dropped."""
-        for index, start, stop in self._spans(offset, length):
-            if stop - start == self.chunk_size:
-                self._chunks.pop(index, None)
-            elif index in self._chunks:
-                self._fill(index, start, stop, bytes(stop - start))
+        chunks = self._chunks
+        size = self.chunk_size
+        index, start = divmod(offset, size)
+        while length > 0:
+            stop = min(size, start + length)
+            if stop - start == size:
+                chunks.pop(index, None)
+            else:
+                chunk = chunks.get(index)
+                if chunk is not None:
+                    memoryview(chunk)[start:stop] = bytes(stop - start)
+            length -= stop - start
+            index += 1
+            start = 0
 
     # --- internals ---------------------------------------------------------------
 
@@ -128,12 +167,3 @@ class PageStore:
             length -= take
             index += 1
             start = 0
-
-    def _fill(self, index: int, start: int, end: int, data) -> None:
-        chunk = self._chunks.get(index)
-        if chunk is None:
-            chunk = self._chunks[index] = bytearray(self.chunk_size)
-        # A memoryview target copies straight from the source buffer;
-        # ``chunk[a:b] = data`` would first materialise a temporary
-        # bytearray of the whole payload.
-        memoryview(chunk)[start:end] = data

@@ -22,6 +22,7 @@ zone as it was.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -35,7 +36,9 @@ from repro.flash.device import DeviceStats
 from repro.flash.nand import NandGeometry, NandTiming
 from repro.flash.pagestore import PageStore
 from repro.flash.zone import (
+    ACTIVE_STATES,
     OPEN_STATES,
+    UNWRITABLE_STATES,
     Zone,
     ZoneCostConfig,
     ZoneMgmtStats,
@@ -43,7 +46,11 @@ from repro.flash.zone import (
 )
 from repro.sim.clock import SimClock
 from repro.sim.faults import FaultInjector, FaultKind
-from repro.sim.io import IoCompletion, IoOp, IoPipeline, IoTracer
+from repro.sim.io import IoCompletion, IoPipeline, IoTracer
+
+# Zone state reads for the open/active counts, without a Python frame
+# per zone.
+_state_of = attrgetter("state")
 
 
 @dataclass(frozen=True)
@@ -138,11 +145,11 @@ class ZnsSsd:
 
     @property
     def open_zone_count(self) -> int:
-        return sum(1 for z in self.zones if z.is_open)
+        return sum(map(OPEN_STATES.__contains__, map(_state_of, self.zones)))
 
     @property
     def active_zone_count(self) -> int:
-        return sum(1 for z in self.zones if z.is_active)
+        return sum(map(ACTIVE_STATES.__contains__, map(_state_of, self.zones)))
 
     def zone_of(self, offset: int) -> Zone:
         """Zone containing byte ``offset``."""
@@ -209,7 +216,7 @@ class ZnsSsd:
         self._check_zone_index(zone_index)
         zone = self.zones[zone_index]
         offset = zone.write_pointer
-        latency = self._program(((offset, data),), False, IoOp.APPEND, zone)[0]
+        latency = self._program(((offset, data),), False, "append", zone)[0]
         return AppendResult(latency, offset)
 
     def copy_many(self, pairs: List[Tuple[int, int]], length: int) -> None:
@@ -333,7 +340,7 @@ class ZnsSsd:
         ahead_ns: int,
         landed: List[Tuple[int, int, int, int]],
         background: bool,
-        op: IoOp,
+        op: str,
     ) -> None:
         """If the power cut lands inside this write's media window,
         persist the aligned prefix, charge the extents of the batch that
@@ -467,7 +474,7 @@ class ZnsSsd:
         self,
         items: Iterable[Tuple[int, Any]],
         background: bool,
-        op: IoOp = IoOp.WRITE,
+        op: str = "write",
         zone: Optional[Zone] = None,
         length: Optional[int] = None,
     ) -> List[int]:
@@ -479,6 +486,7 @@ class ZnsSsd:
         is the buffer to store or, when ``length`` is given, the media
         offset that many bytes are moved from.  ``zone`` pins the target
         (Zone Append names its zone; a write's offset implies it).
+        ``op`` is the command's trace name (``"write"`` or ``"append"``).
 
         Per extent, in order: alignment, zone, write pointer and
         open/active budget are checked once, before any state changes;
@@ -487,13 +495,16 @@ class ZnsSsd:
         then the bytes land, once, and the write pointer moves.  Only
         after every extent has landed is the batch charged — all at one
         instant, queued back to back — so an invalid extent raises
-        before any media time is charged for it.
+        before any media time is charged for it.  The checks are done in
+        line; the checking routines run only to raise the typed error.
         """
         faults = self.pipeline.faults
         if faults is not None:
             self._poll_zone_faults()
         page_size = self._page_size
         media = self.media
+        zones, zone_size, capacity = self.zones, self.zone_size, self._capacity_bytes
+        service_cache = self._write_ns_cache
         moving = length is not None
         landed: List[Tuple[int, int, int, int]] = []
         # For torn-write modelling the extents service back-to-back, so
@@ -504,16 +515,29 @@ class ZnsSsd:
                 length = len(source)
             if offset % page_size or length % page_size or length <= 0:
                 self._check_aligned(offset, length)
-            target = zone if zone is not None else self.zone_of(offset)
-            service_ns = self._write_service_ns(length)
+            if zone is not None:
+                target = zone
+            elif 0 <= offset < capacity:
+                target = zones[offset // zone_size]
+            else:
+                target = self.zone_of(offset)  # raises OutOfRangeError
+            service_ns = service_cache.get(length)
+            if service_ns is None:
+                service_ns = self._write_service_ns(length)
             extra_ns = 0
             if faults is not None:
                 extra_ns = self.pipeline.inject(
-                    op.value, offset, length, target.index, "zns", background,
+                    op, offset, length, target.index, "zns", background,
                     service_ns,
                 )
-            target.check_writable(offset, length)
-            if target.state not in OPEN_STATES:
+            state = target.state
+            if (
+                state in UNWRITABLE_STATES
+                or offset != target.write_pointer
+                or offset + length > target.start + target.size
+            ):
+                target.check_writable(offset, length)  # raises the typed error
+            if state not in OPEN_STATES:
                 self._ensure_open_budget(target)
                 self._note_implicit_open(target)
             # LRU clock for the forced-close victim.
@@ -534,7 +558,7 @@ class ZnsSsd:
         return self._charge_writes(landed, background, op)
 
     def _charge_writes(
-        self, landed: List[Tuple[int, int, int, int]], background: bool, op: IoOp
+        self, landed: List[Tuple[int, int, int, int]], background: bool, op: str
     ) -> List[int]:
         """Charge landed ``(offset, length, zone, service_ns)`` extents as
         one batch and return their latencies; the clock moves to the last
@@ -542,17 +566,19 @@ class ZnsSsd:
         clock = self._clock
         now = barrier = clock.now
         stats = self._stats
-        charge, op_name = self.pipeline.charge, op.value
+        charge = self.pipeline.charge
         latencies: List[int] = []
         for offset, length, zone_index, service_ns in landed:
             done = charge(
-                "zns", op_name, offset, length, zone_index, background, now,
+                "zns", op, offset, length, zone_index, background, now,
                 service_ns, gated=True,
             )
             latency = 0
             if not background:
                 latency = done - now
-                stats.write_latency.record(latency)
+                recorder = stats.write_latency
+                recorder._samples.append(latency)
+                recorder._sorted = None
                 if done > barrier:
                     barrier = done
             stats.host_write_bytes += length

@@ -34,6 +34,8 @@ class ZoneState(enum.Enum):
 OPEN_STATES = (ZoneState.IMPLICIT_OPEN, ZoneState.EXPLICIT_OPEN)
 ACTIVE_STATES = OPEN_STATES + (ZoneState.CLOSED,)
 DEAD_STATES = (ZoneState.READ_ONLY, ZoneState.OFFLINE)
+# States in which :meth:`Zone.check_writable` refuses every write.
+UNWRITABLE_STATES = DEAD_STATES + (ZoneState.FULL,)
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ class Zone:
     def advance(self, length: int) -> None:
         """Move the write pointer after a successful write/append."""
         self.write_pointer += length
-        if self.write_pointer >= self.end:
+        if self.write_pointer >= self.start + self.size:
             self.state = ZoneState.FULL
         elif self.state == ZoneState.EMPTY or self.state == ZoneState.CLOSED:
             self.state = ZoneState.IMPLICIT_OPEN

@@ -45,6 +45,7 @@ from repro.reclaim.policy import (
     VictimView,
     first_dead,
     make_victim_policy,
+    view_of,
     windowed_draw,
 )
 
@@ -70,5 +71,6 @@ __all__ = [
     "ensure_fraction",
     "first_dead",
     "make_victim_policy",
+    "view_of",
     "windowed_draw",
 ]

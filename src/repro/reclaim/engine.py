@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.reclaim.pacer import ReclaimPacer
-from repro.reclaim.policy import VictimPolicy, VictimView, first_dead
+from repro.reclaim.policy import VALID_FRACTION, VictimPolicy, VictimView, first_dead
 from repro.sim.io import NULL_TRACER, IoTracer
 from repro.sim.stats import LatencyRecorder
 
@@ -199,20 +199,19 @@ class ReclaimEngine:
             dead = first_dead(views)
             if dead is not None:
                 return dead
-        chosen = self.policy.select(views)
-        if chosen is None:
+        view = self.policy.pick(views)
+        if view is None:
             return None
-        view = next(v for v in views if v.victim_id == chosen)
         if not pacer.accepts(view.valid_fraction, free):
             return None
         if view.valid_fraction <= pacer.config.victim_valid_threshold:
-            return chosen
+            return view.victim_id
         # Emergency admission: the policy's pick is over the valid-data
         # threshold, so it may cost a whole container of survivor slots
         # without freeing net space.  Take the least-valid candidate
         # regardless of policy — the historical guarantee that emergency
         # collection always makes forward progress.
-        return min(views, key=lambda v: v.valid_fraction).victim_id
+        return min(views, key=VALID_FRACTION).victim_id
 
     # --- execution -----------------------------------------------------------------
 
@@ -224,9 +223,12 @@ class ReclaimEngine:
         and the pacer's AIMD controller observes the step — that one
         hook is how every layer on the engine inherits the GC↔QoS loop.
         """
-        if self._victim is None and not self.needs_reclaim():
-            return 0
         pacer = self.pacer
+        # needs_reclaim(), in line: this check runs after every write.
+        if self._victim is None and not pacer.should_trigger(
+            self.source.free_units()
+        ):
+            return 0
         started = (
             self.clock.now
             if self.clock is not None and pacer.stall_slo_ns is not None
@@ -297,41 +299,62 @@ class ReclaimEngine:
             self.stats.triggers += 1
         victim = self._victim
         source = self.source
+        stats = self.stats
+        tracer = self.tracer
         processed = 0
-        with self.tracer.span("reclaim." + source.name, "migrate", zone=victim):
-            with source.step_span(self.tracer, victim):
-                while self._pending and (budget is None or processed < budget):
-                    unit = self._pending.pop()
-                    outcome = source.migrate_unit(victim, unit)
-                    if outcome is UnitOutcome.SKIPPED:
-                        continue
-                    if outcome is UnitOutcome.RETRY:
-                        # Nothing was mutated: put the unit back and give
-                        # up this step; the next check resumes here.
-                        self._pending.append(unit)
-                        self.stats.retries += 1
-                        source.flush_step()
-                        return processed
-                    if outcome is UnitOutcome.MIGRATED:
-                        self.stats.units_migrated += 1
-                        self.stats.copied_bytes += source.unit_bytes
-                    else:
-                        self.stats.units_dropped += 1
-                        if source.hints is not None:
-                            self.stats.hint_dropped_units += 1
-                            # One span per hint drop so the sweep can
-                            # reconcile hint_dropped_units against the
-                            # trace stream per layer.
-                            with self.tracer.span(
-                                "reclaim." + source.name, "drop", zone=victim
-                            ):
-                                pass
-                    processed += 1
-                source.flush_step()
+        # The step's spans are opened by hand, and only on an enabled
+        # tracer: the untraced step enters no context manager at all.
+        spans = (
+            (
+                tracer.span("reclaim." + source.name, "migrate", zone=victim),
+                source.step_span(tracer, victim),
+            )
+            if tracer.enabled
+            else ()
+        )
+        for span in spans:
+            span.__enter__()
+        try:
+            # ``_pending`` is re-read each turn: a unit's migration may
+            # abandon the victim (its zone died), which replaces it.
+            while self._pending and (budget is None or processed < budget):
+                unit = self._pending.pop()
+                outcome = source.migrate_unit(victim, unit)
+                if outcome is UnitOutcome.SKIPPED:
+                    continue
+                if outcome is UnitOutcome.RETRY:
+                    # Nothing was mutated: put the unit back and give
+                    # up this step; the next check resumes here.
+                    self._pending.append(unit)
+                    stats.retries += 1
+                    source.flush_step()
+                    return processed
+                if outcome is UnitOutcome.MIGRATED:
+                    stats.units_migrated += 1
+                    stats.copied_bytes += source.unit_bytes
+                else:
+                    stats.units_dropped += 1
+                    if source.hints is not None:
+                        stats.hint_dropped_units += 1
+                        # One span per hint drop so the sweep can
+                        # reconcile hint_dropped_units against the
+                        # trace stream per layer.
+                        with tracer.span(
+                            "reclaim." + source.name, "drop", zone=victim
+                        ):
+                            pass
+                processed += 1
+            source.flush_step()
+        finally:
+            for span in reversed(spans):
+                span.__exit__(None, None, None)
         if not self._pending:
             finished = self._victim
             self._victim = None
-            with self.tracer.span("reclaim." + source.name, "reset", zone=finished):
+            if tracer.enabled:
+                with tracer.span("reclaim." + source.name, "reset", zone=finished):
+                    source.release_victim(finished)
+            else:
                 source.release_victim(finished)
-            self.stats.victims_reclaimed += 1
+            stats.victims_reclaimed += 1
         return processed

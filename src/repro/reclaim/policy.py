@@ -10,11 +10,18 @@ interface: ``score(view)`` maps a :class:`VictimView` to an orderable
 value (lower = better victim) and ``select`` takes the minimum with
 first-candidate tie-breaking, which reproduces the historical per-layer
 ``min()`` loops bit for bit.
+
+Victim selection runs on every reclaim pick, over every candidate, so
+the two scores that read fields (greedy, cold-defer) are C-level
+``itemgetter`` keys and sources build their views with :func:`view_of`:
+a pick costs no Python frame per candidate.
 """
 
 from __future__ import annotations
 
 import abc
+from functools import partial
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from repro.reclaim.config import ensure_at_least, ensure_choice
@@ -38,6 +45,14 @@ class VictimView(NamedTuple):
     group: int = 0
 
 
+# ``view_of((victim_id, valid_count, valid_fraction, age, group))`` — all
+# five fields — builds a VictimView in C, without the Python-level
+# ``__new__`` a NamedTuple class has.
+view_of = partial(tuple.__new__, VictimView)
+# ``min(views, key=VALID_FRACTION)``: the least-valid candidate.
+VALID_FRACTION = itemgetter(2)
+
+
 class VictimPolicy(abc.ABC):
     """Scoring interface; lower scores are better victims."""
 
@@ -50,11 +65,16 @@ class VictimPolicy(abc.ABC):
     def score(self, view: VictimView):
         """Orderable badness of reclaiming this candidate now."""
 
-    def select(self, views: Sequence[VictimView]) -> Optional[int]:
-        """Victim id of the best-scoring candidate (first wins ties)."""
+    def pick(self, views: Sequence[VictimView]) -> Optional[VictimView]:
+        """The best-scoring candidate (first wins ties), or None."""
         if not views:
             return None
-        return min(views, key=self.score).victim_id
+        return min(views, key=self.score)
+
+    def select(self, views: Sequence[VictimView]) -> Optional[int]:
+        """Victim id of the best-scoring candidate (first wins ties)."""
+        view = self.pick(views)
+        return None if view is None else view.victim_id
 
 
 class GreedyPolicy(VictimPolicy):
@@ -62,8 +82,8 @@ class GreedyPolicy(VictimPolicy):
 
     name = "greedy"
 
-    def score(self, view: VictimView) -> int:
-        return view.valid_count
+    # score(view) == view.valid_count, as a C-level key.
+    score = itemgetter(1)
 
 
 class CostBenefitPolicy(VictimPolicy):
@@ -122,8 +142,8 @@ class ColdDeferPolicy(VictimPolicy):
 
     name = "cold_defer"
 
-    def score(self, view: VictimView):
-        return (view.group, view.valid_count)
+    # score(view) == (view.group, view.valid_count), as a C-level key.
+    score = itemgetter(4, 1)
 
 
 class RandomPolicy(VictimPolicy):
@@ -139,10 +159,10 @@ class RandomPolicy(VictimPolicy):
     def score(self, view: VictimView) -> int:
         return 0
 
-    def select(self, views: Sequence[VictimView]) -> Optional[int]:
+    def pick(self, views: Sequence[VictimView]) -> Optional[VictimView]:
         if not views:
             return None
-        return views[self._rng.randrange(len(views))].victim_id
+        return views[self._rng.randrange(len(views))]
 
 
 POLICY_NAMES = ("greedy", "cost_benefit", "age_threshold", "random", "cold_defer")
@@ -187,18 +207,18 @@ def windowed_draw(order_policy, window: int, population: int, rng) -> Optional[i
     This is navy's clean-region pool: instead of strictly reclaiming the
     eviction-order head, the victim is drawn (seeded) from a small
     window, leaving straggler regions behind in dying containers.  The
-    window is read in place, so the non-chosen candidates keep their
-    places at the head of the order and only the chosen one is untracked.
+    window is read in place: one ``randrange`` over its size picks a
+    position and only that entry is read (no list of the window is
+    built).  Nothing is untracked — the caller untracks the victim it
+    takes, and the other candidates keep their places.
 
     ``order_policy`` is any object with the cache eviction-policy shape
-    (``pick_victim`` / ``untrack`` / ``peek``); ``population`` bounds the
-    window to the number of tracked entries.
+    (``pick_victim`` / ``at``); ``population`` is the number of tracked
+    entries, which bounds the window.
     """
     if window == 1:
         return order_policy.pick_victim()
-    head = order_policy.peek(min(window, population))
-    if not head:
+    size = min(window, population)
+    if size <= 0:
         return None
-    chosen = head[rng.randrange(len(head))]
-    order_policy.untrack(chosen)
-    return chosen
+    return order_policy.at(rng.randrange(size))

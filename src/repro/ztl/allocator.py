@@ -143,8 +143,12 @@ class ZoneBook:
         """
         if not 0 <= group < self.num_groups:
             raise ValueError(f"group {group} outside [0, {self.num_groups})")
-        self._refill_host_open(group)
         pool = self._host_open[group]
+        # A zone leaves its pool the moment it fills (note_slot_written
+        # finishes it), so a pool at its target needs no refill.
+        if len(pool) < self.host_open_target:
+            self._refill_host_open(group)
+            pool = self._host_open[group]
         if not pool:
             raise TranslationFullError("no empty zones left for host writes")
         cursor = self._rr_cursor[group] % len(pool)
@@ -159,7 +163,10 @@ class ZoneBook:
         migration survivors, which by construction outlived their
         original zone.
         """
-        if self._gc_open is None or self.records[self._gc_open].is_full:
+        gc_open = self._gc_open
+        if gc_open is None or (
+            self.records[gc_open].next_slot >= self.slots_per_zone
+        ):
             if self._gc_open is not None:
                 self.mark_finished(self._gc_open)
             if not self._empty:
@@ -175,7 +182,7 @@ class ZoneBook:
         record.next_slot += 1
         self.tick += 1
         record.mtime = self.tick
-        if record.is_full:
+        if record.next_slot >= record.slots_per_zone:
             self.mark_finished(record.zone_index)
 
     # --- transitions -----------------------------------------------------------------

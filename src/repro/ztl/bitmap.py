@@ -6,7 +6,7 @@ whether the region is valid."  One bit per region slot in the zone.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import List
 
 
 class SlotBitmap:
@@ -55,7 +55,9 @@ class SlotBitmap:
         returns how many of them were clear before.  A run reaching
         outside the bitmap raises ``IndexError`` and changes nothing.
         ``set`` is the run of one, without the mask arithmetic."""
-        mask = self._run_mask(start, count)
+        if start < 0 or count < 0 or start + count > self._num_slots:
+            raise self._run_outside(start, count)
+        mask = ((1 << count) - 1) << start
         fresh = mask & ~self._bits
         changed = count if fresh == mask else bin(fresh).count("1")
         self._bits |= mask
@@ -66,33 +68,33 @@ class SlotBitmap:
         """Clear slots ``[start, start + count)`` with one mask
         operation; returns how many of them were set before (range
         checked like :meth:`set_run`)."""
-        mask = self._run_mask(start, count)
+        if start < 0 or count < 0 or start + count > self._num_slots:
+            raise self._run_outside(start, count)
+        mask = ((1 << count) - 1) << start
         hit = mask & self._bits
         changed = count if hit == mask else bin(hit).count("1")
         self._bits ^= hit
         self.valid_count -= changed
         return changed
 
-    def _run_mask(self, start: int, count: int) -> int:
-        if start < 0 or count < 0 or start + count > self._num_slots:
-            raise IndexError(
-                f"slots [{start}, {start + count}) outside [0, {self._num_slots})"
-            )
-        return ((1 << count) - 1) << start
+    def _run_outside(self, start: int, count: int) -> IndexError:
+        return IndexError(
+            f"slots [{start}, {start + count}) outside [0, {self._num_slots})"
+        )
 
     def clear_all(self) -> None:
         self._bits = 0
         self.valid_count = 0
 
-    def valid_slots(self) -> Iterator[int]:
-        """Iterate indices of set bits in ascending order."""
+    def valid_slots(self) -> List[int]:
+        """Indices of set bits in ascending order, one step per set bit."""
         bits = self._bits
-        slot = 0
+        slots = []
         while bits:
-            if bits & 1:
-                yield slot
-            bits >>= 1
-            slot += 1
+            lowest = bits & -bits
+            slots.append(lowest.bit_length() - 1)
+            bits ^= lowest
+        return slots
 
     def _out_of_range(self, slot: int) -> IndexError:
         return IndexError(f"slot {slot} outside [0, {self._num_slots})")

@@ -34,6 +34,7 @@ from repro.reclaim import (
     ensure_between,
     ensure_choice,
     ensure_fraction,
+    view_of,
 )
 from repro.reclaim.policy import POLICY_NAMES
 
@@ -110,18 +111,19 @@ class _ZoneReclaimSource(ReclaimSource):
         self._survivors: List[int] = []
 
     def free_units(self) -> int:
-        return self.layer.book.empty_count
+        # ZoneBook.empty_count, read directly: asked after every write.
+        return len(self.layer.book._empty)
 
     def candidate_views(self) -> List[VictimView]:
         book = self.layer.book
         records = book.records
         tick, slots = book.tick, book.slots_per_zone
         views = []
-        for zone in book.finished_zones:
+        for zone in book._finished:
             record = records[zone]
             valid = record.bitmap.valid_count
             views.append(
-                VictimView(zone, valid, valid / slots, tick - record.mtime, record.group)
+                view_of((zone, valid, valid / slots, tick - record.mtime, record.group))
             )
         return views
 
@@ -129,7 +131,7 @@ class _ZoneReclaimSource(ReclaimSource):
         book = self.layer.book
         records = book.records
         least = slots = book.slots_per_zone
-        for zone in book.finished_zones:
+        for zone in book._finished:
             valid = records[zone].bitmap.valid_count
             if valid < least:
                 least = valid
@@ -140,10 +142,11 @@ class _ZoneReclaimSource(ReclaimSource):
 
     def migrate_unit(self, victim_id: int, slot: int) -> UnitOutcome:
         layer = self.layer
-        record = layer.book.record(victim_id)
+        record = layer.book.records[victim_id]
         if not record.bitmap.is_set(slot):
             return UnitOutcome.SKIPPED  # invalidated since the victim was chosen
-        region_id = layer._region_at(victim_id, slot)
+        # A plain (zone, slot) tuple finds the RegionLocation key it equals.
+        region_id = layer.map.region_at((victim_id, slot))
         if region_id is None:
             record.bitmap.clear(slot)
             return UnitOutcome.SKIPPED

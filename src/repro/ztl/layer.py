@@ -21,6 +21,7 @@ Application-level write amplification — the metric of Table 1 — is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Tuple
 
 from repro.errors import (
@@ -39,6 +40,10 @@ from repro.sim.io import IoCompletion
 from repro.ztl.allocator import ZoneBook, ZoneRecord
 from repro.ztl.gc import GcConfig, _ZoneReclaimSource
 from repro.ztl.mapping import RegionLocation, RegionMap
+
+# ``_location((zone, slot))`` builds a RegionLocation in C, without the
+# Python-level ``__new__`` a NamedTuple class has.
+_location = partial(tuple.__new__, RegionLocation)
 
 
 @dataclass(frozen=True)
@@ -167,43 +172,56 @@ class RegionTranslationLayer:
                 f"region write must be exactly {self.region_size}B, got {len(data)}"
             )
         tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span("ztl", "write_region", length=len(data)):
-                return self._write_region_impl(region_id, data, group)
-        return self._write_region_impl(region_id, data, group)
-
-    def _write_region_impl(
-        self, region_id: int, data: bytes, group: int = 0
-    ) -> IoCompletion:
-        self.invalidate_region(region_id)
-        last_error: Optional[ReproError] = None
-        for _ in range(4):
-            record = self._allocate_host_record(group)
-            try:
-                result = self._write_to_record(region_id, record, data)
-                break
-            except ZoneDeadError as error:
-                # The open zone died under us: retire it and land the
-                # region in another open zone.
-                last_error = error
-                zone = error.zone_index
-                self._retire_zone(
-                    zone if zone is not None else record.zone_index
-                )
-        else:
-            assert last_error is not None
-            raise last_error
-        self.stats.host_region_writes += 1
-        # Background thread check (paper: runs continuously; we piggyback).
+        span = (
+            tracer.span("ztl", "write_region", length=len(data))
+            if tracer.enabled
+            else None
+        )
+        if span is not None:
+            span.__enter__()
         try:
-            self.reclaim.background_step()
-        except PowerCutError:
-            raise
-        except RetryableError:
-            # Transient device error on the GC stream: give up this
-            # pace step, the next check resumes where it stopped.
-            self.stats.gc_retries += 1
-        return result
+            self.invalidate_region(region_id)
+            book = self.book
+            last_error: Optional[ReproError] = None
+            for _ in range(4):
+                try:
+                    record = book.allocate_host_slot(group)
+                except TranslationFullError as error:
+                    record = self._collect_for_host_slot(group, error)
+                slot = record.next_slot
+                zone_index = record.zone_index
+                try:
+                    result = self.device.write(
+                        zone_index * self.zone_size + slot * self.region_size, data
+                    )
+                except ZoneDeadError as error:
+                    # The open zone died under us: retire it and land the
+                    # region in another open zone.
+                    last_error = error
+                    zone = error.zone_index
+                    self._retire_zone(zone if zone is not None else zone_index)
+                    continue
+                record.bitmap.set(slot)
+                self.map.bind(region_id, _location((zone_index, slot)))
+                book.note_slot_written(record)
+                break
+            else:
+                assert last_error is not None
+                raise last_error
+            self.stats.host_region_writes += 1
+            # Background thread check (paper: runs continuously; we piggyback).
+            try:
+                self.reclaim.background_step()
+            except PowerCutError:
+                raise
+            except RetryableError:
+                # Transient device error on the GC stream: give up this
+                # pace step, the next check resumes where it stopped.
+                self.stats.gc_retries += 1
+            return result
+        finally:
+            if span is not None:
+                span.__exit__(None, None, None)
 
     def read_region(
         self, region_id: int, offset: int = 0, length: Optional[int] = None
@@ -234,40 +252,33 @@ class RegionTranslationLayer:
         location = self.map.unbind(region_id)
         if location is None:
             return False
-        self.book.record(location.zone_index).bitmap.clear(location.slot)
+        self.book.records[location.zone_index].bitmap.clear(location.slot)
         return True
 
     # --- internals ----------------------------------------------------------------------
 
-    def _allocate_host_record(self, group: int = 0) -> ZoneRecord:
-        # Emergency foreground GC: the background thread fell behind.
-        # Bounded retries: if repeated collections reclaim zones but the
-        # pool never rises above the GC reserve, the layer is over-
-        # committed (not enough OP for zone-granular garbage to
-        # concentrate) and we fail loudly rather than livelock.
-        for _ in range(4):
+    def _collect_for_host_slot(
+        self, group: int, error: TranslationFullError
+    ) -> ZoneRecord:
+        """No open zone could take a host region (``error``): emergency
+        foreground GC, the background thread fell behind.  Bounded: if
+        repeated collections reclaim zones but the pool never rises
+        above the GC reserve, the layer is over-committed (not enough OP
+        for zone-granular garbage to concentrate) and we fail loudly
+        rather than livelock."""
+        for attempt in range(4):
+            if self.reclaim.collect(max_victims=1) == 0:
+                raise error
+            if attempt == 3:
+                break
             try:
                 return self.book.allocate_host_slot(group)
-            except TranslationFullError:
-                if self.reclaim.collect(max_victims=1) == 0:
-                    raise
+            except TranslationFullError as again:
+                error = again
         raise TranslationFullError(
             "GC cannot free zones faster than the host consumes them; "
             "the layer needs more over-provisioning (see DESIGN.md)"
         )
-
-    def _write_to_record(
-        self, region_id: int, record: ZoneRecord, data: bytes
-    ) -> IoCompletion:
-        slot = record.next_slot
-        location = RegionLocation(record.zone_index, slot)
-        result = self.device.write(
-            location.byte_offset(self.zone_size, self.region_size), data
-        )
-        record.bitmap.set(slot)
-        self.map.bind(region_id, location)
-        self.book.note_slot_written(record)
-        return result
 
     def _migrate_regions(self, region_ids: List[int]) -> None:
         """GC relocation on the background thread (§3.3), one device copy
@@ -318,7 +329,7 @@ class RegionTranslationLayer:
                     )
                     records[old.zone_index].bitmap.clear(old.slot)
                     target.bitmap.set(slot)
-                    mapping.bind(region_id, RegionLocation(target.zone_index, slot))
+                    mapping.bind(region_id, _location((target.zone_index, slot)))
                     book.note_slot_written(target)
             finally:
                 if pairs:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.bench.schemes import SchemeScale, build_region_cache
+from repro.cache.item import MAX_EXPIRY_NS
+from repro.errors import InvalidTtlError
 from repro.sim import SimClock
 from repro.units import KIB
 
@@ -56,6 +58,35 @@ class TestTtl:
     def test_invalid_ttl_rejected(self, stack):
         with pytest.raises(ValueError):
             stack.cache.set(b"k", b"v", ttl_seconds=0)
+
+    @pytest.mark.parametrize("ttl", [2e10, float("inf"), 1e300, float("nan"), -1.0])
+    def test_unrepresentable_ttl_refused_before_any_effect(self, stack, ttl):
+        """A TTL whose expiry overflows the entry header's u64 (or is not
+        finite) is refused as a typed error while clock, stats, DRAM
+        tier and TTL ledger are still as they were; nothing reads back."""
+        cache = stack.cache
+        cache.set(b"other", b"o")
+        before = (
+            stack.clock.now, cache.stats.sets, cache.stats.sets_admitted,
+            len(cache.stats.set_latency._samples), cache.ram.used_bytes,
+        )
+        with pytest.raises(InvalidTtlError):
+            cache.set(b"k", b"v", ttl_seconds=ttl)
+        assert before == (
+            stack.clock.now, cache.stats.sets, cache.stats.sets_admitted,
+            len(cache.stats.set_latency._samples), cache.ram.used_bytes,
+        )
+        assert b"k" not in cache.ram and b"k" not in cache.lifecycle.expiry
+        assert cache.get(b"k") is None
+
+    def test_largest_representable_expiry_is_accepted(self, stack):
+        cache = stack.cache
+        now = stack.clock.now + cache.config.cpu.set_per_item_ns
+        ttl = (MAX_EXPIRY_NS - now) // 10**9
+        assert cache.set(b"k", b"v", ttl_seconds=ttl)
+        cache.flush()
+        cache.ram.clear()
+        assert cache.get(b"k") == b"v"
 
     def test_delete_clears_expiry(self, stack):
         cache = stack.cache

@@ -8,6 +8,8 @@ oracle (no read ever serves a pre-bump generation, including after
 ``crash_recover`` rebuilt the index from the journal).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -268,6 +270,73 @@ class TestDeadFirstEviction:
             if cache.regions.ledger.dead_first_evictions > before:
                 break
         assert cache.regions.ledger.dead_first_evictions > before
+
+    @staticmethod
+    def _drive_dead_pick(ops):
+        """Apply ``ops``, checking the heap-backed dead-first pick
+        against a scan of every sealed region after each: the victim is
+        the fully-dead region with the lowest sealed_seq.  Returns how
+        many picks found a dead region and the dead-first evictions."""
+        lifecycle = LifecycleConfig(versioning=True, dead_first_eviction=True)
+        stack = build_region_cache(
+            SimClock(), SCALE, 16 * 256 * KIB, 2 * 256 * KIB, lifecycle=lifecycle,
+        )
+        cache, regions = stack.cache, stack.cache.regions
+        generation = {b"web": 0, b"batch": 0}
+        found = 0
+        for op, n in ops:
+            tenant = (b"web", b"batch")[n % 2]
+            key = versioned_prefix(tenant, generation[tenant]) + b"k%02d" % n
+            if op == "set":
+                cache.set(key, b"v" * (1024 + 64 * (n % 32)))
+            elif op == "ttl":
+                cache.set(key, b"t" * 2048, ttl_seconds=0.001)
+            elif op == "delete":
+                cache.delete(key)
+            elif op == "tick":
+                stack.clock.advance(2_000_000)
+            else:
+                generation[tenant] = cache.invalidate_namespace(tenant)
+            dead = [
+                (meta.sealed_seq, region_id)
+                for region_id, meta in regions._sealed.items()
+                if not meta.keys
+            ]
+            assert regions._dead_victim() == (min(dead)[1] if dead else None)
+            found += bool(dead)
+        return found, regions.ledger.dead_first_evictions
+
+    _OPS = st.lists(
+        st.tuples(
+            st.sampled_from(("set", "set", "set", "ttl", "delete", "tick", "bump")),
+            st.integers(0, 63),
+        ),
+        min_size=50,
+        max_size=400,
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(ops=_OPS)
+    def test_dead_pick_is_the_oldest_fully_dead_region(self, ops):
+        self._drive_dead_pick(ops)
+
+    def test_dead_pick_under_purge_and_expiry_storms(self):
+        """Runs of one tenant's keys that are then purged, and runs of
+        TTL'd keys that expire together, leave whole regions dead."""
+        rng = random.Random(5)
+        ops = []
+        for round_ in range(12):
+            base = round_ * 96
+            batch = list(range(base + 1, base + 96, 2))
+            ops += [("set", n) for n in batch]
+            ops += [("ttl", n) for n in range(base, base + 48, 2)]
+            ops += [("set", rng.randrange(2048)) for _ in range(20)]
+            rng.shuffle(batch)
+            ops += [("delete", n) for n in batch] + [("tick", 0)]
+            if round_ % 4 == 3:
+                ops.append(("bump", round_))
+        found, evictions = self._drive_dead_pick(ops)
+        assert found > 100 and evictions > 10
 
     def test_eviction_position_reports_dead_regions_first(self):
         stack = make_stack(dead_first_eviction=True)

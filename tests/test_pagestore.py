@@ -9,8 +9,11 @@ windowed victim draw's read-ahead fast path.
   sealed after the engine has recycled and refilled the region buffer; the
   payload handed to ``write_region`` is a read-only view; torn-write
   prefixes cut from such a view still land on the devices that tear.
-* ``windowed_draw``'s ``peek`` path against the reference
-  pick/untrack/re-insert loop: same victim, same order, same RNG state.
+* ``windowed_draw``'s list-free draw against the reference
+  pick/untrack/re-insert loop and against the list-building
+  draw it replaced: same victim, same order, same RNG state.
+* New chunks: one a write covers whole holds a copy of exactly those
+  bytes, one written in part reads zeros around them.
 """
 
 from __future__ import annotations
@@ -125,6 +128,30 @@ def test_pagestore_matches_page_dict(ops):
     live_chunks = {ppn // CHUNK_PAGES for ppn in model.pages}
     chunk_bytes = CHUNK_PAGES * PAGE
     assert len(live_chunks) * chunk_bytes <= store.allocated_bytes <= TOTAL_PAGES * PAGE
+
+
+def test_new_chunks_hold_exactly_what_was_written():
+    """A new chunk a write covers whole is made from the written bytes
+    (a copy, not the caller's buffer); one written in part reads zeros
+    around what was written, also after a clear dropped it."""
+    chunk = CHUNK_PAGES * PAGE
+    store = PageStore(chunk)
+    source = bytearray(b"\xaa" * chunk + b"\xbb" * chunk)
+    store.store(chunk, memoryview(source).toreadonly())
+    store.store(0, b"\xcc" * chunk)
+    source[:] = bytes(len(source))  # the caller recycles its buffer
+    assert store.load(0, 3 * chunk) == b"\xcc" * chunk + b"\xaa" * chunk + b"\xbb" * chunk
+    assert all(type(held) is bytearray for held in store._chunks.values())
+    store.clear(0, 3 * chunk)
+    assert store.allocated_bytes == 0
+    store.store(PAGE, b"\x01" * PAGE)
+    store.store(3 * chunk - PAGE, b"\x02" * PAGE)
+    assert store.load(0, chunk) == bytes(PAGE) + b"\x01" * PAGE + bytes(chunk - 2 * PAGE)
+    assert store.load(2 * chunk, chunk) == bytes(chunk - PAGE) + b"\x02" * PAGE
+    # A whole-chunk move into a chunk that does not exist copies it.
+    store.move(0, 4 * chunk, chunk)
+    assert store.load(4 * chunk, chunk) == store.load(0, chunk)
+    assert store.allocated_bytes == 3 * chunk
 
 
 _MOVES = st.lists(
@@ -387,7 +414,7 @@ def _track_front(policy, region_id):
 
 
 def _reference_draw(policy, window, population, rng):
-    """The pre-``peek`` implementation, kept here as the oracle."""
+    """The first pick/untrack/re-insert implementation, kept as the oracle."""
     if window == 1:
         return policy.pick_victim()
     candidates = []
@@ -406,6 +433,17 @@ def _reference_draw(policy, window, population, rng):
     return chosen
 
 
+def _list_draw(policy, window, population, rng):
+    """The draw before it went list-free: the window is copied out as a
+    list and the victim indexed from it."""
+    if window == 1:
+        return policy.pick_victim()
+    head = policy.order()[: min(window, population)]
+    if not head:
+        return None
+    return head[rng.randrange(len(head))]
+
+
 _POLICY_OPS = st.lists(
     st.tuples(
         st.sampled_from(("track", "touch", "untrack", "draw")),
@@ -420,24 +458,30 @@ _POLICY_OPS = st.lists(
 @given(kind=st.sampled_from(("lru", "fifo")), ops=_POLICY_OPS)
 def test_windowed_draw_matches_reference_loop(kind, ops):
     fast, slow = make_eviction_policy(kind), make_eviction_policy(kind)
+    listed = make_eviction_policy(kind)
     fast_rng, slow_rng = make_rng(3, "draw"), make_rng(3, "draw")
+    list_rng = make_rng(3, "draw")
     tracked = set()
     for op, region_id, window in ops:
         if op == "draw":
             got = windowed_draw(fast, window, len(tracked), fast_rng)
             want = _reference_draw(slow, window, len(tracked), slow_rng)
             assert got == want
+            assert got == _list_draw(listed, window, len(tracked), list_rng)
+            assert fast_rng.getstate() == slow_rng.getstate() == list_rng.getstate()
             if got is not None:
-                # RegionManager.allocate untracks the victim either way.
+                # RegionManager.allocate untracks the victim it takes.
                 fast.untrack(got)
                 slow.untrack(got)
+                listed.untrack(got)
                 tracked.discard(got)
         else:
             getattr(fast, op)(region_id)
             getattr(slow, op)(region_id)
+            getattr(listed, op)(region_id)
             if op == "track":
                 tracked.add(region_id)
             elif op == "untrack":
                 tracked.discard(region_id)
-        assert fast.order() == slow.order()
+        assert fast.order() == slow.order() == listed.order()
         assert fast_rng.getstate() == slow_rng.getstate()

@@ -13,8 +13,9 @@ hypothesis drives both through the same random sequences:
   random ``pwrite`` / overwrite / ``delete`` sequences small enough to
   clean — same SIT, NAT, node map, cleaner recency, stats and clock;
 * two FTLs small enough to GC, one polling the trigger before every page
-  and placing pages one at a time — same mapping, block tables, trigger
-  points (``gc_runs``) and GC work;
+  and placing pages one at a time, its GC walking every page of a victim
+  and moving survivors one by one — same victims, mapping, block tables,
+  trigger points (``gc_runs``) and GC work (moved pages, erased blocks);
 * and, on the engine, the ownership rule of the one-map-per-region
   design: after any get/set/delete/TTL sequence a region's key map is
   exactly the index entries that point into it, ``live_bytes`` their sum.
@@ -23,6 +24,7 @@ hypothesis drives both through the same random sequences:
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import hypothesis.strategies as st
@@ -44,7 +46,7 @@ from repro.flash import (
     ZnsSsd,
 )
 from repro.flash.ftl import FtlWriteReport, PageMappedFtl, _FtlReclaimSource
-from repro.reclaim import UnitOutcome
+from repro.reclaim import GcHints, UnitOutcome
 from repro.sim import SimClock
 from repro.units import KIB, MIB
 from repro.ztl.bitmap import SlotBitmap
@@ -280,12 +282,26 @@ def test_f2fs_run_remap_equals_per_block_remap_under_cleaning():
 
 
 class _PerPageSource(_FtlReclaimSource):
+    """GC as it was: every page of the victim is a unit (invalid ones
+    SKIPPED), and each survivor is moved the moment it is met."""
+
+    def pending_units(self, block_index: int):
+        return list(range(self.ftl.geometry.pages_per_block - 1, -1, -1))
+
     def migrate_unit(self, block_index: int, page_idx: int) -> UnitOutcome:
         ftl = self.ftl
         block = ftl._blocks[block_index]
         lpn = block.lpns[page_idx]
         if lpn is None:
             return UnitOutcome.SKIPPED
+        hints = self.hints
+        if hints is not None:
+            region_id = lpn // self.region_pages
+            if region_id < self.num_regions and not hints.migration_worth(region_id):
+                start = region_id * self.region_pages
+                ftl.discard_pages(range(start, start + self.region_pages))
+                hints.on_drop(region_id)
+                return UnitOutcome.DROPPED
         block.lpns[page_idx] = None
         block.valid_count -= 1
         ftl._program_one(lpn)
@@ -363,16 +379,50 @@ def _ftl_state(ftl: PageMappedFtl):
         ftl.reclaim.stats.triggers,
         ftl.reclaim.stats.victims_reclaimed,
         ftl.reclaim.stats.units_migrated,
+        ftl.reclaim.stats.copied_bytes,
     )
 
 
-def _drive_both_ftls(policy: str, ops) -> PageMappedFtl:
+def _log_victims(ftl: PageMappedFtl) -> list:
+    """The blocks ``ftl``'s GC erases, in order, from now on."""
+    victims = []
+    source = ftl.reclaim.source
+    release = source.release_victim
+
+    def logged(block_index):
+        victims.append(block_index)
+        release(block_index)
+
+    source.release_victim = logged
+    return victims
+
+
+def _bind_hints(ftl: PageMappedFtl) -> list:
+    """§3.4 hints over 2-page regions: about one ask in three condemns
+    its region (discarded ahead instead of moved); returns the drops, in
+    order.  The answer depends on how many asks came before, so a region
+    can be worth moving for one page of a victim and condemned at the
+    next — the order of moves and discards then shows in the mapping."""
+    drops = []
+    asks = itertools.count()
+    source = ftl.reclaim.source
+    source.region_pages, source.num_regions = 2, 18
+    source.hints = GcHints(
+        lambda region_id: (next(asks) + region_id) % 3 != 0, drops.append
+    )
+    return drops
+
+
+def _drive_both_ftls(policy: str, ops, hinted: bool = False) -> PageMappedFtl:
     """Apply ``ops`` — ``(discard?, lpns)`` — to both FTLs, comparing
-    state and the trigger count after each."""
+    state, the victims erased (and, ``hinted``, the regions dropped)
+    and the trigger count after each."""
     geometry = NandGeometry(page_size=PAGE, pages_per_block=4, num_blocks=16)
     config = FtlConfig(0.25, 2, 4, gc_policy=policy)
     runs, pages = PageMappedFtl(geometry, config), _PerPageFtl(geometry, config)
     assert runs.logical_pages >= 40
+    victims = (_log_victims(runs), _log_victims(pages))
+    drops = (_bind_hints(runs), _bind_hints(pages)) if hinted else ([], [])
     gc_runs = [0, 0]
     for discard, lpns in ops:
         for side, ftl in enumerate((runs, pages)):
@@ -383,6 +433,8 @@ def _drive_both_ftls(policy: str, ops) -> PageMappedFtl:
                 assert report.host_pages == len(lpns)
                 gc_runs[side] += report.gc_runs
         assert _ftl_state(runs) == _ftl_state(pages)
+        assert victims[0] == victims[1]
+        assert drops[0] == drops[1]
         assert gc_runs[0] == gc_runs[1]
     return runs
 
@@ -417,6 +469,15 @@ def test_ftl_run_writes_equal_per_page_writes(policy, seed, ops):
 def test_ftl_run_writes_equal_per_page_writes_under_gc(policy):
     ftl = _drive_both_ftls(policy, _random_ftl_ops(24, 400))
     assert ftl.total_erased_blocks > 100 and ftl.total_moved_pages > 100
+
+
+@pytest.mark.parametrize("policy", ["greedy", "cost_benefit"])
+def test_run_gc_equals_per_page_gc_with_discard_ahead_hints(policy):
+    """Survivors staged before a condemned page move before its region
+    is discarded, exactly where the per-page loop moved them."""
+    ftl = _drive_both_ftls(policy, _random_ftl_ops(31, 400), hinted=True)
+    stats = ftl.reclaim.stats
+    assert stats.hint_dropped_units > 20 and ftl.total_moved_pages > 100
 
 
 # --- engine: one key map per region, owned by whoever holds the region -----------

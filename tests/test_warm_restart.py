@@ -6,7 +6,7 @@ import pytest
 
 from repro.cache import CacheConfig, HybridCache
 from repro.cache.backends import BlockRegionStore, ZtlRegionStore
-from repro.errors import CacheConfigError
+from repro.errors import CacheConfigError, InvalidKeyError
 from repro.flash import BlockSsd, BlockSsdConfig, FtlConfig, NandGeometry, ZnsConfig, ZnsSsd
 from repro.sim import SimClock
 from repro.units import KIB
@@ -267,6 +267,40 @@ class TestCrashRecovery:
         with pytest.raises(CacheConfigError, match=f"region {first} outside"):
             HybridCache.crash_recover(clock, store, small, cache.seal_journal)
         assert store.device.stats.host_read_bytes == reads  # nothing replayed
+
+
+class TestEmptyKeyIsRefused:
+    """An empty key packs the all-zero header that ends a region's
+    entries: accepted, it hid every later entry of its region from
+    recovery (and from Z-Cache's flush-time key scan)."""
+
+    @pytest.mark.parametrize("make", [make_block_cache, make_ztl_stack])
+    def test_refused_before_anything_moves_and_recovery_keeps_later_keys(self, make):
+        cache, clock, store, config = make()[:4]
+        assert cache.set(b"before", b"b" * 100)
+        now, sets, ram = clock.now, cache.stats.sets, len(cache.ram)
+        with pytest.raises(InvalidKeyError):
+            cache.set(b"", b"")
+        with pytest.raises(InvalidKeyError):
+            cache.set(b"", b"value")
+        assert (clock.now, cache.stats.sets, len(cache.ram)) == (now, sets, ram)
+        assert cache.set(b"after", b"a" * 100)
+        cache.flush()
+        recovered = HybridCache.crash_recover(clock, store, config, cache.seal_journal)
+        assert recovered.stats.recovered_items == 2
+        assert recovered.get(b"before") == b"b" * 100
+        assert recovered.get(b"after") == b"a" * 100
+
+    def test_refused_by_z_cache_before_its_admission_sketch_counts(self):
+        from repro.bench.schemes import SchemeScale, build_scheme
+
+        scale = SchemeScale(zone_size=1 << 20, region_size=16 * KIB, pages_per_block=64)
+        cache = build_scheme("Z-Cache", SimClock(), scale, 8 << 20, 4 << 20).cache
+        sketch = cache.admission.sketch
+        rows = [list(counts) for counts, _ in sketch._rows]
+        with pytest.raises(InvalidKeyError):
+            cache.set(b"", b"v")
+        assert [list(counts) for counts, _ in sketch._rows] == rows
 
 
 class TestCrashRecoveryKnownBugs:

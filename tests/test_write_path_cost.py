@@ -16,6 +16,16 @@ a time on a fresh stack of each scheme, at two geometries:
   flush), where the per-block work of ``F2fs.pwrite`` and the per-page
   GC poll of ``PageMappedFtl.write_pages`` used to dominate a flush.
 
+A fresh stack flushes into empty media.  The *warm* pin measures the
+rotation the benchmarks actually time: a stack past its first region
+eviction and past its backend's first reclaim, so every seal also tears
+down an evicted region (index, journal, ``invalidate_region``) and the
+write it makes runs the layer's reclaim step — ZTL zone GC, the F2FS
+cleaner, the FTL drain.  It counts the frames of each
+``_seal_and_rotate`` (its own included) over a window of a keyed
+random set/delete stream, at the ``closed_fill`` geometry and at the
+serving fleets' ``SERVING_SCALE`` shard.
+
 A new wrapper, property or helper on the path shows up as a frame.  That
 the flush, the F2FS remap and the FTL placement still *emit* what they
 did is pinned by the full-field trace-stream digests of
@@ -26,47 +36,72 @@ left untouched.
 from __future__ import annotations
 
 import gc
-from typing import NamedTuple
+import random
+from typing import Callable, NamedTuple
 
 import pytest
 
-from repro.bench.schemes import ALL_SCHEME_NAMES, SchemeScale, build_scheme
+from repro.bench.fleet import SERVING_SCALE, reclaim_overrides
+from repro.bench.schemes import ALL_SCHEME_NAMES, SchemeScale, build_scheme, provision
 from repro.sim import SimClock
 from repro.units import KIB, MIB
 from tests.test_trace_cost import _python_calls
 
-# Frames per admitted set that does not seal a region (the commit before:
-# 8, and 9 on Z-Cache, whose TinyLFU admission counts the key).
+# Frames per admitted set that does not seal a region: ``set`` itself,
+# the DRAM-tier insert and the buffer append; Z-Cache's TinyLFU
+# admission adds its ``admit`` and the sketch's ``add``.  (Before the
+# one-frame set: 5, and 6 on Z-Cache; before that 8 and 9.)
 MAX_FRAMES_PER_PLAIN_SET = {
-    "Region-Cache": 5,
-    "Zone-Cache": 5,
-    "File-Cache": 5,
-    "Block-Cache": 5,
-    "Z-Cache": 6,
+    "Region-Cache": 3,
+    "Zone-Cache": 3,
+    "File-Cache": 3,
+    "Block-Cache": 3,
+    "Z-Cache": 5,
 }
 
 # Mean frames per set that seals a region, the plain part included, over
 # the first sets of a fresh stack (no eviction or reclaim yet), rounded
-# up.  Before the run-granular remap, same harness:
-#   small        68 / 103 / 166 /  74 /  76
-#   closed_fill  70 / 233 / 315 / 158 /  80
-# Each region write's reclaim check calls the layer's engine directly (no
-# collector facade in between): two frames fewer per flush on the ZTL
-# schemes, one on File-Cache.
+# up.  Region / Zone / File / Block / Z-Cache, same harness:
+#   before the run-granular remap    small 68 / 103 / 166 / 74 / 76
+#                                    closed_fill 70 / 233 / 315 / 158 / 80
+#   before the one-pass rotation     small 61.7 / 99 / 113.7 / 46.3 / 69.9
+#                                    closed_fill 63.6 / 229 / 118.8 / 46.4 / 73.8
 MAX_FRAMES_PER_ROTATING_SET = {
     "small": {
-        "Region-Cache": 63,
-        "Zone-Cache": 100,
-        "File-Cache": 116,
-        "Block-Cache": 48,
-        "Z-Cache": 71,
+        "Region-Cache": 30,
+        "Zone-Cache": 29,
+        "File-Cache": 54,
+        "Block-Cache": 26,
+        "Z-Cache": 34,
     },
     "closed_fill": {
-        "Region-Cache": 65,
-        "Zone-Cache": 230,
-        "File-Cache": 121,
-        "Block-Cache": 48,
-        "Z-Cache": 75,
+        "Region-Cache": 30,
+        "Zone-Cache": 29,
+        "File-Cache": 56,
+        "Block-Cache": 26,
+        "Z-Cache": 34,
+    },
+}
+
+# Mean frames per ``_seal_and_rotate`` on a warm stack (eviction and the
+# backend's reclaim both running), rounded up.  Before the one-pass
+# rotation, same harness, Region / Zone / File / Block / Z-Cache:
+#   closed_fill  89.4 / 310 / 134.2 / 85.6 / 112.9
+#   serving     243.2 / 100 / 144.1 / 82.6 / 163.6
+MAX_FRAMES_PER_WARM_SEAL = {
+    "closed_fill": {
+        "Region-Cache": 44,
+        "Zone-Cache": 41,
+        "File-Cache": 64,
+        "Block-Cache": 32,
+        "Z-Cache": 53,
+    },
+    "serving": {
+        "Region-Cache": 127,
+        "Zone-Cache": 41,
+        "File-Cache": 68,
+        "Block-Cache": 34,
+        "Z-Cache": 82,
     },
 }
 
@@ -136,3 +171,83 @@ def test_frames_per_set(scheme, geometry):
     assert mean_rotating <= MAX_FRAMES_PER_ROTATING_SET[geometry][scheme], (
         mean_rotating, sorted(set(rotating)),
     )
+
+
+# --- warm rotation -------------------------------------------------------------
+
+
+class _WarmRun(NamedTuple):
+    build: Callable[[str], object]
+    keys: int  # keyspace ~3x the entries the cache holds: constant eviction
+    value_bytes: int
+    warm_ops: int  # past the first eviction and the first reclaim victim
+    measured_ops: int
+
+
+def _closed_fill_stack(scheme: str):
+    return _stack(scheme, _GEOMETRIES["closed_fill"])
+
+
+def _serving_stack(scheme: str):
+    """One shard of a serving fleet: 10 zones of SERVING_SCALE, the
+    scheme's provisioning rule and the ``qos`` reclaim watermarks."""
+    kwargs = provision(scheme, SERVING_SCALE, 10, 6, 16)
+    media = kwargs.pop("media_bytes")
+    cache_bytes = kwargs.pop("cache_bytes")
+    file_media = kwargs.pop("file_media_bytes", None)
+    kwargs.update(reclaim_overrides("qos", scheme))
+    return build_scheme(
+        scheme, SimClock(), SERVING_SCALE, media, cache_bytes,
+        file_media_bytes=file_media, **kwargs,
+    )
+
+
+_WARM_RUNS = {
+    "closed_fill": _WarmRun(_closed_fill_stack, 72_000, 3500, 40_000, 3_000),
+    "serving": _WarmRun(_serving_stack, 3_000, 1200, 6_000, 2_000),
+}
+
+
+def _frames_per_warm_seal(scheme: str, run: _WarmRun):
+    """Frames of every seal in a measured window of a warm stack, and
+    the regions evicted and reclaim victims taken in that window."""
+    stack = run.build(scheme)
+    cache = stack.cache
+    rng = random.Random(7)
+    value = b"v" * run.value_bytes
+
+    def drive(ops: int) -> None:
+        for _ in range(ops):
+            key = b"key-%07d" % rng.randrange(run.keys)
+            if rng.random() < 0.05:
+                cache.delete(key)
+            else:
+                cache.set(key, value)
+
+    drive(run.warm_ops)
+    _, engine = stack.reclaim_engine()
+    victims = engine.stats.victims_reclaimed if engine is not None else 0
+    assert cache.regions.regions_evicted > 0 and (engine is None or victims > 0)
+    evicted = cache.regions.regions_evicted
+    frames = []
+    seal = cache._seal_and_rotate
+    cache._seal_and_rotate = lambda: frames.append(len(_python_calls(seal)))
+    gc.disable()
+    try:
+        drive(run.measured_ops)
+    finally:
+        gc.enable()
+    if engine is not None:
+        victims = engine.stats.victims_reclaimed - victims
+    return frames, cache.regions.regions_evicted - evicted, victims
+
+
+@pytest.mark.parametrize("run", list(_WARM_RUNS))
+@pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
+def test_frames_per_warm_seal(scheme, run):
+    frames, evicted, victims = _frames_per_warm_seal(scheme, _WARM_RUNS[run])
+    # Every seal of the window evicted a region, and reclaim ran in it.
+    assert evicted == len(frames) > 0
+    assert victims > 0 or scheme == "Zone-Cache"
+    mean = sum(frames) / len(frames)
+    assert mean <= MAX_FRAMES_PER_WARM_SEAL[run][scheme], (mean, len(frames))
