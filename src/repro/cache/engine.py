@@ -14,14 +14,19 @@ engine:
   the lock-contention stall of Figure 3(a).
 * **get** — DRAM first, then the open buffer (read-from-buffer), then a
   ranged backend read; flash hits promote the region in the LRU.
-* **delete** — drops the index entry; space is reclaimed lazily when the
-  region is eventually evicted (log-structured semantics).
+* **delete** — drops the index entry and journals the copy dead; space
+  is reclaimed lazily when the region is eventually evicted
+  (log-structured semantics).
+* **restart** — :meth:`HybridCache.crash_recover` rebuilds the index from
+  the seal journal and the media, after a power cut or a clean
+  ``flush()``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.cache.admission import AdmissionPolicy, AdmitAll
 from repro.cache.backends.base import RegionStore, WafBreakdown
@@ -46,15 +51,22 @@ from repro.errors import (
 )
 from repro.sim.clock import SimClock
 
-# One seal-journal record: (event, region_id, seq, salt).  The journal is
-# the region lifecycle log crash recovery replays: "flush" marks a region
-# flush starting, "seal" that it completed, "invalidate" that the region
-# was evicted, "quarantine" that its media died, "nsbump" that a tenant
-# namespace generation advanced (the region-id slot carries the tenant
-# token, the salt slot the new generation).  In a real deployment this
-# is the tiny metadata log navy persists; here it lives in memory and
-# the crash harness hands it to :meth:`HybridCache.crash_recover`.
+# One seal-journal record: (event, region_id, seq, arg).  The journal is
+# the log crash recovery replays.  Region lifecycle: "flush" marks a
+# region flush starting, "seal" that it completed, "invalidate" that the
+# region was evicted, "quarantine" that its media died (``arg`` is the
+# region's checksum salt, or 0).  "dead" names a copy that stopped being
+# its key's newest state — deleted, overwritten, expired, purged with a
+# stale namespace generation or superseded by an unadmitted set — by its
+# byte offset ``arg`` in the region, sealed or still open; the region's
+# next "invalidate" (or "quarantine") retires it.  "nsbump" records a
+# tenant namespace generation advancing (the region-id slot carries the
+# tenant token, ``arg`` the new generation).  In a real deployment this
+# is the tiny metadata log navy persists; here it lives in memory, with
+# no durability cost charged, and the crash harness hands it to
+# :meth:`HybridCache.crash_recover`.
 JournalEntry = Tuple[str, int, int, int]
+JOURNAL_EVENTS = ("flush", "seal", "invalidate", "quarantine", "dead", "nsbump")
 
 
 class HybridCache:
@@ -125,7 +137,11 @@ class HybridCache:
         # generation, used as the checksum salt (see item.py).
         self._generation = 0
         self._journal_seq = 0
-        self.seal_journal: List[JournalEntry] = []
+        # The seal journal: lifecycle and nsbump records in seq order,
+        # and each region's live "dead" records as {seq: offset}, so the
+        # region's invalidate retires them in one pop.
+        self._log: List[JournalEntry] = []
+        self._dead: Dict[int, Dict[int, int]] = {}
         self._buffer: RegionBuffer = self._open_fresh_region()
         # The open region's live keys -> on-flash entry bytes, in append
         # order; it becomes ``RegionMeta.keys`` at seal (handed over, not
@@ -146,6 +162,18 @@ class HybridCache:
         self._admission = policy
         # ``set`` calls ``_admit`` per op; admit-all costs it no call.
         self._admit = None if type(policy) is AdmitAll else policy.admit
+
+    @property
+    def seal_journal(self) -> List[JournalEntry]:
+        """The seal journal's live records in seq order (a copy): what
+        survives a power cut for :meth:`crash_recover` to replay."""
+        records = self._log + [
+            ("dead", region_id, seq, offset)
+            for region_id, copies in self._dead.items()
+            for seq, offset in copies.items()
+        ]
+        records.sort(key=itemgetter(2))
+        return records
 
     # --- public API -----------------------------------------------------------------
 
@@ -269,11 +297,19 @@ class HybridCache:
             old = index.get(key)
             index[key] = location
             if old is not None:
-                if old.region_id != location.region_id:
-                    self.regions.note_key_removed(old.region_id, key, "overwritten")
+                old_region, old_offset, old_length = old
+                if old_region != buffer.region_id:
+                    self.regions.note_key_removed(old_region, key, "overwritten")
                 else:
                     # Superseded within the open buffer: its bytes die in place.
-                    self.regions.ledger.note_dead(old.length, "overwritten")
+                    self.regions.ledger.note_dead(old_length, "overwritten")
+                # The superseded copy is journaled dead (_journal_dead inline).
+                self._journal_seq = seq = self._journal_seq + 1
+                copies = self._dead.get(old_region)
+                if copies is None:
+                    self._dead[old_region] = {seq: old_offset}
+                else:
+                    copies[seq] = old_offset
             self._open_entries[key] = location.length
             stats.sets_admitted += 1
             recorder = stats.set_latency
@@ -328,7 +364,8 @@ class HybridCache:
         return key in self.ram or key in self.index
 
     def flush(self) -> None:
-        """Force-seal the open region (tests and shutdown paths)."""
+        """Force-seal the open region.  A clean restart is ``flush()``
+        followed by :meth:`crash_recover` over the same store."""
         if self._buffer.used > 0:
             self._seal_and_rotate()
 
@@ -414,6 +451,7 @@ class HybridCache:
             if location is not None and location.region_id == region_id:
                 del self.index[key]
                 self.stats.dropped_items += 1
+                self._journal_dead(region_id, location.offset)
             if self._versioning and not ns.is_current(key):
                 reason = "invalidated"
             else:
@@ -423,106 +461,7 @@ class HybridCache:
         if dead_generation and self._versioning:
             ledger.dead_generation_regions += 1
 
-    # --- warm restart -------------------------------------------------------------
-
-    def shutdown(self) -> dict:
-        """Clean shutdown: flush the open buffer and snapshot the state a
-        warm restart needs (index, region metadata, eviction order).
-
-        CacheLib's navy engine persists exactly this so flash contents
-        survive process restarts; the cached *data* already lives on the
-        (persistent) backend device.
-        """
-        self.flush()
-        sealed = []
-        # sealed_seq preserves the eviction order across the restart.
-        for rid, meta in sorted(
-            self.regions._sealed.items(), key=lambda kv: kv[1].sealed_seq
-        ):
-            sealed.append(
-                {
-                    "region_id": rid,
-                    "sealed_seq": meta.sealed_seq,
-                    "keys": sorted(meta.keys),
-                    "salt": meta.salt,
-                }
-            )
-        index = {key: tuple(location) for key, location in self.index.items()}
-        return {
-            "config": {
-                "region_size": self.config.region_size,
-                "num_regions": self.config.num_regions,
-            },
-            "sealed": sealed,
-            "free": list(self.regions._free),
-            "quarantined": sorted(self.regions._quarantined),
-            "generation": self._generation,
-            "index": index,
-            "expiry": dict(self._expiry),
-            "namespaces": self.lifecycle.namespaces.snapshot(),
-            "open_region_id": self._buffer.region_id,
-        }
-
-    @classmethod
-    def warm_restart(
-        cls,
-        clock: SimClock,
-        store: RegionStore,
-        config: CacheConfig,
-        state: dict,
-        admission: Optional[AdmissionPolicy] = None,
-    ) -> "HybridCache":
-        """Rebuild a cache over the same (persistent) backend.
-
-        DRAM contents are gone (it was a restart); the flash index and
-        region metadata come back, so flash hits resume immediately.
-        """
-        if state["config"]["region_size"] != config.region_size:
-            raise CacheConfigError("warm restart with a different region size")
-        if state["config"]["num_regions"] != config.num_regions:
-            raise CacheConfigError("warm restart with a different region count")
-        cache = cls(clock, store, config, admission)
-        # Discard the constructor's fresh region and rebuild exactly the
-        # persisted layout.
-        cache.regions = RegionManager(
-            config.num_regions, config.eviction_policy,
-            max(1, min(config.reclaim_window, config.num_regions // 8)),
-            dead_first=config.lifecycle.dead_first_eviction,
-        )
-        cache.regions._free = deque(
-            rid for rid in state["free"] if rid != state["open_region_id"]
-        )
-        for rid in state.get("quarantined", []):
-            cache.regions.quarantine(rid)
-            cache.stats.quarantined_regions += 1
-        for entry in state["sealed"]:
-            meta = RegionMeta(
-                entry["region_id"],
-                keys=dict.fromkeys(entry["keys"], 0),
-                salt=entry.get("salt", 0),
-            )
-            cache.regions.seal(meta)
-        # Generations keep counting up across the restart so the new open
-        # buffer's checksum salt never collides with on-flash entries.
-        cache._generation = max(state.get("generation", 0), cache._generation) + 1
-        cache._buffer = RegionBuffer(
-            state["open_region_id"],
-            config.region_size,
-            clock.now,
-            checksums=config.checksums,
-            salt=cache._generation,
-        )
-        cache._open_entries = {}
-        for key, (region_id, offset, length) in state["index"].items():
-            cache.index[key] = EntryLocation(region_id, offset, length)
-            meta = cache.regions.meta(region_id)
-            if meta is not None and key in meta.keys:
-                meta.keys[key] = length
-                meta.live_bytes += length
-        for key, expiry_ns in state["expiry"].items():
-            cache.lifecycle.note_ttl(key, expiry_ns)
-        cache.lifecycle.namespaces.restore_snapshot(state.get("namespaces", {}))
-        return cache
+    # --- crash recovery ---------------------------------------------------------------
 
     @classmethod
     def crash_recover(
@@ -533,36 +472,49 @@ class HybridCache:
         journal: Iterable[JournalEntry],
         admission: Optional[AdmissionPolicy] = None,
     ) -> "HybridCache":
-        """Rebuild a cache after a power cut from the seal journal.
+        """Rebuild a cache over the same store from its seal journal.
 
-        Unlike :meth:`warm_restart` there is no trusted shutdown snapshot:
-        only the (tiny, persisted) region lifecycle journal and whatever
-        bytes actually reached the media survive.  Recovery replays the
-        journal's last event per region:
+        This is the one restart path: after a power cut, and after a
+        clean stop (``flush()`` first, so the open buffer is sealed).
+        DRAM is gone; only the (tiny, persisted) journal and whatever
+        bytes reached the media survive.  Recovery replays the journal's
+        last lifecycle event per region, in sequence order:
 
         * ``quarantine`` — the media was dead before the cut; stays dead.
         * ``invalidate`` — the region was evicted; nothing to recover.
         * ``seal`` / ``flush`` — scan the on-media region payload and
-          re-insert every entry that decodes cleanly.  With per-item
-          checksums (``config.checksums``) a torn flush recovers its
-          intact prefix and drops the torn tail; without them an
-          unsealed flush cannot be distinguished from a torn one, so
-          only fully sealed regions are replayed.
+          re-insert every entry that decodes cleanly, except the copies
+          the region's ``dead`` records name.  With per-item checksums
+          (``config.checksums``) a torn flush recovers its intact prefix
+          and drops the torn tail; without them an unsealed flush cannot
+          be distinguished from a torn one, so only fully sealed regions
+          are replayed.
 
-        The invariant tests assert: a recovered get never serves a torn
-        entry, and never serves a value older than the newest one that
-        was fully persisted for that key.
+        Every ``nsbump`` replays.  The invariant tests assert: a
+        recovered get is a miss or the key's newest persisted state — a
+        delete, an overwrite or an eviction of the newest copy is never
+        undone, and no torn entry is served.  The scan is charged to the
+        clock and reported as ``stats.recovery_ns``.
 
-        A journal naming a region outside ``config.num_regions`` (one
-        written under a larger configuration) is refused with
-        :class:`CacheConfigError` before anything is rebuilt, as
-        :meth:`warm_restart` refuses a snapshot of a different size.
+        A journal with a record that is not ``(event, int, int, int)``
+        over a known event, or that names a region outside
+        ``config.num_regions`` (one written under a larger
+        configuration), is refused with :class:`CacheConfigError` before
+        anything is built or read.
         """
         journal = list(journal)
         for record in journal:
-            if record[0] != "nsbump" and not 0 <= record[1] < config.num_regions:
+            try:
+                event, rid, seq, arg = record
+            except (TypeError, ValueError):
+                event = None
+            if event not in JOURNAL_EVENTS or not all(
+                isinstance(field, int) for field in (rid, seq, arg)
+            ):
+                raise CacheConfigError(f"malformed journal record {record!r}")
+            if event != "nsbump" and not 0 <= rid < config.num_regions:
                 raise CacheConfigError(
-                    f"journaled region {record[1]} outside [0, "
+                    f"journaled region {rid} outside [0, "
                     f"{config.num_regions}) of this configuration"
                 )
         start_ns = clock.now
@@ -574,22 +526,26 @@ class HybridCache:
             effective_window,
             dead_first=config.lifecycle.dead_first_eviction,
         )
-        cache.index = {}
-        cache.seal_journal = []
-        cache._journal_seq = 0
-        # Journal entries arrive in seq order; the last event per region
-        # decides its fate (later events supersede earlier lifecycle).
+        # Journal entries arrive in seq order; the last lifecycle event
+        # per region decides its fate.  Dead copies are collected per
+        # region (its invalidate retired any from an earlier life).
         # Namespace bumps are not region events: every one replays (the
         # counters only move forward), so no recovered read can serve a
         # pre-bump generation.
         last: Dict[int, JournalEntry] = {}
+        dead: Dict[int, Set[int]] = {}
         for record in journal:
-            if record[0] == "nsbump":
+            event = record[0]
+            if event == "nsbump":
                 cache.lifecycle.namespaces.restore(record[1], record[3])
-                continue
-            last[record[1]] = record
-        key_region: Dict[bytes, int] = {}
+            elif event == "dead":
+                dead.setdefault(record[1], set()).add(record[3])
+            else:
+                last[record[1]] = record
         replayed: List[Tuple[int, int]] = []  # (region_id, salt) sealed again
+        # Per replayed region, the offsets of the dead copies it holds:
+        # the journaled ones and any a later copy of its key superseded.
+        killed: Dict[int, List[int]] = {}
         quarantined: List[int] = []
         for event, rid, _seq, salt in sorted(last.values(), key=lambda r: r[2]):
             if event == "quarantine":
@@ -614,33 +570,41 @@ class HybridCache:
             )
             if torn:
                 cache.stats.torn_items_dropped += 1
+            dead_here = dead.get(rid, ())
+            killed[rid] = []
             keys: Dict[bytes, int] = {}
             for offset, length, entry in entries:
-                previous_rid = key_region.get(entry.key)
-                if previous_rid is not None and previous_rid != rid:
-                    cache.regions.note_key_removed(
-                        previous_rid, entry.key, "overwritten"
-                    )
+                if offset in dead_here:
+                    killed[rid].append(offset)
+                    continue
+                previous = cache.index.get(entry.key)
+                if previous is not None:
+                    # Two live copies: the journal missed a death, and
+                    # replay order (seq, then offset) decides.
+                    if previous.region_id != rid:
+                        cache.regions.note_key_removed(
+                            previous.region_id, entry.key, "overwritten"
+                        )
+                    killed[previous.region_id].append(previous.offset)
                 cache.index[entry.key] = EntryLocation(rid, offset, length)
-                key_region[entry.key] = rid
                 keys[entry.key] = length
                 if entry.expiry_ns:
                     cache.lifecycle.note_ttl(entry.key, entry.expiry_ns)
                 cache.stats.recovered_items += 1
-            meta = RegionMeta(
-                rid, keys=keys, salt=salt, live_bytes=sum(keys.values())
-            )
+            meta = RegionMeta(rid, keys=keys, salt=salt, live_bytes=sum(keys.values()))
             cache.regions.seal(meta)
             replayed.append((rid, salt))
         in_use = {rid for rid, _ in replayed} | set(quarantined)
         cache.regions._free = deque(
             rid for rid in range(config.num_regions) if rid not in in_use
         )
-        # Rebuild the journal to describe the recovered layout,
-        # including the namespace generations (so a second crash still
-        # refuses pre-bump reads).
+        # Rebuild the journal to describe the recovered layout: each
+        # replayed region with the dead copies it still holds, and the
+        # namespace generations, so a second crash recovers the same.
         for rid, salt in replayed:
             cache._journal("seal", rid, salt)
+            for offset in killed[rid]:
+                cache._journal_dead(rid, offset)
         for rid in quarantined:
             cache._journal("quarantine", rid)
         for token, gen in cache.lifecycle.namespaces.tokens():
@@ -668,7 +632,7 @@ class HybridCache:
             clock.now += self._region_alloc_ns
             # Invalidation may discover the region's media is dead (e.g.
             # the zone refused its reset) — then take another one.
-            if not evicted or self._evict_keys(region_id, evicted):
+            if evicted is None or self._evict_keys(region_id, evicted):
                 break
         self._generation += 1
         return RegionBuffer(
@@ -690,11 +654,11 @@ class HybridCache:
         stats = self.stats
         fill_ns = clock.now - buffer.opened_at_ns
         stats.region_fill_durations_ns.append(fill_ns)
-        journal = self.seal_journal
+        log = self._log
         salt = buffer.salt
         region_id = buffer.region_id
         self._journal_seq = seq = self._journal_seq + 1
-        journal.append(("flush", region_id, seq, salt))
+        log.append(("flush", region_id, seq, salt))
         # The flush borrows the buffer's own bytes (read-only view, no
         # copy); the backend has copied them to media by the time it
         # returns, and only then is the storage handed to the successor.
@@ -719,7 +683,7 @@ class HybridCache:
             )
         )
         self._journal_seq = seq = self._journal_seq + 1
-        journal.append(("seal", region_id, seq, salt))
+        log.append(("seal", region_id, seq, salt))
         self._open_entries = {}
         self._buffer = self._open_fresh_region(recycle=buffer)
 
@@ -782,11 +746,15 @@ class HybridCache:
     def _reroute_flush(self, dead_region_id: int) -> int:
         """Quarantine a dead flush target and point the open keys at a
         fresh region id so the retried flush lands somewhere healthy."""
+        # The buffer's dead copies keep their offsets in the new region.
+        dead = self._dead.pop(dead_region_id, {})
         self._quarantine_region(dead_region_id)
         while True:
             new_region_id, evicted = self.regions.allocate()
-            if not evicted or self._evict_keys(new_region_id, evicted):
+            if evicted is None or self._evict_keys(new_region_id, evicted):
                 break
+        for offset in dead.values():
+            self._journal_dead(new_region_id, offset)
         for key in self._open_entries:
             location = self.index.get(key)
             if location is not None and location.region_id == dead_region_id:
@@ -812,6 +780,7 @@ class HybridCache:
         self.regions.quarantine(region_id)
         self.stats.quarantined_regions += 1
         self._journal("quarantine", region_id)
+        self._dead.pop(region_id, None)
         self.store.tracer.emit_event("engine.fault", "quarantine", offset=region_id)
 
     def _purge_region(self, region_id: int) -> None:
@@ -835,9 +804,17 @@ class HybridCache:
             self.regions.note_key_removed(region_id, key, reason)
 
     def _evict_keys(self, region_id: int, evicted: Dict[bytes, int]) -> bool:
-        """Tear down index entries of a reclaimed region (lock-convoy
-        model); False when invalidating it found its media dead (the
-        region is quarantined and must not be filled)."""
+        """Journal a reclaimed region's invalidation and tear down its
+        index entries (lock-convoy model); False when invalidating it
+        found its media dead (the region is quarantined and must not be
+        filled).  A victim with no live key costs nothing and reaches no
+        device — the write that refills it supersedes its bytes — but is
+        journaled all the same, retiring its dead records."""
+        self._journal_seq = seq = self._journal_seq + 1
+        self._log.append(("invalidate", region_id, seq, 0))
+        self._dead.pop(region_id, None)
+        if not evicted:
+            return True
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit_event(
@@ -862,8 +839,6 @@ class HybridCache:
                 location = index.get(key)
                 if location is not None and location.region_id == region_id:
                     del index[key]
-        self._journal_seq = seq = self._journal_seq + 1
-        self.seal_journal.append(("invalidate", region_id, seq, 0))
         try:
             self.store.invalidate_region(region_id)
         except PowerCutError:
@@ -949,17 +924,27 @@ class HybridCache:
                 return None
 
     def _journal(self, event: str, region_id: int, salt: int = 0) -> None:
-        self._journal_seq += 1
-        self.seal_journal.append((event, region_id, self._journal_seq, salt))
+        self._journal_seq = seq = self._journal_seq + 1
+        self._log.append((event, region_id, seq, salt))
+
+    def _journal_dead(self, region_id: int, offset: int) -> None:
+        """Record that the copy at ``offset`` in ``region_id`` is dead."""
+        self._journal_seq = seq = self._journal_seq + 1
+        copies = self._dead.get(region_id)
+        if copies is None:
+            self._dead[region_id] = {seq: offset}
+        else:
+            copies[seq] = offset
 
     def _is_expired(self, key: bytes) -> bool:
         expiry = self._expiry.get(key)
         return expiry is not None and self._clock.now >= expiry
 
     def _note_removed(self, location: EntryLocation, key: bytes, reason: str) -> None:
-        """Shared removal accounting: open-buffer keys leave the open
-        region's key map, sealed keys report to the region's liveness
-        ledger."""
+        """Shared removal accounting: the copy is journaled dead;
+        open-buffer keys leave the open region's key map, sealed keys
+        report to the region's liveness ledger."""
+        self._journal_dead(location.region_id, location.offset)
         if location.region_id == self._buffer.region_id:
             if self._open_entries.pop(key, None) is not None:
                 self.regions.ledger.note_dead(location.length, reason)

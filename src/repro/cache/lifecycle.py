@@ -153,13 +153,6 @@ class NamespaceVersions:
         """(token, generation) pairs, stable order (journal rebuild)."""
         return sorted(self._by_token.items())
 
-    def snapshot(self) -> Dict[str, int]:
-        return {str(token): gen for token, gen in self._by_token.items()}
-
-    def restore_snapshot(self, state: Dict[str, int]) -> None:
-        for token, gen in state.items():
-            self.restore(int(token), gen)
-
 
 class LivenessLedger:
     """Monotonic account of dead bytes/items by cause.

@@ -126,7 +126,8 @@ class RegionMeta:
     keys: Dict[bytes, int] = field(default_factory=dict)
     fill_duration_ns: int = 0
     # Generation salt the region's entries were checksummed with (0 when
-    # checksums are off) — needed to verify reads after a warm restart.
+    # checksums are off) — needed to verify its reads; crash_recover
+    # takes it from the region's journaled seal.
     salt: int = 0
     live_bytes: int = 0
     dead_bytes: int = 0

@@ -88,17 +88,18 @@ class RegionManager:
 
     # --- lifecycle ---------------------------------------------------------------
 
-    def allocate(self) -> Tuple[int, Dict[bytes, int]]:
+    def allocate(self) -> Tuple[int, Optional[Dict[bytes, int]]]:
         """Take a region for filling.
 
-        Returns ``(region_id, evicted)``: if the free pool is empty, the
+        Returns ``(region_id, evicted)``: ``evicted`` is None for a
+        region from the free pool.  If the free pool is empty, the
         eviction policy's victim is reclaimed and its key map (every key
         still living in it, with its entry size) is returned so the
         engine can drop the index entries (this is the hit-ratio cost of
         large regions, §3.2).
         """
         if self._free:
-            return self._free.popleft(), {}
+            return self._free.popleft(), None
         victim = None
         if self._dead_first:
             victim = self._dead_victim()

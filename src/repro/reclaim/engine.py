@@ -167,10 +167,10 @@ class ReclaimEngine:
         """Victim currently in progress, if any."""
         return self._victim
 
-    def abandon_victim(self, victim_id: Optional[int] = None) -> None:
-        """Forget the in-progress victim (its container died or the
-        layer's bookkeeping was rebuilt); matching id or None = any."""
-        if victim_id is None or self._victim == victim_id:
+    def abandon_victim(self, victim_id: int) -> None:
+        """Forget the in-progress victim if it is ``victim_id`` (its
+        container died)."""
+        if self._victim == victim_id:
             self._victim = None
             self._pending = []
 

@@ -435,87 +435,6 @@ class RegionTranslationLayer:
         if hints is not None:
             hints.on_drop(region_id)
 
-    # --- persistence (warm restart) -----------------------------------------------
-
-    def to_state(self) -> dict:
-        """Serializable snapshot of the mapping and zone bookkeeping.
-
-        The data itself lives on the (persistent) ZNS device; this state
-        is what a real middle layer would keep in a superblock so the
-        region map survives restarts.
-        """
-        records = []
-        for record in self.book.records:
-            records.append(
-                {
-                    "zone": record.zone_index,
-                    "use": record.use.value,
-                    "next_slot": record.next_slot,
-                    "valid_slots": list(record.bitmap.valid_slots()),
-                    "group": record.group,
-                }
-            )
-        mapping = {}
-        for record in self.book.records:
-            for slot in record.bitmap.valid_slots():
-                region_id = self._region_at(record.zone_index, slot)
-                if region_id is not None:
-                    mapping[str(region_id)] = [record.zone_index, slot]
-        return {
-            "region_size": self.region_size,
-            "num_zones": self.num_zones,
-            "records": records,
-            "mapping": mapping,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Rebuild mapping/bookkeeping from :meth:`to_state` output.
-
-        The device must be the same one (or hold identical contents).
-        """
-        from repro.ztl.allocator import ZoneUse
-
-        if state["region_size"] != self.region_size or state["num_zones"] != self.num_zones:
-            raise ValueError("state does not match this layer's geometry")
-        self.book = ZoneBook(
-            self.num_zones,
-            self.slots_per_zone,
-            self.config.host_open_zones,
-            num_groups=self.config.host_groups,
-        )
-        self.map = RegionMap()
-        # Rebuild per-zone records and pool membership.
-        self.book._empty = []
-        self.book._host_open = [[] for _ in range(self.book.num_groups)]
-        self.book._finished = []
-        self.book._gc_open = None
-        for entry in state["records"]:
-            record = self.book.records[entry["zone"]]
-            record.next_slot = entry["next_slot"]
-            record.use = ZoneUse(entry["use"])
-            # Pre-group snapshots restore into group 0 (the only pool).
-            record.group = min(
-                entry.get("group", 0), self.book.num_groups - 1
-            )
-            record.bitmap.clear_all()
-            for slot in entry["valid_slots"]:
-                record.bitmap.set(slot)
-            if record.use is ZoneUse.EMPTY:
-                self.book._empty.append(record.zone_index)
-            elif record.use is ZoneUse.HOST_OPEN:
-                self.book._host_open[record.group].append(record.zone_index)
-            elif record.use is ZoneUse.GC_OPEN:
-                self.book._gc_open = record.zone_index
-            elif record.use is ZoneUse.DEAD:
-                pass  # dead zones belong to no pool
-            else:
-                self.book._finished.append(record.zone_index)
-        for region_id_str, (zone_index, slot) in state["mapping"].items():
-            self.map.bind(int(region_id_str), RegionLocation(zone_index, slot))
-        # The engine's source reads the rebuilt book; only an in-progress
-        # victim from the previous life has to go.
-        self.reclaim.abandon_victim()
-
     def __repr__(self) -> str:
         return (
             f"RegionTranslationLayer(zones={self.num_zones}, "

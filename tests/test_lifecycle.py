@@ -86,14 +86,6 @@ class TestNamespaceVersions:
         ns.restore(tenant_token(b"web"), 2)  # never backward
         assert ns.generation(b"web") == 4
 
-    def test_snapshot_round_trip(self):
-        ns = NamespaceVersions()
-        ns.bump(b"web", 3)
-        ns.bump(b"purge", 1)
-        revived = NamespaceVersions()
-        revived.restore_snapshot(ns.snapshot())
-        assert revived.tokens() == ns.tokens()
-
 
 class TestLivenessLedger:
     def test_reasons_accumulate_uniformly(self):

@@ -321,7 +321,9 @@ class TestEngineMechanics:
         engine = _engine(source, background=1, target=1, pace_units=1)
         engine.background_step()
         assert engine.victim == 1
-        engine.abandon_victim()
+        engine.abandon_victim(2)  # another container: nothing to forget
+        assert engine.victim == 1
+        engine.abandon_victim(1)
         assert engine.victim is None
 
     def test_drain_to_target_stops_at_high_watermark(self):

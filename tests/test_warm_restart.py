@@ -1,6 +1,5 @@
-"""Warm-restart tests: cache index persistence and ZTL state snapshots."""
-
-import random
+"""Restart tests: the seal journal is the one recovery path, after a
+clean stop and after a power cut."""
 
 import pytest
 
@@ -37,12 +36,19 @@ def make_ztl_stack():
 
 
 class TestCacheWarmRestart:
+    """A clean restart is ``flush()`` then ``crash_recover`` over the same
+    store: the seal journal and the media are all it reads."""
+
+    @staticmethod
+    def restart(cache, clock, store, config):
+        cache.flush()
+        return recover(cache, clock, store, config)
+
     def test_flash_contents_survive(self):
         cache, clock, store, config = make_block_cache()
         for i in range(60):
             cache.set(f"key{i:04d}".encode(), f"value{i}".encode() * 20)
-        state = cache.shutdown()
-        revived = HybridCache.warm_restart(clock, store, config, state)
+        revived = self.restart(cache, clock, store, config)
         hits = 0
         for i in range(60):
             value = revived.get(f"key{i:04d}".encode())
@@ -50,21 +56,23 @@ class TestCacheWarmRestart:
                 assert value == f"value{i}".encode() * 20
                 hits += 1
         assert hits > 0  # flash-resident items are back
+        assert revived.stats.recovery_ns > 0  # the media scan is charged
 
     def test_ram_is_cold_after_restart(self):
         cache, clock, store, config = make_block_cache()
         cache.set(b"k", b"v")
-        state = cache.shutdown()
-        revived = HybridCache.warm_restart(clock, store, config, state)
+        revived = self.restart(cache, clock, store, config)
         assert len(revived.ram) == 0
         assert revived.get(b"k") == b"v"  # served from flash
 
     def test_eviction_order_preserved(self):
         cache, clock, store, config = make_block_cache()
-        for i in range(200):  # forces several evictions pre-shutdown
+        for i in range(200):  # forces several evictions before the restart
             cache.set(f"key{i:04d}".encode(), b"x" * 1200)
-        state = cache.shutdown()
-        revived = HybridCache.warm_restart(clock, store, config, state)
+        cache.flush()
+        order = list(cache.regions._sealed)  # seal order, oldest first
+        revived = self.restart(cache, clock, store, config)
+        assert list(revived.regions._sealed) == order
         # Continue running: the revived cache must evict without errors
         # and keep returning correct data.
         for i in range(200, 400):
@@ -77,56 +85,20 @@ class TestCacheWarmRestart:
         cache, clock, store, config = make_block_cache()
         cache.set(b"short", b"v", ttl_seconds=0.5)
         cache.set(b"long", b"v")
-        state = cache.shutdown()
-        revived = HybridCache.warm_restart(clock, store, config, state)
+        revived = self.restart(cache, clock, store, config)
         clock.advance(int(1e9))
         assert revived.get(b"short") is None
         assert revived.get(b"long") == b"v"
 
     def test_mismatched_config_rejected(self):
         cache, clock, store, config = make_block_cache()
-        state = cache.shutdown()
-        bad = CacheConfig(region_size=REGION, num_regions=8, ram_bytes=8 * KIB)
-        with pytest.raises(CacheConfigError):
-            HybridCache.warm_restart(clock, store, bad, state)
-
-
-class TestZtlStatePersistence:
-    def test_snapshot_roundtrip_preserves_reads(self):
-        cache, clock, store, config, layer = make_ztl_stack()
-        rng = random.Random(5)
-        for step in range(600):
-            region = rng.randrange(120)
-            cache.set(f"key{region:05d}".encode(), bytes([step % 251]) * 1000)
+        cache.set(b"k", b"v")
         cache.flush()
-        state = layer.to_state()
-        layer.restore_state(state)
-        cache.ram.clear()
-        # Every indexed key must still read correctly through the
-        # restored mapping.
-        for region in range(120):
-            key = f"key{region:05d}".encode()
-            if cache.contains(key):
-                assert cache.get(key) is not None
-
-    def test_restore_rejects_wrong_geometry(self):
-        _, clock, _, _, layer = make_ztl_stack()
-        state = layer.to_state()
-        state["region_size"] = 999
-        with pytest.raises(ValueError):
-            layer.restore_state(state)
-
-    def test_restored_layer_keeps_collecting(self):
-        cache, clock, store, config, layer = make_ztl_stack()
-        rng = random.Random(7)
-        for step in range(400):
-            cache.set(f"key{rng.randrange(120):05d}".encode(), b"x" * 1000)
-        cache.flush()
-        layer.restore_state(layer.to_state())
-        # Churn hard enough to require GC after the restore.
-        for step in range(1500):
-            cache.set(f"key{rng.randrange(120):05d}".encode(), b"y" * 1000)
-        assert layer.device.stats.write_amplification == 1.0
+        bad = CacheConfig(region_size=2 * REGION, num_regions=8, ram_bytes=8 * KIB)
+        now, reads = clock.now, store.device.stats.host_read_bytes
+        with pytest.raises(CacheConfigError, match="region_size"):
+            HybridCache.crash_recover(clock, store, bad, cache.seal_journal)
+        assert (clock.now, store.device.stats.host_read_bytes) == (now, reads)
 
 
 # --- crash recovery under power cuts ---------------------------------------------
@@ -134,8 +106,9 @@ class TestZtlStatePersistence:
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
+from repro.bench.schemes import ALL_SCHEME_NAMES, SchemeScale, build_scheme
 from repro.errors import PowerCutError
-from repro.sim import FaultInjector
+from repro.sim import FaultInjector, FaultKind, FaultRule
 
 
 def make_crash_cache(power_cut_at_ns):
@@ -303,55 +276,299 @@ class TestEmptyKeyIsRefused:
         assert [list(counts) for counts, _ in sketch._rows] == rows
 
 
-class TestCrashRecoveryKnownBugs:
-    """Two live ``crash_recover`` bugs, kept as strict xfails until the
-    seal journal can say that a sealed region no longer holds a key's
-    newest value.  Replay trusts every sealed region it finds, so a key
-    whose newest state is "gone" comes back at an older value."""
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a delete writes no journal record, so replaying the sealed "
-        "region brings the deleted value back",
+def recover(cache, clock, store, config):
+    """Power cut between two operations: DRAM and the open buffer are
+    lost, the journal and the media survive."""
+    return HybridCache.crash_recover(
+        clock, store, config, cache.seal_journal, admission=cache.admission
     )
+
+
+def make_lru_block_cache():
+    clock = SimClock()
+    geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=128)
+    device = BlockSsd(clock, BlockSsdConfig(geometry=geometry, ftl=FtlConfig(0.25)))
+    store = BlockRegionStore(device, REGION, 16)
+    config = CacheConfig(
+        region_size=REGION, num_regions=16, ram_bytes=0, eviction_policy="lru"
+    )
+    return HybridCache(clock, store, config), clock, store, config
+
+
+def evict_newest_copy_of_k(cache):
+    """Region A holds ``anchor`` and k=old, region B k=new; reading the
+    anchor keeps A hot under LRU, so B — k's newest copy — goes first
+    and the live cache misses k while A's older copy is still on
+    media."""
+    cache.set(b"anchor", b"a" * 100)
+    cache.set(b"k", b"old" * 100)
+    cache.flush()  # region A: anchor, k=old
+    cache.set(b"k", b"new" * 100)
+    cache.flush()  # region B: k=new
+    fills = 0
+    while b"k" in cache.index:
+        cache.set(b"fill%05d" % fills, b"x" * 1000)
+        assert cache.get(b"anchor") == b"a" * 100
+        fills += 1
+    assert cache.get(b"k") is None
+
+
+class TestDeadCopiesStayDead:
+    """A copy that stopped being its key's newest state is journaled
+    dead by its offset in its region, so replay skips it.  Before the
+    journal could say so, replay trusted every sealed region it found
+    and each of these cases brought an older value back."""
+
     def test_deleted_key_stays_deleted(self):
         cache, clock, store, config = make_block_cache()
         cache.set(b"gone", b"v" * 100)
         cache.flush()
         assert cache.delete(b"gone")
         assert cache.get(b"gone") is None
-        recovered = HybridCache.crash_recover(clock, store, config, cache.seal_journal)
+        recovered = recover(cache, clock, store, config)
         assert recovered.get(b"gone") is None
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="under LRU the region holding a key's newest value can be "
-        "evicted before an older sealed copy; replay serves the older copy "
-        "the live cache no longer would",
-    )
     def test_evicted_newest_value_does_not_resurrect_an_older_one(self):
+        cache, clock, store, config = make_lru_block_cache()
+        evict_newest_copy_of_k(cache)
+        recovered = recover(cache, clock, store, config)
+        assert recovered.get(b"k") is None
+        assert recovered.get(b"anchor") == b"a" * 100
+
+    def test_delete_in_the_open_buffer_stays_deleted(self):
+        cache, clock, store, config = make_block_cache()
+        cache.set(b"k", b"v" * 100)
+        assert cache.delete(b"k")
+        cache.set(b"other", b"o" * 100)
+        cache.flush()
+        recovered = recover(cache, clock, store, config)
+        assert recovered.get(b"k") is None
+        assert recovered.get(b"other") == b"o" * 100
+
+    def test_set_delete_set_in_one_buffer_recovers_the_newest(self):
+        cache, clock, store, config = make_block_cache()
+        cache.set(b"k", b"first" * 20)
+        cache.delete(b"k")
+        cache.set(b"k", b"second" * 20)
+        cache.flush()
+        recovered = recover(cache, clock, store, config)
+        assert recovered.get(b"k") == b"second" * 20
+
+    def test_gc_dropped_copy_stays_dropped(self):
+        """A §3.4 drop purges the region's keys: their copies are dead
+        too, or a later delete of the key would bring the dropped copy
+        back."""
+        cache, clock, store, config = make_block_cache()
+        cache.set(b"k", b"old" * 100)
+        cache.flush()
+        cache.on_region_dropped(cache.index[b"k"].region_id)
+        cache.set(b"k", b"new" * 100)
+        cache.delete(b"k")
+        cache.flush()
+        recovered = recover(cache, clock, store, config)
+        assert recovered.get(b"k") is None
+
+    def test_rerouted_flush_keeps_the_buffers_dead_copies(self):
+        """The open region's flush target dies and the flush re-routes
+        to another region: the buffer's dead records move with it."""
         clock = SimClock()
         geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=128)
-        device = BlockSsd(clock, BlockSsdConfig(geometry=geometry, ftl=FtlConfig(0.25)))
-        store = BlockRegionStore(device, REGION, 16)
-        config = CacheConfig(
-            region_size=REGION, num_regions=16, ram_bytes=0, eviction_policy="lru"
+        faults = FaultInjector(
+            seed=1, rules=(FaultRule(FaultKind.MEDIA_ERROR, op="write", max_injections=3),)
         )
+        device = BlockSsd(
+            clock, BlockSsdConfig(geometry=geometry, ftl=FtlConfig(0.25)), faults=faults
+        )
+        store = BlockRegionStore(device, REGION, 16)
+        config = CacheConfig(region_size=REGION, num_regions=16, ram_bytes=8 * KIB)
         cache = HybridCache(clock, store, config)
-        cache.set(b"anchor", b"a" * 100)
-        cache.set(b"k", b"old" * 100)
-        cache.flush()  # region A: anchor, k=old
-        cache.set(b"k", b"new" * 100)
-        cache.flush()  # region B: k=new
-        fills = 0
-        while b"k" in cache.index:
-            # Reading the anchor keeps region A hot, so B goes first.
-            cache.set(b"fill%05d" % fills, b"x" * 1000)
-            assert cache.get(b"anchor") == b"a" * 100
-            fills += 1
-        assert cache.get(b"k") is None
-        recovered = HybridCache.crash_recover(clock, store, config, cache.seal_journal)
+        target = cache._buffer.region_id
+        cache.set(b"k", b"v" * 100)
+        cache.delete(b"k")
+        cache.set(b"other", b"o" * 100)
+        cache.flush()  # three failed writes: quarantine, re-route
+        assert cache.regions.is_quarantined(target)
+        assert cache.index[b"other"].region_id != target
+        recovered = recover(cache, clock, store, config)
         assert recovered.get(b"k") is None
+        assert recovered.get(b"other") == b"o" * 100
+
+    def test_quarantine_retires_the_regions_dead_records(self):
+        cache, clock, store, config = make_block_cache()
+        cache.set(b"k", b"v" * 100)
+        cache.flush()
+        region_id = cache.index[b"k"].region_id
+        cache.delete(b"k")
+        assert ("dead", region_id) in {r[:2] for r in cache.seal_journal}
+        cache._quarantine_region(region_id)
+        assert ("dead", region_id) not in {r[:2] for r in cache.seal_journal}
+
+    def test_dead_records_retire_at_the_regions_invalidate(self):
+        cache, clock, store, config = make_block_cache()
+        for i in range(1000):  # 40 keys overwritten over many evictions
+            cache.set(b"key%02d" % (i % 40), b"%d" % i * 200)
+        assert cache.regions.regions_evicted > 0
+        invalidated = {}
+        for event, rid, seq, _ in cache.seal_journal:
+            if event in ("invalidate", "quarantine"):
+                invalidated[rid] = seq
+        dead = [r for r in cache.seal_journal if r[0] == "dead"]
+        assert dead
+        assert all(seq > invalidated.get(rid, 0) for _, rid, seq, _ in dead)
+        recovered = recover(cache, clock, store, config)
+        for key in {b"key%02d" % i for i in range(40)}:
+            got = recovered.get(key)
+            assert got is None or got == cache.get(key)
+
+
+class TestTwoCrashesInARow:
+    """The journal ``crash_recover`` rebuilds carries the dead copies it
+    skipped, as it carries namespace bumps: a second crash straight
+    after the first recovery serves no dead value either."""
+
+    def test_deleted_key_stays_deleted_across_two_crashes(self):
+        cache, clock, store, config = make_block_cache()
+        cache.set(b"gone", b"v" * 100)
+        cache.set(b"kept", b"k" * 100)
+        cache.flush()
+        cache.delete(b"gone")
+        once = recover(cache, clock, store, config)
+        assert once.get(b"gone") is None
+        twice = recover(once, clock, store, config)
+        assert twice.get(b"gone") is None
+        assert twice.get(b"kept") == b"k" * 100
+
+    def test_evicted_newest_copy_stays_gone_across_two_crashes(self):
+        cache, clock, store, config = make_lru_block_cache()
+        evict_newest_copy_of_k(cache)
+        once = recover(cache, clock, store, config)
+        assert once.get(b"k") is None
+        twice = recover(once, clock, store, config)
+        assert twice.get(b"k") is None
+        assert twice.get(b"anchor") == b"a" * 100
+
+
+class TestMalformedJournalIsRefused:
+    """Regression: ``crash_recover`` read whatever it was handed.  An
+    unknown event after region 0's invalidate replayed the evicted
+    region as if sealed (k came back); a record of 3 or 5 fields raised
+    a bare ``ValueError`` and a 3-field ``nsbump`` an ``IndexError``,
+    both mid-rebuild.  Every record is checked first, and a bad one is
+    refused by name before any media read or clock charge."""
+
+    @staticmethod
+    def evicted_region_zero():
+        cache, clock, store, config = make_block_cache()
+        cache.set(b"k", b"v" * 100)
+        for i in range(300):  # region 0 (holding k) is evicted
+            cache.set(b"fill%04d" % i, b"x" * 1200)
+        journal = cache.seal_journal
+        assert ("invalidate", 0) in {r[:2] for r in journal}
+        return journal, clock, store, config
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("bogus", 0, 10**6, 1),
+            ("seal", 0, 10**6),
+            ("seal", 0, 10**6, 1, 0),
+            ("nsbump", 7, 10**6),
+            ("dead", 0, 10**6, b"k"),
+            ("seal", "0", 10**6, 1),
+            "seal",
+            None,
+        ],
+        ids=["unknown-event", "3-fields", "5-fields", "3-field-nsbump",
+             "non-int-offset", "non-int-region", "a-string", "none"],
+    )
+    def test_refused_before_anything_is_read(self, bad):
+        journal, clock, store, config = self.evicted_region_zero()
+        now, reads = clock.now, store.device.stats.host_read_bytes
+        with pytest.raises(CacheConfigError, match="malformed journal record"):
+            HybridCache.crash_recover(clock, store, config, journal + [bad])
+        assert (clock.now, store.device.stats.host_read_bytes) == (now, reads)
+
+    def test_the_same_journal_without_it_recovers(self):
+        journal, clock, store, config = self.evicted_region_zero()
+        recovered = HybridCache.crash_recover(clock, store, config, journal)
+        assert recovered.get(b"k") is None
+
+
+# Tiny stacks: three 16 KiB regions (Zone-Cache: three 64 KiB zones), two
+# entries a region, no DRAM tier — every get of a flash-resident key is
+# an LRU touch and a region is evicted every few sets.
+PROPERTY_SCALE = SchemeScale(
+    zone_size=256 * KIB, region_size=16 * KIB, pages_per_block=16, ram_bytes=0
+)
+PROPERTY_ZONE_SCALE = SchemeScale(
+    zone_size=64 * KIB, region_size=16 * KIB, pages_per_block=4, ram_bytes=0
+)
+
+
+def property_stack(scheme):
+    scale = PROPERTY_ZONE_SCALE if scheme == "Zone-Cache" else PROPERTY_SCALE
+    budget = 3 * (scale.zone_size if scheme == "Zone-Cache" else scale.region_size)
+    return build_scheme(
+        scheme, SimClock(), scale, 8 * scale.zone_size, budget,
+        file_media_bytes=12 * scale.zone_size, eviction_policy="lru",
+    )
+
+
+RECOVERY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("set", "set", "delete", "get", "get", "flush", "crash")),
+        st.integers(0, 3),
+    ),
+    max_size=40,
+)
+
+
+class TestRecoveredReadsAreNewest:
+    """The recovery contract on every scheme: after any interleaving of
+    set, delete, overwrite, flush, LRU touch and crash (a crash loses
+    DRAM and the open buffer, then ``crash_recover`` rebuilds), and
+    after the clean restart that ends every run, a get is a miss or the
+    key's newest state.  Each set writes a value no other set wrote, so
+    an older value coming back shows."""
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(ops=RECOVERY_OPS)
+    @pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
+    def test_recovered_get_is_a_miss_or_the_newest_state(self, scheme, ops):
+        stack = property_stack(scheme)
+        cache, clock = stack.cache, stack.clock
+        pad = b"." * (cache.config.region_size // 2 - 200)
+        newest = {}  # key -> its newest value, None once deleted
+        for step, (op, i) in enumerate(ops):
+            key = b"key%d" % i
+            if op == "set":
+                value = b"%d:" % step + pad
+                cache.set(key, value)
+                newest[key] = value
+            elif op == "delete":
+                cache.delete(key)
+                newest[key] = None
+            elif op == "get":
+                got = cache.get(key)
+                assert got is None or got == newest.get(key)
+            elif op == "flush":
+                cache.flush()
+            else:
+                cache = recover(cache, clock, cache.store, cache.config)
+                self.check(cache, newest, step)
+        cache.flush()
+        self.check(recover(cache, clock, cache.store, cache.config), newest, "end")
+
+    @staticmethod
+    def check(cache, newest, step):
+        for key, value in newest.items():
+            got = cache.get(key)
+            assert got is None or got == value, (key, step)
 
 
 class TestReplicatedCrashRecovery:
