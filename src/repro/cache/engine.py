@@ -436,10 +436,11 @@ class HybridCache:
         return True
 
     def on_region_dropped(self, region_id: int) -> None:
-        """Backend GC dropped a region the hint refused to migrate:
-        purge its index entries and account each key's bytes by cause
-        (dead generations as "invalidated", the rest as "dropped").
-        Bound as ``GcHints.on_drop`` next to :meth:`migration_worth`."""
+        """Backend GC dropped a region (a refusing hint, a dead zone) or
+        a read found it unmapped: purge its index entries and account
+        each key's bytes by cause (dead generations as "invalidated",
+        the rest as "dropped").  The region id stays usable.  Bound as
+        ``GcHints.on_drop`` next to :meth:`migration_worth`."""
         meta = self.regions.meta(region_id)
         if meta is None:
             return
@@ -560,7 +561,9 @@ class HybridCache:
                 continue
             try:
                 payload = store.read(rid, 0, config.region_size)
-            except (DeviceError, TranslationError):
+            except TranslationError:
+                continue  # the backend unmapped it (a GC drop): it holds nothing
+            except DeviceError:
                 cache.regions.quarantine(rid)
                 cache.stats.quarantined_regions += 1
                 quarantined.append(rid)
@@ -783,26 +786,6 @@ class HybridCache:
         self._dead.pop(region_id, None)
         self.store.tracer.emit_event("engine.fault", "quarantine", offset=region_id)
 
-    def _purge_region(self, region_id: int) -> None:
-        """Forget a region's items after the backend lost its mapping
-        (e.g. its zone died under GC).  Unlike quarantine, the region id
-        itself stays usable — the store can write it again later."""
-        meta = self.regions.meta(region_id)
-        if meta is None:
-            return
-        ns = self.lifecycle.namespaces
-        for key in list(meta.keys):
-            location = self.index.get(key)
-            if location is not None and location.region_id == region_id:
-                del self.index[key]
-                self.stats.dropped_items += 1
-            reason = (
-                "invalidated"
-                if self._versioning and not ns.is_current(key)
-                else "dropped"
-            )
-            self.regions.note_key_removed(region_id, key, reason)
-
     def _evict_keys(self, region_id: int, evicted: Dict[bytes, int]) -> bool:
         """Journal a reclaimed region's invalidation and tear down its
         index entries (lock-convoy model); False when invalidating it
@@ -920,7 +903,7 @@ class HybridCache:
                 # under GC): purge the stale mappings, count misses.
                 self.stats.io_errors += 1
                 self.stats.degraded_misses += 1
-                self._purge_region(region_id)
+                self.on_region_dropped(region_id)
                 return None
 
     def _journal(self, event: str, region_id: int, salt: int = 0) -> None:

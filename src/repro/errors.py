@@ -36,7 +36,11 @@ class RetryableError(ReproError):
 
 
 class DeviceError(ReproError):
-    """Base class for storage-device errors."""
+    """Base class for storage-device errors.  ``landed`` counts the
+    extents of a batched write that reached the media (and were charged)
+    before the one that raised; later extents are untouched."""
+
+    landed = 0
 
 
 class FatalDeviceError(DeviceError):

@@ -236,15 +236,9 @@ class F2fs:
         try:
             # Indexing CPU cost (block-granular mapping, the File-Cache tax).
             clock.advance(self.config.cpu_ns_per_block * num_blocks)
-            addresses = self._allocate_with_cleaning(LogStream.HOT_DATA, num_blocks)
-            if self.data_device.pipeline.faults is not None:
-                addresses = self._write_blocks_resilient(
-                    LogStream.HOT_DATA, addresses, data
-                )
-                runs = self._section_runs(addresses)
-            else:
-                runs = self._section_runs(addresses)
-                self._write_blocks(runs, data)
+            addresses, runs = self._write_blocks(
+                self._allocate_with_cleaning(LogStream.HOT_DATA, num_blocks), data
+            )
             # The remap, a run at a time: the file's old blocks go stale,
             # then the new ones become valid and stamp their sections
             # (one write tick per block, the section stamped with the
@@ -377,71 +371,54 @@ class F2fs:
         return runs
 
     def _write_blocks(
-        self, runs: List[Tuple[int, int, int]], data: memoryview
-    ) -> None:
-        """Write payload to allocated blocks, one device write per run.
-
-        The runs are submitted as one batch: on the device's serial
-        timeline this costs exactly what writing them one by one does,
-        in one call instead of one per run.
+        self, addresses: List[int], data: memoryview
+    ) -> Tuple[List[int], List[Tuple[int, int, int]]]:
+        """Write payload to allocated blocks as one batch of per-run
+        device writes (on the serial timeline, exactly the cost of one
+        write per run); returns the final block addresses in file order
+        and their runs, for the remap.  A faulted batch keeps the runs
+        that landed and resumes at the first that did not: a dead zone
+        retires its section and that run is allocated afresh from the
+        hot data log, a transient error retries it.  Each fault costs
+        one of eight attempts; the ninth raises.
         """
         block_size = self.layout.block_size
-        items: List[Tuple[int, bytes]] = []
-        for index, block_addr, count in runs:
-            payload = data[index * block_size : (index + count) * block_size]
-            items.append((block_addr * block_size, payload))
-            self.stats.data_write_bytes += len(payload)
-        self.data_device.write_many(items)
-
-    def _write_blocks_resilient(
-        self, stream: LogStream, addresses: List[int], data: memoryview
-    ) -> List[int]:
-        """Fault-tolerant variant of :meth:`_write_blocks`.
-
-        Writes run by run so a fault only costs its own run: a transient
-        error retries the same addresses (the device gates faults before
-        mutating state), a dead zone retires its section and re-allocates
-        the run elsewhere.  Returns the final (possibly remapped) block
-        addresses in file order.
-        """
-        block_size = self.layout.block_size
-        final = list(addresses)
-        i = 0
+        runs = pending = self._section_runs(addresses)
         attempts = 0
-        while i < len(final):
-            j = i
-            # Same section-boundary split as _write_blocks: a run that
-            # rolled into the adjacent section is two zone writes.
-            while (
-                j + 1 < len(final)
-                and final[j + 1] == final[j] + 1
-                and self.layout.block_offset_in_section(final[j + 1]) != 0
-            ):
-                j += 1
-            payload = data[i * block_size : (j + 1) * block_size]
+        while True:
+            items: List[Tuple[int, memoryview]] = []
+            written = 0
+            for index, block_addr, count in pending:
+                payload = data[index * block_size : (index + count) * block_size]
+                items.append((block_addr * block_size, payload))
+                written += len(payload)
             try:
-                self.data_device.write(self.layout.device_offset(final[i]), payload)
-            except PowerCutError:
-                raise
-            except ZoneDeadError as error:
+                self.data_device.write_many(items)
+            except (ZoneDeadError, RetryableError) as error:
+                landed = error.landed
+                self.stats.data_write_bytes += sum(len(p) for _, p in items[:landed])
                 attempts += 1
                 if attempts > 8:
                     raise
-                zone = error.zone_index
-                if zone is None:
-                    zone = self.layout.section_of_block(final[i])
-                self.retire_section(zone)
-                final[i : j + 1] = self._allocate_with_cleaning(stream, j - i + 1)
+                pending = pending[landed:]
+                if not isinstance(error, ZoneDeadError):
+                    self.stats.io_retries += 1
+                    continue
+                index, block_addr, count = pending[0]
+                self.retire_section(self.layout.section_of_block(block_addr))
+                fresh = self._allocate_with_cleaning(LogStream.HOT_DATA, count)
+                addresses = addresses[:index] + fresh + addresses[index + count :]
+                # The fresh run may share a zone with runs the fault left
+                # behind: write in address order, the pointer's.
+                pending = sorted(
+                    [(index + i, addr, n) for i, addr, n in self._section_runs(fresh)]
+                    + pending[1:],
+                    key=lambda run: run[1],
+                )
+                runs = None
                 continue
-            except RetryableError:
-                attempts += 1
-                if attempts > 8:
-                    raise
-                self.stats.io_retries += 1
-                continue
-            self.stats.data_write_bytes += len(payload)
-            i = j + 1
-        return final
+            self.stats.data_write_bytes += written
+            return addresses, runs or self._section_runs(addresses)
 
     def _write_node_block(self, file_id: int, group: int) -> None:
         """Write (or rewrite) the node block indexing one group of data
@@ -527,7 +504,8 @@ class F2fs:
         """Land one cleaning-migration block, retiring dead target zones.
 
         Transient errors propagate to the cleaner, which re-queues the
-        source block (nothing was mutated — faults gate before state).
+        source block: faults gate before state, so the block goes back
+        to its log head, which stays on the zone's write pointer.
         """
         new_addr = self.logs.allocate_blocks(stream, 1)[0]
         last_error: Optional[BaseException] = None
@@ -536,6 +514,9 @@ class F2fs:
                 self.data_device.write(self.layout.device_offset(new_addr), payload)
                 return new_addr
             except PowerCutError:
+                raise
+            except RetryableError:
+                self.logs.head_of(stream).next_offset -= 1
                 raise
             except ZoneDeadError as error:
                 last_error = error

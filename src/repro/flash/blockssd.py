@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DeviceError
 from repro.flash.device import BlockDevice, DeviceStats, check_alignment
 from repro.flash.ftl import FtlConfig, PageMappedFtl
 from repro.flash.nand import NandGeometry, NandTiming
@@ -154,7 +154,8 @@ class BlockSsd(BlockDevice):
         debt), whose GC/maintenance reservations land on the timeline
         first, exactly as a lone write's do.  Only then is the batch
         charged, all at one instant — which on the serial timeline is a
-        loop of single writes bit for bit.
+        loop of single writes bit for bit.  Extents before one that
+        raises are charged first (:attr:`~repro.errors.DeviceError.landed`).
         """
         faults = self.pipeline.faults
         page_size, capacity = self._page_size, self._capacity
@@ -162,28 +163,33 @@ class BlockSsd(BlockDevice):
         # For torn-write modelling the extents service back-to-back, so
         # extent k's media window starts after the preceding services.
         ahead_ns = 0
-        for offset, data in items:
-            length = len(data)
-            if (
-                offset % page_size
-                or length % page_size
-                or length <= 0
-                or offset < 0
-                or offset + length > capacity
-            ):
-                check_alignment(offset, length, page_size, capacity)  # raises
-            service = self._write_ns.get(length)
-            if service is None:
-                service = self._write_service_ns(offset, length)
-            extra_ns = 0
-            if faults is not None:
-                extra_ns = self.pipeline.inject(
-                    "write", offset, length, None, "block", False, service
-                )
-                self._maybe_tear(offset, data, service, ahead_ns, landed)
-            self._store_pages(offset, data)
-            landed.append((offset, length, service + extra_ns))
-            ahead_ns += service
+        try:
+            for k, (offset, data) in enumerate(items):
+                length = len(data)
+                if (
+                    offset % page_size
+                    or length % page_size
+                    or length <= 0
+                    or offset < 0
+                    or offset + length > capacity
+                ):
+                    check_alignment(offset, length, page_size, capacity)  # raises
+                service = self._write_ns.get(length)
+                if service is None:
+                    service = self._write_service_ns(offset, length)
+                extra_ns = 0
+                if faults is not None:
+                    extra_ns = self.pipeline.inject(
+                        "write", offset, length, None, "block", False, service
+                    )
+                    self._maybe_tear(offset, data, service, ahead_ns, landed)
+                self._store_pages(offset, data)
+                landed.append((offset, length, service + extra_ns))
+                ahead_ns += service
+        except DeviceError as error:
+            self._charge_writes(landed)
+            error.landed = k
+            raise
         return self._charge_writes(landed)
 
     def _charge_writes(
@@ -217,7 +223,7 @@ class BlockSsd(BlockDevice):
     ) -> None:
         """Power-cut landing inside this write's media window (it opens
         ``ahead_ns`` from now): persist the page-aligned prefix, charge
-        the extents of the batch that landed before it, and raise."""
+        (and empty) ``landed``, and raise."""
         faults = self.pipeline.faults
         keep = faults.torn_write_bytes(
             self._clock.now + ahead_ns, service_ns, len(data), self._page_size
@@ -227,6 +233,7 @@ class BlockSsd(BlockDevice):
         if keep:
             self._store_pages(offset, data[:keep])
         self._charge_writes(landed)
+        landed.clear()
         faults.trip_power()
 
     def _store_pages(self, offset: int, data: bytes) -> None:

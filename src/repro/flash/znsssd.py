@@ -28,6 +28,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import (
     AlignmentError,
     ConfigError,
+    DeviceError,
     OutOfRangeError,
     ZoneDeadError,
     ZoneResourceError,
@@ -343,10 +344,10 @@ class ZnsSsd:
         op: str,
     ) -> None:
         """If the power cut lands inside this write's media window,
-        persist the aligned prefix, charge the extents of the batch that
-        landed before it, and trip the power (raises
-        :class:`PowerCutError`).  The extents service back-to-back, so
-        this one's window opens ``ahead_ns`` from now."""
+        persist the aligned prefix, charge (and empty) ``landed``, and
+        trip the power (raises :class:`PowerCutError`).  The extents
+        service back-to-back, so this one's window opens ``ahead_ns``
+        from now."""
         faults = self.pipeline.faults
         keep = faults.torn_write_bytes(
             self._clock.now + ahead_ns, service_ns, length, self.block_size
@@ -362,6 +363,7 @@ class ZnsSsd:
             self._stats.host_write_bytes += keep
             self._stats.media_write_bytes += keep
         self._charge_writes(landed, background, op)
+        landed.clear()
         faults.trip_power()
 
     # --- internals -------------------------------------------------------------------
@@ -497,6 +499,8 @@ class ZnsSsd:
         instant, queued back to back — so an invalid extent raises
         before any media time is charged for it.  The checks are done in
         line; the checking routines run only to raise the typed error.
+        Extents before one that raises are charged first
+        (:attr:`~repro.errors.DeviceError.landed`).
         """
         faults = self.pipeline.faults
         if faults is not None:
@@ -510,51 +514,56 @@ class ZnsSsd:
         # For torn-write modelling the extents service back-to-back, so
         # extent k's media window starts after the preceding services.
         ahead_ns = 0
-        for offset, source in items:
-            if not moving:
-                length = len(source)
-            if offset % page_size or length % page_size or length <= 0:
-                self._check_aligned(offset, length)
-            if zone is not None:
-                target = zone
-            elif 0 <= offset < capacity:
-                target = zones[offset // zone_size]
-            else:
-                target = self.zone_of(offset)  # raises OutOfRangeError
-            service_ns = service_cache.get(length)
-            if service_ns is None:
-                service_ns = self._write_service_ns(length)
-            extra_ns = 0
-            if faults is not None:
-                extra_ns = self.pipeline.inject(
-                    op, offset, length, target.index, "zns", background,
-                    service_ns,
-                )
-            state = target.state
-            if (
-                state in UNWRITABLE_STATES
-                or offset != target.write_pointer
-                or offset + length > target.start + target.size
-            ):
-                target.check_writable(offset, length)  # raises the typed error
-            if state not in OPEN_STATES:
-                self._ensure_open_budget(target)
-                self._note_implicit_open(target)
-            # LRU clock for the forced-close victim.
-            self._touch_tick = tick = self._touch_tick + 1
-            self._open_touch[target.index] = tick
-            if faults is not None:
-                self._maybe_tear(
-                    target, offset, source, length, service_ns, ahead_ns,
-                    landed, background, op,
-                )
-            if moving:
-                media.move(source, offset, length)
-            else:
-                media.store(offset, source)
-            target.advance(length)
-            landed.append((offset, length, target.index, service_ns + extra_ns))
-            ahead_ns += service_ns
+        try:
+            for k, (offset, source) in enumerate(items):
+                if not moving:
+                    length = len(source)
+                if offset % page_size or length % page_size or length <= 0:
+                    self._check_aligned(offset, length)
+                if zone is not None:
+                    target = zone
+                elif 0 <= offset < capacity:
+                    target = zones[offset // zone_size]
+                else:
+                    target = self.zone_of(offset)  # raises OutOfRangeError
+                service_ns = service_cache.get(length)
+                if service_ns is None:
+                    service_ns = self._write_service_ns(length)
+                extra_ns = 0
+                if faults is not None:
+                    extra_ns = self.pipeline.inject(
+                        op, offset, length, target.index, "zns", background,
+                        service_ns,
+                    )
+                state = target.state
+                if (
+                    state in UNWRITABLE_STATES
+                    or offset != target.write_pointer
+                    or offset + length > target.start + target.size
+                ):
+                    target.check_writable(offset, length)  # raises the typed error
+                if state not in OPEN_STATES:
+                    self._ensure_open_budget(target)
+                    self._note_implicit_open(target)
+                # LRU clock for the forced-close victim.
+                self._touch_tick = tick = self._touch_tick + 1
+                self._open_touch[target.index] = tick
+                if faults is not None:
+                    self._maybe_tear(
+                        target, offset, source, length, service_ns, ahead_ns,
+                        landed, background, op,
+                    )
+                if moving:
+                    media.move(source, offset, length)
+                else:
+                    media.store(offset, source)
+                target.advance(length)
+                landed.append((offset, length, target.index, service_ns + extra_ns))
+                ahead_ns += service_ns
+        except DeviceError as error:
+            self._charge_writes(landed, background, op)
+            error.landed = k
+            raise
         return self._charge_writes(landed, background, op)
 
     def _charge_writes(

@@ -345,6 +345,12 @@ class ReclaimEngine:
                             pass
                 processed += 1
             source.flush_step()
+        except BaseException:
+            # A raised step (a power cut) may leave popped units valid:
+            # they stay pending, so the victim is not released under them.
+            if self._victim == victim:
+                self._pending = list(source.pending_units(victim))
+            raise
         finally:
             for span in reversed(spans):
                 span.__exit__(None, None, None)

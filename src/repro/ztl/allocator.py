@@ -113,9 +113,6 @@ class ZoneBook:
     def host_open_zones(self) -> List[int]:
         return [z for pool in self._host_open for z in pool]
 
-    def host_open_zones_in(self, group: int) -> List[int]:
-        return list(self._host_open[group])
-
     @property
     def finished_zones(self) -> List[int]:
         return list(self._finished)
@@ -233,6 +230,21 @@ class ZoneBook:
         record.next_slot = 0
         record.group = 0
         self._empty.append(zone_index)
+
+    def _rewind_gc(self, zone_index: int, slot: int, opened: List[int]) -> None:
+        """The GC stream's writes from ``slot`` of ``zone_index`` on did
+        not land: reopen that zone there, and put the zones the stream
+        opened after it (``opened``, in order) back at the front of the
+        empty pool."""
+        for zone in opened:
+            self.mark_empty(zone)
+            self._empty.remove(zone)
+        self._empty[:0] = opened
+        if zone_index in self._finished:
+            self._finished.remove(zone_index)
+        record = self.records[zone_index]
+        record.use, record.next_slot = ZoneUse.GC_OPEN, slot
+        self._gc_open = zone_index
 
     # --- internals ----------------------------------------------------------------------
 

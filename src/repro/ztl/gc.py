@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List
 
+from repro.errors import TranslationFullError
 from repro.reclaim import (
     PacerConfig,
     ReclaimSource,
@@ -107,7 +108,7 @@ class _ZoneReclaimSource(ReclaimSource):
         self.layer = layer
         self.unit_bytes = layer.region_size
         # Batched-migration staging for the current step (cleared before
-        # the batch call so a raise loses them, as it always did).
+        # the batch call; after a raise the engine re-reads the victim).
         self._survivors: List[int] = []
 
     def free_units(self) -> int:
@@ -153,12 +154,11 @@ class _ZoneReclaimSource(ReclaimSource):
         hints = self.hints
         if hints is not None and not hints.migration_worth(region_id):
             layer._drop_region(region_id)
-            record.bitmap.clear(slot)
             return UnitOutcome.DROPPED
         # The layer allocates targets itself so it can submit the copy
         # loop as one pipelined batch, and clears the bit as the survivor
-        # moves — one that cannot (the GC stream ran out of zones) stays
-        # valid here.
+        # moves — one that cannot (the GC stream ran out of zones) is
+        # dropped by flush_step.
         self._survivors.append(region_id)
         return UnitOutcome.MIGRATED
 
@@ -167,7 +167,18 @@ class _ZoneReclaimSource(ReclaimSource):
             return
         survivors = self._survivors
         self._survivors = []
-        self.layer._migrate_regions(survivors)
+        layer = self.layer
+        try:
+            layer._migrate_regions(survivors)
+        except TranslationFullError:
+            # The GC stream ran out of zones: a survivor with nowhere to
+            # land is dropped rather than stall GC, so the victim is
+            # reset holding nothing live.
+            victim = layer.reclaim.victim
+            for region_id in survivors:
+                location = layer.map.get(region_id)
+                if location is not None and location.zone_index == victim:
+                    layer._drop_region(region_id)
 
     def release_victim(self, victim_id: int) -> None:
         self.layer._reset_zone(victim_id)

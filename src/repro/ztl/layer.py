@@ -26,6 +26,7 @@ from typing import List, Optional, Tuple
 
 from repro.errors import (
     ConfigError,
+    DeviceError,
     OutOfRangeError,
     PowerCutError,
     RegionSizeError,
@@ -299,105 +300,89 @@ class RegionTranslationLayer:
         stream runs out of zones mid-batch the survivors already rebound
         still land before the error propagates — book, map, bitmaps,
         write pointers and media agree, and nothing is charged for a
-        survivor that did not move.
-
-        With fault injection armed the batched path is unsafe (a fault
-        mid-batch would leave mappings bound to slots whose data never
-        landed), so migration falls back to a per-region loop that only
-        rebinds a mapping after its write succeeded.
+        survivor that did not move.  A faulted batch keeps what it
+        landed (:meth:`_settle_faulted_copy`); the survivors that did
+        not move go round again as another batch — the victim is reset
+        only after the step, so their bytes are still there — for at
+        most four batches, after which any left are dropped rather than
+        stall GC.
         """
-        if self.device.pipeline.faults is not None:
-            self._migrate_regions_resilient(region_ids)
-            return
         region_size, zone_size = self.region_size, self.zone_size
         book, mapping = self.book, self.map
         records = book.records
         with self.tracer.span(
             "ztl.gc", "migrate", length=len(region_ids) * region_size
         ):
-            pairs: List[Tuple[int, int]] = []
-            try:
-                for region_id in region_ids:
-                    old = mapping.lookup(region_id)
-                    target = book.allocate_gc_slot()
-                    slot = target.next_slot
-                    pairs.append(
-                        (
-                            old.zone_index * zone_size + old.slot * region_size,
-                            target.zone_index * zone_size + slot * region_size,
+            for _ in range(4):
+                pairs: List[Tuple[int, int]] = []
+                try:
+                    for region_id in region_ids:
+                        old = mapping.lookup(region_id)
+                        target = book.allocate_gc_slot()
+                        slot = target.next_slot
+                        pairs.append(
+                            (
+                                old.zone_index * zone_size + old.slot * region_size,
+                                target.zone_index * zone_size + slot * region_size,
+                            )
                         )
-                    )
-                    records[old.zone_index].bitmap.clear(old.slot)
-                    target.bitmap.set(slot)
-                    mapping.bind(region_id, _location((target.zone_index, slot)))
-                    book.note_slot_written(target)
-            finally:
-                if pairs:
-                    self.device.copy_many(pairs, region_size)
-                    self.stats.migrated_region_writes += len(pairs)
-
-    def _migrate_regions_resilient(self, region_ids: List[int]) -> None:
-        with self.tracer.span(
-            "ztl.gc", "migrate", length=len(region_ids) * self.region_size
-        ):
+                        records[old.zone_index].bitmap.clear(old.slot)
+                        target.bitmap.set(slot)
+                        mapping.bind(region_id, _location((target.zone_index, slot)))
+                        book.note_slot_written(target)
+                finally:
+                    region_ids = []
+                    if pairs:
+                        try:
+                            self.device.copy_many(pairs, region_size)
+                            self.stats.migrated_region_writes += len(pairs)
+                        except DeviceError as error:
+                            region_ids = self._settle_faulted_copy(pairs, error)
+                if not region_ids:
+                    return
             for region_id in region_ids:
-                self._migrate_one_resilient(region_id)
+                self._drop_region(region_id)
 
-    def _migrate_one_resilient(self, region_id: int) -> None:
-        """Fault-tolerant single-region migration.
-
-        Unreadable sources and unlandable rewrites *drop* the region (a
-        cache can always re-fetch; stalling GC cannot be afforded); dead
-        target zones are retired and the write retried elsewhere.
-        """
-        old = self.map.lookup(region_id)
-        offset = old.byte_offset(self.zone_size, self.region_size)
-        data: Optional[bytes] = None
-        for _ in range(3):
-            try:
-                data = self.device.read(
-                    offset, self.region_size, background=True
-                ).data
-                break
-            except PowerCutError:
-                raise
-            except ZoneDeadError:
-                break  # the source zone died: its bytes are gone
-            except RetryableError:
-                self.stats.gc_retries += 1
-        self.book.record(old.zone_index).bitmap.clear(old.slot)
-        if data is None:
-            self._drop_region(region_id)
-            return
-        for _ in range(4):
-            try:
-                target = self.book.allocate_gc_slot()
-            except TranslationFullError:
-                break
-            slot = target.next_slot
-            location = RegionLocation(target.zone_index, slot)
-            try:
-                self.device.write(
-                    location.byte_offset(self.zone_size, self.region_size),
-                    data,
-                    background=True,
-                )
-            except PowerCutError:
-                raise
-            except ZoneDeadError as error:
-                zone = error.zone_index
-                self._retire_zone(zone if zone is not None else target.zone_index)
-                continue
-            except RetryableError:
-                self.stats.gc_retries += 1
-                continue
-            target.bitmap.set(slot)
-            self.map.bind(region_id, location)
-            self.book.note_slot_written(target)
-            self.stats.migrated_region_writes += 1
-            return
-        # Nowhere to land the survivor: drop it rather than stall GC.
-        self._drop_region(region_id)
+    def _settle_faulted_copy(
+        self, pairs: List[Tuple[int, int]], error: DeviceError
+    ) -> List[int]:
+        """``copy_many(pairs)`` landed ``error.landed`` copies, then
+        raised: those survivors keep their new slots, the rest get their
+        old ones back and the GC stream rewinds to the first one's slot.
+        Then a dead target is retired, a dead source drops its
+        survivors, and anything but a transient error propagates.
+        Returns the survivors to copy again."""
+        book, mapping = self.book, self.map
+        records = book.records
+        region_size, per_zone = self.region_size, self.slots_per_zone
+        landed = error.landed
+        self.stats.migrated_region_writes += landed
+        unmoved: List[int] = []
+        opened: List[int] = []
+        for src, dst in pairs[landed:]:
+            location = _location(divmod(dst // region_size, per_zone))
+            records[location.zone_index].bitmap.clear(location.slot)
+            if location.slot == 0 and unmoved:
+                opened.append(location.zone_index)
+            region_id = mapping.region_at(location)
+            old = _location(divmod(src // region_size, per_zone))
+            records[old.zone_index].bitmap.set(old.slot)
+            mapping.bind(region_id, old)
+            unmoved.append(region_id)
+        target, slot = divmod(pairs[landed][1] // region_size, per_zone)
+        book._rewind_gc(target, slot, opened)
+        if not isinstance(error, (ZoneDeadError, RetryableError)):
+            raise error
+        if not isinstance(error, ZoneDeadError):
+            self.stats.gc_retries += 1
+            return unmoved
+        if error.zone_index == target:
+            self._retire_zone(target)
+            return unmoved
+        for region_id in unmoved:
+            if mapping.lookup(region_id).zone_index == error.zone_index:
+                self._drop_region(region_id)  # its bytes are gone
+        return [region_id for region_id in unmoved if region_id in mapping]
 
     def _retire_zone(self, zone_index: int) -> None:
         """Take a dead zone out of service: drop its regions, tell the
@@ -427,9 +412,11 @@ class RegionTranslationLayer:
 
     def _drop_region(self, region_id: int) -> None:
         """The one drop routine — a §3.4 hint, a dead zone or a survivor
-        with nowhere to land: unmap the region and tell the cache (its
-        bound ``hints.on_drop``) so the index purges what it lost."""
-        self.map.unbind(region_id)
+        with nowhere to land: unmap the region, clear its bit and tell
+        the cache (its bound ``hints.on_drop``) so the index purges what
+        it lost."""
+        location = self.map.unbind(region_id)
+        self.book.records[location.zone_index].bitmap.clear(location.slot)
         self.stats.dropped_regions += 1
         hints = self.reclaim.source.hints
         if hints is not None:

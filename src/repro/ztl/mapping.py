@@ -22,10 +22,6 @@ class RegionLocation(NamedTuple):
     zone_index: int
     slot: int
 
-    def byte_offset(self, zone_size: int, region_size: int) -> int:
-        """Absolute device offset of the region's first byte."""
-        return self.zone_index * zone_size + self.slot * region_size
-
 
 class RegionMap:
     """Bidirectional region↔slot map (one entry per live region)."""

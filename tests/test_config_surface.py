@@ -225,3 +225,24 @@ def test_pin_counts():
     """20 ``*Config`` classes carrying 133 fields."""
     assert len(PINNED) == 20
     assert sum(len(names) for names in PINNED.values()) == 133
+
+
+def test_no_code_outside_the_devices_branches_on_armed_faults():
+    """One write path whether faults are armed or not: outside
+    ``repro/sim`` (the injector and the pipeline) and ``repro/flash``
+    (the devices it gates), no code reads ``<...>.pipeline.faults`` — a
+    layer that did could fork a path no fault-free benchmark runs."""
+    readers = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        if relative.parts[0] in ("sim", "flash"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Attribute) and node.attr == "faults"):
+                continue
+            owner = node.value
+            if (isinstance(owner, ast.Attribute) and owner.attr == "pipeline") or (
+                isinstance(owner, ast.Name) and owner.id == "pipeline"
+            ):
+                readers.append(f"{relative}:{node.lineno}")
+    assert readers == [], "fault-armed path selection outside the devices"

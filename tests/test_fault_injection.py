@@ -14,7 +14,9 @@ Three guarantees, checked across every scheme backend:
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, Phase, example, given, settings
 
 from repro.bench.schemes import SchemeScale, build_scheme
 from repro.errors import (
@@ -33,7 +35,9 @@ from repro.sim import (
     SimClock,
     ZoneFault,
 )
+from repro.f2fs import fsck
 from repro.units import KIB, MIB
+from repro.ztl import GcConfig, ZoneUse
 
 SCALE = SchemeScale(
     zone_size=1 * MIB,
@@ -493,6 +497,78 @@ class TestChargeRoutineUnderFaults:
         ]
         assert device.stats.host_write_bytes == 16 * KIB
 
+    @staticmethod
+    def _write_fails_once(make, after_requests):
+        clock = SimClock()
+        faults = FaultInjector(
+            seed=1,
+            rules=(
+                FaultRule(
+                    FaultKind.MEDIA_ERROR, op="write",
+                    after_requests=after_requests, max_injections=1,
+                ),
+            ),
+        )
+        device = make(clock, faults)
+        device.tracer.enable()
+        return device
+
+    @staticmethod
+    def _assert_writes_reconcile(device):
+        """Device bytes, the trace's write records and the timeline agree
+        (the injector's own records are events, not commands)."""
+        writes = device.tracer.find(op="write")
+        assert device.stats.host_write_bytes == sum(r.length for r in writes)
+        commands = [r for r in device.tracer.records if r.layer != "faults"]
+        assert device.pipeline.total_busy_ns == sum(r.service_ns for r in commands)
+        assert device.pipeline.commands == len(commands)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(_zns_device, id="znsssd"),
+            pytest.param(_block_device, id="blockssd"),
+        ],
+    )
+    def test_faulted_write_many_charges_the_extents_it_landed(self, make):
+        """Extent 2 of 3 faults: extent 1 is on media and charged, extents
+        2-3 are untouched, and the retry of the rest lands."""
+        device = self._write_fails_once(make, after_requests=1)
+        pages = [bytes([i + 1]) * (4 * KIB) for i in range(3)]
+        items = [(i * 4 * KIB, page) for i, page in enumerate(pages)]
+        with pytest.raises(TransientMediaError) as raised:
+            device.write_many(items)
+        assert [(r.offset, r.length) for r in device.tracer.find(op="write")] == [
+            (0, 4 * KIB)
+        ]
+        self._assert_writes_reconcile(device)
+        assert raised.value.landed == 1
+        assert device.read(0, 12 * KIB).data == pages[0] + bytes(8 * KIB)
+        if hasattr(device, "zones"):
+            assert device.zones[0].write_pointer == 4 * KIB
+        device.write_many(items[1:])
+        assert device.read(0, 12 * KIB).data == b"".join(pages)
+        assert device.stats.host_write_bytes == 12 * KIB
+        self._assert_writes_reconcile(device)
+
+    def test_faulted_copy_many_charges_the_copies_it_landed(self):
+        device = self._write_fails_once(_zns_device, after_requests=2)
+        pages = [bytes([i + 1]) * (4 * KIB) for i in range(3)]
+        device.write(0, b"".join(pages))
+        zone = 256 * KIB
+        pairs = [(i * 4 * KIB, zone + i * 4 * KIB) for i in range(3)]
+        with pytest.raises(TransientMediaError) as raised:
+            device.copy_many(pairs, 4 * KIB)
+        assert device.stats.host_write_bytes == 16 * KIB
+        self._assert_writes_reconcile(device)
+        assert raised.value.landed == 1
+        assert device.zones[1].write_pointer == zone + 4 * KIB
+        assert device.read(zone, 12 * KIB).data == pages[0] + bytes(8 * KIB)
+        device.copy_many(pairs[1:], 4 * KIB)
+        assert device.read(zone, 12 * KIB).data == b"".join(pages)
+        assert device.stats.host_write_bytes == 24 * KIB
+        self._assert_writes_reconcile(device)
+
     @pytest.mark.parametrize("scheme", SCHEMES + ("Z-Cache",))
     def test_transient_read_faults_cost_what_they_did(self, scheme):
         """Read faults → engine retries → degraded misses, in the numbers
@@ -667,3 +743,152 @@ PARENT_POWER_CUT_OUTCOMES = {
     "Region-Cache": (9000000, 1, 8192, 172032, 262144, 224, 10),
     "Z-Cache": (9000000, 1, 8192, 172032, 262144, 224, 10),
 }
+
+
+# --- fault-armed reclaim keeps its books ---------------------------------------
+
+GC_SCALE = SchemeScale(
+    zone_size=128 * KIB, region_size=16 * KIB, pages_per_block=16, ram_bytes=16 * KIB
+)
+GC_ZONES = 16
+CACHE_ZONES = 11
+FILE_ZONES = 20
+WRITE_P = (0.0, 0.05, 0.2)
+
+FAULT_PLANS = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**16),
+        "read": st.sampled_from((0.0, 0.02, 0.1)),
+        "write": st.sampled_from(WRITE_P),
+        "resource": st.sampled_from((0.0, 0.02)),
+        "zone": st.integers(0, GC_ZONES - 1),
+        "kind": st.sampled_from((FaultKind.ZONE_READONLY, FaultKind.ZONE_OFFLINE)),
+        "at_ms": st.integers(5, 100),
+    }
+)
+
+
+def _faulted_gc_run(scheme, plan):
+    """Run ``scheme`` under ``plan`` for long enough that its reclaim
+    engine reclaims victims; returns the stack and the newest value set
+    per key."""
+    faults = FaultInjector(
+        seed=plan["seed"],
+        rules=(
+            FaultRule(
+                FaultKind.MEDIA_ERROR, plan["read"], op="read", pipeline="znsssd"
+            ),
+            FaultRule(
+                FaultKind.MEDIA_ERROR, plan["write"], op="write", pipeline="znsssd"
+            ),
+            FaultRule(
+                FaultKind.ZONE_RESOURCE, plan["resource"], op="write",
+                pipeline="znsssd",
+            ),
+        ),
+        zone_faults=(ZoneFault(plan["at_ms"] * 1_000_000, plan["zone"], plan["kind"]),),
+    )
+    # ZTL victims up to half valid, so GC moves survivors in batches.
+    backend = {"gc": GcConfig(victim_valid_threshold=0.5)}
+    if scheme == "File-Cache":
+        backend = {}
+    stack = build_scheme(
+        scheme, SimClock(), GC_SCALE, GC_ZONES * GC_SCALE.zone_size,
+        CACHE_ZONES * GC_SCALE.zone_size,
+        file_media_bytes=FILE_ZONES * GC_SCALE.zone_size,
+        eviction_policy="lru", faults=faults, **backend,
+    )
+    stack.cache.store.tracer.enable()
+    rng = random.Random(plan["seed"])
+    newest = {}
+    cache = stack.cache
+    # Between operations every mapped region holds a valid bit: a zone
+    # reset (bitmap cleared) under a live mapping breaks the count.
+    layer = stack.substrate.get("layer")
+    records = layer.book.records if layer is not None else ()
+    for step in range(2000):
+        key = b"key%d" % rng.randrange(400)
+        if rng.random() < 0.6:
+            value = b"%d:" % step + bytes(rng.randrange(200, 3000))
+            cache.set(key, value)
+            newest[key] = value
+            if layer is not None:
+                assert sum(r.bitmap.valid_count for r in records) == len(layer.map)
+        else:
+            got = cache.get(key)
+            assert got is None or got == newest.get(key)
+    assert stack.reclaim_engine()[1].stats.triggers > 0
+    return stack, newest
+
+
+def _assert_ztl_books_agree(layer):
+    """Every zone the book still uses has its slot cursor at the write
+    pointer, and its bitmap marks exactly the mapped slots below it."""
+    device, region_size = layer.device, layer.region_size
+    for record in layer.book.records:
+        if record.use is ZoneUse.DEAD:
+            continue
+        zone = device.zones[record.zone_index]
+        assert zone.write_pointer == zone.start + record.next_slot * region_size, record
+        for slot in range(layer.slots_per_zone):
+            mapped = layer._region_at(record.zone_index, slot) is not None
+            assert record.bitmap.is_set(slot) == mapped, (record, slot)
+            assert not mapped or slot < record.next_slot, (record, slot)
+
+
+def _assert_f2fs_books_agree(fs):
+    """fsck is clean, every log head sits on its zone's write pointer
+    and no valid block lies past one."""
+    assert fsck(fs).clean, fsck(fs).errors
+    device, layout = fs.data_device, fs.layout
+    per_section = layout.blocks_per_section
+    for head in fs.logs._heads.values():
+        if head.section is not None and not fs.logs.is_retired(head.section):
+            zone = device.zones[head.section]
+            assert zone.write_pointer == zone.start + head.next_offset * layout.block_size
+    for section in range(layout.num_sections):
+        if fs.logs.is_retired(section):
+            continue
+        zone = device.zones[section]
+        written = (zone.write_pointer - zone.start) // layout.block_size
+        for addr in fs.sit.valid_blocks(section):
+            assert addr % per_section < written, (section, addr)
+
+
+class TestFaultArmedReclaimKeepsItsBooks:
+    """The reclaim paths the benchmarks time, with faults armed: random
+    read / write media errors, open-resource exhaustion and one zone
+    turning READ_ONLY or OFFLINE, until GC has run.  Afterwards the
+    layer's books agree with the write pointers, every key reads its
+    newest value or misses, and the device's written bytes are the sum
+    of its trace write records."""
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        derandomize=True,
+        phases=(Phase.explicit, Phase.generate),  # a shrink costs minutes
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(plan=FAULT_PLANS)
+    # The last zone turns READ_ONLY: the ZTL's GC stream runs out of
+    # zones mid-batch and GC must drop the survivors it cannot place.
+    @example(
+        plan={
+            "seed": 6796, "read": 0.0, "write": 0.0, "resource": 0.02,
+            "zone": GC_ZONES - 1, "kind": FaultKind.ZONE_READONLY, "at_ms": 53,
+        }
+    )
+    @pytest.mark.parametrize("scheme", ["Region-Cache", "Z-Cache", "File-Cache"])
+    def test_books_agree_with_the_media(self, scheme, plan):
+        stack, newest = _faulted_gc_run(scheme, plan)
+        device = stack.substrate["device"]
+        if scheme == "File-Cache":
+            _assert_f2fs_books_agree(stack.substrate["fs"])
+        else:
+            _assert_ztl_books_agree(stack.substrate["layer"])
+        written = device.tracer.find(layer="zns", op="write")
+        assert device.stats.host_write_bytes == sum(r.length for r in written)
+        for key, value in newest.items():
+            got = stack.cache.get(key)
+            assert got is None or got == value, key

@@ -1,10 +1,13 @@
 """Restart tests: the seal journal is the one recovery path, after a
 clean stop and after a power cut."""
 
+import random
+
 import pytest
 
 from repro.cache import CacheConfig, HybridCache
 from repro.cache.backends import BlockRegionStore, ZtlRegionStore
+from repro.cache.lifecycle import LifecycleConfig
 from repro.errors import CacheConfigError, InvalidKeyError
 from repro.flash import BlockSsd, BlockSsdConfig, FtlConfig, NandGeometry, ZnsConfig, ZnsSsd
 from repro.sim import SimClock
@@ -446,6 +449,42 @@ class TestTwoCrashesInARow:
         twice = recover(once, clock, store, config)
         assert twice.get(b"k") is None
         assert twice.get(b"anchor") == b"a" * 100
+
+
+class TestUnmappedRegionsRecoverFree:
+    """A region GC dropped on a hint is unmapped in the backend, not dead
+    media: recovery puts it back on the free list instead of
+    quarantining it, so a restart does not shrink the cache."""
+
+    @pytest.mark.parametrize("scheme", ["Region-Cache", "Z-Cache"])
+    def test_hint_dropped_regions_are_not_quarantined(self, scheme):
+        scale = SchemeScale(
+            zone_size=256 * KIB, region_size=16 * KIB, pages_per_block=16,
+            ram_bytes=32 * KIB,
+        )
+        stack = build_scheme(
+            scheme, SimClock(), scale, 24 * scale.zone_size, 16 * scale.zone_size,
+            lifecycle=LifecycleConfig(
+                gc_hints=True, hint_layers="all", hint_drop_position=0.5
+            ),
+            eviction_policy="lru",
+        )
+        cache = stack.cache
+        rng = random.Random(3)
+        for _ in range(20_000):
+            key = b"k%d" % rng.randrange(3000)
+            if rng.random() < 0.7:
+                cache.set(key, b"v" * rng.randrange(100, 2000))
+            else:
+                cache.get(key)
+        assert stack.substrate["layer"].stats.dropped_regions > 0
+        cache.flush()
+        recovered = recover(cache, stack.clock, cache.store, cache.config)
+        regions = recovered.regions
+        assert recovered.stats.quarantined_regions == cache.stats.quarantined_regions
+        # Every region is free, sealed, or the one the recovered cache
+        # opened to fill.
+        assert regions.free_count + regions.sealed_count + 1 == cache.config.num_regions
 
 
 class TestMalformedJournalIsRefused:

@@ -104,7 +104,3 @@ class TestRegionMap:
         assert rmap.unbind(7) == loc
         assert rmap.unbind(7) is None
         assert len(rmap) == 0
-
-    def test_byte_offset(self):
-        loc = RegionLocation(zone_index=3, slot=2)
-        assert loc.byte_offset(zone_size=1024, region_size=128) == 3 * 1024 + 256

@@ -5,10 +5,15 @@ import random
 import pytest
 
 from repro.cache.backends import ZtlRegionStore
-from repro.errors import OutOfRangeError, RegionNotMappedError, TranslationFullError
+from repro.errors import (
+    OutOfRangeError,
+    PowerCutError,
+    RegionNotMappedError,
+    TranslationFullError,
+)
 from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
 from repro.reclaim import GcHints
-from repro.sim import SimClock
+from repro.sim import FaultInjector, SimClock
 from repro.units import KIB
 from repro.ztl import GcConfig, RegionTranslationLayer, ZtlConfig
 from repro.ztl.allocator import ZoneBook, ZoneUse
@@ -206,6 +211,43 @@ class TestZtlGc:
                 assert record.bitmap.is_set(slot) == mapped
         assert layer.book.record(gc_zone).valid_count == 4
         for region_id in range(8):
+            assert layer.read_region(region_id).data == payload(region_id)
+
+    def test_power_cut_mid_batch_keeps_the_victim(self):
+        """Power fails during a victim's copy batch: its survivors stay
+        mapped at the victim, so the victim is not reset under them when
+        GC resumes on restored power — it is collected again."""
+        clock = SimClock()
+        geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=24)
+        faults = FaultInjector(seed=1)
+        zns = ZnsSsd(
+            clock,
+            ZnsConfig(geometry=geometry, zone_size=4 * geometry.block_size),
+            faults=faults,
+        )
+        layer = RegionTranslationLayer(
+            zns,
+            ZtlConfig(
+                region_size=REGION,
+                host_open_zones=1,
+                gc=GcConfig(min_empty_zones=1, victim_valid_threshold=0.5),
+            ),
+        )
+        for region_id in range(5):  # zone 0 holds regions 0-3
+            layer.write_region(region_id, payload(region_id))
+        layer.invalidate_region(0)
+        layer.invalidate_region(1)
+        faults.power_cut_at_ns = clock.now
+        with pytest.raises(PowerCutError):
+            layer.reclaim.collect()
+        assert layer.reclaim.victim == 0
+        assert [layer.map.lookup(r).zone_index for r in (2, 3)] == [0, 0]
+        faults.restore_power()
+        assert layer.reclaim.collect() == 1
+        assert layer.book.record(0).use is ZoneUse.EMPTY
+        mapped = sum(record.valid_count for record in layer.book.records)
+        assert mapped == len(layer.map) == 3
+        for region_id in (2, 3, 4):
             assert layer.read_region(region_id).data == payload(region_id)
 
 
