@@ -39,6 +39,7 @@ from repro.cache.region_manager import RegionManager
 from repro.cache.stats import CacheStats
 from repro.errors import (
     CacheConfigError,
+    CacheTypeError,
     DeviceError,
     EntryCorruptError,
     FatalDeviceError,
@@ -248,11 +249,11 @@ class HybridCache:
         """Insert/replace an item; returns True if it reached flash.
 
         ``ttl_seconds`` sets an expiry relative to the simulated clock;
-        expired items read as misses.  An empty key, an oversized entry
-        and a TTL that is not positive, is not finite or does not fit the
-        entry header's u64 expiry are refused with a typed error before
-        anything — clock, stats, DRAM tier, TTL ledger, admission sketch
-        — is touched.
+        expired items read as misses.  A key or value that is not
+        ``bytes``, an empty key, an oversized entry and a TTL that is not
+        positive, is not finite or does not fit the entry header's u64
+        expiry are refused with a typed error before anything — clock,
+        stats, DRAM tier, TTL ledger, admission sketch — is touched.
         """
         clock = self._clock
         start_ns = clock.now
@@ -261,6 +262,11 @@ class HybridCache:
         if span is not None:
             span.__enter__()
         try:
+            if type(key) is not bytes or type(value) is not bytes:
+                raise CacheTypeError(
+                    f"a cache key and value must be bytes, got "
+                    f"{type(key).__name__} and {type(value).__name__}"
+                )
             entry_size = self._entry_overhead + len(key) + len(value)
             if entry_size > self._region_size:
                 raise ObjectTooLargeError(

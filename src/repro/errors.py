@@ -173,6 +173,12 @@ class InvalidKeyError(CacheError, ValueError):
     sentinel that ends a region's entries)."""
 
 
+class CacheTypeError(CacheError, TypeError):
+    """A ``set`` carried a key or value that is not ``bytes``.
+    Subclasses :class:`TypeError`, what such a call raised before it was
+    checked."""
+
+
 class EntryCorruptError(CacheError):
     """An on-flash entry failed its checksum (torn or stale bytes)."""
 
@@ -186,6 +192,12 @@ class LsmError(ReproError):
 
 class DbClosedError(LsmError):
     """Operation on a closed database."""
+
+
+class LsmTypeError(LsmError, TypeError):
+    """A ``get``, ``put`` or ``delete`` carried a key or value that is
+    not ``bytes``.  Subclasses :class:`TypeError` for the same reason
+    :class:`CacheTypeError` does."""
 
 
 # --- serving layer -----------------------------------------------------------

@@ -22,18 +22,13 @@ CHUNK_KEYS = 4096
 
 def bloom_hashes(key: bytes) -> Tuple[int, int]:
     """The double-hashing pair of ``key``: one digest serves the probe of
-    every table a lookup visits."""
+    every table a read plan visits."""
     h1, h2 = _DIGEST.unpack(hashlib.blake2b(key, digest_size=16).digest())
     return h1, h2 | 1
 
 
 class BloomFilter:
-    """Double-hashing bloom filter over byte keys.
-
-    ``Db.get`` runs :meth:`may_contain`'s probe inline over ``_bits``,
-    ``num_bits`` and ``num_hashes``; a change to the bit layout must
-    change both.
-    """
+    """Double-hashing bloom filter over byte keys."""
 
     def __init__(self, num_bits: int, num_hashes: int) -> None:
         if num_bits < 8:

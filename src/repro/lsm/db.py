@@ -9,14 +9,13 @@ flash cache (µs), or HDD (ms).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.errors import ConfigError, DbClosedError, LsmError
+from repro.errors import ConfigError, DbClosedError, LsmError, LsmTypeError
 from repro.flash.device import BlockDevice
 from repro.lsm.block import MAX_KEY_LEN, MAX_VALUE_LEN
-from repro.lsm.bloom import bloom_hashes
 from repro.lsm.block_cache import BlockCache, SecondaryCache
 from repro.lsm.compaction import TOMBSTONE, CompactionConfig, Compactor
 from repro.lsm.iterator import scan_range
@@ -106,6 +105,8 @@ class Db:
     def put(self, key: bytes, value: bytes) -> None:
         if not self._open:
             raise DbClosedError("database is closed")
+        if type(key) is not bytes or type(value) is not bytes:
+            self._refuse_type(key, value)
         key_len, value_len = len(key), len(value)
         # Checked before any effect; values are stored behind a 1-byte tag.
         if (
@@ -132,6 +133,8 @@ class Db:
     def delete(self, key: bytes) -> None:
         if not self._open:
             raise DbClosedError("database is closed")
+        if type(key) is not bytes:
+            self._refuse_type(key)
         key_len = len(key)
         if key_len > MAX_KEY_LEN or key_len > self._max_put_bytes:
             self._refuse(key_len, 0)
@@ -146,6 +149,13 @@ class Db:
         self.stats.deletes += 1
         if self.memtable.put(key, TOMBSTONE):
             self.flush_memtable()
+
+    @staticmethod
+    def _refuse_type(*objects: object) -> None:
+        raise LsmTypeError(
+            "keys and values must be bytes, got "
+            + " and ".join(type(o).__name__ for o in objects)
+        )
 
     def _refuse(self, key_len: int, value_len: int) -> None:
         raise LsmError(
@@ -181,6 +191,8 @@ class Db:
     def get(self, key: bytes) -> Optional[bytes]:
         if not self._open:
             raise DbClosedError("database is closed")
+        if type(key) is not bytes:  # before any effect, and any plan
+            self._refuse_type(key)
         clock = self._clock
         start_ns = clock.now
         clock.now = start_ns + self.config.cpu_get_ns  # validated >= 0
@@ -200,47 +212,28 @@ class Db:
         return encoded[1:]
 
     def _search_tables(self, key: bytes) -> Optional[bytes]:
-        """The newest stored entry of ``key`` in one walk: every L0 table
-        whose range covers it (newest first), then the one fenced table of
-        each deeper level, stopping at the first table that holds it."""
-        h1, h2 = bloom_hashes(key)  # once, for every table probed
-        version, block_cache = self.version, self.block_cache
-        fences = version.fences
-        for level, tables in enumerate(version.levels):
-            if level:
-                i = bisect_right(fences[level], key)
-                if not i:
-                    continue
-                tables = tables[i - 1 : i]
-            for table in tables:
-                if not table.smallest <= key <= table.largest:
-                    continue
-                # BloomFilter.may_contain on the one digest, inline.
-                bloom = table.bloom
-                bits, num_bits = bloom._bits, bloom.num_bits
-                bit, step = h1 % num_bits, h2 % num_bits
-                for _ in range(bloom.num_hashes):
-                    if not bits[bit >> 3] >> (bit & 7) & 1:
-                        break
-                    bit += step
-                    if bit >= num_bits:
-                        bit -= num_bits
-                else:
-                    # index_keys[0] is table.smallest, so block >= 0.
-                    block = bisect_right(table.index_keys, key) - 1
-                    handle = table.index_handles[block]
-                    cache_key = (table.table_id, handle.offset)
-                    blob = block_cache.get(cache_key)
-                    if blob is None:
-                        blob = table.read_block(handle)
-                        block_cache.put(cache_key, blob)
-                    index = table.entry_indexes[block]
-                    if index is None:
-                        index = table.index_block(block, blob)
-                    keys, starts, ends = index
-                    slot = bisect_left(keys, key)
-                    if slot < len(keys) and keys[slot] == key:
-                        return blob[starts[slot] : ends[slot]]
+        """The newest stored entry of ``key``: its read plan's steps in
+        order (built by ``Version.read_plan`` on first use), stopping at
+        the first table that holds it."""
+        plans = self.version.plans
+        plan = plans.get(key)
+        if plan is None:
+            plan = self.version.read_plan(key)
+        else:
+            plans.move_to_end(key)
+        block_cache = self.block_cache
+        for table, block, block_key in plan:
+            blob = block_cache.get(block_key)
+            if blob is None:
+                blob = table.read_block(table.index_handles[block])
+                block_cache.put(block_key, blob)
+            index = table.entry_indexes[block]
+            if index is None:
+                index = table.index_block(block, blob)
+            keys, starts, ends = index
+            slot = bisect_left(keys, key)
+            if slot < len(keys) and keys[slot] == key:
+                return blob[starts[slot] : ends[slot]]
         return None
 
     # --- iteration --------------------------------------------------------------------
@@ -337,7 +330,12 @@ class Db:
         if replayed:
             db.flush_memtable()
         else:
+            # A new epoch, so no stale block of the old one (a torn tail)
+            # is replayed after the next record, recorded in the manifest
+            # as a flush records it: else the next recovery replays the
+            # old epoch and loses every record written in this one.
             db.wal.reset()
+            db._persist_manifest()
         return db
 
     # --- lifecycle -----------------------------------------------------------------------

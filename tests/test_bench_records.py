@@ -1,0 +1,103 @@
+"""The checked-in ``BENCH_<workload>.json`` files and the tool that
+appends to them (``tools/ab_pairs.py --record PR``).
+
+Every entry of every file has the schema ``record`` writes, and a file's
+entries are in PR order.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+ab_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_pairs)
+
+COMMIT = re.compile(r"[0-9a-f]{40}(\+dirty)?")
+BETTER = {"sim_ops_per_host_s": "higher", "setup_s": "lower", "peak_rss_mib": "lower"}
+BOUND = {"sim_ops_per_host_s": 0.25, "setup_s": 0.25, "peak_rss_mib": 0.15}
+VERDICTS = {"gain", "within bound", "REGRESSION"}
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def _workloads():
+    with open(ROOT / "BENCHMARK.json") as handle:
+        return {w["name"]: w for w in json.load(handle)["workloads"]}
+
+
+def check_entries(entries: list) -> None:
+    assert isinstance(entries, list) and entries
+    for entry in entries:
+        assert set(entry) == {
+            "pr", "parent", "change", "seed", "pairs", "sim_digest_identical",
+            "metrics",
+        }, entry
+        assert type(entry["pr"]) is int and entry["pr"] > 0
+        assert COMMIT.fullmatch(entry["parent"]), entry["parent"]
+        assert COMMIT.fullmatch(entry["change"]), entry["change"]
+        assert type(entry["seed"]) is int
+        assert type(entry["pairs"]) is int and entry["pairs"] >= 2
+        assert type(entry["sim_digest_identical"]) is bool
+        assert set(entry["metrics"]) == set(ab_pairs.RECORDED_METRICS)
+        for metric in entry["metrics"].values():
+            assert set(metric) == {"parent", "change", "delta", "wins", "verdict"}
+            for side in ("parent", "change"):
+                assert set(metric[side]) == {"q1", "median", "q3"}
+                assert metric[side]["q1"] <= metric[side]["median"] <= metric[side]["q3"]
+            assert metric["delta"] == pytest.approx(
+                metric["change"]["median"] / metric["parent"]["median"] - 1
+            )
+            assert 0 <= metric["wins"] <= entry["pairs"]
+            assert metric["verdict"] in VERDICTS
+    prs = [entry["pr"] for entry in entries]
+    assert prs == sorted(prs), f"entries out of PR order: {prs}"
+
+
+def test_there_is_a_bench_file():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_file_schema_and_pr_order(path):
+    workload = path.stem[len("BENCH_"):]
+    assert workload in _workloads(), f"{path.name} names no BENCHMARK.json workload"
+    with open(path) as handle:
+        text = handle.read()
+    entries = json.loads(text)
+    check_entries(entries)
+    assert text == json.dumps(entries, indent=1) + "\n", "not the tool's layout"
+
+
+def _result(workload: str, seed: int, base: float) -> dict:
+    """What ``run_pairs`` returns, for four made-up pairs."""
+    verdicts = []
+    for metric in ab_pairs.RECORDED_METRICS:
+        parent = [base, base * 1.01, base * 0.99, base * 1.02]
+        change = [v * 1.3 for v in parent]
+        verdicts.append(ab_pairs.judge(metric, BETTER[metric], parent, change))
+    return {"workload": workload, "seed": seed, "pairs": 4,
+            "digest_identical": True, "verdicts": verdicts}
+
+
+def test_record_appends_in_pr_order_and_writes_the_checked_schema(tmp_path):
+    commits = {"parent": "a" * 40, "change": "b" * 40 + "+dirty"}
+    for pr, seed in ((3, 7), (3, 11), (5, 7)):
+        ab_pairs.record(_result("lsm_secondary", seed, 100.0), pr, commits, BETTER,
+                        BOUND, root=tmp_path)
+    path = tmp_path / "BENCH_lsm_secondary.json"
+    entries = json.loads(path.read_text())
+    check_entries(entries)
+    assert [(e["pr"], e["seed"]) for e in entries] == [(3, 7), (3, 11), (5, 7)]
+    metrics = entries[0]["metrics"]
+    assert metrics["sim_ops_per_host_s"]["verdict"] == "gain"
+    assert metrics["setup_s"]["verdict"] == "REGRESSION"  # +30% where lower is better
+    assert metrics["peak_rss_mib"]["wins"] == 0
+    ab_pairs.check_order(5, ["lsm_secondary"], root=tmp_path)
+    with pytest.raises(SystemExit, match="PR order"):
+        ab_pairs.check_order(4, ["lsm_secondary"], root=tmp_path)

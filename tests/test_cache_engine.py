@@ -5,10 +5,12 @@ import pickle
 import pytest
 
 from repro.bench.schemes import (
+    ALL_SCHEME_NAMES,
     SchemeScale,
     build_block_cache,
     build_file_cache,
     build_region_cache,
+    build_scheme,
     build_zone_cache,
 )
 from repro.cache import AdmissionPolicy, AdmitAll, CacheConfig, HybridCache
@@ -16,6 +18,7 @@ from repro.cache.backends import BlockRegionStore
 from repro.errors import (
     CacheConfigError,
     CacheError,
+    CacheTypeError,
     InvalidTtlError,
     ObjectTooLargeError,
 )
@@ -53,6 +56,60 @@ def stack(request):
         if name == request.param:
             return builder()
     raise AssertionError
+
+
+class TestSetRefusesWhatIsNotBytes:
+    """A key or value that is not ``bytes`` is refused with a typed error
+    before the clock, stats, RAM tier or TTL ledger move.  It used to
+    charge the set and count it, and then either raise a bare
+    ``TypeError`` from the region buffer with the refused value left in
+    the RAM tier, or accept it outright (a list value), so a later
+    ``get`` served what the set had refused."""
+
+    @pytest.fixture(params=ALL_SCHEME_NAMES)
+    def cache(self, request):
+        media = 16 * TEST_SCALE.zone_size
+        name = request.param
+        if name == "Zone-Cache":
+            stack = build_scheme(name, SimClock(), TEST_SCALE, media)
+        else:
+            stack = build_scheme(
+                name, SimClock(), TEST_SCALE, media, 12 * TEST_SCALE.zone_size,
+                file_media_bytes=2 * media,
+            )
+        cache = stack.cache
+        assert cache.set(b"kept", b"k" * 100, ttl_seconds=60)
+        return cache
+
+    @staticmethod
+    def _state(cache):
+        return (
+            cache._clock.now, cache.stats.sets, dict(cache.ram._items),
+            dict(cache.lifecycle.expiry), dict(cache.index),
+        )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("abc", b"v" * 10),
+            (b"abc", "v" * 10),
+            (b"abe", [1, 2]),
+            (b"abf", bytearray(b"v" * 10)),
+            (memoryview(b"abg"), b"v"),
+            (7, b"v"),
+        ],
+    )
+    @pytest.mark.parametrize("ttl", [None, 30])
+    def test_refused_before_anything_moves(self, cache, key, value, ttl):
+        before = self._state(cache)
+        with pytest.raises(CacheTypeError, match="bytes") as caught:
+            cache.set(key, value, ttl_seconds=ttl)
+        assert isinstance(caught.value, CacheError)
+        assert isinstance(caught.value, TypeError)
+        assert self._state(cache) == before
+        for probe in (key, b"abc", b"abe", b"abf"):
+            assert cache.get(probe) is None
+        assert cache.get(b"kept") == b"k" * 100
 
 
 class TestEngineBasics:

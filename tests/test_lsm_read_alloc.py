@@ -3,8 +3,8 @@
 ``Db.get`` answers from the block bytes through a pinned entry index: it
 decodes a data block once per block per table (``SSTable.index_block``,
 the first time a lookup lands there) and never per get, constructs no
-``DataBlock``, rebuilds no level's fence list, hashes the key at most
-once however many tables it probes, and enters at most
+``DataBlock``, rebuilds no level's fence list, hashes a key only to
+build its read plan (never on a get that has one), and enters at most
 ``MAX_FRAMES_PER_DRAM_HIT`` Python frames when the block is in the DRAM
 block cache.  None of that changes a simulated number, so no golden
 notices a regression; ``tracemalloc``, ``sys.setprofile`` and a few
@@ -27,9 +27,10 @@ from repro.units import KIB, MIB
 from tests.test_trace_cost import _python_calls
 
 NUM_KEYS = 6000
-# Frames per get served from the DRAM block cache (the commit before the
-# pinned entry index: 15.7).
-MAX_FRAMES_PER_DRAM_HIT = 8
+# Frames per planned get served from one block in the DRAM block cache:
+# Db.get, Memtable.get, Db._search_tables, BlockCache.get (5 before read
+# plans, 15.7 before the pinned entry index).
+MAX_FRAMES_PER_DRAM_HIT = 4
 
 
 def _key(i: int) -> bytes:
@@ -118,7 +119,7 @@ def test_cached_gets_hold_no_block_sized_transient(db, monkeypatch, index_builds
             # Transient = above both ends; the returned value is not one.
             worst = max(worst, peak - max(before, after))
             assert value == _value(i * 13 % 200)
-            assert len(digests) <= 1, f"{len(digests)} blake2b digests for one get"
+            assert not digests, f"{len(digests)} blake2b digests for a planned get"
     finally:
         tracemalloc.stop()
 
@@ -148,6 +149,9 @@ def test_frames_per_get_that_hits_the_dram_block_cache(db):
             db.get(key)
 
     frames = _python_calls(get_all)
-    assert dram.total - lookups_before == dram.hits - hits_before >= len(keys)
-    per_get = len(frames) / len(keys)
+    lookups = dram.total - lookups_before
+    assert lookups == dram.hits - hits_before >= len(keys)
+    # A bloom false positive sends a get to a second block first: one
+    # more BlockCache.get frame for each such fetch, not a frame per get.
+    per_get = (len(frames) - (lookups - len(keys))) / len(keys)
     assert per_get <= MAX_FRAMES_PER_DRAM_HIT, sorted(set(frames))

@@ -120,6 +120,27 @@ class TestCrashRecovery:
         recovered = Db.reopen(clock, device, config)
         assert recovered.get(key(5)) == b"v"
 
+    @pytest.mark.parametrize("flushed_before", [False, True])
+    def test_synced_write_after_a_reopen_that_replayed_nothing_survives(
+        self, flushed_before
+    ):
+        """Regression: a reopen with nothing to replay started a new WAL
+        epoch without writing it to the manifest, so the next recovery
+        replayed the old epoch and lost every record synced after the
+        first reopen — with or without a table on the device."""
+        db, device, clock, config = make_db()
+        if flushed_before:
+            db.put(key(0), b"flushed")
+            db.flush_memtable()
+        db.simulate_crash()
+        db = Db.reopen(clock, device, config)
+        db.put(key(1), b"synced")
+        db.sync_wal()
+        db.simulate_crash()
+        recovered = Db.reopen(clock, device, config)
+        assert recovered.get(key(1)) == b"synced"
+        assert recovered.get(key(0)) == (b"flushed" if flushed_before else None)
+
     def test_reopen_fresh_device_is_empty(self):
         """Crash before the first flush: only the WAL exists (or nothing)."""
         clock = SimClock()

@@ -17,6 +17,15 @@ a gain on one of them.  ``--seed`` takes a comma-separated list and the
 whole procedure — pairs, verdicts, summary table — is repeated per seed,
 so the development seed and the held-out one are one command.  ``--json``
 writes every run and every verdict.
+
+``--record PR`` appends one entry per (workload, seed) to
+``BENCH_<workload>.json`` at the root of this repository: the PR number,
+both checkouts' commits (``+dirty`` when a work tree has uncommitted
+changes), the seed, the pairs run, whether ``sim_digest`` was identical,
+and for each of ``RECORDED_METRICS`` both sides' median and quartiles,
+the change of the medians, the change's wins and the verdict of the
+summary table.  Entries stay in PR order; an older PR number is refused
+before any pair runs.
 """
 
 from __future__ import annotations
@@ -27,7 +36,12 @@ import re
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 from typing import Dict, List
+
+ROOT = Path(__file__).resolve().parents[1]
+# What a --record entry keeps per metric (added to --metrics when absent).
+RECORDED_METRICS = ("sim_ops_per_host_s", "setup_s", "peak_rss_mib")
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
@@ -58,6 +72,78 @@ def judge(metric: str, better: str, parent: List[float], change: List[float]) ->
         "ties": sum(c == p for p, c in zip(parent, change)),
         "parent_iqr": p_q3 - p_q1, "gain": gain,
     }
+
+
+def verdict_word(verdict: dict, better: str, bound: float) -> str:
+    """The summary table's word for one judged metric."""
+    sign = -1 if better == "lower" else 1
+    if verdict["gain"]:
+        return "gain"
+    return "REGRESSION" if sign * verdict["delta"] < -bound else "within bound"
+
+
+def commit_of(checkout: str) -> str:
+    """``checkout``'s HEAD commit, ``+dirty`` if its work tree differs."""
+    def git(*argv: str) -> str:
+        return subprocess.run(
+            ["git", "-C", checkout, *argv], check=True, capture_output=True,
+            text=True,
+        ).stdout.strip()
+
+    try:
+        head = git("rev-parse", "HEAD")
+    except (OSError, subprocess.CalledProcessError):
+        raise SystemExit(f"--record needs git checkouts; {checkout} is not one")
+    return head + ("+dirty" if git("status", "--porcelain") else "")
+
+
+def bench_path(workload: str, root: Path = ROOT) -> Path:
+    return root / f"BENCH_{workload}.json"
+
+
+def load_entries(path: Path) -> List[dict]:
+    if not path.exists():
+        return []
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def check_order(pr: int, workloads: List[str], root: Path = ROOT) -> None:
+    """Refuse a PR number older than the newest entry of any file."""
+    for workload in workloads:
+        entries = load_entries(bench_path(workload, root))
+        if entries and entries[-1]["pr"] > pr:
+            raise SystemExit(
+                f"{bench_path(workload, root).name} already holds PR "
+                f"{entries[-1]['pr']}; entries stay in PR order"
+            )
+
+
+def record(result: dict, pr: int, commits: Dict[str, str], better: Dict[str, str],
+           bound: Dict[str, float], root: Path = ROOT) -> None:
+    """Append ``result``'s entry to its workload's ``BENCH_*.json``."""
+    verdicts = {v["metric"]: v for v in result["verdicts"]}
+    metrics = {}
+    for name in RECORDED_METRICS:
+        verdict = verdicts[name]
+        metrics[name] = {
+            side: dict(zip(("q1", "median", "q3"), verdict[side]))
+            for side in ("parent", "change")
+        }
+        metrics[name].update(
+            delta=verdict["delta"], wins=verdict["wins"],
+            verdict=verdict_word(verdict, better[name], bound[name]),
+        )
+    entry = {
+        "pr": pr, "parent": commits["parent"], "change": commits["change"],
+        "seed": result["seed"], "pairs": result["pairs"],
+        "sim_digest_identical": result["digest_identical"], "metrics": metrics,
+    }
+    path = bench_path(result["workload"], root)
+    entries = load_entries(path)
+    entries.append(entry)
+    with open(path, "w") as handle:
+        handle.write(json.dumps(entries, indent=1) + "\n")
 
 
 def seed_list(text: str) -> List[int]:
@@ -111,9 +197,13 @@ def main() -> int:
     parser.add_argument("-n", "--pairs", type=int, default=10)
     parser.add_argument("--metrics", nargs="+", default=["sim_ops_per_host_s"])
     parser.add_argument("--json", metavar="OUT", help="write runs and verdicts here")
+    parser.add_argument("--record", type=int, metavar="PR",
+                        help="append each (workload, seed) to BENCH_<workload>.json")
     args = parser.parse_args()
     if args.pairs < 2:
         parser.error("quartiles need at least two pairs")
+    if args.record is not None:
+        args.metrics += [m for m in RECORDED_METRICS if m not in args.metrics]
     with open(f"{args.parent}/BENCHMARK.json") as handle:
         benchmark = json.load(handle)
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
@@ -121,6 +211,9 @@ def main() -> int:
     workloads = [w["name"] for w in benchmark["workloads"]]
     if args.workload != "all":
         workloads = [args.workload]
+    if args.record is not None:
+        check_order(args.record, workloads)
+        commits = {side: commit_of(getattr(args, side)) for side in ("parent", "change")}
     results = []
     for seed in args.seed:
         of_seed = [run_pairs(args, workload, seed, better) for workload in workloads]
@@ -130,10 +223,8 @@ def main() -> int:
                   f"{'change':>12s}{'delta':>8s}{'wins':>7s}  verdict")
             for result in of_seed:
                 for verdict in result["verdicts"]:
-                    sign = -1 if better[verdict["metric"]] == "lower" else 1
-                    worse = sign * verdict["delta"] < -bound[verdict["metric"]]
-                    word = ("gain" if verdict["gain"]
-                            else "REGRESSION" if worse else "within bound")
+                    metric = verdict["metric"]
+                    word = verdict_word(verdict, better[metric], bound[metric])
                     if not result["digest_identical"]:
                         word += ", sim_digest DIFFERS"
                     print(f"{result['workload']:16s}{verdict['metric']:20s}"
@@ -141,6 +232,9 @@ def main() -> int:
                           f"{verdict['delta']:+8.1%}"
                           f"{verdict['wins']:4d}/{result['pairs']:<2d}  {word}")
             print(flush=True)
+        if args.record is not None:
+            for result in of_seed:
+                record(result, args.record, commits, better, bound)
     if args.json:
         with open(args.json, "w") as handle:
             json.dump(results, handle, indent=1)
