@@ -50,22 +50,6 @@ class CountMinSketch:
             for row in range(depth)
         ]
 
-    def add(self, key: bytes) -> int:
-        """Count one access; returns the estimate from *before* it.
-
-        One hash per row serves both the read and the increment, so an
-        admission decision costs ``depth`` CRCs rather than ``2 × depth``.
-        """
-        width = self.width
-        before = -1
-        for counts, salt in self._rows:
-            slot = crc32(key, salt) % width
-            count = counts[slot]
-            if before < 0 or count < before:
-                before = count
-            counts[slot] = count + 1
-        return before
-
     def estimate(self, key: bytes) -> int:
         width = self.width
         return min(
@@ -116,10 +100,21 @@ class TinyLfuAdmission(AdmissionPolicy):
         self._ops = 0
 
     def admit(self, key: bytes, value: bytes) -> bool:
-        seen_before = self.sketch.add(key)
+        # Count the access and read the estimate from before it: one
+        # hash per row serves both the read and the increment, so a
+        # decision costs ``depth`` CRCs rather than ``2 × depth``.
+        sketch = self.sketch
+        width = sketch.width
+        seen_before = -1
+        for counts, salt in sketch._rows:
+            slot = crc32(key, salt) % width
+            count = counts[slot]
+            if seen_before < 0 or count < seen_before:
+                seen_before = count
+            counts[slot] = count + 1
         self._ops += 1
         if self._ops % self.decay_ops == 0:
-            self.sketch.halve()
+            sketch.halve()
         return seen_before + 1 >= self.threshold
 
     def frequency(self, key: bytes) -> int:

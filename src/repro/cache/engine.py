@@ -31,7 +31,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.cache.admission import AdmissionPolicy, AdmitAll
 from repro.cache.backends.base import RegionStore, WafBreakdown
 from repro.cache.config import CacheConfig
-from repro.cache.item import MAX_EXPIRY_NS, EntryCodec, EntryLocation
+from repro.cache.eviction import FifoRegionPolicy
+from repro.cache.item import MAX_EXPIRY_NS, EntryCodec, EntryLocation, location_of
 from repro.cache.lifecycle import ItemLifecycle, tenant_token
 from repro.cache.ram_cache import RamCache
 from repro.cache.region import RegionBuffer, RegionMeta
@@ -51,6 +52,10 @@ from repro.errors import (
     TranslationError,
 )
 from repro.sim.clock import SimClock
+
+_HEADER_SIZE = EntryCodec.HEADER_SIZE
+_pack_header_into = EntryCodec.pack_header_into
+_encode = EntryCodec.encode
 
 # One seal-journal record: (event, region_id, seq, arg).  The journal is
 # the log crash recovery replays.  Region lifecycle: "flush" marks a
@@ -113,6 +118,10 @@ class HybridCache:
         )
         self.admission = admission if admission is not None else AdmitAll()
         self.ram = RamCache(config.ram_bytes)
+        # The DRAM tier's LRU map: get, set and delete run its bodies in
+        # line on it (``RamCache`` keeps the same bodies as methods, and
+        # tests/test_engine_inline_bodies.py holds the two together).
+        self._ram_items = self.ram._items
         # key -> where its newest admitted entry lives.  One flat dict:
         # the eviction cost model charges by item count
         # (``CpuCosts.eviction_teardown_ns``), never by shard.
@@ -127,6 +136,15 @@ class HybridCache:
             effective_window,
             dead_first=config.lifecycle.dead_first_eviction,
         )
+        # Bound once for the hot paths: the sealed-region map lookup
+        # (what ``regions.meta`` answers), the liveness ledger, and the
+        # eviction policy's hit promotion — None under FIFO, where a hit
+        # reorders nothing.  ``regions`` is never replaced afterwards
+        # (``crash_recover`` keeps the manager built here).
+        self._sealed_meta = self.regions._sealed.get
+        self._ledger = self.regions.ledger
+        policy = self.regions._policy
+        self._touch = None if type(policy) is FifoRegionPolicy else policy.touch
         self.stats = CacheStats(started_at_ns=clock.now)
         self._waf_window_start = store.waf_raw()
         # Tenant item-lifecycle layer: TTL bookkeeping (the expiry dict
@@ -211,8 +229,10 @@ class HybridCache:
                 stats.ram_lookups.record(False)
                 self._finish_lookup(start_ns, hit=False)
                 return None
-            value = self.ram.get(key)
+            ram_items = self._ram_items
+            value = ram_items.get(key)
             if value is not None:
+                ram_items.move_to_end(key)
                 ram_lookups = stats.ram_lookups
                 ram_lookups.total += 1
                 ram_lookups.hits += 1
@@ -233,7 +253,9 @@ class HybridCache:
                 if value is not None:
                     flash_lookups.hits += 1
                     stats.lookups.hits += 1
-                    self.regions.touch(location.region_id)
+                    touch = self._touch
+                    if touch is not None:
+                        touch(location[0])
                     self.ram.put(key, value)
             stats.lookups.total += 1
             recorder = stats.get_latency
@@ -267,7 +289,9 @@ class HybridCache:
                     f"a cache key and value must be bytes, got "
                     f"{type(key).__name__} and {type(value).__name__}"
                 )
-            entry_size = self._entry_overhead + len(key) + len(value)
+            key_len = len(key)
+            value_len = len(value)
+            entry_size = self._entry_overhead + key_len + value_len
             if entry_size > self._region_size:
                 raise ObjectTooLargeError(
                     f"entry of {entry_size}B exceeds region size {self._region_size}"
@@ -287,28 +311,68 @@ class HybridCache:
                 self.lifecycle.note_ttl(key, expiry_ns)
             elif self._expiry:
                 self.lifecycle.clear_ttl(key)
-            self.ram.put(key, value)
+            # The DRAM-tier insert (``RamCache.put`` in line): an item
+            # larger than the whole tier is not kept, nor is the key's
+            # previous value.
+            ram = self.ram
+            ram_items = self._ram_items
+            ram_used = ram._used
+            ram_old = ram_items.pop(key, None)
+            if ram_old is not None:
+                ram_used -= key_len + len(ram_old)
+            ram_size = key_len + value_len
+            ram_capacity = ram.capacity_bytes
+            if ram_size <= ram_capacity:
+                ram_items[key] = value
+                ram_used += ram_size
+                while ram_used > ram_capacity:
+                    evicted_key, evicted_value = ram_items.popitem(last=False)
+                    ram_used -= len(evicted_key) + len(evicted_value)
+                    ram.evictions += 1
+            ram._used = ram_used
             admit = self._admit
             if admit is not None and not admit(key, value):
                 self._drop_flash_copy(key)
                 self._finish_mutation(start_ns, stats.set_latency)
                 return False
+            # Pack the entry into the open region through its view: the
+            # one capacity test is the one that decides rotation.
             buffer = self._buffer
-            if entry_size > buffer.capacity - buffer.used:
+            offset = buffer.used
+            if entry_size > buffer.capacity - offset:
                 self._seal_and_rotate()
                 buffer = self._buffer
+                offset = buffer.used
             clock.now += self._copy_ns_per_kib * (entry_size // 1024)
-            location = buffer.append(key, value, expiry_ns)
+            end = offset + entry_size
+            view = buffer.view
+            if buffer.checksums:
+                view[offset:end] = _encode(
+                    key, value, expiry_ns, checksum=True, salt=buffer.salt
+                )
+            else:
+                # Key and value first, the header last: see
+                # ``EntryCodec.pack_header_into``.
+                key_at = offset + _HEADER_SIZE
+                value_at = key_at + key_len
+                view[key_at:value_at] = key
+                view[value_at:end] = value
+                _pack_header_into(view, offset, key_len, value_len, expiry_ns)
+            buffer.used = end
+            region_id = buffer.region_id
             index = self.index
             old = index.get(key)
-            index[key] = location
+            index[key] = location_of((region_id, offset, entry_size))
             if old is not None:
                 old_region, old_offset, old_length = old
-                if old_region != buffer.region_id:
+                if old_region != region_id:
                     self.regions.note_key_removed(old_region, key, "overwritten")
                 else:
-                    # Superseded within the open buffer: its bytes die in place.
-                    self.regions.ledger.note_dead(old_length, "overwritten")
+                    # Superseded within the open buffer: its bytes die in
+                    # place (``LivenessLedger.note_dead`` in line).
+                    ledger = self._ledger
+                    ledger.dead_bytes["overwritten"] += old_length
+                    ledger.dead_items["overwritten"] += 1
                 # The superseded copy is journaled dead (_journal_dead inline).
                 self._journal_seq = seq = self._journal_seq + 1
                 copies = self._dead.get(old_region)
@@ -316,7 +380,7 @@ class HybridCache:
                     self._dead[old_region] = {seq: old_offset}
                 else:
                     copies[seq] = old_offset
-            self._open_entries[key] = location.length
+            self._open_entries[key] = entry_size
             stats.sets_admitted += 1
             recorder = stats.set_latency
             recorder._samples.append(clock.now - start_ns)
@@ -355,15 +419,30 @@ class HybridCache:
         stats.deletes += 1
         if self._expiry:
             self.lifecycle.clear_ttl(key)
-        in_ram = self.ram.remove(key)
+        # ``RamCache.remove`` and ``_note_removed`` in line.
+        ram_value = self._ram_items.pop(key, None)
+        if ram_value is not None:
+            self.ram._used -= len(key) + len(ram_value)
         location = self.index.pop(key, None)
         if location is not None:
-            self._note_removed(location, key, "deleted")
+            region_id, offset, length = location
+            self._journal_seq = seq = self._journal_seq + 1
+            copies = self._dead.get(region_id)
+            if copies is None:
+                self._dead[region_id] = {seq: offset}
+            else:
+                copies[seq] = offset
+            if region_id != self._buffer.region_id:
+                self.regions.note_key_removed(region_id, key, "deleted")
+            elif self._open_entries.pop(key, None) is not None:
+                ledger = self._ledger
+                ledger.dead_bytes["deleted"] += length
+                ledger.dead_items["deleted"] += 1
         recorder = stats.delete_latency
         recorder._samples.append(clock.now - start_ns)
         recorder._sorted = None
         stats.finished_at_ns = clock.now
-        return in_ram or location is not None
+        return ram_value is not None or location is not None
 
     def contains(self, key: bytes) -> bool:
         """Index/DRAM membership probe without touching the device."""
@@ -526,13 +605,6 @@ class HybridCache:
                 )
         start_ns = clock.now
         cache = cls(clock, store, config, admission)
-        effective_window = max(1, min(config.reclaim_window, config.num_regions // 8))
-        cache.regions = RegionManager(
-            config.num_regions,
-            config.eviction_policy,
-            effective_window,
-            dead_first=config.lifecycle.dead_first_eviction,
-        )
         # Journal entries arrive in seq order; the last lifecycle event
         # per region decides its fate.  Dead copies are collected per
         # region (its invalidate retired any from an earlier life).
@@ -855,10 +927,13 @@ class HybridCache:
             blob = buffer.read(offset, length)
             salt = buffer.salt
         else:
-            blob = self._read_location(region_id, offset, length)
-            if blob is None:
-                return None
-            meta = self.regions.meta(region_id)
+            try:
+                blob = self.store.read(region_id, offset, length)
+            except (RetryableError, FatalDeviceError, TranslationError) as error:
+                blob = self._read_location(region_id, offset, length, error)
+                if blob is None:
+                    return None
+            meta = self._sealed_meta(region_id)
             salt = meta.salt if meta is not None else 0
         try:
             stored_key, value, expiry_ns = EntryCodec.read_entry(blob, salt)
@@ -879,38 +954,41 @@ class HybridCache:
         return value
 
     def _read_location(
-        self, region_id: int, offset: int, length: int
+        self, region_id: int, offset: int, length: int, error: BaseException
     ) -> Optional[bytes]:
-        """Ranged backend read with retry/degradation; None means miss."""
+        """A ranged backend read raised ``error``: retry or degrade;
+        returns the bytes, or None for a miss.  (A power cut is not
+        caught on the way here: it propagates.)"""
         policy = self.config.retry
+        stats = self.stats
         attempt = 0
         while True:
-            try:
-                return self.store.read(region_id, offset, length)
-            except PowerCutError:
-                raise
-            except RetryableError:
+            if isinstance(error, RetryableError):
                 attempt += 1
-                self.stats.retries += 1
+                stats.retries += 1
                 if attempt >= policy.max_attempts:
                     # Past the budget: degrade to a miss but keep the
                     # mapping — a transient fault may yet heal.
-                    self.stats.io_errors += 1
-                    self.stats.degraded_misses += 1
+                    stats.io_errors += 1
+                    stats.degraded_misses += 1
                     return None
                 self._clock.advance(policy.backoff_for(attempt - 1))
-            except FatalDeviceError:
-                self.stats.io_errors += 1
-                self.stats.degraded_misses += 1
+            elif isinstance(error, FatalDeviceError):
+                stats.io_errors += 1
+                stats.degraded_misses += 1
                 self._quarantine_region(region_id)
                 return None
-            except TranslationError:
+            else:
                 # The middle layer dropped the region (its zone died
                 # under GC): purge the stale mappings, count misses.
-                self.stats.io_errors += 1
-                self.stats.degraded_misses += 1
+                stats.io_errors += 1
+                stats.degraded_misses += 1
                 self.on_region_dropped(region_id)
                 return None
+            try:
+                return self.store.read(region_id, offset, length)
+            except (RetryableError, FatalDeviceError, TranslationError) as next_error:
+                error = next_error
 
     def _journal(self, event: str, region_id: int, salt: int = 0) -> None:
         self._journal_seq = seq = self._journal_seq + 1

@@ -86,7 +86,7 @@ class EntryCodec:
     # writer that owns its buffer copies the key to ``offset +
     # HEADER_SIZE`` and the value right behind it, then stamps the header
     # — last, so a key or value the buffer refuses leaves no parseable
-    # entry behind.  ``RegionBuffer.append`` is the one such writer.
+    # entry behind.  ``HybridCache.set`` is the one such writer.
     pack_header_into = _HEADER.pack_into
 
     @classmethod

@@ -14,17 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.cache.item import EntryCodec, EntryLocation, location_of
-
-_HEADER_SIZE = EntryCodec.HEADER_SIZE
-_pack_header_into = EntryCodec.pack_header_into
-
 
 class RegionBuffer:
     """Append-only buffer for the region currently being filled.
 
-    ``recycle`` names the flushed buffer whose storage this one takes
-    over, so a cache allocates its region-sized ``bytearray`` once.
+    The engine packs entries at ``used`` through ``view``, a writable
+    ``memoryview`` of the buffer's ``bytearray`` made once at
+    construction: assigning ``bytes`` to a ``bytearray`` slice first
+    copies them into a temporary, assigning them to a ``memoryview``
+    slice does not.  ``recycle`` names the flushed buffer whose storage
+    (and view) this one takes over, so a cache allocates its
+    region-sized ``bytearray`` once.
     """
 
     def __init__(
@@ -46,15 +46,16 @@ class RegionBuffer:
         self.checksums = checksums
         self.salt = salt
         if recycle is None:
-            self._buffer = bytearray(capacity)
+            self.view = memoryview(bytearray(capacity))
             self._stale = 0
         else:
             # Take over a flushed buffer's storage instead of allocating:
             # its bytes below ``_stale`` are the previous region's and are
-            # overwritten by appends or zeroed at finalize().
+            # overwritten by the sets that fill this region or zeroed at
+            # finalize().
             if recycle.capacity != capacity:
                 raise ValueError("a recycled buffer must have the same capacity")
-            self._buffer = recycle._buffer
+            self.view = recycle.view
             self._stale = max(recycle._stale, recycle.used)
         self.used = 0
 
@@ -65,38 +66,11 @@ class RegionBuffer:
     def fits(self, entry_bytes: int) -> bool:
         return entry_bytes <= self.remaining
 
-    def append(self, key: bytes, value: bytes, expiry_ns: int = 0) -> EntryLocation:
-        """Pack an entry; returns its location within this (open) region."""
-        key_len, value_len = len(key), len(value)
-        offset = self.used
-        key_at = offset + _HEADER_SIZE
-        value_at = key_at + key_len
-        end = value_at + value_len
-        checksums = self.checksums
-        if checksums:
-            end += EntryCodec.CRC_SIZE
-        if end > self.capacity:
-            raise ValueError(
-                f"entry of {end - offset}B does not fit "
-                f"({self.capacity - offset}B left)"
-            )
-        buffer = self._buffer
-        if checksums:
-            buffer[offset:end] = EntryCodec.encode(
-                key, value, expiry_ns, checksum=True, salt=self.salt
-            )
-        else:
-            buffer[key_at:value_at] = key
-            buffer[value_at:end] = value
-            _pack_header_into(buffer, offset, key_len, value_len, expiry_ns)
-        self.used = end
-        return location_of((self.region_id, offset, end - offset))
-
     def read(self, offset: int, length: int) -> bytes:
         """Serve a read from the open buffer (CacheLib's read-from-buffer)."""
         if offset + length > self.used:
             raise ValueError("read beyond buffered data")
-        return bytes(self._buffer[offset : offset + length])
+        return self.view[offset : offset + length].tobytes()
 
     def finalize(self) -> memoryview:
         """Zero-padded payload of exactly ``capacity`` bytes for the flush.
@@ -107,9 +81,9 @@ class RegionBuffer:
         store does) and keep no reference to it.
         """
         if self._stale > self.used:
-            self._buffer[self.used : self._stale] = bytes(self._stale - self.used)
+            self.view[self.used : self._stale] = bytes(self._stale - self.used)
             self._stale = self.used
-        return memoryview(self._buffer).toreadonly()
+        return self.view.toreadonly()
 
 
 @dataclass

@@ -129,10 +129,6 @@ class RegionManager:
         if self._dead_first and not meta.keys:
             heapq.heappush(self._dead, (seq, meta.region_id))
 
-    def touch(self, region_id: int) -> None:
-        """Promote on read hit (LRU policy only reacts)."""
-        self._policy.touch(region_id)
-
     def quarantine(self, region_id: int) -> None:
         """Pull a region out of circulation permanently (dead media).
 
@@ -210,7 +206,9 @@ class RegionManager:
             if nbytes is not None:
                 meta.live_bytes -= nbytes
                 meta.dead_bytes += nbytes
-                self.ledger.note_dead(nbytes, reason)
+                ledger = self.ledger  # LivenessLedger.note_dead in line
+                ledger.dead_bytes[reason] += nbytes
+                ledger.dead_items[reason] += 1
                 if not keys and self._dead_first:
                     heapq.heappush(self._dead, (meta.sealed_seq, region_id))
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
+from repro.errors import FileExistsInFsError, FileNotFoundInFsError
+
 
 class NodeAddressTable:
     """Per-file block maps plus file metadata (name → file id, sizes)."""
@@ -25,8 +27,6 @@ class NodeAddressTable:
 
     def create_file(self, name: str) -> int:
         if name in self._names:
-            from repro.errors import FileExistsInFsError
-
             raise FileExistsInFsError(f"file {name!r} already exists")
         file_id = self._next_file_id
         self._next_file_id += 1
@@ -39,8 +39,6 @@ class NodeAddressTable:
         try:
             return self._names[name]
         except KeyError:
-            from repro.errors import FileNotFoundInFsError
-
             raise FileNotFoundInFsError(f"no such file: {name!r}") from None
 
     def has_file(self, name: str) -> bool:

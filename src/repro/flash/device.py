@@ -24,6 +24,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.errors import AlignmentError, OutOfRangeError
 from repro.sim.io import IoCompletion, IoPipeline, IoTracer
 from repro.sim.stats import LatencyRecorder
 
@@ -114,8 +115,6 @@ class BlockDevice(abc.ABC):
 
 def check_alignment(offset: int, length: int, block_size: int, capacity: int) -> None:
     """Validate a block-device I/O; raises the library's typed errors."""
-    from repro.errors import AlignmentError, OutOfRangeError
-
     if offset % block_size != 0 or length % block_size != 0:
         raise AlignmentError(
             f"I/O (offset={offset}, length={length}) not aligned to {block_size}B"

@@ -174,7 +174,23 @@ class ZnsSsd:
         """
         if self.pipeline.faults is not None:
             self._poll_zone_faults()
-        self._check_readable(offset, length)
+        # The common read, checked in line: positive, inside the device,
+        # within one zone that is not OFFLINE, page-aligned.  Anything
+        # else goes to ``_check_readable``, which raises the typed error
+        # (or passes a valid read that spans zones).
+        zone_size = self.zone_size
+        first = offset // zone_size
+        page_size = self._page_size
+        if not (
+            length > 0
+            and offset >= 0
+            and offset + length <= self._capacity_bytes
+            and (offset + length - 1) // zone_size == first
+            and self.zones[first].state is not ZoneState.OFFLINE
+            and not offset % page_size
+            and not length % page_size
+        ):
+            self._check_readable(offset, length)
         clock = self._clock
         now = clock.now
         done = self._charge_read(offset, length, background, now)

@@ -1,5 +1,6 @@
 """The checked-in ``BENCH_<workload>.json`` files and the tool that
-appends to them (``tools/ab_pairs.py --record PR``).
+appends to them (``tools/ab_pairs.py --record PR``), and
+``BENCH_walls.json`` with its tool (``tools/walls.py --record PR``).
 
 Every entry of every file has the schema ``record`` writes, and a file's
 entries are in PR order.
@@ -18,12 +19,15 @@ ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
 ab_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_pairs)
+_spec = importlib.util.spec_from_file_location("walls", ROOT / "tools" / "walls.py")
+walls = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(walls)
 
 COMMIT = re.compile(r"[0-9a-f]{40}(\+dirty)?")
 BETTER = {"sim_ops_per_host_s": "higher", "setup_s": "lower", "peak_rss_mib": "lower"}
 BOUND = {"sim_ops_per_host_s": 0.25, "setup_s": 0.25, "peak_rss_mib": 0.15}
 VERDICTS = {"gain", "within bound", "REGRESSION"}
-BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+BENCH_FILES = sorted(p for p in ROOT.glob("BENCH_*.json") if p.name != walls.WALLS)
 
 
 def _workloads():
@@ -101,3 +105,37 @@ def test_record_appends_in_pr_order_and_writes_the_checked_schema(tmp_path):
     ab_pairs.check_order(5, ["lsm_secondary"], root=tmp_path)
     with pytest.raises(SystemExit, match="PR order"):
         ab_pairs.check_order(4, ["lsm_secondary"], root=tmp_path)
+
+
+def check_walls(entries: list) -> None:
+    assert isinstance(entries, list) and entries
+    for entry in entries:
+        assert set(entry) == {"pr", "parent", "change", "sides"}, entry
+        assert type(entry["pr"]) is int and entry["pr"] > 0
+        assert COMMIT.fullmatch(entry["parent"]), entry["parent"]
+        assert COMMIT.fullmatch(entry["change"]), entry["change"]
+        assert set(entry["sides"]) == {"parent", "change"}
+        for side in entry["sides"].values():
+            assert set(side) == set(walls.SIDE_FIELDS)
+            assert type(side["tier1_tests"]) is int and side["tier1_tests"] > 0
+            assert side["tier1_wall_s"] > 0 and side["smoke_wall_s"] > 0
+    prs = [entry["pr"] for entry in entries]
+    assert prs == sorted(prs), f"entries out of PR order: {prs}"
+
+
+def test_walls_file_schema_and_pr_order():
+    text = (ROOT / walls.WALLS).read_text()
+    entries = json.loads(text)
+    check_walls(entries)
+    assert text == json.dumps(entries, indent=1) + "\n", "not the tool's layout"
+
+
+def test_walls_record_appends_in_pr_order(tmp_path):
+    side = {"tier1_wall_s": 80.5, "tier1_tests": 1300, "smoke_wall_s": 11.2}
+    for pr in (3, 5):
+        walls.check_order(pr, root=tmp_path)
+        walls.record({"pr": pr, "parent": "a" * 40, "change": "b" * 40 + "+dirty",
+                      "sides": {"parent": side, "change": side}}, root=tmp_path)
+    check_walls(json.loads((tmp_path / walls.WALLS).read_text()))
+    with pytest.raises(SystemExit, match="PR order"):
+        walls.check_order(4, root=tmp_path)

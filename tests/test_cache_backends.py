@@ -16,7 +16,6 @@ from repro.cache.backends import (
 )
 from repro.cache.backends.base import aligned_window
 from repro.cache.item import EntryCodec
-from repro.cache.region import RegionBuffer
 from repro.errors import CacheConfigError, OutOfRangeError, RegionSizeError, ReproError
 from repro.f2fs import CleanerConfig, F2fs, F2fsConfig
 from repro.flash import (
@@ -251,22 +250,24 @@ def test_bad_location_and_bad_payload_raise_typed_errors(factory):
 def _packed_region(size: int, salt: int, tag: int):
     """A region of checksummed entries of mixed sizes, packed to the last
     byte that fits; returns the payload and the entry locations."""
-    buffer = RegionBuffer(0, size, 0, checksums=True, salt=salt)
+    packed = bytearray()
     entries = []
     lengths = [37, 3000, 4096 - 28, 900, 5000, 1, 4100, 250]
     index = 0
     while True:
         key = b"k%d-%d" % (tag, index)
         value = bytes([(tag + index) % 251 + 1]) * lengths[index % len(lengths)]
-        if not buffer.fits(EntryCodec.entry_size(key, value, checksum=True)):
-            tail = buffer.remaining - EntryCodec.entry_size(key, b"", checksum=True)
+        remaining = size - len(packed)
+        if EntryCodec.entry_size(key, value, checksum=True) > remaining:
+            tail = remaining - EntryCodec.entry_size(key, b"", checksum=True)
             if tail < 0:
                 break
             value = value[:1] * tail  # the last entry ends on the region's last byte
-        location = buffer.append(key, value)
-        entries.append((location.offset, location.length, key, value))
+        blob = EntryCodec.encode(key, value, checksum=True, salt=salt)
+        entries.append((len(packed), len(blob), key, value))
+        packed += blob
         index += 1
-    return bytes(buffer.finalize()), entries
+    return bytes(packed) + bytes(size - len(packed)), entries
 
 
 def _old_read(store, region_id: int, offset: int, length: int) -> bytes:

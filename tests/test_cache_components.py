@@ -3,6 +3,7 @@ RAM cache, admission, config."""
 
 import pytest
 
+from repro.bench.schemes import SchemeScale, build_scheme
 from repro.cache import (
     AdmitAll,
     CacheConfig,
@@ -13,8 +14,17 @@ from repro.cache import (
     RegionMeta,
     make_eviction_policy,
 )
-from repro.cache.admission import CountMinSketch
-from repro.errors import CacheConfigError
+from repro.cache.admission import TinyLfuAdmission
+from repro.errors import CacheConfigError, ObjectTooLargeError
+from repro.sim import SimClock
+from repro.units import KIB, MIB
+
+
+def _open_buffer_cache():
+    """A small Region-Cache: ``set`` packs entries into its open region
+    buffer (``cache._buffer``), which these tests read back."""
+    scale = SchemeScale(zone_size=1 * MIB, region_size=16 * KIB, pages_per_block=64)
+    return build_scheme("Region-Cache", SimClock(), scale, 8 * MIB, 4 * MIB).cache
 
 
 class TestEntryCodec:
@@ -74,11 +84,14 @@ class TestEntryCodec:
 
 class TestRegionBuffer:
     def test_append_and_read(self):
-        buffer = RegionBuffer(region_id=3, capacity=4096, opened_at_ns=0)
-        loc = buffer.append(b"k", b"v" * 10)
-        assert loc.region_id == 3
-        assert loc.offset == 0
+        cache = _open_buffer_cache()
+        buffer = cache._buffer
+        cache.set(b"k", b"v" * 10)
+        loc = cache.index[b"k"]
+        assert loc.region_id == buffer.region_id
+        assert loc.offset == 0 and loc.length == buffer.used
         blob = buffer.read(loc.offset, loc.length)
+        assert type(blob) is bytes
         assert EntryCodec.decode(blob) == (b"k", b"v" * 10)
 
     def test_fits(self):
@@ -87,21 +100,25 @@ class TestRegionBuffer:
         assert not buffer.fits(33)
 
     def test_overflow_rejected(self):
-        buffer = RegionBuffer(0, capacity=16, opened_at_ns=0)
-        with pytest.raises(ValueError):
-            buffer.append(b"key", b"x" * 32)
+        cache = _open_buffer_cache()
+        cache.set(b"k", b"v")
+        used = cache._buffer.used
+        with pytest.raises(ObjectTooLargeError):
+            cache.set(b"key", b"x" * cache.config.region_size)
+        assert cache._buffer.used == used and cache.stats.flushes == 0
 
     def test_read_beyond_used_rejected(self):
-        buffer = RegionBuffer(0, capacity=64, opened_at_ns=0)
-        buffer.append(b"k", b"v")
+        cache = _open_buffer_cache()
+        cache.set(b"k", b"v")
         with pytest.raises(ValueError):
-            buffer.read(0, 64)
+            cache._buffer.read(0, 64)
 
     def test_finalize_pads_to_capacity(self):
-        buffer = RegionBuffer(0, capacity=64, opened_at_ns=0)
-        buffer.append(b"k", b"v")
-        payload = buffer.finalize()
-        assert len(payload) == 64
+        cache = _open_buffer_cache()
+        cache.set(b"k", b"v")
+        payload = cache._buffer.finalize()
+        assert len(payload) == cache.config.region_size
+        assert payload.readonly and not any(payload[cache._buffer.used :])
 
     def test_meta_key_tracking(self):
         meta = RegionMeta(0)
@@ -189,15 +206,19 @@ class TestAdmission:
     def test_admit_all(self):
         assert AdmitAll().admit(b"k", b"v")
 
-    def test_sketch_add_returns_the_prior_estimate(self):
-        sketch = CountMinSketch(width=16, depth=3, seed=5)
-        for i in range(400):  # narrow sketch: plenty of collisions
-            key = b"k%02d" % (i * 7 % 23)
-            expected = sketch.estimate(key)
-            assert sketch.add(key) == expected
-            assert sketch.estimate(key) == expected + 1
-            for threshold in (expected, expected + 1, expected + 2):
-                assert sketch.at_least(key, threshold) == (expected + 1 >= threshold)
+    def test_admit_counts_the_access_and_decides_on_the_prior_estimate(self):
+        for threshold in (1, 2, 5):
+            admission = TinyLfuAdmission(
+                width=16, depth=3, threshold=threshold, decay_ops=10**9, seed=5
+            )
+            sketch = admission.sketch
+            for i in range(400):  # narrow sketch: plenty of collisions
+                key = b"k%02d" % (i * 7 % 23)
+                expected = sketch.estimate(key)
+                assert admission.admit(key, b"") == (expected + 1 >= threshold)
+                assert sketch.estimate(key) == expected + 1
+                for at_least in (expected, expected + 1, expected + 2):
+                    assert sketch.at_least(key, at_least) == (expected + 1 >= at_least)
 
 
 class TestCacheConfig:

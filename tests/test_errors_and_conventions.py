@@ -339,3 +339,37 @@ class TestFaultTaxonomy:
             retryable = issubclass(leaf, errors.RetryableError)
             fatal = issubclass(leaf, errors.FatalDeviceError)
             assert retryable != fatal, leaf
+
+
+class TestImportsAtModuleScope:
+    """An ``import`` statement inside a function runs the import
+    machinery on every call (``check_alignment`` paid ~2 µs a call for
+    one).  The only exceptions are the profiler modules ``cli.py`` loads
+    when ``--profile`` is asked for; optional dependencies are guarded
+    at module scope (``try: import numpy``)."""
+
+    ALLOWED = {("cli.py", "_run_profile", "cProfile"), ("cli.py", "_run_profile", "pstats")}
+
+    def test_no_import_inside_a_function_under_src(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        found = set()
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    else:
+                        continue
+                    for module in modules:
+                        found.add((str(path.relative_to(root)), func.name, module))
+        assert found <= self.ALLOWED, sorted(found - self.ALLOWED)

@@ -1,8 +1,10 @@
 """Property-based tests on the cache engine and LSM invariants.
 
-* Region buffer: whatever ``RegionBuffer.append`` packs in place is
-  byte for byte what the reference encoder ``EntryCodec.encode``
-  returns, checksummed or not, in a fresh or a recycled buffer.
+* Region buffer: whatever ``HybridCache.set`` packs in place into the
+  open region is byte for byte what the reference encoder
+  ``EntryCodec.encode`` returns, checksummed or not, in a fresh or a
+  recycled buffer, and an entry that does not fit seals the region and
+  opens the next one with it.
 * Cache: after an arbitrary set/get/delete sequence, the cache agrees
   with a model dict on every key the cache still holds (a cache may
   forget — it must never return a *wrong* value), and WAF >= 1.
@@ -17,7 +19,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.bench.schemes import SchemeScale, build_region_cache, build_zone_cache
-from repro.cache import EntryCodec, EntryLocation, RegionBuffer
+from repro.cache import EntryCodec, EntryLocation
 from repro.cache.item import DecodedEntry
 from repro.flash import HddConfig, HddDevice
 from repro.lsm import Db, DbConfig
@@ -49,51 +51,49 @@ def _value(key_index: int, size: int) -> bytes:
     entries=st.lists(
         st.tuples(
             st.binary(min_size=1, max_size=40),
-            st.binary(max_size=300),
-            st.integers(0, 2**64 - 1),
+            st.binary(max_size=3000),
+            st.sampled_from([None, 1e-6, 0.5, 3600.0]),
         ),
         max_size=12,
     ),
     checksums=st.booleans(),
-    salt=st.integers(0, 2**32),
     recycled=st.booleans(),
 )
-def test_region_buffer_append_equals_reference_encoding(
-    entries, checksums, salt, recycled
-):
-    capacity = 2048
-    previous = None
+def test_set_packs_the_reference_encoding(entries, checksums, recycled):
+    stack = build_region_cache(
+        SimClock(), SCALE, 8 * 128 * KIB, 6 * 128 * KIB, checksums=checksums
+    )
+    cache = stack.cache
     if recycled:
         # A flushed predecessor full of other bytes: every one of them
-        # must be overwritten by an append or zeroed at finalize().
-        previous = RegionBuffer(0, capacity, 0)
-        while previous.fits(120):
-            previous.append(b"stale-key", b"\xa5" * 95)
-        previous.finalize()
-    buffer = RegionBuffer(
-        7, capacity, 0, checksums=checksums, salt=salt, recycle=previous
-    )
+        # must be overwritten by a set or zeroed at finalize().
+        while cache._buffer.used < cache.config.region_size - 200:
+            cache.set(b"stale-%05d" % cache._buffer.used, b"\xa5" * 95)
+        cache.flush()
     placed = []
-    for key, value, expiry_ns in entries:
-        blob = EntryCodec.encode(key, value, expiry_ns, checksum=checksums, salt=salt)
-        if not buffer.fits(len(blob)):
-            used = buffer.used
-            try:
-                buffer.append(key, value, expiry_ns)
-            except ValueError:
-                assert buffer.used == used
-                continue
-            raise AssertionError("append accepted an entry that does not fit")
-        location = buffer.append(key, value, expiry_ns)
-        assert location == EntryLocation(7, buffer.used - len(blob), len(blob))
+    for key, value, ttl in entries:
+        flushes = cache.stats.flushes
+        cache.set(key, value, ttl)
+        buffer = cache._buffer
+        if cache.stats.flushes != flushes:
+            placed = []  # it did not fit: it opened the next region
+        expiry_ns = cache.lifecycle.expiry.get(key, 0)
+        blob = EntryCodec.encode(
+            key, value, expiry_ns, checksum=checksums, salt=buffer.salt
+        )
+        location = cache.index[key]
+        assert location == EntryLocation(
+            buffer.region_id, buffer.used - len(blob), len(blob)
+        )
         assert buffer.read(location.offset, location.length) == blob
-        decoded = EntryCodec.decode_entry(blob, salt=salt)
+        decoded = EntryCodec.decode_entry(blob, salt=buffer.salt)
         assert decoded == DecodedEntry(key, value, expiry_ns)
         assert decoded.key == key and decoded.is_expired(expiry_ns) == (expiry_ns != 0)
         placed.append((location.offset, location.length, decoded))
+    buffer = cache._buffer
     payload = bytes(buffer.finalize())
-    assert len(payload) == capacity and not any(payload[buffer.used :])
-    assert EntryCodec.scan_region(payload, salt=salt) == (placed, False)
+    assert len(payload) == cache.config.region_size and not any(payload[buffer.used :])
+    assert EntryCodec.scan_region(payload, salt=buffer.salt) == (placed, False)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

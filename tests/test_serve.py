@@ -17,7 +17,6 @@ from repro.bench.experiments import run_sweep
 from repro.bench.fleet import SERVING_SCALE, FleetCell, build_fleet
 from repro.bench.schemes import SchemeScale, build_scheme
 from repro.cache import TinyLfuAdmission
-from repro.cache.admission import CountMinSketch
 from repro.errors import ConfigError, ReproError, ServerAlreadyRanError
 from repro.serve import (
     BurstArrivals,
@@ -334,10 +333,11 @@ class TestValidation:
 
 class TestAdmission:
     def test_count_min_sketch(self):
-        sketch = CountMinSketch(width=64, depth=4, seed=1)
+        admission = TinyLfuAdmission(width=64, depth=4, seed=1)
+        sketch = admission.sketch
         for _ in range(5):
-            sketch.add(b"hot")
-        sketch.add(b"cold")
+            admission.admit(b"hot", b"")
+        admission.admit(b"cold", b"")
         assert sketch.estimate(b"hot") >= 5
         assert sketch.estimate(b"cold") >= 1
         assert sketch.estimate(b"never") <= sketch.estimate(b"hot")

@@ -1,9 +1,11 @@
 """Tests for workload generators: distributions and drivers."""
 
+import bisect
+
 import pytest
 
 from repro.bench.schemes import SchemeScale, build_block_cache
-from repro.sim import SimClock
+from repro.sim import SimClock, make_rng
 from repro.units import KIB
 from repro.workloads import (
     CacheBenchConfig,
@@ -99,6 +101,38 @@ class TestValueSizeSampler:
         sampler = ValueSizeSampler([10, 1000], weights=[99.0, 1.0], seed=4)
         samples = [sampler.sample() for _ in range(2000)]
         assert samples.count(10) > 1800
+
+    # The CacheBench ``bc`` default (the serving fleets' tenants use it
+    # too), ``closed_fill``'s 1-8 KiB table, and two edge shapes.
+    SIZE_TABLES = [
+        ((512, 1024, 2048, 4096), (2.0, 4.0, 3.0, 1.0)),
+        ((1024, 2048, 4096, 8192), (2.0, 4.0, 3.0, 1.0)),
+        ((100,), ()),
+        ((10, 20, 30), (1e-9, 1.0, 1e-9)),
+    ]
+
+    @pytest.mark.parametrize("vectorized", [True, False], ids=["numpy", "bisect"])
+    @pytest.mark.parametrize("sizes,weights", SIZE_TABLES)
+    @pytest.mark.parametrize("seed", [1, 7, 53])
+    def test_bulk_draws_equal_one_random_per_sample(self, sizes, weights, seed, vectorized):
+        sampler = ValueSizeSampler(sizes, weights, seed=seed)
+        if not vectorized:
+            sampler._cdf_array = None  # the refill without numpy
+        assert CacheBenchConfig().value_sizes == self.SIZE_TABLES[0][0]
+        reference = make_rng(seed, "valuesize")
+        last = len(sizes) - 1
+
+        def scalar() -> int:
+            return sizes[min(bisect.bisect_left(sampler._cdf, reference.random()), last)]
+
+        # Drawn in bulk: the sampler never asks its generator for one
+        # uniform at a time.
+        def one_at_a_time():
+            raise AssertionError("a value size drawn by a scalar random()")
+
+        sampler._rng.random = one_at_a_time
+        n = 2 * ValueSizeSampler.REFILL + 5000  # across two refill boundaries
+        assert [sampler.sample() for _ in range(n)] == [scalar() for _ in range(n)]
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -48,16 +48,24 @@ from repro.units import KIB, MIB
 from tests.test_trace_cost import _python_calls
 
 # Frames per admitted set that does not seal a region: ``set`` itself,
-# the DRAM-tier insert and the buffer append; Z-Cache's TinyLFU
-# admission adds its ``admit`` and the sketch's ``add``.  (Before the
-# one-frame set: 5, and 6 on Z-Cache; before that 8 and 9.)
+# which runs the DRAM-tier insert and packs the entry in line; Z-Cache's
+# TinyLFU admission adds its ``admit`` (the sketch count in line).
+# (Before the in-line insert and pack: 3, and 5 on Z-Cache; before the
+# one-frame set: 5 and 6; before that 8 and 9.)
 MAX_FRAMES_PER_PLAIN_SET = {
-    "Region-Cache": 3,
-    "Zone-Cache": 3,
-    "File-Cache": 3,
-    "Block-Cache": 3,
-    "Z-Cache": 5,
+    "Region-Cache": 1,
+    "Zone-Cache": 1,
+    "File-Cache": 1,
+    "Block-Cache": 1,
+    "Z-Cache": 2,
 }
+
+# Frames per ``delete`` of a key whose copy sits in a sealed region:
+# ``delete`` (DRAM removal and the dead-copy journal in line) and the
+# region manager's ``note_key_removed`` (the ledger count in line).
+# Before: 6 — ``delete``, ``RamCache.remove``, ``_note_removed``,
+# ``_journal_dead``, ``note_key_removed``, ``LivenessLedger.note_dead``.
+MAX_FRAMES_PER_SEALED_DELETE = 2
 
 # Mean frames per set that seals a region, the plain part included, over
 # the first sets of a fresh stack (no eviction or reclaim yet), rounded
@@ -171,6 +179,26 @@ def test_frames_per_set(scheme, geometry):
     assert mean_rotating <= MAX_FRAMES_PER_ROTATING_SET[geometry][scheme], (
         mean_rotating, sorted(set(rotating)),
     )
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEME_NAMES)
+def test_frames_per_sealed_delete(scheme):
+    geometry = _GEOMETRIES["small"]
+    cache = _stack(scheme, geometry).cache
+    value = b"v" * geometry.value_bytes
+    keys = [b"key-%06d" % index for index in range(geometry.sets)]
+    for key in keys:
+        cache.set(key, value)
+    cache.flush()
+    sealed = [key for key in keys if key in cache.index]
+    assert len(sealed) > 100
+    gc.disable()
+    try:
+        frames = [len(_python_calls(lambda: cache.delete(key))) for key in sealed]
+    finally:
+        gc.enable()
+    assert not any(key in cache.index or key in cache.ram for key in sealed)
+    assert max(frames) <= MAX_FRAMES_PER_SEALED_DELETE, sorted(set(frames))
 
 
 # --- warm rotation -------------------------------------------------------------

@@ -466,10 +466,12 @@ class TestZCacheDeterminism:
         are those of counting every key's full estimate."""
         from repro.cache.item import EntryCodec
 
-        store = _z_cache_stack().cache.store
+        cache = _z_cache_stack().cache
+        store = cache.store
         store.hot_threshold = threshold
+        assert cache.admission.sketch is store.sketch
         for key in seen:
-            store.sketch.add(b"key%02d" % key)
+            cache.admission.admit(b"key%02d" % key, b"")
         payload = b"".join(
             EntryCodec.encode(b"key%02d" % key, b"v" * 10) for key in keys
         ) + bytes(64)
