@@ -59,13 +59,6 @@ class RegionBuffer:
             self._stale = max(recycle._stale, recycle.used)
         self.used = 0
 
-    @property
-    def remaining(self) -> int:
-        return self.capacity - self.used
-
-    def fits(self, entry_bytes: int) -> bool:
-        return entry_bytes <= self.remaining
-
     def read(self, offset: int, length: int) -> bytes:
         """Serve a read from the open buffer (CacheLib's read-from-buffer)."""
         if offset + length > self.used:

@@ -26,6 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import (
     AlignmentError,
+    DeviceError,
     NoSpaceError,
     PowerCutError,
     RetryableError,
@@ -88,7 +89,7 @@ class F2fs:
         self.sit = SegmentInfoTable(
             self.layout.num_sections, self.layout.blocks_per_section
         )
-        self.logs = LogManager(self.layout)
+        self.logs = LogManager(self.layout, data_device.report_zones())
         # The I/O tracer shared with the main-area (data) device.
         self.tracer: IoTracer = data_device.tracer
         # Write recency the cost-benefit cleaner reads as section age
@@ -376,11 +377,12 @@ class F2fs:
         """Write payload to allocated blocks as one batch of per-run
         device writes (on the serial timeline, exactly the cost of one
         write per run); returns the final block addresses in file order
-        and their runs, for the remap.  A faulted batch keeps the runs
-        that landed and resumes at the first that did not: a dead zone
-        retires its section and that run is allocated afresh from the
-        hot data log, a transient error retries it.  Each fault costs
-        one of eight attempts; the ninth raises.
+        and their runs, for the remap.  A faulted batch counts the bytes
+        that landed (up to the write pointer: a cut's torn prefix too);
+        a dead zone retires its section and its run is allocated afresh
+        from the hot data log, a transient error retries the run, and
+        anything else propagates.  Each fault costs one of eight
+        attempts; the ninth raises.
         """
         block_size = self.layout.block_size
         runs = pending = self._section_runs(addresses)
@@ -394,9 +396,13 @@ class F2fs:
                 written += len(payload)
             try:
                 self.data_device.write_many(items)
-            except (ZoneDeadError, RetryableError) as error:
+            except DeviceError as error:
                 landed = error.landed
-                self.stats.data_write_bytes += sum(len(p) for _, p in items[:landed])
+                offset = items[landed][0]
+                torn = max(0, self.data_device.zone_of(offset).write_pointer - offset)
+                self.stats.data_write_bytes += sum(len(p) for _, p in items[:landed]) + torn
+                if not isinstance(error, (ZoneDeadError, RetryableError)):
+                    raise
                 attempts += 1
                 if attempts > 8:
                     raise
@@ -405,16 +411,22 @@ class F2fs:
                     self.stats.io_retries += 1
                     continue
                 index, block_addr, count = pending[0]
-                self.retire_section(self.layout.section_of_block(block_addr))
-                fresh = self._allocate_with_cleaning(LogStream.HOT_DATA, count)
-                addresses = addresses[:index] + fresh + addresses[index + count :]
-                # The fresh run may share a zone with runs the fault left
-                # behind: write in address order, the pointer's.
-                pending = sorted(
-                    [(index + i, addr, n) for i, addr, n in self._section_runs(fresh)]
-                    + pending[1:],
-                    key=lambda run: run[1],
+                per_section = self.layout.blocks_per_section
+                self.retire_section(block_addr // per_section)
+                # Runs still pending on the hot log head's section sit
+                # from its write pointer on: the fresh run goes after them,
+                # and is written after them.
+                head = self.logs.head_of(LogStream.HOT_DATA).section
+                skip = sum(
+                    n for _, addr, n in pending[1:] if addr // per_section == head
                 )
+                fresh = self._allocate_with_cleaning(
+                    LogStream.HOT_DATA, skip + count
+                )[skip:]
+                addresses = addresses[:index] + fresh + addresses[index + count :]
+                pending = pending[1:] + [
+                    (index + i, addr, n) for i, addr, n in self._section_runs(fresh)
+                ]
                 runs = None
                 continue
             self.stats.data_write_bytes += written
@@ -429,10 +441,11 @@ class F2fs:
         old = self._node_addr.get(key)
         if old is not None:
             sit.mark_invalid_run(old, 1)
-        addr = self._allocate_with_cleaning(LogStream.NODE, 1)[0]
         payload = b"\x4e" * self.layout.block_size
-        last_error: Optional[BaseException] = None
+        # A faulted write moves no write pointer: each attempt allocates
+        # again, a dead zone's section retired first.
         for _ in range(8):
+            addr = self._allocate_with_cleaning(LogStream.NODE, 1)[0]
             try:
                 self.data_device.write(self.layout.device_offset(addr), payload)
                 break
@@ -440,16 +453,11 @@ class F2fs:
                 raise
             except ZoneDeadError as error:
                 last_error = error
-                zone = error.zone_index
-                if zone is None:
-                    zone = self.layout.section_of_block(addr)
-                self.retire_section(zone)
-                addr = self._allocate_with_cleaning(LogStream.NODE, 1)[0]
+                self.retire_section(self.layout.section_of_block(addr))
             except RetryableError as error:
                 last_error = error
                 self.stats.io_retries += 1
         else:
-            assert last_error is not None
             raise last_error
         self.stats.data_write_bytes += self.layout.block_size
         # Node ownership is encoded with a negative file id so the cleaner
@@ -504,28 +512,17 @@ class F2fs:
         """Land one cleaning-migration block, retiring dead target zones.
 
         Transient errors propagate to the cleaner, which re-queues the
-        source block: faults gate before state, so the block goes back
-        to its log head, which stays on the zone's write pointer.
+        source block: faults gate before state, so the write pointer
+        has not moved.
         """
-        new_addr = self.logs.allocate_blocks(stream, 1)[0]
-        last_error: Optional[BaseException] = None
         for _ in range(4):
+            new_addr = self.logs.allocate_blocks(stream, 1)[0]
             try:
                 self.data_device.write(self.layout.device_offset(new_addr), payload)
                 return new_addr
-            except PowerCutError:
-                raise
-            except RetryableError:
-                self.logs.head_of(stream).next_offset -= 1
-                raise
             except ZoneDeadError as error:
                 last_error = error
-                zone = error.zone_index
-                if zone is None:
-                    zone = self.layout.section_of_block(new_addr)
-                self.retire_section(zone)
-                new_addr = self.logs.allocate_blocks(stream, 1)[0]
-        assert last_error is not None
+                self.retire_section(self.layout.section_of_block(new_addr))
         raise last_error
 
     def _migrate_node_block(self, block_addr: int, file_id: int, group: int) -> None:
@@ -633,7 +630,9 @@ class F2fs:
         self.sit = SegmentInfoTable.from_state(
             state["sit"], self.layout.num_sections, self.layout.blocks_per_section
         )
-        self.logs = LogManager.from_state(state["logs"], self.layout)
+        self.logs = LogManager.from_state(
+            state["logs"], self.layout, self.data_device.report_zones()
+        )
         self._node_addr = {
             (int(key.split(":")[0]), int(key.split(":")[1])): addr
             for key, addr in state.get("nodes", {}).items()

@@ -1,8 +1,9 @@
 """Filesystem consistency checker (fsck) for the F2FS-like filesystem.
 
 Cross-checks the NAT (file block maps), SIT (block validity + owners),
-node map, and log heads.  Used by tests as a whole-filesystem invariant
-and available to users debugging a substrate issue.
+node map, log heads and zone write pointers.  Used by tests as a
+whole-filesystem invariant and available to users debugging a substrate
+issue.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def fsck(fs: F2fs) -> FsckReport:
     _check_no_shared_blocks(fs, report)
     _check_sit_owners_resolve(fs, report)
     _check_log_heads(fs, report)
+    _check_valid_below_write_pointer(fs, report)
     return report
 
 
@@ -127,7 +129,7 @@ def _check_sit_owners_resolve(fs: F2fs, report: FsckReport) -> None:
 
 
 def _check_log_heads(fs: F2fs, report: FsckReport) -> None:
-    """Log heads must sit on in-use sections within bounds."""
+    """Log heads must sit on in-use sections."""
     for stream, head in fs.logs._heads.items():
         if head.section is None:
             continue
@@ -135,5 +137,11 @@ def _check_log_heads(fs: F2fs, report: FsckReport) -> None:
             report.add(f"log head {stream.value} on invalid section {head.section}")
         elif fs.logs.is_free(head.section):
             report.add(f"log head {stream.value} points at a free section")
-        if head.next_offset > fs.layout.blocks_per_section:
-            report.add(f"log head {stream.value} cursor out of bounds")
+
+
+def _check_valid_below_write_pointer(fs: F2fs, report: FsckReport) -> None:
+    """No SIT-valid block lies at or past its zone's write pointer."""
+    for zone in fs.data_device.zones[: fs.layout.num_sections]:
+        for addr in fs.sit.valid_blocks(zone.index):
+            if fs.layout.device_offset(addr) >= zone.write_pointer:
+                report.add(f"valid block {addr} is past its zone's write pointer")

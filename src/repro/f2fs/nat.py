@@ -94,9 +94,6 @@ class NodeAddressTable:
         """Unmap one file block (§3.4 GC drop); returns the old address."""
         return self._maps[file_id].pop(file_block, None)
 
-    def mapped_blocks(self, file_id: int) -> int:
-        return len(self._maps[file_id])
-
     # --- persistence ------------------------------------------------------------------
 
     def to_state(self) -> dict:

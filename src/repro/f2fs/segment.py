@@ -8,18 +8,19 @@ blocks.  The separation is why the filesystem's WA can stay moderate
 mixes long-lived relocated blocks into short-lived write streams.
 
 Each log head owns one section at a time and hands out block addresses
-sequentially, which on a zoned device means every write lands exactly on
-the zone's write pointer.
+from that section's zone write pointer on — it keeps no offset of its
+own — so every write lands exactly on the write pointer.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.errors import NoSpaceError
 from repro.f2fs.layout import F2fsLayout
+from repro.flash.zone import Zone
 
 
 class LogStream(enum.Enum):
@@ -38,14 +39,15 @@ class LogStream(enum.Enum):
 class _LogHead:
     stream: LogStream
     section: Optional[int] = None
-    next_offset: int = 0
 
 
 class LogManager:
-    """Allocates main-area blocks for each log head; manages free sections."""
+    """Allocates main-area blocks for each log head over the data
+    device's ``zones``; manages free sections."""
 
-    def __init__(self, layout: F2fsLayout) -> None:
+    def __init__(self, layout: F2fsLayout, zones: Sequence[Zone]) -> None:
         self.layout = layout
+        self.zones = zones
         self._free: List[int] = list(range(layout.num_sections))
         self._heads: Dict[LogStream, _LogHead] = {
             stream: _LogHead(stream) for stream in LogStream
@@ -76,10 +78,6 @@ class LogManager:
     def is_retired(self, section: int) -> bool:
         return section in self._retired
 
-    @property
-    def retired_count(self) -> int:
-        return len(self._retired)
-
     def retire_section(self, section: int) -> None:
         """Permanently remove a dead section from circulation.
 
@@ -92,7 +90,6 @@ class LogManager:
         for head in self._heads.values():
             if head.section == section:
                 head.section = None
-                head.next_offset = 0
 
     def release_section(self, section: int) -> None:
         """Return a cleaned section to the free pool."""
@@ -105,38 +102,43 @@ class LogManager:
     # --- allocation ---------------------------------------------------------------------
 
     def allocate_blocks(self, stream: LogStream, count: int) -> List[int]:
-        """Allocate ``count`` sequential block addresses from a log head.
-
-        The returned addresses are contiguous *runs* — a run never crosses
-        a section boundary, but the list may span sections if the head
-        rolled over.  Raises :class:`NoSpaceError` when no free section is
-        available for a rollover (caller should clean and retry).
+        """Allocate ``count`` sequential block addresses from a log head,
+        from its section's write pointer on: contiguous *runs*, each
+        inside one section, spanning sections if the head rolls over.
+        Nothing is reserved: write them before the next allocation from
+        this head.  Raises :class:`NoSpaceError` when no free section is
+        available for a rollover (clean and retry).
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         head = self._heads[stream]
         per_section = self.layout.blocks_per_section
+        section, offset = head.section, per_section
+        if section is not None:
+            zone = self.zones[section]
+            offset = (zone.write_pointer - zone.start) // self.layout.block_size
         addresses: List[int] = []
         remaining = count
         while remaining > 0:
-            if head.section is None or head.next_offset >= per_section:
-                self._roll_head(head)
-            take = min(remaining, per_section - head.next_offset)
+            if offset >= per_section:
+                section = self._roll_head(head)
+                offset = 0
+            take = min(remaining, per_section - offset)
             # F2fsLayout.block_addr, in line.
-            base = head.section * per_section + head.next_offset
+            base = section * per_section + offset
             addresses.extend(range(base, base + take))
-            head.next_offset += take
+            offset += take
             remaining -= take
         return addresses
 
-    def _roll_head(self, head: _LogHead) -> None:
+    def _roll_head(self, head: _LogHead) -> int:
         if not self._free:
             raise NoSpaceError(
                 f"no free section for log head {head.stream.value}; cleaning needed"
             )
-        head.section = self._free.pop(0)
-        head.next_offset = 0
+        head.section = section = self._free.pop(0)
         self.sections_opened += 1
+        return section
 
     # --- persistence ----------------------------------------------------------------------
 
@@ -145,18 +147,17 @@ class LogManager:
             "free": list(self._free),
             "retired": sorted(self._retired),
             "heads": {
-                stream.value: {"section": head.section, "next_offset": head.next_offset}
-                for stream, head in self._heads.items()
+                stream.value: head.section for stream, head in self._heads.items()
             },
         }
 
     @classmethod
-    def from_state(cls, state: dict, layout: F2fsLayout) -> "LogManager":
-        manager = cls(layout)
+    def from_state(
+        cls, state: dict, layout: F2fsLayout, zones: Sequence[Zone]
+    ) -> "LogManager":
+        manager = cls(layout, zones)
         manager._free = list(state["free"])
         manager._retired = set(state.get("retired", []))
-        for stream_value, head_state in state["heads"].items():
-            head = manager._heads[LogStream(stream_value)]
-            head.section = head_state["section"]
-            head.next_offset = head_state["next_offset"]
+        for stream_value, section in state["heads"].items():
+            manager._heads[LogStream(stream_value)].section = section
         return manager

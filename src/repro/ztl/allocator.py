@@ -4,16 +4,18 @@ The paper's middle layer "supports concurrent writing of multiple zones
 at the same time" and finishes a zone "when there is no space to write a
 new region".  :class:`ZoneBook` tracks every zone's role (empty, open
 for host writes, open for GC migration, finished) and hands out region
-slots round-robin across the host-open zones.
+slots round-robin across the host-open zones.  It keeps no write
+cursor: a zone's next slot is its device zone's write pointer.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import TranslationFullError
+from repro.flash.zone import Zone
 from repro.ztl.bitmap import SlotBitmap
 
 
@@ -33,11 +35,12 @@ class ZoneUse(enum.Enum):
 class ZoneRecord:
     """Middle-layer bookkeeping for one device zone."""
 
-    zone_index: int
+    # The device zone itself: its write pointer is the slot cursor.
+    zone: Zone
     slots_per_zone: int
     use: ZoneUse = ZoneUse.EMPTY
     bitmap: SlotBitmap = field(init=False)
-    next_slot: int = 0
+    zone_index: int = field(init=False)
     # Book tick of the zone's most recent slot write; age = tick - mtime
     # feeds cost-benefit victim selection (repro.reclaim).
     mtime: int = 0
@@ -47,35 +50,31 @@ class ZoneRecord:
 
     def __post_init__(self) -> None:
         self.bitmap = SlotBitmap(self.slots_per_zone)
-
-    @property
-    def is_full(self) -> bool:
-        return self.next_slot >= self.slots_per_zone
+        self.zone_index = self.zone.index
 
     @property
     def valid_count(self) -> int:
         return self.bitmap.valid_count
 
-    @property
-    def valid_fraction(self) -> float:
-        return self.bitmap.valid_fraction
-
 
 class ZoneBook:
-    """Tracks zone roles and allocates region slots across open zones."""
+    """Tracks zone roles and allocates region slots across the open
+    ones of the device's ``zones``."""
 
     def __init__(
         self,
-        num_zones: int,
-        slots_per_zone: int,
+        zones: Sequence[Zone],
+        region_size: int,
         host_open_target: int,
         reserved_for_gc: int = 1,
         num_groups: int = 1,
     ) -> None:
+        num_zones = len(zones)
         if num_zones < 2:
             raise ValueError(f"need at least 2 zones, got {num_zones}")
+        slots_per_zone = zones[0].size // region_size
         if slots_per_zone < 1:
-            raise ValueError(f"slots_per_zone must be >= 1, got {slots_per_zone}")
+            raise ValueError(f"no {region_size}B slot fits a {zones[0].size}B zone")
         if host_open_target < 1:
             raise ValueError("host_open_target must be >= 1")
         if not 0 <= reserved_for_gc < num_zones:
@@ -93,7 +92,7 @@ class ZoneBook:
         # hottest stream; the GC stream writes into the coldest group.
         self.num_groups = num_groups
         self.records: List[ZoneRecord] = [
-            ZoneRecord(i, slots_per_zone) for i in range(num_zones)
+            ZoneRecord(zone, slots_per_zone) for zone in zones
         ]
         self._empty: List[int] = list(range(num_zones))
         self._host_open: List[List[int]] = [[] for _ in range(num_groups)]
@@ -142,10 +141,13 @@ class ZoneBook:
             raise ValueError(f"group {group} outside [0, {self.num_groups})")
         pool = self._host_open[group]
         # A zone leaves its pool the moment it fills (note_slot_written
-        # finishes it), so a pool at its target needs no refill.
-        if len(pool) < self.host_open_target:
-            self._refill_host_open(group)
-            pool = self._host_open[group]
+        # finishes it); refill from the empty zones above the GC reserve.
+        empty = self._empty
+        while len(pool) < self.host_open_target and len(empty) > self.reserved_for_gc:
+            zone_index = empty.pop(0)
+            record = self.records[zone_index]
+            record.use, record.group = ZoneUse.HOST_OPEN, group
+            pool.append(zone_index)
         if not pool:
             raise TranslationFullError("no empty zones left for host writes")
         cursor = self._rr_cursor[group] % len(pool)
@@ -160,12 +162,7 @@ class ZoneBook:
         migration survivors, which by construction outlived their
         original zone.
         """
-        gc_open = self._gc_open
-        if gc_open is None or (
-            self.records[gc_open].next_slot >= self.slots_per_zone
-        ):
-            if self._gc_open is not None:
-                self.mark_finished(self._gc_open)
+        if self._gc_open is None:
             if not self._empty:
                 raise TranslationFullError("no empty zone for the GC stream")
             self._gc_open = self._empty.pop(0)
@@ -174,12 +171,11 @@ class ZoneBook:
             record.group = self.num_groups - 1
         return self.records[self._gc_open]
 
-    def note_slot_written(self, record: ZoneRecord) -> None:
-        """Advance the zone's slot cursor; finish the zone when full."""
-        record.next_slot += 1
+    def note_slot_written(self, record: ZoneRecord, slot: int) -> None:
+        """Stamp the zone a region was placed in; finish it at its last slot."""
         self.tick += 1
         record.mtime = self.tick
-        if record.next_slot >= record.slots_per_zone:
+        if slot + 1 >= record.slots_per_zone:
             self.mark_finished(record.zone_index)
 
     # --- transitions -----------------------------------------------------------------
@@ -227,23 +223,20 @@ class ZoneBook:
             self._gc_open = None
         record.use = ZoneUse.EMPTY
         record.bitmap.clear_all()
-        record.next_slot = 0
         record.group = 0
         self._empty.append(zone_index)
 
-    def _rewind_gc(self, zone_index: int, slot: int, opened: List[int]) -> None:
-        """The GC stream's writes from ``slot`` of ``zone_index`` on did
-        not land: reopen that zone there, and put the zones the stream
-        opened after it (``opened``, in order) back at the front of the
-        empty pool."""
+    def _rewind_gc(self, zone_index: int, opened: List[int]) -> None:
+        """The GC stream's writes past ``zone_index``'s write pointer did
+        not land: reopen that zone, and put the zones opened after it
+        (``opened``, in order) back at the front of the empty pool."""
         for zone in opened:
             self.mark_empty(zone)
             self._empty.remove(zone)
         self._empty[:0] = opened
         if zone_index in self._finished:
             self._finished.remove(zone_index)
-        record = self.records[zone_index]
-        record.use, record.next_slot = ZoneUse.GC_OPEN, slot
+        self.records[zone_index].use = ZoneUse.GC_OPEN
         self._gc_open = zone_index
 
     # --- internals ----------------------------------------------------------------------
@@ -252,21 +245,6 @@ class ZoneBook:
         for pool in self._host_open:
             if zone_index in pool:
                 pool.remove(zone_index)
-
-    def _refill_host_open(self, group: int = 0) -> None:
-        pool = [
-            z for z in self._host_open[group] if not self.records[z].is_full
-        ]
-        self._host_open[group] = pool
-        while (
-            len(pool) < self.host_open_target
-            and len(self._empty) > self.reserved_for_gc
-        ):
-            zone_index = self._empty.pop(0)
-            record = self.records[zone_index]
-            record.use = ZoneUse.HOST_OPEN
-            record.group = group
-            pool.append(zone_index)
 
     def __repr__(self) -> str:
         open_count = sum(len(pool) for pool in self._host_open)

@@ -30,7 +30,6 @@ from repro.errors import (
     OutOfRangeError,
     PowerCutError,
     RegionSizeError,
-    ReproError,
     RetryableError,
     TranslationFullError,
     ZoneDeadError,
@@ -124,8 +123,8 @@ class RegionTranslationLayer:
         self.slots_per_zone = device.zone_size // config.region_size
         self.num_zones = num_zones
         self.book = ZoneBook(
-            num_zones,
-            self.slots_per_zone,
+            device.report_zones(),
+            config.region_size,
             config.host_open_zones,
             num_groups=config.host_groups,
         )
@@ -183,32 +182,32 @@ class RegionTranslationLayer:
         try:
             self.invalidate_region(region_id)
             book = self.book
-            last_error: Optional[ReproError] = None
-            for _ in range(4):
+            dead = 0
+            while True:
                 try:
                     record = book.allocate_host_slot(group)
                 except TranslationFullError as error:
                     record = self._collect_for_host_slot(group, error)
-                slot = record.next_slot
-                zone_index = record.zone_index
+                zone = record.zone
+                offset = zone.write_pointer
+                slot, torn = divmod(offset - zone.start, self.region_size)
+                if torn:
+                    self._finish_torn(record)
+                    continue
                 try:
-                    result = self.device.write(
-                        zone_index * self.zone_size + slot * self.region_size, data
-                    )
-                except ZoneDeadError as error:
+                    result = self.device.write(offset, data)
+                except ZoneDeadError:
                     # The open zone died under us: retire it and land the
-                    # region in another open zone.
-                    last_error = error
-                    zone = error.zone_index
-                    self._retire_zone(zone if zone is not None else zone_index)
+                    # region in another open zone (four tries).
+                    self._retire_zone(zone.index)
+                    dead += 1
+                    if dead == 4:
+                        raise
                     continue
                 record.bitmap.set(slot)
-                self.map.bind(region_id, _location((zone_index, slot)))
-                book.note_slot_written(record)
+                self.map.bind(region_id, _location((zone.index, slot)))
+                book.note_slot_written(record, slot)
                 break
-            else:
-                assert last_error is not None
-                raise last_error
             self.stats.host_region_writes += 1
             # Background thread check (paper: runs continuously; we piggyback).
             try:
@@ -315,21 +314,33 @@ class RegionTranslationLayer:
         ):
             for _ in range(4):
                 pairs: List[Tuple[int, int]] = []
+                # Nothing lands before ``copy_many``: the batch counts the
+                # slots it places past the GC zone's write pointer itself.
+                target = None
                 try:
                     for region_id in region_ids:
                         old = mapping.lookup(region_id)
-                        target = book.allocate_gc_slot()
-                        slot = target.next_slot
+                        record = book.allocate_gc_slot()
+                        if record is not target:
+                            target, zone = record, record.zone
+                            slot, torn = divmod(
+                                zone.write_pointer - zone.start, region_size
+                            )
+                            if torn:  # an empty zone takes over
+                                self._finish_torn(record)
+                                target = record = book.allocate_gc_slot()
+                                zone, slot = record.zone, 0
                         pairs.append(
                             (
                                 old.zone_index * zone_size + old.slot * region_size,
-                                target.zone_index * zone_size + slot * region_size,
+                                zone.start + slot * region_size,
                             )
                         )
                         records[old.zone_index].bitmap.clear(old.slot)
-                        target.bitmap.set(slot)
-                        mapping.bind(region_id, _location((target.zone_index, slot)))
-                        book.note_slot_written(target)
+                        record.bitmap.set(slot)
+                        mapping.bind(region_id, _location((record.zone_index, slot)))
+                        book.note_slot_written(record, slot)
+                        slot += 1
                 finally:
                     region_ids = []
                     if pairs:
@@ -348,7 +359,7 @@ class RegionTranslationLayer:
     ) -> List[int]:
         """``copy_many(pairs)`` landed ``error.landed`` copies, then
         raised: those survivors keep their new slots, the rest get their
-        old ones back and the GC stream rewinds to the first one's slot.
+        old ones back and the GC stream reopens the first one's zone.
         Then a dead target is retired, a dead source drops its
         survivors, and anything but a transient error propagates.
         Returns the survivors to copy again."""
@@ -369,8 +380,8 @@ class RegionTranslationLayer:
             records[old.zone_index].bitmap.set(old.slot)
             mapping.bind(region_id, old)
             unmoved.append(region_id)
-        target, slot = divmod(pairs[landed][1] // region_size, per_zone)
-        book._rewind_gc(target, slot, opened)
+        target = pairs[landed][1] // region_size // per_zone
+        book._rewind_gc(target, opened)
         if not isinstance(error, (ZoneDeadError, RetryableError)):
             raise error
         if not isinstance(error, ZoneDeadError):
@@ -383,6 +394,16 @@ class RegionTranslationLayer:
             if mapping.lookup(region_id).zone_index == error.zone_index:
                 self._drop_region(region_id)  # its bytes are gone
         return [region_id for region_id in unmoved if region_id in mapping]
+
+    def _finish_torn(self, record: ZoneRecord) -> None:
+        """A write cut inside a slot ends the zone: finish it (its torn
+        slot and tail stay clear in the bitmap), or retire it if dead."""
+        try:
+            self.device.finish_zone(record.zone_index)
+        except ZoneDeadError:
+            self._retire_zone(record.zone_index)
+            return
+        self.book.mark_finished(record.zone_index)
 
     def _retire_zone(self, zone_index: int) -> None:
         """Take a dead zone out of service: drop its regions, tell the

@@ -10,7 +10,6 @@ from repro.cache import (
     CpuCosts,
     EntryCodec,
     RamCache,
-    RegionBuffer,
     RegionMeta,
     make_eviction_policy,
 )
@@ -93,11 +92,6 @@ class TestRegionBuffer:
         blob = buffer.read(loc.offset, loc.length)
         assert type(blob) is bytes
         assert EntryCodec.decode(blob) == (b"k", b"v" * 10)
-
-    def test_fits(self):
-        buffer = RegionBuffer(0, capacity=32, opened_at_ns=0)
-        assert buffer.fits(32)
-        assert not buffer.fits(33)
 
     def test_overflow_rejected(self):
         cache = _open_buffer_cache()

@@ -10,8 +10,10 @@ from repro.errors import (
     FileNotFoundInFsError,
     NoSpaceError,
 )
-from repro.f2fs import CleanerConfig, F2fs, F2fsConfig
+from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, fsck
+from repro.f2fs.segment import LogStream
 from repro.flash import NandGeometry, NullBlkDevice, ZnsConfig, ZnsSsd
+from repro.flash.zone import ZoneState
 from repro.sim import SimClock
 from repro.units import KIB, MIB
 
@@ -223,6 +225,25 @@ class TestF2fsCheckpoint:
         )
         assert remounted.open("a").pread(0, 4 * BLOCK) == blockdata(3, 4)
 
+    def test_mount_appends_at_the_write_pointer_past_the_checkpoint(self):
+        """The checkpoint stores each log head's section only: a mount
+        after writes the checkpoint never saw appends where the device
+        says the zone stands."""
+        fs = make_fs()
+        handle = fs.create("a")
+        handle.pwrite(0, blockdata(3, 4))
+        fs.checkpoint()
+        handle.pwrite(4 * BLOCK, blockdata(4, 4))
+        remounted = F2fs.mount(
+            SimClock(), fs.data_device, fs.meta_device,
+            F2fsConfig(checkpoint_interval_blocks=10**6),
+        )
+        again = remounted.open("a")
+        again.pwrite(4 * BLOCK, blockdata(5, 4))
+        assert again.pread(0, 8 * BLOCK) == blockdata(3, 4) + blockdata(5, 4)
+        report = fsck(remounted)
+        assert report.clean, report.errors
+
     def test_mount_without_mkfs_rejected(self):
         clock = SimClock()
         geometry = NandGeometry(page_size=BLOCK, pages_per_block=16, num_blocks=128)
@@ -256,3 +277,31 @@ class TestF2fsCheckpoint:
         handle2 = remounted.open("cache")
         for i, tag in expected.items():
             assert handle2.pread(i * BLOCK, BLOCK) == blockdata(tag), i
+
+
+class TestF2fsDeadZone:
+    def test_dead_section_under_a_rolled_head_rewrites_after_the_pending_run(self):
+        """A pwrite spans section A into section B; A dies before the
+        batch lands.  The run meant for A is allocated afresh from the
+        hot log, whose head is already on B with B's run still pending
+        at B's write pointer: the fresh run must land after it."""
+        fs = make_fs()
+        per_section = fs.layout.blocks_per_section
+        handle = fs.create("a")
+        handle.pwrite(0, blockdata(1, per_section - 4))
+        section_a = fs.logs.head_of(LogStream.HOT_DATA).section
+        fs.data_device.zones[section_a].die(ZoneState.READ_ONLY)
+        data = b"".join(blockdata(10 + i) for i in range(12))
+        handle.pwrite((per_section - 4) * BLOCK, data)
+        section_b = fs.logs.head_of(LogStream.HOT_DATA).section
+        assert fs.logs.is_retired(section_a) and section_b != section_a
+        mapped = [
+            fs.nat.get_block(handle.file_id, per_section - 4 + i) for i in range(12)
+        ]
+        base = section_b * per_section
+        # B's run (file blocks 4-11) first, then the fresh run (0-3).
+        assert mapped == list(range(base + 8, base + 12)) + list(range(base, base + 8))
+        assert handle.pread((per_section - 4) * BLOCK, 12 * BLOCK) == data
+        assert handle.pread(0, BLOCK) == blockdata(1)
+        report = fsck(fs)
+        assert report.clean, report.errors

@@ -29,15 +29,21 @@ def make_layer(
     threshold=0.2,
     hint=None,
     on_drop=None,
+    faults=None,
+    host_open=2,
 ):
     clock = SimClock()
     geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=num_blocks)
-    zns = ZnsSsd(clock, ZnsConfig(geometry=geometry, zone_size=zone_blocks * geometry.block_size))
+    zns = ZnsSsd(
+        clock,
+        ZnsConfig(geometry=geometry, zone_size=zone_blocks * geometry.block_size),
+        faults=faults,
+    )
     layer = RegionTranslationLayer(
         zns,
         ZtlConfig(
             region_size=region_size,
-            host_open_zones=2,
+            host_open_zones=host_open,
             gc=GcConfig(min_empty_zones=min_empty, victim_valid_threshold=threshold),
         ),
     )
@@ -205,10 +211,10 @@ class TestZtlGc:
         assert layer.book.record(1).bitmap.is_set(0)
         for record in layer.book.records:
             zone = zns.zones[record.zone_index]
-            assert zone.written_bytes == record.next_slot * REGION
             for slot in range(layer.slots_per_zone):
                 mapped = layer._region_at(record.zone_index, slot) is not None
                 assert record.bitmap.is_set(slot) == mapped
+                assert not mapped or (slot + 1) * REGION <= zone.written_bytes
         assert layer.book.record(gc_zone).valid_count == 4
         for region_id in range(8):
             assert layer.read_region(region_id).data == payload(region_id)
@@ -251,59 +257,79 @@ class TestZtlGc:
             assert layer.read_region(region_id).data == payload(region_id)
 
 
+def make_book(num_zones, slots_per_zone, host_open_target, **kwargs):
+    """A book over the zones of a real device, ``slots_per_zone``
+    REGION-sized slots per zone; returns ``(device, book)``."""
+    geometry = NandGeometry(
+        page_size=4 * KIB, pages_per_block=16, num_blocks=num_zones * slots_per_zone
+    )
+    zns = ZnsSsd(
+        SimClock(),
+        ZnsConfig(geometry=geometry, zone_size=slots_per_zone * geometry.block_size),
+    )
+    return zns, ZoneBook(zns.report_zones(), REGION, host_open_target, **kwargs)
+
+
+def write_slot(zns, book, record):
+    """Write one region at the zone's write pointer, as the layer does."""
+    zone = record.zone
+    slot = (zone.write_pointer - zone.start) // REGION
+    zns.write(zone.write_pointer, payload(slot))
+    book.note_slot_written(record, slot)
+
+
 class TestZoneBook:
     def test_roles_progress(self):
-        book = ZoneBook(num_zones=4, slots_per_zone=2, host_open_target=1)
+        zns, book = make_book(4, 2, 1)
         record = book.allocate_host_slot()
         assert record.use == ZoneUse.HOST_OPEN
-        book.note_slot_written(record)
-        book.note_slot_written(record)
+        assert record.zone is zns.zones[record.zone_index]
+        write_slot(zns, book, record)
+        write_slot(zns, book, record)
         assert record.use == ZoneUse.FINISHED
         assert record.zone_index in book.finished_zones
 
     def test_mark_empty_returns_to_pool(self):
-        book = ZoneBook(num_zones=4, slots_per_zone=2, host_open_target=1)
+        zns, book = make_book(4, 2, 1)
         record = book.allocate_host_slot()
-        book.note_slot_written(record)
-        book.note_slot_written(record)
+        record.bitmap.set(0)
+        write_slot(zns, book, record)
+        write_slot(zns, book, record)
         before = book.empty_count
+        zns.reset_zone(record.zone_index)
         book.mark_empty(record.zone_index)
         assert book.empty_count == before + 1
         assert record.use == ZoneUse.EMPTY
-        assert record.next_slot == 0
+        assert record.valid_count == 0
 
     def test_gc_stream_is_separate(self):
-        book = ZoneBook(num_zones=4, slots_per_zone=2, host_open_target=1)
+        _, book = make_book(4, 2, 1)
         host = book.allocate_host_slot()
         gc = book.allocate_gc_slot()
         assert host.zone_index != gc.zone_index
         assert gc.use == ZoneUse.GC_OPEN
 
     def test_exhaustion_raises(self):
-        book = ZoneBook(
-            num_zones=2, slots_per_zone=1, host_open_target=2, reserved_for_gc=0
-        )
+        zns, book = make_book(2, 1, 2, reserved_for_gc=0)
         for _ in range(2):
-            record = book.allocate_host_slot()
-            book.note_slot_written(record)
+            write_slot(zns, book, book.allocate_host_slot())
         with pytest.raises(TranslationFullError):
             book.allocate_host_slot()
 
     def test_gc_reserve_withheld_from_host(self):
-        book = ZoneBook(
-            num_zones=2, slots_per_zone=1, host_open_target=2, reserved_for_gc=1
-        )
-        record = book.allocate_host_slot()
-        book.note_slot_written(record)
+        zns, book = make_book(2, 1, 2, reserved_for_gc=1)
+        write_slot(zns, book, book.allocate_host_slot())
         # The last empty zone is reserved for the GC stream.
         with pytest.raises(TranslationFullError):
             book.allocate_host_slot()
         assert book.allocate_gc_slot() is not None
 
     def test_validation(self):
+        zns, _ = make_book(4, 1, 1)
+        zones = zns.report_zones()
         with pytest.raises(ValueError):
-            ZoneBook(1, 1, 1)
+            ZoneBook(zones[:1], REGION, 1)
         with pytest.raises(ValueError):
-            ZoneBook(4, 0, 1)
+            ZoneBook(zones, 2 * REGION, 1)  # no slot fits a zone
         with pytest.raises(ValueError):
-            ZoneBook(4, 1, 0)
+            ZoneBook(zones, REGION, 0)
