@@ -1003,10 +1003,6 @@ class HybridCache:
         else:
             copies[seq] = offset
 
-    def _is_expired(self, key: bytes) -> bool:
-        expiry = self._expiry.get(key)
-        return expiry is not None and self._clock.now >= expiry
-
     def _note_removed(self, location: EntryLocation, key: bytes, reason: str) -> None:
         """Shared removal accounting: the copy is journaled dead;
         open-buffer keys leave the open region's key map, sealed keys

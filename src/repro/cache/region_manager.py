@@ -79,10 +79,6 @@ class RegionManager:
     def meta(self, region_id: int) -> Optional[RegionMeta]:
         return self._sealed.get(region_id)
 
-    @property
-    def quarantined_count(self) -> int:
-        return len(self._quarantined)
-
     def is_quarantined(self, region_id: int) -> bool:
         return region_id in self._quarantined
 

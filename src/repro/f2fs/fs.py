@@ -351,7 +351,7 @@ class F2fs:
         A run never leaves its section: contiguous addresses may continue
         into the physically adjacent section when a log head rolls over,
         but a zone is only written through its own write pointer and the
-        SIT keeps one bitmap per section.  ``None`` entries (file blocks
+        SIT keeps one entry per section.  ``None`` entries (file blocks
         that had no mapping) belong to no run.
         """
         per_section = self.layout.blocks_per_section
@@ -475,8 +475,6 @@ class F2fs:
     def _migrate_block(self, block_addr: int) -> None:
         """Cleaning: relocate one valid block to the cold log."""
         owner = self.sit.owner_of(block_addr)
-        if owner is None:
-            return
         file_id, file_block = owner
         if file_id < 0:
             self._migrate_node_block(block_addr, -file_id, file_block)
@@ -500,12 +498,10 @@ class F2fs:
         """Cleaning under §3.4 hints: unmap one condemned
         data block without copying it — SIT invalidate plus NAT unmap,
         one metadata update, zero data-device I/O."""
-        owner = self.sit.owner_of(block_addr)
+        file_id, file_block = self.sit.owner_of(block_addr)
         self.sit.mark_invalid(block_addr)
-        if owner is not None:
-            file_id, file_block = owner
-            if file_id > 0:
-                self.nat.clear_block(file_id, file_block)
+        if file_id > 0:
+            self.nat.clear_block(file_id, file_block)
         self._note_meta_updates(1)
 
     def _write_migration_block(self, stream: LogStream, payload: bytes) -> int:

@@ -116,16 +116,16 @@ class _SectionReclaimSource(ReclaimSource):
         sit, logs = fs.sit, fs.logs
         mtime, tick = fs._section_mtime, fs._write_tick
         # Open (owned by a log head), free and retired sections are no
-        # victims; the SIT bitmaps are read directly, one per section.
+        # victims; the SIT entries are read directly, one per section.
         skip = set(logs.open_sections())
         skip.update(logs._free)
         skip.update(logs._retired)
-        bitmaps, per_section = sit._bitmaps, sit.blocks_per_section
+        entries, per_section = sit.sections, sit.blocks_per_section
         views = []
         for section in range(fs.layout.num_sections):
             if section in skip:
                 continue
-            valid = bitmaps[section].valid_count
+            valid = entries[section].valid_count
             views.append(
                 view_of((section, valid, valid / per_section, tick - mtime[section], 0))
             )

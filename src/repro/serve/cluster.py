@@ -383,10 +383,6 @@ class CacheCluster:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def max_clock_ns(self) -> int:
-        """Latest shard time in fleet terms (construction cost excluded)."""
-        return max(shard.to_fleet(shard.clock.now) for shard in self.shards)
-
     def rows(self) -> List[Dict[str, object]]:
         return [shard.row() for shard in self.shards]
 

@@ -107,10 +107,6 @@ class SloTracker:
         else:
             raise ValueError(f"unknown shed reason {reason!r}")
 
-    def record_rerouted(self) -> None:
-        """A write steered off its home shard by GC-aware routing."""
-        self.rerouted += 1
-
     def record_failed(self) -> None:
         """A request lost to shard unavailability (see failed_unavailable)."""
         self.failed_unavailable += 1

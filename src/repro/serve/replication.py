@@ -300,9 +300,6 @@ class FleetStats:
             return 0.0
         return self._hits[phase] / gets
 
-    def total_failed(self) -> int:
-        return sum(self.failed.values())
-
     def recovery_ms(self) -> float:
         if self.first_kill_ns is None or self.recovered_at_ns is None:
             return 0.0

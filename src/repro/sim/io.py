@@ -340,12 +340,6 @@ class IoTracer:
             out.append(record)
         return out
 
-    def record_by_id(self, record_id: int) -> Optional[TraceRecord]:
-        for record in self.records:
-            if record.record_id == record_id:
-                return record
-        return None
-
     def chain(self, record_id: int) -> List[TraceRecord]:
         """Ancestry of a record, root span first, the record itself last."""
         by_id = {record.record_id: record for record in self.records}

@@ -4,12 +4,13 @@ Translates the cache's *region* interface (fixed-size, rewrite-in-place
 identifiers) onto the ZNS SSD's *zone* interface (sequential-only,
 reset-granular).  Key pieces, mirroring Figure 1(c):
 
-* :class:`~repro.ztl.mapping.RegionMap` — region id → (zone, slot)
-  mapping, one entry per live region (vs 4 KiB block maps in a
-  filesystem: "less mapping overhead").
-* :class:`~repro.ztl.bitmap.SlotBitmap` — per-zone validity bits ("for a
-  zone with 1024 MiB and 16 MiB region, the bitmap will only cost 64
-  bits").
+* ``layer.map`` — a dict of region id → (zone, slot)
+  (:class:`~repro.ztl.layer.RegionLocation`), one entry per live region
+  (vs 4 KiB block maps in a filesystem: "less mapping overhead").
+* ``ZoneRecord.owners`` — per zone, the region each slot holds or
+  ``None``: the map's inverse.  The paper's per-zone validity bitmap
+  ("for a zone with 1024 MiB and 16 MiB region, the bitmap will only
+  cost 64 bits") is the set of owned slots, so validity is stored once.
 * :class:`~repro.ztl.allocator.ZoneBook` — open-zone pool supporting
   concurrent writing of multiple zones; zones are finished when no space
   remains for another region.
@@ -24,16 +25,12 @@ reset-granular).  Key pieces, mirroring Figure 1(c):
   Region-Cache backend talks to.
 """
 
-from repro.ztl.bitmap import SlotBitmap
-from repro.ztl.mapping import RegionLocation, RegionMap
 from repro.ztl.allocator import ZoneBook, ZoneUse
 from repro.ztl.gc import GcConfig
-from repro.ztl.layer import RegionTranslationLayer, ZtlConfig, ZtlStats
+from repro.ztl.layer import RegionLocation, RegionTranslationLayer, ZtlConfig, ZtlStats
 
 __all__ = [
-    "SlotBitmap",
     "RegionLocation",
-    "RegionMap",
     "ZoneBook",
     "ZoneUse",
     "GcConfig",

@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence
 
 from repro.errors import TranslationFullError
 from repro.flash.zone import Zone
-from repro.ztl.bitmap import SlotBitmap
 
 
 class ZoneUse(enum.Enum):
@@ -39,7 +38,11 @@ class ZoneRecord:
     zone: Zone
     slots_per_zone: int
     use: ZoneUse = ZoneUse.EMPTY
-    bitmap: SlotBitmap = field(init=False)
+    # owners[slot] is the region stored in that slot, or None when the
+    # slot is free: the paper's per-zone validity bitmap is the set of
+    # owned slots.  ``valid_count`` is how many are owned.
+    owners: List[Optional[int]] = field(init=False)
+    valid_count: int = field(default=0, init=False)
     zone_index: int = field(init=False)
     # Book tick of the zone's most recent slot write; age = tick - mtime
     # feeds cost-benefit victim selection (repro.reclaim).
@@ -49,12 +52,8 @@ class ZoneRecord:
     group: int = 0
 
     def __post_init__(self) -> None:
-        self.bitmap = SlotBitmap(self.slots_per_zone)
+        self.owners = [None] * self.slots_per_zone
         self.zone_index = self.zone.index
-
-    @property
-    def valid_count(self) -> int:
-        return self.bitmap.valid_count
 
 
 class ZoneBook:
@@ -195,8 +194,9 @@ class ZoneBook:
     def retire(self, zone_index: int) -> None:
         """Permanently remove a dead zone from every pool.
 
-        Called when the device reports the zone READ_ONLY/OFFLINE; the
-        layer keeps running on the remaining zones (capacity shrinks).
+        Called when the device reports the zone READ_ONLY/OFFLINE, after
+        the layer dropped its regions; the layer keeps running on the
+        remaining zones (capacity shrinks).
         """
         record = self.records[zone_index]
         if record.use is ZoneUse.DEAD:
@@ -209,10 +209,10 @@ class ZoneBook:
         if self._gc_open == zone_index:
             self._gc_open = None
         record.use = ZoneUse.DEAD
-        record.bitmap.clear_all()
 
     def mark_empty(self, zone_index: int) -> None:
-        """Return a reset zone to the empty pool (after GC)."""
+        """Return a reset zone, every slot already free, to the empty
+        pool (after GC)."""
         record = self.records[zone_index]
         if record.use is ZoneUse.DEAD:
             return
@@ -222,7 +222,6 @@ class ZoneBook:
         if self._gc_open == zone_index:
             self._gc_open = None
         record.use = ZoneUse.EMPTY
-        record.bitmap.clear_all()
         record.group = 0
         self._empty.append(zone_index)
 

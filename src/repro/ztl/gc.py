@@ -122,7 +122,7 @@ class _ZoneReclaimSource(ReclaimSource):
         views = []
         for zone in book._finished:
             record = records[zone]
-            valid = record.bitmap.valid_count
+            valid = record.valid_count
             views.append(
                 view_of((zone, valid, valid / slots, tick - record.mtime, record.group))
             )
@@ -133,30 +133,26 @@ class _ZoneReclaimSource(ReclaimSource):
         records = book.records
         least = slots = book.slots_per_zone
         for zone in book._finished:
-            valid = records[zone].bitmap.valid_count
+            valid = records[zone].valid_count
             if valid < least:
                 least = valid
         return least / slots
 
     def pending_units(self, victim_id: int) -> List[int]:
-        return list(self.layer.book.record(victim_id).bitmap.valid_slots())
+        owners = self.layer.book.records[victim_id].owners
+        return [slot for slot, region_id in enumerate(owners) if region_id is not None]
 
     def migrate_unit(self, victim_id: int, slot: int) -> UnitOutcome:
         layer = self.layer
-        record = layer.book.records[victim_id]
-        if not record.bitmap.is_set(slot):
-            return UnitOutcome.SKIPPED  # invalidated since the victim was chosen
-        # A plain (zone, slot) tuple finds the RegionLocation key it equals.
-        region_id = layer.map.region_at((victim_id, slot))
+        region_id = layer.book.records[victim_id].owners[slot]
         if region_id is None:
-            record.bitmap.clear(slot)
-            return UnitOutcome.SKIPPED
+            return UnitOutcome.SKIPPED  # invalidated since the victim was chosen
         hints = self.hints
         if hints is not None and not hints.migration_worth(region_id):
             layer._drop_region(region_id)
             return UnitOutcome.DROPPED
         # The layer allocates targets itself so it can submit the copy
-        # loop as one pipelined batch, and clears the bit as the survivor
+        # loop as one pipelined batch, and frees the slot as the survivor
         # moves — one that cannot (the GC stream ran out of zones) is
         # dropped by flush_step.
         self._survivors.append(region_id)

@@ -7,13 +7,14 @@
 * ``read_region(region_id, offset, length)`` — random read within a
   region ("compute the real physical address using the in-region offset
   and in-zone address").
-* ``invalidate_region(region_id)`` — delete the mapping and clear the
-  zone's bitmap bit, as happens "if CacheLib rewrites a region".
+* ``invalidate_region(region_id)`` — delete the mapping and free the
+  zone slot, as happens "if CacheLib rewrites a region".
 
-Internally it drives the ZNS device, keeps the region map and zone
-bitmaps coherent, and runs a paced step of its reclaim engine
-(``reclaim``, a :class:`~repro.reclaim.ReclaimEngine` over the zone
-source of :mod:`repro.ztl.gc`) after each write.
+Internally it drives the ZNS device, keeps the region map and the
+zones' slot owners (``ZoneRecord.owners``) exact inverses, and runs a
+paced step of its reclaim engine (``reclaim``, a
+:class:`~repro.reclaim.ReclaimEngine` over the zone source of
+:mod:`repro.ztl.gc`) after each write.
 Application-level write amplification — the metric of Table 1 — is
 ``(host + migrated region writes) / host region writes``.
 """
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     ConfigError,
     DeviceError,
     OutOfRangeError,
     PowerCutError,
+    RegionNotMappedError,
     RegionSizeError,
     RetryableError,
     TranslationFullError,
@@ -39,7 +41,13 @@ from repro.reclaim import ReclaimEngine, ReclaimPacer, make_victim_policy
 from repro.sim.io import IoCompletion
 from repro.ztl.allocator import ZoneBook, ZoneRecord
 from repro.ztl.gc import GcConfig, _ZoneReclaimSource
-from repro.ztl.mapping import RegionLocation, RegionMap
+
+
+class RegionLocation(NamedTuple):
+    """Physical placement of a region: which zone, which slot within it."""
+
+    zone_index: int
+    slot: int
 
 # ``_location((zone, slot))`` builds a RegionLocation in C, without the
 # Python-level ``__new__`` a NamedTuple class has.
@@ -128,7 +136,10 @@ class RegionTranslationLayer:
             config.host_open_zones,
             num_groups=config.host_groups,
         )
-        self.map = RegionMap()
+        # The paper's "mapping between the region ID and the in-zone
+        # address", one entry per live region.  Its inverse is the zones'
+        # slot owners (``ZoneRecord.owners``); every move updates both.
+        self.map: Dict[int, RegionLocation] = {}
         self.stats = ZtlStats()
         # §3.3 middle-layer GC; a store binds the cache's §3.4 hints on
         # its source (``ZtlRegionStore.bind_gc_hints``).
@@ -204,8 +215,9 @@ class RegionTranslationLayer:
                     if dead == 4:
                         raise
                     continue
-                record.bitmap.set(slot)
-                self.map.bind(region_id, _location((zone.index, slot)))
+                record.owners[slot] = region_id
+                record.valid_count += 1
+                self.map[region_id] = _location((zone.index, slot))
                 book.note_slot_written(record, slot)
                 break
             self.stats.host_region_writes += 1
@@ -227,7 +239,10 @@ class RegionTranslationLayer:
         self, region_id: int, offset: int = 0, length: Optional[int] = None
     ) -> IoCompletion:
         """Read ``length`` bytes at ``offset`` within a live region."""
-        zone_index, slot = self.map.lookup(region_id)
+        try:
+            zone_index, slot = self.map[region_id]
+        except KeyError:
+            raise RegionNotMappedError(f"region {region_id} has no mapping") from None
         region_size = self.region_size
         if length is None:
             length = region_size - offset
@@ -248,11 +263,13 @@ class RegionTranslationLayer:
         return region_id in self.map
 
     def invalidate_region(self, region_id: int) -> bool:
-        """Drop the mapping and clear the validity bit; True if it existed."""
-        location = self.map.unbind(region_id)
+        """Drop the mapping and free its slot; True if it existed."""
+        location = self.map.pop(region_id, None)
         if location is None:
             return False
-        self.book.records[location.zone_index].bitmap.clear(location.slot)
+        record = self.book.records[location.zone_index]
+        record.owners[location.slot] = None
+        record.valid_count -= 1
         return True
 
     # --- internals ----------------------------------------------------------------------
@@ -297,7 +314,7 @@ class RegionTranslationLayer:
         The batch is atomic per survivor: a target slot is allocated
         before anything is changed for that survivor, and when the GC
         stream runs out of zones mid-batch the survivors already rebound
-        still land before the error propagates — book, map, bitmaps,
+        still land before the error propagates — book, map, slot owners,
         write pointers and media agree, and nothing is charged for a
         survivor that did not move.  A faulted batch keeps what it
         landed (:meth:`_settle_faulted_copy`); the survivors that did
@@ -319,7 +336,7 @@ class RegionTranslationLayer:
                 target = None
                 try:
                     for region_id in region_ids:
-                        old = mapping.lookup(region_id)
+                        old = mapping[region_id]
                         record = book.allocate_gc_slot()
                         if record is not target:
                             target, zone = record, record.zone
@@ -336,9 +353,12 @@ class RegionTranslationLayer:
                                 zone.start + slot * region_size,
                             )
                         )
-                        records[old.zone_index].bitmap.clear(old.slot)
-                        record.bitmap.set(slot)
-                        mapping.bind(region_id, _location((record.zone_index, slot)))
+                        source = records[old.zone_index]
+                        source.owners[old.slot] = None
+                        source.valid_count -= 1
+                        record.owners[slot] = region_id
+                        record.valid_count += 1
+                        mapping[region_id] = _location((record.zone_index, slot))
                         book.note_slot_written(record, slot)
                         slot += 1
                 finally:
@@ -371,14 +391,18 @@ class RegionTranslationLayer:
         unmoved: List[int] = []
         opened: List[int] = []
         for src, dst in pairs[landed:]:
-            location = _location(divmod(dst // region_size, per_zone))
-            records[location.zone_index].bitmap.clear(location.slot)
-            if location.slot == 0 and unmoved:
-                opened.append(location.zone_index)
-            region_id = mapping.region_at(location)
+            zone_index, slot = divmod(dst // region_size, per_zone)
+            record = records[zone_index]
+            region_id = record.owners[slot]
+            record.owners[slot] = None
+            record.valid_count -= 1
+            if slot == 0 and unmoved:
+                opened.append(zone_index)
             old = _location(divmod(src // region_size, per_zone))
-            records[old.zone_index].bitmap.set(old.slot)
-            mapping.bind(region_id, old)
+            record = records[old.zone_index]
+            record.owners[old.slot] = region_id
+            record.valid_count += 1
+            mapping[region_id] = old
             unmoved.append(region_id)
         target = pairs[landed][1] // region_size // per_zone
         book._rewind_gc(target, opened)
@@ -391,13 +415,13 @@ class RegionTranslationLayer:
             self._retire_zone(target)
             return unmoved
         for region_id in unmoved:
-            if mapping.lookup(region_id).zone_index == error.zone_index:
+            if mapping[region_id].zone_index == error.zone_index:
                 self._drop_region(region_id)  # its bytes are gone
         return [region_id for region_id in unmoved if region_id in mapping]
 
     def _finish_torn(self, record: ZoneRecord) -> None:
         """A write cut inside a slot ends the zone: finish it (its torn
-        slot and tail stay clear in the bitmap), or retire it if dead."""
+        slot and tail stay unowned), or retire it if dead."""
         try:
             self.device.finish_zone(record.zone_index)
         except ZoneDeadError:
@@ -408,9 +432,7 @@ class RegionTranslationLayer:
     def _retire_zone(self, zone_index: int) -> None:
         """Take a dead zone out of service: drop its regions, tell the
         allocator, and abandon any in-progress GC on it."""
-        record = self.book.record(zone_index)
-        for slot in list(record.bitmap.valid_slots()):
-            region_id = self._region_at(zone_index, slot)
+        for region_id in self.book.records[zone_index].owners:
             if region_id is not None:
                 self._drop_region(region_id)
         self.book.retire(zone_index)
@@ -428,16 +450,12 @@ class RegionTranslationLayer:
             return
         self.stats.gc_zone_resets += 1
 
-    def _region_at(self, zone_index: int, slot: int) -> Optional[int]:
-        return self.map.region_at(RegionLocation(zone_index, slot))
-
     def _drop_region(self, region_id: int) -> None:
         """The one drop routine — a §3.4 hint, a dead zone or a survivor
-        with nowhere to land: unmap the region, clear its bit and tell
+        with nowhere to land: unmap the region, free its slot and tell
         the cache (its bound ``hints.on_drop``) so the index purges what
         it lost."""
-        location = self.map.unbind(region_id)
-        self.book.records[location.zone_index].bitmap.clear(location.slot)
+        self.invalidate_region(region_id)
         self.stats.dropped_regions += 1
         hints = self.reclaim.source.hints
         if hints is not None:

@@ -373,3 +373,43 @@ class TestImportsAtModuleScope:
                     for module in modules:
                         found.add((str(path.relative_to(root)), func.name, module))
         assert found <= self.ALLOWED, sorted(found - self.ALLOWED)
+
+
+class TestLayering:
+    """The two middle layers are siblings over the ZNS device: F2FS
+    (File-Cache) and the ZTL (Region-Cache, Z-Cache) each keep their own
+    books, so neither imports the other.  Each block or slot records its
+    owner in its own layer's table (the SIT's section entries, the
+    ZTL's ``ZoneRecord.owners``)."""
+
+    SIBLINGS = (("f2fs", "repro.ztl"), ("ztl", "repro.f2fs"))
+
+    def test_f2fs_and_ztl_import_nothing_from_each_other(self):
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        found = []
+        for package, forbidden in self.SIBLINGS:
+            for path in sorted((root / package).rglob("*.py")):
+                tree = ast.parse(path.read_text(), filename=str(path))
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        base = node.module or ""
+                        if node.level:  # relative: resolve against the package
+                            parts = ["repro", package] + list(
+                                path.relative_to(root / package).parent.parts
+                            )
+                            parts = parts[: len(parts) - node.level + 1]
+                            base = ".".join(parts + ([base] if base else []))
+                        modules = [base]
+                    else:
+                        continue
+                    for module in modules:
+                        if module == forbidden or module.startswith(forbidden + "."):
+                            found.append((str(path.relative_to(root)), module))
+        assert found == [], found

@@ -37,7 +37,8 @@ from repro.sim import (
 )
 from repro.f2fs import fsck
 from repro.units import KIB, MIB
-from repro.ztl import GcConfig, ZoneUse
+from repro.ztl import GcConfig
+from tests.books import assert_ztl_books_agree
 
 SCALE = SchemeScale(
     zone_size=1 * MIB,
@@ -802,10 +803,9 @@ def _faulted_gc_run(scheme, plan):
     rng = random.Random(plan["seed"])
     newest = {}
     cache = stack.cache
-    # Between operations every mapped region holds a valid bit: a zone
-    # reset (bitmap cleared) under a live mapping breaks the count.
+    # Between operations the ZTL's books agree: a zone reset or a
+    # settled copy that leaves a mapping without its slot owner fails.
     layer = stack.substrate.get("layer")
-    records = layer.book.records if layer is not None else ()
     for step in range(2000):
         key = b"key%d" % rng.randrange(400)
         if rng.random() < 0.6:
@@ -813,28 +813,12 @@ def _faulted_gc_run(scheme, plan):
             cache.set(key, value)
             newest[key] = value
             if layer is not None:
-                assert sum(r.bitmap.valid_count for r in records) == len(layer.map)
+                assert_ztl_books_agree(layer)
         else:
             got = cache.get(key)
             assert got is None or got == newest.get(key)
     assert stack.reclaim_engine()[1].stats.triggers > 0
     return stack, newest
-
-
-def _assert_ztl_books_agree(layer):
-    """Every zone the book still uses has a bitmap that marks exactly
-    its mapped slots, and every mapped slot lies below the zone's write
-    pointer."""
-    device, region_size = layer.device, layer.region_size
-    for record in layer.book.records:
-        if record.use is ZoneUse.DEAD:
-            continue
-        zone = device.zones[record.zone_index]
-        for slot in range(layer.slots_per_zone):
-            mapped = layer._region_at(record.zone_index, slot) is not None
-            assert record.bitmap.is_set(slot) == mapped, (record, slot)
-            end = zone.start + (slot + 1) * region_size
-            assert not mapped or end <= zone.write_pointer, (record, slot)
 
 
 def _assert_f2fs_books_agree(fs):
@@ -875,7 +859,7 @@ class TestFaultArmedReclaimKeepsItsBooks:
         if scheme == "File-Cache":
             _assert_f2fs_books_agree(stack.substrate["fs"])
         else:
-            _assert_ztl_books_agree(stack.substrate["layer"])
+            assert_ztl_books_agree(stack.substrate["layer"])
         written = device.tracer.find(layer="zns", op="write")
         assert device.stats.host_write_bytes == sum(r.length for r in written)
         for key, value in newest.items():

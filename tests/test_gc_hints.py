@@ -376,9 +376,9 @@ class TestZtlDropRoutine:
         zone = next(
             record.zone_index
             for record in layer.book.records
-            if record.bitmap.valid_count == layer.slots_per_zone
+            if record.valid_count == layer.slots_per_zone
         )
-        regions = {layer._region_at(zone, slot) for slot in range(layer.slots_per_zone)}
+        regions = set(layer.book.records[zone].owners)
         stranded = [key for key, loc in cache.index.items() if loc.region_id in regions]
         assert len(regions) == 16 and stranded
         dropped_items = cache.stats.dropped_items

@@ -29,7 +29,7 @@ from repro.flash.zone import ZoneState
 from repro.sim import FaultInjector, SimClock
 from repro.units import KIB, MIB
 from repro.ztl import ZoneUse
-from tests.test_fault_injection import _assert_ztl_books_agree
+from tests.books import assert_ztl_books_agree
 from tests.test_ztl_layer import REGION, make_layer, payload
 
 SCALE = SchemeScale(
@@ -120,7 +120,7 @@ class TestCutAnywhereKeepsServing:
         assert_reads()
         layer, fs = stack.substrate.get("layer"), stack.substrate.get("fs")
         if layer is not None:
-            _assert_ztl_books_agree(layer)
+            assert_ztl_books_agree(layer)
         if fs is not None:
             report = fsck(fs)
             assert report.clean, report.errors
@@ -139,7 +139,7 @@ class TestZtlTornSlot:
         device, clock = layer.device, layer.device.pipeline.clock
         layer.write_region(0, payload(0))
         layer.write_region(1, payload(1))
-        zone0 = device.zones[layer.map.lookup(0).zone_index]
+        zone0 = device.zones[layer.map[0].zone_index]
         faults.power_cut_at_ns = clock.now + device._write_service_ns(REGION) // 2
         with pytest.raises(PowerCutError):
             layer.write_region(2, payload(2))
@@ -152,8 +152,8 @@ class TestZtlTornSlot:
         assert device.zone_mgmt.finishes == finishes + 1
         record = layer.book.record(zone0.index)
         assert zone0.state is ZoneState.FULL and record.use is ZoneUse.FINISHED
-        assert record.bitmap.valid_slots() == [0]
-        _assert_ztl_books_agree(layer)
+        assert record.owners == [0] + [None] * (layer.slots_per_zone - 1)
+        assert_ztl_books_agree(layer)
         for region_id in range(12):
             assert layer.read_region(region_id).data == payload(region_id)
 
@@ -182,8 +182,8 @@ class TestZtlTornSlot:
         assert device.zone_mgmt.finishes == finishes + 1
         assert torn.state is ZoneState.FULL
         assert layer.book.record(torn.index).valid_count == 0
-        assert layer.map.lookup(2).zone_index not in (0, torn.index)
-        _assert_ztl_books_agree(layer)
+        assert layer.map[2].zone_index not in (0, torn.index)
+        assert_ztl_books_agree(layer)
         for region_id in (2, 3, 4):
             assert layer.read_region(region_id).data == payload(region_id)
 

@@ -1,14 +1,16 @@
 """Differential properties for the run-granular write path.
 
-The flush path works a run at a time — one mask operation per run on a
-section's validity bitmap, one NAT update and one SIT call per run of a
+The flush path works a run at a time — one slice store per run into a
+section's block owners (its validity bitmap: a block is valid when it
+has an owner), one NAT update and one SIT call per run of a
 ``pwrite``, one page placement per run of an FTL write with the GC
 trigger asked only where its answer can change.  Each of those replaced
 a per-unit loop; the loops are kept *here*, as the reference, and
 hypothesis drives both through the same random sequences:
 
-* ``SlotBitmap.set_run`` / ``clear_run`` against loops of ``set`` /
-  ``clear`` (overlapping, already-set, bitmap-edge and out-of-range runs);
+* the SIT's ``mark_valid_run`` / ``mark_invalid_run`` against a loop of
+  single-block owner updates (overlapping, already-valid, section-edge
+  and out-of-range runs);
 * two ``F2fs`` instances, one remapping per block as it used to, through
   random ``pwrite`` / overwrite / ``delete`` sequences small enough to
   clean — same SIT, NAT, node map, cleaner recency, stats and clock;
@@ -34,7 +36,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.cache import CacheConfig, HybridCache
 from repro.cache.backends import BlockRegionStore
 from repro.errors import DeviceFullError, NoSpaceError
-from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, fsck
+from repro.f2fs import CleanerConfig, F2fs, F2fsConfig, SegmentInfoTable, fsck
 from repro.f2fs.segment import LogStream
 from repro.flash import (
     BlockSsd,
@@ -49,13 +51,12 @@ from repro.flash.ftl import FtlWriteReport, PageMappedFtl, _FtlReclaimSource
 from repro.reclaim import GcHints, UnitOutcome
 from repro.sim import SimClock
 from repro.units import KIB, MIB
-from repro.ztl.bitmap import SlotBitmap
 
 PAGE = 4 * KIB
 SLOW_OK = [HealthCheck.too_slow]
 
 
-# --- SlotBitmap: one mask operation vs a loop of single-slot calls ---------------
+# --- SIT: one slice store per run vs a loop of single-block updates -------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,23 +68,32 @@ SLOW_OK = [HealthCheck.too_slow]
     ),
 )
 def test_bitmap_runs_equal_loops_of_single_slots(num_slots, ops):
-    runs, loops = SlotBitmap(num_slots), SlotBitmap(num_slots)
-    for setting, start, count in ops:
-        run_op = runs.set_run if setting else runs.clear_run
-        if start < 0 or count < 0 or start + count > num_slots:
-            before = (runs._bits, runs.valid_count)
+    """A section's validity bitmap is its set of owned blocks: a run
+    store equals a loop of single-block stores into a plain list, and a
+    run outside the section raises ``IndexError`` and changes nothing.
+    Runs are addressed by their first block, so an empty run starting
+    past the section's last block is outside it too."""
+    sit = SegmentInfoTable(1, num_slots)
+    entry = sit.sections[0]
+    owners = [None] * num_slots
+    for step, (setting, start, count) in enumerate(ops):
+        if start < 0 or count < 0 or start >= num_slots or start + count > num_slots:
             with pytest.raises(IndexError):
-                run_op(start, count)
-            assert (runs._bits, runs.valid_count) == before
-            continue
-        changed = 0
-        for slot in range(start, start + count):
-            if loops.is_set(slot) != setting:
-                changed += 1
-            (loops.set if setting else loops.clear)(slot)
-        assert run_op(start, count) == changed
-        assert (runs._bits, runs.valid_count) == (loops._bits, loops.valid_count)
-        assert list(runs.valid_slots()) == list(loops.valid_slots())
+                if setting:
+                    sit.mark_valid_run(start, count, step, 0)
+                else:
+                    sit.mark_invalid_run(start, count)
+        else:
+            for slot in range(start, start + count):
+                owners[slot] = (step, slot - start) if setting else None
+            if setting:
+                sit.mark_valid_run(start, count, step, 0)
+            else:
+                sit.mark_invalid_run(start, count)
+        valid = num_slots - owners.count(None)
+        assert entry.owners == owners
+        assert entry.valid_count == sit.total_valid_blocks == valid
+        assert sit.valid_blocks(0) == [i for i, o in enumerate(owners) if o is not None]
 
 
 # --- F2fs: the run-at-a-time remap vs the per-block loop -------------------------
@@ -168,28 +178,27 @@ def _reference_pwrite(fs: F2fs, file_id: int, offset: int, data: bytes) -> int:
 
 
 def _reference_fs() -> F2fs:
-    """An ``F2fs`` whose SIT marks one block at a time, bit by bit (the
-    bodies ``mark_valid`` / ``mark_invalid`` had before the run forms —
-    node blocks, ``delete`` and the cleaner go through them too), and
+    """An ``F2fs`` whose SIT marks one block at a time, one owner store
+    per block (``delete`` and the cleaner go through these too), and
     whose ``pwrite`` remaps block by block."""
     fs = _make_fs()
     sit = fs.sit
 
     def mark_valid(block_addr, owner):
-        section, slot = sit._split(block_addr)
-        bitmap = sit._bitmaps[section]
-        if not bitmap.is_set(slot):
-            bitmap.set(slot)
+        section, slot = divmod(block_addr, sit.blocks_per_section)
+        entry = sit.sections[section]
+        if entry.owners[slot] is None:
+            entry.valid_count += 1
             sit.total_valid_blocks += 1
-        sit._owners[block_addr] = owner
+        entry.owners[slot] = owner
 
     def mark_invalid(block_addr):
-        section, slot = sit._split(block_addr)
-        bitmap = sit._bitmaps[section]
-        if bitmap.is_set(slot):
-            bitmap.clear(slot)
+        section, slot = divmod(block_addr, sit.blocks_per_section)
+        entry = sit.sections[section]
+        if entry.owners[slot] is not None:
+            entry.owners[slot] = None
+            entry.valid_count -= 1
             sit.total_valid_blocks -= 1
-        sit._owners.pop(block_addr, None)
 
     sit.mark_valid, sit.mark_invalid = mark_valid, mark_invalid
     fs.pwrite = functools.partial(_reference_pwrite, fs)
@@ -199,7 +208,7 @@ def _reference_fs() -> F2fs:
 def _fs_state(fs: F2fs):
     return (
         fs.sit.to_state(),
-        [(bitmap._bits, bitmap.valid_count) for bitmap in fs.sit._bitmaps],
+        [(entry.owners, entry.valid_count) for entry in fs.sit.sections],
         fs.sit.total_valid_blocks,
         fs.nat.to_state(),
         dict(fs._node_addr),

@@ -37,15 +37,16 @@ from tests.test_trace_cost import _python_calls
 # looks the DRAM tier up in line, calls ``store.read`` itself (the retry
 # loop runs only after an error), takes the salt from the sealed map,
 # skips the FIFO no-op ``touch``, and ``ZnsSsd.read`` checks a common
-# read in line.  Before that 19 / 17 / 30 / 18 / 19, before the one-frame
-# get 20 / 18 / 31 / 19 / 20, and before the one-pass read
-# 36 / 32 / 63 / 43 / 36.
+# read in line; the ZTL's region map is a plain dict, read in line.
+# Before that 13 / 11 / 24 / 13 / 13, before the in-line get 19 / 17 /
+# 30 / 18 / 19, before the one-frame get 20 / 18 / 31 / 19 / 20, and
+# before the one-pass read 36 / 32 / 63 / 43 / 36.
 MAX_FRAMES_PER_FLASH_HIT = {
-    "Region-Cache": 13,
+    "Region-Cache": 12,
     "Zone-Cache": 11,
     "File-Cache": 24,
     "Block-Cache": 13,
-    "Z-Cache": 13,
+    "Z-Cache": 12,
 }
 
 # A get the DRAM tier answers is ``get`` alone (before: 2, with

@@ -395,7 +395,7 @@ class TestGoldenDeterminism:
         assert layer.stats.app_write_amplification == 3.950980392156863
         assert device.stats.media_write_bytes == 264110080
         assert [
-            (rid, layer.map.lookup(rid).zone_index, layer.map.lookup(rid).slot)
+            (rid, layer.map[rid].zone_index, layer.map[rid].slot)
             for rid in range(0, live, 23)
         ] == [(0, 13, 1), (23, 13, 7), (46, 10, 3), (69, 14, 7), (92, 4, 3),
               (115, 4, 6), (138, 1, 13), (161, 7, 2), (184, 3, 13)]
@@ -601,7 +601,7 @@ def test_ztl_reclaim_preserves_live_regions(ops):
         )
     assert {rid for rid in range(15) if layer.has_region(rid)} == live
     placements = [
-        (layer.map.lookup(rid).zone_index, layer.map.lookup(rid).slot)
+        (layer.map[rid].zone_index, layer.map[rid].slot)
         for rid in sorted(live)
     ]
     assert len(set(placements)) == len(placements)

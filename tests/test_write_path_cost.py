@@ -74,20 +74,22 @@ MAX_FRAMES_PER_SEALED_DELETE = 2
 #                                    closed_fill 70 / 233 / 315 / 158 / 80
 #   before the one-pass rotation     small 61.7 / 99 / 113.7 / 46.3 / 69.9
 #                                    closed_fill 63.6 / 229 / 118.8 / 46.4 / 73.8
+#   before one owner per slot        small 27.5 / 27 / 52.0 / 23.2 / 30.3
+#   (the ZTL's and SIT's bitmaps)    closed_fill 27.5 / 27 / 54.0 / 23.3 / 30.3
 MAX_FRAMES_PER_ROTATING_SET = {
     "small": {
-        "Region-Cache": 30,
+        "Region-Cache": 25,
         "Zone-Cache": 29,
-        "File-Cache": 54,
+        "File-Cache": 50,
         "Block-Cache": 26,
-        "Z-Cache": 34,
+        "Z-Cache": 28,
     },
     "closed_fill": {
-        "Region-Cache": 30,
+        "Region-Cache": 25,
         "Zone-Cache": 29,
-        "File-Cache": 56,
+        "File-Cache": 52,
         "Block-Cache": 26,
-        "Z-Cache": 34,
+        "Z-Cache": 28,
     },
 }
 
@@ -96,20 +98,23 @@ MAX_FRAMES_PER_ROTATING_SET = {
 # rotation, same harness, Region / Zone / File / Block / Z-Cache:
 #   closed_fill  89.4 / 310 / 134.2 / 85.6 / 112.9
 #   serving     243.2 / 100 / 144.1 / 82.6 / 163.6
+# and before one owner per slot (the ZTL's and SIT's bitmaps):
+#   closed_fill  43.8 / 41 / 63.0 / 31.7 / 52.0
+#   serving     126.5 / 41 / 67.9 / 33.9 / 81.1
 MAX_FRAMES_PER_WARM_SEAL = {
     "closed_fill": {
-        "Region-Cache": 44,
+        "Region-Cache": 37,
         "Zone-Cache": 41,
-        "File-Cache": 64,
+        "File-Cache": 59,
         "Block-Cache": 32,
-        "Z-Cache": 53,
+        "Z-Cache": 43,
     },
     "serving": {
-        "Region-Cache": 127,
+        "Region-Cache": 94,
         "Zone-Cache": 41,
-        "File-Cache": 68,
+        "File-Cache": 64,
         "Block-Cache": 34,
-        "Z-Cache": 82,
+        "Z-Cache": 66,
     },
 }
 

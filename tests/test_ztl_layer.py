@@ -17,6 +17,7 @@ from repro.sim import FaultInjector, SimClock
 from repro.units import KIB
 from repro.ztl import GcConfig, RegionTranslationLayer, ZtlConfig
 from repro.ztl.allocator import ZoneBook, ZoneUse
+from tests.books import assert_ztl_books_agree
 
 REGION = 64 * KIB
 
@@ -107,7 +108,7 @@ class TestZtlBasics:
         layer = make_layer()
         for region_id in range(8):
             layer.write_region(region_id, payload(region_id))
-        zones_used = {layer.map.lookup(r).zone_index for r in range(8)}
+        zones_used = {layer.map[r].zone_index for r in range(8)}
         assert len(zones_used) >= 2  # concurrent open zones
 
 
@@ -206,15 +207,10 @@ class TestZtlGc:
             before[1] + REGION,
         )
         assert layer.stats.migrated_region_writes == 4
-        gc_zone = layer.map.lookup(3).zone_index
-        assert layer.map.lookup(4) == (1, 0)
-        assert layer.book.record(1).bitmap.is_set(0)
-        for record in layer.book.records:
-            zone = zns.zones[record.zone_index]
-            for slot in range(layer.slots_per_zone):
-                mapped = layer._region_at(record.zone_index, slot) is not None
-                assert record.bitmap.is_set(slot) == mapped
-                assert not mapped or (slot + 1) * REGION <= zone.written_bytes
+        gc_zone = layer.map[3].zone_index
+        assert layer.map[4] == (1, 0)
+        assert layer.book.record(1).owners[0] == 4
+        assert_ztl_books_agree(layer)
         assert layer.book.record(gc_zone).valid_count == 4
         for region_id in range(8):
             assert layer.read_region(region_id).data == payload(region_id)
@@ -247,7 +243,7 @@ class TestZtlGc:
         with pytest.raises(PowerCutError):
             layer.reclaim.collect()
         assert layer.reclaim.victim == 0
-        assert [layer.map.lookup(r).zone_index for r in (2, 3)] == [0, 0]
+        assert [layer.map[r].zone_index for r in (2, 3)] == [0, 0]
         faults.restore_power()
         assert layer.reclaim.collect() == 1
         assert layer.book.record(0).use is ZoneUse.EMPTY
@@ -292,7 +288,6 @@ class TestZoneBook:
     def test_mark_empty_returns_to_pool(self):
         zns, book = make_book(4, 2, 1)
         record = book.allocate_host_slot()
-        record.bitmap.set(0)
         write_slot(zns, book, record)
         write_slot(zns, book, record)
         before = book.empty_count
