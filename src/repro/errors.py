@@ -125,6 +125,10 @@ class FileExistsInFsError(FilesystemError):
     """Attempt to create a file whose name is already taken."""
 
 
+class SectionInUseError(FilesystemError):
+    """A section released by the cleaner still owns a valid block."""
+
+
 # --- zone translation layer ---------------------------------------------------
 
 

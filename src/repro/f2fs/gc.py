@@ -161,7 +161,7 @@ class _SectionReclaimSource(ReclaimSource):
 
     def release_victim(self, section: int) -> None:
         fs = self.fs
-        fs.sit.wipe_section(section)
+        fs.sit.require_empty(section)
         fs._reset_section_zone(section)
         fs.logs.release_section(section)
 

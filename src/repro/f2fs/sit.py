@@ -13,6 +13,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import List, Optional, Tuple
 
+from repro.errors import SectionInUseError
+
 # (file_id, file_block_index) — who owns a valid main-area block.
 BlockOwner = Tuple[int, int]
 
@@ -103,12 +105,14 @@ class SegmentInfoTable:
         owners = self.sections[section].owners
         return [base + offset for offset, owner in enumerate(owners) if owner is not None]
 
-    def wipe_section(self, section: int) -> None:
-        """Clear a section after cleaning (all blocks already migrated)."""
-        entry = self.sections[section]
-        self.total_valid_blocks -= entry.valid_count
-        entry.owners = [None] * self.blocks_per_section
-        entry.valid_count = 0
+    def require_empty(self, section: int) -> None:
+        """Refuse a section that still owns a valid block: cleaning moves
+        or drops every block of its victim before the section is reset."""
+        valid = self.sections[section].valid_count
+        if valid:
+            raise SectionInUseError(
+                f"section {section} still owns {valid} valid blocks"
+            )
 
     # --- persistence ------------------------------------------------------------
 

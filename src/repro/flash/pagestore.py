@@ -12,13 +12,18 @@ a reference to a caller's buffer, and ``load`` returns fresh ``bytes``,
 so a caller may recycle its buffer the moment ``store`` returns and may
 keep a loaded payload across any later reset.  Bytes that only change
 place inside the store (a GC survivor) never leave it: ``move`` copies
-chunk to chunk.  It holds bytearrays only — never a ``memoryview`` — so
-no chunk can pin or alias a buffer it was handed.
+chunk to chunk.  A chunk is a ``bytearray`` or, once :meth:`freeze`
+ran, an immutable ``bytes`` — never a ``memoryview`` — so no chunk can
+pin or alias a buffer it was handed.  ``copy.deepcopy`` shares a
+``bytes`` chunk rather than copying it: a frozen store and all its deep
+copies hold those bytes once, and the first ``store`` / ``move`` /
+``clear`` that changes a frozen chunk copies it into a ``bytearray`` of
+that store's own first, so a copy never sees another's writes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Tuple, Union
 
 from repro.units import KIB
 
@@ -49,12 +54,21 @@ class PageStore:
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         self.chunk_size = chunk_size
-        self._chunks: Dict[int, bytearray] = {}
+        # bytearray, or bytes after freeze() (shared with deep copies).
+        self._chunks: Dict[int, Union[bytearray, bytes]] = {}
 
     @property
     def allocated_bytes(self) -> int:
         """Bytes of chunk storage currently held."""
         return len(self._chunks) * self.chunk_size
+
+    def freeze(self) -> None:
+        """Make every held chunk an immutable ``bytes``, which deep copies
+        of this store share; each is copied back into a ``bytearray`` by
+        the first write that changes it."""
+        chunks = self._chunks
+        for index, chunk in chunks.items():
+            chunks[index] = bytes(chunk)
 
     def store(self, offset: int, data) -> None:
         """Copy ``data`` (any buffer) to ``offset``; one slice copy per chunk."""
@@ -64,11 +78,13 @@ class PageStore:
         length = len(data)
         if start + length <= size:
             chunk = chunks.get(index)
-            if chunk is None:
+            if type(chunk) is not bytearray:  # missing, or frozen
                 if length == size:
                     chunks[index] = bytearray(data)
                     return
-                chunk = chunks[index] = bytearray(size)
+                chunk = chunks[index] = (
+                    bytearray(size) if chunk is None else bytearray(chunk)
+                )
             # A memoryview target copies straight from the source buffer;
             # ``chunk[a:b] = data`` would first materialise a temporary
             # bytearray of the whole payload.
@@ -80,11 +96,14 @@ class PageStore:
             end = min(size, start + length - pos)
             piece = view[pos : pos + end - start]
             chunk = chunks.get(index)
-            if chunk is None and end - start == size:
+            if type(chunk) is bytearray:
+                memoryview(chunk)[start:end] = piece
+            elif end - start == size:
                 chunks[index] = bytearray(piece)
             else:
-                if chunk is None:
-                    chunk = chunks[index] = bytearray(size)
+                chunk = chunks[index] = (
+                    bytearray(size) if chunk is None else bytearray(chunk)
+                )
                 memoryview(chunk)[start:end] = piece
             pos += end - start
             index += 1
@@ -128,11 +147,14 @@ class PageStore:
                 else memoryview(source)[from_start : from_start + take]
             )
             chunk = chunks.get(index)
-            if chunk is None and take == size:
+            if type(chunk) is bytearray:
+                memoryview(chunk)[start : start + take] = piece
+            elif take == size:
                 chunks[index] = bytearray(piece)
             else:
-                if chunk is None:
-                    chunk = chunks[index] = bytearray(size)
+                chunk = chunks[index] = (
+                    bytearray(size) if chunk is None else bytearray(chunk)
+                )
                 memoryview(chunk)[start : start + take] = piece
             src += take
             dst += take
@@ -150,6 +172,8 @@ class PageStore:
             else:
                 chunk = chunks.get(index)
                 if chunk is not None:
+                    if type(chunk) is bytes:
+                        chunk = chunks[index] = bytearray(chunk)
                     memoryview(chunk)[start:stop] = bytes(stop - start)
             length -= stop - start
             index += 1

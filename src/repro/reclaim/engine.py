@@ -92,7 +92,7 @@ class ReclaimSource(abc.ABC):
 
     @abc.abstractmethod
     def release_victim(self, victim_id: int) -> None:
-        """All units processed: erase/reset/wipe the container."""
+        """All units processed: erase or reset the container."""
 
     def least_valid_fraction(self) -> float:
         """A lower bound on the candidates' valid fractions, cheaper than

@@ -4,12 +4,17 @@
 64-byte values, the paper's sizes), then ``readrandom`` issues point
 gets with the ``ReadRandom Exp Range`` skew knob.  The LSM lives on the
 simulated HDD; the scheme under test serves as the secondary cache.
+
+The fill runs before the scheme stack exists, so it cannot depend on the
+scheme: a process fills once per fill key (:func:`_fill_key`) and every
+driver starts from a deep copy of that filled ``(clock, Db)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import copy
+from dataclasses import dataclass, fields
+from typing import Optional, Tuple
 
 from repro.bench.schemes import SCHEME_NAMES, SchemeScale, SchemeStack, build_scheme
 from repro.errors import ConfigError
@@ -98,6 +103,28 @@ FIG5_SCALE = SchemeScale(
 )
 
 
+# DbBenchConfig fields that shape only the scheme stack or the reads:
+# every other field is an input of the fill.
+_READ_SIDE_FIELDS = frozenset(
+    ("scheme", "cache_zones", "op_zones", "exp_range", "num_reads", "warmup_reads")
+)
+
+# This process's one filled snapshot: (fill key, (clock, Db)), or None.
+# Nothing reads from it; its HDD chunks are frozen, so it and every copy
+# made from it share the filled bytes.
+_filled: Optional[Tuple[tuple, Tuple[SimClock, Db]]] = None
+
+
+def _fill_key(driver: "DbBenchDriver") -> tuple:
+    """What the filled ``(clock, Db)`` of ``driver`` depends on."""
+    config = driver.config
+    return (type(driver),) + tuple(
+        getattr(config, f.name)
+        for f in fields(config)
+        if f.name not in _READ_SIDE_FIELDS
+    )
+
+
 class DbBenchDriver:
     """fillrandom + readrandom against one scheme stack."""
 
@@ -119,8 +146,30 @@ class DbBenchDriver:
         return (unit * -(-size // len(unit)))[:size]
 
     def setup(self) -> None:
-        """Build the scheme stack, the HDD-backed DB, and fillrandom."""
+        """A copy of the filled HDD-backed DB (fillrandom runs on a miss),
+        then the scheme stack as its secondary cache, both on this
+        driver's clock."""
+        global _filled
         config = self.config
+        key = _fill_key(self)
+        if _filled is None or _filled[0] != key:
+            _filled = None  # one snapshot per process, never two
+            clock = SimClock()
+            hdd = HddDevice(
+                clock, HddConfig(capacity_bytes=config.hdd_bytes), seed=config.seed
+            )
+            self.db = Db(
+                clock, hdd, DbConfig(block_cache_bytes=config.dram_block_cache_bytes)
+            )
+            self._fillrandom()
+            hdd.media.freeze()
+            _filled = key, (clock, self.db)
+        # The first driver copies too: a deep copy lays the LSM's objects
+        # out together, and reads from the fill's own objects measured ~7%
+        # slower on lsm_secondary.
+        clock, db = _filled[1]
+        self.db = copy.deepcopy(db, {id(clock): self.clock})
+        self.clock.now = clock.now
         cache_bytes = int(config.cache_zones * self.scale.zone_size)
         if config.scheme == "Zone-Cache":
             # Zone-Cache can only use whole zones of the budget.
@@ -139,17 +188,7 @@ class DbBenchDriver:
         self.stack = build_scheme(
             config.scheme, self.clock, self.scale, media_bytes, cache_bytes
         )
-        hdd = HddDevice(
-            self.clock, HddConfig(capacity_bytes=config.hdd_bytes), seed=config.seed
-        )
-        secondary = CacheLibSecondaryCache(self.stack.cache)
-        self.db = Db(
-            self.clock,
-            hdd,
-            DbConfig(block_cache_bytes=config.dram_block_cache_bytes),
-            secondary_cache=secondary,
-        )
-        self._fillrandom()
+        self.db.block_cache.secondary = CacheLibSecondaryCache(self.stack.cache)
 
     def _fillrandom(self) -> None:
         assert self.db is not None

@@ -64,6 +64,7 @@ from repro.workloads.cachebench import (
     CacheBenchConfig,
     CacheBenchDriver,
 )
+from tests.helpers import full_field_digest
 
 
 # --- scheduler order property ---------------------------------------------------
@@ -161,11 +162,6 @@ PARENT_TRACE_DIGESTS = {
 # IoRequest/submit).  The closed-loop runs add what the fleets lack:
 # zns/nullblk completions, background GC reads, ztl.gc / f2fs.gc /
 # reclaim.* spans and injected-fault events.
-TRACE_FIELDS = (
-    "record_id", "parent_id", "layer", "op", "offset", "length", "zone",
-    "background", "submitted_ns", "completed_ns", "wait_ns", "service_ns",
-    "channel",
-)
 PARENT_FULL_FIELD_DIGESTS = {
     "serving": (
         2818,
@@ -310,17 +306,6 @@ def _trace_digest(server: Server):
     return count, digest.hexdigest()
 
 
-def _full_field_digest(tracers):
-    digest = hashlib.sha256()
-    count = 0
-    for tracer in tracers:
-        for record in tracer.records:
-            line = "|".join(str(getattr(record, name)) for name in TRACE_FIELDS)
-            digest.update(line.encode() + b"\n")
-            count += 1
-    return count, digest.hexdigest()
-
-
 def _closed_loop_tracer(scheme: str, faults: FaultInjector = None):
     """6,000 mixed ops on one traced stack: enough churn to evict, and
     to run ZTL GC (Region-Cache) or the F2FS cleaner (File-Cache)."""
@@ -378,7 +363,7 @@ def _faulty_file_cache_tracer():
 def test_every_record_field_equals_parent_digest(name, tracers):
     """The stream is the parent's byte for byte — ids, parents, all five
     timestamps/durations, channel — whatever builds the records."""
-    assert _full_field_digest(tracers()) == PARENT_FULL_FIELD_DIGESTS[name]
+    assert full_field_digest(tracers()) == PARENT_FULL_FIELD_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

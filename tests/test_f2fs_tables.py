@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import FileExistsInFsError, FileNotFoundInFsError
+from repro.errors import FileExistsInFsError, FileNotFoundInFsError, SectionInUseError
 from repro.f2fs import NodeAddressTable, SegmentInfoTable
 
 
@@ -40,11 +40,17 @@ class TestSegmentInfoTable:
         assert sit.valid_fraction(1) == pytest.approx(0.25)
         assert list(sit.valid_blocks(1)) == [8, 9]
 
-    def test_wipe_section(self):
+    def test_require_empty(self):
         sit = self.make()
         sit.mark_valid(8, (1, 0))
         sit.mark_valid(9, (1, 1))
-        sit.wipe_section(1)
+        with pytest.raises(SectionInUseError, match="section 1 still owns 2"):
+            sit.require_empty(1)
+        sit.mark_invalid_run(8, 2)
+        owners = sit.sections[1].owners
+        sit.require_empty(1)
+        sit.require_empty(0)  # never written
+        assert sit.sections[1].owners is owners  # checked, not re-allocated
         assert sit.valid_count(1) == 0
         assert sit.owner_of(8) is None
         assert sit.total_valid_blocks == 0

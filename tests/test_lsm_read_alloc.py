@@ -24,7 +24,7 @@ from repro.lsm import bloom as bloom_module
 from repro.lsm.compaction import CompactionConfig
 from repro.sim import SimClock
 from repro.units import KIB, MIB
-from tests.test_trace_cost import _python_calls
+from tests.helpers import python_calls
 
 NUM_KEYS = 6000
 # Frames per planned get served from one block in the DRAM block cache:
@@ -148,7 +148,7 @@ def test_frames_per_get_that_hits_the_dram_block_cache(db):
         for key in keys:
             db.get(key)
 
-    frames = _python_calls(get_all)
+    frames = python_calls(get_all)
     lookups = dram.total - lookups_before
     assert lookups == dram.hits - hits_before >= len(keys)
     # A bloom false positive sends a get to a second block first: one

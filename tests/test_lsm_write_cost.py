@@ -20,7 +20,7 @@ from repro.lsm import Db, DbConfig
 from repro.lsm.compaction import CompactionConfig
 from repro.sim import SimClock
 from repro.units import MIB
-from tests.test_trace_cost import _python_calls
+from tests.helpers import python_calls
 
 N = 5_000
 # Frames per Db.put or Db.delete that neither fills a WAL block nor
@@ -48,7 +48,7 @@ def test_memtable_flush_makes_calls_per_block_not_per_entry():
     db = _db()
     _put_all(db, range(N))
     assert len(db.memtable) == N and db.stats.memtable_flushes == 0
-    calls = _python_calls(db.flush_memtable)
+    calls = python_calls(db.flush_memtable)
     assert db.stats.memtable_flushes == 1 and db.compactor.compactions_run == 0
     assert len(calls) < N / 8, sorted(set(calls))
 
@@ -62,7 +62,7 @@ def test_compaction_makes_calls_per_block_not_per_entry():
     _put_all(db, range(0, N, 2))
     db.flush_memtable()
     _put_all(db, range(1, N, 2))
-    calls = _python_calls(db.flush_memtable)
+    calls = python_calls(db.flush_memtable)
     assert db.compactor.compactions_run == 1
     assert sum(t.num_entries for t in db.version.levels[1]) == N
     assert len(calls) < N / 4, sorted(set(calls))
@@ -73,7 +73,7 @@ def test_frames_per_put_that_neither_fills_a_wal_block_nor_flushes():
     db.put(b"warm", b"up")  # not the first call of anything
     for op in (lambda: db.put(b"key", b"value"), lambda: db.delete(b"key")):
         blocks_before = db.wal.bytes_flushed
-        frames = _python_calls(op)
+        frames = python_calls(op)
         assert db.wal.bytes_flushed == blocks_before
         assert db.stats.memtable_flushes == 0
         assert len(frames) <= MAX_FRAMES_PER_PUT, frames

@@ -156,7 +156,7 @@ def test_new_chunks_hold_exactly_what_was_written():
 
 _MOVES = st.lists(
     st.tuples(
-        st.sampled_from(("store", "move", "clear")),
+        st.sampled_from(("store", "move", "clear", "freeze")),
         st.integers(0, TOTAL_PAGES * PAGE - 1),
         st.integers(0, TOTAL_PAGES * PAGE - 1),
         st.integers(1, 3 * CHUNK_PAGES * PAGE),
@@ -182,14 +182,29 @@ def test_move_matches_a_twin_that_loads_and_stores(ops):
         elif op == "clear":
             store.clear(dst, length)
             twin.clear(dst, length)
+        elif op == "freeze":
+            # The chunks become shared bytes; later writes copy them first.
+            store.freeze()
+            frozen = copy.deepcopy(store)
+            frozen_bytes = store.load(0, size)
+            assert all(
+                frozen._chunks[index] is chunk for index, chunk in store._chunks.items()
+            )
         else:
             store.move(src, dst, length)
             twin.store(dst, twin.load(src, length))
         assert store.load(0, size) == twin.load(0, size)
         assert store.allocated_bytes == twin.allocated_bytes
-    clone = copy.deepcopy(store)  # bytearrays only: no view was kept
+    clone = copy.deepcopy(store)  # no view was kept
     clone.store(0, b"\xff" * size)
     assert store.load(0, size) == twin.load(0, size)
+    if any(op == "freeze" for op, *_ in ops):
+        # The last frozen copy kept its bytes through the store's writes,
+        # and its own writes stay its own.
+        assert frozen.load(0, size) == frozen_bytes
+        frozen.store(1, b"\xfe" * (size - 2))
+        frozen.clear(size // 2, 3)
+        assert store.load(0, size) == twin.load(0, size)
 
 
 def test_store_is_byte_granular_and_copies_in():
@@ -268,7 +283,7 @@ def test_deepcopy_gives_an_independent_store(index):
     device.write(0, first)
     clone = copy.deepcopy(device)
     assert clone.media is not device.media
-    # The store holds bytearrays only — a memoryview could not be copied.
+    # An unfrozen store holds bytearrays only — never a memoryview.
     assert all(type(chunk) is bytearray for chunk in device.media._chunks.values())
     if isinstance(device, ZnsSsd):
         clone.write(8192, second)

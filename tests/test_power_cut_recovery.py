@@ -30,7 +30,7 @@ from repro.sim import FaultInjector, SimClock
 from repro.units import KIB, MIB
 from repro.ztl import ZoneUse
 from tests.books import assert_ztl_books_agree
-from tests.test_ztl_layer import REGION, make_layer, payload
+from tests.helpers import REGION, make_layer, payload
 
 SCALE = SchemeScale(
     zone_size=256 * KIB, region_size=16 * KIB, pages_per_block=16, ram_bytes=0

@@ -29,8 +29,7 @@ from repro.bench.schemes import ALL_SCHEME_NAMES, SchemeScale, build_scheme
 from repro.sim import SimClock
 from repro.units import KIB, MIB
 from repro.workloads.dbbench import DbBenchConfig, DbBenchDriver
-from tests.test_engine_speed import _full_field_digest
-from tests.test_trace_cost import _python_calls
+from tests.helpers import full_field_digest, python_calls
 
 # Frames per flash-hit get, measured on this tree: ``get`` is one frame
 # (an enabled tracer's span is opened by hand around the same body); it
@@ -111,13 +110,13 @@ def _flash_resident_keys(cache, count: int) -> list:
 
 
 def _frames_without_collections(body) -> list:
-    """``_python_calls(body)`` with the cyclic collector off: a
+    """``python_calls(body)`` with the cyclic collector off: a
     collection inside the window would count the frames of whatever
     ``gc.callbacks`` the test session has installed (hypothesis times
     collections that way)."""
     gc.disable()
     try:
-        return _python_calls(body)
+        return python_calls(body)
     finally:
         gc.enable()
 
@@ -197,4 +196,4 @@ def test_trace_stream_equals_parent_digest(name):
     tracers = (
         _traced_db_bench_run() if name == "db_bench" else _traced_scheme_run(name)
     )
-    assert _full_field_digest(tracers) == PARENT_STREAM_DIGESTS[name]
+    assert full_field_digest(tracers) == PARENT_STREAM_DIGESTS[name]

@@ -21,7 +21,6 @@ monkeypatched constructor do, on any machine:
 from __future__ import annotations
 
 import gc
-import sys
 import tracemalloc
 
 import pytest
@@ -40,24 +39,9 @@ from repro.flash import (
 from repro.sim import IoCompletion, IoTracer, SimClock, TraceRecord
 from repro.sim.faults import FaultInjector
 from repro.units import KIB
+from tests.helpers import python_calls
 
 MAX_CALLS_PER_SPAN = 5
-
-
-def _python_calls(body) -> list:
-    """Names of the Python-level functions ``body`` calls (itself excluded)."""
-    names = []
-
-    def profiler(frame, event, arg):
-        if event == "call":
-            names.append(frame.f_code.co_name)
-
-    sys.setprofile(profiler)
-    try:
-        body()
-    finally:
-        sys.setprofile(None)
-    return names[1:]  # names[0] is body's own frame
 
 
 def test_span_is_at_most_five_python_calls_subscriber_included():
@@ -74,7 +58,7 @@ def test_span_is_at_most_five_python_calls_subscriber_included():
             pass
 
     one_span()  # not the first call of anything
-    calls = _python_calls(one_span)
+    calls = python_calls(one_span)
     assert "subscriber" in calls
     assert len(calls) <= MAX_CALLS_PER_SPAN, calls
     assert len(seen) == 2

@@ -1,6 +1,7 @@
 """Tests for workload generators: distributions and drivers."""
 
 import bisect
+import math
 
 import pytest
 
@@ -63,6 +64,45 @@ class TestZipfSampler:
             ZipfSampler(0)
         with pytest.raises(ValueError):
             ZipfSampler(10, theta=-1)
+
+    @staticmethod
+    def reference_draws(num_keys, theta, seed, n):
+        """The per-sampler construction the shared tables replaced."""
+        weights = [1.0 / (rank ** theta) for rank in range(1, num_keys + 1)]
+        total = math.fsum(weights)
+        cdf, cumulative = [], 0.0
+        for weight in weights:
+            cumulative += weight / total
+            cdf.append(cumulative)
+        rank_to_key = list(range(num_keys))
+        make_rng(seed, "zipf.shuffle").shuffle(rank_to_key)
+        rng = make_rng(seed, "zipf")
+        return [
+            rank_to_key[min(bisect.bisect_left(cdf, rng.random()), num_keys - 1)]
+            for _ in range(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "num_keys,theta,seed", [(1, 0.9, 1), (5000, 0.9, 7), (5000, 1.2, 7), (777, 1, 53)]
+    )
+    def test_shared_tables_draw_as_before(self, num_keys, theta, seed):
+        a = ZipfSampler(num_keys, theta, seed)
+        b = ZipfSampler(num_keys, theta, seed)
+        # One table per (num_keys, theta, seed), each sampler its own rng.
+        assert a._cdf is b._cdf and a._rank_to_key is b._rank_to_key
+        assert a._rng is not b._rng
+        reference = self.reference_draws(num_keys, theta, seed, 3000)
+        assert [a.sample() for _ in range(1000)] == reference[:1000]
+        assert a.sample_many(2000) == reference[1000:]
+        assert b.sample_many(1500) + [b.sample() for _ in range(1500)] == reference
+        c = ZipfSampler(num_keys, theta, seed + 1)
+        assert c._rank_to_key is not a._rank_to_key
+
+    def test_cachebench_drivers_share_the_tables(self):
+        config = CacheBenchConfig(num_keys=4000)
+        drivers = [CacheBenchDriver(config) for _ in range(5)]
+        assert len({id(d._keys._cdf) for d in drivers}) == 1
+        assert len({tuple(d.next_ops(500)[1]) for d in drivers}) == 1
 
 
 class TestExpRangeSampler:

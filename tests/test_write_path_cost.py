@@ -45,7 +45,7 @@ from repro.bench.fleet import SERVING_SCALE, reclaim_overrides
 from repro.bench.schemes import ALL_SCHEME_NAMES, SchemeScale, build_scheme, provision
 from repro.sim import SimClock
 from repro.units import KIB, MIB
-from tests.test_trace_cost import _python_calls
+from tests.helpers import python_calls
 
 # Frames per admitted set that does not seal a region: ``set`` itself,
 # which runs the DRAM-tier insert and packs the entry in line; Z-Cache's
@@ -76,19 +76,21 @@ MAX_FRAMES_PER_SEALED_DELETE = 2
 #                                    closed_fill 63.6 / 229 / 118.8 / 46.4 / 73.8
 #   before one owner per slot        small 27.5 / 27 / 52.0 / 23.2 / 30.3
 #   (the ZTL's and SIT's bitmaps)    closed_fill 27.5 / 27 / 54.0 / 23.3 / 30.3
+#   now                              small 24.5 / 27 / 49.0 / 23.2 / 27.3
+#                                    closed_fill 24.5 / 27 / 51.0 / 23.3 / 27.3
 MAX_FRAMES_PER_ROTATING_SET = {
     "small": {
         "Region-Cache": 25,
-        "Zone-Cache": 29,
+        "Zone-Cache": 27,
         "File-Cache": 50,
-        "Block-Cache": 26,
+        "Block-Cache": 24,
         "Z-Cache": 28,
     },
     "closed_fill": {
         "Region-Cache": 25,
-        "Zone-Cache": 29,
+        "Zone-Cache": 27,
         "File-Cache": 52,
-        "Block-Cache": 26,
+        "Block-Cache": 24,
         "Z-Cache": 28,
     },
 }
@@ -166,7 +168,7 @@ def _frames_per_set(scheme: str, geometry: _Geometry):
         for index in range(sets):
             key = b"key-%06d" % index
             flushes = cache.stats.flushes
-            frames = _python_calls(lambda: cache.set(key, value))
+            frames = python_calls(lambda: cache.set(key, value))
             (rotating if cache.stats.flushes != flushes else plain).append(len(frames))
     finally:
         gc.enable()
@@ -199,7 +201,7 @@ def test_frames_per_sealed_delete(scheme):
     assert len(sealed) > 100
     gc.disable()
     try:
-        frames = [len(_python_calls(lambda: cache.delete(key))) for key in sealed]
+        frames = [len(python_calls(lambda: cache.delete(key))) for key in sealed]
     finally:
         gc.enable()
     assert not any(key in cache.index or key in cache.ram for key in sealed)
@@ -264,7 +266,7 @@ def _frames_per_warm_seal(scheme: str, run: _WarmRun):
     evicted = cache.regions.regions_evicted
     frames = []
     seal = cache._seal_and_rotate
-    cache._seal_and_rotate = lambda: frames.append(len(_python_calls(seal)))
+    cache._seal_and_rotate = lambda: frames.append(len(python_calls(seal)))
     gc.disable()
     try:
         drive(run.measured_ops)

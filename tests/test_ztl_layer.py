@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.cache.backends import ZtlRegionStore
 from repro.errors import (
     OutOfRangeError,
     PowerCutError,
@@ -12,50 +11,12 @@ from repro.errors import (
     TranslationFullError,
 )
 from repro.flash import NandGeometry, ZnsConfig, ZnsSsd
-from repro.reclaim import GcHints
 from repro.sim import FaultInjector, SimClock
 from repro.units import KIB
 from repro.ztl import GcConfig, RegionTranslationLayer, ZtlConfig
 from repro.ztl.allocator import ZoneBook, ZoneUse
 from tests.books import assert_ztl_books_agree
-
-REGION = 64 * KIB
-
-
-def make_layer(
-    num_blocks=256,
-    zone_blocks=4,
-    region_size=REGION,
-    min_empty=4,
-    threshold=0.2,
-    hint=None,
-    on_drop=None,
-    faults=None,
-    host_open=2,
-):
-    clock = SimClock()
-    geometry = NandGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=num_blocks)
-    zns = ZnsSsd(
-        clock,
-        ZnsConfig(geometry=geometry, zone_size=zone_blocks * geometry.block_size),
-        faults=faults,
-    )
-    layer = RegionTranslationLayer(
-        zns,
-        ZtlConfig(
-            region_size=region_size,
-            host_open_zones=host_open,
-            gc=GcConfig(min_empty_zones=min_empty, victim_valid_threshold=threshold),
-        ),
-    )
-    if hint is not None:
-        store = ZtlRegionStore(layer, layer.total_slots - 1)
-        store.bind_gc_hints(GcHints(hint, on_drop or (lambda region_id: None)))
-    return layer
-
-
-def payload(region_id: int, size: int = REGION) -> bytes:
-    return bytes([region_id % 256]) * size
+from tests.helpers import REGION, make_layer, payload
 
 
 class TestZtlBasics:
