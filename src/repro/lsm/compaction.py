@@ -131,7 +131,7 @@ class Compactor:
         """Merge inputs (lowest precedence first) into new tables."""
         merged: Dict[bytes, bytes] = {}
         for table in inputs:
-            merged.update(table.iter_entries())
+            merged.update(table.iter_entries(self.space.device))
             self.bytes_compacted += table.extent_size
         if output_level == self.version.num_levels - 1:
             merged = {k: v for k, v in merged.items() if v != TOMBSTONE}
@@ -151,5 +151,6 @@ class Compactor:
         return outputs
 
     def _release(self, tables: List[SSTable]) -> None:
+        """Free the extents of tables a merge superseded."""
         for table in tables:
-            table.release()
+            self.space.release(table.extent_offset)

@@ -225,7 +225,7 @@ class Db:
         for table, block, block_key in plan:
             blob = block_cache.get(block_key)
             if blob is None:
-                blob = table.read_block(table.index_handles[block])
+                blob = table.read_block(self.device, table.index_handles[block])
                 block_cache.put(block_key, blob)
             index = table.entry_indexes[block]
             if index is None:
@@ -244,11 +244,9 @@ class Db:
         """Ordered (key, value) pairs in ``[start, end)`` across all levels."""
         self._check_open()
         sources = [iter(self.memtable.sorted_entries())]
-        for table in self.version.levels[0]:
-            sources.append(table.iter_entries())
-        for level in range(1, self.version.num_levels):
-            for table in self.version.levels[level]:
-                sources.append(table.iter_entries())
+        for level in self.version.levels:  # L0 newest first, then L1+
+            for table in level:
+                sources.append(table.iter_entries(self.device))
         return scan_range(sources, start, end)
 
     def items(self) -> "Iterator[Tuple[bytes, bytes]]":

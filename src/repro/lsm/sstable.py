@@ -11,6 +11,13 @@ so a table can be fully re-opened from the device after a crash
 memory, the equivalent of RocksDB's "index block caching enabled"
 (§4.2), and so does each data block's entry index once a lookup has
 landed in that block (:meth:`SSTable.index_block`).
+
+A handle is the table's bytes as decoded, and nothing else: it holds no
+device or extent allocator, so whoever reads a block names the device
+(:meth:`SSTable.read_block`) and whoever frees the extent owns the
+allocator.  Its bytes never change, so a deep copy of a ``Db`` shares
+the handle (and the index, filter and entry indexes pinned on it) rather
+than copying it: each copy reads it through its own device.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ from __future__ import annotations
 import pickle
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Tuple
+from itertools import chain, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import LsmError
+from repro.flash.device import BlockDevice
 from repro.lsm.block import (
     BlockHandle,
     BlockIndex,
@@ -37,9 +45,9 @@ FOOTER_MAGIC = b"REPRO-SST1"
 _FOOTER = struct.Struct("<10sQQQI")  # magic, table_id, meta_offset, meta_len, data_size
 
 
-@dataclass
+@dataclass(eq=False)
 class SSTable:
-    """Reader handle for one immutable table."""
+    """Reader handle for one immutable table, compared by identity."""
 
     table_id: int
     extent_offset: int
@@ -50,10 +58,11 @@ class SSTable:
     smallest: bytes
     largest: bytes
     num_entries: int
-    space: TableSpace = field(repr=False)
     # Entry index of each data block (None until a lookup lands in it);
     # like index_keys and the bloom filter it lives as long as this
     # handle: compaction drops it with the table, reopen starts empty.
+    # It is a pure function of the block's bytes, so every Db sharing
+    # the handle may build and use it.
     entry_indexes: List[Optional[BlockIndex]] = field(
         init=False, repr=False, compare=False
     )
@@ -61,15 +70,19 @@ class SSTable:
     def __post_init__(self) -> None:
         self.entry_indexes = [None] * len(self.index_handles)
 
+    def __deepcopy__(self, memo: Dict[int, object]) -> "SSTable":
+        """The handle itself: nothing in it is ever mutated but the entry
+        indexes, which any copy would rebuild byte for byte."""
+        return self
+
     def index_block(self, block: int, blob: bytes) -> BlockIndex:
         """Build and pin the entry index of data block ``block`` from
         ``blob``, its bytes as any tier delivered them."""
         index = self.entry_indexes[block] = index_entries(blob)
         return index
 
-    def read_block(self, handle: BlockHandle) -> bytes:
-        """Read a data block from the device (aligned to device blocks)."""
-        device = self.space.device
+    def read_block(self, device: BlockDevice, handle: BlockHandle) -> bytes:
+        """Read a data block from ``device`` (aligned to device blocks)."""
         start = self.extent_offset + handle.offset
         aligned_start = (start // device.block_size) * device.block_size
         end = align_up(start + handle.size, device.block_size)
@@ -77,20 +90,18 @@ class SSTable:
         skip = start - aligned_start
         return data[skip : skip + handle.size]
 
-    def iter_entries(self) -> Iterator[Tuple[bytes, bytes]]:
+    def iter_entries(self, device: BlockDevice) -> Iterator[Tuple[bytes, bytes]]:
         """Full scan in key order (compaction, ``Db.scan``): each block is
-        read when the scan reaches it and decoded in one loop."""
+        read from ``device`` when the scan reaches it and decoded in one
+        loop."""
         return chain.from_iterable(
-            map(iter_block, map(self.read_block, self.index_handles))
+            map(iter_block, map(self.read_block, repeat(device), self.index_handles))
         )
-
-    def release(self) -> None:
-        """Free the table's extent (after compaction supersedes it)."""
-        self.space.release(self.extent_offset)
 
     @classmethod
     def open(cls, space: TableSpace, extent_offset: int, extent_size: int) -> "SSTable":
-        """Re-open a table from its on-device footer (crash recovery)."""
+        """Re-open a table from its on-device footer (crash recovery),
+        read through ``space``'s device; the handle keeps neither."""
         device = space.device
         footer_offset = extent_offset + extent_size - device.block_size
         footer_block = device.read(footer_offset, device.block_size).data
@@ -118,7 +129,6 @@ class SSTable:
             smallest=meta["smallest"],
             largest=meta["largest"],
             num_entries=meta["num_entries"],
-            space=space,
         )
 
 
@@ -197,5 +207,4 @@ class SSTableBuilder:
             smallest=smallest,
             largest=largest,
             num_entries=len(keys),
-            space=self.space,
         )

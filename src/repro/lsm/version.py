@@ -13,6 +13,13 @@ block_key)`` steps whose key range, fence and bloom filter pass, in the
 order ``Db.get`` visits them.  A plan is a pure function of the key and
 the levels, so every mutator drops them all; at most ``PLAN_KEYS`` are
 kept, the least recently used dropped first.
+
+A deep copy of a ``Version`` shares its tables and its plan caches:
+tables never change, and a plan holds only tables, block numbers and
+block-cache keys, all valid for every copy whose levels are the same.
+A mutator therefore starts a new cache (it rebinds ``plans``, it never
+clears the shared one), so a copy that writes leaves the others' plans
+as they were.
 """
 
 from __future__ import annotations
@@ -46,6 +53,16 @@ class Version:
         # The one-step plan of each block a plan visits: most keys live in
         # one table, so most plans are one of these, shared, not a copy.
         self._block_plans: Dict[BlockKey, ReadPlan] = {}
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Version":
+        """Every attribute as it is, so the plan caches are shared (see
+        the module docstring), then new level and fence lists over the
+        same tables."""
+        copy = memo[id(self)] = Version.__new__(Version)
+        copy.__dict__.update(self.__dict__)
+        copy.levels = [list(level) for level in self.levels]
+        copy.fences = [list(fences) for fences in self.fences]
+        return copy
 
     @property
     def num_levels(self) -> int:
@@ -84,8 +101,9 @@ class Version:
         return plan
 
     def _drop_plans(self) -> None:
-        self.plans.clear()
-        self._block_plans.clear()
+        # New caches, not cleared ones: copies may share the old.
+        self.plans = OrderedDict()
+        self._block_plans = {}
 
     def add_l0(self, table: SSTable) -> None:
         """Newest L0 table goes to the front (searched first)."""

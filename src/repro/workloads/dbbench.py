@@ -7,12 +7,17 @@ simulated HDD; the scheme under test serves as the secondary cache.
 
 The fill runs before the scheme stack exists, so it cannot depend on the
 scheme: a process fills once per fill key (:func:`_fill_key`) and every
-driver starts from a deep copy of that filled ``(clock, Db)``.
+driver starts from a deep copy of that filled ``(clock, Db)``.  The copy
+duplicates only what a driver changes (clock, HDD state, block cache,
+level lists, stats); the frozen HDD bytes, the tables and their pinned
+indexes, and the read-plan cache are shared, so the blocks and plans one
+driver's reads build serve every later driver too.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
@@ -25,6 +30,22 @@ from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 from repro.units import GIB, KIB, MIB
 from repro.workloads.distributions import ExpRangeSampler
+
+
+# (field, minimum) of DbBenchConfig's int fields (bools refused; the
+# seed has no bound) and of its int-or-float ones.
+_INT_MINIMUMS = (
+    ("num_keys", 1),
+    ("num_reads", 1),
+    ("warmup_reads", -1),  # -1: as many as num_reads
+    ("key_size", 8),  # b"user" plus at least four digits
+    ("value_size", 1),
+    ("op_zones", 0),
+    ("hdd_bytes", 1),
+    ("dram_block_cache_bytes", 0),
+    ("seed", None),
+)
+_NUMBER_MINIMUMS = (("exp_range", 0), ("cache_zones", 1))
 
 
 @dataclass(frozen=True)
@@ -54,14 +75,20 @@ class DbBenchConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.num_keys < 1 or self.num_reads < 1:
-            raise ConfigError("num_keys and num_reads must be >= 1")
-        if self.key_size < 8 or self.value_size < 1:
-            raise ConfigError("key_size must be >= 8 and value_size >= 1")
-        if not isinstance(self.value_size, int) or isinstance(self.value_size, bool):
-            raise ConfigError(f"value_size must be an int, got {self.value_size!r}")
-        if self.cache_zones < 1:
-            raise ConfigError("cache_zones must be >= 1")
+        # A field's type before its bound: no bound compares a str, and
+        # no float count reaches the fill or the reads.
+        for name, minimum in _INT_MINIMUMS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            if minimum is not None and value < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        for name, minimum in _NUMBER_MINIMUMS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not (minimum <= value < math.inf):
+                raise ConfigError(f"{name} must be finite and >= {minimum}, got {value}")
         if self.scheme not in SCHEME_NAMES:
             raise ConfigError(
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEME_NAMES}"
@@ -164,9 +191,8 @@ class DbBenchDriver:
             self._fillrandom()
             hdd.media.freeze()
             _filled = key, (clock, self.db)
-        # The first driver copies too: a deep copy lays the LSM's objects
-        # out together, and reads from the fill's own objects measured ~7%
-        # slower on lsm_secondary.
+        # The first driver copies too, so the snapshot stays as the fill
+        # left it: nothing ever reads through it.
         clock, db = _filled[1]
         self.db = copy.deepcopy(db, {id(clock): self.clock})
         self.clock.now = clock.now

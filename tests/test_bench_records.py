@@ -2,12 +2,14 @@
 appends to them (``tools/ab_pairs.py --record PR``), and
 ``BENCH_walls.json`` with its tool (``tools/walls.py --record PR``).
 
-Every entry of every file has the schema ``record`` writes, and a file's
-entries are in PR order.
+Every entry of every file has the schema ``record`` writes (plus, at
+most, a hand-written ``note`` string), and a file's entries are in PR
+order.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 import re
@@ -38,10 +40,12 @@ def _workloads():
 def check_entries(entries: list) -> None:
     assert isinstance(entries, list) and entries
     for entry in entries:
-        assert set(entry) == {
+        # A "note" is added by hand, to tell apart passes of one PR.
+        assert set(entry) - {"note"} == {
             "pr", "parent", "change", "seed", "pairs", "sim_digest_identical",
             "metrics",
         }, entry
+        assert type(entry.get("note", "")) is str
         assert type(entry["pr"]) is int and entry["pr"] > 0
         assert COMMIT.fullmatch(entry["parent"]), entry["parent"]
         assert COMMIT.fullmatch(entry["change"]), entry["change"]
@@ -105,6 +109,41 @@ def test_record_appends_in_pr_order_and_writes_the_checked_schema(tmp_path):
     ab_pairs.check_order(5, ["lsm_secondary"], root=tmp_path)
     with pytest.raises(SystemExit, match="PR order"):
         ab_pairs.check_order(4, ["lsm_secondary"], root=tmp_path)
+
+
+def test_split_by_first_on_a_synthetic_pair_list(monkeypatch, capsys):
+    """Each side's median over the pairs each side ran first, printed and
+    kept in the verdict as ``by_first``; the verdict itself is unchanged.
+    Here the side that runs second reads 3 higher, as on a busy machine."""
+    parent = [10.0, 24.0, 12.0, 22.0, 11.0, 23.0]
+    change = [13.0, 21.0, 15.0, 19.0, 14.0, 20.0]
+    firsts = ["parent", "change"] * 3
+    assert ab_pairs.split_by_first(firsts, parent, change) == {
+        "parent": {"pairs": 3, "parent": 11.0, "change": 14.0},
+        "change": {"pairs": 3, "parent": 23.0, "change": 20.0},
+    }
+    assert ab_pairs.split_by_first(["change"] * 2, [1.0, 2.0], [3.0, 4.0]) == {
+        "change": {"pairs": 2, "parent": 1.5, "change": 3.5},
+    }
+    # run_pairs alternates, parent first in the first pair.
+    values = {"parent": iter(parent), "change": iter(change)}
+    ran = []
+
+    def run_once(checkout, workload, seed):
+        ran.append(checkout)
+        return {"sim_digest": "d", "setup_s": next(values[checkout])}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    args = argparse.Namespace(parent="parent", change="change", pairs=6,
+                              metrics=["setup_s"])
+    result = ab_pairs.run_pairs(args, "lsm_secondary", 7, BETTER)
+    assert ran == ["parent", "change", "change", "parent"] * 3
+    verdict = result["verdicts"][0]
+    assert verdict.pop("by_first") == ab_pairs.split_by_first(firsts, parent, change)
+    assert verdict == ab_pairs.judge("setup_s", "lower", parent, change)
+    out = capsys.readouterr().out
+    assert ("by first side: parent first (3): parent 11 change 14 (+27.3%); "
+            "change first (3): parent 23 change 20 (-13.0%)") in out
 
 
 def check_walls(entries: list) -> None:

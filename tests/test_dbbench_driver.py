@@ -1,15 +1,25 @@
 """Unit tests for the db_bench driver (small configurations)."""
 
+import copy
+import gc
 import io
+import math
 import pickle
+import statistics
 
 import pytest
 
 from repro.bench.experiments import run_sweep
 from repro.bench.schemes import SchemeScale
+from repro.errors import ConfigError
+from repro.flash.device import BlockDevice
+from repro.lsm.table_space import TableSpace
+from repro.sim import SimClock
 from repro.units import KIB, MIB
 from repro.workloads import dbbench
 from repro.workloads.dbbench import DbBenchConfig, DbBenchDriver
+from repro.workloads.distributions import ExpRangeSampler
+from tests.helpers import python_calls
 
 TINY_SCALE = SchemeScale(
     zone_size=256 * KIB, region_size=16 * KIB, pages_per_block=16,
@@ -46,10 +56,59 @@ class TestDbBenchConfig:
         with pytest.raises(ValueError):
             tiny_config(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # Accepted before, then a bare TypeError from setup() / run()
+            # once the HDD and the Db existed.
+            {"num_keys": 1000.0},
+            {"num_reads": 10.5},
+            {"warmup_reads": 5.0},
+            {"hdd_bytes": float(64 * MIB)},
+            {"seed": 7.0},
+            # A bare TypeError from __post_init__ before.
+            {"value_size": "64"},
+            {"cache_zones": "4"},
+            {"exp_range": "25"},
+            {"key_size": None},
+            # Bools are not counts; nor is a NaN or infinite size a number.
+            {"op_zones": True},
+            {"dram_block_cache_bytes": False},
+            {"cache_zones": math.nan},
+            {"exp_range": math.inf},
+            # Bounds no check covered before.
+            {"warmup_reads": -2},
+            {"op_zones": -1},
+            {"exp_range": -1.0},
+            {"hdd_bytes": 0},
+            {"dram_block_cache_bytes": -1},
+        ],
+        ids=lambda kwargs: "%s=%r" % next(iter(kwargs.items())),
+    )
+    def test_bad_type_or_bound_is_a_config_error(self, kwargs):
+        """Refused when the config is built, naming the field: before
+        any HDD, Db or fill exists."""
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            tiny_config(**kwargs)
+
+    def test_int_numbers_and_bounds_are_accepted(self):
+        config = tiny_config(
+            cache_zones=1, exp_range=0, warmup_reads=-1, op_zones=0, seed=-3,
+            dram_block_cache_bytes=0,
+        )
+        assert (config.cache_zones, config.exp_range) == (1, 0)
+
     def test_key_value_shapes(self):
         driver = DbBenchDriver(tiny_config(), TINY_SCALE)
         assert len(driver.key_bytes(7)) == 16
         assert len(driver.value_bytes(7)) == 64
+
+    @pytest.mark.parametrize("value_size", [1, 11, 12, 13, 64, 100])
+    def test_a_value_is_its_unit_repeated_to_value_size(self, value_size):
+        driver = DbBenchDriver(tiny_config(value_size=value_size), TINY_SCALE)
+        for index in (0, 7, 999_999_999, 10**9, 12_345_678_901):
+            unit = b"val%09d" % index
+            assert driver.value_bytes(index) == (unit * value_size)[:value_size]
 
 
 class TestDbBenchDriver:
@@ -254,3 +313,160 @@ class TestFillSnapshot:
         run_sweep("fig5", size="smoke")
         run_sweep("table2", size="smoke")
         assert len(fills) == 1
+
+
+# --- copies share what never changes -----------------------------------------
+
+# Python calls of one deep copy of the tiny fill's Db (HDD, WAL, manifest,
+# block cache, stats, level lists): 4,202 when every table handle and the
+# plan cache were copied too.  The ceiling of the measured mean.
+MAX_CALLS_PER_TINY_COPY = 2089
+# Three schemes whose copies read side by side.
+SIDE_BY_SIDE = ("Block-Cache", "Zone-Cache", "Region-Cache")
+
+
+def sampled_keys(driver, count, seed=3):
+    sampler = ExpRangeSampler(driver.config.num_keys, 25.0, seed)
+    return [driver.key_bytes(sampler.sample()) for _ in range(count)]
+
+
+def charged(driver) -> tuple:
+    """What ``driver``'s reads charged: its clock, HDD head and rng, HDD
+    pipeline counters and latencies, DB and block cache counters, and its
+    scheme's hit ratio."""
+    db, hdd = driver.db, driver.db.device
+    pipeline = hdd.pipeline
+    return (
+        driver.clock.now, hdd._head_pos, hdd._rng.getstate(),
+        pipeline.busy_until, pipeline.total_busy_ns, pipeline.total_wait_ns,
+        pipeline.commands, hdd.stats.host_read_bytes,
+        list(hdd.stats.read_latency._samples), list(db.stats.get_latency._samples),
+        db.stats.found.hits, db.block_cache.dram_lookups.hits,
+        db.block_cache.secondary_lookups.hits, driver.stack.cache.stats.hit_ratio,
+    )
+
+
+def tables_of(db) -> list:
+    return [table for level in db.version.levels for table in level]
+
+
+class TestSharedCopies:
+    def test_a_copy_shares_tables_and_plans(self, fills):
+        driver = DbBenchDriver(tiny_config(), TINY_SCALE)
+        driver.setup()
+        driver.db.get(driver.key_bytes(7))  # a plan, and an entry index
+        clock, db = dbbench._filled[1]
+        copied = copy.deepcopy(db, {id(clock): SimClock()})
+        tables = tables_of(db)
+        assert tables and len(tables_of(copied)) == len(tables)
+        assert all(a is b for a, b in zip(tables_of(copied), tables))
+        assert all(a is b for a, b in zip(tables_of(driver.db), tables))
+        for version in (copied.version, driver.db.version):
+            assert vars(version).keys() == vars(db.version).keys()
+            assert version.plans is db.version.plans and version.plans
+            assert version._block_plans is db.version._block_plans
+            assert version.levels is not db.version.levels
+            assert all(a is not b for a, b in zip(version.levels, db.version.levels))
+            assert all(a is not b for a, b in zip(version.fences, db.version.fences))
+        # A handle holds nothing a copy owns: each reads through its own.
+        assert copied.device is not db.device and copied.space is not db.space
+        for table in tables:
+            assert not any(
+                isinstance(value, (BlockDevice, TableSpace))
+                for value in vars(table).values()
+            )
+        calls = []
+        for _ in range(3):
+            gc.collect()  # no garbage generator closes inside the copy
+            calls.append(
+                len(python_calls(lambda: copy.deepcopy(db, {id(clock): SimClock()})))
+            )
+        assert math.ceil(statistics.mean(calls)) <= MAX_CALLS_PER_TINY_COPY, calls
+
+    def test_interleaved_copies_read_as_if_alone(self, fills):
+        """Copies read side by side through one plan cache and one set of
+        table handles, each a plan another copy built; each charges only
+        its own clock, HDD and counters, exactly as a driver whose fill
+        ran for it alone."""
+        configs = [tiny_config(scheme=scheme) for scheme in SIDE_BY_SIDE]
+        keys = sampled_keys(DbBenchDriver(configs[0], TINY_SCALE), 600)
+        alone = []
+        for config in configs:
+            dbbench._filled = None  # nothing shared with any other driver
+            driver = DbBenchDriver(config, TINY_SCALE)
+            driver.setup()
+            alone.append(([driver.db.get(key) for key in keys], charged(driver)))
+        dbbench._filled = None
+        drivers = [DbBenchDriver(config, TINY_SCALE) for config in configs]
+        for driver in drivers:
+            driver.setup()
+        assert len(fills) == len(configs) + 1
+        plans = drivers[0].db.version.plans
+        assert all(d.db.version.plans is plans for d in drivers)
+        clock, snapshot = dbbench._filled[1]
+        fill = (clock.now, snapshot.device.pipeline.commands)
+        hdd_reads = [d.db.device.stats.read_latency.count for d in drivers]
+        values = [[] for _ in drivers]
+        for key in keys:
+            for driver, got in zip(drivers, values):
+                got.append(driver.db.get(key))
+        assert [(got, charged(d)) for got, d in zip(values, drivers)] == alone
+        # Every block that missed both cache tiers was read from the copy's
+        # own HDD, and none from the fill's.
+        assert (clock.now, snapshot.device.pipeline.commands) == fill
+        for driver, before in zip(drivers, hdd_reads):
+            cache = driver.db.block_cache
+            misses = (
+                cache.dram_lookups.total - cache.dram_lookups.hits
+                - cache.secondary_lookups.hits
+            )
+            read = driver.db.device.stats.read_latency.count - before
+            assert misses > 0 and read == misses
+        assert all(got == alone[0][0] for got, _ in alone)
+        assert None not in alone[0][0]
+
+    @staticmethod
+    def _beside_a_writer(write: bool):
+        """Two readers and a writer copied from one fill: the readers read,
+        the writer writes or not, the readers read again."""
+        dbbench._filled = None
+        config = tiny_config()
+        first, writer, second = (DbBenchDriver(config, TINY_SCALE) for _ in range(3))
+        for driver in (first, writer, second):
+            driver.setup()
+        keys = sampled_keys(first, 320)
+        before = [[d.db.get(key) for key in keys] for d in (first, writer, second)]
+        plans = first.db.version.plans
+        assert writer.db.version.plans is plans is second.db.version.plans
+        kept = list(plans.items())
+        levels = [list(level) for level in first.db.version.levels]
+        extents = dict(first.db.space._allocated)
+        media = hdd_bytes(first)
+        if write:
+            db = writer.db
+            compactions = db.compactor.compactions_run
+            written = {}
+            for i, key in enumerate(keys):
+                written[key] = b"new%d" % i
+                db.put(key, written[key])
+                if i % 50 == 49:
+                    db.flush_memtable()
+            assert db.compactor.compactions_run > compactions
+            assert len(db.memtable) and db.version.plans is not plans
+            # It reads its own writes (memtable and new tables alike).
+            assert [db.get(key) for key in keys] == [written[key] for key in keys]
+        for reader in (first, second):
+            version = reader.db.version
+            assert version.plans is plans and list(plans.items()) == kept
+            assert version.levels == levels  # tables compare by identity
+            assert reader.db.space._allocated == extents
+            assert hdd_bytes(reader) == media
+        after = [[d.db.get(key) for key in keys] for d in (first, second)]
+        return before, after, charged(first), charged(second)
+
+    def test_a_copy_that_writes_leaves_the_others_alone(self, fills):
+        """A copy that writes through a memtable flush and a compaction
+        leaves the other copies' plans, tables, extents and bytes as they
+        were, and their reads exactly as beside a copy that did not write."""
+        assert self._beside_a_writer(True) == self._beside_a_writer(False)
+        assert len(fills) == 2

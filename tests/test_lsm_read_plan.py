@@ -21,7 +21,6 @@ from hypothesis import HealthCheck, given, settings
 from repro.errors import DbClosedError, LsmError, LsmTypeError
 from repro.flash import NullBlkDevice
 from repro.lsm import Db, DbConfig, Version
-from repro.lsm.block import iter_block
 from repro.lsm.bloom import BloomFilter, bloom_hashes
 from repro.lsm.compaction import CompactionConfig
 from repro.lsm.version import PLAN_KEYS
@@ -121,8 +120,7 @@ def test_gets_match_a_dict_model_and_the_reference_walk(ops):
     def holds(table):
         if table.table_id not in keys_of:
             keys_of[table.table_id] = {
-                key for blob in map(table.read_block, table.index_handles)
-                for key, _ in iter_block(blob)
+                key for key, _ in table.iter_entries(db.device)
             }
         return keys_of[table.table_id]
 

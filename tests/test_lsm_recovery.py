@@ -50,8 +50,12 @@ class TestSSTablePersistence:
         handle = reopened.index_handles[block]
         from repro.lsm.block import DataBlock
 
-        assert DataBlock(reopened.read_block(handle)).get(key(123)) == b"value123"
+        assert DataBlock(reopened.read_block(space.device, handle)).get(key(123)) == b"value123"
         assert reopened.entry_indexes == [None] * len(reopened.index_handles)
+        # A handle is compared by identity: the same bytes reopened are
+        # another handle, and it keeps no device or space of its own.
+        assert reopened != table and reopened == reopened
+        assert not hasattr(reopened, "space")
 
     def test_open_garbage_rejected(self):
         clock = SimClock()

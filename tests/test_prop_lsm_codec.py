@@ -265,9 +265,11 @@ def test_whole_fill_is_byte_identical_to_its_pins():
         key
         for level in db.version.levels
         for table in level
-        for key, _ in table.iter_entries()
+        for key, _ in table.iter_entries(db.device)
     }
-    last = [value for t in db.version.levels[-1] for _, value in t.iter_entries()]
+    last = [
+        value for t in db.version.levels[-1] for _, value in t.iter_entries(db.device)
+    ]
     assert TOMBSTONE not in last
     assert any(b"user%012d" % k not in stored for k in range(FILL_KEYS)
                if b"user%012d" % k not in model)

@@ -18,6 +18,13 @@ whole procedure — pairs, verdicts, summary table — is repeated per seed,
 so the development seed and the held-out one are one command.  ``--json``
 writes every run and every verdict.
 
+Under each verdict a second line gives both sides' medians over the
+pairs the parent ran first and over those the change ran first: on a
+small shared machine the side that runs second in a pair can read
+higher, which alternating keeps out of the medians but not out of the
+wins.  The split is printed and written to ``--json`` (``by_first``);
+the verdict does not use it.
+
 ``--record PR`` appends one entry per (workload, seed) to
 ``BENCH_<workload>.json`` at the root of this repository: the PR number,
 both checkouts' commits (``+dirty`` when a work tree has uncommitted
@@ -72,6 +79,23 @@ def judge(metric: str, better: str, parent: List[float], change: List[float]) ->
         "ties": sum(c == p for p, c in zip(parent, change)),
         "parent_iqr": p_q3 - p_q1, "gain": gain,
     }
+
+
+def split_by_first(firsts: List[str], parent: List[float],
+                   change: List[float]) -> Dict[str, dict]:
+    """Both sides' medians over the pairs each side ran first, keyed by
+    that side (``firsts[i]`` ran first in pair ``i``); a side that ran
+    first in no pair has no entry."""
+    split = {}
+    for first in ("parent", "change"):
+        pairs = [i for i, side in enumerate(firsts) if side == first]
+        if pairs:
+            split[first] = {
+                "pairs": len(pairs),
+                "parent": statistics.median(parent[i] for i in pairs),
+                "change": statistics.median(change[i] for i in pairs),
+            }
+    return split
 
 
 def verdict_word(verdict: dict, better: str, bound: float) -> str:
@@ -156,9 +180,11 @@ def run_pairs(args, workload: str, seed: int, better: Dict[str, str]) -> dict:
     printed as they finish, then judged on every metric in
     ``args.metrics``."""
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    firsts: List[str] = []
     judged = args.metrics[0]
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        firsts.append(order[0])
         for side in order:
             runs[side].append(run_once(getattr(args, side), workload, seed))
         parent, change = runs["parent"][-1][judged], runs["change"][-1][judged]
@@ -169,11 +195,10 @@ def run_pairs(args, workload: str, seed: int, better: Dict[str, str]) -> dict:
           f"{'identical' if len(digests) == 1 else 'DIFFERS'} across all runs")
     verdicts = []
     for metric in args.metrics:
-        verdict = judge(
-            metric, better[metric],
-            [run[metric] for run in runs["parent"]],
-            [run[metric] for run in runs["change"]],
-        )
+        parent = [run[metric] for run in runs["parent"]]
+        change = [run[metric] for run in runs["change"]]
+        verdict = judge(metric, better[metric], parent, change)
+        verdict["by_first"] = split_by_first(firsts, parent, change)
         verdicts.append(verdict)
         (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = verdict["parent"], verdict["change"]
         print(f"{metric}: parent {p_med:.6g} [{p_q1:.6g} .. {p_q3:.6g}]  change "
@@ -181,6 +206,11 @@ def run_pairs(args, workload: str, seed: int, better: Dict[str, str]) -> dict:
               f"{verdict['delta']:+.1%}; change wins {verdict['wins']}/{args.pairs}, "
               f"ties {verdict['ties']}; parent IQR {verdict['parent_iqr']:.6g} -> "
               f"{'gain' if verdict['gain'] else 'no resolvable gain'}")
+        print("  by first side: " + "; ".join(
+            f"{first} first ({half['pairs']}): parent {half['parent']:.6g} change "
+            f"{half['change']:.6g} ({half['change'] / half['parent'] - 1:+.1%})"
+            for first, half in verdict["by_first"].items()
+        ))
     return {
         "workload": workload, "seed": seed, "pairs": args.pairs,
         "digest_identical": len(digests) == 1, "verdicts": verdicts, "runs": runs,
